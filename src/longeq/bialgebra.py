@@ -19,13 +19,14 @@ from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
+    InternalCheckFailed,
     InvalidBialgebra,
     InvalidCoaction,
     InvalidGroupTable,
     NotAStrongDMap,
 )
 from .linalg import F0, F1
-from .tensor_ops import TensorOp2, check_long_componentwise, long_witness
+from .tensor_ops import TensorOp2, long_witness
 
 AXIOMS = ("L1", "L2", "L3", "L4", "L5", "B1", "strongD")
 
@@ -54,7 +55,8 @@ class Coalgebra:
                 want = F1 if a == c else F0
                 if left != want or right != want:
                     raise InvalidBialgebra(f"counit law fails on basis {a}")
-        nz = [
+        # nonzero (p, q, coeff) of each Delta(e_a), reused by the axiom equations
+        self.comult_nz = nz = [
             [(p, q, self.comult[a][p][q]) for p in range(d) for q in range(d)
              if self.comult[a][p][q]]
             for a in range(d)
@@ -74,22 +76,15 @@ class Coalgebra:
                 raise InvalidBialgebra(f"coassociativity fails on basis {a}")
 
 
-class FinDimBialgebra:
+class FinDimBialgebra(Coalgebra):
     """A bialgebra by structure constants; validated exactly at construction."""
 
     def __init__(self, basis, mult, unit, comult, counit):
-        self.basis = list(basis)
-        self.d = len(self.basis)
+        super().__init__(basis, comult, counit)
         self.mult = [[ [Fraction(x) for x in cell] for cell in row] for row in mult]
         self.unit = [Fraction(x) for x in unit]
-        self.comult = [la.to_frac_matrix(m) for m in comult]
-        self.counit = [Fraction(x) for x in counit]
-        self._coalgebra = Coalgebra(self.basis, self.comult, self.counit)
         self._validate_algebra()
         self._validate_compat()
-
-    def as_coalgebra(self):
-        return self._coalgebra
 
     def product(self, va, vb):
         """Product of two coordinate vectors."""
@@ -105,9 +100,6 @@ class FinDimBialgebra:
                             if ma[b][c]:
                                 out[c] += f * ma[b][c]
         return out
-
-    def basis_product(self, a, b):
-        return list(self.mult[a][b])
 
     def _validate_algebra(self):
         d = self.d
@@ -148,12 +140,8 @@ class FinDimBialgebra:
         if not la.mat_eq(d1, want):
             raise InvalidBialgebra("Delta(1) != 1 (x) 1")
         # Delta is an algebra map; work with sparse entry lists throughout
-        comult_nz = [
-            [(p, q, self.comult[a][p][q]) for p in range(d) for q in range(d)
-             if self.comult[a][p][q]]
-            for a in range(d)
-        ]
-        mult_nz = [
+        comult_nz = self.comult_nz
+        self.mult_nz = mult_nz = [
             [[(c, self.mult[a][b][c]) for c in range(d) if self.mult[a][b][c]]
              for b in range(d)]
             for a in range(d)
@@ -196,15 +184,103 @@ class SigmaTable:
         return self.table[key[0]][key[1]]
 
 
-def _strong_d_witness(comult, d, s):
-    """First basis pair violating sum s(x1 (x) y) x2 = sum s(x2 (x) y) x1."""
-    for a in range(d):
-        for b in range(d):
+# Each axiom is a lazy stream of sparse scalar equations
+# (where, const, lin, quad): const + sum lin[k] t_k + sum quad[k1, k2] t_k1 t_k2
+# = 0, with t_{p*d+q} = sigma(e_p (x) e_q) and ``where`` the basis tuple that
+# names a violation. The checker, the solution space and the feasibility pass
+# all read these streams.
+
+
+def _l1_equations(c):
+    """L1 at (a, y, r): the e_r coefficient of
+    sum sigma(a_1 (x) y) a_2 - sum sigma(a_2 (x) y) a_1.
+
+    Reads only ``d`` and the comultiplication, so any ``Coalgebra`` serves.
+    """
+    d = c.d
+    for a, terms in enumerate(c.comult_nz):
+        coeffs = {}  # (r, p): coefficient of sigma(e_p (x) y) e_r
+        for p, q, x in terms:
+            coeffs[q, p] = coeffs.get((q, p), F0) + x
+            coeffs[p, q] = coeffs.get((p, q), F0) - x
+        for y in range(d):
             for r in range(d):
-                lhs = sum((comult[a][p][r] * s[p][b] for p in range(d)), F0)
-                rhs = sum((comult[a][r][q] * s[q][b] for q in range(d)), F0)
-                if lhs != rhs:
-                    return (a, b)
+                lin = {p * d + y: x for (r_, p), x in coeffs.items() if r_ == r and x}
+                if lin:
+                    yield (a, y), F0, lin, {}
+
+
+def _l2_equations(b):
+    """L2 at (a,): sigma(a (x) 1) - eps(a)."""
+    d = b.d
+    for a in range(d):
+        yield (a,), -b.counit[a], {a * d + c: u for c, u in enumerate(b.unit) if u}, {}
+
+
+def _l4_equations(b):
+    """L4 at (a,): sigma(1 (x) a) - eps(a)."""
+    d = b.d
+    for a in range(d):
+        yield (a,), -b.counit[a], {c * d + a: u for c, u in enumerate(b.unit) if u}, {}
+
+
+def _l3_equations(b):
+    """L3 at (a, x, y): sigma(a (x) xy) - sum sigma(a_1 (x) x) sigma(a_2 (x) y)."""
+    d = b.d
+    for a, x, y in itertools.product(range(d), repeat=3):
+        yield ((a, x, y), F0, {a * d + m: v for m, v in b.mult_nz[x][y]},
+               {(p * d + x, q * d + y): -v for p, q, v in b.comult_nz[a]})
+
+
+def _l5_equations(b):
+    """L5 at (x, y, a): sigma(xy (x) a) - sum sigma(y (x) a_1) sigma(x (x) a_2)."""
+    d = b.d
+    for x, y, a in itertools.product(range(d), repeat=3):
+        yield ((x, y, a), F0, {m * d + a: v for m, v in b.mult_nz[x][y]},
+               {(y * d + p, x * d + q): -v for p, q, v in b.comult_nz[a]})
+
+
+def _b1_equations(b):
+    """B1 at (a, c, m), named (a, c): the e_m coefficient of
+    sum sigma(a_1 (x) c_1) c_2 a_2 - sum a_1 c_1 sigma(a_2 (x) c_2)."""
+    d = b.d
+    for a, c in itertools.product(range(d), repeat=2):
+        lins = [{} for _ in range(d)]
+        for p, q, x1 in b.comult_nz[a]:
+            for r, u, x2 in b.comult_nz[c]:
+                f = x1 * x2
+                for m, v in b.mult_nz[u][q]:
+                    lins[m][p * d + r] = lins[m].get(p * d + r, F0) + f * v
+                for m, v in b.mult_nz[p][r]:
+                    lins[m][q * d + u] = lins[m].get(q * d + u, F0) - f * v
+        for lin in lins:
+            yield (a, c), F0, lin, {}
+
+
+EQUATIONS = {
+    "L1": _l1_equations,
+    "strongD": _l1_equations,
+    "L2": _l2_equations,
+    "L4": _l4_equations,
+    "L3": _l3_equations,
+    "L5": _l5_equations,
+    "B1": _b1_equations,
+}
+
+
+def _first_violation(equations, table):
+    """``where`` of the first equation the table violates, or None."""
+    t = [x for row in table for x in row]
+    for where, const, lin, quad in equations:
+        val = const
+        for k, c in lin.items():
+            if t[k]:
+                val += c * t[k]
+        for (k1, k2), c in quad.items():
+            if t[k1] and t[k2]:
+                val += c * t[k1] * t[k2]
+        if val:
+            return where
     return None
 
 
@@ -224,99 +300,22 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     L1-L5 are the Long axioms; B1 is the coquasitriangular commutation
     law, not one of them.
 
-    Returns {axiom: (ok, witness)} where the witness is the first violating
-    basis tuple: (a, c) for L1 and B1, (a,) for L2 and L4, (a, x, y) for
-    L3 and (x, y, a) for L5. ``strongD`` is the same identity as L1
-    phrased on the coalgebra alone.
+    Returns {axiom: (ok, witness)} in the order of ``EQUATIONS``, where the
+    witness is the first violating basis tuple: (a, c) for L1 and B1, (a,)
+    for L2 and L4, (a, x, y) for L3 and (x, y, a) for L5. ``strongD`` is the
+    same identity as L1 phrased on the coalgebra alone.
     """
     which = set(AXIOMS) - {"strongD"} if which is None else set(which)
     unknown = which - set(AXIOMS)
     if unknown:
         raise ValueError(f"unknown axioms: {sorted(unknown)}")
-    d = b.d
-    t = s.table
+    found = {}
     report = {}
-    if "L1" in which or "strongD" in which:
-        w = _strong_d_witness(b.comult, d, t)
-        for name in {"L1", "strongD"} & which:
-            report[name] = (w is None, w)
-    if "L2" in which:
-        w = None
-        for a in range(d):
-            if sum((b.unit[c] * t[a][c] for c in range(d)), F0) != b.counit[a]:
-                w = (a,)
-                break
-        report["L2"] = (w is None, w)
-    if "L4" in which:
-        w = None
-        for a in range(d):
-            if sum((b.unit[c] * t[c][a] for c in range(d)), F0) != b.counit[a]:
-                w = (a,)
-                break
-        report["L4"] = (w is None, w)
-    if "L3" in which:
-        w = None
-        for a, x, y in itertools.product(range(d), repeat=3):
-            lhs = sum((b.mult[x][y][m] * t[a][m] for m in range(d)), F0)
-            rhs = F0
-            for p in range(d):
-                for q in range(d):
-                    c = b.comult[a][p][q]
-                    if c:
-                        rhs += c * t[p][x] * t[q][y]
-            if lhs != rhs:
-                w = (a, x, y)
-                break
-        report["L3"] = (w is None, w)
-    if "L5" in which:
-        w = None
-        for x, y, a in itertools.product(range(d), repeat=3):
-            lhs = sum((b.mult[x][y][m] * t[m][a] for m in range(d)), F0)
-            rhs = F0
-            for p in range(d):
-                for q in range(d):
-                    c = b.comult[a][p][q]
-                    if c:
-                        rhs += c * t[y][p] * t[x][q]
-            if lhs != rhs:
-                w = (x, y, a)
-                break
-        report["L5"] = (w is None, w)
-    if "B1" in which:
-        w = None
-        for a in range(d):
-            for c in range(d):
-                lhs = [F0] * d
-                rhs = [F0] * d
-                for p in range(d):
-                    for q in range(d):
-                        x1 = b.comult[a][p][q]
-                        if not x1:
-                            continue
-                        for r in range(d):
-                            for u in range(d):
-                                x2 = b.comult[c][r][u]
-                                if not x2:
-                                    continue
-                                f = x1 * x2
-                                if t[p][r]:
-                                    prod = b.mult[u][q]
-                                    fl = f * t[p][r]
-                                    for m in range(d):
-                                        if prod[m]:
-                                            lhs[m] += fl * prod[m]
-                                if t[q][u]:
-                                    prod = b.mult[p][r]
-                                    fr = f * t[q][u]
-                                    for m in range(d):
-                                        if prod[m]:
-                                            rhs[m] += fr * prod[m]
-                if lhs != rhs:
-                    w = (a, c)
-                    break
-            if w:
-                break
-        report["B1"] = (w is None, w)
+    for name, equations in EQUATIONS.items():
+        if name in which:
+            if equations not in found:
+                found[equations] = _first_violation(equations(b), s.table)
+            report[name] = (found[equations] is None, found[equations])
     return report
 
 
@@ -354,43 +353,22 @@ class AffineTableSpace:
         return out
 
 
-def _l1_l2_l4_rows(b: FinDimBialgebra):
-    """Linear system (rows, rhs) in the d^2 unknowns sigma(e_p (x) e_q)."""
-    d = b.d
+def _linear_system(b: FinDimBialgebra):
+    """L1, L2, L4 as (rows, rhs) in the d^2 unknowns sigma(e_p (x) e_q)."""
     rows, rhs = [], []
-    idx = lambda p, q: p * d + q
-    for a in range(d):
-        for y in range(d):
-            for r in range(d):
-                row = [F0] * (d * d)
-                for p in range(d):
-                    if b.comult[a][p][r]:
-                        row[idx(p, y)] += b.comult[a][p][r]
-                for q in range(d):
-                    if b.comult[a][r][q]:
-                        row[idx(q, y)] -= b.comult[a][r][q]
-                if not la.is_zero_vec(row):
-                    rows.append(row)
-                    rhs.append(F0)
-    for a in range(d):
-        row = [F0] * (d * d)
-        for c in range(d):
-            if b.unit[c]:
-                row[idx(a, c)] += b.unit[c]
-        rows.append(row)
-        rhs.append(b.counit[a])
-        row = [F0] * (d * d)
-        for c in range(d):
-            if b.unit[c]:
-                row[idx(c, a)] += b.unit[c]
-        rows.append(row)
-        rhs.append(b.counit[a])
+    for name in ("L1", "L2", "L4"):
+        for _, const, lin, _ in EQUATIONS[name](b):
+            row = [F0] * (b.d * b.d)
+            for k, x in lin.items():
+                row[k] = x
+            rows.append(row)
+            rhs.append(-const)
     return rows, rhs
 
 
 def l1_solution_space(b: FinDimBialgebra) -> AffineTableSpace:
     """All tables satisfying the linear axioms L1, L2, L4, exactly."""
-    rows, rhs = _l1_l2_l4_rows(b)
+    rows, rhs = _linear_system(b)
     sol = la.solve_affine(rows, rhs)
     if sol is None:
         raise InvalidBialgebra("L1/L2/L4 system inconsistent on a validated bialgebra")
@@ -411,44 +389,6 @@ class FeasibilityResult:
     space: AffineTableSpace | None = None
 
 
-def _quadratic_equations(b: FinDimBialgebra):
-    """L3/L5 on basis triples as (constant, linear_terms, quadratic_terms).
-
-    Each equation reads: const + sum coeff*var + sum coeff*var1*var2 = 0,
-    with variables indexed row-major into the d x d table.
-    """
-    d = b.d
-    idx = lambda p, q: p * d + q
-    eqs = []
-    for a, x, y in itertools.product(range(d), repeat=3):
-        lin = {}
-        quad = {}
-        for m in range(d):
-            if b.mult[x][y][m]:
-                lin[idx(a, m)] = lin.get(idx(a, m), F0) + b.mult[x][y][m]
-        for p in range(d):
-            for q in range(d):
-                c = b.comult[a][p][q]
-                if c:
-                    key = (idx(p, x), idx(q, y))
-                    quad[key] = quad.get(key, F0) - c
-        eqs.append(("L3", (a, x, y), F0, lin, quad))
-    for x, y, a in itertools.product(range(d), repeat=3):
-        lin = {}
-        quad = {}
-        for m in range(d):
-            if b.mult[x][y][m]:
-                lin[idx(m, a)] = lin.get(idx(m, a), F0) + b.mult[x][y][m]
-        for p in range(d):
-            for q in range(d):
-                c = b.comult[a][p][q]
-                if c:
-                    key = (idx(y, p), idx(x, q))
-                    quad[key] = quad.get(key, F0) - c
-        eqs.append(("L5", (x, y, a), F0, lin, quad))
-    return eqs
-
-
 def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
     """Sound, incomplete search for Long-structure obstructions.
 
@@ -456,15 +396,10 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
     axiom instance whose products each contain at most one unpinned factor.
     Reports infeasible only on an exact 0 = nonzero contradiction.
     """
-    rows, rhs = _l1_l2_l4_rows(b)
-    quads = _quadratic_equations(b)
+    rows, rhs = _linear_system(b)
+    quads = [(name, eq) for name in ("L3", "L5") for eq in EQUATIONS[name](b)]
     d2 = b.d * b.d
-
-    def current_space():
-        sol = la.solve_affine(rows, rhs)
-        return sol
-
-    sol = current_space()
+    sol = la.solve_affine(rows, rhs)
     if sol is None:
         return FeasibilityResult("infeasible", witness="linear axioms L1/L2/L4")
     used = set()
@@ -474,7 +409,7 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
             k: particular[k] for k in range(d2) if all(not v[k] for v in basis)
         }
         added = False
-        for eq_id, (name, where, const, lin, quad) in enumerate(quads):
+        for eq_id, (name, (where, const, lin, quad)) in enumerate(quads):
             if eq_id in used:
                 continue
             row = [F0] * d2
@@ -506,7 +441,7 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
             added = True
         if not added:
             break
-        sol = current_space()
+        sol = la.solve_affine(rows, rhs)
         if sol is None:
             return FeasibilityResult(
                 "infeasible", witness="linearized quadratic axioms contradict L1/L2/L4"
@@ -546,33 +481,49 @@ class GeneratorBialgebra:
         return terms
 
 
-def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2,
-                          cap=GENERATOR_WORD_CAP):
-    """Extend a generator-pair sigma table to words via the splitting laws."""
+def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2, left_first=False,
+                          cap=GENERATOR_WORD_CAP, memo=None):
+    """Extend a generator-pair sigma table to words via the splitting laws.
+
+    ``table`` maps generator pairs to scalars (missing pairs are zero). The
+    right word is split first (L3, the multiplicative law in the second
+    argument) unless ``left_first`` (L5); for a Long bialgebra the result is
+    splitting-order independent. Words are capped at ``cap`` as a recursion
+    guard. ``memo`` caches values across calls with the same ``g`` and
+    ``table``.
+    """
     w1, w2 = tuple(w1), tuple(w2)
     if len(w1) > cap or len(w2) > cap:
         raise ValueError(f"word longer than cap {cap}")
+    memo = {} if memo is None else memo
+    key = (w1, w2, left_first)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     if not w1:
-        return g.eps_word(w2)
-    if not w2:
-        return g.eps_word(w1)
-    if len(w1) == 1 and len(w2) == 1:
-        return Fraction(table.get((w1[0], w2[0]), F0))
-    if len(w2) > 1:
+        val = g.eps_word(w2)
+    elif not w2:
+        val = g.eps_word(w1)
+    elif len(w1) == 1 and len(w2) == 1:
+        val = Fraction(table.get((w1[0], w2[0]), F0))
+    elif len(w2) > 1 and not (left_first and len(w1) > 1):
         y, z = w2[:1], w2[1:]
-        acc = F0
+        val = F0
         for coeff, lw, rw in g.delta_word(w1):
-            s1 = generator_sigma_words(g, table, lw, y, cap)
+            s1 = generator_sigma_words(g, table, lw, y, left_first, cap, memo)
             if s1:
-                acc += coeff * s1 * generator_sigma_words(g, table, rw, z, cap)
-        return acc
-    x, y = w1[:1], w1[1:]
-    acc = F0
-    for coeff, lw, rw in g.delta_word(w2):
-        s1 = generator_sigma_words(g, table, y, lw, cap)
-        if s1:
-            acc += coeff * s1 * generator_sigma_words(g, table, x, rw, cap)
-    return acc
+                val += coeff * s1 * generator_sigma_words(g, table, rw, z, left_first,
+                                                          cap, memo)
+    else:
+        x, y = w1[:1], w1[1:]
+        val = F0
+        for coeff, lw, rw in g.delta_word(w2):
+            s1 = generator_sigma_words(g, table, y, lw, left_first, cap, memo)
+            if s1:
+                val += coeff * s1 * generator_sigma_words(g, table, x, rw, left_first,
+                                                          cap, memo)
+    memo[key] = val
+    return val
 
 
 def check_generator_long(g: GeneratorBialgebra, table):
@@ -587,15 +538,16 @@ def check_generator_long(g: GeneratorBialgebra, table):
     """
     gens = list(g.generators)
     violations = []
+    memo = {}
     for x in gens:
         for y in gens:
             coeffs = {}
             for c, lw, rw in g.delta[x]:
                 c = Fraction(c)
-                s = generator_sigma_words(g, table, lw, (y,))
+                s = generator_sigma_words(g, table, lw, (y,), memo=memo)
                 if s:
                     coeffs[rw] = coeffs.get(rw, F0) + c * s
-                s = generator_sigma_words(g, table, rw, (y,))
+                s = generator_sigma_words(g, table, rw, (y,), memo=memo)
                 if s:
                     coeffs[lw] = coeffs.get(lw, F0) - c * s
             bad = {w: v for w, v in coeffs.items() if v}
@@ -637,15 +589,11 @@ def check_generator_long(g: GeneratorBialgebra, table):
                     if not la.is_zero_vec(row) or word_consts.get(w, F0):
                         rows.append(row)
                         rhs.append(-word_consts.get(w, F0))
-        sol = la.solve_affine(rows, rhs) if rows else ([F0] * (m * m), None)
+        sol = la.solve_affine(rows, rhs) if rows else ([F0] * (m * m), [])
         if sol is None:
             report["constraints"] = None
         else:
-            particular, basis = sol if rows else ([F0] * (m * m), [])
-            if basis is None:
-                basis = []
-            space = AffineTableSpace(m, particular, basis)
-            report["constraints"] = space
+            report["constraints"] = AffineTableSpace(m, *sol)
             report["generator_order"] = gens
     return (not violations, report)
 
@@ -653,10 +601,10 @@ def check_generator_long(g: GeneratorBialgebra, table):
 def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
     """Build the induced operator on a comodule from a strong D-map.
 
-    ``c`` is a coalgebra (or anything with d/comult/counit); ``rho`` gives
-    the coaction: rho[v][l] is the coalgebra coordinate vector of the
-    coefficient of m_v in rho(m_l). Checks the strong D-map identity and
-    the coaction laws, then verifies the output is a Long solution.
+    ``c`` is a ``Coalgebra``; ``rho`` gives the coaction: rho[v][l] is the
+    coalgebra coordinate vector of the coefficient of m_v in rho(m_l).
+    Checks the strong D-map identity (L1) and the coaction laws, then
+    verifies the output is a Long solution.
     """
     d = c.d
     n = len(rho)
@@ -665,7 +613,7 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
         len(cell) != d for row in rho for cell in row
     ):
         raise InvalidCoaction("rho must be n x n with coalgebra-valued entries")
-    w = _strong_d_witness(c.comult, d, s.table)
+    w = _first_violation(_l1_equations(c), s.table)
     if w is not None:
         raise NotAStrongDMap(f"strong D-map identity fails at basis pair {w}", w)
     # counit law of the coaction
@@ -698,10 +646,11 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
                                     acc += x1 * x2 * s.table[k1][k2]
                     mat[i * n + j][v * n + u] = acc
     out = TensorOp2(n, mat)
-    assert check_long_componentwise(out), (
-        "induced operator fails the Long equation: internal bug "
-        f"(witness {long_witness(out)})"
-    )
+    witness = long_witness(out)
+    if witness is not None:
+        raise InternalCheckFailed(
+            f"induced operator fails Long equation {witness[0]} at {witness[1]}"
+        )
     return out
 
 
@@ -865,12 +814,3 @@ def comatrix_tensor_truncation(n, degree) -> FinDimBialgebra:
     basis = ["*".join(f"c_{i}_{j}" for (i, j) in w) or "1" for w in words] + ["s"]
     unit = [F1] + [F0] * (d - 1)
     return FinDimBialgebra(basis, mult, unit, comult, counit)
-
-
-def builtin_bialgebras() -> dict:
-    """Named constructors for the bundled bialgebras."""
-    return {
-        "sweedler_h4": sweedler_h4,
-        "group_algebra": group_algebra,
-        "comatrix_tensor_truncation": comatrix_tensor_truncation,
-    }

@@ -13,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg as la
+from .bialgebra import GeneratorBialgebra, generator_sigma_words
 from .errors import InternalCheckFailed, NotALongSolution, SigmaIllDefined
 from .linalg import F0, F1
 from .scalars import frac_str
-from .tensor_ops import TensorOp2, check_long_componentwise, invert, long_witness
+from .tensor_ops import TensorOp2, invert, long_witness
 
 DEFAULT_WORD_CAP = 6
 
@@ -87,7 +88,7 @@ class QuotientCoalgebra:
         pivot_set = set(self.pivots)
         self.rep_slots = [s for s in range(n * n) if s not in pivot_set]
         self.rep_labels = [cm_label(s, n) for s in self.rep_slots]
-        self._slot_to_rep = {s: t for t, s in enumerate(self.rep_slots)}
+        self._label_vecs = {}
         self._check_delta_descends()
 
     @property
@@ -103,16 +104,19 @@ class QuotientCoalgebra:
                 vec = [x - f * y for x, y in zip(vec, row)]
         return vec
 
-    def rep_coords(self, vec):
-        """Coordinates of the coset of ``vec`` over the representatives."""
-        red = self.project(vec)
-        return [red[s] for s in self.rep_slots]
+    def project_label(self, i, j):
+        """``project`` of the unit vector of c_ij, computed once (do not mutate)."""
+        vec = self._label_vecs.get((i, j))
+        if vec is None:
+            vec = [F0] * (self.n * self.n)
+            vec[cm_index(i, j, self.n)] = F1
+            vec = self._label_vecs[(i, j)] = self.project(vec)
+        return vec
 
     def basis_coset(self, i, j):
         """Coset coordinates of the basis label c_ij."""
-        vec = [F0] * (self.n * self.n)
-        vec[cm_index(i, j, self.n)] = F1
-        return self.rep_coords(vec)
+        red = self.project_label(i, j)
+        return [red[s] for s in self.rep_slots]
 
     def delta_on_coset(self, i, j):
         """(pi (x) pi) Delta(c_ij) as an m x m matrix over representatives."""
@@ -171,22 +175,28 @@ class SigmaForm:
 
     def on_vectors(self, va, vb):
         """sigma of two comatrix coordinate vectors."""
-        acc = F0
-        for a, xa in enumerate(va):
-            if xa:
-                ta = self.table[a]
-                for b, xb in enumerate(vb):
-                    if xb:
-                        acc += xa * ta[b] * xb
-        return acc
+        return _bilinear(self.table, va, vb)
 
     def on_cosets(self, i, v, j, u):
         """sigma(coset of c_iv (x) coset of c_ju), computed through pi."""
-        q = self.quotient
-        n = self.n
-        pa = q.project([F1 if s == cm_index(i, v, n) else F0 for s in range(n * n)])
-        pb = q.project([F1 if s == cm_index(j, u, n) else F0 for s in range(n * n)])
-        return self.on_vectors(pa, pb)
+        return _coset_pairing(self.table, self.quotient, i, v, j, u)
+
+
+def _bilinear(table, va, vb):
+    """va^T table vb over the nonzero coordinates."""
+    acc = F0
+    for a, xa in enumerate(va):
+        if xa:
+            ta = table[a]
+            for b, xb in enumerate(vb):
+                if xb:
+                    acc += xa * ta[b] * xb
+    return acc
+
+
+def _coset_pairing(table, quotient, i, v, j, u):
+    """``table`` on the projections of c_iv and c_ju."""
+    return _bilinear(table, quotient.project_label(i, v), quotient.project_label(j, u))
 
 
 class LongPresentation:
@@ -204,7 +214,18 @@ class LongPresentation:
         self.naming = dict(naming or {})
         if naming:
             self._apply_naming(naming)
-        self._memo = {}
+        # the generators as a free bialgebra on generator indices, for the
+        # word extension of sigma
+        self.generator_bialgebra = GeneratorBialgebra(
+            list(range(m)),
+            {t: [(x, (s,), (u,)) for s, row in enumerate(dt) for u, x in enumerate(row) if x]
+             for t, dt in enumerate(self.delta)},
+            dict(enumerate(self.eps)),
+        )
+        self._sigma_pairs = {
+            (s, u): x for s, row in enumerate(self.sigma_gen) for u, x in enumerate(row)
+        }
+        self._word_memo = {}
 
     def _apply_naming(self, naming):
         """Rename generators. Keys are canonical labels ``c_i_j``; a key whose
@@ -227,74 +248,12 @@ class LongPresentation:
     def num_generators(self):
         return self.quotient.num_generators
 
-    def eps_word(self, word):
-        acc = F1
-        for g in word:
-            acc *= self.eps[g]
-        return acc
-
-    def delta_word(self, word):
-        """Expand Delta on a word of generators.
-
-        Returns a list of (coeff, left_word, right_word); both factors have
-        the word's length.
-        """
-        terms = [(F1, (), ())]
-        for g in word:
-            dg = self.delta[g]
-            nxt = []
-            for coeff, lw, rw in terms:
-                for s in range(self.num_generators):
-                    row = dg[s]
-                    for t in range(self.num_generators):
-                        if row[t]:
-                            nxt.append((coeff * row[t], lw + (s,), rw + (t,)))
-            terms = nxt
-        return terms
-
-    def sigma_words(self, w1, w2, left_first=False, max_len=DEFAULT_WORD_CAP):
-        """Extend sigma to generator words.
-
-        The right word is split first (the multiplicative law in the second
-        argument) unless ``left_first``; the result is splitting-order
-        independent. Words are capped at ``max_len`` as a recursion guard.
-        """
-        w1, w2 = tuple(w1), tuple(w2)
-        if len(w1) > max_len or len(w2) > max_len:
-            raise ValueError(f"word longer than cap {max_len}")
-        key = (w1, w2, left_first)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if not w1:
-            val = self.eps_word(w2)
-        elif not w2:
-            val = self.eps_word(w1)
-        elif len(w1) == 1 and len(w2) == 1:
-            val = self.sigma_gen[w1[0]][w2[0]]
-        elif len(w2) > 1 and not (left_first and len(w1) > 1):
-            y, z = w2[:1], w2[1:]
-            val = F0
-            for coeff, lw, rw in self.delta_word(w1):
-                s1 = self.sigma_words(lw, y, left_first, max_len)
-                if s1:
-                    val += coeff * s1 * self.sigma_words(rw, z, left_first, max_len)
-        else:
-            x, y = w1[:1], w1[1:]
-            val = F0
-            for coeff, lw, rw in self.delta_word(w2):
-                s1 = self.sigma_words(y, lw, left_first, max_len)
-                if s1:
-                    val += coeff * s1 * self.sigma_words(x, rw, left_first, max_len)
-        self._memo[key] = val
-        return val
-
     def coset_sigma_word(self, vec_coords, word):
         """sigma(coset (x) word) for a coset given in representative coords."""
         acc = F0
         for s, x in enumerate(vec_coords):
             if x:
-                acc += x * self.sigma_words((s,), word)
+                acc += x * sigma_extend(self, (s,), word)
         return acc
 
 
@@ -340,8 +299,13 @@ def round_trip(pres: LongPresentation) -> TensorOp2:
 
 def sigma_extend(pres: LongPresentation, w1, w2, left_first=False,
                  max_len=DEFAULT_WORD_CAP) -> Fraction:
-    """sigma on a pair of generator words (indices into the generator list)."""
-    return pres.sigma_words(w1, w2, left_first=left_first, max_len=max_len)
+    """sigma on a pair of generator words (indices into the generator list).
+
+    The right word is split first unless ``left_first``; words are capped at
+    ``max_len``. See ``bialgebra.generator_sigma_words``.
+    """
+    return generator_sigma_words(pres.generator_bialgebra, pres._sigma_pairs, w1, w2,
+                                 left_first, max_len, pres._word_memo)
 
 
 def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
@@ -355,18 +319,6 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
     q = pres.quotient
     n = q.n
     table = sigma_table if sigma_table is not None else pres.sigma.table
-
-    def sig(i, v, j, u):
-        pa = q.project([F1 if s == cm_index(i, v, n) else F0 for s in range(n * n)])
-        pb = q.project([F1 if s == cm_index(j, u, n) else F0 for s in range(n * n)])
-        acc = F0
-        for a, xa in enumerate(pa):
-            if xa:
-                for b, xb in enumerate(pb):
-                    if xb:
-                        acc += xa * table[a][b] * xb
-        return acc
-
     rng = range(1, n + 1)
     for i in rng:
         for j in rng:
@@ -374,11 +326,11 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
                 for q_ in rng:
                     vec = [F0] * (n * n)
                     for v in rng:
-                        s = sig(i, v, p, q_)
+                        s = _coset_pairing(table, q, i, v, p, q_)
                         if s:
                             vec[cm_index(v, j, n)] += s
                     for a in rng:
-                        s = sig(a, j, p, q_)
+                        s = _coset_pairing(table, q, a, j, p, q_)
                         if s:
                             vec[cm_index(i, a, n)] -= s
                     if not la.is_zero_vec(q.project(vec)):
@@ -435,20 +387,11 @@ def convolution_inverse(pres: LongPresentation, r: TensorOp2):
     sigma is verified on all generator pairs.
     """
     n = r.dim
-    s = invert(r)  # raises SingularOperator
-    table = la.zeros(n * n, n * n)
-    for i in range(1, n + 1):
-        for v in range(1, n + 1):
-            for j in range(1, n + 1):
-                for u in range(1, n + 1):
-                    table[cm_index(i, v, n)][cm_index(j, u, n)] = s.coeff(u, v, j, i)
-    # sigma' must also vanish on V, else it does not descend to L(R)
-    for row in pres.quotient.rows:
-        for b in range(n * n):
-            if sum((row[a] * table[a][b] for a in range(n * n)), F0) or sum(
-                (table[b][a] * row[a] for a in range(n * n)), F0
-            ):
-                raise InternalCheckFailed("convolution inverse does not descend")
+    try:
+        # sigma' must also vanish on V, else it does not descend to L(R)
+        table = SigmaForm(invert(r), pres.quotient).table  # invert raises SingularOperator
+    except SigmaIllDefined as exc:
+        raise InternalCheckFailed("convolution inverse does not descend") from exc
     sig = pres.sigma.table
     rng = range(1, n + 1)
     for i in rng:

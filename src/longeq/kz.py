@@ -20,42 +20,11 @@ import numpy as np
 
 from . import linalg as la
 from .errors import DimensionCap, PathTooClose
-from .tensor_ops import TensorOp2, flip_matrix
+from .tensor_ops import TensorOp2, _slot_blocks, flip_matrix, lift_exact
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 MIN_SEPARATION_FACTOR = 1e-6
-
-
-def _slot_blocks(n, i, j, N):
-    """Yield (row/column index lists) embedding an n^2-block on slots (i, j).
-
-    Slot i carries the first tensor leg of the block and slot j the second;
-    for i > j this realizes the flip-conjugated convention on sorted slots.
-    """
-    others = [k for k in range(N) if k != i and k != j]
-    weights = [n ** (N - 1 - k) for k in range(N)]
-    for rest in itertools.product(range(n), repeat=N - 2):
-        base = sum(rest[t] * weights[others[t]] for t in range(N - 2))
-        yield [
-            base + ai * weights[i] + aj * weights[j]
-            for ai in range(n)
-            for aj in range(n)
-        ]
-
-
-def lift_exact(r: TensorOp2, i, j, N):
-    """Exact n^N x n^N matrix of R acting on tensor slots (i, j), 0-based."""
-    n = r.dim
-    out = la.zeros(n ** N, n ** N)
-    for idxs in _slot_blocks(n, i, j, N):
-        for a, ra in enumerate(idxs):
-            row = r.matrix[a]
-            orow = out[ra]
-            for b, cb in enumerate(idxs):
-                if row[b]:
-                    orow[cb] = row[b]
-    return out
 
 
 def lift_float(r_mat: np.ndarray, n, i, j, N):

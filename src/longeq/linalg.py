@@ -100,22 +100,15 @@ def kron(a, b):
 
 
 def mat_inv(a):
-    """Gauss-Jordan inverse; raises ValueError on a singular input."""
+    """Inverse via ``rref`` on [A | I]; raises ValueError on a singular input.
+
+    A is singular exactly when some pivot lands in the identity half.
+    """
     n = len(a)
-    work = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    col = 0
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv_p = F1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    red, pivots = rref([list(row) + ident_row for row, ident_row in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def rref(rows):
@@ -148,10 +141,6 @@ def rref(rows):
     return work[:row], pivots
 
 
-def rank(rows):
-    return len(rref(rows)[0])
-
-
 def solve_affine(a, b):
     """Solve ``A w = b`` exactly.
 
@@ -178,14 +167,6 @@ def solve_affine(a, b):
             v[p] = -r[f]
         basis.append(v)
     return particular, basis
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(a, c):
-    return [c * x for x in a]
 
 
 def is_zero_vec(v):

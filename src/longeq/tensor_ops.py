@@ -15,11 +15,13 @@ All arithmetic in this module is exact rational.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
     CentralityViolated,
+    InternalCheckFailed,
     NonCommutingPair,
     NotALongSolution,
     NotASubmodule,
@@ -129,42 +131,56 @@ def flip_matrix(n):
     return t
 
 
+def _slot_blocks(n, i, j, N):
+    """Yield (row/column index lists) embedding an n^2-block on slots (i, j).
+
+    Slot i carries the first tensor leg of the block and slot j the second;
+    for i > j this realizes the flip-conjugated convention on sorted slots.
+    """
+    others = [k for k in range(N) if k != i and k != j]
+    weights = [n ** (N - 1 - k) for k in range(N)]
+    for rest in itertools.product(range(n), repeat=N - 2):
+        base = sum(rest[t] * weights[others[t]] for t in range(N - 2))
+        yield [
+            base + ai * weights[i] + aj * weights[j]
+            for ai in range(n)
+            for aj in range(n)
+        ]
+
+
+def lift_exact(r: TensorOp2, i, j, N):
+    """Exact n^N x n^N matrix of R acting on tensor slots (i, j), 0-based."""
+    n = r.dim
+    out = la.zeros(n ** N, n ** N)
+    for idxs in _slot_blocks(n, i, j, N):
+        for a, ra in enumerate(idxs):
+            row = r.matrix[a]
+            orow = out[ra]
+            for b, cb in enumerate(idxs):
+                if row[b]:
+                    orow[cb] = row[b]
+    return out
+
+
+_LIFT_SLOTS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
+
+
 def lift(r: TensorOp2, positions: int) -> TensorOp3:
     """Place R on two of the three tensor slots; identity on the third.
 
     ``positions`` is one of 12, 13, 23.
     """
-    n = r.dim
-    if positions == 12:
-        return TensorOp3(n, la.kron(r.matrix, la.identity(n)))
-    if positions == 23:
-        return TensorOp3(n, la.kron(la.identity(n), r.matrix))
-    if positions == 13:
-        out = la.zeros(n**3, n**3)
-        for row in range(n * n):
-            a, c = divmod(row, n)
-            rrow = r.matrix[row]
-            for col in range(n * n):
-                x = rrow[col]
-                if not x:
-                    continue
-                a2, c2 = divmod(col, n)
-                for b in range(n):
-                    out[a * n * n + b * n + c][a2 * n * n + b * n + c2] = x
-        return TensorOp3(n, out)
-    raise ValueError("positions must be 12, 13 or 23")
-
-
-def _commutes(a: TensorOp3, b: TensorOp3) -> bool:
-    return la.mat_eq(la.mat_mul(a.matrix, b.matrix), la.mat_mul(b.matrix, a.matrix))
+    if positions not in _LIFT_SLOTS:
+        raise ValueError("positions must be 12, 13 or 23")
+    return TensorOp3(r.dim, lift_exact(r, *_LIFT_SLOTS[positions], 3))
 
 
 def check_laws(r: TensorOp2, laws=None) -> dict:
     """Evaluate the requested laws exactly; returns {law: bool}.
 
     Laws: long, d_equation, qybe, hopf, kz_bracket, symmetric. When the
-    Long law holds the KZ bracket is asserted to hold as well (it is an
-    algebraic consequence; a failure indicates a bug).
+    Long law holds the KZ bracket must hold as well (it is an algebraic
+    consequence); a failure raises ``InternalCheckFailed``.
     """
     wanted = set(LAWS) if laws is None else set(laws)
     unknown = wanted - set(LAWS)
@@ -196,8 +212,8 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     if "kz_bracket" in wanted:
         s = la.mat_add(m13, m23)
         kz = la.mat_eq(la.mat_mul(m12, s), la.mat_mul(s, m12))
-        if long_ok:
-            assert kz, "Long holds but the KZ bracket does not: internal bug"
+        if long_ok and not kz:
+            raise InternalCheckFailed("Long holds but the KZ bracket does not")
         report["kz_bracket"] = kz
     if "symmetric" in wanted:
         t = flip_matrix(r.dim)
@@ -270,8 +286,9 @@ def make_conjugate(u, r: TensorOp2) -> TensorOp2:
         pass_inv = la.mat_inv(pass_mat)
     except ValueError as exc:
         raise SingularMatrix("u is not invertible") from exc
-    if not check_long_componentwise(r):
-        raise NotALongSolution("input is not a Long solution", long_witness(r))
+    witness = long_witness(r)
+    if witness is not None:
+        raise NotALongSolution("input is not a Long solution", witness)
     return TensorOp2(r.dim, la.mat_mul(pass_mat, la.mat_mul(r.matrix, pass_inv)))
 
 

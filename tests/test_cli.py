@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line front end and JSON wire formats."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import longeq
 from longeq import TensorOp2, make_pair, make_phi
+from longeq import linalg as la
 from longeq.cli import main
 from longeq.jsonio import (
     bialgebra_to_json,
@@ -82,6 +88,19 @@ def test_check_multiple_laws(tmp_path, capsys):
     report = json.loads(out)
     assert code in (0, 1)
     assert set(report["verdicts"]) == {"long", "qybe", "symmetric"}
+
+
+def test_check_kz_bracket_internal_disagreement_exits_70(tmp_path, capsys, monkeypatch):
+    """A Long solution whose KZ bracket fails is a bug: exit 70. Forced by a
+    mat_add that returns a matrix commuting with no non-scalar R12."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 2])))
+    monkeypatch.setattr(la, "mat_add", lambda a, b: [
+        [Fraction(i * len(a) + j) for j in range(len(a))] for i in range(len(a))
+    ])
+    code, out, err = _run(capsys, ["check", "--op", op, "--laws", "long,kz_bracket"])
+    assert code == 70
+    assert out == ""
+    assert "KZ bracket" in err
 
 
 def test_check_unknown_law_is_usage_error(tmp_path, capsys):
@@ -280,3 +299,26 @@ def test_bialgebra_check_unknown_axiom(tmp_path, capsys):
                                  "--sigma", sig, "--axioms", "L9"])
     assert code == 2
     assert "unknown axioms" in err
+
+
+def test_bialgebra_check_report_order_is_hash_seed_independent(tmp_path):
+    """L1 and strongD are reported in a fixed order, whatever PYTHONHASHSEED."""
+    b = sweedler_h4()
+    bi = _write(tmp_path, "b.json", bialgebra_to_json(b))
+    sig = _write(tmp_path, "s.json",
+                 sigma_to_json(SigmaTable.counit_square(b)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(longeq.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "longeq", "bialgebra-check", "--bialgebra", bi,
+             "--sigma", sig, "--axioms", "L1,strongD"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([line for line in proc.stdout.splitlines()
+                        if "elapsed_s" not in line])
+        assert list(json.loads(proc.stdout)["verdicts"]) == ["L1", "strongD"]
+    assert outputs[0] == outputs[1]

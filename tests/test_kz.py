@@ -23,7 +23,9 @@ from longeq import (
     make_pair,
     make_phi,
 )
+from longeq import linalg as la
 from longeq.jsonio import holonomy_to_json, loop_from_json, loop_to_json
+from longeq.tensor_ops import flip_matrix
 
 
 def _float(mat):
@@ -35,11 +37,20 @@ def _float(mat):
 # ---------------------------------------------------------------------------
 
 
-def test_lift_exact_matches_tensor_ops_lift(corpus):
-    r = corpus["pair_235"]
-    assert lift_exact(r, 0, 1, 3) == lift(r, 12).matrix
-    assert lift_exact(r, 1, 2, 3) == lift(r, 23).matrix
-    assert lift_exact(r, 0, 2, 3) == lift(r, 13).matrix
+def test_lift_matches_kron_oracle(corpus):
+    """R12 = R (x) I, R23 = I (x) R and R13 = (I (x) tau)(R (x) I)(I (x) tau),
+    built with kron and the flip, independently of the slot-block lift."""
+    for name in ("pair_235", "conjugate", "graded_z2"):
+        r = corpus[name]
+        ident = la.identity(r.dim)
+        flip23 = la.kron(ident, flip_matrix(r.dim))
+        r12 = la.kron(r.matrix, ident)
+        r13 = la.mat_mul(flip23, la.mat_mul(r12, flip23))
+        r23 = la.kron(ident, r.matrix)
+        for positions, (i, j), want in ((12, (0, 1), r12), (13, (0, 2), r13),
+                                        (23, (1, 2), r23)):
+            assert lift(r, positions).matrix == want, (name, positions)
+            assert lift_exact(r, i, j, 3) == want, (name, positions)
 
 
 def test_lift_float_matches_lift_exact(corpus):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from longeq import (
     CentralityViolated,
+    InternalCheckFailed,
     NonCommutingPair,
     NotALongSolution,
     NotASubmodule,
@@ -255,3 +256,16 @@ def test_phi_solutions_symmetric():
     for phi in idempotent_maps(3):
         rep = check_laws(make_phi(3, phi), ["long", "symmetric"])
         assert rep["long"] and rep["symmetric"]
+
+
+def test_kz_bracket_internal_check_raises(monkeypatch):
+    """Long implies the KZ bracket; a failure raises InternalCheckFailed, which
+    survives ``python -O``. Forced by a mat_add whose result commutes with no
+    non-scalar R12."""
+    r = make_phi(2, [1, 2])
+    assert check_laws(r, ["long", "kz_bracket"]) == {"long": True, "kz_bracket": True}
+    monkeypatch.setattr(la, "mat_add", lambda a, b: [
+        [Fraction(i * len(a) + j) for j in range(len(a))] for i in range(len(a))
+    ])
+    with pytest.raises(InternalCheckFailed, match="KZ bracket"):
+        check_laws(r, ["long", "kz_bracket"])
