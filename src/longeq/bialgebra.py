@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg as la
@@ -334,15 +335,12 @@ class AffineTableSpace:
         t = la.to_frac_matrix(table)
         vec = [t[p][q] for p in range(self.d) for q in range(self.d)]
         diff = [x - y for x, y in zip(vec, self.particular)]
-        if not self.basis:
-            return la.is_zero_vec(diff)
-        rows = [list(v) for v in self.basis]
-        red, pivots = la.rref(rows)
-        for row, p in zip(red, pivots):
-            f = diff[p]
-            if f:
-                diff = [x - f * y for x, y in zip(diff, row)]
-        return la.is_zero_vec(diff)
+        return la.is_zero_vec(la.reduce_mod(diff, self._basis_rref))
+
+    @cached_property
+    def _basis_rref(self):
+        """The basis in sparse RREF, computed on the first ``contains``."""
+        return la.sparse_rref(*la.rref(self.basis))
 
     def pinned(self) -> dict:
         """Variables constant across the space, as {(p, q): value}."""
@@ -589,7 +587,11 @@ def check_generator_long(g: GeneratorBialgebra, table):
                     if not la.is_zero_vec(row) or word_consts.get(w, F0):
                         rows.append(row)
                         rhs.append(-word_consts.get(w, F0))
-        sol = la.solve_affine(rows, rhs) if rows else ([F0] * (m * m), [])
+        if rows:
+            sol = la.solve_affine(rows, rhs)
+        else:  # no pair constrains the table: every table is allowed
+            sol = ([F0] * (m * m), [[F1 if k == c else F0 for k in range(m * m)]
+                                    for c in range(m * m)])
         if sol is None:
             report["constraints"] = None
         else:

@@ -88,7 +88,8 @@ class QuotientCoalgebra:
         pivot_set = set(self.pivots)
         self.rep_slots = [s for s in range(n * n) if s not in pivot_set]
         self.rep_labels = [cm_label(s, n) for s in self.rep_slots]
-        self._label_vecs = {}
+        self.sparse_rows = la.sparse_rref(self.rows, self.pivots)
+        self._label_terms = {}
         self._check_delta_descends()
 
     @property
@@ -97,57 +98,67 @@ class QuotientCoalgebra:
 
     def project(self, vec):
         """Reduce a comatrix vector modulo V; pivot coordinates become zero."""
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return vec
+        return la.reduce_mod(vec, self.sparse_rows)
 
     def project_label(self, i, j):
-        """``project`` of the unit vector of c_ij, computed once (do not mutate)."""
-        vec = self._label_vecs.get((i, j))
-        if vec is None:
-            vec = [F0] * (self.n * self.n)
-            vec[cm_index(i, j, self.n)] = F1
-            vec = self._label_vecs[(i, j)] = self.project(vec)
-        return vec
+        """``project`` of the unit vector of c_ij."""
+        vec = [F0] * (self.n * self.n)
+        vec[cm_index(i, j, self.n)] = F1
+        return self.project(vec)
 
     def basis_coset(self, i, j):
         """Coset coordinates of the basis label c_ij."""
-        red = self.project_label(i, j)
-        return [red[s] for s in self.rep_slots]
+        out = [F0] * self.num_generators
+        for t, x in self.coset_terms(i, j):
+            out[t] = x
+        return out
+
+    def coset_terms(self, i, j):
+        """The coset of c_ij as nonzero ``(representative index, coefficient)``
+        pairs, projected once per label (do not mutate)."""
+        terms = self._label_terms.get((i, j))
+        if terms is None:
+            red = self.project_label(i, j)
+            terms = self._label_terms[(i, j)] = [
+                (t, red[s]) for t, s in enumerate(self.rep_slots) if red[s]
+            ]
+        return terms
+
+    def _add_delta(self, acc, coeff, i, j):
+        """acc[(s, t)] += coeff * ((pi (x) pi) Delta(c_ij))[s][t]."""
+        for u in range(1, self.n + 1):
+            right = self.coset_terms(u, j)
+            for s, xl in self.coset_terms(i, u):
+                f = coeff * xl
+                for t, xr in right:
+                    acc[(s, t)] = acc.get((s, t), F0) + f * xr
 
     def delta_on_coset(self, i, j):
         """(pi (x) pi) Delta(c_ij) as an m x m matrix over representatives."""
-        n, m = self.n, self.num_generators
-        out = la.zeros(m, m)
-        for u in range(1, n + 1):
-            left = self.basis_coset(i, u)
-            right = self.basis_coset(u, j)
-            for s, xl in enumerate(left):
-                if xl:
-                    for t, xr in enumerate(right):
-                        if xr:
-                            out[s][t] += xl * xr
+        acc = {}
+        self._add_delta(acc, F1, i, j)
+        out = la.zeros(self.num_generators, self.num_generators)
+        for (s, t), x in acc.items():
+            out[s][t] = x
         return out
 
     def _check_delta_descends(self):
         # (pi (x) pi) Delta must kill V; verified on the RREF basis of V.
-        n, m = self.n, self.num_generators
-        for row in self.rows:
-            acc = la.zeros(m, m)
-            for slot, x in enumerate(row):
-                if not x:
-                    continue
-                i, j = cm_label(slot, n)
-                acc = la.mat_add(acc, la.mat_scale(self.delta_on_coset(i, j), x))
-            if not la.is_zero_matrix(acc):
+        for _, terms in self.sparse_rows:
+            acc = {}
+            for slot, x in terms:
+                self._add_delta(acc, x, *cm_label(slot, self.n))
+            if any(acc.values()):
                 raise InternalCheckFailed("comultiplication does not descend to C/V")
 
 
 class SigmaForm:
-    """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form."""
+    """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
+
+    ``coset_table`` holds sigma on the projections of every label pair, once
+    per form; ``on_cosets``, ``round_trip`` and ``check_L1_on_generators``
+    read it.
+    """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
         n = r.dim
@@ -163,14 +174,15 @@ class SigmaForm:
         self._check_descends()
         reps = quotient.rep_slots
         self.rep_table = [[table[a][b] for b in reps] for a in reps]
+        self.coset_table = coset_table(table, quotient)
 
     def _check_descends(self):
-        n = self.n
-        for row in self.quotient.rows:
-            for b in range(n * n):
-                if sum((row[a] * self.table[a][b] for a in range(n * n)), F0):
+        table = self.table
+        for _, terms in self.quotient.sparse_rows:
+            for b, tb in enumerate(table):
+                if sum([x * table[a][b] for a, x in terms]):
                     raise SigmaIllDefined("sigma does not vanish on V (x) C")
-                if sum((self.table[b][a] * row[a] for a in range(n * n)), F0):
+                if sum([tb[a] * x for a, x in terms]):
                     raise SigmaIllDefined("sigma does not vanish on C (x) V")
 
     def on_vectors(self, va, vb):
@@ -178,8 +190,9 @@ class SigmaForm:
         return _bilinear(self.table, va, vb)
 
     def on_cosets(self, i, v, j, u):
-        """sigma(coset of c_iv (x) coset of c_ju), computed through pi."""
-        return _coset_pairing(self.table, self.quotient, i, v, j, u)
+        """sigma(coset of c_iv (x) coset of c_ju), read from ``coset_table``."""
+        n = self.n
+        return self.coset_table[cm_index(i, v, n)][cm_index(j, u, n)]
 
 
 def _bilinear(table, va, vb):
@@ -194,9 +207,20 @@ def _bilinear(table, va, vb):
     return acc
 
 
-def _coset_pairing(table, quotient, i, v, j, u):
-    """``table`` on the projections of c_iv and c_ju."""
-    return _bilinear(table, quotient.project_label(i, v), quotient.project_label(j, u))
+def coset_table(table, quotient):
+    """The form ``table`` on projected labels: P[a][b] = sigma(pi c_a (x) pi c_b).
+
+    Indexed by comatrix slots a = (i-1)n + (v-1), b = (j-1)n + (u-1); this is
+    Pi^T T Pi with Pi the projections, summed over their nonzeros.
+    """
+    n = quotient.n
+    reps = quotient.rep_slots
+    terms = [quotient.coset_terms(*cm_label(a, n)) for a in range(n * n)]
+    # right[s][b] = sum_t T[rep s][rep t] * (pi c_b)[t]
+    right = [[sum([table[ra][reps[t]] * x for t, x in terms[b]], F0) for b in range(n * n)]
+             for ra in reps]
+    return [[sum([x * right[s][b] for s, x in terms[a]], F0) for b in range(n * n)]
+            for a in range(n * n)]
 
 
 class LongPresentation:
@@ -286,12 +310,13 @@ def round_trip(pres: LongPresentation) -> TensorOp2:
     R(m_v (x) m_u) = sum_{i,j} sigma(coset c_iv (x) coset c_ju) m_i (x) m_j.
     """
     n = pres.quotient.n
+    table = pres.sigma.coset_table
     mat = la.zeros(n * n, n * n)
     for v in range(1, n + 1):
         for u in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    val = pres.sigma.on_cosets(i, v, j, u)
+                    val = table[cm_index(i, v, n)][cm_index(j, u, n)]
                     if val:
                         mat[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)] = val
     return TensorOp2(n, mat)
@@ -315,25 +340,32 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
     sum_v sigma(c_iv (x) y) c_vj - sum_a sigma(c_aj (x) y) c_ia must project
     to zero. ``sigma_table`` overrides the n^2 x n^2 form (mutation testing).
     Returns ``(ok, witness)`` with the violating (i, j, p, q) on failure.
+
+    The projection is linear, so the difference is projected as
+    sum_v s_v pi(c_vj) - sum_a s_a pi(c_ia) in representative coordinates.
     """
     q = pres.quotient
     n = q.n
-    table = sigma_table if sigma_table is not None else pres.sigma.table
+    table = (pres.sigma.coset_table if sigma_table is None
+             else coset_table(sigma_table, q))
     rng = range(1, n + 1)
     for i in rng:
         for j in rng:
             for p in rng:
                 for q_ in rng:
-                    vec = [F0] * (n * n)
+                    col = cm_index(p, q_, n)
+                    acc = [F0] * q.num_generators
                     for v in rng:
-                        s = _coset_pairing(table, q, i, v, p, q_)
+                        s = table[cm_index(i, v, n)][col]
                         if s:
-                            vec[cm_index(v, j, n)] += s
+                            for t, x in q.coset_terms(v, j):
+                                acc[t] += s * x
                     for a in rng:
-                        s = _coset_pairing(table, q, a, j, p, q_)
+                        s = table[cm_index(a, j, n)][col]
                         if s:
-                            vec[cm_index(i, a, n)] -= s
-                    if not la.is_zero_vec(q.project(vec)):
+                            for t, x in q.coset_terms(i, a):
+                                acc[t] -= s * x
+                    if any(acc):
                         return False, (i, j, p, q_)
     return True, None
 

@@ -5,10 +5,17 @@ deterministic: pivots are always chosen in column order, so reduced row
 echelon forms (and therefore all downstream presentations) are reproducible.
 Multiplication skips zero entries, which matters for the very sparse lifted
 operators this package produces.
+
+``rref`` is the one Gauss-Jordan routine (``mat_inv`` and ``solve_affine``
+call it). It takes and returns Fractions but eliminates over Python ints
+internally: rows are scaled to primitive integer rows, and only the final
+pivot rows are divided by their pivots. ``sparse_rref`` and ``reduce_mod``
+reduce a vector modulo an RREF row space over the rows' nonzeros.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -116,8 +123,13 @@ def rref(rows):
 
     Returns ``(reduced, pivots)`` where ``reduced`` holds only the nonzero
     rows and ``pivots`` their pivot column indices, in increasing order.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the row space, and hence its unique RREF, unchanged. Elimination
+    then runs over Python ints, keeping every row primitive (content 1);
+    each pivot row is divided by its pivot only at the end.
     """
-    work = [list(r) for r in rows]
+    work = [_primitive_int_row(r) for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -128,17 +140,55 @@ def rref(rows):
         if piv is None:
             continue
         work[row], work[piv] = work[piv], work[row]
-        inv_p = F1 / work[row][col]
-        work[row] = [x * inv_p for x in work[row]]
+        prow = work[row]
+        p = prow[col]
         for r in range(len(work)):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
+            f = work[r][col]
+            if r != row and f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                work[r] = _primitive([a * x - b * y for x, y in zip(work[r], prow)])
         pivots.append(col)
         row += 1
         if row == len(work):
             break
-    return work[:row], pivots
+    reduced = []
+    for r, col in zip(work[:row], pivots):
+        p = r[col]
+        reduced.append([Fraction(x, p) if x else F0 for x in r])
+    return reduced, pivots
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries (unchanged if zero)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _primitive_int_row(row):
+    """A rational row scaled to a primitive integer row spanning the same line."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
+def sparse_rref(rows, pivots):
+    """RREF rows as (pivot, [(column, value), ...]) over their nonzeros."""
+    return [(p, [(c, x) for c, x in enumerate(row) if x]) for row, p in zip(rows, pivots)]
+
+
+def reduce_mod(vec, space):
+    """``vec`` minus its component in a row space given by ``sparse_rref``.
+
+    Pivot coordinates of the result are zero; each step touches only the
+    nonzeros of one pivot row.
+    """
+    out = list(vec)
+    for p, terms in space:
+        f = out[p]
+        if f:
+            for c, x in terms:
+                out[c] -= f * x
+    return out
 
 
 def solve_affine(a, b):

@@ -16,6 +16,7 @@ All arithmetic in this module is exact rational.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg as la
@@ -225,26 +226,50 @@ def long_witness(r: TensorOp2):
     """First componentwise violation of the Long system, or None.
 
     Returns ``(equation_number, (i, j, k, l, p, q))`` with 1-based indices;
-    equation 1 is the R12/R13 half, equation 2 the R12/R23 half.
+    equation 1 is the R12/R13 half, equation 2 the R12/R23 half. Tuples are
+    visited in lexicographic order, equation 1 before equation 2.
+
+    Both equations are homogeneous quadratics, so they are checked on the
+    integer family Z = D x, D the lcm of the denominators, which violates
+    them at exactly the same tuples as x.
     """
     n = r.dim
-    x = r.coeff
-    rng = range(1, n + 1)
+    z = _integer_coeffs(r)
+    rng = range(n)
     for i in rng:
         for j in rng:
             for k in rng:
+                zk = z[k]
+                # x[k,v,j,i] and, per l, x[k,l,j,a]: the first factor of each sum
+                left = [(v, zk[v][j][i]) for v in rng if zk[v][j][i]]
                 for l in rng:
+                    zkl = zk[l][j]
+                    right = [(a, zkl[a]) for a in rng if zkl[a]]
+                    if not left and not right:
+                        continue
+                    zl = z[l]
                     for p in rng:
                         for q in rng:
-                            lhs = sum((x(k, v, j, i) * x(q, l, p, v) for v in rng), F0)
-                            rhs = sum((x(k, l, j, a) * x(q, a, p, i) for a in rng), F0)
+                            zq = z[q]
+                            zqlp = zq[l][p]
+                            lhs = sum([c * zqlp[v] for v, c in left])
+                            rhs = sum([c * zq[a][p][i] for a, c in right])
                             if lhs != rhs:
-                                return (1, (i, j, k, l, p, q))
-                            lhs = sum((x(k, v, j, i) * x(l, q, v, p) for v in rng), F0)
-                            rhs = sum((x(k, l, j, a) * x(a, q, i, p) for a in rng), F0)
+                                return (1, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
+                            zlq = zl[q]
+                            lhs = sum([c * zlq[v][p] for v, c in left])
+                            rhs = sum([c * z[a][q][i][p] for a, c in right])
                             if lhs != rhs:
-                                return (2, (i, j, k, l, p, q))
+                                return (2, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
     return None
+
+
+def _integer_coeffs(r: TensorOp2):
+    """``r.coeffs()`` times the lcm of its denominators, as Python ints."""
+    x = r.coeffs()
+    scale = math.lcm(*(c.denominator for row in r.matrix for c in row))
+    return [[[[c.numerator * (scale // c.denominator) for c in xi] for xi in xj]
+             for xj in xv] for xv in x]
 
 
 def check_long_componentwise(r: TensorOp2) -> bool:

@@ -285,6 +285,17 @@ def test_generator_example_three_generators():
     assert not ok2
 
 
+def test_generator_long_unconstrained_table_space():
+    """One group-like generator: both sides of the identity are
+    sigma(x (x) x) x, so no row is forced and every table is allowed."""
+    g = GeneratorBialgebra(["x"], {"x": [(1, ("x",), ("x",))]}, {"x": 1})
+    ok, rep = check_generator_long(g, {("x", "x"): F(5)})
+    assert ok
+    space = rep["constraints"]
+    assert space.contains([[5]]) and space.contains([[0]])
+    assert space.pinned() == {}
+
+
 def test_strong_dmap_full_comatrix_identity_r():
     """With R = Id the obstructions vanish, so sigma_0 is a strong D-map on
     the full comatrix coalgebra and the induced operator is R itself."""

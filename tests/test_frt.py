@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from longeq import (
     check_L1_on_generators,
     convolution_inverse,
     dimodule_compatible,
+    make_conjugate,
     make_diag,
     make_pair,
     make_phi,
@@ -25,12 +28,15 @@ from longeq import linalg as la
 from longeq.frt import (
     QuotientCoalgebra,
     SigmaForm,
+    _bilinear,
     cm_index,
+    cm_label,
     comatrix_delta,
     comatrix_eps,
 )
 
 from conftest import upper_pair_operator
+from test_linalg import _rref_oracle
 
 F = Fraction
 
@@ -348,3 +354,148 @@ def test_quotient_dimension_table():
     ]
     for r, want in cases:
         assert build_LR(r).num_generators == want
+
+
+def _dense_conjugates():
+    """Dense n = 3 solutions, whose relation spans have large coefficients."""
+    return {
+        f"conj3_{k}": make_conjugate(u, make_phi(3, phi))
+        for k, (u, phi) in enumerate([
+            ([[1, 2, -1], [2, -1, 1], [1, 1, 2]], (1, 1, 3)),
+            ([[2, -1, 1], [1, 2, -2], [-1, 1, 1]], (1, 2, 3)),
+            ([[1, -2, 2], [2, 1, -1], [1, 2, 1]], (2, 2, 2)),
+        ])
+    }
+
+
+def test_coset_table_matches_direct_pairing(corpus):
+    """The shared table P is sigma on the projections of each label pair."""
+    for name, r in {**corpus, **_dense_conjugates()}.items():
+        pres = build_LR(r)
+        q, n = pres.quotient, r.dim
+        p_table = pres.sigma.coset_table
+        for a in range(n * n):
+            for b in range(n * n):
+                want = _bilinear(pres.sigma.table, q.project_label(*cm_label(a, n)),
+                                 q.project_label(*cm_label(b, n)))
+                assert p_table[a][b] == want, (name, a, b)
+                i, v = cm_label(a, n)
+                j, u = cm_label(b, n)
+                assert pres.sigma.on_cosets(i, v, j, u) == want
+
+
+def test_sigma_mutation_witnesses_are_unchanged():
+    """Witnesses of the mutation override, pinned from the projection of each
+    pairing one at a time (before the shared coset table)."""
+    cases = [
+        ((1, 2, 2, 2), [((3, 3), (1, 1), F(1))], (False, (3, 2, 1, 1))),
+        ((2, 2, 4, 4), [((1, 2), (3, 4), F(2)), ((3, 4), (1, 1), F(-1, 2))],
+         (False, (1, 3, 3, 3))),
+        ((1, 2, 2, 2), [((4, 2), (2, 2), F(3))], (True, None)),
+    ]
+    for phi, mutations, want in cases:
+        pres = build_LR(make_phi(4, phi))
+        mutated = [row[:] for row in pres.sigma.table]
+        for a, b, d in mutations:
+            mutated[cm_index(*a, 4)][cm_index(*b, 4)] += d
+        assert check_L1_on_generators(pres, sigma_table=mutated) == want, phi
+        # the override does not leak into the presentation's own table
+        assert check_L1_on_generators(pres) == (True, None)
+
+
+def test_presentation_text_matches_oracle_rref(corpus, monkeypatch):
+    """The rendering is unchanged when every RREF comes from the Fraction
+    Gauss-Jordan oracle."""
+    ops = {**corpus, **_dense_conjugates()}
+    fast = {name: presentation_text(build_LR(r)) for name, r in ops.items()}
+    monkeypatch.setattr(la, "rref", _rref_oracle)
+    for name, r in ops.items():
+        assert presentation_text(build_LR(r)) == fast[name], name
+
+
+def _sigma_descent_oracle(table, rows):
+    """Dense form of SigmaForm's descent check: the first failure message."""
+    size = len(table)
+    for row in rows:
+        for b in range(size):
+            if sum((row[a] * table[a][b] for a in range(size)), F(0)):
+                return "sigma does not vanish on V (x) C"
+            if sum((table[b][a] * row[a] for a in range(size)), F(0)):
+                return "sigma does not vanish on C (x) V"
+    return None
+
+
+def _form_table(r):
+    n = r.dim
+    table = la.zeros(n * n, n * n)
+    for a in range(n * n):
+        i, v = cm_label(a, n)
+        for b in range(n * n):
+            j, u = cm_label(b, n)
+            table[a][b] = r.coeff(u, v, j, i)
+    return table
+
+
+class _UncheckedQuotient(QuotientCoalgebra):
+    def _check_delta_descends(self):
+        pass
+
+
+def _delta_descent_oracle(q):
+    """Dense form of QuotientCoalgebra's descent check."""
+    n, m = q.n, q.num_generators
+    for row in q.rows:
+        acc = la.zeros(m, m)
+        for slot, x in enumerate(row):
+            if x:
+                acc = la.mat_add(acc, la.mat_scale(q.delta_on_coset(*cm_label(slot, n)), x))
+        if not la.is_zero_matrix(acc):
+            return False
+    return True
+
+
+def test_sigma_descent_check_matches_dense_oracle(corpus):
+    by_dim = {}
+    for r in corpus.values():
+        by_dim.setdefault(r.dim, []).append(r)
+    seen = set()
+    for ops in by_dim.values():
+        quotients = [build_LR(r).quotient for r in ops]
+        n = ops[0].dim
+        # sparse random operators, not Long: either check can fail first
+        rng = random.Random(n)
+        noise = [TensorOp2(n, [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n * n)]
+                               for _ in range(n * n)]) for _ in range(6)]
+        for r in ops + noise:
+            for q in quotients:
+                want = _sigma_descent_oracle(_form_table(r), q.rows)
+                if want is None:
+                    SigmaForm(r, q)
+                else:
+                    with pytest.raises(SigmaIllDefined, match=re.escape(want)):
+                        SigmaForm(r, q)
+                seen.add(want)
+    assert seen == {None, "sigma does not vanish on V (x) C",
+                    "sigma does not vanish on C (x) V"}
+
+
+def test_delta_descent_check_matches_dense_oracle():
+    """Counit-free random relation spans: most are not coideals."""
+    rng = random.Random(5)
+    outcomes = set()
+    for n in (2, 3):
+        for _ in range(30):
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                vec = [F(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(n * n)]
+                vec[cm_index(1, 1, n)] -= comatrix_eps(vec, n)  # counit zero
+                rows.append(vec)
+            try:
+                QuotientCoalgebra(n, rows)
+                got = True
+            except InternalCheckFailed as exc:
+                assert str(exc) == "comultiplication does not descend to C/V"
+                got = False
+            assert got == _delta_descent_oracle(_UncheckedQuotient(n, rows)), rows
+            outcomes.add(got)
+    assert outcomes == {True, False}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,101 @@ def test_mat_mul_transpose_contravariant(e1, e2):
     assert la.transpose(la.mat_mul(a, b)) == la.mat_mul(
         la.transpose(b), la.transpose(a)
     )
+
+
+def _rref_oracle(rows):
+    """Gauss-Jordan over Fractions: normalise each pivot row as it is found.
+
+    The slow reference for the integer elimination inside ``la.rref``.
+    """
+    work = [[F(x) for x in r] for r in rows]
+    if not work:
+        return [], []
+    pivots = []
+    row = 0
+    for col in range(len(work[0])):
+        piv = next((r for r in range(row, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        inv_p = 1 / work[row][col]
+        work[row] = [x * inv_p for x in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return work[:row], pivots
+
+
+def _rational_matrix(rng, rows, cols, density=0.7):
+    dens = (1, 1, 2, 3, 5, 6, 7)
+    return [[F(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < density else F(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _rref_cases():
+    rng = random.Random(1234)
+    cases = [[], [[F(0)] * 4 for _ in range(3)], [[F(-3), F(6), F(0)]]]
+    for rows, cols in ((3, 3), (4, 4), (2, 7), (7, 2), (5, 9), (9, 5), (6, 6), (1, 5), (5, 1)):
+        for density in (0.3, 0.7, 1.0):
+            for _ in range(4):
+                cases.append(_rational_matrix(rng, rows, cols, density))
+    for _ in range(10):
+        base = _rational_matrix(rng, 3, 6)
+        # duplicate, scaled and zero rows, and a row sum: rank stays 3
+        cases.append(base + [base[0][:], [-2 * x for x in base[1]], [F(0)] * 6,
+                             [x + y for x, y in zip(base[1], base[2])]])
+        # negative pivots in every leading position
+        cases.append([[-abs(x) if x else x for x in row] for row in base])
+    return cases
+
+
+def test_rref_matches_fraction_oracle():
+    cases = _rref_cases()
+    assert len(cases) > 100
+    for rows in cases:
+        before = [r[:] for r in rows]
+        red, pivots = la.rref(rows)
+        assert (red, pivots) == _rref_oracle(rows), rows
+        assert all(type(x) is F for r in red for x in r)
+        assert rows == before  # the input is not modified
+
+
+def test_rref_accepts_integer_rows():
+    rows = [[0, 2, 4], [3, 0, -3], [3, 2, 1]]
+    assert la.rref(rows) == _rref_oracle(rows)
+
+
+def test_mat_inv_and_solve_affine_unchanged_under_oracle(monkeypatch):
+    rng = random.Random(99)
+    squares = [_rational_matrix(rng, k, k, 1.0) for k in (1, 2, 3, 4, 5) for _ in range(3)]
+    squares.append(la.to_frac_matrix([[1, 2], [2, 4]]))  # singular
+    systems = []
+    for rows, cols in ((3, 5), (5, 3), (4, 4), (6, 8)):
+        for density in (0.3, 0.8):
+            a = _rational_matrix(rng, rows, cols, density)
+            systems.append((a, [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in a]))
+            # consistent by construction: b = A w
+            w = [F(rng.randint(-3, 3)) for _ in range(cols)]
+            systems.append((a, [sum((x * y for x, y in zip(row, w)), F(0)) for row in a]))
+
+    def results():
+        out = []
+        for a in squares:
+            try:
+                out.append(la.mat_inv(a))
+            except ValueError:
+                out.append("singular")
+        out.extend(la.solve_affine(a, b) for a, b in systems)
+        return out
+
+    fast = results()
+    monkeypatch.setattr(la, "rref", _rref_oracle)
+    slow = results()
+    assert fast == slow
+    assert "singular" in fast and None in fast
+    assert any(r is not None and r != "singular" for r in fast)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,81 @@ def test_kz_bracket_internal_check_raises(monkeypatch):
     ])
     with pytest.raises(InternalCheckFailed, match="KZ bracket"):
         check_laws(r, ["long", "kz_bracket"])
+
+
+def _long_witness_oracle(r: TensorOp2):
+    """The componentwise Long check over Fractions, straight from the two
+    equations; the slow reference for the integer ``long_witness``."""
+    n = r.dim
+    x = r.coeff
+    rng = range(1, n + 1)
+    zero = F(0)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in rng:
+                    for p in rng:
+                        for q in rng:
+                            lhs = sum((x(k, v, j, i) * x(q, l, p, v) for v in rng), zero)
+                            rhs = sum((x(k, l, j, a) * x(q, a, p, i) for a in rng), zero)
+                            if lhs != rhs:
+                                return (1, (i, j, k, l, p, q))
+                            lhs = sum((x(k, v, j, i) * x(l, q, v, p) for v in rng), zero)
+                            rhs = sum((x(k, l, j, a) * x(a, q, i, p) for a in rng), zero)
+                            if lhs != rhs:
+                                return (2, (i, j, k, l, p, q))
+    return None
+
+
+def _seeded_candidate(rng, n, density, values):
+    return TensorOp2(n, [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(n * n)]
+        for _ in range(n * n)
+    ])
+
+
+def test_long_witness_matches_oracle_on_corpus(corpus):
+    for name, r in corpus.items():
+        assert long_witness(r) is None and _long_witness_oracle(r) is None, name
+
+
+def test_long_witness_matches_oracle_on_phi4(phi4_solutions):
+    assert len(phi4_solutions) == 41
+    for phi, r in phi4_solutions.items():
+        assert long_witness(r) is None, phi
+        assert _long_witness_oracle(r) is None, phi
+
+
+def test_long_witness_matches_oracle_on_unit_candidates():
+    rng = random.Random(20240601)
+    hits = 0
+    for n in (2, 3, 4):
+        for density in (0.02, 0.05, 0.2, 0.5):
+            for _ in range(12 if n < 4 else 6):
+                r = _seeded_candidate(rng, n, density, (-1, 1))
+                want = _long_witness_oracle(r)
+                assert long_witness(r) == want, (n, density, r.matrix)
+                hits += want is not None
+    assert hits > 0
+
+
+def test_long_witness_matches_oracle_with_mixed_denominators():
+    """Entries over 2, 3 and 6: the witness of the cleared-denominator
+    integer family must be the witness of the rational one."""
+    rng = random.Random(7)
+    values = (F(1, 2), F(-1, 3), F(5, 6), F(-2), F(1, 3))
+    cases = [_seeded_candidate(rng, n, density, values)
+             for n in (2, 3) for density in (0.05, 0.2, 0.6) for _ in range(8)]
+    # solutions with fractional entries, and late violations of them
+    sol = make_conjugate([[1, 2], [0, 3]], make_diag(2, [[F(1, 2), F(2, 3)], [3, F(-1, 5)]]))
+    cases.append(sol)
+    for pos in ((0, 0), (3, 3), (2, 1)):
+        mat = [row[:] for row in sol.matrix]
+        mat[pos[0]][pos[1]] += F(1, 7)
+        cases.append(TensorOp2(2, mat))
+    cases.append(make_conjugate([[1, 1, 0], [0, 2, 1], [1, 0, 3]], make_phi(3, [1, 1, 3])))
+    assert any(c.matrix[a][b].denominator > 1 for c in cases[-5:]
+               for a in range(len(c.matrix)) for b in range(len(c.matrix)))
+    for r in cases:
+        assert long_witness(r) == _long_witness_oracle(r), r.matrix
+    assert long_witness(sol) is None and long_witness(cases[-1]) is None
