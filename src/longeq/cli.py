@@ -8,6 +8,7 @@ Reports are JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -167,14 +168,11 @@ def cmd_kz(args):
         raise ValueError("--points disagrees with the loop base configuration")
     re, _, im = args.h.partition(",")
     h = complex(float(re), float(im) if im else 0.0)
-    residuals = kz.flatness_residuals(r, args.points)
+    if not cmath.isfinite(h):
+        raise ValueError("--h must be finite")
+    # the cheap usage checks (dimension cap, comparison preconditions) run
+    # before the exact brackets and the integration
     system = kz.KZSystem.from_op(r, args.points, h)
-    w = kz.integrate_holonomy(system, loop)
-    out = jsonio.holonomy_to_json(w, h, args.points, r.dim)
-    out["format_version"] = jsonio.FORMAT_VERSION
-    out["residuals"] = residuals
-    out["elapsed_s"] = round(time.monotonic() - started, 6)
-    code = EXIT_OK
     if args.compare:
         if not system.symmetric:
             print(
@@ -188,6 +186,14 @@ def cmd_kz(args):
                 file=sys.stderr,
             )
             return EXIT_USAGE
+    residuals = kz.flatness_residuals(r, args.points)
+    w = kz.integrate_holonomy(system, loop)
+    out = jsonio.holonomy_to_json(w, h, args.points, r.dim)
+    out["format_version"] = jsonio.FORMAT_VERSION
+    out["residuals"] = residuals
+    out["elapsed_s"] = round(time.monotonic() - started, 6)
+    code = EXIT_OK
+    if args.compare:
         from scipy.linalg import expm
         import numpy as np
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from .bialgebra import FinDimBialgebra, SigmaTable
 from .frt import LongPresentation
-from .kz import LoopSpec
+from .errors import DimensionCap
+from .kz import LoopSpec, max_dim
 from .linalg import F0
 from .scalars import frac_str, parse_frac
 from .tensor_ops import TensorOp2
@@ -37,11 +38,17 @@ def operator_from_json(obj) -> TensorOp2:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("operator JSON must be an object with a 'dim' key")
     n = obj["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'dim' must be a positive integer")
+    cap = max_dim()
+    if n ** 3 > cap:
+        raise DimensionCap(f"operator dim {n}: n^3 = {n ** 3} exceeds cap {cap}")
+    entries = obj.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError("'entries' must be a list")
     coeffs = [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     seen = set()
-    for e in obj.get("entries", []):
+    for e in entries:
         try:
             v, u, i, j = e["v"], e["u"], e["i"], e["j"]
             x = parse_frac(e["coeff"])
@@ -129,12 +136,31 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
+def _point(pair, what):
+    """A JSON ``[re, im]`` pair of numbers as a complex number."""
+    if (not isinstance(pair, list) or len(pair) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in pair)):
+        raise ValueError(f"{what} must be an [re, im] pair of numbers")
+    try:
+        return complex(*pair)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is out of the float range") from exc
+
+
+def _index(x, what):
+    """A 1-based JSON index as a 0-based int."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"'{what}' must be a 1-based index")
+    return x - 1
+
+
 def loop_from_json(obj) -> LoopSpec:
     try:
-        base = [complex(re, im) for re, im in obj["base"]]
+        base = [_point(z, "base point") for z in obj["base"]]
         kind = obj["kind"]
         steps = obj["steps"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError("malformed loop JSON") from exc
     if kind == "circle":
         try:
@@ -144,20 +170,19 @@ def loop_from_json(obj) -> LoopSpec:
         except KeyError as exc:
             raise ValueError("circle loop JSON needs moving/center/radius") from exc
         if isinstance(center, list):
-            center = complex(center[0], center[1])
-        elif isinstance(center, int):
+            center = _point(center, "center")
+        elif isinstance(center, int) and not isinstance(center, bool):
             center = center - 1
         else:
             raise ValueError("'center' must be a 1-based index or [re, im]")
-        return LoopSpec(
-            base, "circle", steps, moving=moving - 1, center=center, radius=radius
-        )
+        return LoopSpec(base, "circle", steps, moving=_index(moving, "moving"),
+                        center=center, radius=radius)
     if kind == "polygon":
         try:
             waypoints = [
-                [complex(re, im) for re, im in path] for path in obj["waypoints"]
+                [_point(z, "waypoint") for z in path] for path in obj["waypoints"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("polygon loop JSON needs waypoint paths") from exc
         return LoopSpec(base, "polygon", steps, waypoints=waypoints)
     raise ValueError(f"unknown loop kind {kind!r}")

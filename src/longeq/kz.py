@@ -5,8 +5,9 @@ The connection on the configuration space of N distinct points is
     dW/dt = h * sum_{i != j} (dz^i/dt) / (z^i - z^j) * R^{ij} W,
 
 with R^{ij} acting as R on tensor slots (i, j) and as the identity
-elsewhere. All algebraic identities (flatness brackets) are evaluated in
-exact rational arithmetic; only the ODE itself runs in complex doubles.
+elsewhere. All algebraic identities (flatness brackets) are evaluated
+exactly, over integers with the denominators cleared; only the ODE itself
+runs in complex doubles.
 """
 
 from __future__ import annotations
@@ -14,13 +15,20 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import os
 
 import numpy as np
 
 from . import linalg as la
 from .errors import DimensionCap, PathTooClose
-from .tensor_ops import TensorOp2, _slot_blocks, flip_matrix, lift_exact
+from .tensor_ops import (  # lift_exact is re-exported next to lift_float
+    TensorOp2,
+    _integer_matrix,
+    _slot_blocks,
+    flip_matrix,
+    lift_exact,
+)
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "LONGEQ_MAX_DIM"
@@ -35,8 +43,42 @@ def lift_float(r_mat: np.ndarray, n, i, j, N):
     return out
 
 
-def _mat_comm(a, b):
-    return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
+def _lift_sparse(z, n, i, j, N):
+    """Sparse rows ``{row: {col: entry}}`` of the n^2 x n^2 matrix z on slots (i, j)."""
+    nonzero = [[(b, x) for b, x in enumerate(row) if x] for row in z]
+    out = {}
+    for idxs in _slot_blocks(n, i, j, N):
+        for a, ra in enumerate(idxs):
+            if nonzero[a]:
+                out[ra] = {idxs[b]: x for b, x in nonzero[a]}
+    return out
+
+
+def _sparse_add(a, b):
+    out = {r: dict(row) for r, row in a.items()}
+    for r, row in b.items():
+        acc = out.setdefault(r, {})
+        for c, y in row.items():
+            acc[c] = acc.get(c, 0) + y
+    return out
+
+
+def _sparse_mul(a, b):
+    """Sparse product with every zero entry and every empty row dropped."""
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _commute(a, b):
+    return _sparse_mul(a, b) == _sparse_mul(b, a)
 
 
 def flatness_residuals(r: TensorOp2, N) -> dict:
@@ -46,35 +88,40 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
     bracket [R^{ab}, R^{ac} + R^{bc}] is evaluated exactly; when N >= 4 the
     disjoint-pair brackets [R^{ab}, R^{cd}] are evaluated on M^(x4). Keys
     are labels like "[R12,R13+R23]" (slots 1-based); values are booleans.
+
+    Each bracket is a homogeneous quadratic in R, so it is decided on the
+    integer matrix Z = D R, D the lcm of the denominators, lifted as sparse
+    rows; no dense n^N x n^N matrix is built.
     """
+    n = r.dim
+    z = _integer_matrix(r)
     report = {}
     if N >= 3:
         lifts3 = {
-            (i, j): lift_exact(r, i, j, 3)
+            (i, j): _lift_sparse(z, n, i, j, 3)
             for i in range(3)
             for j in range(3)
             if i != j
         }
         for a, b, c in itertools.permutations(range(3)):
-            comm = _mat_comm(
-                lifts3[(a, b)], la.mat_add(lifts3[(a, c)], lifts3[(b, c)])
-            )
             label = f"[R{a + 1}{b + 1},R{a + 1}{c + 1}+R{b + 1}{c + 1}]"
-            report[label] = la.is_zero_matrix(comm)
+            report[label] = _commute(
+                lifts3[(a, b)], _sparse_add(lifts3[(a, c)], lifts3[(b, c)])
+            )
     if N >= 4:
         lifts4 = {
-            (i, j): lift_exact(r, i, j, 4)
+            (i, j): _lift_sparse(z, n, i, j, 4)
             for (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2))
         }
         for (a, b) in ((0, 1), (1, 0)):
             for (c, d) in ((2, 3), (3, 2)):
-                comm = _mat_comm(lifts4[(a, b)], lifts4[(c, d)])
                 label = f"[R{a + 1}{b + 1},R{c + 1}{d + 1}]"
-                report[label] = la.is_zero_matrix(comm)
+                report[label] = _commute(lifts4[(a, b)], lifts4[(c, d)])
     return report
 
 
-def _dim_cap():
+def max_dim():
+    """The size cap: ``LONGEQ_MAX_DIM``, or 4096 when it is unset."""
     raw = os.environ.get(DIM_CAP_ENV)
     return int(raw) if raw else DEFAULT_DIM_CAP
 
@@ -95,7 +142,7 @@ class KZSystem:
     def from_op(cls, r: TensorOp2, N, h, dim_cap=None):
         if N < 2:
             raise ValueError("N must be >= 2")
-        cap = _dim_cap() if dim_cap is None else dim_cap
+        cap = max_dim() if dim_cap is None else dim_cap
         n = r.dim
         if n ** N > cap:
             raise DimensionCap(f"n^N = {n ** N} exceeds cap {cap}")
@@ -113,6 +160,24 @@ class KZSystem:
         return cls(n, N, complex(h), r_mat, lifts, symmetric)
 
 
+def _integer(x, what):
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer")
+    return int(x)
+
+
+def _finite(x, what, kind=numbers.Complex):
+    """x as a finite complex, or float when kind is numbers.Real; else ValueError."""
+    if not isinstance(x, bool) and isinstance(x, kind):
+        try:
+            if cmath.isfinite(x):
+                return float(x) if kind is numbers.Real else complex(x)
+        except OverflowError:
+            pass
+    name = "real" if kind is numbers.Real else "complex"
+    raise ValueError(f"{what} must be a finite {name} number")
+
+
 class LoopSpec:
     """A closed loop in the configuration space of N points.
 
@@ -128,25 +193,25 @@ class LoopSpec:
 
     def __init__(self, base, kind, steps, moving=None, center=None, radius=None,
                  waypoints=None):
-        self.base = [complex(z) for z in base]
+        self.base = [_finite(z, "base point") for z in base]
         self.N = len(self.base)
         self.kind = kind
-        self.steps = int(steps)
+        self.steps = _integer(steps, "steps")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if kind == "circle":
             if moving is None or center is None or radius is None:
                 raise ValueError("circle loops need moving, center, radius")
-            self.moving = int(moving)
+            self.moving = _integer(moving, "moving")
             if not 0 <= self.moving < self.N:
                 raise ValueError("moving index out of range")
-            if isinstance(center, int):
+            if isinstance(center, int) and not isinstance(center, bool):
                 if not 0 <= center < self.N or center == self.moving:
                     raise ValueError("center index out of range")
                 self.center = self.base[center]
             else:
-                self.center = complex(center)
-            self.radius = float(radius)
+                self.center = _finite(center, "center")
+            self.radius = _finite(radius, "radius", numbers.Real)
             if self.radius <= 0:
                 raise ValueError("radius must be positive")
             z0 = self.base[self.moving]
@@ -155,7 +220,8 @@ class LoopSpec:
         elif kind == "polygon":
             if waypoints is None:
                 raise ValueError("polygon loops need waypoints")
-            self.waypoints = [[complex(z) for z in path] for path in waypoints]
+            self.waypoints = [[_finite(z, "waypoint") for z in path]
+                              for path in waypoints]
             if len(self.waypoints) != self.N:
                 raise ValueError("one waypoint path per coordinate required")
             lengths = {len(p) for p in self.waypoints}

@@ -66,14 +66,7 @@ class TensorOp2:
 
     def coeffs(self):
         """The 4-index family as nested lists ``x[u][v][j][i]`` (0-based)."""
-        n = self.dim
-        return [
-            [
-                [[self.matrix[i * n + j][v * n + u] for i in range(n)] for j in range(n)]
-                for v in range(n)
-            ]
-            for u in range(n)
-        ]
+        return _coeff_family(self.dim, self.matrix)
 
     def __eq__(self, other):
         return (
@@ -264,12 +257,26 @@ def long_witness(r: TensorOp2):
     return None
 
 
+def _coeff_family(n, matrix):
+    """The 4-index family ``x[u][v][j][i]`` (0-based) of a matrix view."""
+    return [
+        [
+            [[matrix[i * n + j][v * n + u] for i in range(n)] for j in range(n)]
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
+
+
+def _integer_matrix(r: TensorOp2):
+    """``r.matrix`` times the lcm of its denominators, as Python ints."""
+    scale = math.lcm(*(c.denominator for row in r.matrix for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in r.matrix]
+
+
 def _integer_coeffs(r: TensorOp2):
     """``r.coeffs()`` times the lcm of its denominators, as Python ints."""
-    x = r.coeffs()
-    scale = math.lcm(*(c.denominator for row in r.matrix for c in row))
-    return [[[[c.numerator * (scale // c.denominator) for c in xi] for xi in xj]
-             for xj in xv] for xv in x]
+    return _coeff_family(r.dim, _integer_matrix(r))
 
 
 def check_long_componentwise(r: TensorOp2) -> bool:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import longeq
-from longeq import TensorOp2, make_pair, make_phi
+from longeq import TensorOp2, kz, make_pair, make_phi
 from longeq import linalg as la
 from longeq.cli import main
 from longeq.jsonio import (
@@ -55,6 +55,23 @@ def test_operator_json_omits_zeros():
     r = make_phi(2, [1, 2])
     obj = operator_to_json(r)
     assert all(e["coeff"] != "0" for e in obj["entries"])
+
+
+def test_operator_json_dim_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # n^3 is checked against LONGEQ_MAX_DIM before any coefficient exists
+    monkeypatch.setenv("LONGEQ_MAX_DIM", "64")
+    assert operator_from_json(operator_to_json(make_phi(4, [1, 1, 3, 3]))).dim == 4
+    op = _write(tmp_path, "op.json", {"dim": 5, "entries": []})
+    code, out, err = _run(capsys, ["check", "--op", op])
+    assert (code, out) == (2, "")
+    assert "n^3 = 125 exceeds cap 64" in err
+
+
+def test_operator_json_non_list_entries_is_usage_error(tmp_path, capsys):
+    op = _write(tmp_path, "op.json", {"dim": 2, "entries": None})
+    code, out, err = _run(capsys, ["check", "--op", op])
+    assert (code, out) == (2, "")
+    assert "'entries' must be a list" in err
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +267,97 @@ def test_kz_without_compare_reports_holonomy(tmp_path, capsys, corpus):
     assert code == 0
     assert len(obj["matrix"]) == 4
     assert "residuals" in obj
+
+
+def test_kz_without_compare_exits_0_on_failing_residual(tmp_path, capsys):
+    # residuals are reported data; only --compare turns a failure into exit 1
+    r = TensorOp2(2, [[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1]])
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[1.0, 0.0], [0.0, 0.0], [10.0, 0.0]], "kind": "circle",
+        "steps": 16, "moving": 1, "center": 2, "radius": 0.5,
+    })
+    code, out, _ = _run(capsys, ["kz", "--op", op, "--points", "3",
+                                 "--h", "0.05", "--loop", loop])
+    assert code == 0
+    assert not all(json.loads(out)["residuals"].values())
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("the usage checks must run first")
+
+
+@pytest.mark.parametrize("case", ["cap", "nonsymmetric", "explicit_center"])
+def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
+                                                          monkeypatch, corpus, case):
+    monkeypatch.setattr(kz, "flatness_residuals", _refuse)
+    monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
+    r = corpus["pair_235"] if case == "nonsymmetric" else make_phi(2, [1, 1])
+    op, loop = _kz_files(tmp_path, r)
+    argv = ["kz", "--op", op, "--points", "2", "--h", "0.05", "--loop", loop]
+    if case == "cap":
+        # n^3 = 8 passes the operator guard; n^N = 16 fails the lift cap
+        monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
+        loop = _write(tmp_path, "loop.json", {
+            "base": [[1.0, 0.0], [0.0, 0.0], [5.0, 0.0], [9.0, 0.0]],
+            "kind": "circle", "steps": 64, "moving": 1, "center": 2, "radius": 0.5,
+        })
+        argv = ["kz", "--op", op, "--points", "4", "--h", "0.05", "--loop", loop]
+        want = "n^N = 16 exceeds cap 8"
+    elif case == "nonsymmetric":
+        argv.append("--compare")
+        want = "comparison mode requires a symmetric operator"
+    else:
+        loop = _write(tmp_path, "loop.json", {
+            "base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
+            "moving": 1, "center": [0.0, 0.0], "radius": 0.5,
+        })
+        argv = argv[:-1] + [loop, "--compare"]
+        want = "comparison mode requires a circle loop centered on a fixed point"
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert want in err
+
+
+_CIRCLE = {"base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
+           "moving": 1, "center": 2, "radius": 0.5}
+_SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]]
+_POLYGON = {"base": [[1.0, 1.0], [0.0, 0.0]], "kind": "polygon", "steps": 64,
+            "waypoints": [_SQUARE, [[0.0, 0.0]] * 5]}
+
+
+@pytest.mark.parametrize("loop_obj, want", [
+    (dict(_CIRCLE, steps=None), "steps must be an integer"),
+    (dict(_CIRCLE, steps="64"), "steps must be an integer"),
+    (dict(_CIRCLE, moving=None), "'moving' must be a 1-based index"),
+    (dict(_CIRCLE, center=None), "'center' must be a 1-based index"),
+    (dict(_CIRCLE, center=[float("nan"), 0.0]), "center must be a finite"),
+    (dict(_CIRCLE, radius=float("nan")), "radius must be a finite"),
+    (dict(_CIRCLE, radius=float("inf")), "radius must be a finite"),
+    (dict(_CIRCLE, radius="0.5"), "radius must be a finite"),
+    (dict(_CIRCLE, base=[[float("inf"), 0.0], [0.0, 0.0]]), "base point must be a finite"),
+    (dict(_CIRCLE, base=[[None, 0.0], [0.0, 0.0]]), "base point must be an [re, im] pair"),
+    (dict(_POLYGON, waypoints=[_SQUARE, [[0.0, float("nan")]] * 5]),
+     "waypoint must be a finite"),
+], ids=["steps-null", "steps-str", "moving-null", "center-null", "center-nan",
+        "radius-nan", "radius-inf", "radius-str", "base-inf", "base-null",
+        "waypoint-nan"])
+def test_kz_malformed_loop_is_usage_error(tmp_path, capsys, loop_obj, want):
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    loop = _write(tmp_path, "loop.json", loop_obj)
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
+                                   "--h", "0.05", "--loop", loop, "--compare"])
+    assert (code, out) == (2, "")
+    assert want in err
+
+
+@pytest.mark.parametrize("h", ["nan", "0.1,inf", "1e400"])
+def test_kz_non_finite_h_is_usage_error(tmp_path, capsys, h):
+    op, loop = _kz_files(tmp_path, make_phi(2, [1, 1]))
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
+                                   "--h", h, "--loop", loop, "--compare"])
+    assert (code, out) == (2, "")
+    assert "--h must be finite" in err
 
 
 def test_kz_points_mismatch_is_usage_error(tmp_path, capsys):

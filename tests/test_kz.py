@@ -1,7 +1,10 @@
 """Tests for the lifted connection: lifts, flatness brackets, holonomy."""
 
+import itertools
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +19,13 @@ from longeq import (
     connection_matrix,
     convergence_order,
     flatness_residuals,
+    idempotent_maps,
     integrate_holonomy,
     lift,
     lift_exact,
     lift_float,
+    make_conjugate,
+    make_diag,
     make_pair,
     make_phi,
 )
@@ -98,6 +104,65 @@ def test_flatness_reports_failures_for_generic_operator():
     r = TensorOp2(2, entries)
     report = flatness_residuals(r, 3)
     assert not all(report.values())
+
+
+def _mat_comm(a, b):
+    return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
+
+
+def _flatness_oracle(r, N):
+    """The brackets of flatness_residuals on dense Fraction lifts."""
+    report = {}
+    if N >= 3:
+        lifts3 = {(i, j): lift_exact(r, i, j, 3)
+                  for i in range(3) for j in range(3) if i != j}
+        for a, b, c in itertools.permutations(range(3)):
+            comm = _mat_comm(lifts3[(a, b)],
+                             la.mat_add(lifts3[(a, c)], lifts3[(b, c)]))
+            label = f"[R{a + 1}{b + 1},R{a + 1}{c + 1}+R{b + 1}{c + 1}]"
+            report[label] = la.is_zero_matrix(comm)
+    if N >= 4:
+        lifts4 = {(i, j): lift_exact(r, i, j, 4)
+                  for (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2))}
+        for (a, b) in ((0, 1), (1, 0)):
+            for (c, d) in ((2, 3), (3, 2)):
+                comm = _mat_comm(lifts4[(a, b)], lifts4[(c, d)])
+                report[f"[R{a + 1}{b + 1},R{c + 1}{d + 1}]"] = la.is_zero_matrix(comm)
+    return report
+
+
+def test_flatness_matches_dense_oracle(corpus):
+    """Sparse integer brackets equal the dense Fraction brackets, label order
+    included, on solutions and on random candidates that fail brackets.
+
+    A dense n=3 or n=4 lift at N=4 costs the oracle 0.2-1 s, so those shapes
+    are few."""
+    cases = [(r, 3) for r in corpus.values()]
+    cases += [(r, 4) for r in corpus.values() if r.dim <= 2]
+    cases += [(make_phi(4, phi), 4) for phi in idempotent_maps(4)
+              if phi in ((1, 1, 3, 4), (1, 2, 2, 2))]
+    shapes = [(2, N) for N in (2, 3, 4)] * 5 + [(3, 2), (3, 2), (3, 3), (3, 3), (3, 4)]
+    rng = random.Random(20260)
+    for k in range(60):
+        n, N = shapes[k % len(shapes)]
+        entries = [[rng.choice((-1, 0, 0, 1)) for _ in range(n * n)]
+                   for _ in range(n * n)]
+        cases.append((TensorOp2(n, entries), N))
+    mixed = [[Fraction(rng.randint(-4, 4), rng.choice((2, 3, 5, 6, 7)))
+              for _ in range(4)] for _ in range(4)]
+    cases.append((TensorOp2(2, mixed), 4))
+    # a solution whose entries only pass the brackets as fractions
+    half = Fraction(1, 2)
+    diag = make_diag(2, [[half, Fraction(2, 3)], [Fraction(3, 5), Fraction(5, 6)]])
+    cases.append((make_conjugate([[1, Fraction(1, 7)], [0, 1]], diag), 4))
+    # a solution whose bracket products cancel to explicit zeros
+    cases.append((make_conjugate([[1, -2], [0, 1]], make_diag(2, [[2, 0], [0, 2]])), 4))
+    failing = 0
+    for r, N in cases:
+        report = flatness_residuals(r, N)
+        assert list(report.items()) == list(_flatness_oracle(r, N).items()), (r, N)
+        failing += not all(report.values())
+    assert failing > 0
 
 
 # ---------------------------------------------------------------------------
