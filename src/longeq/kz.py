@@ -20,19 +20,22 @@ import os
 
 import numpy as np
 
-from . import linalg as la
 from .errors import DimensionCap, PathTooClose
 from .tensor_ops import (  # lift_exact is re-exported next to lift_float
     TensorOp2,
+    _commute,
     _integer_matrix,
+    _lift_sparse,
     _slot_blocks,
-    flip_matrix,
+    _sparse_add,
+    flip_invariant,
     lift_exact,
 )
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 MIN_SEPARATION_FACTOR = 1e-6
+MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positions
 
 
 def lift_float(r_mat: np.ndarray, n, i, j, N):
@@ -41,44 +44,6 @@ def lift_float(r_mat: np.ndarray, n, i, j, N):
     for idxs in _slot_blocks(n, i, j, N):
         out[np.ix_(idxs, idxs)] = r_mat
     return out
-
-
-def _lift_sparse(z, n, i, j, N):
-    """Sparse rows ``{row: {col: entry}}`` of the n^2 x n^2 matrix z on slots (i, j)."""
-    nonzero = [[(b, x) for b, x in enumerate(row) if x] for row in z]
-    out = {}
-    for idxs in _slot_blocks(n, i, j, N):
-        for a, ra in enumerate(idxs):
-            if nonzero[a]:
-                out[ra] = {idxs[b]: x for b, x in nonzero[a]}
-    return out
-
-
-def _sparse_add(a, b):
-    out = {r: dict(row) for r, row in a.items()}
-    for r, row in b.items():
-        acc = out.setdefault(r, {})
-        for c, y in row.items():
-            acc[c] = acc.get(c, 0) + y
-    return out
-
-
-def _sparse_mul(a, b):
-    """Sparse product with every zero entry and every empty row dropped."""
-    out = {}
-    for r, row in a.items():
-        acc = {}
-        for k, x in row.items():
-            for c, y in b.get(k, {}).items():
-                acc[c] = acc.get(c, 0) + x * y
-        acc = {c: v for c, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
-
-
-def _commute(a, b):
-    return _sparse_mul(a, b) == _sparse_mul(b, a)
 
 
 def flatness_residuals(r: TensorOp2, N) -> dict:
@@ -146,8 +111,7 @@ class KZSystem:
         n = r.dim
         if n ** N > cap:
             raise DimensionCap(f"n^N = {n ** N} exceeds cap {cap}")
-        flip = flip_matrix(n)
-        symmetric = la.mat_eq(la.mat_mul(flip, la.mat_mul(r.matrix, flip)), r.matrix)
+        symmetric = flip_invariant(r)
         r_mat = np.array(
             [[complex(x) for x in row] for row in r.matrix], dtype=complex
         )
@@ -199,6 +163,8 @@ class LoopSpec:
         self.steps = _integer(steps, "steps")
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}")
         if kind == "circle":
             if moving is None or center is None or radius is None:
                 raise ValueError("circle loops need moving, center, radius")
@@ -336,7 +302,9 @@ def convergence_order(sys: KZSystem, loop: LoopSpec):
     "exact" when both errors vanish.
     """
     s = loop.steps
-    runs = [integrate_holonomy(sys, loop.with_steps(k)) for k in (s, 2 * s, 4 * s)]
+    # all three loops are built, and their step counts checked, before any run
+    loops = [loop.with_steps(k) for k in (s, 2 * s, 4 * s)]
+    runs = [integrate_holonomy(sys, lp) for lp in loops]
     e1 = np.max(np.abs(runs[0] - runs[2]))
     e2 = np.max(np.abs(runs[1] - runs[2]))
     if e1 == 0.0 and e2 == 0.0:

@@ -4,13 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import longeq
-from longeq import TensorOp2, kz, make_pair, make_phi
-from longeq import linalg as la
+from longeq import TensorOp2, kz, make_pair, make_phi, tensor_ops
 from longeq.cli import main
 from longeq.jsonio import (
     bialgebra_to_json,
@@ -109,11 +107,11 @@ def test_check_multiple_laws(tmp_path, capsys):
 
 def test_check_kz_bracket_internal_disagreement_exits_70(tmp_path, capsys, monkeypatch):
     """A Long solution whose KZ bracket fails is a bug: exit 70. Forced by a
-    mat_add that returns a matrix commuting with no non-scalar R12."""
+    sparse sum R13 + R23 that commutes with no non-scalar R12."""
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 2])))
-    monkeypatch.setattr(la, "mat_add", lambda a, b: [
-        [Fraction(i * len(a) + j) for j in range(len(a))] for i in range(len(a))
-    ])
+    monkeypatch.setattr(tensor_ops, "_sparse_add", lambda a, b: {
+        i: {j: i * 8 + j for j in range(8)} for i in range(8)
+    })
     code, out, err = _run(capsys, ["check", "--op", op, "--laws", "long,kz_bracket"])
     assert code == 70
     assert out == ""
@@ -349,6 +347,33 @@ def test_kz_malformed_loop_is_usage_error(tmp_path, capsys, loop_obj, want):
                                    "--h", "0.05", "--loop", loop, "--compare"])
     assert (code, out) == (2, "")
     assert want in err
+
+
+@pytest.mark.parametrize("source", ["loop", "flag"])
+def test_kz_steps_above_cap_is_usage_error(tmp_path, capsys, monkeypatch, source):
+    """``steps`` above ``kz.MAX_STEPS`` exits 2 before the separation guard
+    samples the loop, and without integrating; from the loop JSON and from
+    ``--steps``."""
+    guard = kz.LoopSpec._check_separation
+
+    def small_loops_only(loop):
+        if loop.steps > kz.MAX_STEPS:
+            raise RuntimeError("the step cap must precede the separation guard")
+        guard(loop)
+
+    monkeypatch.setattr(kz.LoopSpec, "_check_separation", small_loops_only)
+    monkeypatch.setattr(kz, "flatness_residuals", _refuse)
+    monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    too_many = kz.MAX_STEPS + 1
+    argv = ["kz", "--op", op, "--points", "2", "--h", "0.05"]
+    if source == "loop":
+        argv += ["--loop", _write(tmp_path, "loop.json", dict(_CIRCLE, steps=too_many))]
+    else:
+        argv += ["--loop", _write(tmp_path, "loop.json", _CIRCLE), "--steps", str(too_many)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"steps must be at most {kz.MAX_STEPS}" in err
 
 
 @pytest.mark.parametrize("h", ["nan", "0.1,inf", "1e400"])

@@ -29,6 +29,7 @@ from longeq import (
     make_pair,
     make_phi,
 )
+from longeq import kz
 from longeq import linalg as la
 from longeq.jsonio import holonomy_to_json, loop_from_json, loop_to_json
 from longeq.tensor_ops import flip_matrix
@@ -274,6 +275,22 @@ def test_holonomy_polygon_square_matches_circle_oracle():
     w = integrate_holonomy(sys, loop)
     oracle = expm(2j * math.pi * h * _float(lift_exact(r, 0, 1, 2)))
     assert np.max(np.abs(w - oracle)) < 1e-10
+
+
+def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
+    """The 4s run of a loop with s > MAX_STEPS / 4 steps is refused before
+    the s and 2s runs are integrated."""
+    monkeypatch.setattr(LoopSpec, "_check_separation", lambda loop: None)
+    loop = LoopSpec([1.0, 0.0], "circle", kz.MAX_STEPS // 4 + 1, moving=0,
+                    center=1, radius=0.5)
+    sys = KZSystem.from_op(make_phi(2, [1, 1]), 2, 0.05)
+
+    def refuse(*args):
+        raise AssertionError("integrated before the step cap was checked")
+
+    monkeypatch.setattr(kz, "integrate_holonomy", refuse)
+    with pytest.raises(ValueError, match="steps must be at most"):
+        convergence_order(sys, loop)
 
 
 def test_convergence_order_is_fourth():

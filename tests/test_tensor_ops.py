@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longeq import (
+    LAWS,
     CentralityViolated,
     InternalCheckFailed,
+    KZSystem,
     NonCommutingPair,
     NotALongSolution,
     NotASubmodule,
@@ -29,7 +31,8 @@ from longeq import (
     make_phi,
 )
 from longeq import linalg as la
-from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix
+from longeq import tensor_ops
+from longeq.tensor_ops import GradedActionData, TensorOp3, _denominator_lcm, flip_matrix
 
 from conftest import upper_pair_operator, z2_graded_data
 
@@ -246,11 +249,25 @@ def test_invert_roundtrip_and_singular():
         invert(make_phi(2, [1, 1]))
 
 
-def test_symmetric_law_is_flip_conjugation():
-    r = upper_pair_operator(2, 3, 5)
-    flip = flip_matrix(2)
-    conj = la.mat_mul(flip, la.mat_mul(r.matrix, flip))
-    assert check_laws(r, ["symmetric"])["symmetric"] == (conj == r.matrix)
+def test_symmetric_law_is_flip_conjugation(corpus):
+    """``check_laws`` and ``KZSystem.from_op`` share the index-permutation
+    predicate; both equal tau R tau == R built from ``flip_matrix``."""
+    rng = random.Random(11)
+    cases = list(corpus.values())
+    for n in (2, 3):
+        for k in range(12):
+            r = _seeded_candidate(rng, n, (0.1, 0.4, 0.8)[k % 3], (-1, 0, 1))
+            cases.append(_symmetrized(r) if k % 2 else r)
+    seen = set()
+    for r in cases:
+        flip = flip_matrix(r.dim)
+        want = la.mat_mul(flip, la.mat_mul(r.matrix, flip)) == r.matrix
+        assert check_laws(r, ["symmetric"]) == {"symmetric": want}
+        assert KZSystem.from_op(r, 2, 0.1).symmetric == want
+        seen.add(want)
+    assert seen == {True, False}
+    assert not check_laws(corpus["pair_235"], ["symmetric"])["symmetric"]
+    assert not check_laws(corpus["diag_2"], ["symmetric"])["symmetric"]
 
 
 def test_phi_solutions_symmetric():
@@ -261,13 +278,13 @@ def test_phi_solutions_symmetric():
 
 def test_kz_bracket_internal_check_raises(monkeypatch):
     """Long implies the KZ bracket; a failure raises InternalCheckFailed, which
-    survives ``python -O``. Forced by a mat_add whose result commutes with no
-    non-scalar R12."""
+    survives ``python -O``. Forced by a sparse sum R13 + R23 that commutes
+    with no non-scalar R12."""
     r = make_phi(2, [1, 2])
     assert check_laws(r, ["long", "kz_bracket"]) == {"long": True, "kz_bracket": True}
-    monkeypatch.setattr(la, "mat_add", lambda a, b: [
-        [Fraction(i * len(a) + j) for j in range(len(a))] for i in range(len(a))
-    ])
+    monkeypatch.setattr(tensor_ops, "_sparse_add", lambda a, b: {
+        i: {j: i * 8 + j for j in range(8)} for i in range(8)
+    })
     with pytest.raises(InternalCheckFailed, match="KZ bracket"):
         check_laws(r, ["long", "kz_bracket"])
 
@@ -348,3 +365,135 @@ def test_long_witness_matches_oracle_with_mixed_denominators():
     for r in cases:
         assert long_witness(r) == _long_witness_oracle(r), r.matrix
     assert long_witness(sol) is None and long_witness(cases[-1]) is None
+
+
+def _check_laws_oracle(r: TensorOp2, laws=None) -> dict:
+    """The law report on dense n^3 x n^3 Fraction lifts (``lift``, ``TensorOp3``
+    and ``flip_matrix``); the slow reference for the sparse integer
+    ``check_laws``, with the same key order and the same KZ-bracket raise."""
+    wanted = set(LAWS) if laws is None else set(laws)
+    m12, m13, m23 = (lift(r, positions).matrix for positions in (12, 13, 23))
+    report = {}
+    need_long = bool({"long", "kz_bracket"} & wanted)
+    long_ok = None
+    if need_long or "d_equation" in wanted:
+        eq2 = la.mat_eq(la.mat_mul(m12, m23), la.mat_mul(m23, m12))
+        if "d_equation" in wanted:
+            report["d_equation"] = eq2
+    if need_long:
+        eq1 = la.mat_eq(la.mat_mul(m12, m13), la.mat_mul(m13, m12))
+        long_ok = eq1 and eq2
+        if "long" in wanted:
+            report["long"] = long_ok
+    if "qybe" in wanted:
+        lhs = la.mat_mul(la.mat_mul(m12, m13), m23)
+        rhs = la.mat_mul(la.mat_mul(m23, m13), m12)
+        report["qybe"] = la.mat_eq(lhs, rhs)
+    if "hopf" in wanted:
+        lhs = la.mat_mul(la.mat_mul(m23, m13), m12)
+        report["hopf"] = la.mat_eq(lhs, la.mat_mul(m12, m23))
+    if "kz_bracket" in wanted:
+        s = la.mat_add(m13, m23)
+        kz = la.mat_eq(la.mat_mul(m12, s), la.mat_mul(s, m12))
+        if long_ok and not kz:
+            raise InternalCheckFailed("Long holds but the KZ bracket does not")
+        report["kz_bracket"] = kz
+    if "symmetric" in wanted:
+        t = flip_matrix(r.dim)
+        report["symmetric"] = la.mat_eq(la.mat_mul(t, la.mat_mul(r.matrix, t)), r.matrix)
+    return report
+
+
+def _assert_laws_match_oracle(cases, laws=None):
+    """check_laws equals the dense oracle, key order included, on every case;
+    returns the reports."""
+    reports = []
+    for r in cases:
+        got = check_laws(r, laws)
+        assert list(got.items()) == list(_check_laws_oracle(r, laws).items()), r.matrix
+        reports.append(got)
+    return reports
+
+
+def _random_conjugate(rng, n, base):
+    """``make_conjugate`` of ``base`` by a random integer U in [-3, 3]."""
+    while True:
+        u = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            return make_conjugate(u, base)
+        except SingularMatrix:
+            pass
+
+
+def _symmetrized(r):
+    flip = flip_matrix(r.dim)
+    return TensorOp2(r.dim, la.mat_add(r.matrix, la.mat_mul(flip, la.mat_mul(r.matrix, flip))))
+
+
+def _law_candidates():
+    """Seeded {-1, 0, 1} candidates at n = 2..4 (some flip-symmetrized) and
+    operators with denominators 2, 3, 5, 6 and 7, solutions among them."""
+    rng = random.Random(20261018)
+    cases = []
+    for n, count in ((2, 60), (3, 40), (4, 20)):
+        for k in range(count):
+            r = _seeded_candidate(rng, n, (0.03, 0.1, 0.3, 0.6)[k % 4], (-1, 0, 1))
+            cases.append(_symmetrized(r) if k % 5 == 0 else r)
+    values = (F(1, 2), F(-1, 3), F(2, 5), F(5, 6), F(-3, 7), F(1))
+    cases += [_seeded_candidate(rng, n, density, values)
+              for n in (2, 3) for density in (0.05, 0.2, 0.6) for _ in range(3)]
+    sol = make_conjugate([[1, 2], [0, 3]], make_diag(2, [[F(1, 2), F(2, 3)], [3, F(-1, 5)]]))
+    cases += [sol, make_conjugate([[1, 1, 0], [0, 2, 1], [1, 0, 3]], make_phi(3, [1, 1, 3]))]
+    for pos in ((0, 0), (3, 3), (2, 1)):
+        mat = [row[:] for row in sol.matrix]
+        mat[pos[0]][pos[1]] += F(1, 7)
+        cases.append(TensorOp2(2, mat))
+    # one half of the Long system without the other: f (x) g with fg != gf
+    # keeps R12 R13 = R13 R12 only, and E12 (x) 1 + E21 (x) E33 (its right
+    # legs commute with every left leg) keeps R12 R23 = R23 R12 only
+    f, g = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    cases.append(TensorOp2(2, la.kron(la.to_frac_matrix(f), la.to_frac_matrix(g))))
+    e = [[[F(int((a, b) == ij)) for b in range(3)] for a in range(3)]
+         for ij in ((0, 1), (1, 0), (2, 2))]
+    cases.append(TensorOp2(3, la.mat_add(la.kron(e[0], la.identity(3)), la.kron(e[1], e[2]))))
+    return cases
+
+
+def test_check_laws_matches_dense_oracle_on_candidates(corpus):
+    cases = list(corpus.values()) + _law_candidates()
+    assert len(cases) >= 120 + 20
+    denominators = {c.denominator for r in cases for row in r.matrix for c in row}
+    assert {2, 3, 5, 6, 7} <= denominators
+    reports = _assert_laws_match_oracle(cases)
+    for law in LAWS:
+        assert {rep[law] for rep in reports} == {True, False}, law
+    assert reports[-1]["d_equation"] and not reports[-1]["long"]
+    assert not reports[-2]["d_equation"] and not reports[-2]["long"]
+    for laws in (["symmetric", "hopf", "d_equation"], ["kz_bracket"], ["qybe", "long"]):
+        _assert_laws_match_oracle(cases[::7], laws)
+
+
+def test_check_laws_matches_dense_oracle_on_phi4(phi4_solutions):
+    assert len(phi4_solutions) == 41
+    for rep in _assert_laws_match_oracle(phi4_solutions.values()):
+        assert all(rep.values())
+
+
+def test_check_laws_matches_dense_oracle_on_dense_n4_conjugates():
+    """Dense n=4 rational solutions; the oracle takes about 2 s on each."""
+    rng = random.Random(3)
+    cases = [_random_conjugate(rng, 4, make_phi(4, phi)) for phi in ([1] * 4, [1, 1, 3, 3])]
+    assert all(_denominator_lcm(r) > 1 for r in cases)
+    for rep in _assert_laws_match_oracle(cases):
+        assert rep["long"] and rep["kz_bracket"]
+
+
+def test_hopf_clears_denominators_inhomogeneously():
+    """Hopf has sides of degree 3 and 2, so on Z = D R it reads
+    Z23 Z13 Z12 = D Z12 Z23. A conjugated solution with D = 81 satisfies it,
+    with both sides nonzero, so a check that drops the factor D fails here."""
+    r = _random_conjugate(random.Random(1), 2, make_phi(2, [1, 1]))
+    assert _denominator_lcm(r) == 81
+    assert check_laws(r, ["hopf"]) == _check_laws_oracle(r, ["hopf"]) == {"hopf": True}
+    r12, r23 = lift(r, 12), lift(r, 23)
+    assert not (r12 * r23).is_zero()
