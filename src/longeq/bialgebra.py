@@ -34,121 +34,159 @@ AXIOMS = ("L1", "L2", "L3", "L4", "L5", "B1", "strongD")
 GENERATOR_WORD_CAP = 4
 
 
+def _cube(name, t, d):
+    """``t`` as a d x d x d array of Fractions, or InvalidBialgebra naming the field."""
+    if len(t) != d or any(len(row) != d or any(len(cell) != d for cell in row)
+                          for row in t):
+        raise InvalidBialgebra(f"'{name}' must be a {d} x {d} x {d} array")
+    return [[[la.as_frac(x) for x in cell] for cell in row] for row in t]
+
+
+def _vector(name, v, d):
+    """``v`` as a length-d list of Fractions, or InvalidBialgebra naming the field."""
+    if len(v) != d:
+        raise InvalidBialgebra(f"'{name}' must have length {d}")
+    return [la.as_frac(x) for x in v]
+
+
+def _is_basis_vector(acc, a):
+    """Whether the sparse vector {index: coeff} is e_a."""
+    return acc.get(a) == 1 and not any(x for k, x in acc.items() if k != a)
+
+
 class Coalgebra:
-    """A finite-dimensional coalgebra given by structure constants."""
+    """A finite-dimensional coalgebra given by structure constants.
+
+    Construction checks the shapes, then the counit laws and coassociativity
+    on ``comult_nz``, the nonzero structure constants.
+    """
 
     def __init__(self, basis, comult, counit):
         self.basis = list(basis)
-        self.d = len(self.basis)
-        self.comult = [la.to_frac_matrix(m) for m in comult]
-        self.counit = [Fraction(x) for x in counit]
+        self.d = d = len(self.basis)
+        self.comult = _cube("comult", comult, d)
+        self.counit = _vector("counit", counit, d)
+        # nonzero (p, q, coeff) of each Delta(e_a), also read by the axiom equations
+        self.comult_nz = [
+            [(p, q, x) for p, row in enumerate(m) for q, x in enumerate(row) if x]
+            for m in self.comult
+        ]
         self._validate()
 
     def _validate(self):
-        d = self.d
-        if len(self.comult) != d or len(self.counit) != d:
-            raise InvalidBialgebra("comult/counit size mismatch")
-        for a in range(d):
-            # counit laws
-            for c in range(d):
-                left = sum((self.counit[p] * self.comult[a][p][c] for p in range(d)), F0)
-                right = sum((self.comult[a][c][p] * self.counit[p] for p in range(d)), F0)
-                want = F1 if a == c else F0
-                if left != want or right != want:
-                    raise InvalidBialgebra(f"counit law fails on basis {a}")
-        # nonzero (p, q, coeff) of each Delta(e_a), reused by the axiom equations
-        self.comult_nz = nz = [
-            [(p, q, self.comult[a][p][q]) for p in range(d) for q in range(d)
-             if self.comult[a][p][q]]
-            for a in range(d)
-        ]
-        for a in range(d):
-            # coassociativity, accumulated sparsely on e_p (x) e_q (x) e_c
+        eps, nz = self.counit, self.comult_nz
+        for a, terms in enumerate(nz):
+            # counit laws: (eps (x) id)Delta(e_a) = e_a = (id (x) eps)Delta(e_a)
+            left, right = {}, {}
+            for p, q, x in terms:
+                if eps[p]:
+                    left[q] = left.get(q, F0) + eps[p] * x
+                if eps[q]:
+                    right[p] = right.get(p, F0) + x * eps[q]
+            if not (_is_basis_vector(left, a) and _is_basis_vector(right, a)):
+                raise InvalidBialgebra(f"counit law fails on basis {a}")
+        for a, terms in enumerate(nz):
+            # coassociativity, accumulated on e_p (x) e_q (x) e_c
             acc = {}
-            for m, c, x in nz[a]:
+            for m, c, x in terms:
                 for p, q, y in nz[m]:
                     key = (p, q, c)
                     acc[key] = acc.get(key, F0) + x * y
-            for p, m, x in nz[a]:
+            for p, m, x in terms:
                 for q, c, y in nz[m]:
                     key = (p, q, c)
                     acc[key] = acc.get(key, F0) - x * y
-            if any(v for v in acc.values()):
+            if any(acc.values()):
                 raise InvalidBialgebra(f"coassociativity fails on basis {a}")
 
 
 class FinDimBialgebra(Coalgebra):
-    """A bialgebra by structure constants; validated exactly at construction."""
+    """A bialgebra by structure constants; validated exactly at construction.
+
+    Every law is accumulated on the nonzero structure constants ``mult_nz``
+    and ``comult_nz``, visiting basis tuples in lexicographic order, so the
+    first failing law and tuple name the violation.
+    """
 
     def __init__(self, basis, mult, unit, comult, counit):
+        basis = list(basis)
+        d = len(basis)
+        self.mult = _cube("mult", mult, d)
+        self.unit = _vector("unit", unit, d)
+        # nonzero (c, coeff) of each e_a e_b, also read by the axiom equations
+        self.mult_nz = [[[(c, x) for c, x in enumerate(cell) if x] for cell in row]
+                        for row in self.mult]
         super().__init__(basis, comult, counit)
-        self.mult = [[ [Fraction(x) for x in cell] for cell in row] for row in mult]
-        self.unit = [Fraction(x) for x in unit]
-        self._validate_algebra()
-        self._validate_compat()
 
     def product(self, va, vb):
         """Product of two coordinate vectors."""
-        d = self.d
-        out = [F0] * d
+        out = [F0] * self.d
         for a, xa in enumerate(va):
             if xa:
-                ma = self.mult[a]
+                row = self.mult_nz[a]
                 for b, xb in enumerate(vb):
                     if xb:
                         f = xa * xb
-                        for c in range(d):
-                            if ma[b][c]:
-                                out[c] += f * ma[b][c]
+                        for c, x in row[b]:
+                            out[c] += f * x
         return out
 
+    def _validate(self):
+        super()._validate()
+        self._validate_algebra()
+        self._validate_compat()
+
     def _validate_algebra(self):
-        d = self.d
-        # unit laws
-        for b in range(d):
-            eb = [F1 if c == b else F0 for c in range(d)]
-            if self.product(self.unit, eb) != eb or self.product(eb, self.unit) != eb:
+        nz = self.mult_nz
+        unit = [(a, u) for a, u in enumerate(self.unit) if u]
+        for b in range(self.d):
+            # unit laws: sum u_a e_a e_b = e_b = sum u_a e_b e_a
+            left, right = {}, {}
+            for a, u in unit:
+                for c, x in nz[a][b]:
+                    left[c] = left.get(c, F0) + u * x
+                for c, x in nz[b][a]:
+                    right[c] = right.get(c, F0) + u * x
+            if not (_is_basis_vector(left, b) and _is_basis_vector(right, b)):
                 raise InvalidBialgebra(f"unit law fails on basis {b}")
-        # associativity
-        for a in range(d):
-            for b in range(d):
-                ab = self.mult[a][b]
-                for c in range(d):
-                    ec = [F1 if t == c else F0 for t in range(d)]
-                    lhs = self.product(ab, ec)
-                    bc = self.mult[b][c]
-                    ea = [F1 if t == a else F0 for t in range(d)]
-                    rhs = self.product(ea, bc)
-                    if lhs != rhs:
+        for a, row_a in enumerate(nz):
+            for b, ab in enumerate(row_a):
+                row_b = nz[b]
+                for c, bc in enumerate(row_b):
+                    # associativity: sum_m mu_ab^m e_m e_c - sum_m mu_bc^m e_a e_m
+                    acc = {}
+                    for m, x in ab:
+                        for t, y in nz[m][c]:
+                            acc[t] = acc.get(t, F0) + x * y
+                    for m, x in bc:
+                        for t, y in row_a[m]:
+                            acc[t] = acc.get(t, F0) - x * y
+                    if any(acc.values()):
                         raise InvalidBialgebra(f"associativity fails at ({a},{b},{c})")
 
     def _validate_compat(self):
-        d = self.d
+        eps, mult_nz, comult_nz = self.counit, self.mult_nz, self.comult_nz
         # eps is an algebra map
-        for a in range(d):
-            for b in range(d):
-                val = sum((self.mult[a][b][c] * self.counit[c] for c in range(d)), F0)
-                if val != self.counit[a] * self.counit[b]:
+        for a, row in enumerate(mult_nz):
+            for b, ab in enumerate(row):
+                if sum((x * eps[c] for c, x in ab), F0) != eps[a] * eps[b]:
                     raise InvalidBialgebra(f"counit not multiplicative at ({a},{b})")
-        if sum((self.unit[c] * self.counit[c] for c in range(d)), F0) != F1:
+        unit = [(a, u) for a, u in enumerate(self.unit) if u]
+        if sum((u * eps[a] for a, u in unit), F0) != F1:
             raise InvalidBialgebra("eps(1) != 1")
         # Delta(1) = 1 (x) 1
-        d1 = la.zeros(d, d)
-        for a, xa in enumerate(self.unit):
-            if xa:
-                d1 = la.mat_add(d1, la.mat_scale(self.comult[a], xa))
-        want = [[self.unit[p] * self.unit[q] for q in range(d)] for p in range(d)]
-        if not la.mat_eq(d1, want):
+        acc = {}
+        for a, u in unit:
+            for p, q, x in comult_nz[a]:
+                acc[p, q] = acc.get((p, q), F0) + u * x
+        for p, up in unit:
+            for q, uq in unit:
+                acc[p, q] = acc.get((p, q), F0) - up * uq
+        if any(acc.values()):
             raise InvalidBialgebra("Delta(1) != 1 (x) 1")
-        # Delta is an algebra map; work with sparse entry lists throughout
-        comult_nz = self.comult_nz
-        self.mult_nz = mult_nz = [
-            [[(c, self.mult[a][b][c]) for c in range(d) if self.mult[a][b][c]]
-             for b in range(d)]
-            for a in range(d)
-        ]
-        for a in range(d):
-            for b in range(d):
+        # Delta is an algebra map
+        for a in range(self.d):
+            for b in range(self.d):
                 acc = {}
                 for c, xc in mult_nz[a][b]:
                     for p, q, x in comult_nz[c]:
@@ -160,7 +198,7 @@ class FinDimBialgebra(Coalgebra):
                             fp = f * xp
                             for q, xq in mult_nz[q1][q2]:
                                 acc[(p, q)] = acc.get((p, q), F0) - fp * xq
-                if any(v for v in acc.values()):
+                if any(acc.values()):
                     raise InvalidBialgebra(f"Delta not multiplicative at ({a},{b})")
 
 

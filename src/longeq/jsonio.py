@@ -19,6 +19,10 @@ from .tensor_ops import TensorOp2
 
 FORMAT_VERSION = "1"
 
+# largest bialgebra dimension accepted on the wire; the validation and the
+# degree-three axioms (L3, L5) visit d^3 basis tuples
+MAX_BIALGEBRA_DIM = 64
+
 
 def operator_to_json(r: TensorOp2) -> dict:
     entries = []
@@ -89,21 +93,45 @@ def presentation_to_json(pres: LongPresentation) -> dict:
     }
 
 
+def _frac_array(value, depth, field, parse):
+    """A ``depth``-fold nested JSON list of fraction strings, parsed by ``parse``."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
+    if depth == 1:
+        return [parse(x) for x in value]
+    return [_frac_array(v, depth - 1, field, parse) for v in value]
+
+
 def bialgebra_from_json(obj) -> FinDimBialgebra:
+    """A validated bialgebra; ``dim`` is checked against ``MAX_BIALGEBRA_DIM``
+    before any entry is read, and the shapes by ``FinDimBialgebra``."""
+    if not isinstance(obj, dict) or "dim" not in obj:
+        raise ValueError("bialgebra JSON must be an object with a 'dim' key")
+    d = obj["dim"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError("'dim' must be a positive integer")
+    if d > MAX_BIALGEBRA_DIM:
+        raise DimensionCap(f"bialgebra dim {d} exceeds cap {MAX_BIALGEBRA_DIM}")
+    memo = {}
+
+    def parse(x):
+        # each distinct string is parsed once per document
+        if x.__class__ is not str:
+            return parse_frac(x)
+        f = memo.get(x)
+        if f is None:
+            f = memo[x] = parse_frac(x)
+        return f
+
     try:
-        d = obj["dim"]
         basis = obj["basis"]
-        mult = [
-            [[parse_frac(x) for x in cell] for cell in row] for row in obj["mult"]
-        ]
-        unit = [parse_frac(x) for x in obj["unit"]]
-        comult = [
-            [[parse_frac(x) for x in cell] for cell in row] for row in obj["comult"]
-        ]
-        counit = [parse_frac(x) for x in obj["counit"]]
-    except (KeyError, TypeError) as exc:
+        mult = _frac_array(obj["mult"], 3, "mult", parse)
+        unit = _frac_array(obj["unit"], 1, "unit", parse)
+        comult = _frac_array(obj["comult"], 3, "comult", parse)
+        counit = _frac_array(obj["counit"], 1, "counit", parse)
+    except KeyError as exc:
         raise ValueError("malformed bialgebra JSON") from exc
-    if len(basis) != d:
+    if not isinstance(basis, list) or len(basis) != d:
         raise ValueError("basis length disagrees with 'dim'")
     return FinDimBialgebra(basis, mult, unit, comult, counit)
 

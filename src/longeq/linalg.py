@@ -33,9 +33,14 @@ def identity(n):
     return m
 
 
+def as_frac(x):
+    """``x`` as a Fraction; a Fraction is returned as it is (it is immutable)."""
+    return x if x.__class__ is Fraction else Fraction(x)
+
+
 def to_frac_matrix(a):
     """Copy a nested sequence into a Fraction matrix, validating shape."""
-    rows = [[Fraction(x) for x in row] for row in a]
+    rows = [[as_frac(x) for x in row] for row in a]
     if rows:
         w = len(rows[0])
         if any(len(r) != w for r in rows):

@@ -26,9 +26,10 @@ from longeq import (
     sweedler_h4,
 )
 from longeq import bialgebra
-from longeq.bialgebra import Coalgebra, GeneratorBialgebra
+from longeq.bialgebra import Coalgebra, FinDimBialgebra, GeneratorBialgebra
 from longeq.frt import cm_index
 from longeq.linalg import identity as la_identity
+from longeq.linalg import mat_inv as la_inv
 
 F = Fraction
 
@@ -55,6 +56,182 @@ def test_invalid_bialgebra_rejected():
 
     with pytest.raises(InvalidBialgebra):
         FinDimBialgebra(h4.basis, bad, h4.unit, h4.comult, h4.counit)
+
+
+def _coalgebra_oracle(comult, counit):
+    """First failure message of the coalgebra laws, or None: the dense
+    counit loops and the coassociativity accumulation ``Coalgebra`` ran
+    before its validation read only ``comult_nz``."""
+    d = len(counit)
+    for a in range(d):
+        for c in range(d):
+            left = sum((counit[p] * comult[a][p][c] for p in range(d)), F(0))
+            right = sum((comult[a][c][p] * counit[p] for p in range(d)), F(0))
+            want = F(1) if a == c else F(0)
+            if left != want or right != want:
+                return f"counit law fails on basis {a}"
+    nz = [[(p, q, comult[a][p][q]) for p in range(d) for q in range(d) if comult[a][p][q]]
+          for a in range(d)]
+    for a in range(d):
+        acc = {}
+        for m, c, x in nz[a]:
+            for p, q, y in nz[m]:
+                acc[p, q, c] = acc.get((p, q, c), F(0)) + x * y
+        for p, m, x in nz[a]:
+            for q, c, y in nz[m]:
+                acc[p, q, c] = acc.get((p, q, c), F(0)) - x * y
+        if any(v for v in acc.values()):
+            return f"coassociativity fails on basis {a}"
+    return None
+
+
+def _validate_oracle(basis, mult, unit, comult, counit):
+    """First failure message of the bialgebra laws, or None: the dense
+    validation ``FinDimBialgebra`` ran before it read only ``mult_nz`` and
+    ``comult_nz``; the slow reference for the sparse one."""
+    d = len(basis)
+    msg = _coalgebra_oracle(comult, counit)
+    if msg:
+        return msg
+
+    def product(va, vb):
+        out = [F(0)] * d
+        for a, xa in enumerate(va):
+            if xa:
+                for b, xb in enumerate(vb):
+                    if xb:
+                        for c in range(d):
+                            if mult[a][b][c]:
+                                out[c] += xa * xb * mult[a][b][c]
+        return out
+
+    e = [[F(int(i == k)) for i in range(d)] for k in range(d)]
+    for b in range(d):
+        if product(unit, e[b]) != e[b] or product(e[b], unit) != e[b]:
+            return f"unit law fails on basis {b}"
+    for a, b, c in itertools.product(range(d), repeat=3):
+        if product(mult[a][b], e[c]) != product(e[a], mult[b][c]):
+            return f"associativity fails at ({a},{b},{c})"
+    for a in range(d):
+        for b in range(d):
+            val = sum((mult[a][b][c] * counit[c] for c in range(d)), F(0))
+            if val != counit[a] * counit[b]:
+                return f"counit not multiplicative at ({a},{b})"
+    if sum((unit[c] * counit[c] for c in range(d)), F(0)) != 1:
+        return "eps(1) != 1"
+    d1 = [[sum((unit[a] * comult[a][p][q] for a in range(d)), F(0)) for q in range(d)]
+          for p in range(d)]
+    if d1 != [[unit[p] * unit[q] for q in range(d)] for p in range(d)]:
+        return "Delta(1) != 1 (x) 1"
+    comult_nz = [[(p, q, comult[a][p][q]) for p in range(d) for q in range(d)
+                  if comult[a][p][q]] for a in range(d)]
+    mult_nz = [[[(c, mult[a][b][c]) for c in range(d) if mult[a][b][c]] for b in range(d)]
+               for a in range(d)]
+    for a in range(d):
+        for b in range(d):
+            acc = {}
+            for c, xc in mult_nz[a][b]:
+                for p, q, x in comult_nz[c]:
+                    acc[p, q] = acc.get((p, q), F(0)) + xc * x
+            for p1, q1, x1 in comult_nz[a]:
+                for p2, q2, x2 in comult_nz[b]:
+                    for p, xp in mult_nz[p1][p2]:
+                        for q, xq in mult_nz[q1][q2]:
+                            acc[p, q] = acc.get((p, q), F(0)) - x1 * x2 * xp * xq
+            if any(v for v in acc.values()):
+                return f"Delta not multiplicative at ({a},{b})"
+    return None
+
+
+def _raised(make):
+    """The InvalidBialgebra message ``make()`` raises, or None."""
+    try:
+        make()
+    except InvalidBialgebra as err:
+        return str(err)
+    return None
+
+
+def _change_basis(b, p):
+    """Structure constants of ``b`` on the basis f_i = sum_k p[i][k] e_k,
+    with e_m = sum_t q[m][t] f_t for q = p^-1; units and products spread over
+    several basis vectors, unlike on the builtin bases."""
+    d = b.d
+    q = la_inv([[F(x) for x in row] for row in p])
+    rng = range(d)
+
+    def in_f(vec):
+        return [sum((vec[m] * q[m][t] for m in rng), F(0)) for t in rng]
+
+    mult = [[in_f([sum((p[i][k] * p[j][l] * b.mult[k][l][m] for k in rng for l in rng), F(0))
+                   for m in rng]) for j in rng] for i in rng]
+    comult = [[[sum((p[i][k] * b.comult[k][u][v] * q[u][s] * q[v][t]
+                     for k in rng for u in rng for v in rng), F(0))
+                for t in rng] for s in rng] for i in rng]
+    counit = [sum((p[i][k] * b.counit[k] for k in rng), F(0)) for i in rng]
+    return {"mult": mult, "unit": in_f(b.unit), "comult": comult, "counit": counit}
+
+
+def _seeded_mutations(rng, bases, count):
+    """``count`` copies of the bases' structure constants (dicts of mult,
+    unit, comult, counit), each with one entry moved by +-1 or +-1/2; a base
+    is drawn with weight d, so the larger ones, whose many entries give the
+    rarer failures, are mutated more often."""
+    out = []
+    for _ in range(count):
+        b = rng.choices(bases, weights=[len(b["unit"]) for b in bases])[0]
+        d = len(b["unit"])
+        fields = {
+            "mult": [[cell[:] for cell in row] for row in b["mult"]],
+            "unit": b["unit"][:],
+            "comult": [[row[:] for row in m] for m in b["comult"]],
+            "counit": b["counit"][:],
+        }
+        name = rng.choice(sorted(fields))
+        target = fields[name]
+        if name in ("mult", "comult"):
+            target = target[rng.randrange(d)][rng.randrange(d)]
+        target[rng.randrange(d)] += rng.choice([F(1), F(-1), F(1, 2), F(-1, 2)])
+        out.append(fields)
+    return out
+
+
+def test_validation_matches_dense_oracle():
+    """Sparse validation raises exactly the dense oracle's first message,
+    for ``FinDimBialgebra`` and for ``Coalgebra`` on its own, on the builtin
+    bialgebras, three of them on other bases, and 200 seeded single-entry
+    mutations; the six law failures reachable that way all occur."""
+    rng = random.Random(1)
+    builtins = [sweedler_h4()] + [cyclic_group_algebra(m) for m in range(2, 7)]
+    builtins.append(comatrix_tensor_truncation(2, 1))
+    small = [{"mult": b.mult, "unit": b.unit, "comult": b.comult, "counit": b.counit}
+             for b in builtins]
+    small += [
+        _change_basis(cyclic_group_algebra(2), [[1, 1], [1, -1]]),
+        _change_basis(sweedler_h4(), [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 1, 1]]),
+        _change_basis(comatrix_tensor_truncation(2, 1),
+                      [[1 if k == i else 1 if k == i + 1 else 0 for k in range(6)]
+                       for i in range(6)]),
+    ]
+    big = comatrix_tensor_truncation(2, 2)
+    big = [{"mult": big.mult, "unit": big.unit, "comult": big.comult, "counit": big.counit}]
+    inputs = small + big
+    inputs += _seeded_mutations(rng, small, 190) + _seeded_mutations(rng, big, 10)
+    messages = set()
+    for k, f in enumerate(inputs):
+        basis = [str(i) for i in range(len(f["unit"]))]
+        want = _validate_oracle(basis, f["mult"], f["unit"], f["comult"], f["counit"])
+        assert want is None or k >= len(small + big), want
+        got = _raised(lambda: FinDimBialgebra(basis, f["mult"], f["unit"],
+                                              f["comult"], f["counit"]))
+        assert got == want, f
+        want_co = _coalgebra_oracle(f["comult"], f["counit"])
+        assert _raised(lambda: Coalgebra(basis, f["comult"], f["counit"])) == want_co, f
+        messages.add(want and want.split(" at ")[0].split(" on ")[0])
+    assert {
+        "counit law fails", "coassociativity fails", "unit law fails",
+        "associativity fails", "counit not multiplicative", "Delta not multiplicative",
+    } <= messages, messages
 
 
 def test_counit_square_universal_l1_l5():

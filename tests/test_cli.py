@@ -8,7 +8,16 @@ import sys
 import pytest
 
 import longeq
-from longeq import TensorOp2, kz, make_pair, make_phi, tensor_ops
+from longeq import (
+    TensorOp2,
+    comatrix_tensor_truncation,
+    cyclic_group_algebra,
+    jsonio,
+    kz,
+    make_pair,
+    make_phi,
+    tensor_ops,
+)
 from longeq.cli import main
 from longeq.jsonio import (
     bialgebra_to_json,
@@ -455,3 +464,64 @@ def test_bialgebra_check_report_order_is_hash_seed_independent(tmp_path):
                         if "elapsed_s" not in line])
         assert list(json.loads(proc.stdout)["verdicts"]) == ["L1", "strongD"]
     assert outputs[0] == outputs[1]
+
+
+def _bialgebra_files(tmp_path, b, obj=None):
+    """The bialgebra JSON (``obj`` when given, else ``b``'s) and eps (x) eps."""
+    bi = _write(tmp_path, "b.json", bialgebra_to_json(b) if obj is None else obj)
+    sig = _write(tmp_path, "s.json", sigma_to_json(SigmaTable.counit_square(b)))
+    return bi, sig
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("mult", lambda o: o["mult"][1][1].append("0")),
+    ("mult", lambda o: o["mult"][1][1].pop()),
+    ("mult", lambda o: o["mult"][1].pop()),
+    ("comult", lambda o: o["comult"][0][1].append("0")),
+    ("comult", lambda o: o["comult"][1][0].pop()),
+    ("unit", lambda o: o["unit"].pop()),
+    ("counit", lambda o: o["counit"].pop()),
+    ("counit", lambda o: o["counit"].append("1")),
+], ids=["mult-long-cell", "mult-short-cell", "mult-short-row", "comult-long-cell",
+        "comult-short-cell", "unit-short", "counit-short", "counit-long"])
+def test_bialgebra_check_wrong_shape_is_usage_error(tmp_path, capsys, field, edit):
+    """Every structure constant must be d x d x d or of length d; k[Z/2]
+    with one entry too many or too few exits 2 naming the field."""
+    b = cyclic_group_algebra(2)
+    obj = bialgebra_to_json(b)
+    edit(obj)
+    bi, sig = _bialgebra_files(tmp_path, b, obj)
+    code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", bi, "--sigma", sig])
+    assert (code, out) == (2, "")
+    assert f"'{field}'" in err
+
+
+@pytest.mark.parametrize("dim", [jsonio.MAX_BIALGEBRA_DIM + 1, 0, -3, "4", 2.0, True, None])
+def test_bialgebra_check_dim_out_of_range_is_usage_error(tmp_path, capsys, dim):
+    """``dim`` is checked before any entry: the malformed ``mult`` and the
+    missing basis are never read."""
+    b = sweedler_h4()
+    obj = {"dim": dim, "mult": "not a table", "unit": [], "comult": [], "counit": []}
+    bi, sig = _bialgebra_files(tmp_path, b, obj)
+    code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", bi, "--sigma", sig])
+    assert (code, out) == (2, "")
+    assert "'dim'" in err or "exceeds cap" in err
+
+
+def test_bialgebra_check_accepts_truncation_dim_22(tmp_path, capsys):
+    b = comatrix_tensor_truncation(2, 2)
+    assert b.d == 22 <= jsonio.MAX_BIALGEBRA_DIM
+    bi, sig = _bialgebra_files(tmp_path, b)
+    code, out, _ = _run(capsys, ["bialgebra-check", "--bialgebra", bi, "--sigma", sig,
+                                 "--axioms", "L2,L4"])
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {"L2": True, "L4": True}
+
+
+def test_bialgebra_json_bad_fraction_string_message():
+    """A bad entry string keeps the parser's message, also when it repeats."""
+    obj = bialgebra_to_json(sweedler_h4())
+    obj["comult"][2][0][3] = "1/x"
+    obj["counit"][1] = "1/x"
+    with pytest.raises(ValueError, match=r"^not a fraction string: '1/x'$"):
+        jsonio.bialgebra_from_json(obj)

@@ -291,25 +291,34 @@ def test_kz_bracket_internal_check_raises(monkeypatch):
 
 def _long_witness_oracle(r: TensorOp2):
     """The componentwise Long check over Fractions, straight from the two
-    equations; the slow reference for the integer ``long_witness``."""
+    equations; the slow reference for the integer ``long_witness``.
+
+    ``x[u][v][j][i]`` is the 0-based table of x[u,v,j,i] = ``r.coeff``
+    read off ``r.matrix`` here, so the oracle shares no code with the
+    package; witnesses are the 1-based tuples."""
     n = r.dim
-    x = r.coeff
-    rng = range(1, n + 1)
+    m = r.matrix
+    rng = range(n)
+    x = [[[[m[i * n + j][v * n + u] for i in rng] for j in rng] for v in rng] for u in rng]
     zero = F(0)
     for i in rng:
         for j in rng:
             for k in rng:
+                # x[k,v,j,i] over v, and x[k,l,j,a] over a for each l; a zero
+                # first factor contributes no product
+                first = [(v, x[k][v][j][i]) for v in rng if x[k][v][j][i]]
                 for l in rng:
+                    second = [(a, x[k][l][j][a]) for a in rng if x[k][l][j][a]]
                     for p in rng:
                         for q in rng:
-                            lhs = sum((x(k, v, j, i) * x(q, l, p, v) for v in rng), zero)
-                            rhs = sum((x(k, l, j, a) * x(q, a, p, i) for a in rng), zero)
+                            lhs = sum((c * x[q][l][p][v] for v, c in first), zero)
+                            rhs = sum((c * x[q][a][p][i] for a, c in second), zero)
                             if lhs != rhs:
-                                return (1, (i, j, k, l, p, q))
-                            lhs = sum((x(k, v, j, i) * x(l, q, v, p) for v in rng), zero)
-                            rhs = sum((x(k, l, j, a) * x(a, q, i, p) for a in rng), zero)
+                                return (1, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
+                            lhs = sum((c * x[l][q][v][p] for v, c in first), zero)
+                            rhs = sum((c * x[a][q][i][p] for a, c in second), zero)
                             if lhs != rhs:
-                                return (2, (i, j, k, l, p, q))
+                                return (2, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
     return None
 
 
