@@ -206,8 +206,13 @@ class SigmaTable:
     """A bilinear form on a bialgebra basis: ``table[a][b] = sigma(e_a (x) e_b)``."""
 
     def __init__(self, table):
+        self.d = len(table)
+        for row in table:
+            if len(row) != self.d:
+                raise ValueError(
+                    f"'table' must be {self.d} x {self.d}; a row has {len(row)} entries"
+                )
         self.table = la.to_frac_matrix(table)
-        self.d = len(self.table)
 
     @classmethod
     def counit_square(cls, b: FinDimBialgebra):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .bialgebra import FinDimBialgebra, SigmaTable
 from .frt import LongPresentation
 from .errors import DimensionCap
@@ -234,9 +236,11 @@ def loop_to_json(loop: LoopSpec) -> dict:
 
 
 def holonomy_to_json(w, h, big_n, n) -> dict:
+    w = np.ascontiguousarray(w, dtype=complex)
     return {
         "h": _complex_pair(h),
         "N": big_n,
         "n": n,
-        "matrix": [[_complex_pair(z) for z in row] for row in w],
+        # the real view interleaves re and im, so its rows are [re, im] pairs
+        "matrix": w.view(float).reshape(w.shape + (2,)).tolist(),
     }

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end and JSON wire formats."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import longeq
@@ -18,7 +20,7 @@ from longeq import (
     make_phi,
     tensor_ops,
 )
-from longeq.cli import main
+from longeq.cli import _emit, _pair_grid_rows, main
 from longeq.jsonio import (
     bialgebra_to_json,
     operator_from_json,
@@ -402,6 +404,67 @@ def test_kz_points_mismatch_is_usage_error(tmp_path, capsys):
     assert err
 
 
+def test_kz_stdout_on_fixed_circle_is_pinned(tmp_path, capsys):
+    """The whole kz report of a three-point circle at h = 0, whose holonomy
+    and oracle are exactly the identity, matches the bytes the
+    json.dump(indent=2) writer emitted (SHA-256 without the elapsed_s line)."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[1.0, 0.0], [0.0, 0.0], [6.0, 0.0]], "kind": "circle",
+        "steps": 64, "moving": 1, "center": 2, "radius": 0.5,
+    })
+    code, out, _ = _run(capsys, ["kz", "--op", op, "--points", "3", "--h", "0",
+                                 "--loop", loop, "--compare"])
+    text = "".join(line for line in out.splitlines(True) if '"elapsed_s"' not in line)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d637f234d5a7e04646ad47d1bc9c8d32ac8b7d42dca38955ad3f923d568bdb0e")
+
+
+def _kz_report(d, seed, oracle):
+    """A kz report around a random d x d holonomy with IEEE edge entries."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    specials = [-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, float("nan"),
+                float("inf"), -float("inf"), 0.1, 1 / 3]
+    flat = w.view(float).ravel()
+    flat[rng.choice(flat.size, size=min(flat.size, 40), replace=False)] = (
+        specials * 4)[:min(flat.size, 40)]
+    out = jsonio.holonomy_to_json(w, 0.1 - 0.05j, 4, 2)
+    out["format_version"] = jsonio.FORMAT_VERSION
+    out["residuals"] = {"[R12,R13+R23]": True, "[R12,R34]": False}
+    out["elapsed_s"] = 0.123456
+    if oracle:
+        out["oracle_distance"] = float(np.max(np.abs(w)))
+    return out
+
+
+@pytest.mark.parametrize("d", [4, 8, 81, 256])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_emit_matches_json_dump_on_kz_report(capsys, d, oracle):
+    obj = _kz_report(d, d, oracle)
+    assert _pair_grid_rows(obj["matrix"]) is not None  # the C-encoded layout
+    _emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"matrix": [[[1.0, "x"]]]},
+    {"matrix": [[[1.0, 2.0, 3.0]]]},
+    {"matrix": [[[1.0, 2.0]], [[1.0]]]},
+    {"matrix": [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]]},
+    {"matrix": [[[1.0, [2.0]]]]},
+    {"matrix": [[[True, None]], [[{"a": 1}, 2]]]},
+    {"matrix": [[]], "rows": [[1, 2], [3, 4]]},
+    {"matrix": [[[0.5, -0.0]]], "b": {"matrix": [[[1, 2]]]}, '\n  "matrix": null': 1},
+    {"matrix": [[[2, 3], [4, 5]], [[6, 7], [8, 9]]], "c": [[[1.0, 2.0]]]},
+    [[[1.0, 2.0]]],
+])
+def test_emit_matches_json_dump_on_other_shapes(capsys, obj):
+    _emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # bialgebra-check
 # ---------------------------------------------------------------------------
@@ -516,6 +579,17 @@ def test_bialgebra_check_accepts_truncation_dim_22(tmp_path, capsys):
                                  "--axioms", "L2,L4"])
     assert code == 0
     assert json.loads(out)["verdicts"] == {"L2": True, "L4": True}
+
+
+@pytest.mark.parametrize("table", [[["1", "1", "5"], ["1", "-1", "7"]], [["1"], ["1"]]],
+                         ids=["2x3", "2x1"])
+def test_bialgebra_check_sigma_wrong_shape_is_usage_error(tmp_path, capsys, table):
+    """On k[Z/2] a sigma table that is not 2 x 2 exits 2 naming 'table'."""
+    bi = _write(tmp_path, "b.json", bialgebra_to_json(cyclic_group_algebra(2)))
+    sig = _write(tmp_path, "s.json", {"table": table})
+    code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", bi, "--sigma", sig])
+    assert (code, out) == (2, "")
+    assert "'table'" in err
 
 
 def test_bialgebra_json_bad_fraction_string_message():

@@ -1,5 +1,6 @@
 """Tests for the lifted connection: lifts, flatness brackets, holonomy."""
 
+import cmath
 import itertools
 import json
 import math
@@ -190,6 +191,36 @@ def test_symmetric_flag(corpus):
     assert not KZSystem.from_op(corpus["pair_235"], 2, 0.1).symmetric
 
 
+def test_from_op_builds_lifts_on_first_use():
+    """At n=4, N=4 no 256 x 256 lift exists until one is read, and a circle
+    builds only the lifts of its moving point."""
+    sys = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
+    assert len(sys.lifts) == 0
+    loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0,
+                    radius=0.5)
+    integrate_holonomy(sys, loop)
+    assert sorted(sys.lifts) == [(1, 0), (1, 2), (1, 3)]
+    assert np.array_equal(sys.lifts[(2, 3)], lift_float(sys.r_float, 4, 2, 3, 4))
+    with pytest.raises(KeyError):
+        sys.lifts[(2, 2)]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_circle_oracle_is_dense_exponential(corpus, N):
+    """The lift of the n^2 x n^2 block exponential equals the exponential of
+    the dense lift, on every symmetric corpus operator."""
+    h = 0.07 + 0.03j
+    for name, r in corpus.items():
+        sys = KZSystem.from_op(r, N, h)
+        if not sys.symmetric:
+            continue
+        for moving, center in ((1, 0), (0, 2), (N - 1, 1)):
+            dense = expm(2j * math.pi * h * lift_float(sys.r_float, r.dim,
+                                                       moving, center, N))
+            got = kz.circle_oracle(sys, moving, center)
+            assert np.max(np.abs(got - dense)) <= 1e-12, (name, moving, center)
+
+
 # ---------------------------------------------------------------------------
 # Loop geometry
 # ---------------------------------------------------------------------------
@@ -221,6 +252,78 @@ def test_path_too_close_guard():
     with pytest.raises(PathTooClose):
         LoopSpec([1.0, 0.0, -1.0], "circle", steps=16, moving=0,
                  center=0.5 + 0.0j, radius=0.5)
+
+
+def _separation_oracle(loop):
+    """The scalar guard: positions from cmath at 2 * steps + 1 samples, one
+    pair at a time."""
+    samples = 2 * loop.steps + 1
+    min_sep, diam = math.inf, 0.0
+    for k in range(samples):
+        t = k / (samples - 1)
+        if loop.kind == "circle":
+            z = list(loop.base)
+            z[loop.moving] = loop.center + loop.radius * cmath.exp(
+                1j * (loop.theta0 + 2.0 * math.pi * t))
+        else:
+            s = min(int(t * loop.segments), loop.segments - 1)
+            u = t * loop.segments - s
+            z = [p[s] + u * (p[s + 1] - p[s]) for p in loop.waypoints]
+        for i in range(loop.N):
+            for j in range(i + 1, loop.N):
+                d = abs(z[i] - z[j])
+                min_sep = min(min_sep, d)
+                diam = max(diam, d)
+    return min_sep, diam
+
+
+def _guard_loops():
+    rng = random.Random(8080)
+    loops = []
+    for k in range(6):
+        N = 2 + k % 3
+        base = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(N)]
+        moving, center = rng.sample(range(N), 2)
+        # a point index, or an explicit point near one
+        around = center if k % 2 else base[center] + 0.1j
+        loops.append(dict(base=base, kind="circle", steps=rng.randint(1, 300),
+                          moving=moving, center=around, radius=rng.uniform(0.05, 2)))
+    for k in range(6):
+        N = 2 + k % 3
+        count = rng.randint(2, 6)
+        paths = []
+        for i in range(N):
+            path = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    for _ in range(count - 1)]
+            paths.append(path + path[:1] if i or k % 2 else [path[0]] * count)
+        loops.append(dict(base=[p[0] for p in paths], kind="polygon",
+                          steps=rng.randint(1, 300), waypoints=paths))
+    # point 1 comes within a hair of 1e-6 x diameter of the static point 0
+    for hair in (1 - 1e-9, 1 + 1e-9):
+        near = kz.MIN_SEPARATION_FACTOR * hair
+        loops.append(dict(base=[0j, 1 + 0j], kind="polygon", steps=2,
+                          waypoints=[[0j] * 3, [1 + 0j, near + 0j, 1 + 0j]]))
+    return loops
+
+
+def test_separation_matches_scalar_guard(monkeypatch):
+    """The vectorised guard gives the scalar guard's min and diameter to
+    1e-15 relative, and its verdict, also a hair either side of the factor."""
+    monkeypatch.setattr(kz, "CHUNK_ENTRIES", 64)  # several sample blocks
+    verdicts = []
+    for spec in _guard_loops():
+        with monkeypatch.context() as m:
+            m.setattr(LoopSpec, "_check_separation", lambda loop: None)
+            loop = LoopSpec(**spec)
+        got, want = loop.separation(), _separation_oracle(loop)
+        assert got == pytest.approx(want, rel=1e-15, abs=0), spec
+        try:
+            LoopSpec(**spec)
+            verdicts.append(False)
+        except PathTooClose:
+            verdicts.append(True)
+        assert verdicts[-1] == (want[0] <= kz.MIN_SEPARATION_FACTOR * want[1]), spec
+    assert verdicts[-2:] == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +378,86 @@ def test_holonomy_polygon_square_matches_circle_oracle():
     w = integrate_holonomy(sys, loop)
     oracle = expm(2j * math.pi * h * _float(lift_exact(r, 0, 1, 2)))
     assert np.max(np.abs(w - oracle)) < 1e-10
+
+
+def _integrate_oracle(sys, loop):
+    """Classical RK4 through ``connection_matrix``, one step at a time."""
+    w = np.eye(sys.dim, dtype=complex)
+    per_seg = max(1, -(-loop.steps // loop.segments))
+    for seg in range(loop.segments):
+        t0 = seg / loop.segments
+        dt = 1.0 / (loop.segments * per_seg)
+        for k in range(per_seg):
+            t = t0 + k * dt
+            a1 = connection_matrix(sys, loop, t, seg)
+            k1 = a1 @ w
+            a2 = connection_matrix(sys, loop, t + dt / 2, seg)
+            k2 = a2 @ (w + (dt / 2) * k1)
+            k3 = a2 @ (w + (dt / 2) * k2)
+            a4 = connection_matrix(sys, loop, t + dt, seg)
+            k4 = a4 @ (w + dt * k3)
+            w = w + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return w
+
+
+def _square(cx, cy, count=5, size=0.6):
+    rng = random.Random(f"{cx},{cy},{count}")
+    inner = [complex(cx + rng.uniform(-size, size), cy + rng.uniform(-size, size))
+             for _ in range(count - 2)]
+    return [complex(cx, cy)] + inner + [complex(cx, cy)]
+
+
+_CORNERS = [(0, 0), (4, 0), (4, 4), (0, 4)]
+_INTEGRATOR_CASES = {
+    # (n, N), operator, h, loop keyword arguments
+    "circle-2-2": ((2, 2), [1, 1], 0.1, dict(base=[1.0, 0.0], kind="circle", steps=40,
+                                             moving=0, center=1, radius=0.5)),
+    "circle-2-3": ((2, 3), [1, 2], 0.08 + 0.03j,
+                   dict(base=[0.0, 1.0, 7 + 2j], kind="circle", steps=150, moving=1,
+                        center=0, radius=0.4)),
+    "circle-3-3-point": ((3, 3), [1, 1, 3], 0.1 - 0.05j,
+                         dict(base=[0.0, 1.0, -6j], kind="circle", steps=30, moving=0,
+                              center=0.9 + 0.1j, radius=0.7)),
+    "circle-4-4": ((4, 4), [1, 2, 2, 4], 0.05 + 0.02j,
+                   dict(base=[0.0, 1.0, 10.0, 20j], kind="circle", steps=3, moving=1,
+                        center=0, radius=0.5)),
+    "polygon-all-moving": ((3, 3), [1, 2, 2], 0.1 + 0.02j,
+                           dict(base=[complex(*c) for c in _CORNERS[:3]], kind="polygon",
+                                steps=17, waypoints=[_square(*c) for c in _CORNERS[:3]])),
+    "polygon-static": ((2, 4), [2, 2], 0.12 - 0.03j,
+                       dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=13,
+                            waypoints=[_square(*c, count=4) for c in _CORNERS[:2]]
+                            + [[4 + 4j] * 4] + [_square(0, 4, count=4)])),
+    "one-step": ((2, 3), [1, 1], 0.1j, dict(base=[0.0, 1.0, 5.0], kind="circle", steps=1,
+                                            moving=0, center=1, radius=0.3)),
+    # 1100 steps at dim 8: one batch of 1024 and one of 76
+    "long-circle": ((2, 3), [2, 2], 0.1, dict(base=[0.0, 1.0, 5j], kind="circle",
+                                              steps=1100, moving=2, center=1, radius=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGRATOR_CASES))
+def test_integrate_matches_rk4_oracle(case):
+    (n, N), phi, h, spec = _INTEGRATOR_CASES[case]
+    sys = KZSystem.from_op(make_phi(n, phi), N, h)
+    loop = LoopSpec(**spec)
+    want = _integrate_oracle(sys, loop)
+    got = integrate_holonomy(sys, loop)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
+def test_integrate_batches_across_segments(monkeypatch):
+    """23 steps over 3 segments are 8 per segment, in batches of 5 and 3."""
+    monkeypatch.setattr(kz, "CHUNK_ENTRIES", 5 * 8 * 8)
+    (_, N), _, h, spec = _INTEGRATOR_CASES["polygon-all-moving"]
+    spec = dict(spec, steps=23,
+                waypoints=[_square(*c, count=4) for c in _CORNERS[:3]])
+    sys = KZSystem.from_op(make_phi(2, [1, 1]), N, h)
+    loop = LoopSpec(**spec)
+    assert loop.segments == 3
+    want = _integrate_oracle(sys, loop)
+    got = integrate_holonomy(sys, loop)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
 def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
