@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 import time
@@ -215,9 +216,10 @@ def cmd_kz(args):
     h = complex(float(re), float(im) if im else 0.0)
     if not cmath.isfinite(h):
         raise ValueError("--h must be finite")
-    # the cheap usage checks (dimension cap, comparison preconditions) run
-    # before the exact brackets and the integration
+    # the cheap usage checks (dimension cap, lift memory, comparison
+    # preconditions) run before the exact brackets and the integration
     system = kz.KZSystem.from_op(r, args.points, h)
+    kz.check_lift_memory(system, loop)
     if args.compare:
         if not system.symmetric:
             print(
@@ -284,7 +286,6 @@ def build_parser():
     c = sub.add_parser("check", help="verify equational laws of an operator")
     c.add_argument("--op", required=True, help="operator JSON file")
     c.add_argument("--laws", default="long", help="comma-separated law names")
-    c.set_defaults(func=cmd_check)
 
     c = sub.add_parser("construct", help="emit a constructed solution as JSON")
     kinds = c.add_subparsers(dest="kind", required=True)
@@ -305,17 +306,15 @@ def build_parser():
     k.add_argument("--spec", required=True, help="graded-action JSON file")
     k = kinds.add_parser("homothety")
     k.add_argument("--spec", required=True, help="homothety JSON file")
-    c.set_defaults(func=cmd_construct)
 
     c = sub.add_parser("frt", help="build the induced bialgebra presentation")
     c.add_argument("--op", required=True)
     c.add_argument("--present", action="store_true", help="emit text, not JSON")
     c.add_argument("--naming", help="JSON file mapping c_i_j to display names")
-    c.set_defaults(func=cmd_frt)
 
     c = sub.add_parser("roundtrip", help="verify the presentation round trip")
     c.add_argument("--op", required=True)
-    c.set_defaults(func=cmd_roundtrip, naming=None)
+    c.set_defaults(naming=None)
 
     c = sub.add_parser("kz", help="integrate loop holonomy of the connection")
     c.add_argument("--op", required=True)
@@ -328,24 +327,30 @@ def build_parser():
         action="store_true",
         help="compare against the exponential oracle (symmetric circle loops)",
     )
-    c.set_defaults(func=cmd_kz)
 
     c = sub.add_parser("bialgebra-check", help="check sigma-table axioms")
     c.add_argument("--bialgebra", required=True)
     c.add_argument("--sigma", required=True)
     c.add_argument("--axioms", help="comma-separated subset of the axiom names")
-    c.set_defaults(func=cmd_bialgebra_check)
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # the handler is looked up when the command runs, so a replaced
+    # module-level cmd_* is the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InternalCheckFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

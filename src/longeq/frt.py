@@ -6,18 +6,43 @@ length-n^2 coordinate vector over the basis {c_ij}, with c_ij at slot
 obstruction vectors; since V is a coideal, the free algebra on the
 quotient coalgebra C/V carries the induced bialgebra structure, and the
 sigma-form on generator cosets is forced to the coefficient family of R.
+
+Every step of ``build_LR`` after the Long check runs on Python ints; a
+Fraction is formed only for a value that leaves the build (the RREF rows,
+coset coordinates, Delta and sigma on cosets). Two scalings clear the
+denominators:
+
+* D, the lcm of the denominators of the coefficients x of R, and Z = D x.
+  The obstruction vectors are linear in x, so those of Z are D times those
+  of x and span the same V. The form sigma_0 built from Z is D sigma_0.
+* L, the lcm of the pivot entries d_p of the primitive integer RREF rows
+  of V (``linalg.rref_int``). A row reads d_p c_p + sum_t row_t c_t with t
+  over representative slots only, because an RREF row is zero at every
+  other pivot. Modulo V, then, pi(c_p) = -sum_t (row_t / d_p) c_t, so
+  L pi(c_p) = -sum_t (L / d_p) row_t c_t has integer coordinates, and
+  L pi(c_t) = L c_t for a representative. These are ``int_cosets``.
+
+Each check is a zero test of an expression that is linear in each scaled
+argument, and a nonzero multiple of a vector is zero exactly when the
+vector is. So every verdict, and every first failure, is the one over Q:
+the counit is tested on integer RREF rows, Delta descent at scale L^2
+(pi (x) pi), sigma descent at D (on integer rows), the coset table is
+L^2 D times sigma on projected labels, L1 is tested at L^3 D, and the
+round trip compares that table with L^2 Z.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg as la
 from .bialgebra import GeneratorBialgebra, generator_sigma_words
 from .errors import InternalCheckFailed, NotALongSolution, SigmaIllDefined
 from .linalg import F0, F1
 from .scalars import frac_str
-from .tensor_ops import TensorOp2, invert, long_witness
+from .tensor_ops import TensorOp2, _coeff_family, _integer_coeffs, invert, long_witness
 
 DEFAULT_WORD_CAP = 6
 
@@ -49,26 +74,56 @@ def comatrix_delta(vec, n):
     return out
 
 
+def _obstruction_vectors(z, n):
+    """The obstruction vectors of the family ``z[u][v][j][i]`` (0-based),
+    lexicographic in (i, j, k, l), with the entries' own arithmetic."""
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                zk = z[k]
+                for l in rng:
+                    vec = [0] * (n * n)
+                    for v in rng:
+                        vec[v * n + l] += zk[v][j][i]
+                    zkl = zk[l][j]
+                    for a in rng:
+                        vec[i * n + a] -= zkl[a]
+                    yield vec
+
+
 def obstructions(r: TensorOp2):
     """The n^4 relation vectors o(i,j,k,l), lexicographic in (i,j,k,l).
 
     o(i,j,k,l) = sum_v x[k,v,j,i] c_vl - sum_a x[k,l,j,a] c_ia. Defined for
-    any operator; each has counit value zero by cancellation.
+    any operator; each has counit value zero by cancellation. Formed on
+    Z = D x and divided by D.
     """
-    n = r.dim
-    x = r.coeff
+    z, d = la.clear_denominators(r.matrix)
+    return [[Fraction(x, d) if x else F0 for x in vec]
+            for vec in _obstruction_vectors(_coeff_family(r.dim, z), r.dim)]
+
+
+def obstruction_rows(r: TensorOp2):
+    """Primitive integer rows spanning the relation span V of ``r``.
+
+    These are the obstruction vectors of Z = D x, each divided by the gcd
+    of its entries and signed so that its first nonzero entry is positive;
+    zero rows and repeated rows are dropped. None of this changes the row
+    space, and the RREF of a row space is unique.
+    """
+    seen = set()
     out = []
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    vec = [F0] * (n * n)
-                    for v in rng:
-                        vec[cm_index(v, l, n)] += x(k, v, j, i)
-                    for a in rng:
-                        vec[cm_index(i, a, n)] -= x(k, l, j, a)
-                    out.append(vec)
+    for vec in _obstruction_vectors(_integer_coeffs(r), r.dim):
+        g = math.gcd(*vec)
+        if not g:
+            continue
+        if next(x for x in vec if x) < 0:
+            g = -g
+        row = tuple([x // g for x in vec])
+        if row not in seen:
+            seen.add(row)
+            out.append(row)
     return out
 
 
@@ -77,24 +132,44 @@ class QuotientCoalgebra:
 
     V is stored in reduced row echelon form; coset representatives are the
     basis labels c_ij at the non-pivot columns, in lexicographic order.
+    ``relation_rows`` may hold ints or Fractions. The checks run on the
+    primitive integer RREF rows ``int_rows`` and on ``int_cosets``, the
+    coset of every label scaled by ``coset_scale`` = L (module docstring);
+    ``rows``, ``coset_terms`` and ``delta_on_coset`` are the exact values.
     """
 
     def __init__(self, n, relation_rows):
         self.n = n
-        self.rows, self.pivots = la.rref(relation_rows)
-        for row in self.rows:
+        int_rows, self.pivots = la.rref_int(relation_rows)
+        for row in int_rows:
             if comatrix_eps(row, n):
                 raise InternalCheckFailed("counit does not vanish on the relation span")
-        pivot_set = set(self.pivots)
-        self.rep_slots = [s for s in range(n * n) if s not in pivot_set]
+        self.rows = la.rref_from_int(int_rows, self.pivots)
+        self.int_rows = la.sparse_rref(int_rows, self.pivots)
+        rep_index = {}
+        for s in range(n * n):
+            if s not in self.pivots:
+                rep_index[s] = len(rep_index)
+        self.rep_slots = list(rep_index)
         self.rep_labels = [cm_label(s, n) for s in self.rep_slots]
-        self.sparse_rows = la.sparse_rref(self.rows, self.pivots)
+        scale = self.coset_scale = math.lcm(*(row[p] for row, p in zip(int_rows, self.pivots)))
+        # L pi(c_s) as (representative index, int) pairs, by slot
+        cosets = [[(rep_index[s], scale)] if s in rep_index else None for s in range(n * n)]
+        for row, p in zip(int_rows, self.pivots):
+            f = scale // row[p]
+            cosets[p] = [(rep_index[c], -f * x) for c, x in enumerate(row) if x and c != p]
+        self.int_cosets = cosets
         self._label_terms = {}
         self._check_delta_descends()
 
     @property
     def num_generators(self):
         return len(self.rep_slots)
+
+    @cached_property
+    def sparse_rows(self):
+        """The Fraction RREF rows as ``la.sparse_rref`` pairs."""
+        return la.sparse_rref(self.rows, self.pivots)
 
     def project(self, vec):
         """Reduce a comatrix vector modulo V; pivot coordinates become zero."""
@@ -115,75 +190,98 @@ class QuotientCoalgebra:
 
     def coset_terms(self, i, j):
         """The coset of c_ij as nonzero ``(representative index, coefficient)``
-        pairs, projected once per label (do not mutate)."""
+        pairs, formed once per label (do not mutate)."""
         terms = self._label_terms.get((i, j))
         if terms is None:
-            red = self.project_label(i, j)
+            scale = self.coset_scale
             terms = self._label_terms[(i, j)] = [
-                (t, red[s]) for t, s in enumerate(self.rep_slots) if red[s]
+                (t, Fraction(x, scale)) for t, x in self.int_cosets[cm_index(i, j, self.n)]
             ]
         return terms
 
-    def _add_delta(self, acc, coeff, i, j):
-        """acc[(s, t)] += coeff * ((pi (x) pi) Delta(c_ij))[s][t]."""
-        for u in range(1, self.n + 1):
-            right = self.coset_terms(u, j)
-            for s, xl in self.coset_terms(i, u):
+    def _add_delta(self, acc, coeff, slot):
+        """acc[(s, t)] += coeff * L^2 ((pi (x) pi) Delta(c_slot))[s][t], on ints."""
+        n, cosets = self.n, self.int_cosets
+        i, j = divmod(slot, n)
+        for u in range(n):
+            right = cosets[u * n + j]
+            for s, xl in cosets[i * n + u]:
                 f = coeff * xl
                 for t, xr in right:
-                    acc[(s, t)] = acc.get((s, t), F0) + f * xr
+                    acc[(s, t)] = acc.get((s, t), 0) + f * xr
 
     def delta_on_coset(self, i, j):
         """(pi (x) pi) Delta(c_ij) as an m x m matrix over representatives."""
         acc = {}
-        self._add_delta(acc, F1, i, j)
+        self._add_delta(acc, 1, cm_index(i, j, self.n))
+        scale = self.coset_scale ** 2
         out = la.zeros(self.num_generators, self.num_generators)
         for (s, t), x in acc.items():
-            out[s][t] = x
+            if x:
+                out[s][t] = Fraction(x, scale)
         return out
 
     def _check_delta_descends(self):
-        # (pi (x) pi) Delta must kill V; verified on the RREF basis of V.
-        for _, terms in self.sparse_rows:
+        # (pi (x) pi) Delta must kill V; verified on the integer RREF basis of V
+        for _, terms in self.int_rows:
             acc = {}
             for slot, x in terms:
-                self._add_delta(acc, x, *cm_label(slot, self.n))
+                self._add_delta(acc, x, slot)
             if any(acc.values()):
                 raise InternalCheckFailed("comultiplication does not descend to C/V")
+
+
+def _form(matrix, n):
+    """The n^2 x n^2 table T[c_iv][c_ju] = x[u,v,j,i] of an operator's
+    matrix view, entries as given: an index permutation."""
+    rng = range(n)
+    return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
 
 
 class SigmaForm:
     """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
 
-    ``coset_table`` holds sigma on the projections of every label pair, once
-    per form; ``on_cosets``, ``round_trip`` and ``check_L1_on_generators``
-    read it.
+    ``table`` is sigma_0 and ``int_table`` is D sigma_0, the form of Z. The
+    descent checks run on ``int_table`` and the integer RREF rows.
+    ``int_coset_table`` holds L^2 D sigma on the projections of every label
+    pair, once per form; ``coset_table`` (its exact value), ``on_cosets``,
+    ``round_trip`` and ``check_L1_on_generators`` read it.
     """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
         n = r.dim
         self.n = n
-        table = la.zeros(n * n, n * n)
-        for i in range(1, n + 1):
-            for v in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for u in range(1, n + 1):
-                        table[cm_index(i, v, n)][cm_index(j, u, n)] = r.coeff(u, v, j, i)
-        self.table = table
+        self.table = _form(r.matrix, n)
+        z, d = la.clear_denominators(r.matrix)
+        self.int_table = _form(z, n)
         self.quotient = quotient
         self._check_descends()
         reps = quotient.rep_slots
-        self.rep_table = [[table[a][b] for b in reps] for a in reps]
-        self.coset_table = coset_table(table, quotient)
+        self.rep_table = [[self.table[a][b] for b in reps] for a in reps]
+        self.int_coset_table = _int_coset_table(self.int_table, quotient)
+        self.coset_scale = quotient.coset_scale ** 2 * d
+
+    @cached_property
+    def coset_table(self):
+        """sigma(pi c_a (x) pi c_b) by comatrix slots a, b, as Fractions."""
+        scale = self.coset_scale
+        return [[Fraction(x, scale) if x else F0 for x in row] for row in self.int_coset_table]
 
     def _check_descends(self):
-        table = self.table
-        for _, terms in self.quotient.sparse_rows:
+        table = self.int_table
+        for _, terms in self.quotient.int_rows:
             for b, tb in enumerate(table):
                 if sum([x * table[a][b] for a, x in terms]):
                     raise SigmaIllDefined("sigma does not vanish on V (x) C")
                 if sum([tb[a] * x for a, x in terms]):
                     raise SigmaIllDefined("sigma does not vanish on C (x) V")
+
+    def reproduces_operator(self):
+        """Whether the coset form equals sigma_0, i.e. ``round_trip`` gives
+        back the operator: L^2 D sigma on cosets against L^2 Z."""
+        scale = self.quotient.coset_scale ** 2
+        return all(p == scale * z for prow, zrow in zip(self.int_coset_table, self.int_table)
+                   for p, z in zip(prow, zrow))
 
     def on_vectors(self, va, vb):
         """sigma of two comatrix coordinate vectors."""
@@ -207,20 +305,20 @@ def _bilinear(table, va, vb):
     return acc
 
 
-def coset_table(table, quotient):
-    """The form ``table`` on projected labels: P[a][b] = sigma(pi c_a (x) pi c_b).
+def _int_coset_table(table, quotient):
+    """The integer form ``table`` on the scaled cosets:
+    P[a][b] = table(L pi c_a (x) L pi c_b).
 
     Indexed by comatrix slots a = (i-1)n + (v-1), b = (j-1)n + (u-1); this is
-    Pi^T T Pi with Pi the projections, summed over their nonzeros.
+    Pi^T T Pi with Pi the scaled projections, summed over their nonzeros.
     """
-    n = quotient.n
+    cosets = quotient.int_cosets
     reps = quotient.rep_slots
-    terms = [quotient.coset_terms(*cm_label(a, n)) for a in range(n * n)]
-    # right[s][b] = sum_t T[rep s][rep t] * (pi c_b)[t]
-    right = [[sum([table[ra][reps[t]] * x for t, x in terms[b]], F0) for b in range(n * n)]
+    # right[s][b] = sum_t T[rep s][rep t] * (L pi c_b)[t]
+    right = [[sum([table[ra][reps[t]] * x for t, x in terms]) for terms in cosets]
              for ra in reps]
-    return [[sum([x * right[s][b] for s, x in terms[a]], F0) for b in range(n * n)]
-            for a in range(n * n)]
+    return [[sum([x * right[s][b] for s, x in terms]) for b in range(len(cosets))]
+            for terms in cosets]
 
 
 class LongPresentation:
@@ -286,20 +384,21 @@ def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
 
     Verifies: counit vanishes on V, the comultiplication descends, sigma is
     well defined on cosets, the degree-one strong D-identity holds on all
-    generator pairs, and the coset form reproduces R exactly.
+    generator pairs, and the coset form reproduces R exactly. Each check
+    runs on integers (module docstring).
     """
     witness = long_witness(r)
     if witness is not None:
         raise NotALongSolution(
             f"componentwise equation {witness[0]} fails at {witness[1]}", witness
         )
-    quotient = QuotientCoalgebra(r.dim, obstructions(r))
+    quotient = QuotientCoalgebra(r.dim, obstruction_rows(r))
     sigma = SigmaForm(r, quotient)
     pres = LongPresentation(r, quotient, sigma, naming)
     ok, bad = check_L1_on_generators(pres)
     if not ok:
         raise InternalCheckFailed(f"degree-one D-identity fails at {bad}")
-    if round_trip(pres) != r:
+    if not sigma.reproduces_operator():
         raise InternalCheckFailed("coset form does not reproduce the input operator")
     return pres
 
@@ -343,30 +442,35 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
 
     The projection is linear, so the difference is projected as
     sum_v s_v pi(c_vj) - sum_a s_a pi(c_ia) in representative coordinates.
+    It is formed on integers: s from the L^2 D-scaled coset table (an
+    override is scaled by the lcm of its own denominators) and pi from the
+    L-scaled cosets, so each difference is a fixed nonzero multiple of the
+    rational one and vanishes exactly when it does.
     """
     q = pres.quotient
     n = q.n
-    table = (pres.sigma.coset_table if sigma_table is None
-             else coset_table(sigma_table, q))
-    rng = range(1, n + 1)
+    table = (pres.sigma.int_coset_table if sigma_table is None
+             else _int_coset_table(la.clear_denominators(sigma_table)[0], q))
+    cosets = q.int_cosets
+    rng = range(n)
     for i in rng:
         for j in rng:
             for p in rng:
                 for q_ in rng:
-                    col = cm_index(p, q_, n)
-                    acc = [F0] * q.num_generators
+                    col = p * n + q_
+                    acc = [0] * q.num_generators
                     for v in rng:
-                        s = table[cm_index(i, v, n)][col]
+                        s = table[i * n + v][col]
                         if s:
-                            for t, x in q.coset_terms(v, j):
+                            for t, x in cosets[v * n + j]:
                                 acc[t] += s * x
                     for a in rng:
-                        s = table[cm_index(a, j, n)][col]
+                        s = table[a * n + j][col]
                         if s:
-                            for t, x in q.coset_terms(i, a):
+                            for t, x in cosets[i * n + a]:
                                 acc[t] -= s * x
                     if any(acc):
-                        return False, (i, j, p, q_)
+                        return False, (i + 1, j + 1, p + 1, q_ + 1)
     return True, None
 
 

@@ -40,6 +40,10 @@ MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positi
 # CHUNK_ENTRIES // dim^2 RK4 steps (one at dim 256), the separation guard
 # CHUNK_ENTRIES // (N(N-1)/2) samples
 CHUNK_ENTRIES = 1 << 16
+# bytes of complex lifts the integrator may hold: each live lift, cached in
+# KZSystem.lifts, and their stacked copy, 2 * live * dim^2 * 16; 25 MB when
+# all four points move at n = 4, N = 4, 2.7 GB for a circle at n = 4, N = 6
+MAX_LIFT_BYTES = 1 << 29
 
 
 def lift_float(r_mat: np.ndarray, n, i, j, N):
@@ -225,6 +229,7 @@ class LoopSpec:
 
         ``seg`` pins a polygon's segment at corner points, where the velocity
         is one-sided; integration passes it so no stage reads across a corner.
+        It is one segment for all ``ts`` or an array of one segment per time.
         """
         ts = np.asarray(ts, dtype=float)
         if self.kind == "circle":
@@ -274,6 +279,26 @@ class LoopSpec:
                 f"minimum pairwise distance {min_sep:.3e} below guard "
                 f"{MIN_SEPARATION_FACTOR:.0e} x diameter {diam:.3e}"
             )
+
+
+def live_pairs(loop: LoopSpec):
+    """The ordered pairs (i, j), i != j, whose point i moves on some segment
+    of the loop: the lifts ``integrate_holonomy`` builds."""
+    segs = np.arange(loop.segments)
+    _, v = loop.stage_data(segs / loop.segments, segs)
+    return [(i, j) for i in np.flatnonzero(v.any(axis=1)).tolist()
+            for j in range(loop.N) if j != i]
+
+
+def check_lift_memory(sys: KZSystem, loop: LoopSpec):
+    """Raise ``DimensionCap`` when integrating ``loop`` would hold more than
+    ``MAX_LIFT_BYTES`` of lifts; builds none."""
+    need = 2 * len(live_pairs(loop)) * sys.dim ** 2 * np.dtype(complex).itemsize
+    if need > MAX_LIFT_BYTES:
+        raise DimensionCap(
+            f"holonomy lifts need {need} bytes at n^N = {sys.dim}, "
+            f"above the cap of {MAX_LIFT_BYTES}"
+        )
 
 
 def connection_matrix(sys: KZSystem, loop: LoopSpec, t, seg=None) -> np.ndarray:

@@ -6,11 +6,19 @@ echelon forms (and therefore all downstream presentations) are reproducible.
 Multiplication skips zero entries, which matters for the very sparse lifted
 operators this package produces.
 
-``rref`` is the one Gauss-Jordan routine (``mat_inv`` and ``solve_affine``
-call it). It takes and returns Fractions but eliminates over Python ints
-internally: rows are scaled to primitive integer rows, and only the final
-pivot rows are divided by their pivots. ``sparse_rref`` and ``reduce_mod``
-reduce a vector modulo an RREF row space over the rows' nonzeros.
+``rref_int`` is the one Gauss-Jordan routine. It eliminates over Python
+ints and returns the RREF as primitive integer rows: a row scaled by a
+nonzero rational spans the same line, so each input row is first scaled
+by the lcm of its denominators (and divided by the gcd of its entries),
+and every row that elimination changes is divided by the gcd of its
+entries again. The reduced row echelon form of a row space is unique, so
+its rows are determined up to scale, and fixing the scale by "primitive,
+positive pivot" makes the integer rows unique as well: the Fraction RREF
+row is the integer row divided by its pivot entry. ``rref`` is that
+division, and ``mat_inv`` and ``solve_affine`` call ``rref``.
+``sparse_rref`` and ``reduce_mod`` reduce a vector modulo an RREF row
+space over the rows' nonzeros; ``clear_denominators`` scales a rational
+matrix to integers for the callers that decide on them.
 """
 
 from __future__ import annotations
@@ -128,11 +136,25 @@ def rref(rows):
 
     Returns ``(reduced, pivots)`` where ``reduced`` holds only the nonzero
     rows and ``pivots`` their pivot column indices, in increasing order.
+    The rows are those of ``rref_int`` divided by their pivot entries.
+    """
+    int_rows, pivots = rref_int(rows)
+    return rref_from_int(int_rows, pivots), pivots
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    leaves the row space, and hence its unique RREF, unchanged. Elimination
-    then runs over Python ints, keeping every row primitive (content 1);
-    each pivot row is divided by its pivot only at the end.
+
+def rref_from_int(int_rows, pivots):
+    """The Fraction RREF rows of the primitive integer rows of ``rref_int``."""
+    return [[Fraction(x, r[p]) if x else F0 for x in r] for r, p in zip(int_rows, pivots)]
+
+
+def rref_int(rows):
+    """Reduced row echelon form over the integers.
+
+    ``rows`` are rational (ints or Fractions). Returns ``(int_rows,
+    pivots)``: the nonzero rows of the RREF, each scaled to a primitive
+    integer row with a positive pivot entry, and their pivot columns in
+    increasing order. Every entry of a row at another row's pivot column is
+    zero, as in the Fraction RREF.
     """
     work = [_primitive_int_row(r) for r in rows]
     if not work:
@@ -157,11 +179,7 @@ def rref(rows):
         row += 1
         if row == len(work):
             break
-    reduced = []
-    for r, col in zip(work[:row], pivots):
-        p = r[col]
-        reduced.append([Fraction(x, p) if x else F0 for x in r])
-    return reduced, pivots
+    return [r if r[col] > 0 else [-x for x in r] for r, col in zip(work[:row], pivots)], pivots
 
 
 def _primitive(row):
@@ -172,8 +190,14 @@ def _primitive(row):
 
 def _primitive_int_row(row):
     """A rational row scaled to a primitive integer row spanning the same line."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+    return _primitive(clear_denominators([row])[0][0])
+
+
+def clear_denominators(rows):
+    """``(int_rows, scale)``: the rational matrix ``rows`` times ``scale``,
+    the lcm of its denominators, as Python ints (an int has denominator 1)."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def sparse_rref(rows, pivots):

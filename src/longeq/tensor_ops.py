@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
@@ -49,14 +48,15 @@ class TensorOp2:
 
     @classmethod
     def from_coeffs(cls, dim, x):
-        """Build from the 4-index family ``x[u][v][j][i]`` (0-based nesting)."""
+        """Build from the 4-index family ``x[u][v][j][i]`` (0-based nesting);
+        the constructor converts the entries with ``la.as_frac``."""
         n = dim
         mat = la.zeros(n * n, n * n)
         for u in range(n):
             for v in range(n):
                 for j in range(n):
                     for i in range(n):
-                        mat[i * n + j][v * n + u] = Fraction(x[u][v][j][i])
+                        mat[i * n + j][v * n + u] = x[u][v][j][i]
         return cls(dim, mat)
 
     def coeff(self, u, v, j, i):
@@ -252,7 +252,7 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}")
     n = r.dim
-    z = _integer_matrix(r)
+    z, scale = la.clear_denominators(r.matrix)
     z12, z13, z23 = (_lift_sparse(z, n, *_LIFT_SLOTS[s], 3) for s in (12, 13, 23))
     report = {}
     need_long = bool({"long", "kz_bracket"} & wanted)
@@ -268,7 +268,7 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     if "qybe" in wanted:
         report["qybe"] = _products_equal([z12, z13, z23], [z23, z13, z12])
     if "hopf" in wanted:
-        report["hopf"] = _products_equal([z23, z13, z12], [z12, z23], _denominator_lcm(r))
+        report["hopf"] = _products_equal([z23, z13, z12], [z12, z23], scale)
     if "kz_bracket" in wanted:
         kz = _commute(z12, _sparse_add(z13, z23))
         if long_ok and not kz:
@@ -339,8 +339,7 @@ def _denominator_lcm(r: TensorOp2):
 
 def _integer_matrix(r: TensorOp2):
     """``r.matrix`` times the lcm of its denominators, as Python ints."""
-    scale = _denominator_lcm(r)
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in r.matrix]
+    return la.clear_denominators(r.matrix)[0]
 
 
 def _integer_coeffs(r: TensorOp2):

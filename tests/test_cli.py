@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 import longeq
 from longeq import (
     TensorOp2,
+    cli,
     comatrix_tensor_truncation,
     cyclic_group_algebra,
     jsonio,
@@ -231,6 +233,45 @@ def test_roundtrip_command(tmp_path, capsys):
     assert json.loads(out)["verdicts"] == {"round_trip": True}
 
 
+_ELAPSED = re.compile(r',\n\s*"elapsed_s": [^,\n}]*')
+
+
+def test_parser_is_built_once_and_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    """A sequence of calls through the one shared parser gives, call by
+    call, the exit code, stdout and stderr of a fresh parser per call; the
+    handler is looked up when the command runs, and the roundtrip default
+    naming=None does not carry over from an earlier ``frt --naming``."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(4, [1, 2, 2, 2])))
+    naming = _write(tmp_path, "naming.json", {"c_1_1": "g", "c_3_3": "h"})
+    seen = []
+    original = cli.cmd_roundtrip
+
+    def spy(args):
+        seen.append(args.naming)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_roundtrip", spy)
+    sequence = [["frt", "--op"], ["frt", "--op", op, "--naming", naming],
+                ["roundtrip", "--op", op], ["--help"]]
+
+    def run_all():
+        results = []
+        for argv in sequence:
+            code, out, err = _run(capsys, argv)
+            results.append((code, _ELAPSED.sub("", out), err))
+        return results
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert "usage: longeq frt" in shared[0][2] and not shared[0][1]
+    assert '"g"' in shared[1][1] and "usage: longeq" in shared[3][1]
+    assert seen == [None, None]
+
+
 # ---------------------------------------------------------------------------
 # kz
 # ---------------------------------------------------------------------------
@@ -326,6 +367,24 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert want in err
+
+
+def test_kz_lift_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    """n = 4, N = 6 is dim 4096, within LONGEQ_MAX_DIM, but its five live
+    lifts and their stacked copy would take 2 * 5 * 4096^2 * 16 bytes; the
+    command exits 2 before the brackets and before any lift is built."""
+    monkeypatch.delenv("LONGEQ_MAX_DIM", raising=False)
+    for name in ("flatness_residuals", "integrate_holonomy", "lift_float"):
+        monkeypatch.setattr(kz, name, _refuse)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(4, [1, 1, 1, 1])))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[1.0, 0.0], [0.0, 0.0], [6.0, 0.0], [12.0, 0.0], [18.0, 0.0], [24.0, 0.0]],
+        "kind": "circle", "steps": 16, "moving": 1, "center": 2, "radius": 0.5,
+    })
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "6", "--h", "0.05",
+                                   "--loop", loop])
+    assert (code, out) == (2, "")
+    assert f"holonomy lifts need {2 * 5 * 4096 ** 2 * 16} bytes" in err
 
 
 _CIRCLE = {"base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -33,7 +34,9 @@ from longeq.frt import (
     cm_label,
     comatrix_delta,
     comatrix_eps,
+    obstruction_rows,
 )
+from longeq.tensor_ops import _denominator_lcm
 
 from conftest import upper_pair_operator
 from test_linalg import _rref_oracle
@@ -403,12 +406,24 @@ def test_sigma_mutation_witnesses_are_unchanged():
         assert check_L1_on_generators(pres) == (True, None)
 
 
+def _rref_int_oracle(rows):
+    """``la.rref_int`` from the Fraction Gauss-Jordan oracle: each RREF row
+    times the lcm of its denominators (its pivot entry is 1, so the
+    result is primitive with a positive pivot)."""
+    red, pivots = _rref_oracle([[F(x) for x in row] for row in rows])
+    out = []
+    for row in red:
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out, pivots
+
+
 def test_presentation_text_matches_oracle_rref(corpus, monkeypatch):
     """The rendering is unchanged when every RREF comes from the Fraction
     Gauss-Jordan oracle."""
     ops = {**corpus, **_dense_conjugates()}
     fast = {name: presentation_text(build_LR(r)) for name, r in ops.items()}
-    monkeypatch.setattr(la, "rref", _rref_oracle)
+    monkeypatch.setattr(la, "rref_int", _rref_int_oracle)
     for name, r in ops.items():
         assert presentation_text(build_LR(r)) == fast[name], name
 
@@ -499,3 +514,202 @@ def test_delta_descent_check_matches_dense_oracle():
             assert got == _delta_descent_oracle(_UncheckedQuotient(n, rows)), rows
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the integer L(R) pipeline against the Fraction bodies it replaced
+# ---------------------------------------------------------------------------
+
+
+def _obstructions_oracle(r):
+    """The Fraction body of ``obstructions``."""
+    n = r.dim
+    x = r.coeff
+    out = []
+    rng = range(1, n + 1)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in rng:
+                    vec = [F(0)] * (n * n)
+                    for v in rng:
+                        vec[cm_index(v, l, n)] += x(k, v, j, i)
+                    for a in rng:
+                        vec[cm_index(i, a, n)] -= x(k, l, j, a)
+                    out.append(vec)
+    return out
+
+
+def _coset_terms_oracle(q, i, j):
+    """The coset of c_ij by projecting its unit vector through ``reduce_mod``."""
+    vec = [F(0)] * (q.n * q.n)
+    vec[cm_index(i, j, q.n)] = F(1)
+    red = la.reduce_mod(vec, la.sparse_rref(q.rows, q.pivots))
+    return [(t, red[s]) for t, s in enumerate(q.rep_slots) if red[s]]
+
+
+def _delta_on_coset_oracle(q, i, j):
+    """(pi (x) pi) Delta(c_ij) summed over Fraction coset terms."""
+    m = q.num_generators
+    out = la.zeros(m, m)
+    for u in range(1, q.n + 1):
+        for s, xl in _coset_terms_oracle(q, i, u):
+            for t, xr in _coset_terms_oracle(q, u, j):
+                out[s][t] += xl * xr
+    return out
+
+
+def _coset_table_oracle(table, q):
+    """The Fraction body of ``coset_table``: Pi^T T Pi."""
+    n = q.n
+    reps = q.rep_slots
+    terms = [_coset_terms_oracle(q, *cm_label(a, n)) for a in range(n * n)]
+    right = [[sum([table[ra][reps[t]] * x for t, x in terms[b]], F(0)) for b in range(n * n)]
+             for ra in reps]
+    return [[sum([x * right[s][b] for s, x in terms[a]], F(0)) for b in range(n * n)]
+            for a in range(n * n)]
+
+
+def _check_L1_oracle(pres, sigma_table=None):
+    """The Fraction body of ``check_L1_on_generators``."""
+    q = pres.quotient
+    n = q.n
+    table = _coset_table_oracle(pres.sigma.table if sigma_table is None else sigma_table, q)
+    rng = range(1, n + 1)
+    terms = {(i, j): _coset_terms_oracle(q, i, j) for i in rng for j in rng}
+    for i in rng:
+        for j in rng:
+            for p in rng:
+                for q_ in rng:
+                    col = cm_index(p, q_, n)
+                    acc = [F(0)] * q.num_generators
+                    for v in rng:
+                        s = table[cm_index(i, v, n)][col]
+                        if s:
+                            for t, x in terms[(v, j)]:
+                                acc[t] += s * x
+                    for a in rng:
+                        s = table[cm_index(a, j, n)][col]
+                        if s:
+                            for t, x in terms[(i, a)]:
+                                acc[t] -= s * x
+                    if any(acc):
+                        return False, (i, j, p, q_)
+    return True, None
+
+
+def _dense_conjugates_4():
+    """Dense n = 4 conjugates, one per rank of phi."""
+    return {
+        f"conj4_{k}": make_conjugate(u, make_phi(4, phi))
+        for k, (u, phi) in enumerate([
+            ([[1, 2, -1, 1], [2, -1, 1, 0], [1, 1, 2, -2], [0, 1, -1, 1]], (1, 1, 1, 1)),
+            ([[2, -1, 1, 1], [1, 2, -2, 1], [-1, 1, 1, 2], [1, 0, 1, -1]], (1, 2, 2, 2)),
+            ([[1, -2, 2, 1], [2, 1, -1, -1], [1, 2, 1, 0], [-1, 1, 0, 2]], (1, 2, 3, 3)),
+            ([[2, 1, 1, -1], [1, -1, 2, 1], [0, 1, 1, 2], [1, 2, -1, 1]], (1, 2, 3, 4)),
+        ])
+    }
+
+
+def _fractional_conjugates():
+    """Conjugates by u with fractional entries, so that D > 1 (and L > 1)."""
+    return {
+        "fconj3": make_conjugate([[1, F(1, 2), 0], [F(-1, 3), 1, 1], [0, 2, F(1, 2)]],
+                                 make_phi(3, (1, 1, 3))),
+        "fconj4": make_conjugate([[1, F(1, 2), 0, -1], [F(-1, 3), 1, 1, 0],
+                                  [0, 2, F(1, 2), 1], [1, 0, -1, F(2, 5)]],
+                                 make_phi(4, (1, 2, 2, 4))),
+    }
+
+
+def _integer_pipeline_cases(corpus, phi4_solutions):
+    cases = dict(corpus)
+    cases.update({f"phi4_{''.join(map(str, phi))}": r for phi, r in phi4_solutions.items()})
+    cases.update(_dense_conjugates())
+    cases.update(_dense_conjugates_4())
+    cases.update(_fractional_conjugates())
+    return cases
+
+
+def test_integer_cases_clear_denominators():
+    ops = _fractional_conjugates()
+    assert all(_denominator_lcm(r) > 1 for r in ops.values())
+    assert all(build_LR(r).quotient.coset_scale > 1 for r in ops.values())
+
+
+def test_obstructions_match_fraction_oracle(corpus, phi4_solutions):
+    rng = random.Random(11)
+    noise = [TensorOp2(n, [[F(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 1, 3)))
+                            for _ in range(n * n)] for _ in range(n * n)])
+             for n in (2, 3) for _ in range(4)]
+    ops = list(_integer_pipeline_cases(corpus, phi4_solutions).values()) + noise
+    for r in ops:
+        want = _obstructions_oracle(r)
+        assert obstructions(r) == want
+        rows = obstruction_rows(r)
+        assert len(set(rows)) == len(rows) and all(any(row) for row in rows)
+        assert all(math.gcd(*row) == 1 and next(x for x in row if x) > 0 for row in rows)
+        assert la.rref(rows) == _rref_oracle(want)
+
+
+def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions):
+    for name, r in _integer_pipeline_cases(corpus, phi4_solutions).items():
+        pres = build_LR(r)
+        q, n = pres.quotient, r.dim
+        assert (q.rows, q.pivots) == _rref_oracle(_obstructions_oracle(r)), name
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                want = _coset_terms_oracle(q, i, j)
+                assert q.coset_terms(i, j) == want, (name, i, j)
+                proj = q.project_label(i, j)
+                assert [proj[s] for s in q.rep_slots] == q.basis_coset(i, j)
+                assert q.delta_on_coset(i, j) == _delta_on_coset_oracle(q, i, j), (name, i, j)
+        assert pres.sigma.coset_table == _coset_table_oracle(pres.sigma.table, q), name
+        assert check_L1_on_generators(pres) == _check_L1_oracle(pres) == (True, None)
+        assert pres.sigma.reproduces_operator() and round_trip(pres) == r
+
+
+def test_l1_override_matches_fraction_oracle(phi4_solutions):
+    """Mutated tables, integral and fractional, against the Fraction L1."""
+    rng = random.Random(17)
+    ops = {phi: phi4_solutions[phi] for phi in [(1, 2, 2, 2), (2, 2, 4, 4), (1, 1, 3, 3)]}
+    ops.update(_dense_conjugates_4())
+    ops.update(_fractional_conjugates())
+    seen = set()
+    for name, r in ops.items():
+        pres = build_LR(r)
+        size = r.dim ** 2
+        for _ in range(6):
+            mutated = [row[:] for row in pres.sigma.table]
+            for _ in range(rng.randint(1, 2)):
+                a, b = rng.randrange(size), rng.randrange(size)
+                mutated[a][b] += rng.choice((F(1), F(-1), F(-1, 2), F(2, 3)))
+            got = check_L1_on_generators(pres, sigma_table=mutated)
+            assert got == _check_L1_oracle(pres, mutated), (name, mutated)
+            seen.add(got[0])
+    assert seen == {True, False}
+
+
+def test_descent_checks_on_random_non_long_operators():
+    """Obstruction spans of random non-Long operators: the integer quotient
+    and both descent checks against their Fraction oracles."""
+    rng = random.Random(23)
+    outcomes = set()
+    for n in (2, 3):
+        for _ in range(12):
+            ops = [TensorOp2(n, [[F(rng.choice((0, 0, 0, 0, 1, -1, 2)), rng.choice((1, 2)))
+                                  for _ in range(n * n)] for _ in range(n * n)])
+                   for _ in range(2)]
+            r, other = ops
+            q = QuotientCoalgebra(n, obstruction_rows(r))
+            assert (q.rows, q.pivots) == _rref_oracle(_obstructions_oracle(r))
+            assert _delta_descent_oracle(q)  # an obstruction span is a coideal
+            for form in ops:
+                want = _sigma_descent_oracle(_form_table(form), q.rows)
+                if want is None:
+                    SigmaForm(form, q)
+                else:
+                    with pytest.raises(SigmaIllDefined, match=re.escape(want)):
+                        SigmaForm(form, q)
+                outcomes.add(want)
+    assert len(outcomes) >= 2

@@ -205,6 +205,30 @@ def test_from_op_builds_lifts_on_first_use():
         sys.lifts[(2, 2)]
 
 
+def test_live_pairs_are_the_lifts_integration_builds():
+    """``live_pairs`` names exactly the lifts a run builds, and the memory
+    bound admits the largest tested size: 12 live lifts at n = 4, N = 4."""
+    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1)
+    square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
+    loop = LoopSpec([1.0, 6.0, 12.0], "polygon", 8,
+                    waypoints=[square, [6.0] * 5, [12.0, 13.0, 12.0, 12.0, 12.0]])
+    assert kz.live_pairs(loop) == [(0, 1), (0, 2), (2, 0), (2, 1)]
+    kz.check_lift_memory(sys, loop)
+    integrate_holonomy(sys, loop)
+    assert sorted(sys.lifts) == kz.live_pairs(loop)
+    big = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
+    moving = LoopSpec([0.0, 4.0, 4 + 4j, 4j], "polygon", 4,
+                      waypoints=[[c, c + 1, c + 1j, c] for c in (0.0, 4.0, 4 + 4j, 4j)])
+    assert len(kz.live_pairs(moving)) == 12
+    kz.check_lift_memory(big, moving)
+    assert 2 * 12 * 256 ** 2 * 16 < kz.MAX_LIFT_BYTES
+    with pytest.raises(DimensionCap, match="holonomy lifts need"):
+        kz.check_lift_memory(KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 6, 0.1),
+                             LoopSpec([0.0, 1.0, 10.0, 20.0, 30.0, 40.0], "circle", 2,
+                                      moving=1, center=0, radius=0.5))
+    assert len(big.lifts) == 0
+
+
 @pytest.mark.parametrize("N", [3, 4])
 def test_circle_oracle_is_dense_exponential(corpus, N):
     """The lift of the n^2 x n^2 block exponential equals the exponential of

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -159,6 +160,25 @@ def test_rref_matches_fraction_oracle():
         assert (red, pivots) == _rref_oracle(rows), rows
         assert all(type(x) is F for r in red for x in r)
         assert rows == before  # the input is not modified
+
+
+def test_rref_int_rows_are_primitive_and_match_oracle():
+    """Each integer RREF row is the Fraction RREF row scaled to a primitive
+    integer row with a positive pivot entry."""
+    for rows in _rref_cases():
+        int_rows, pivots = la.rref_int(rows)
+        red, want_pivots = _rref_oracle(rows)
+        assert pivots == want_pivots
+        assert all(type(x) is int for r in int_rows for x in r)
+        assert all(math.gcd(*r) == 1 and r[p] > 0 for r, p in zip(int_rows, pivots))
+        assert [[F(x, r[p]) for x in r] for r, p in zip(int_rows, pivots)] == red
+        assert la.rref_from_int(int_rows, pivots) == red
+
+
+def test_clear_denominators():
+    rows = [[F(1, 2), F(-2, 3)], [0, F(5)]]
+    assert la.clear_denominators(rows) == ([[3, -4], [0, 30]], 6)
+    assert la.clear_denominators([[1, -2]]) == ([[1, -2]], 1)
 
 
 def test_rref_accepts_integer_rows():
