@@ -148,8 +148,10 @@ def cmd_construct(args):
     elif args.kind == "diag":
         r = make_diag(args.n, _square(_frac_list(args.a), "--a"))
     elif args.kind == "pair":
-        r = make_pair(_square(_frac_list(args.f), "--f"),
-                      _square(_frac_list(args.g), "--g"))
+        f, g = _square(_frac_list(args.f), "--f"), _square(_frac_list(args.g), "--g")
+        if len(f) != args.n or len(g) != args.n:
+            raise ValueError("--f and --g must be n x n")
+        r = make_pair(f, g)
     elif args.kind == "conjugate":
         base = jsonio.operator_from_json(_load_json(args.op))
         r = make_conjugate(_square(_frac_list(args.u), "--u"), base)

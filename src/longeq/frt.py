@@ -7,6 +7,19 @@ obstruction vectors; since V is a coideal, the free algebra on the
 quotient coalgebra C/V carries the induced bialgebra structure, and the
 sigma-form on generator cosets is forced to the coefficient family of R.
 
+The obstruction vectors o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
+sum_a x[k,l,j,a] c_ia satisfy, for every operator, eps(o) = 0 and
+Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l)
+(the cross terms cancel), so V is a coideal and the counit and Delta
+guards of ``QuotientCoalgebra`` never fire on an obstruction span. With
+sigma_0(c_iv (x) c_ju) = x[u,v,j,i], Long equation 1 at (i,j,k,l,p,q) is
+sigma_0(o(i,j,k,l) (x) c_pq) = 0 and equation 2 is
+sigma_0(c_pq (x) o(i,j,k,l)) = 0. So sigma_0 descends to V exactly when R
+is Long, and ``SigmaIllDefined`` on an obstruction span means "not Long".
+One kernel, ``tensor_ops._first_descent_failure``, decides it: on the
+obstruction rows in ``long_witness`` (which ``build_LR`` calls first, to
+reject before any elimination) and on the RREF basis of V in ``SigmaForm``.
+
 Every step of ``build_LR`` after the Long check runs on Python ints; a
 Fraction is formed only for a value that leaves the build (the RREF rows,
 coset coordinates, Delta and sigma on cosets). Two scalings clear the
@@ -33,6 +46,7 @@ round trip compares that table with L^2 Z.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +56,16 @@ from .bialgebra import GeneratorBialgebra, generator_sigma_words
 from .errors import InternalCheckFailed, NotALongSolution, SigmaIllDefined
 from .linalg import F0, F1
 from .scalars import frac_str
-from .tensor_ops import TensorOp2, _coeff_family, _integer_coeffs, invert, long_witness
+from .tensor_ops import (
+    TensorOp2,
+    _first_descent_failure,
+    _form,
+    _integer_matrix,
+    _obstruction_rows,
+    _obstruction_vectors,
+    invert,
+    long_witness,
+)
 
 DEFAULT_WORD_CAP = 6
 
@@ -74,24 +97,6 @@ def comatrix_delta(vec, n):
     return out
 
 
-def _obstruction_vectors(z, n):
-    """The obstruction vectors of the family ``z[u][v][j][i]`` (0-based),
-    lexicographic in (i, j, k, l), with the entries' own arithmetic."""
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                zk = z[k]
-                for l in rng:
-                    vec = [0] * (n * n)
-                    for v in rng:
-                        vec[v * n + l] += zk[v][j][i]
-                    zkl = zk[l][j]
-                    for a in rng:
-                        vec[i * n + a] -= zkl[a]
-                    yield vec
-
-
 def obstructions(r: TensorOp2):
     """The n^4 relation vectors o(i,j,k,l), lexicographic in (i,j,k,l).
 
@@ -101,7 +106,7 @@ def obstructions(r: TensorOp2):
     """
     z, d = la.clear_denominators(r.matrix)
     return [[Fraction(x, d) if x else F0 for x in vec]
-            for vec in _obstruction_vectors(_coeff_family(r.dim, z), r.dim)]
+            for vec in _obstruction_vectors(_form(z, r.dim), r.dim)]
 
 
 def obstruction_rows(r: TensorOp2):
@@ -109,22 +114,11 @@ def obstruction_rows(r: TensorOp2):
 
     These are the obstruction vectors of Z = D x, each divided by the gcd
     of its entries and signed so that its first nonzero entry is positive;
-    zero rows and repeated rows are dropped. None of this changes the row
-    space, and the RREF of a row space is unique.
+    zero rows and repeated rows are dropped (``tensor_ops._obstruction_rows``,
+    which ``long_witness`` reads too). None of this changes the row space,
+    and the RREF of a row space is unique.
     """
-    seen = set()
-    out = []
-    for vec in _obstruction_vectors(_integer_coeffs(r), r.dim):
-        g = math.gcd(*vec)
-        if not g:
-            continue
-        if next(x for x in vec if x) < 0:
-            g = -g
-        row = tuple([x // g for x in vec])
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
+    return [row for _, row in _obstruction_rows(_form(_integer_matrix(r), r.dim), r.dim)]
 
 
 class QuotientCoalgebra:
@@ -231,13 +225,6 @@ class QuotientCoalgebra:
                 raise InternalCheckFailed("comultiplication does not descend to C/V")
 
 
-def _form(matrix, n):
-    """The n^2 x n^2 table T[c_iv][c_ju] = x[u,v,j,i] of an operator's
-    matrix view, entries as given: an index permutation."""
-    rng = range(n)
-    return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
-
-
 class SigmaForm:
     """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
 
@@ -268,13 +255,10 @@ class SigmaForm:
         return [[Fraction(x, scale) if x else F0 for x in row] for row in self.int_coset_table]
 
     def _check_descends(self):
-        table = self.int_table
-        for _, terms in self.quotient.int_rows:
-            for b, tb in enumerate(table):
-                if sum([x * table[a][b] for a, x in terms]):
-                    raise SigmaIllDefined("sigma does not vanish on V (x) C")
-                if sum([tb[a] * x for a, x in terms]):
-                    raise SigmaIllDefined("sigma does not vanish on C (x) V")
+        failure = _first_descent_failure(self.int_table, self.quotient.int_rows)
+        if failure is not None:
+            side = "V (x) C" if failure[2] == 1 else "C (x) V"
+            raise SigmaIllDefined(f"sigma does not vanish on {side}")
 
     def reproduces_operator(self):
         """Whether the coset form equals sigma_0, i.e. ``round_trip`` gives
@@ -283,26 +267,10 @@ class SigmaForm:
         return all(p == scale * z for prow, zrow in zip(self.int_coset_table, self.int_table)
                    for p, z in zip(prow, zrow))
 
-    def on_vectors(self, va, vb):
-        """sigma of two comatrix coordinate vectors."""
-        return _bilinear(self.table, va, vb)
-
     def on_cosets(self, i, v, j, u):
         """sigma(coset of c_iv (x) coset of c_ju), read from ``coset_table``."""
         n = self.n
         return self.coset_table[cm_index(i, v, n)][cm_index(j, u, n)]
-
-
-def _bilinear(table, va, vb):
-    """va^T table vb over the nonzero coordinates."""
-    acc = F0
-    for a, xa in enumerate(va):
-        if xa:
-            ta = table[a]
-            for b, xb in enumerate(vb):
-                if xb:
-                    acc += xa * ta[b] * xb
-    return acc
 
 
 def _int_coset_table(table, quotient):
@@ -406,19 +374,11 @@ def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
 def round_trip(pres: LongPresentation) -> TensorOp2:
     """Recover the operator from the coset sigma-form.
 
-    R(m_v (x) m_u) = sum_{i,j} sigma(coset c_iv (x) coset c_ju) m_i (x) m_j.
+    R(m_v (x) m_u) = sum_{i,j} sigma(coset c_iv (x) coset c_ju) m_i (x) m_j:
+    the matrix view is ``_form`` of the coset table, since ``_form`` (which
+    swaps the second and third index) is its own inverse.
     """
-    n = pres.quotient.n
-    table = pres.sigma.coset_table
-    mat = la.zeros(n * n, n * n)
-    for v in range(1, n + 1):
-        for u in range(1, n + 1):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    val = table[cm_index(i, v, n)][cm_index(j, u, n)]
-                    if val:
-                        mat[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)] = val
-    return TensorOp2(n, mat)
+    return TensorOp2(pres.quotient.n, _form(pres.sigma.coset_table, pres.quotient.n))
 
 
 def sigma_extend(pres: LongPresentation, w1, w2, left_first=False,
@@ -521,37 +481,41 @@ def convolution_inverse(pres: LongPresentation, r: TensorOp2):
     Returns the n^2 x n^2 table sigma'(c_iv (x) c_ju) = y[u,v,j,i] where
     y are the coefficients of R^{-1}; the convolution identity against
     sigma is verified on all generator pairs.
+
+    With sigma(c_ip (x) c_jq) = R[(i,j),(p,q)] and
+    sigma'(c_pv (x) c_qu) = R^{-1}[(p,q),(v,u)], the convolution
+    sum_{p,q} sigma(c_ip (x) c_jq) sigma'(c_pv (x) c_qu) at (i,v,j,u) is
+    (R R^{-1})[(i,j),(v,u)], and the opposite one is (R^{-1} R)[(i,j),(v,u)];
+    both must be the identity.
     """
     n = r.dim
+    inv = invert(r)  # raises SingularOperator
     try:
         # sigma' must also vanish on V, else it does not descend to L(R)
-        table = SigmaForm(invert(r), pres.quotient).table  # invert raises SingularOperator
+        table = SigmaForm(inv, pres.quotient).table
     except SigmaIllDefined as exc:
         raise InternalCheckFailed("convolution inverse does not descend") from exc
-    sig = pres.sigma.table
-    rng = range(1, n + 1)
-    for i in rng:
-        for v in rng:
-            for j in rng:
-                for u in rng:
-                    conv = F0
-                    vonc = F0
-                    for p in rng:
-                        for q_ in rng:
-                            conv += (
-                                sig[cm_index(i, p, n)][cm_index(j, q_, n)]
-                                * table[cm_index(p, v, n)][cm_index(q_, u, n)]
-                            )
-                            vonc += (
-                                table[cm_index(i, p, n)][cm_index(j, q_, n)]
-                                * sig[cm_index(p, v, n)][cm_index(q_, u, n)]
-                            )
-                    expected = F1 if (i == v and j == u) else F0
-                    if conv != expected or vonc != expected:
-                        raise InternalCheckFailed(
-                            f"convolution identity fails at ({i},{v},{j},{u})"
-                        )
+    conv = la.mat_mul(pres.r.matrix, inv.matrix)
+    vonc = la.mat_mul(inv.matrix, pres.r.matrix)
+    for i, v, j, u in itertools.product(range(n), repeat=4):
+        row, col = i * n + j, v * n + u
+        expected = F1 if row == col else F0
+        if conv[row][col] != expected or vonc[row][col] != expected:
+            raise InternalCheckFailed(
+                f"convolution identity fails at ({i + 1},{v + 1},{j + 1},{u + 1})")
     return table
+
+
+def _signed_sum(terms):
+    """``a - 2*b + c``-style rendering of nonzero ``(coefficient, label)``
+    pairs; a unit coefficient is left out, and no terms read ``0``."""
+    parts = [("+ " if x > 0 else "- ")
+             + (label if abs(x) == 1 else f"{frac_str(abs(x))}*{label}")
+             for x, label in terms]
+    if not parts:
+        return "0"
+    body = " ".join(parts)
+    return body[2:] if parts[0][0] == "+" else "-" + body[2:]
 
 
 def presentation_text(pres: LongPresentation) -> str:
@@ -563,34 +527,16 @@ def presentation_text(pres: LongPresentation) -> str:
     if not q.rows:
         lines.append("  (none)")
     for row in q.rows:
-        parts = []
-        for slot, x in enumerate(row):
-            if not x:
-                continue
-            i, j = cm_label(slot, n)
-            term = f"c_{i}_{j}" if abs(x) == 1 else f"{frac_str(abs(x))}*c_{i}_{j}"
-            parts.append(("+ " if x > 0 else "- ") + term)
-        body = " ".join(parts)
-        body = body[2:] if body.startswith("+ ") else "-" + body[2:]
-        lines.append(f"  {body} = 0")
+        terms = [(x, "c_{}_{}".format(*cm_label(slot, n))) for slot, x in enumerate(row) if x]
+        lines.append(f"  {_signed_sum(terms)} = 0")
     lines.append("generators: " + ", ".join(
         f"{name} (c_{i}_{j})" for name, (i, j) in zip(pres.names, q.rep_labels)
     ))
+    m = pres.num_generators
     for t, name in enumerate(pres.names):
-        terms = []
-        for s in range(pres.num_generators):
-            for u in range(pres.num_generators):
-                x = pres.delta[t][s][u]
-                if x:
-                    pair = f"{pres.names[s]} (x) {pres.names[u]}"
-                    term = pair if abs(x) == 1 else f"{frac_str(abs(x))}*{pair}"
-                    terms.append(("+ " if x > 0 else "- ") + term)
-        body = " ".join(terms)
-        if body.startswith("+ "):
-            body = body[2:]
-        elif body.startswith("- "):
-            body = "-" + body[2:]
-        lines.append(f"Delta({name}) = " + (body if terms else "0"))
+        terms = [(pres.delta[t][s][u], f"{pres.names[s]} (x) {pres.names[u]}")
+                 for s in range(m) for u in range(m) if pres.delta[t][s][u]]
+        lines.append(f"Delta({name}) = {_signed_sum(terms)}")
     for t, name in enumerate(pres.names):
         lines.append(f"eps({name}) = {frac_str(pres.eps[t])}")
     lines.append("sigma:")

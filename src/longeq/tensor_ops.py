@@ -10,6 +10,15 @@ Conventions, used everywhere downstream:
   ``(v-1)n+(u-1)`` is ``x[u,v,j,i]``. The matrix view and the 4-index
   coefficient family round-trip losslessly.
 
+The Long check is sigma_0-descent. Let sigma_0(c_iv (x) c_ju) = x[u,v,j,i]
+on the comatrix coalgebra C and o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
+sum_a x[k,l,j,a] c_ia. For every operator eps(o) = 0 and
+Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l),
+so the span V of the o is a coideal, and the Long equations at
+(i,j,k,l,p,q) are sigma_0(o(i,j,k,l) (x) c_pq) = 0 (equation 1) and
+sigma_0(c_pq (x) o(i,j,k,l)) = 0 (equation 2). ``long_witness`` and
+``frt.SigmaForm`` share the descent kernel ``_first_descent_failure``.
+
 All arithmetic in this module is exact rational.
 """
 
@@ -279,6 +288,71 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     return report
 
 
+def _obstruction_vectors(table, n):
+    """The obstruction vectors o(i,j,k,l) = sum_v T[c_iv][c_jk] c_vl -
+    sum_a T[c_al][c_jk] c_ia of the form T = ``table`` (``_form``), c_ij at
+    slot (i-1)n + (j-1), lexicographic in (i, j, k, l), in T's arithmetic."""
+    rng = range(n)
+    cols = list(zip(*table))
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                col = cols[j * n + k]
+                for l in rng:
+                    vec = [0] * (n * n)
+                    for v in rng:
+                        vec[v * n + l] += col[i * n + v]
+                    for a in rng:
+                        vec[i * n + a] -= col[a * n + l]
+                    yield vec
+
+
+def _obstruction_rows(table, n):
+    """Yield ``((i, j, k, l), row)``, 0-based, for the integer form ``table``:
+    each obstruction vector divided by the gcd of its entries, first nonzero
+    entry positive. Zero and repeated rows are dropped, so each row is
+    tagged with its first (i, j, k, l). Lazy: an early stop forms no more."""
+    seen = set()
+    for tag, vec in zip(itertools.product(range(n), repeat=4),
+                        _obstruction_vectors(table, n)):
+        g = math.gcd(*vec)
+        if not g:
+            continue
+        if next(x for x in vec if x) < 0:
+            g = -g
+        row = tuple([x // g for x in vec])
+        if row not in seen:
+            seen.add(row)
+            yield tag, row
+
+
+def _form(matrix, n):
+    """The n^2 x n^2 table T[c_iv][c_ju] = x[u,v,j,i] of an operator's
+    matrix view, entries as given: an index permutation."""
+    rng = range(n)
+    return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
+
+
+def _first_descent_failure(table, rows):
+    """First place where the form ``table`` fails to vanish on a row, or None.
+
+    ``rows`` is an iterable of ``(key, terms)`` with ``terms`` the nonzero
+    ``(slot, coefficient)`` pairs of a comatrix vector o. Rows are taken in
+    order, columns b in ascending order, and at each column equation 1,
+    sigma(o (x) c_b), before equation 2, sigma(c_b (x) o). Returns
+    ``(key, b, equation)``.
+    """
+    cols = list(zip(*table))
+    for key, terms in rows:
+        for b, tb in enumerate(table):
+            cb = cols[b]
+            if sum([x * cb[a] for a, x in terms]):
+                return key, b, 1
+            if sum([x * tb[a] for a, x in terms]):
+                return key, b, 2
+    return None
+
+
 def long_witness(r: TensorOp2):
     """First componentwise violation of the Long system, or None.
 
@@ -286,39 +360,21 @@ def long_witness(r: TensorOp2):
     equation 1 is the R12/R13 half, equation 2 the R12/R23 half. Tuples are
     visited in lexicographic order, equation 1 before equation 2.
 
-    Both equations are homogeneous quadratics, so they are checked on the
-    integer family Z = D x, D the lcm of the denominators, which violates
-    them at exactly the same tuples as x.
+    This is the first failure of sigma_0-descent (module docstring) over
+    the primitive obstruction rows, column (p, q) by column; a row dropped
+    as zero or repeated is a multiple of an earlier row, which passed. Both
+    equations are homogeneous quadratics, so they are checked on Z = D x, D
+    the lcm of the denominators, which violates them at the same tuples.
     """
     n = r.dim
-    z = _integer_coeffs(r)
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                zk = z[k]
-                # x[k,v,j,i] and, per l, x[k,l,j,a]: the first factor of each sum
-                left = [(v, zk[v][j][i]) for v in rng if zk[v][j][i]]
-                for l in rng:
-                    zkl = zk[l][j]
-                    right = [(a, zkl[a]) for a in rng if zkl[a]]
-                    if not left and not right:
-                        continue
-                    zl = z[l]
-                    for p in rng:
-                        for q in rng:
-                            zq = z[q]
-                            zqlp = zq[l][p]
-                            lhs = sum([c * zqlp[v] for v, c in left])
-                            rhs = sum([c * zq[a][p][i] for a, c in right])
-                            if lhs != rhs:
-                                return (1, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
-                            zlq = zl[q]
-                            lhs = sum([c * zlq[v][p] for v, c in left])
-                            rhs = sum([c * z[a][q][i][p] for a, c in right])
-                            if lhs != rhs:
-                                return (2, (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1))
-    return None
+    table = _form(_integer_matrix(r), n)
+    rows = ((tag, [(a, x) for a, x in enumerate(row) if x])
+            for tag, row in _obstruction_rows(table, n))
+    failure = _first_descent_failure(table, rows)
+    if failure is None:
+        return None
+    (i, j, k, l), b, eq = failure
+    return (eq, (i + 1, j + 1, k + 1, l + 1, b // n + 1, b % n + 1))
 
 
 def _coeff_family(n, matrix):
@@ -332,19 +388,9 @@ def _coeff_family(n, matrix):
     ]
 
 
-def _denominator_lcm(r: TensorOp2):
-    """D, the lcm of the denominators of ``r.matrix``."""
-    return math.lcm(*(c.denominator for row in r.matrix for c in row))
-
-
 def _integer_matrix(r: TensorOp2):
     """``r.matrix`` times the lcm of its denominators, as Python ints."""
     return la.clear_denominators(r.matrix)[0]
-
-
-def _integer_coeffs(r: TensorOp2):
-    """``r.coeffs()`` times the lcm of its denominators, as Python ints."""
-    return _coeff_family(r.dim, _integer_matrix(r))
 
 
 def check_long_componentwise(r: TensorOp2) -> bool:

@@ -188,6 +188,18 @@ def test_construct_diag_fractions(capsys):
     assert entries[(1, 1, 1, 1)] == "1/2"
 
 
+@pytest.mark.parametrize("n, f, g", [
+    ("3", "1,0,0,1", "2,0,0,1"),
+    ("1", "1,0,0,1", "2,0,0,1"),
+    ("2", "1,0,0,1", "1,0,0,0,1,0,0,0,1"),
+])
+def test_construct_pair_checks_n(capsys, n, f, g):
+    code, out, err = _run(capsys, ["construct", "pair", "--n", n, "--f", f, "--g", g])
+    assert code == 2
+    assert out == ""
+    assert "--f and --g must be n x n" in err
+
+
 def test_construct_pair_noncommuting_is_usage_error(capsys):
     code, _, err = _run(capsys, ["construct", "pair", "--n", "2",
                                  "--f", "1,1,0,1", "--g", "1,0,1,1"])

@@ -20,6 +20,7 @@ from longeq import (
     make_diag,
     make_pair,
     make_phi,
+    long_witness,
     obstructions,
     presentation_text,
     round_trip,
@@ -29,19 +30,23 @@ from longeq import linalg as la
 from longeq.frt import (
     QuotientCoalgebra,
     SigmaForm,
-    _bilinear,
     cm_index,
     cm_label,
     comatrix_delta,
     comatrix_eps,
     obstruction_rows,
 )
-from longeq.tensor_ops import _denominator_lcm
-
 from conftest import upper_pair_operator
 from test_linalg import _rref_oracle
+from test_tensor_ops import _late_violation_cases, _seeded_candidate
 
 F = Fraction
+
+
+def _bilinear(table, va, vb):
+    """va^T table vb over Fractions: sigma of two comatrix coordinate vectors."""
+    return sum((xa * table[a][b] * xb for a, xa in enumerate(va) for b, xb in enumerate(vb)),
+               F(0))
 
 
 def test_obstruction_coideal_identity_for_arbitrary_operator():
@@ -299,6 +304,26 @@ def test_convolution_inverse_on_invertible_corpus(corpus):
         pres = build_LR(r)
         table = convolution_inverse(pres, r)
         assert table is not None, name
+
+
+def test_convolution_inverse_reports_first_failure(monkeypatch):
+    """R = Id has V = 0, so any stand-in for R^{-1} descends and the
+    convolution identity reduces to R R^{-1} = R^{-1} R = Id. A stand-in
+    off the identity at (i,j),(v,u) = (1,2),(1,1) and (1,1),(2,2) fails
+    first at (i,v,j,u) = (1,1,2,1), which precedes (1,2,1,2) in the
+    (i, v, j, u) order though not in the row-major (i, j, v, u) one."""
+    from longeq import frt
+
+    r = TensorOp2(2, la.identity(4))
+    pres = build_LR(r)
+    assert pres.quotient.rows == []
+    fake = la.identity(4)
+    fake[1][0] = F(1, 3)
+    fake[0][3] = F(2)
+    monkeypatch.setattr(frt, "invert", lambda op: TensorOp2(2, fake))
+    with pytest.raises(InternalCheckFailed,
+                       match=re.escape("convolution identity fails at (1,1,2,1)")):
+        convolution_inverse(pres, r)
 
 
 def test_dimodule_compatibility_corpus(corpus):
@@ -633,7 +658,7 @@ def _integer_pipeline_cases(corpus, phi4_solutions):
 
 def test_integer_cases_clear_denominators():
     ops = _fractional_conjugates()
-    assert all(_denominator_lcm(r) > 1 for r in ops.values())
+    assert all(la.clear_denominators(r.matrix)[1] > 1 for r in ops.values())
     assert all(build_LR(r).quotient.coset_scale > 1 for r in ops.values())
 
 
@@ -713,3 +738,27 @@ def test_descent_checks_on_random_non_long_operators():
                         SigmaForm(form, q)
                 outcomes.add(want)
     assert len(outcomes) >= 2
+
+
+def test_long_witness_is_sigma_descent_on_the_obstruction_span():
+    """R is Long exactly when sigma_0 descends to the span V of its
+    obstruction vectors: ``long_witness(r) is None`` if and only if
+    ``SigmaForm`` builds on ``QuotientCoalgebra(n, obstruction_rows(r))``
+    without ``SigmaIllDefined``. The quotient never fails on such a span,
+    since V is a coideal for every operator."""
+    rng = random.Random(29)
+    ops = _late_violation_cases()
+    ops += [_seeded_candidate(rng, n, density, (-1, 1))
+            for n in (2, 3) for density in (0.05, 0.2, 0.5) for _ in range(6)]
+    ops += [make_phi(3, phi) for phi in [(1, 1, 3), (2, 2, 2), (1, 2, 3)]]
+    outcomes = set()
+    for r in ops:
+        q = QuotientCoalgebra(r.dim, obstruction_rows(r))
+        try:
+            SigmaForm(r, q)
+            descends = True
+        except SigmaIllDefined:
+            descends = False
+        assert descends == (long_witness(r) is None), r.matrix
+        outcomes.add(descends)
+    assert outcomes == {True, False}

@@ -32,7 +32,7 @@ from longeq import (
 )
 from longeq import linalg as la
 from longeq import tensor_ops
-from longeq.tensor_ops import GradedActionData, TensorOp3, _denominator_lcm, flip_matrix
+from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix
 
 from conftest import upper_pair_operator, z2_graded_data
 
@@ -376,6 +376,55 @@ def test_long_witness_matches_oracle_with_mixed_denominators():
     assert long_witness(sol) is None and long_witness(cases[-1]) is None
 
 
+def _late_violation_cases():
+    """n = 4 Long solutions and one-entry perturbations of them.
+
+    The bases are dense conjugates by random integer U, a dense conjugate
+    by a fractional U (D > 1), and conjugates by near-identity U with a
+    fractional entry, whose sparse coefficient families push the first
+    violation deep into the (i, j, k, l) order. Each base is perturbed by
+    1/7 at seeded positions of its matrix view.
+    """
+    rng = random.Random(41)
+    bases = [_random_conjugate(rng, 4, make_phi(4, phi)) for phi in ([1] * 4, [1, 2, 2, 4])]
+    bases.append(make_conjugate([[1, F(1, 2), 0, -1], [F(-1, 3), 1, 1, 0],
+                                 [0, 2, F(1, 2), 1], [1, 0, -1, F(2, 5)]],
+                                make_phi(4, (1, 2, 3, 3))))
+    bases.append(make_conjugate([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)], [0, 0, 0, 1]],
+                                make_phi(4, (1, 2, 2, 4))))
+    bases.append(make_conjugate([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, F(2, 3), 0], [0, 1, 0, 1]],
+                                make_phi(4, (1, 1, 3, 3))))
+    cases = list(bases)
+    for base in bases:
+        for _ in range(8):
+            mat = [row[:] for row in base.matrix]
+            mat[rng.randrange(16)][rng.randrange(16)] += F(1, 7)
+            cases.append(TensorOp2(4, mat))
+        # the last entry: its violations start late in the column order
+        mat = [row[:] for row in base.matrix]
+        mat[15][15] += F(1, 7)
+        cases.append(TensorOp2(4, mat))
+    return cases
+
+
+def test_long_witness_matches_oracle_on_late_violations_n4():
+    """Deep witnesses (i >= 3) and witnesses where equation 2 fails first
+    must be the oracle's: the descent kernel skips zero and repeated rows
+    and reads both equations per column."""
+    witnesses = []
+    for r in _late_violation_cases():
+        want = _long_witness_oracle(r)
+        assert long_witness(r) == want, r.matrix
+        witnesses.append(want)
+    assert witnesses[:5] == [None] * 5
+    found = [w for w in witnesses if w is not None]
+    assert len(found) >= 30
+    assert any(eq == 2 for eq, _ in found)
+    assert any(idx[0] >= 3 for _, idx in found)
+    assert any(eq == 2 and idx[0] >= 3 for eq, idx in found)
+    assert any(idx[4:] == (4, 4) for _, idx in found)
+
+
 def _check_laws_oracle(r: TensorOp2, laws=None) -> dict:
     """The law report on dense n^3 x n^3 Fraction lifts (``lift``, ``TensorOp3``
     and ``flip_matrix``); the slow reference for the sparse integer
@@ -492,7 +541,7 @@ def test_check_laws_matches_dense_oracle_on_dense_n4_conjugates():
     """Dense n=4 rational solutions; the oracle takes about 2 s on each."""
     rng = random.Random(3)
     cases = [_random_conjugate(rng, 4, make_phi(4, phi)) for phi in ([1] * 4, [1, 1, 3, 3])]
-    assert all(_denominator_lcm(r) > 1 for r in cases)
+    assert all(la.clear_denominators(r.matrix)[1] > 1 for r in cases)
     for rep in _assert_laws_match_oracle(cases):
         assert rep["long"] and rep["kz_bracket"]
 
@@ -502,7 +551,7 @@ def test_hopf_clears_denominators_inhomogeneously():
     Z23 Z13 Z12 = D Z12 Z23. A conjugated solution with D = 81 satisfies it,
     with both sides nonzero, so a check that drops the factor D fails here."""
     r = _random_conjugate(random.Random(1), 2, make_phi(2, [1, 1]))
-    assert _denominator_lcm(r) == 81
+    assert la.clear_denominators(r.matrix)[1] == 81
     assert check_laws(r, ["hopf"]) == _check_laws_oracle(r, ["hopf"]) == {"hopf": True}
     r12, r23 = lift(r, 12), lift(r, 23)
     assert not (r12 * r23).is_zero()
