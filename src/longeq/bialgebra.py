@@ -9,11 +9,36 @@ Structure constants follow the usual conventions:
 Validation at construction is mandatory: every axiom check below presumes
 a genuine bialgebra, so failures implicate the sigma table, not the
 structure constants.
+
+Every law and every axiom is decided on Python ints. D (``scale``) is the
+lcm of the denominators of the nonzero structure constants (of ``comult``
+and ``counit`` only, for a ``Coalgebra``); ``comult_nz``, ``mult_nz``,
+``int_counit`` and ``int_unit`` hold D times them. A term of degree k in
+the constants is D^k times itself on these ints, so each side of a law is
+compared at its degree. The counit and unit laws (degree 2 against the
+coordinates of e_a) and eps(1) = 1 (degree 2 against 1) compare against
+D^2. Coassociativity, associativity, eps-multiplicativity and
+Delta(1) = 1 (x) 1 are degree 2 on both sides. Delta-multiplicativity is
+degree 2 against 4, so its left side is multiplied by D^2.
+
+An axiom equation const + sum lin t + sum quad t t = 0 in a sigma table t
+is decided at T = S t, S the lcm of the denominators of t. Its one integer
+encoding, given S, is a fixed positive multiple of it: D S for L1 (lin
+from D comult) and for L2 and L4 (lin D unit, const -S D eps), D^3 S for
+B1 (lin of degree 3), D S^2 for L3 and L5 (lin S D mult, quad -D comult).
+A positive multiple is zero exactly when the value is, and the equations
+keep their order, so every verdict and every first failure is the one over
+Q. At S = 1 they are equations in t, each row and right-hand side a
+positive multiple of the rational one; ``_linear_system``,
+``sigma_feasibility`` and ``strong_dmap_rsigma`` read them so. A scaled
+row spans the same line and the RREF of a row space is unique, so every
+solution space and feasibility verdict is unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -49,16 +74,22 @@ def _vector(name, v, d):
     return [la.as_frac(x) for x in v]
 
 
-def _is_basis_vector(acc, a):
-    """Whether the sparse vector {index: coeff} is e_a."""
-    return acc.get(a) == 1 and not any(x for k, x in acc.items() if k != a)
+def _scaled(x, scale):
+    """The Fraction ``x`` times ``scale``, a multiple of its denominator, as an int."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _is_basis_vector(acc, a, scale):
+    """Whether the sparse vector {index: coeff} is ``scale`` e_a."""
+    return acc.get(a) == scale and not any(x for k, x in acc.items() if k != a)
 
 
 class Coalgebra:
     """A finite-dimensional coalgebra given by structure constants.
 
-    Construction checks the shapes, then the counit laws and coassociativity
-    on ``comult_nz``, the nonzero structure constants.
+    Construction checks the shapes, clears the denominators (module
+    docstring), then checks the counit laws and coassociativity on
+    ``comult_nz``, the nonzero structure constants times ``scale``.
     """
 
     def __init__(self, basis, comult, counit):
@@ -66,24 +97,32 @@ class Coalgebra:
         self.d = d = len(self.basis)
         self.comult = _cube("comult", comult, d)
         self.counit = _vector("counit", counit, d)
-        # nonzero (p, q, coeff) of each Delta(e_a), also read by the axiom equations
-        self.comult_nz = [
-            [(p, q, x) for p, row in enumerate(m) for q, x in enumerate(row) if x]
-            for m in self.comult
-        ]
+        self._clear_denominators()
         self._validate()
 
+    def _clear_denominators(self, denominators=frozenset()):
+        """Set ``scale``, the lcm of ``denominators`` and of those of the
+        nonzero comultiplication and counit constants, and the scaled ints."""
+        nz = [[(p, q, x) for p, row in enumerate(m) for q, x in enumerate(row) if x]
+              for m in self.comult]
+        self.scale = scale = math.lcm(
+            *denominators | {x.denominator for terms in nz for *_, x in terms}
+            | {x.denominator for x in self.counit})
+        # nonzero (p, q, scaled coeff) of each Delta(e_a), also read by the axiom equations
+        self.comult_nz = [[(p, q, _scaled(x, scale)) for p, q, x in terms] for terms in nz]
+        self.int_counit = [_scaled(x, scale) for x in self.counit]
+
     def _validate(self):
-        eps, nz = self.counit, self.comult_nz
+        eps, nz, scale2 = self.int_counit, self.comult_nz, self.scale ** 2
         for a, terms in enumerate(nz):
             # counit laws: (eps (x) id)Delta(e_a) = e_a = (id (x) eps)Delta(e_a)
             left, right = {}, {}
             for p, q, x in terms:
                 if eps[p]:
-                    left[q] = left.get(q, F0) + eps[p] * x
+                    left[q] = left.get(q, 0) + eps[p] * x
                 if eps[q]:
-                    right[p] = right.get(p, F0) + x * eps[q]
-            if not (_is_basis_vector(left, a) and _is_basis_vector(right, a)):
+                    right[p] = right.get(p, 0) + x * eps[q]
+            if not (_is_basis_vector(left, a, scale2) and _is_basis_vector(right, a, scale2)):
                 raise InvalidBialgebra(f"counit law fails on basis {a}")
         for a, terms in enumerate(nz):
             # coassociativity, accumulated on e_p (x) e_q (x) e_c
@@ -91,11 +130,11 @@ class Coalgebra:
             for m, c, x in terms:
                 for p, q, y in nz[m]:
                     key = (p, q, c)
-                    acc[key] = acc.get(key, F0) + x * y
+                    acc[key] = acc.get(key, 0) + x * y
             for p, m, x in terms:
                 for q, c, y in nz[m]:
                     key = (p, q, c)
-                    acc[key] = acc.get(key, F0) - x * y
+                    acc[key] = acc.get(key, 0) - x * y
             if any(acc.values()):
                 raise InvalidBialgebra(f"coassociativity fails on basis {a}")
 
@@ -103,9 +142,9 @@ class Coalgebra:
 class FinDimBialgebra(Coalgebra):
     """A bialgebra by structure constants; validated exactly at construction.
 
-    Every law is accumulated on the nonzero structure constants ``mult_nz``
-    and ``comult_nz``, visiting basis tuples in lexicographic order, so the
-    first failing law and tuple name the violation.
+    Every law is accumulated on the nonzero scaled structure constants
+    ``mult_nz`` and ``comult_nz``, visiting basis tuples in lexicographic
+    order, so the first failing law and tuple name the violation.
     """
 
     def __init__(self, basis, mult, unit, comult, counit):
@@ -113,10 +152,17 @@ class FinDimBialgebra(Coalgebra):
         d = len(basis)
         self.mult = _cube("mult", mult, d)
         self.unit = _vector("unit", unit, d)
-        # nonzero (c, coeff) of each e_a e_b, also read by the axiom equations
-        self.mult_nz = [[[(c, x) for c, x in enumerate(cell) if x] for cell in row]
-                        for row in self.mult]
         super().__init__(basis, comult, counit)
+
+    def _clear_denominators(self):
+        nz = [[[(c, x) for c, x in enumerate(cell) if x] for cell in row] for row in self.mult]
+        super()._clear_denominators({x.denominator for row in nz for cell in row for _, x in cell}
+                                    | {x.denominator for x in self.unit})
+        scale = self.scale
+        # nonzero (c, scaled coeff) of each e_a e_b, also read by the axiom equations
+        self.mult_nz = [[[(c, _scaled(x, scale)) for c, x in cell] for cell in row]
+                        for row in nz]
+        self.int_unit = [_scaled(x, scale) for x in self.unit]
 
     def product(self, va, vb):
         """Product of two coordinate vectors."""
@@ -129,7 +175,7 @@ class FinDimBialgebra(Coalgebra):
                         f = xa * xb
                         for c, x in row[b]:
                             out[c] += f * x
-        return out
+        return [x / self.scale for x in out]
 
     def _validate(self):
         super()._validate()
@@ -137,17 +183,17 @@ class FinDimBialgebra(Coalgebra):
         self._validate_compat()
 
     def _validate_algebra(self):
-        nz = self.mult_nz
-        unit = [(a, u) for a, u in enumerate(self.unit) if u]
+        nz, scale2 = self.mult_nz, self.scale ** 2
+        unit = [(a, u) for a, u in enumerate(self.int_unit) if u]
         for b in range(self.d):
             # unit laws: sum u_a e_a e_b = e_b = sum u_a e_b e_a
             left, right = {}, {}
             for a, u in unit:
                 for c, x in nz[a][b]:
-                    left[c] = left.get(c, F0) + u * x
+                    left[c] = left.get(c, 0) + u * x
                 for c, x in nz[b][a]:
-                    right[c] = right.get(c, F0) + u * x
-            if not (_is_basis_vector(left, b) and _is_basis_vector(right, b)):
+                    right[c] = right.get(c, 0) + u * x
+            if not (_is_basis_vector(left, b, scale2) and _is_basis_vector(right, b, scale2)):
                 raise InvalidBialgebra(f"unit law fails on basis {b}")
         for a, row_a in enumerate(nz):
             for b, ab in enumerate(row_a):
@@ -157,47 +203,49 @@ class FinDimBialgebra(Coalgebra):
                     acc = {}
                     for m, x in ab:
                         for t, y in nz[m][c]:
-                            acc[t] = acc.get(t, F0) + x * y
+                            acc[t] = acc.get(t, 0) + x * y
                     for m, x in bc:
                         for t, y in row_a[m]:
-                            acc[t] = acc.get(t, F0) - x * y
+                            acc[t] = acc.get(t, 0) - x * y
                     if any(acc.values()):
                         raise InvalidBialgebra(f"associativity fails at ({a},{b},{c})")
 
     def _validate_compat(self):
-        eps, mult_nz, comult_nz = self.counit, self.mult_nz, self.comult_nz
+        eps, mult_nz, comult_nz = self.int_counit, self.mult_nz, self.comult_nz
+        scale2 = self.scale ** 2
         # eps is an algebra map
         for a, row in enumerate(mult_nz):
             for b, ab in enumerate(row):
-                if sum((x * eps[c] for c, x in ab), F0) != eps[a] * eps[b]:
+                if sum([x * eps[c] for c, x in ab]) != eps[a] * eps[b]:
                     raise InvalidBialgebra(f"counit not multiplicative at ({a},{b})")
-        unit = [(a, u) for a, u in enumerate(self.unit) if u]
-        if sum((u * eps[a] for a, u in unit), F0) != F1:
+        unit = [(a, u) for a, u in enumerate(self.int_unit) if u]
+        if sum([u * eps[a] for a, u in unit]) != scale2:
             raise InvalidBialgebra("eps(1) != 1")
         # Delta(1) = 1 (x) 1
         acc = {}
         for a, u in unit:
             for p, q, x in comult_nz[a]:
-                acc[p, q] = acc.get((p, q), F0) + u * x
+                acc[p, q] = acc.get((p, q), 0) + u * x
         for p, up in unit:
             for q, uq in unit:
-                acc[p, q] = acc.get((p, q), F0) - up * uq
+                acc[p, q] = acc.get((p, q), 0) - up * uq
         if any(acc.values()):
             raise InvalidBialgebra("Delta(1) != 1 (x) 1")
-        # Delta is an algebra map
+        # Delta is an algebra map; the left side is degree 2, the right degree 4
         for a in range(self.d):
             for b in range(self.d):
                 acc = {}
                 for c, xc in mult_nz[a][b]:
+                    f = scale2 * xc
                     for p, q, x in comult_nz[c]:
-                        acc[(p, q)] = acc.get((p, q), F0) + xc * x
+                        acc[(p, q)] = acc.get((p, q), 0) + f * x
                 for p1, q1, x1 in comult_nz[a]:
                     for p2, q2, x2 in comult_nz[b]:
                         f = x1 * x2
                         for p, xp in mult_nz[p1][p2]:
                             fp = f * xp
                             for q, xq in mult_nz[q1][q2]:
-                                acc[(p, q)] = acc.get((p, q), F0) - fp * xq
+                                acc[(p, q)] = acc.get((p, q), 0) - fp * xq
                 if any(acc.values()):
                     raise InvalidBialgebra(f"Delta not multiplicative at ({a},{b})")
 
@@ -228,63 +276,66 @@ class SigmaTable:
         return self.table[key[0]][key[1]]
 
 
-# Each axiom is a lazy stream of sparse scalar equations
-# (where, const, lin, quad): const + sum lin[k] t_k + sum quad[k1, k2] t_k1 t_k2
-# = 0, with t_{p*d+q} = sigma(e_p (x) e_q) and ``where`` the basis tuple that
-# names a violation. The checker, the solution space and the feasibility pass
-# all read these streams.
+# Each axiom is a lazy stream of sparse integer equations (where, const, lin,
+# quad): const + sum lin[k] T_k + sum quad[k1, k2] T_k1 T_k2 = 0, with
+# T_{p*d+q} = S sigma(e_p (x) e_q) for the sigma scale S given to the stream
+# (module docstring) and ``where`` the basis tuple that names a violation.
+# The checker, the solution space and the feasibility pass all read them.
 
 
-def _l1_equations(c):
+def _l1_equations(c, scale):
     """L1 at (a, y, r): the e_r coefficient of
     sum sigma(a_1 (x) y) a_2 - sum sigma(a_2 (x) y) a_1.
 
-    Reads only ``d`` and the comultiplication, so any ``Coalgebra`` serves.
+    Reads only ``d`` and the comultiplication, so any ``Coalgebra`` serves;
+    linear, so the sigma scale does not enter.
     """
     d = c.d
     for a, terms in enumerate(c.comult_nz):
         coeffs = {}  # (r, p): coefficient of sigma(e_p (x) y) e_r
         for p, q, x in terms:
-            coeffs[q, p] = coeffs.get((q, p), F0) + x
-            coeffs[p, q] = coeffs.get((p, q), F0) - x
+            coeffs[q, p] = coeffs.get((q, p), 0) + x
+            coeffs[p, q] = coeffs.get((p, q), 0) - x
         for y in range(d):
             for r in range(d):
                 lin = {p * d + y: x for (r_, p), x in coeffs.items() if r_ == r and x}
                 if lin:
-                    yield (a, y), F0, lin, {}
+                    yield (a, y), 0, lin, {}
 
 
-def _l2_equations(b):
+def _l2_equations(b, scale):
     """L2 at (a,): sigma(a (x) 1) - eps(a)."""
     d = b.d
     for a in range(d):
-        yield (a,), -b.counit[a], {a * d + c: u for c, u in enumerate(b.unit) if u}, {}
+        yield ((a,), -scale * b.int_counit[a],
+               {a * d + c: u for c, u in enumerate(b.int_unit) if u}, {})
 
 
-def _l4_equations(b):
+def _l4_equations(b, scale):
     """L4 at (a,): sigma(1 (x) a) - eps(a)."""
     d = b.d
     for a in range(d):
-        yield (a,), -b.counit[a], {c * d + a: u for c, u in enumerate(b.unit) if u}, {}
+        yield ((a,), -scale * b.int_counit[a],
+               {c * d + a: u for c, u in enumerate(b.int_unit) if u}, {})
 
 
-def _l3_equations(b):
+def _l3_equations(b, scale):
     """L3 at (a, x, y): sigma(a (x) xy) - sum sigma(a_1 (x) x) sigma(a_2 (x) y)."""
     d = b.d
     for a, x, y in itertools.product(range(d), repeat=3):
-        yield ((a, x, y), F0, {a * d + m: v for m, v in b.mult_nz[x][y]},
+        yield ((a, x, y), 0, {a * d + m: scale * v for m, v in b.mult_nz[x][y]},
                {(p * d + x, q * d + y): -v for p, q, v in b.comult_nz[a]})
 
 
-def _l5_equations(b):
+def _l5_equations(b, scale):
     """L5 at (x, y, a): sigma(xy (x) a) - sum sigma(y (x) a_1) sigma(x (x) a_2)."""
     d = b.d
     for x, y, a in itertools.product(range(d), repeat=3):
-        yield ((x, y, a), F0, {m * d + a: v for m, v in b.mult_nz[x][y]},
+        yield ((x, y, a), 0, {m * d + a: scale * v for m, v in b.mult_nz[x][y]},
                {(y * d + p, x * d + q): -v for p, q, v in b.comult_nz[a]})
 
 
-def _b1_equations(b):
+def _b1_equations(b, scale):
     """B1 at (a, c, m), named (a, c): the e_m coefficient of
     sum sigma(a_1 (x) c_1) c_2 a_2 - sum a_1 c_1 sigma(a_2 (x) c_2)."""
     d = b.d
@@ -294,11 +345,11 @@ def _b1_equations(b):
             for r, u, x2 in b.comult_nz[c]:
                 f = x1 * x2
                 for m, v in b.mult_nz[u][q]:
-                    lins[m][p * d + r] = lins[m].get(p * d + r, F0) + f * v
+                    lins[m][p * d + r] = lins[m].get(p * d + r, 0) + f * v
                 for m, v in b.mult_nz[p][r]:
-                    lins[m][q * d + u] = lins[m].get(q * d + u, F0) - f * v
+                    lins[m][q * d + u] = lins[m].get(q * d + u, 0) - f * v
         for lin in lins:
-            yield (a, c), F0, lin, {}
+            yield (a, c), 0, lin, {}
 
 
 EQUATIONS = {
@@ -313,7 +364,9 @@ EQUATIONS = {
 
 
 def _first_violation(equations, table):
-    """``where`` of the first equation the table violates, or None."""
+    """``where`` of the first equation the table violates, or None.
+
+    ``table`` is T for the sigma scale the stream was given."""
     t = [x for row in table for x in row]
     for where, const, lin, quad in equations:
         val = const
@@ -347,18 +400,20 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     Returns {axiom: (ok, witness)} in the order of ``EQUATIONS``, where the
     witness is the first violating basis tuple: (a, c) for L1 and B1, (a,)
     for L2 and L4, (a, x, y) for L3 and (x, y, a) for L5. ``strongD`` is the
-    same identity as L1 phrased on the coalgebra alone.
+    same identity as L1 phrased on the coalgebra alone. The equations are
+    decided on the integer table S sigma (module docstring).
     """
     which = set(AXIOMS) - {"strongD"} if which is None else set(which)
     unknown = which - set(AXIOMS)
     if unknown:
         raise ValueError(f"unknown axioms: {sorted(unknown)}")
+    table, scale = la.clear_denominators(s.table)
     found = {}
     report = {}
     for name, equations in EQUATIONS.items():
         if name in which:
             if equations not in found:
-                found[equations] = _first_violation(equations(b), s.table)
+                found[equations] = _first_violation(equations(b, scale), table)
             report[name] = (found[equations] is None, found[equations])
     return report
 
@@ -395,11 +450,12 @@ class AffineTableSpace:
 
 
 def _linear_system(b: FinDimBialgebra):
-    """L1, L2, L4 as (rows, rhs) in the d^2 unknowns sigma(e_p (x) e_q)."""
+    """L1, L2, L4 as (rows, rhs) in the d^2 unknowns sigma(e_p (x) e_q),
+    read at sigma scale 1: each row a positive multiple of the rational one."""
     rows, rhs = [], []
     for name in ("L1", "L2", "L4"):
-        for _, const, lin, _ in EQUATIONS[name](b):
-            row = [F0] * (b.d * b.d)
+        for _, const, lin, _ in EQUATIONS[name](b, 1):
+            row = [0] * (b.d * b.d)
             for k, x in lin.items():
                 row[k] = x
             rows.append(row)
@@ -438,7 +494,7 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
     Reports infeasible only on an exact 0 = nonzero contradiction.
     """
     rows, rhs = _linear_system(b)
-    quads = [(name, eq) for name in ("L3", "L5") for eq in EQUATIONS[name](b)]
+    quads = [(name, eq) for name in ("L3", "L5") for eq in EQUATIONS[name](b, 1)]
     d2 = b.d * b.d
     sol = la.solve_affine(rows, rhs)
     if sol is None:
@@ -453,7 +509,7 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
         for eq_id, (name, (where, const, lin, quad)) in enumerate(quads):
             if eq_id in used:
                 continue
-            row = [F0] * d2
+            row = [0] * d2
             c0 = const
             for k, coeff in lin.items():
                 row[k] += coeff
@@ -658,38 +714,22 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
         len(cell) != d for row in rho for cell in row
     ):
         raise InvalidCoaction("rho must be n x n with coalgebra-valued entries")
-    w = _first_violation(_l1_equations(c), s.table)
+    w = _first_violation(_l1_equations(c, 1), s.table)
     if w is not None:
         raise NotAStrongDMap(f"strong D-map identity fails at basis pair {w}", w)
-    # counit law of the coaction
-    for v in range(n):
-        for l in range(n):
-            val = sum((rho[v][l][k] * c.counit[k] for k in range(d)), F0)
-            if val != (F1 if v == l else F0):
-                raise InvalidCoaction(f"counit law fails at ({v},{l})")
-    # coassociativity of the coaction
-    for v in range(n):
-        for l in range(n):
-            for p in range(d):
-                for q in range(d):
-                    lhs = sum((rho[v][l][k] * c.comult[k][p][q] for k in range(d)), F0)
-                    rhs = sum((rho[v][w_][p] * rho[w_][l][q] for w_ in range(n)), F0)
-                    if lhs != rhs:
-                        raise InvalidCoaction(f"coassociativity fails at ({v},{l})")
-    mat = la.zeros(n * n, n * n)
-    for v in range(n):
-        for u in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = F0
-                    for k1 in range(d):
-                        x1 = rho[i][v][k1]
-                        if x1:
-                            for k2 in range(d):
-                                x2 = rho[j][u][k2]
-                                if x2:
-                                    acc += x1 * x2 * s.table[k1][k2]
-                    mat[i * n + j][v * n + u] = acc
+    rng, vals = range(n), range(d)
+    # counit law and coassociativity of the coaction
+    for v, l in itertools.product(rng, repeat=2):
+        if sum((rho[v][l][k] * c.counit[k] for k in vals), F0) != (F1 if v == l else F0):
+            raise InvalidCoaction(f"counit law fails at ({v},{l})")
+    for v, l, p, q in itertools.product(rng, rng, vals, vals):
+        if (sum((rho[v][l][k] * c.comult[k][p][q] for k in vals), F0)
+                != sum((rho[v][w_][p] * rho[w_][l][q] for w_ in rng), F0)):
+            raise InvalidCoaction(f"coassociativity fails at ({v},{l})")
+    t = s.table
+    mat = [[sum((x1 * x2 * t[k1][k2] for k1, x1 in enumerate(rho[i][v]) if x1
+                 for k2, x2 in enumerate(rho[j][u]) if x2), F0)
+            for v in rng for u in rng] for i in rng for j in rng]
     out = TensorOp2(n, mat)
     witness = long_witness(out)
     if witness is not None:
@@ -733,27 +773,14 @@ def sweedler_h4() -> FinDimBialgebra:
     d = 4
     I, X, Y, Z = 0, 1, 2, 3
     mult = [[[F0] * d for _ in range(d)] for _ in range(d)]
-
-    def setp(a, b, c, v=F1):
-        mult[a][b][c] = Fraction(v)
-
     for a in range(d):
-        setp(I, a, a)
-        if a != I:
-            setp(a, I, a)
-    setp(X, X, I)
-    setp(X, Y, Z)
-    setp(X, Z, Y)
-    setp(Y, X, Z, -1)
-    # y*y = 0, y*z = 0, z*y = 0, z*z = 0 already zero
-    setp(Z, X, Y, -1)
+        mult[I][a][a] = mult[a][I][a] = F1
+    # x^2 = 1, xy = z, xz = y, yx = -z, zx = -y; y^2, yz, zy and z^2 are zero
+    for a, b, c, v in ((X, X, I, 1), (X, Y, Z, 1), (X, Z, Y, 1), (Y, X, Z, -1), (Z, X, Y, -1)):
+        mult[a][b][c] = Fraction(v)
     comult = [la.zeros(d, d) for _ in range(d)]
-    comult[I][I][I] = F1
-    comult[X][X][X] = F1
-    comult[Y][Y][X] = F1
-    comult[Y][I][Y] = F1
-    comult[Z][X][Z] = F1
-    comult[Z][Z][I] = F1
+    for a, p, q in ((I, I, I), (X, X, X), (Y, Y, X), (Y, I, Y), (Z, X, Z), (Z, Z, I)):
+        comult[a][p][q] = F1
     counit = [F1, F1, F0, F0]
     unit = [F1, F0, F0, F0]
     return FinDimBialgebra(names, mult, unit, comult, counit)

@@ -60,7 +60,7 @@ from .tensor_ops import (
     TensorOp2,
     _first_descent_failure,
     _form,
-    _integer_matrix,
+    _int_form,
     _obstruction_rows,
     _obstruction_vectors,
     invert,
@@ -104,21 +104,22 @@ def obstructions(r: TensorOp2):
     any operator; each has counit value zero by cancellation. Formed on
     Z = D x and divided by D.
     """
-    z, d = la.clear_denominators(r.matrix)
+    table, d = _int_form(r)
     return [[Fraction(x, d) if x else F0 for x in vec]
-            for vec in _obstruction_vectors(_form(z, r.dim), r.dim)]
+            for vec in _obstruction_vectors(table, r.dim)]
 
 
-def obstruction_rows(r: TensorOp2):
+def obstruction_rows(r: TensorOp2, form=None):
     """Primitive integer rows spanning the relation span V of ``r``.
 
     These are the obstruction vectors of Z = D x, each divided by the gcd
     of its entries and signed so that its first nonzero entry is positive;
     zero rows and repeated rows are dropped (``tensor_ops._obstruction_rows``,
     which ``long_witness`` reads too). None of this changes the row space,
-    and the RREF of a row space is unique.
+    and the RREF of a row space is unique. ``form`` is ``_int_form(r)``
+    when the caller has formed it.
     """
-    return [row for _, row in _obstruction_rows(_form(_integer_matrix(r), r.dim), r.dim)]
+    return [row for _, row in _obstruction_rows((form or _int_form(r))[0], r.dim)]
 
 
 class QuotientCoalgebra:
@@ -232,15 +233,15 @@ class SigmaForm:
     descent checks run on ``int_table`` and the integer RREF rows.
     ``int_coset_table`` holds L^2 D sigma on the projections of every label
     pair, once per form; ``coset_table`` (its exact value), ``on_cosets``,
-    ``round_trip`` and ``check_L1_on_generators`` read it.
+    ``round_trip`` and ``check_L1_on_generators`` read it. ``form`` is
+    ``_int_form(r)`` when the caller has formed it.
     """
 
-    def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
+    def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra, form=None):
         n = r.dim
         self.n = n
         self.table = _form(r.matrix, n)
-        z, d = la.clear_denominators(r.matrix)
-        self.int_table = _form(z, n)
+        self.int_table, d = form or _int_form(r)
         self.quotient = quotient
         self._check_descends()
         reps = quotient.rep_slots
@@ -353,15 +354,16 @@ def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
     Verifies: counit vanishes on V, the comultiplication descends, sigma is
     well defined on cosets, the degree-one strong D-identity holds on all
     generator pairs, and the coset form reproduces R exactly. Each check
-    runs on integers (module docstring).
+    runs on integers (module docstring), on one integer form of Z = D x.
     """
-    witness = long_witness(r)
+    form = _int_form(r)
+    witness = long_witness(r, form)
     if witness is not None:
         raise NotALongSolution(
             f"componentwise equation {witness[0]} fails at {witness[1]}", witness
         )
-    quotient = QuotientCoalgebra(r.dim, obstruction_rows(r))
-    sigma = SigmaForm(r, quotient)
+    quotient = QuotientCoalgebra(r.dim, obstruction_rows(r, form))
+    sigma = SigmaForm(r, quotient, form)
     pres = LongPresentation(r, quotient, sigma, naming)
     ok, bad = check_L1_on_generators(pres)
     if not ok:

@@ -61,7 +61,7 @@ def operator_from_json(obj) -> TensorOp2:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed operator entry {e!r}") from exc
         for idx in (v, u, i, j):
-            if not isinstance(idx, int) or not 1 <= idx <= n:
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= n:
                 raise ValueError(f"index out of range in entry {e!r}")
         key = (v, u, i, j)
         if key in seen:

@@ -20,11 +20,11 @@ import os
 
 import numpy as np
 
+from . import linalg as la
 from .errors import DimensionCap, PathTooClose
 from .tensor_ops import (  # lift_exact is re-exported next to lift_float
     TensorOp2,
     _commute,
-    _integer_matrix,
     _lift_sparse,
     _slot_blocks,
     _sparse_add,
@@ -67,7 +67,7 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
     rows; no dense n^N x n^N matrix is built.
     """
     n = r.dim
-    z = _integer_matrix(r)
+    z = la.clear_denominators(r.matrix)[0]
     report = {}
     if N >= 3:
         lifts3 = {

@@ -14,12 +14,16 @@ _FRAC_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
 
 def parse_frac(s) -> Fraction:
-    """Parse a fraction string like ``"3"`` or ``"-2/7"``; ints pass through."""
-    if isinstance(s, (int, Fraction)):
+    """Parse a fraction string like ``"3"`` or ``"-2/7"``; ints pass through.
+    Anything else, a bool or a zero denominator included, is a ValueError."""
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _FRAC_RE.match(s.strip()):
         raise ValueError(f"not a fraction string: {s!r}")
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def frac_str(x) -> str:

@@ -333,6 +333,13 @@ def _form(matrix, n):
     return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
 
 
+def _int_form(r: TensorOp2):
+    """``(table, D)``: the form of Z = D x and D, the lcm of the denominators
+    of ``r``; ``frt.build_LR`` forms it once for all its readers."""
+    z, d = la.clear_denominators(r.matrix)
+    return _form(z, r.dim), d
+
+
 def _first_descent_failure(table, rows):
     """First place where the form ``table`` fails to vanish on a row, or None.
 
@@ -353,7 +360,7 @@ def _first_descent_failure(table, rows):
     return None
 
 
-def long_witness(r: TensorOp2):
+def long_witness(r: TensorOp2, form=None):
     """First componentwise violation of the Long system, or None.
 
     Returns ``(equation_number, (i, j, k, l, p, q))`` with 1-based indices;
@@ -365,9 +372,10 @@ def long_witness(r: TensorOp2):
     as zero or repeated is a multiple of an earlier row, which passed. Both
     equations are homogeneous quadratics, so they are checked on Z = D x, D
     the lcm of the denominators, which violates them at the same tuples.
+    ``form`` is ``_int_form(r)`` when the caller has formed it.
     """
     n = r.dim
-    table = _form(_integer_matrix(r), n)
+    table = (form or _int_form(r))[0]
     rows = ((tag, [(a, x) for a, x in enumerate(row) if x])
             for tag, row in _obstruction_rows(table, n))
     failure = _first_descent_failure(table, rows)
@@ -386,11 +394,6 @@ def _coeff_family(n, matrix):
         ]
         for u in range(n)
     ]
-
-
-def _integer_matrix(r: TensorOp2):
-    """``r.matrix`` times the lcm of its denominators, as Python ints."""
-    return la.clear_denominators(r.matrix)[0]
 
 
 def check_long_componentwise(r: TensorOp2) -> bool:

@@ -319,26 +319,51 @@ def _formula_witnesses(b, t):
     }
 
 
+def _changed_basis_algebras():
+    """Builtin bialgebras on bases whose inverse basis matrix has
+    denominators 3 and 2, so their structure constants do too (D > 1)."""
+    out = []
+    for b, p in ((cyclic_group_algebra(3), [[1, 1, 0], [0, 2, 1], [1, 0, 1]]),
+                 (sweedler_h4(), [[2, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])):
+        f = _change_basis(b, p)
+        out.append(FinDimBialgebra([str(i) for i in range(b.d)], f["mult"], f["unit"],
+                                   f["comult"], f["counit"]))
+    assert all(b.scale > 1 for b in out), [b.scale for b in out]
+    return out
+
+
 def test_check_axioms_matches_formula_oracle():
     """Equal (ok, witness) for every axiom on seeded tables of four kinds:
     eps (x) eps, members of the L1/L2/L4 space, the same with one entry
-    moved, and small random tables."""
+    moved, and small random tables; on builtin bialgebras and on two with
+    fractional structure constants, with integral tables and with tables
+    over 2 and 3 (sigma scale above 1)."""
     rng = random.Random(20261018)
     verdicts = {name: set() for name in AXIOMS}
-    for b in (sweedler_h4(), cyclic_group_algebra(3), comatrix_tensor_truncation(2, 1)):
+    scales = set()
+    # (algebra, integral tables, fractional tables); the oracle is slow on
+    # d = 6 and on dense constants, so those get fewer
+    cases = [(sweedler_h4(), 15, 6), (cyclic_group_algebra(3), 15, 15),
+             (comatrix_tensor_truncation(2, 1), 15, 0)]
+    cases += [(b, 3, 9) for b in _changed_basis_algebras()]
+    for b, integral, fractional_count in cases:
         d = b.d
         space = l1_solution_space(b)
         tables = [SigmaTable.counit_square(b).table]
-        for k in range(15):
+        for k in range(integral + fractional_count):
+            fractional = k >= integral
+            coeffs = [-1, 0, 1, 2, F(1, 2), F(-2, 3)] if fractional else [-1, 0, 1, 2]
             vec = list(space.particular)
             for v in space.basis:
-                c = rng.choice([-1, 0, 1, 2])
+                c = rng.choice(coeffs)
                 vec = [x + c * y for x, y in zip(vec, v)]
             table = [vec[p * d:(p + 1) * d] for p in range(d)]
             if k % 3 == 1:
-                table[rng.randrange(d)][rng.randrange(d)] += rng.choice([-1, 1])
+                table[rng.randrange(d)][rng.randrange(d)] += rng.choice(
+                    [F(1, 3), F(-1, 2)] if fractional else [-1, 1])
             elif k % 3 == 2:
-                table = [[F(rng.choice([-1, 0, 0, 1])) for _ in range(d)] for _ in range(d)]
+                entries = [-1, 0, 0, 1] + ([F(1, 2), F(-1, 3)] if fractional else [])
+                table = [[F(rng.choice(entries)) for _ in range(d)] for _ in range(d)]
             tables.append(table)
         for table in tables:
             got = check_axioms(b, SigmaTable(table), AXIOMS)
@@ -346,8 +371,169 @@ def test_check_axioms_matches_formula_oracle():
             for name in AXIOMS:
                 assert got[name] == (want[name] is None, want[name]), (b.basis, name, table)
                 verdicts[name].add(got[name][0])
+            scales.add(bialgebra.la.clear_denominators(table)[1])
     # every axiom, L2, L4 and strongD included, both holds and fails somewhere
     assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+    assert {2, 3, 6} <= scales, scales
+
+
+def _fraction_streams(b):
+    """The axiom equations as the Fraction streams they were before they were
+    encoded on D-scaled ints, read from the public Fraction constants: the
+    oracle for the integer encoding and for the spaces solved from it."""
+    d, F0 = b.d, F(0)
+    comult_nz = [[(p, q, x) for p in range(d) for q in range(d) if (x := b.comult[a][p][q])]
+                 for a in range(d)]
+    mult_nz = [[[(c, x) for c in range(d) if (x := b.mult[a][e][c])] for e in range(d)]
+               for a in range(d)]
+
+    def l1():
+        for a, terms in enumerate(comult_nz):
+            coeffs = {}
+            for p, q, x in terms:
+                coeffs[q, p] = coeffs.get((q, p), F0) + x
+                coeffs[p, q] = coeffs.get((p, q), F0) - x
+            for y in range(d):
+                for r in range(d):
+                    lin = {p * d + y: x for (r_, p), x in coeffs.items() if r_ == r and x}
+                    if lin:
+                        yield (a, y), F0, lin, {}
+
+    def l2():
+        for a in range(d):
+            yield (a,), -b.counit[a], {a * d + c: u for c, u in enumerate(b.unit) if u}, {}
+
+    def l4():
+        for a in range(d):
+            yield (a,), -b.counit[a], {c * d + a: u for c, u in enumerate(b.unit) if u}, {}
+
+    def l3():
+        for a, x, y in itertools.product(range(d), repeat=3):
+            yield ((a, x, y), F0, {a * d + m: v for m, v in mult_nz[x][y]},
+                   {(p * d + x, q * d + y): -v for p, q, v in comult_nz[a]})
+
+    def l5():
+        for x, y, a in itertools.product(range(d), repeat=3):
+            yield ((x, y, a), F0, {m * d + a: v for m, v in mult_nz[x][y]},
+                   {(y * d + p, x * d + q): -v for p, q, v in comult_nz[a]})
+
+    def b1():
+        for a, c in itertools.product(range(d), repeat=2):
+            lins = [{} for _ in range(d)]
+            for p, q, x1 in comult_nz[a]:
+                for r, u, x2 in comult_nz[c]:
+                    for m, v in mult_nz[u][q]:
+                        lins[m][p * d + r] = lins[m].get(p * d + r, F0) + x1 * x2 * v
+                    for m, v in mult_nz[p][r]:
+                        lins[m][q * d + u] = lins[m].get(q * d + u, F0) - x1 * x2 * v
+            for lin in lins:
+                yield (a, c), F0, lin, {}
+
+    return {"L1": l1, "L2": l2, "L4": l4, "L3": l3, "L5": l5, "B1": b1}
+
+
+def _oracle_linear_system(streams, d2):
+    rows, rhs = [], []
+    for name in ("L1", "L2", "L4"):
+        for _, const, lin, _ in streams[name]():
+            row = [F(0)] * d2
+            for k, x in lin.items():
+                row[k] = x
+            rows.append(row)
+            rhs.append(-const)
+    return rows, rhs
+
+
+def _oracle_feasibility(b):
+    """(status, witness, particular, basis) of ``sigma_feasibility`` as it ran
+    on the Fraction streams."""
+    streams, d2 = _fraction_streams(b), b.d * b.d
+    rows, rhs = _oracle_linear_system(streams, d2)
+    quads = [(name, eq) for name in ("L3", "L5") for eq in streams[name]()]
+    sol = bialgebra.la.solve_affine(rows, rhs)
+    if sol is None:
+        return "infeasible", "linear axioms L1/L2/L4", None, None
+    used = set()
+    while True:
+        particular, basis = sol
+        pinned = {k: particular[k] for k in range(d2) if all(not v[k] for v in basis)}
+        added = False
+        for eq_id, (name, (where, const, lin, quad)) in enumerate(quads):
+            if eq_id in used:
+                continue
+            row, c0, usable = [F(0)] * d2, const, True
+            for k, coeff in lin.items():
+                row[k] += coeff
+            for (k1, k2), coeff in quad.items():
+                if k1 in pinned and k2 in pinned:
+                    c0 += coeff * pinned[k1] * pinned[k2]
+                elif k1 in pinned:
+                    row[k2] += coeff * pinned[k1]
+                elif k2 in pinned:
+                    row[k1] += coeff * pinned[k2]
+                else:
+                    usable = False
+                    break
+            if not usable:
+                continue
+            used.add(eq_id)
+            if not any(row):
+                if c0:
+                    return "infeasible", f"{name} at basis triple {where}", None, None
+                continue
+            rows.append(row)
+            rhs.append(-c0)
+            added = True
+        if not added:
+            return "unknown", None, *sol
+        sol = bialgebra.la.solve_affine(rows, rhs)
+        if sol is None:
+            return ("infeasible", "linearized quadratic axioms contradict L1/L2/L4",
+                    None, None)
+
+
+def _spaced_algebras():
+    return ([sweedler_h4()] + [cyclic_group_algebra(m) for m in range(2, 7)]
+            + [comatrix_tensor_truncation(2, 1)] + _changed_basis_algebras())
+
+
+def test_integer_streams_are_positive_multiples_of_fraction_streams():
+    """At sigma scale S each integer equation, evaluated at T = S t, is K
+    times the Fraction one at t, with K = D S for L1, L2, L4, D^3 S for B1
+    and D S^2 for L3, L5 (module docstring): const is K const, lin is
+    K lin / S and quad is K quad / S^2, in the same order and at the same
+    ``where``."""
+    for b in _spaced_algebras()[:2] + _spaced_algebras()[-3:]:
+        oracle = _fraction_streams(b)
+        dd = b.scale
+        for scale in (1, 2, 6):
+            for name, k in (("L1", dd * scale), ("L2", dd * scale), ("L4", dd * scale),
+                            ("B1", dd ** 3 * scale), ("L3", dd * scale ** 2),
+                            ("L5", dd * scale ** 2)):
+                got = list(bialgebra.EQUATIONS[name](b, scale))
+                want = list(oracle[name]())
+                assert len(got) == len(want), (name, b.basis)
+                for (w1, c1, lin1, quad1), (w2, c2, lin2, quad2) in zip(got, want):
+                    assert (w1, c1) == (w2, k * c2)
+                    assert ({x: v for x, v in lin1.items() if v}
+                            == {x: k * v / scale for x, v in lin2.items() if v})
+                    assert quad1 == {x: k * v / scale ** 2 for x, v in quad2.items()}
+                    assert all(type(v) is int for v in [c1, *lin1.values(), *quad1.values()])
+
+
+def test_solution_spaces_match_fraction_streams():
+    """``l1_solution_space`` and ``sigma_feasibility`` read the integer
+    streams at sigma scale 1; their particular solution, basis, status and
+    witness equal those solved from the Fraction streams, on the builtins
+    and on two algebras with fractional structure constants."""
+    for b in _spaced_algebras():
+        space = l1_solution_space(b)
+        want = bialgebra.la.solve_affine(*_oracle_linear_system(_fraction_streams(b), b.d ** 2))
+        assert (space.d, space.particular, space.basis) == (b.d, *want)
+        res = sigma_feasibility(b)
+        got = (res.status, res.witness, *((res.space.particular, res.space.basis)
+                                          if res.space else (None, None)))
+        assert got == _oracle_feasibility(b), b.basis
 
 
 def test_check_axioms_report_order():

@@ -670,3 +670,49 @@ def test_bialgebra_json_bad_fraction_string_message():
     obj["counit"][1] = "1/x"
     with pytest.raises(ValueError, match=r"^not a fraction string: '1/x'$"):
         jsonio.bialgebra_from_json(obj)
+
+
+def _bad_input_argv(tmp_path, case):
+    """argv of a command whose input holds a zero denominator or a JSON
+    boolean where a scalar or an operator-entry index belongs."""
+    op = operator_to_json(make_phi(2, [1, 1]))
+    b = cyclic_group_algebra(2)
+    bi = bialgebra_to_json(b)
+    sig = sigma_to_json(SigmaTable.counit_square(b))
+    if case in ("check-zero-denominator", "frt-zero-denominator"):
+        op["entries"][0]["coeff"] = "1/0"
+    elif case == "check-bool-index":
+        op["entries"][0]["v"] = True
+    elif case == "check-bool-coeff":
+        op["entries"][0]["coeff"] = True
+    elif case == "bialgebra-zero-denominator":
+        bi["counit"][1] = "1/0"
+    elif case == "bialgebra-bool-entry":
+        bi["counit"][1] = True
+    elif case == "sigma-zero-denominator":
+        sig["table"][0][1] = "3/0"
+    elif case == "sigma-bool-entry":
+        sig["table"][1][1] = True
+    if case == "construct-pair-zero-denominator":
+        return ["construct", "pair", "--n", "2", "--f", "1,0,0,1/0", "--g", "1,0,0,1"]
+    if case.startswith(("check", "frt")):
+        return [case.split("-")[0], "--op", _write(tmp_path, "op.json", op)]
+    return ["bialgebra-check", "--bialgebra", _write(tmp_path, "b.json", bi),
+            "--sigma", _write(tmp_path, "s.json", sig)]
+
+
+@pytest.mark.parametrize("case", [
+    "check-zero-denominator", "frt-zero-denominator", "check-bool-index",
+    "check-bool-coeff", "bialgebra-zero-denominator", "bialgebra-bool-entry",
+    "sigma-zero-denominator", "sigma-bool-entry", "construct-pair-zero-denominator",
+])
+def test_bad_scalar_input_exits_2_without_traceback(tmp_path, case):
+    """A zero denominator ("1/0") or a JSON boolean in a scalar or an index
+    exits 2 with an ``error:`` line, in a fresh process; before, "1/0" ended
+    in a ZeroDivisionError traceback and ``true`` was read as 1."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(longeq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "longeq", *_bad_input_argv(tmp_path, case)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
