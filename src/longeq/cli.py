@@ -120,6 +120,14 @@ def _square(values, what):
     return [values[r * n:(r + 1) * n] for r in range(n)]
 
 
+def _spec_index(x, size, what):
+    """A 0-based index into a spec list of ``size`` items; booleans,
+    non-integers and indices outside [0, size) are a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size:
+        raise ValueError(f"{what} must be an integer index in [0, {size}), got {x!r}")
+    return x
+
+
 def cmd_check(args):
     started = time.monotonic()
     r = jsonio.operator_from_json(_load_json(args.op))
@@ -159,7 +167,8 @@ def cmd_construct(args):
         spec = _load_json(args.spec)
         elements = spec["elements"]
         table = {
-            (elements[i], elements[j]): elements[spec["table"][i][j]]
+            (elements[i], elements[j]):
+                elements[_spec_index(spec["table"][i][j], len(elements), "table entry")]
             for i in range(len(elements))
             for j in range(len(elements))
         }
@@ -172,7 +181,9 @@ def cmd_construct(args):
         spec = _load_json(args.spec)
         rep = [[[parse_frac(x) for x in row] for row in m] for m in spec["rep"]]
         element = [
-            (parse_frac(c), int(li), int(ri)) for c, li, ri in spec["element"]
+            (parse_frac(c), _spec_index(li, len(rep), "element index"),
+             _spec_index(ri, len(rep), "element index"))
+            for c, li, ri in spec["element"]
         ]
         r = make_homothety(rep, element)
     else:  # pragma: no cover - argparse restricts choices
@@ -218,10 +229,10 @@ def cmd_kz(args):
     h = complex(float(re), float(im) if im else 0.0)
     if not cmath.isfinite(h):
         raise ValueError("--h must be finite")
-    # the cheap usage checks (dimension cap, lift memory, comparison
+    # the cheap usage checks (dimension cap, integrator memory, comparison
     # preconditions) run before the exact brackets and the integration
     system = kz.KZSystem.from_op(r, args.points, h)
-    kz.check_lift_memory(system, loop)
+    kz.check_integrator_memory(system, loop)
     if args.compare:
         if not system.symmetric:
             print(

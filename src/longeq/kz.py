@@ -37,13 +37,20 @@ DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 MIN_SEPARATION_FACTOR = 1e-6
 MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positions
 # complex entries formed at once: the integrator batches about
-# CHUNK_ENTRIES // dim^2 RK4 steps (one at dim 256), the separation guard
-# CHUNK_ENTRIES // (N(N-1)/2) samples
+# CHUNK_ENTRIES // dim^2 propagator steps (one at dim 256), or
+# CHUNK_ENTRIES // nnz(A) steps of stage data when it applies A to W; the
+# separation guard CHUNK_ENTRIES // (N(N-1)/2) samples
 CHUNK_ENTRIES = 1 << 16
-# bytes of complex lifts the integrator may hold: each live lift, cached in
-# KZSystem.lifts, and their stacked copy, 2 * live * dim^2 * 16; 25 MB when
-# all four points move at n = 4, N = 4, 2.7 GB for a circle at n = 4, N = 6
-MAX_LIFT_BYTES = 1 << 29
+# bytes the integrator may hold (``integration_bytes``): 11 MB for a phi
+# polygon where all four points move at n = 4, N = 4 (22 MB for a dense
+# conjugate), 1.6 GB for a circle at n = 4, N = 6
+MAX_INTEGRATOR_BYTES = 1 << 29
+# d x d arrays an *apply* step holds at once: W, k1..k4 and one stage argument
+APPLY_ARRAYS = 6
+# bytes per lift entry while a segment operator is built: its position,
+# the inverse of the sort and the pair index (8 each), the value (16), and
+# the map's value and indices (32), with the sort's copies
+ENTRY_BYTES = 128
 
 
 def lift_float(r_mat: np.ndarray, n, i, j, N):
@@ -99,30 +106,14 @@ def max_dim():
     return int(raw) if raw else DEFAULT_DIM_CAP
 
 
-class _Lifts(dict):
-    """R^{ij} as complex n^N x n^N matrices keyed by (i, j), each built on first use."""
-
-    def __init__(self, r_mat, n, N):
-        super().__init__()
-        self._r_mat, self._n, self._N = r_mat, n, N
-
-    def __missing__(self, key):
-        i, j = key
-        if not (0 <= i < self._N and 0 <= j < self._N) or i == j:
-            raise KeyError(key)
-        out = self[key] = lift_float(self._r_mat, self._n, i, j, self._N)
-        return out
-
-
 class KZSystem:
-    """The lifted connection data on M^(xN) for a fixed operator and h."""
+    """The connection data on M^(xN) for a fixed operator and h."""
 
-    def __init__(self, n, N, h, r_float, lifts, symmetric):
+    def __init__(self, n, N, h, r_float, symmetric):
         self.n = n
         self.N = N
         self.h = complex(h)
         self.r_float = r_float
-        self.lifts = lifts
         self.symmetric = symmetric
         self.dim = n ** N
 
@@ -138,7 +129,7 @@ class KZSystem:
         r_mat = np.array(
             [[complex(x) for x in row] for row in r.matrix], dtype=complex
         )
-        return cls(n, N, complex(h), r_mat, _Lifts(r_mat, n, N), symmetric)
+        return cls(n, N, complex(h), r_mat, symmetric)
 
 
 def _integer(x, what):
@@ -281,28 +272,92 @@ class LoopSpec:
             )
 
 
-def live_pairs(loop: LoopSpec):
-    """The ordered pairs (i, j), i != j, whose point i moves on some segment
-    of the loop: the lifts ``integrate_holonomy`` builds."""
+def segment_pairs(loop: LoopSpec):
+    """The live pairs of each segment of ``loop``: the ordered pairs (i, j),
+    i != j, whose point i moves on it. A point moves on a whole segment or
+    stays fixed on all of it, so its velocity at the segment's start decides."""
     segs = np.arange(loop.segments)
     _, v = loop.stage_data(segs / loop.segments, segs)
-    return [(i, j) for i in np.flatnonzero(v.any(axis=1)).tolist()
-            for j in range(loop.N) if j != i]
+    return [[(i, j) for i in np.flatnonzero(v[:, s]).tolist()
+             for j in range(loop.N) if j != i] for s in segs.tolist()]
 
 
-def check_lift_memory(sys: KZSystem, loop: LoopSpec):
+def segment_operator(sys: KZSystem, pairs):
+    """The live lifts of one segment as one sparse operator.
+
+    Returns ``(op, pos, m)``. ``op`` is a d x d CSR matrix on the union of
+    the patterns of the lifts R^{ij}, (i, j) in ``pairs``; ``pos`` holds its
+    entries' positions row * d + col, in CSR order; ``m`` is the sparse
+    (nnz, T) map from the T pair coefficients to its data. Lift t puts
+    R[a, b] at (idxs[a], idxs[b]) for each nonzero R[a, b] and each slot
+    block ``idxs`` of its pair (the blocks ``lift_float`` fills), so with
+    c_t = h v_i / (z_i - z_j) the connection A = sum_t c_t R^{ij} has the
+    data ``m @ c``; entries that several lifts share are summed by ``m``.
+    No n^N x n^N lift is formed.
+    """
+    from scipy import sparse
+
+    d = sys.dim
+    ra, ca = np.nonzero(sys.r_float)
+    blocks = [np.array(list(_slot_blocks(sys.n, i, j, sys.N))) for i, j in pairs]
+    lin = np.concatenate([(b[:, ra] * d + b[:, ca]).ravel() for b in blocks])
+    pos, entry = np.unique(lin, return_inverse=True)
+    per_lift = len(lin) // len(pairs)
+    term = np.repeat(np.arange(len(pairs)), per_lift)
+    vals = np.tile(sys.r_float[ra, ca], len(pairs) * (d // sys.n ** 2))
+    m = sparse.csr_matrix((vals, (entry, term)), shape=(len(pos), len(pairs)))
+    indptr = np.searchsorted(pos, np.arange(d + 1) * d)
+    op = sparse.csr_matrix((np.zeros(len(pos), dtype=complex), pos % d, indptr),
+                           shape=(d, d))
+    return op, pos, m
+
+
+def _applies(d, nnz):
+    """The cost rule: *apply* A to W iff 8 nnz(A) d + 32^3 <= d^3."""
+    return 8 * nnz * d + 32 ** 3 <= d ** 3
+
+
+def integration_bytes(sys: KZSystem, loop: LoopSpec):
+    """An upper bound on the bytes ``integrate_holonomy`` holds on ``loop``;
+    builds nothing.
+
+    With T the most live pairs on a segment, E = T n^(N-2) nnz(R) lift
+    entries bound nnz(A). The rule at E picks the d x d arrays: APPLY_ARRAYS
+    for *apply*, else 5 b + 3 for the propagator's batch of b steps (2 b + 1
+    stage matrices, X2, X3, X4, W and one product). A segment whose
+    nnz(A) is below E can only switch to *apply*, which holds fewer. Stage
+    data, formed and copied once per batch, is at most
+    2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
+    takes ENTRY_BYTES per lift entry:
+
+        16 (arrays d^2 + 2 (2 CHUNK_ENTRIES + 3 E)) + ENTRY_BYTES E.
+    """
+    d = sys.dim
+    terms = max(map(len, segment_pairs(loop)), default=0)
+    entries = terms * (d // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
+    if _applies(d, entries):
+        arrays = APPLY_ARRAYS
+    else:
+        arrays = 5 * max(1, CHUNK_ENTRIES // max(d * d, terms)) + 3
+    item = np.dtype(complex).itemsize
+    return (item * (arrays * d * d + 2 * (2 * CHUNK_ENTRIES + 3 * entries))
+            + ENTRY_BYTES * entries)
+
+
+def check_integrator_memory(sys: KZSystem, loop: LoopSpec):
     """Raise ``DimensionCap`` when integrating ``loop`` would hold more than
-    ``MAX_LIFT_BYTES`` of lifts; builds none."""
-    need = 2 * len(live_pairs(loop)) * sys.dim ** 2 * np.dtype(complex).itemsize
-    if need > MAX_LIFT_BYTES:
+    ``MAX_INTEGRATOR_BYTES`` (``integration_bytes``); builds nothing."""
+    need = integration_bytes(sys, loop)
+    if need > MAX_INTEGRATOR_BYTES:
         raise DimensionCap(
-            f"holonomy lifts need {need} bytes at n^N = {sys.dim}, "
-            f"above the cap of {MAX_LIFT_BYTES}"
+            f"holonomy integration needs {need} bytes at n^N = {sys.dim}, "
+            f"above the cap of {MAX_INTEGRATOR_BYTES}"
         )
 
 
 def connection_matrix(sys: KZSystem, loop: LoopSpec, t, seg=None) -> np.ndarray:
-    """The coefficient matrix A(t) with dW/dt = A(t) W."""
+    """The coefficient matrix A(t) with dW/dt = A(t) W, summed from dense
+    ``lift_float`` lifts: the reference for the segment operator."""
     z = loop.positions(t, seg)
     v = loop.velocities(t, seg)
     a = np.zeros((sys.dim, sys.dim), dtype=complex)
@@ -311,31 +366,97 @@ def connection_matrix(sys: KZSystem, loop: LoopSpec, t, seg=None) -> np.ndarray:
             continue
         for j in range(sys.N):
             if i != j:
-                a += (v[i] / (z[i] - z[j])) * sys.lifts[(i, j)]
+                a += (v[i] / (z[i] - z[j])) * lift_float(sys.r_float, sys.n, i, j, sys.N)
     return sys.h * a
+
+
+def _apply_steps(w, op, data, dt):
+    """Classical RK4 on W, with A(t) at the stage times held by the rows of
+    ``data`` (start, middle, end, middle, end, ...) swapped into ``op``."""
+    for s in range(0, len(data) - 1, 2):
+        op.data = data[s]
+        k1 = op @ w
+        op.data = data[s + 1]
+        k2 = op @ (w + (dt / 2) * k1)
+        k3 = op @ (w + (dt / 2) * k2)
+        op.data = data[s + 2]
+        k4 = op @ (w + dt * k3)
+        # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6
+        w += k2
+    return w
+
+
+def _propagator_steps(w, a, dt):
+    """The same steps as propagators M = I + (M - I), applied as w + (M - I) w,
+    from the dense stage matrices ``a`` (start, middle, end, middle, ...)."""
+    a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
+    x2 = a2 @ a1
+    x2 *= dt / 2
+    x2 += a2
+    x3 = a2 @ x2
+    x3 *= dt / 2
+    x3 += a2
+    x4 = a4 @ x3
+    x4 *= dt
+    x4 += a4
+    # M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4), summed in that order
+    x2 *= 2
+    x2 += a1
+    x3 *= 2
+    x2 += x3
+    x2 += x4
+    x2 *= dt / 6
+    for inc in x2:
+        w += inc @ w
+    return w
 
 
 def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     """Classical fixed-step RK4 transport of W(0)=Id to W(1).
 
     Steps are distributed evenly over the loop's segments so that no step
-    straddles a polygon corner. On the linear ODE dW/dt = A(t) W the step
-    of length dt maps W to M W with
+    straddles a polygon corner. On a segment A(t) is the sum over its live
+    pairs (i, j), those whose point i moves, of h v_i / (z_i - z_j) R^{ij},
+    held as one ``segment_operator``: the CSR data at every stage time is
+    one product of its (nnz, T) map with the coefficients. Each segment is
+    then integrated by one of two evaluations of the same RK4 step:
 
-        M = I + dt/6 (A1 + 2 X2 + 2 X3 + X4),
-        X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2), X4 = A4 (I + dt X3),
+    - *apply*: k1 = A1 W, k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2),
+      k4 = A4 (W + dt k3), W + dt/6 (k1 + 2 k2 + 2 k3 + k4), each A_s W a
+      sparse product that costs about nnz(A) d;
+    - *propagator*: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with
+      X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2), X4 = A4 (I + dt X3),
+      from dense stage matrices, applied as W + (M - I) W: five dense
+      d^3 products per step. Forming I + (M - I) would round each step's
+      increment against the identity, which over the 4000 steps of a
+      circle moved W by about 2e-13.
 
-    where A1, A2, A4 are A at the start, middle and end of the step and
-    X_s W is the classical stage k_s. It is applied as W + (M - I) W, which
-    rounds like the classical update; forming I + (M - I) would round each
-    step's increment against the identity, which over the 4000 steps of a
-    circle moved W by about 2e-13.
+    A1, A2, A4 are A at the start, middle and end of the step. A segment
+    uses *apply* iff 8 nnz(A) d + 32^3 <= d^3: a sparse complex
+    multiply-add is priced at 8 BLAS ones, and 32^3 covers the fixed cost
+    of the four sparse products per step, which rules at small d. Median
+    ms per loop, *apply* / propagator, each forced (Python 3.11.7,
+    scipy 1.17.1, 2 BLAS threads, 2 CPUs):
 
-    A(t) is the sum over the live pairs (i, j), those whose point i moves
-    on the segment, of h v_i / (z_i - z_j) times R^{ij}: one product of the
-    coefficients at the stage times with the stacked live lifts. The
-    increments are formed for batches of steps whose stage matrices (or
-    coefficients) hold at most about CHUNK_ENTRIES entries.
+    - phi operators: the d = 8 circle of 4000 steps 208 / 36; polygons of
+      60 steps at d = 16: 5.1 / 2.5, d = 27: 5.2 / 4.1, d = 32: 8.2 / 6.0,
+      d = 64 (n = 4): 9.8 / 22.8, d = 81: 11.7 / 30.0; the d = 256 circle
+      of 16 steps 32.8 / 130.5;
+    - dense conjugates (nnz(R) = n^4): the d = 64 circle 14.5 / 10.9, the
+      d = 81 polygon 96 / 38, the d = 256 circle 182 / 114.
+
+    The rule picks the faster one in each case but one near the crossover:
+    the n = 2, N = 6 polygon (d = 64, nnz(A) = 483) takes the propagator,
+    24.0 ms, where *apply* takes 16.1.
+
+    Stage coefficients are formed for batches of steps holding at most
+    about CHUNK_ENTRIES entries of stage data (or of stage matrices).
     """
     if loop.N != sys.N:
         raise ValueError("loop and system disagree on the number of points")
@@ -343,36 +464,53 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     w = np.eye(d, dtype=complex)
     per_seg = max(1, -(-loop.steps // loop.segments))
     dt = 1.0 / (loop.segments * per_seg)
-    for seg in range(loop.segments):
-        t0 = seg / loop.segments
-        # a point moves on the whole segment or stays fixed on all of it
-        _, v0 = loop.stage_data([t0], seg)
-        pairs = [(i, j) for i in range(sys.N) if v0[i, 0]
-                 for j in range(sys.N) if j != i]
+    built = None  # consecutive segments with the same live pairs share it
+    for seg, pairs in enumerate(segment_pairs(loop)):
         if not pairs:  # A vanishes on the segment
             continue
+        if built is None or built[0] != pairs:
+            built = None  # free the previous operator first
+            op, pos, m = segment_operator(sys, pairs)
+            apply = _applies(d, len(pos))
+            batch = max(1, CHUNK_ENTRIES // max(len(pos) if apply else d * d, len(pairs)))
+            # the propagator's stage matrices; entries off the pattern stay zero
+            stages = None if apply else np.zeros((2 * batch + 1, d * d), dtype=complex)
+            built = pairs, op, pos, m, apply, batch, stages
+        _, op, pos, m, apply, batch, stages = built
+        if not len(pos):  # R = 0
+            continue
         rows, cols = np.array(pairs).T
-        lifts = np.stack([sys.lifts[p] for p in pairs]).reshape(len(pairs), d * d)
-        batch = max(1, CHUNK_ENTRIES // max(d * d, len(pairs)))
+        t0 = seg / loop.segments
         for k0 in range(0, per_seg, batch):
             k1 = min(per_seg, k0 + batch)
             ts = t0 + np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
             z, v = loop.stage_data(ts, seg)
             coeffs = sys.h * v[rows] / (z[rows] - z[cols])
-            a = (coeffs.T @ lifts).reshape(-1, d, d)
-            a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
-            x2 = a2 + (dt / 2) * (a2 @ a1)
-            x3 = a2 + (dt / 2) * (a2 @ x2)
-            x4 = a4 + dt * (a4 @ x3)
-            for inc in (dt / 6) * (a1 + 2 * x2 + 2 * x3 + x4):
-                w = w + inc @ w
+            data = (m @ coeffs).T
+            if apply:
+                w = _apply_steps(w, op, np.ascontiguousarray(data), dt)
+            else:
+                a = stages[:len(ts)]
+                a[:, pos] = data
+                w = _propagator_steps(w, a.reshape(-1, d, d), dt)
     return w
 
 
 def circle_oracle(sys: KZSystem, moving, center) -> np.ndarray:
     """exp(2 pi i h R^{moving,center}): the holonomy of point ``moving``
-    circling the fixed point ``center`` once, in the limit where every
-    other point is far away (the ``--compare`` oracle).
+    circling the fixed point ``center`` once (the ``--compare`` oracle).
+
+    It is exact whenever the circle encloses ``center`` and no other point
+    and R satisfies Long equation 1. With m = ``moving``, only z_m moves, so
+    A(t) = h sum_{j != m} dz_m/dt / (z_m - z_j) R^{mj}. The live lifts R^{mj}
+    share their first slot m, and Long equation 1 gives
+    [R^{ab}, R^{ac}] = 0 for distinct slots a, b, c (relabel the slots), so
+    they commute. Then A(t) commutes with A(s) for all t, s, and the
+    transport is the exponential of the integral of A:
+    prod_j exp(h R^{mj} oint dz/(z - z_j)) = prod_j exp(2 pi i h w_j R^{mj}),
+    w_j the winding number of the circle about z_j: 1 for the centre and 0
+    for every point outside the circle. The distance from the integrated
+    holonomy is then the RK4 error alone.
 
     R^{ij} is block diagonal with blocks R (its slot blocks partition the
     basis), so its exponential is the lift of the n^2 x n^2 block

@@ -188,6 +188,24 @@ def test_construct_diag_fractions(capsys):
     assert entries[(1, 1, 1, 1)] == "1/2"
 
 
+_HOMOTHETY = {"rep": [[[1, 0], [0, 1]], [[2, 0], [0, 3]]],
+              "element": [["1", 1, 1], ["2", 0, 1]]}
+_GRADED = {"elements": ["e", "g"], "table": [[0, 1], [1, 0]],
+           "actions": {"e": [[1, 0], [0, 1]], "g": [[1, 0], [0, -1]]},
+           "degrees": ["e", "g"]}
+
+
+def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
+    """``construct homothety`` and ``construct graded`` build the corpus
+    operators from their JSON specs (indices 0-based)."""
+    for kind, spec, name in (("homothety", _HOMOTHETY, "homothety"),
+                             ("graded", _GRADED, "graded_z2")):
+        path = _write(tmp_path, f"{kind}.json", spec)
+        code, out, _ = _run(capsys, ["construct", kind, "--spec", path])
+        assert code == 0
+        assert operator_from_json(json.loads(out)) == corpus[name]
+
+
 @pytest.mark.parametrize("n, f, g", [
     ("3", "1,0,0,1", "2,0,0,1"),
     ("1", "1,0,0,1", "2,0,0,1"),
@@ -382,11 +400,14 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
 
 
 def test_kz_lift_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    """n = 4, N = 6 is dim 4096, within LONGEQ_MAX_DIM, but its five live
-    lifts and their stacked copy would take 2 * 5 * 4096^2 * 16 bytes; the
-    command exits 2 before the brackets and before any lift is built."""
+    """n = 4, N = 6 is dim 4096, within LONGEQ_MAX_DIM, but integrating a
+    circle there would hold more than 512 MiB: its five live pairs give
+    E = 5 * 4^4 * nnz(R) = 20480 lift entries, so the cost rule picks
+    *apply*, whose six 4096 x 4096 arrays alone exceed the cap. The command
+    exits 2 before the brackets and before any operator or lift is built."""
     monkeypatch.delenv("LONGEQ_MAX_DIM", raising=False)
-    for name in ("flatness_residuals", "integrate_holonomy", "lift_float"):
+    for name in ("flatness_residuals", "integrate_holonomy", "segment_operator",
+                 "lift_float"):
         monkeypatch.setattr(kz, name, _refuse)
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(4, [1, 1, 1, 1])))
     loop = _write(tmp_path, "loop.json", {
@@ -396,7 +417,10 @@ def test_kz_lift_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, ["kz", "--op", op, "--points", "6", "--h", "0.05",
                                    "--loop", loop])
     assert (code, out) == (2, "")
-    assert f"holonomy lifts need {2 * 5 * 4096 ** 2 * 16} bytes" in err
+    entries = 5 * 4 ** 4 * 16
+    need = 16 * (6 * 4096 ** 2 + 2 * (2 * 2 ** 16 + 3 * entries)) + 128 * entries
+    assert need > 2 ** 29
+    assert f"holonomy integration needs {need} bytes" in err
 
 
 _CIRCLE = {"base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
@@ -695,6 +719,18 @@ def _bad_input_argv(tmp_path, case):
         sig["table"][1][1] = True
     if case == "construct-pair-zero-denominator":
         return ["construct", "pair", "--n", "2", "--f", "1,0,0,1/0", "--g", "1,0,0,1"]
+    if case.startswith(("homothety", "graded")):
+        # a boolean, a float or a negative index used to be read as an index,
+        # a negative one wrapping to the last matrix or element
+        bad = {"bool": True, "float": 1.9, "negative": -1, "past-end": 2}[
+            case.split("-", 1)[1].rsplit("-", 1)[0]]
+        kind = case.split("-")[0]
+        spec = json.loads(json.dumps(_HOMOTHETY if kind == "homothety" else _GRADED))
+        if kind == "homothety":
+            spec["element"][0][1] = bad
+        else:
+            spec["table"][1][0] = bad
+        return ["construct", kind, "--spec", _write(tmp_path, "spec.json", spec)]
     if case.startswith(("check", "frt")):
         return [case.split("-")[0], "--op", _write(tmp_path, "op.json", op)]
     return ["bialgebra-check", "--bialgebra", _write(tmp_path, "b.json", bi),
@@ -705,11 +741,14 @@ def _bad_input_argv(tmp_path, case):
     "check-zero-denominator", "frt-zero-denominator", "check-bool-index",
     "check-bool-coeff", "bialgebra-zero-denominator", "bialgebra-bool-entry",
     "sigma-zero-denominator", "sigma-bool-entry", "construct-pair-zero-denominator",
+    "homothety-bool-index", "homothety-float-index", "homothety-negative-index",
+    "homothety-past-end-index", "graded-bool-index", "graded-negative-index",
 ])
 def test_bad_scalar_input_exits_2_without_traceback(tmp_path, case):
-    """A zero denominator ("1/0") or a JSON boolean in a scalar or an index
-    exits 2 with an ``error:`` line, in a fresh process; before, "1/0" ended
-    in a ZeroDivisionError traceback and ``true`` was read as 1."""
+    """A zero denominator ("1/0") or a JSON boolean in a scalar or an index,
+    or a construct spec index that is not an integer in range, exits 2 with
+    an ``error:`` line, in a fresh process; before, "1/0" ended in a
+    ZeroDivisionError traceback and ``true`` was read as 1."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(longeq.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "longeq", *_bad_input_argv(tmp_path, case)],

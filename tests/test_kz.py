@@ -191,42 +191,53 @@ def test_symmetric_flag(corpus):
     assert not KZSystem.from_op(corpus["pair_235"], 2, 0.1).symmetric
 
 
-def test_from_op_builds_lifts_on_first_use():
-    """At n=4, N=4 no 256 x 256 lift exists until one is read, and a circle
-    builds only the lifts of its moving point."""
-    sys = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
-    assert len(sys.lifts) == 0
-    loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0,
-                    radius=0.5)
-    integrate_holonomy(sys, loop)
-    assert sorted(sys.lifts) == [(1, 0), (1, 2), (1, 3)]
-    assert np.array_equal(sys.lifts[(2, 3)], lift_float(sys.r_float, 4, 2, 3, 4))
-    with pytest.raises(KeyError):
-        sys.lifts[(2, 2)]
+def _scatter(pos, data, d):
+    a = np.zeros(d * d, dtype=complex)
+    a[pos] = data
+    return a.reshape(d, d)
 
 
-def test_live_pairs_are_the_lifts_integration_builds():
-    """``live_pairs`` names exactly the lifts a run builds, and the memory
-    bound admits the largest tested size: 12 live lifts at n = 4, N = 4."""
-    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1)
+def test_segment_operator_terms_are_the_live_lifts():
+    """Each segment's operator is built from the lifts of the pairs whose
+    point moves on it: its data at a stage time, scattered to d x d, is the
+    dense ``connection_matrix`` there, its CSR pattern is the union of those
+    lifts' patterns, and no lift is cached on the system. The memory bound
+    admits the largest tested size, 12 live pairs at n = 4, N = 4, and
+    refuses a circle at n = 4, N = 6."""
+    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.02j)
+    assert not hasattr(sys, "lifts")
     square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
     loop = LoopSpec([1.0, 6.0, 12.0], "polygon", 8,
                     waypoints=[square, [6.0] * 5, [12.0, 13.0, 12.0, 12.0, 12.0]])
-    assert kz.live_pairs(loop) == [(0, 1), (0, 2), (2, 0), (2, 1)]
-    kz.check_lift_memory(sys, loop)
-    integrate_holonomy(sys, loop)
-    assert sorted(sys.lifts) == kz.live_pairs(loop)
+    both = [(0, 1), (0, 2), (2, 0), (2, 1)]
+    assert kz.segment_pairs(loop) == [both, both, both[:2], both[:2]]
     big = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
     moving = LoopSpec([0.0, 4.0, 4 + 4j, 4j], "polygon", 4,
                       waypoints=[[c, c + 1, c + 1j, c] for c in (0.0, 4.0, 4 + 4j, 4j)])
-    assert len(kz.live_pairs(moving)) == 12
-    kz.check_lift_memory(big, moving)
-    assert 2 * 12 * 256 ** 2 * 16 < kz.MAX_LIFT_BYTES
-    with pytest.raises(DimensionCap, match="holonomy lifts need"):
-        kz.check_lift_memory(KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 6, 0.1),
-                             LoopSpec([0.0, 1.0, 10.0, 20.0, 30.0, 40.0], "circle", 2,
-                                      moving=1, center=0, radius=0.5))
-    assert len(big.lifts) == 0
+    assert [len(p) for p in kz.segment_pairs(moving)] == [12] * 3
+    for system, lp in ((sys, loop), (big, moving)):
+        d = system.dim
+        for seg, pairs in enumerate(kz.segment_pairs(lp)):
+            op, pos, m = kz.segment_operator(system, pairs)
+            union = sum(lift_float(system.r_float != 0, system.n, i, j, system.N)
+                        for i, j in pairs) != 0
+            assert np.array_equal(np.flatnonzero(union), pos)
+            assert op.shape == (d, d) and op.nnz == len(pos)
+            assert np.array_equal(op.indices, pos % d)
+            assert m.shape == (len(pos), len(pairs))
+            t = (seg + 0.3) / lp.segments
+            z, v = lp.positions(t, seg), lp.velocities(t, seg)
+            coeffs = [system.h * v[i] / (z[i] - z[j]) for i, j in pairs]
+            got = _scatter(pos, m @ np.array(coeffs), d)
+            want = connection_matrix(system, lp, t, seg)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    kz.check_integrator_memory(sys, loop)
+    kz.check_integrator_memory(big, moving)
+    assert kz.integration_bytes(big, moving) < kz.MAX_INTEGRATOR_BYTES
+    with pytest.raises(DimensionCap, match="holonomy integration needs"):
+        kz.check_integrator_memory(KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 6, 0.1),
+                                   LoopSpec([0.0, 1.0, 10.0, 20.0, 30.0, 40.0], "circle", 2,
+                                            moving=1, center=0, radius=0.5))
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -432,40 +443,70 @@ def _square(cx, cy, count=5, size=0.6):
 
 
 _CORNERS = [(0, 0), (4, 0), (4, 4), (0, 4)]
+# dense conjugates: every entry of R is nonzero (nnz(R) = n^4)
+_CONJ3 = make_conjugate([[1, 1, 1], [1, 2, 1], [1, 1, 3]], make_phi(3, [1, 2, 2]))
+_CONJ4 = make_conjugate([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 3, 1], [1, 1, 1, 4]],
+                        make_phi(4, [1, 2, 2, 4]))
+# a Long solution that is not flip-invariant
+_DIAG3 = make_diag(3, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 _INTEGRATOR_CASES = {
-    # (n, N), operator, h, loop keyword arguments
+    # (n, N), phi or operator, h, loop keyword arguments, the evaluation taken
     "circle-2-2": ((2, 2), [1, 1], 0.1, dict(base=[1.0, 0.0], kind="circle", steps=40,
-                                             moving=0, center=1, radius=0.5)),
+                                             moving=0, center=1, radius=0.5), "propagator"),
     "circle-2-3": ((2, 3), [1, 2], 0.08 + 0.03j,
                    dict(base=[0.0, 1.0, 7 + 2j], kind="circle", steps=150, moving=1,
-                        center=0, radius=0.4)),
+                        center=0, radius=0.4), "propagator"),
     "circle-3-3-point": ((3, 3), [1, 1, 3], 0.1 - 0.05j,
                          dict(base=[0.0, 1.0, -6j], kind="circle", steps=30, moving=0,
-                              center=0.9 + 0.1j, radius=0.7)),
+                              center=0.9 + 0.1j, radius=0.7), "propagator"),
     "circle-4-4": ((4, 4), [1, 2, 2, 4], 0.05 + 0.02j,
                    dict(base=[0.0, 1.0, 10.0, 20j], kind="circle", steps=3, moving=1,
-                        center=0, radius=0.5)),
+                        center=0, radius=0.5), "apply"),
     "polygon-all-moving": ((3, 3), [1, 2, 2], 0.1 + 0.02j,
                            dict(base=[complex(*c) for c in _CORNERS[:3]], kind="polygon",
-                                steps=17, waypoints=[_square(*c) for c in _CORNERS[:3]])),
+                                steps=17, waypoints=[_square(*c) for c in _CORNERS[:3]]),
+                           "propagator"),
     "polygon-static": ((2, 4), [2, 2], 0.12 - 0.03j,
                        dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=13,
                             waypoints=[_square(*c, count=4) for c in _CORNERS[:2]]
-                            + [[4 + 4j] * 4] + [_square(0, 4, count=4)])),
+                            + [[4 + 4j] * 4] + [_square(0, 4, count=4)]), "propagator"),
     "one-step": ((2, 3), [1, 1], 0.1j, dict(base=[0.0, 1.0, 5.0], kind="circle", steps=1,
-                                            moving=0, center=1, radius=0.3)),
+                                            moving=0, center=1, radius=0.3), "propagator"),
     # 1100 steps at dim 8: one batch of 1024 and one of 76
     "long-circle": ((2, 3), [2, 2], 0.1, dict(base=[0.0, 1.0, 5j], kind="circle",
-                                              steps=1100, moving=2, center=1, radius=1.0)),
+                                              steps=1100, moving=2, center=1, radius=1.0),
+                    "propagator"),
+    "conjugate-3-4": ((3, 4), _CONJ3, 0.07 + 0.02j,
+                      dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=6,
+                           waypoints=[_square(*c, count=4) for c in _CORNERS]), "propagator"),
+    "conjugate-4-3": ((4, 3), _CONJ4, 0.05 - 0.01j,
+                      dict(base=[0.0, 1.0, 6 + 1j], kind="circle", steps=5, moving=0,
+                           center=1, radius=0.6), "propagator"),
+    "diag-3-4-nonsymmetric": ((3, 4), _DIAG3, 0.03 + 0.01j,
+                              dict(base=[complex(*c) for c in _CORNERS], kind="polygon",
+                                   steps=6, waypoints=[_square(*c, count=4) for c in _CORNERS]),
+                              "apply"),
+    "circle-3-5": ((3, 5), [1, 2, 2], 0.06 + 0.02j,
+                   dict(base=[0.0, 1.0, 10.0, 20j, -15.0], kind="circle", steps=3, moving=1,
+                        center=0, radius=0.5), "apply"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_INTEGRATOR_CASES))
-def test_integrate_matches_rk4_oracle(case):
-    (n, N), phi, h, spec = _INTEGRATOR_CASES[case]
-    sys = KZSystem.from_op(make_phi(n, phi), N, h)
+def test_integrate_matches_rk4_oracle(case, monkeypatch):
+    """Both evaluations match classical RK4 on the dense connection; each
+    case takes the evaluation it names, and the other one is never called."""
+    (n, N), op, h, spec, mode = _INTEGRATOR_CASES[case]
+    r = op if isinstance(op, TensorOp2) else make_phi(n, op)
+    sys = KZSystem.from_op(r, N, h)
     loop = LoopSpec(**spec)
     want = _integrate_oracle(sys, loop)
+
+    def refuse(*args):
+        raise AssertionError(f"{case} left the {mode} evaluation")
+
+    monkeypatch.setattr(kz, "_propagator_steps" if mode == "apply" else "_apply_steps",
+                        refuse)
     got = integrate_holonomy(sys, loop)
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
@@ -473,7 +514,7 @@ def test_integrate_matches_rk4_oracle(case):
 def test_integrate_batches_across_segments(monkeypatch):
     """23 steps over 3 segments are 8 per segment, in batches of 5 and 3."""
     monkeypatch.setattr(kz, "CHUNK_ENTRIES", 5 * 8 * 8)
-    (_, N), _, h, spec = _INTEGRATOR_CASES["polygon-all-moving"]
+    (_, N), _, h, spec, _ = _INTEGRATOR_CASES["polygon-all-moving"]
     spec = dict(spec, steps=23,
                 waypoints=[_square(*c, count=4) for c in _CORNERS[:3]])
     sys = KZSystem.from_op(make_phi(2, [1, 1]), N, h)
@@ -481,6 +522,29 @@ def test_integrate_batches_across_segments(monkeypatch):
     assert loop.segments == 3
     want = _integrate_oracle(sys, loop)
     got = integrate_holonomy(sys, loop)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
+def test_apply_batches_across_segments(monkeypatch):
+    """23 steps over 3 segments are 8 per segment, applied in batches of 5
+    and 3 when CHUNK_ENTRIES holds the stage data of 5 steps."""
+    (_, N), r, h, spec, _ = _INTEGRATOR_CASES["diag-3-4-nonsymmetric"]
+    sys = KZSystem.from_op(r, N, h)
+    loop = LoopSpec(**dict(spec, steps=23))
+    assert loop.segments == 3
+    nnz = len(kz.segment_operator(sys, kz.segment_pairs(loop)[0])[1])
+    monkeypatch.setattr(kz, "CHUNK_ENTRIES", 5 * nnz)
+    batches = []
+    apply_steps = kz._apply_steps
+
+    def counted(w, op, data, dt):
+        batches.append((len(data) - 1) // 2)
+        return apply_steps(w, op, data, dt)
+
+    monkeypatch.setattr(kz, "_apply_steps", counted)
+    want = _integrate_oracle(sys, loop)
+    got = integrate_holonomy(sys, loop)
+    assert batches == [5, 3] * 3
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
