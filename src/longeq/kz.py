@@ -448,8 +448,9 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
       60 steps at d = 16: 5.1 / 2.5, d = 27: 5.2 / 4.1, d = 32: 8.2 / 6.0,
       d = 64 (n = 4): 9.8 / 22.8, d = 81: 11.7 / 30.0; the d = 256 circle
       of 16 steps 32.8 / 130.5;
-    - dense conjugates (nnz(R) = n^4): the d = 64 circle 14.5 / 10.9, the
-      d = 81 polygon 96 / 38, the d = 256 circle 182 / 114.
+    - conjugates u R_phi u^-1 with nnz(R) = 73 of 81 at n = 3 and 224 of
+      256 at n = 4: the d = 64 circle 14.5 / 10.9, the d = 81 polygon
+      96 / 38, the d = 256 circle 182 / 114.
 
     The rule picks the faster one in each case but one near the crossover:
     the n = 2, N = 6 polygon (d = 64, nnz(A) = 483) takes the propagator,
