@@ -197,24 +197,76 @@ def _scatter(pos, data, d):
     return a.reshape(d, d)
 
 
-def test_segment_operator_terms_are_the_live_lifts():
-    """Each segment's operator is built from the lifts of the pairs whose
-    point moves on it: its data at a stage time, scattered to d x d, is the
-    dense ``connection_matrix`` there, its CSR pattern is the union of those
-    lifts' patterns, and no lift is cached on the system. The memory bound
-    admits the largest tested size, 12 live pairs at n = 4, N = 4, and
-    refuses a circle at n = 4, N = 6."""
-    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.02j)
-    assert not hasattr(sys, "lifts")
+def _record_segment_operators(monkeypatch):
+    """Record the pairs of each ``segment_operator`` the integrator builds."""
+    built = []
+    real = kz.segment_operator
+
+    def recording(sys, pairs):
+        built.append(list(pairs))
+        return real(sys, pairs)
+
+    monkeypatch.setattr(kz, "segment_operator", recording)
+    return built
+
+
+def test_from_op_builds_lifts_on_first_use(monkeypatch):
+    """At n=4, N=4 no lift of the 256 x 256 connection exists until a loop is
+    integrated, and a circle builds only the lifts of its moving point, as
+    one segment operator."""
+    built = _record_segment_operators(monkeypatch)
+    sys = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
+    assert not hasattr(sys, "lifts") and built == []
+    loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0,
+                    radius=0.5)
+    integrate_holonomy(sys, loop)
+    assert built == [[(1, 0), (1, 2), (1, 3)]]
+    _, pos, _ = kz.segment_operator(sys, built[0])
+    moving = sum(lift_float(sys.r_float != 0, 4, i, j, 4) for i, j in built[0])
+    assert np.array_equal(np.flatnonzero(moving), pos)
+    fixed = lift_float(sys.r_float != 0, 4, 2, 3, 4)
+    assert not np.isin(np.flatnonzero(fixed), pos).all()
+
+
+def test_live_pairs_are_the_lifts_integration_builds(monkeypatch):
+    """``segment_pairs`` names exactly the lifts a run builds, one operator per
+    run of segments with the same live pairs, and the memory bound admits
+    the largest tested size: 12 live pairs at n = 4, N = 4."""
+    built = _record_segment_operators(monkeypatch)
+    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1)
     square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
     loop = LoopSpec([1.0, 6.0, 12.0], "polygon", 8,
                     waypoints=[square, [6.0] * 5, [12.0, 13.0, 12.0, 12.0, 12.0]])
     both = [(0, 1), (0, 2), (2, 0), (2, 1)]
     assert kz.segment_pairs(loop) == [both, both, both[:2], both[:2]]
+    kz.check_integrator_memory(sys, loop)
+    integrate_holonomy(sys, loop)
+    assert built == [both, both[:2]]
     big = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
     moving = LoopSpec([0.0, 4.0, 4 + 4j, 4j], "polygon", 4,
                       waypoints=[[c, c + 1, c + 1j, c] for c in (0.0, 4.0, 4 + 4j, 4j)])
     assert [len(p) for p in kz.segment_pairs(moving)] == [12] * 3
+    kz.check_integrator_memory(big, moving)
+    assert kz.integration_bytes(big, moving) < kz.MAX_INTEGRATOR_BYTES
+    with pytest.raises(DimensionCap, match="holonomy integration needs"):
+        kz.check_integrator_memory(KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 6, 0.1),
+                                   LoopSpec([0.0, 1.0, 10.0, 20.0, 30.0, 40.0], "circle", 2,
+                                            moving=1, center=0, radius=0.5))
+    assert built == [both, both[:2]]
+
+
+def test_segment_operator_terms_are_the_live_lifts():
+    """Each segment's operator is built from the lifts of the pairs whose
+    point moves on it: its data at a stage time, scattered to d x d, is the
+    dense ``connection_matrix`` there, and its CSR pattern is the union of
+    those lifts' patterns."""
+    sys = KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.02j)
+    square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
+    loop = LoopSpec([1.0, 6.0, 12.0], "polygon", 8,
+                    waypoints=[square, [6.0] * 5, [12.0, 13.0, 12.0, 12.0, 12.0]])
+    big = KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 4, 0.1)
+    moving = LoopSpec([0.0, 4.0, 4 + 4j, 4j], "polygon", 4,
+                      waypoints=[[c, c + 1, c + 1j, c] for c in (0.0, 4.0, 4 + 4j, 4j)])
     for system, lp in ((sys, loop), (big, moving)):
         d = system.dim
         for seg, pairs in enumerate(kz.segment_pairs(lp)):
@@ -231,13 +283,6 @@ def test_segment_operator_terms_are_the_live_lifts():
             got = _scatter(pos, m @ np.array(coeffs), d)
             want = connection_matrix(system, lp, t, seg)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    kz.check_integrator_memory(sys, loop)
-    kz.check_integrator_memory(big, moving)
-    assert kz.integration_bytes(big, moving) < kz.MAX_INTEGRATOR_BYTES
-    with pytest.raises(DimensionCap, match="holonomy integration needs"):
-        kz.check_integrator_memory(KZSystem.from_op(make_phi(4, [1, 2, 2, 4]), 6, 0.1),
-                                   LoopSpec([0.0, 1.0, 10.0, 20.0, 30.0, 40.0], "circle", 2,
-                                            moving=1, center=0, radius=0.5))
 
 
 @pytest.mark.parametrize("N", [3, 4])
