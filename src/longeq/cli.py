@@ -246,6 +246,16 @@ def cmd_kz(args):
                 file=sys.stderr,
             )
             return EXIT_USAGE
+        # circle_oracle is exact only when the centre is the one enclosed point
+        center = loop_obj["center"] - 1
+        if any(abs(z - loop.center) < loop.radius for j, z in enumerate(loop.base)
+               if j not in (center, loop.moving)):
+            print(
+                "comparison mode requires a circle that encloses no fixed point "
+                "besides its centre",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     residuals = kz.flatness_residuals(r, args.points)
     w = kz.integrate_holonomy(system, loop)
     out = jsonio.holonomy_to_json(w, h, args.points, r.dim)

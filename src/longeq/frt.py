@@ -16,9 +16,20 @@ sigma_0(c_iv (x) c_ju) = x[u,v,j,i], Long equation 1 at (i,j,k,l,p,q) is
 sigma_0(o(i,j,k,l) (x) c_pq) = 0 and equation 2 is
 sigma_0(c_pq (x) o(i,j,k,l)) = 0. So sigma_0 descends to V exactly when R
 is Long, and ``SigmaIllDefined`` on an obstruction span means "not Long".
-One kernel, ``tensor_ops._first_descent_failure``, decides it: on the
-obstruction rows in ``long_witness`` (which ``build_LR`` calls first, to
-reject before any elimination) and on the RREF basis of V in ``SigmaForm``.
+
+One pass, ``tensor_ops._descent_basis``, decides Long and yields the
+basis of V. sigma_0(. (x) c_pq) and sigma_0(c_pq (x) .) are linear, so a
+row in the span of earlier rows that all passed the descent test passes
+too; the first failing row, in (i,j,k,l) order, is independent of the rows
+before it. The pass therefore reduces each row against the echelon basis
+kept so far, skips a dependent row, and tests descent only on an
+independent row, which then joins the basis: the first failure (row,
+column, equation) is the one a test of every row finds, and on a Long
+input the basis is the RREF of V, at most n^2 - 1 rows. ``build_LR``
+passes it to ``QuotientCoalgebra``; a non-Long input is rejected before
+any full elimination. ``SigmaForm`` runs the same descent test
+(``tensor_ops._first_descent_failure``) again on the RREF basis, as a
+guard.
 
 Every step of ``build_LR`` after the Long check runs on Python ints; a
 Fraction is formed only for a value that leaves the build (the RREF rows,
@@ -58,13 +69,13 @@ from .linalg import F0, F1
 from .scalars import frac_str
 from .tensor_ops import (
     TensorOp2,
+    _descent_basis,
     _first_descent_failure,
     _form,
     _int_form,
     _obstruction_rows,
     _obstruction_vectors,
     invert,
-    long_witness,
 )
 
 DEFAULT_WORD_CAP = 6
@@ -106,20 +117,20 @@ def obstructions(r: TensorOp2):
     """
     table, d = _int_form(r)
     return [[Fraction(x, d) if x else F0 for x in vec]
-            for vec in _obstruction_vectors(table, r.dim)]
+            for _, vec in _obstruction_vectors(table, r.dim)]
 
 
-def obstruction_rows(r: TensorOp2, form=None):
+def obstruction_rows(r: TensorOp2):
     """Primitive integer rows spanning the relation span V of ``r``.
 
     These are the obstruction vectors of Z = D x, each divided by the gcd
     of its entries and signed so that its first nonzero entry is positive;
-    zero rows and repeated rows are dropped (``tensor_ops._obstruction_rows``,
-    which ``long_witness`` reads too). None of this changes the row space,
-    and the RREF of a row space is unique. ``form`` is ``_int_form(r)``
-    when the caller has formed it.
+    zero rows and repeated rows are dropped (``tensor_ops._obstruction_rows``).
+    None of this changes the row space, and the RREF of a row space is
+    unique, so ``QuotientCoalgebra(n, obstruction_rows(r))`` is the quotient
+    that ``build_LR`` forms from the basis of ``tensor_ops._descent_basis``.
     """
-    return [row for _, row in _obstruction_rows((form or _int_form(r))[0], r.dim)]
+    return [row for _, row in _obstruction_rows(_int_form(r)[0], r.dim)]
 
 
 class QuotientCoalgebra:
@@ -351,18 +362,21 @@ class LongPresentation:
 def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
     """Construct the presentation of L(R) for a Long solution R.
 
-    Verifies: counit vanishes on V, the comultiplication descends, sigma is
+    One pass over the obstruction rows decides Long, raising
+    ``NotALongSolution`` with ``long_witness``'s witness, and yields the
+    RREF basis of V (module docstring). Then it verifies, as guards: counit
+    vanishes on V, the comultiplication descends, sigma is
     well defined on cosets, the degree-one strong D-identity holds on all
     generator pairs, and the coset form reproduces R exactly. Each check
     runs on integers (module docstring), on one integer form of Z = D x.
     """
     form = _int_form(r)
-    witness = long_witness(r, form)
+    witness, basis = _descent_basis(form[0], r.dim)
     if witness is not None:
         raise NotALongSolution(
             f"componentwise equation {witness[0]} fails at {witness[1]}", witness
         )
-    quotient = QuotientCoalgebra(r.dim, obstruction_rows(r, form))
+    quotient = QuotientCoalgebra(r.dim, basis.int_rows())
     sigma = SigmaForm(r, quotient, form)
     pres = LongPresentation(r, quotient, sigma, naming)
     ok, bad = check_L1_on_generators(pres)

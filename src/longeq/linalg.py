@@ -16,6 +16,9 @@ its rows are determined up to scale, and fixing the scale by "primitive,
 positive pivot" makes the integer rows unique as well: the Fraction RREF
 row is the integer row divided by its pivot entry. ``rref`` is that
 division, and ``mat_inv`` and ``solve_affine`` call ``rref``.
+``Echelon`` keeps the same integer RREF of a span that grows one row at a
+time, and tells whether each new row lies in it; it serves a caller that
+stops at the first row with some property among the independent ones.
 ``sparse_rref`` and ``reduce_mod`` reduce a vector modulo an RREF row
 space over the rows' nonzeros; ``clear_denominators`` scales a rational
 matrix to integers for the callers that decide on them.
@@ -23,7 +26,9 @@ matrix to integers for the callers that decide on them.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -182,6 +187,86 @@ def rref_int(rows):
     return [r if r[col] > 0 else [-x for x in r] for r, col in zip(work[:row], pivots)], pivots
 
 
+class Echelon:
+    """The reduced row echelon form of a growing span of integer rows, for
+    callers that decide, row by row, whether a row is new to the span.
+
+    With e_k the Fraction RREF rows of the span (pivots p_k, in the order
+    they joined) and ``scale`` s the least positive integer for which every
+    s e_k is integral, ``columns`` maps each free (non-pivot) column c, in
+    increasing order, to [s e_k[c] for each k]. The pivot columns need no
+    storage: s e_k is s at p_k and 0 at the other pivots.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.scale = 1
+        self.pivots = []
+        self.columns = dict.fromkeys(range(size), ())
+
+    def spans(self, row):
+        """Whether ``row`` lies in the span. With y = s (row minus its
+        component in the span), y vanishes at every pivot and
+        y_c = s row[c] - sum_k row[p_k] s e_k[c] at a free column c, so a
+        row in the span costs one dot product over the pivots per free
+        column, and one outside it stops at its first nonzero y_c."""
+        if not any(row):
+            return True
+        if not self.pivots:
+            return False
+        scale = self.scale
+        at_pivots = [row[p] for p in self.pivots]
+        for c, col in self.columns.items():
+            if scale * row[c] != sum(map(operator.mul, at_pivots, col)):
+                return False
+        return True
+
+    def add(self, row):
+        """Join a row outside the span; p, the first free column where y is
+        nonzero, becomes a pivot.
+
+        y and -y span the same line, so y is taken with y_p > 0. The new
+        RREF rows are e_k - e_k[p] e and e = y / y_p; over the scale s y_p
+        they read y_p s e_k[c] - s e_k[p] y_c and s y_c at a free column c.
+        All of them and the scale are then divided by their gcd, which
+        keeps the scale least; when s y_p = 1 there is nothing to divide."""
+        scale = self.scale
+        at_pivots = [row[p] for p in self.pivots]
+        y = {c: scale * row[c] - sum(map(operator.mul, at_pivots, col))
+             for c, col in self.columns.items()}
+        p = next(c for c, x in y.items() if x)
+        if y[p] < 0:
+            y = {c: -x for c, x in y.items()}
+        d = y[p]
+        at_p = self.columns.pop(p)
+        columns = {}
+        for c, col in self.columns.items():
+            if y[c]:
+                col = [d * x - f * y[c] for x, f in zip(col, at_p)]
+            elif d != 1:
+                col = [d * x for x in col]
+            columns[c] = [*col, scale * y[c]]
+        scale *= d
+        if scale != 1:
+            g = math.gcd(scale, *itertools.chain.from_iterable(columns.values()))
+            if g != 1:
+                scale //= g
+                columns = {c: [x // g for x in col] for c, col in columns.items()}
+        self.scale, self.columns = scale, columns
+        self.pivots.append(p)
+
+    def int_rows(self):
+        """The rows of ``rref_int``: primitive, by increasing pivot."""
+        rows = []
+        for k, p in sorted(enumerate(self.pivots), key=lambda kp: kp[1]):
+            row = [0] * self.size
+            row[p] = self.scale
+            for c, col in self.columns.items():
+                row[c] = col[k]
+            rows.append(_primitive(row))
+        return rows
+
+
 def _primitive(row):
     """An integer row divided by the gcd of its entries (unchanged if zero)."""
     g = math.gcd(*row)
@@ -197,6 +282,8 @@ def clear_denominators(rows):
     """``(int_rows, scale)``: the rational matrix ``rows`` times ``scale``,
     the lcm of its denominators, as Python ints (an int has denominator 1)."""
     scale = math.lcm(*(x.denominator for row in rows for x in row))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 

@@ -16,8 +16,12 @@ sum_a x[k,l,j,a] c_ia. For every operator eps(o) = 0 and
 Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l),
 so the span V of the o is a coideal, and the Long equations at
 (i,j,k,l,p,q) are sigma_0(o(i,j,k,l) (x) c_pq) = 0 (equation 1) and
-sigma_0(c_pq (x) o(i,j,k,l)) = 0 (equation 2). ``long_witness`` and
-``frt.SigmaForm`` share the descent kernel ``_first_descent_failure``.
+sigma_0(c_pq (x) o(i,j,k,l)) = 0 (equation 2). The descent test of a row
+is one kernel, ``_row_descent_failure``. ``_descent_basis`` runs it on the
+obstruction rows that are independent of the rows before them, which
+decides Long (``long_witness``) and yields the RREF basis of V
+(``frt.build_LR``) in one pass; ``frt.SigmaForm`` runs it on that basis
+(``_first_descent_failure``).
 
 All arithmetic in this module is exact rational.
 """
@@ -288,33 +292,39 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     return report
 
 
-def _obstruction_vectors(table, n):
-    """The obstruction vectors o(i,j,k,l) = sum_v T[c_iv][c_jk] c_vl -
-    sum_a T[c_al][c_jk] c_ia of the form T = ``table`` (``_form``), c_ij at
-    slot (i-1)n + (j-1), lexicographic in (i, j, k, l), in T's arithmetic."""
+def _obstruction_vectors(table, n, key=None):
+    """Yield ``((i, j, k, l), o)``, 0-based, for the obstruction vectors
+    o(i,j,k,l) = sum_v T[c_iv][c_jk] c_vl - sum_a T[c_al][c_jk] c_ia of the
+    form T = ``table`` (``_form``), c_ij at slot (i-1)n + (j-1),
+    lexicographic in (i, j, k, l), in T's arithmetic. o is linear in column
+    jk = (j-1)n + (k-1) of T; when ``key`` is given, the (i, j, k) with
+    ``key(jk, column)`` false are skipped, and ``key`` is called in the
+    order of the tuples, before their vectors are formed."""
     rng = range(n)
     cols = list(zip(*table))
     for i in rng:
         for j in rng:
             for k in rng:
                 col = cols[j * n + k]
+                if key is not None and not key(j * n + k, col):
+                    continue
                 for l in rng:
                     vec = [0] * (n * n)
                     for v in rng:
                         vec[v * n + l] += col[i * n + v]
                     for a in rng:
                         vec[i * n + a] -= col[a * n + l]
-                    yield vec
+                    yield (i, j, k, l), vec
 
 
-def _obstruction_rows(table, n):
+def _obstruction_rows(table, n, key=None):
     """Yield ``((i, j, k, l), row)``, 0-based, for the integer form ``table``:
     each obstruction vector divided by the gcd of its entries, first nonzero
     entry positive. Zero and repeated rows are dropped, so each row is
-    tagged with its first (i, j, k, l). Lazy: an early stop forms no more."""
+    tagged with its first (i, j, k, l). Lazy: an early stop forms no more.
+    ``key`` is passed to ``_obstruction_vectors``."""
     seen = set()
-    for tag, vec in zip(itertools.product(range(n), repeat=4),
-                        _obstruction_vectors(table, n)):
+    for tag, vec in _obstruction_vectors(table, n, key):
         g = math.gcd(*vec)
         if not g:
             continue
@@ -351,16 +361,79 @@ def _first_descent_failure(table, rows):
     """
     cols = list(zip(*table))
     for key, terms in rows:
-        for b, tb in enumerate(table):
-            cb = cols[b]
-            if sum([x * cb[a] for a, x in terms]):
-                return key, b, 1
-            if sum([x * tb[a] for a, x in terms]):
-                return key, b, 2
+        failure = _row_descent_failure(table, cols, terms)
+        if failure is not None:
+            return (key, *failure)
     return None
 
 
-def long_witness(r: TensorOp2, form=None):
+def _row_descent_failure(table, cols, terms):
+    """``(b, equation)`` of ``_first_descent_failure`` for one row, or None;
+    ``cols`` are the columns of ``table``."""
+    for b, tb in enumerate(table):
+        cb = cols[b]
+        if sum([x * cb[a] for a, x in terms]):
+            return b, 1
+        if sum([x * tb[a] for a, x in terms]):
+            return b, 2
+    return None
+
+
+def _descent_basis(table, n):
+    """``(witness, basis)`` for the integer form ``table`` of an operator.
+
+    One pass over the primitive obstruction rows (``_obstruction_rows``)
+    decides the Long system and spans V. Each row is tested against the
+    span of the rows kept so far (``linalg.Echelon``); a row in the span
+    is skipped, and an independent row is checked for sigma_0-descent
+    (``_row_descent_failure``) and, once it passes, joins the basis.
+
+    Skipping a row that lies in the span of earlier rows finds the same
+    first failure as checking every row: sigma_0(. (x) c_b) and
+    sigma_0(c_b (x) .) are linear, so such a row passes when the earlier
+    rows did. The first failing row is therefore independent of the rows
+    before it, and its own check gives the same column and equation.
+
+    The same linearity skips most rows unformed. o(i,j,k,l) is linear in
+    column jk of ``table``, so when that column is a combination of the
+    columns j'k' < jk, o(i,j,k,l) is the same combination of the earlier
+    rows o(i,j',k',l). Each column is tested once, against the independent
+    columns before it, when i = 0 first reaches it; at most n^2 rank(table)
+    rows are formed.
+
+    ``witness`` is ``long_witness``'s value. ``basis`` is None on a
+    failure; otherwise it is the ``linalg.Echelon`` of V, whose
+    ``int_rows()`` are the RREF of V as ``linalg.rref_int`` returns it (at
+    most n^2 - 1 rows, since eps vanishes on V). No full elimination runs
+    before the verdict.
+    """
+    column_span = la.Echelon(n * n)
+    independent_cols = {}
+    unadded = []  # an independent column joins the span when the next is tested
+
+    def key(jk, col):
+        if jk not in independent_cols:
+            if unadded:
+                column_span.add(unadded.pop())
+            independent_cols[jk] = not column_span.spans(col)
+            if independent_cols[jk]:
+                unadded.append(col)
+        return independent_cols[jk]
+
+    cols = list(zip(*table))
+    echelon = la.Echelon(n * n)
+    for (i, j, k, l), row in _obstruction_rows(table, n, key):
+        if echelon.spans(row):
+            continue
+        failure = _row_descent_failure(table, cols, [(a, x) for a, x in enumerate(row) if x])
+        if failure is not None:
+            b, eq = failure
+            return (eq, (i + 1, j + 1, k + 1, l + 1, b // n + 1, b % n + 1)), None
+        echelon.add(row)
+    return None, echelon
+
+
+def long_witness(r: TensorOp2):
     """First componentwise violation of the Long system, or None.
 
     Returns ``(equation_number, (i, j, k, l, p, q))`` with 1-based indices;
@@ -369,20 +442,13 @@ def long_witness(r: TensorOp2, form=None):
 
     This is the first failure of sigma_0-descent (module docstring) over
     the primitive obstruction rows, column (p, q) by column; a row dropped
-    as zero or repeated is a multiple of an earlier row, which passed. Both
-    equations are homogeneous quadratics, so they are checked on Z = D x, D
-    the lcm of the denominators, which violates them at the same tuples.
-    ``form`` is ``_int_form(r)`` when the caller has formed it.
+    as zero or repeated is a multiple of an earlier row, and one in the
+    span of earlier rows is skipped (``_descent_basis``), since both passed
+    with the rows they depend on. Both equations are homogeneous
+    quadratics, so they are checked on Z = D x, D the lcm of the
+    denominators, which violates them at the same tuples.
     """
-    n = r.dim
-    table = (form or _int_form(r))[0]
-    rows = ((tag, [(a, x) for a, x in enumerate(row) if x])
-            for tag, row in _obstruction_rows(table, n))
-    failure = _first_descent_failure(table, rows)
-    if failure is None:
-        return None
-    (i, j, k, l), b, eq = failure
-    return (eq, (i + 1, j + 1, k + 1, l + 1, b // n + 1, b % n + 1))
+    return _descent_basis(_int_form(r)[0], r.dim)[0]
 
 
 def _coeff_family(n, matrix):

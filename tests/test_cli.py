@@ -367,9 +367,15 @@ def _refuse(*args, **kwargs):
     raise RuntimeError("the usage checks must run first")
 
 
-@pytest.mark.parametrize("case", ["cap", "nonsymmetric", "explicit_center"])
+@pytest.mark.parametrize("case", ["cap", "nonsymmetric", "explicit_center",
+                                  "encloses_second_point"])
 def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
                                                           monkeypatch, corpus, case):
+    """Each usage error exits 2 before any bracket or integration.
+    ``encloses_second_point``: point 2 circling point 1 (at 0) at radius 2
+    also encloses point 3 (at 1.6), where ``circle_oracle`` is not exact;
+    with h = 0.05 and 64 steps this once printed an oracle distance of 0.31
+    and exited 0."""
     monkeypatch.setattr(kz, "flatness_residuals", _refuse)
     monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
     r = corpus["pair_235"] if case == "nonsymmetric" else make_phi(2, [1, 1])
@@ -387,13 +393,20 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
     elif case == "nonsymmetric":
         argv.append("--compare")
         want = "comparison mode requires a symmetric operator"
-    else:
+    elif case == "explicit_center":
         loop = _write(tmp_path, "loop.json", {
             "base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
             "moving": 1, "center": [0.0, 0.0], "radius": 0.5,
         })
         argv = argv[:-1] + [loop, "--compare"]
         want = "comparison mode requires a circle loop centered on a fixed point"
+    else:
+        loop = _write(tmp_path, "loop.json", {
+            "base": [[0.0, 0.0], [1.0, 0.0], [1.6, 0.0]], "kind": "circle", "steps": 64,
+            "moving": 2, "center": 1, "radius": 2.0,
+        })
+        argv = ["kz", "--op", op, "--points", "3", "--h", "0.05", "--loop", loop, "--compare"]
+        want = "comparison mode requires a circle that encloses no fixed point besides its centre"
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert want in err

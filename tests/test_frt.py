@@ -11,11 +11,13 @@ from longeq import (
     InternalCheckFailed,
     NotALongSolution,
     SigmaIllDefined,
+    SingularMatrix,
     TensorOp2,
     build_LR,
     check_L1_on_generators,
     convolution_inverse,
     dimodule_compatible,
+    idempotent_maps,
     make_conjugate,
     make_diag,
     make_pair,
@@ -36,9 +38,16 @@ from longeq.frt import (
     comatrix_eps,
     obstruction_rows,
 )
+from longeq.tensor_ops import _descent_basis, _int_form
 from conftest import upper_pair_operator
 from test_linalg import _rref_oracle
-from test_tensor_ops import _late_violation_cases, _seeded_candidate
+from test_tensor_ops import (
+    _late_violation_cases,
+    _long_witness_oracle,
+    _mixed_denominator_cases,
+    _seeded_candidate,
+    _unit_candidates,
+)
 
 F = Fraction
 
@@ -762,3 +771,82 @@ def test_long_witness_is_sigma_descent_on_the_obstruction_span():
         assert descends == (long_witness(r) is None), r.matrix
         outcomes.add(descends)
     assert outcomes == {True, False}
+
+
+def _conjugates_of_every_rank():
+    """Dense u R_phi u^-1 at n = 3 and 4, three for each rank of phi, with
+    u seeded in {-2, -1, 1, 2}."""
+    rng = random.Random(59)
+    out = {}
+    for n in (3, 4):
+        for rank in range(1, n + 1):
+            maps = [phi for phi in idempotent_maps(n) if len(set(phi)) == rank]
+            for k in range(3):
+                phi = rng.choice(maps)
+                while True:
+                    u = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+                    try:
+                        out[f"conj{n}_r{rank}_{k}"] = make_conjugate(u, make_phi(n, phi))
+                        break
+                    except SingularMatrix:
+                        pass
+    return out
+
+
+def test_descent_basis_gives_the_quotient_of_all_obstruction_rows(corpus, phi4_solutions):
+    """The one pass that decides Long also spans V: the quotient built on
+    its basis is ``QuotientCoalgebra(n, obstruction_rows(r))``, row for
+    row, and the basis is already that quotient's integer RREF, at most
+    n^2 - 1 rows (eps vanishes on V)."""
+    cases = dict(corpus)
+    cases.update({f"phi4_{''.join(map(str, phi))}": r for phi, r in phi4_solutions.items()})
+    cases.update(_conjugates_of_every_rank())
+    cases.update(_fractional_conjugates())
+    ranks = set()
+    for name, r in cases.items():
+        n = r.dim
+        witness, echelon = _descent_basis(_int_form(r)[0], n)
+        assert witness is None, name
+        basis = echelon.int_rows()
+        want = QuotientCoalgebra(n, obstruction_rows(r))
+        got = QuotientCoalgebra(n, basis)
+        assert (got.rows, got.pivots, got.int_cosets) == (
+            want.rows, want.pivots, want.int_cosets), name
+        assert basis == la.rref_int(basis)[0] == la.rref_int(obstruction_rows(r))[0], name
+        assert len(basis) == len(want.rows) <= n * n - 1, name
+        assert build_LR(r).quotient.int_cosets == want.int_cosets, name
+        ranks.add((n, len(basis)))
+    assert {(4, 12), (4, 10), (3, 6)} <= ranks
+
+
+def test_build_LR_witness_is_long_witness_and_oracle():
+    """On non-Long operators the witness that ``build_LR`` raises is the one
+    of ``long_witness`` and of the componentwise Fraction oracle."""
+    seen = 0
+    for r in _unit_candidates() + _mixed_denominator_cases() + _late_violation_cases():
+        want = _long_witness_oracle(r)
+        if want is None:
+            continue
+        with pytest.raises(NotALongSolution) as err:
+            build_LR(r)
+        assert err.value.witness == long_witness(r) == want, r.matrix
+        seen += 1
+    assert seen >= 60
+
+
+def test_build_LR_rejects_before_any_rref(monkeypatch):
+    """A non-Long operator is rejected by the one pass alone: with
+    ``la.rref_int`` made to raise, ``build_LR`` still raises
+    ``NotALongSolution``, late witnesses at n = 4 included."""
+    def no_rref(rows):
+        raise RuntimeError("rref_int reached")
+
+    bad = [r for r in _late_violation_cases() + _mixed_denominator_cases()
+           if _long_witness_oracle(r) is not None]
+    assert len(bad) >= 30
+    monkeypatch.setattr(la, "rref_int", no_rref)
+    with pytest.raises(RuntimeError, match="rref_int reached"):
+        build_LR(make_phi(3, (1, 1, 3)))
+    for r in bad:
+        with pytest.raises(NotALongSolution):
+            build_LR(r)

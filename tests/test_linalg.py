@@ -175,6 +175,26 @@ def test_rref_int_rows_are_primitive_and_match_oracle():
         assert la.rref_from_int(int_rows, pivots) == red
 
 
+def test_echelon_grows_the_rref_int_of_its_rows():
+    """Rows fed one at a time: ``spans`` holds exactly for a row in the span
+    of the rows before it (the pivots do not change), ``add`` makes the
+    RREF's new pivot a pivot, and ``int_rows`` is the RREF of every row so
+    far, with the least common pivot ``scale``."""
+    for rows in _rref_cases()[1:]:  # the first case has no rows
+        int_rows = [la.clear_denominators([r])[0][0] for r in rows]
+        echelon = la.Echelon(len(rows[0]))
+        for t, row in enumerate(int_rows):
+            before = la.rref_int(int_rows[:t])[1]
+            after, pivots = la.rref_int(int_rows[:t + 1])
+            assert echelon.spans(row) == (pivots == before), rows
+            if not echelon.spans(row):
+                echelon.add(row)
+                assert set(pivots) - set(before) == {echelon.pivots[-1]}, rows
+            assert echelon.int_rows() == after, rows
+            red = _rref_oracle(rows[:t + 1])[0]
+            assert echelon.scale == math.lcm(*(x.denominator for r in red for x in r)), rows
+
+
 def test_clear_denominators():
     rows = [[F(1, 2), F(-2, 3)], [0, F(5)]]
     assert la.clear_denominators(rows) == ([[3, -4], [0, 30]], 6)

@@ -341,27 +341,31 @@ def test_long_witness_matches_oracle_on_phi4(phi4_solutions):
         assert _long_witness_oracle(r) is None, phi
 
 
-def test_long_witness_matches_oracle_on_unit_candidates():
+def _unit_candidates():
+    """Seeded {-1, 0, 1} candidates at n = 2, 3, 4 and densities 0.02 to 0.5."""
     rng = random.Random(20240601)
+    return [_seeded_candidate(rng, n, density, (-1, 1))
+            for n in (2, 3, 4) for density in (0.02, 0.05, 0.2, 0.5)
+            for _ in range(12 if n < 4 else 6)]
+
+
+def test_long_witness_matches_oracle_on_unit_candidates():
     hits = 0
-    for n in (2, 3, 4):
-        for density in (0.02, 0.05, 0.2, 0.5):
-            for _ in range(12 if n < 4 else 6):
-                r = _seeded_candidate(rng, n, density, (-1, 1))
-                want = _long_witness_oracle(r)
-                assert long_witness(r) == want, (n, density, r.matrix)
-                hits += want is not None
+    for r in _unit_candidates():
+        want = _long_witness_oracle(r)
+        assert long_witness(r) == want, r.matrix
+        hits += want is not None
     assert hits > 0
 
 
-def test_long_witness_matches_oracle_with_mixed_denominators():
-    """Entries over 2, 3 and 6: the witness of the cleared-denominator
-    integer family must be the witness of the rational one."""
+def _mixed_denominator_cases():
+    """Seeded candidates with entries over 2, 3 and 6; a solution with
+    fractional entries (``cases[-5]``), three late violations of it, and a
+    conjugate by an integer U (``cases[-1]``, also a solution)."""
     rng = random.Random(7)
     values = (F(1, 2), F(-1, 3), F(5, 6), F(-2), F(1, 3))
     cases = [_seeded_candidate(rng, n, density, values)
              for n in (2, 3) for density in (0.05, 0.2, 0.6) for _ in range(8)]
-    # solutions with fractional entries, and late violations of them
     sol = make_conjugate([[1, 2], [0, 3]], make_diag(2, [[F(1, 2), F(2, 3)], [3, F(-1, 5)]]))
     cases.append(sol)
     for pos in ((0, 0), (3, 3), (2, 1)):
@@ -369,11 +373,18 @@ def test_long_witness_matches_oracle_with_mixed_denominators():
         mat[pos[0]][pos[1]] += F(1, 7)
         cases.append(TensorOp2(2, mat))
     cases.append(make_conjugate([[1, 1, 0], [0, 2, 1], [1, 0, 3]], make_phi(3, [1, 1, 3])))
+    return cases
+
+
+def test_long_witness_matches_oracle_with_mixed_denominators():
+    """Entries over 2, 3 and 6: the witness of the cleared-denominator
+    integer family must be the witness of the rational one."""
+    cases = _mixed_denominator_cases()
     assert any(c.matrix[a][b].denominator > 1 for c in cases[-5:]
                for a in range(len(c.matrix)) for b in range(len(c.matrix)))
     for r in cases:
         assert long_witness(r) == _long_witness_oracle(r), r.matrix
-    assert long_witness(sol) is None and long_witness(cases[-1]) is None
+    assert long_witness(cases[-5]) is None and long_witness(cases[-1]) is None
 
 
 def _late_violation_cases():
@@ -555,3 +566,27 @@ def test_hopf_clears_denominators_inhomogeneously():
     assert check_laws(r, ["hopf"]) == _check_laws_oracle(r, ["hopf"]) == {"hopf": True}
     r12, r23 = lift(r, 12), lift(r, 23)
     assert not (r12 * r23).is_zero()
+
+
+def test_long_witness_forms_rows_only_for_independent_table_columns(monkeypatch):
+    """o(i,j,k,l) is linear in column jk of the integer form, so the pass
+    forms vectors only for the columns independent of the ones before
+    them: at most n^2 rank(form) of the n^4, and the same witnesses."""
+    formed = []
+    vectors = tensor_ops._obstruction_vectors
+
+    def counted(table, n, key=None):
+        for tag, vec in vectors(table, n, key):
+            formed.append(tag)
+            yield tag, vec
+
+    rng = random.Random(5)
+    ops = [_random_conjugate(rng, 4, make_phi(4, phi)) for phi in ([1] * 4, [1, 2, 2, 4])]
+    ops += [make_phi(4, (1, 2, 3, 3)), _late_violation_cases()[-1]]
+    monkeypatch.setattr(tensor_ops, "_obstruction_vectors", counted)
+    for r in ops:
+        formed.clear()
+        assert long_witness(r) == _long_witness_oracle(r)
+        table = tensor_ops._int_form(r)[0]
+        rank = len(la.rref_int([list(col) for col in zip(*table)])[0])
+        assert len(formed) <= 16 * rank < 256, r.matrix
