@@ -373,9 +373,8 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
                                                           monkeypatch, corpus, case):
     """Each usage error exits 2 before any bracket or integration.
     ``encloses_second_point``: point 2 circling point 1 (at 0) at radius 2
-    also encloses point 3 (at 1.6), where ``circle_oracle`` is not exact;
-    with h = 0.05 and 64 steps this once printed an oracle distance of 0.31
-    and exited 0."""
+    also encloses point 3 (at 1.6), where ``circle_oracle`` is not exact:
+    at h = 0.05 and 64 steps the integrated holonomy lies 0.31 from it."""
     monkeypatch.setattr(kz, "flatness_residuals", _refuse)
     monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
     r = corpus["pair_235"] if case == "nonsymmetric" else make_phi(2, [1, 1])

@@ -186,8 +186,9 @@ def test_echelon_grows_the_rref_int_of_its_rows():
         for t, row in enumerate(int_rows):
             before = la.rref_int(int_rows[:t])[1]
             after, pivots = la.rref_int(int_rows[:t + 1])
-            assert echelon.spans(row) == (pivots == before), rows
-            if not echelon.spans(row):
+            spanned = echelon.spans(row)
+            assert spanned == (pivots == before), rows
+            if not spanned:
                 echelon.add(row)
                 assert set(pivots) - set(before) == {echelon.pivots[-1]}, rows
             assert echelon.int_rows() == after, rows
