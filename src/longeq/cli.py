@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import jsonio, kz
+from . import linalg as la
 from .bialgebra import AXIOMS, check_axioms
 from .errors import (
     DimensionCap,
@@ -49,54 +50,10 @@ def _load_json(path):
         return json.load(fh)
 
 
-# separators of json.dump(indent=2) inside a row of the top-level "matrix":
-# between the two scalars of a pair, and between two pairs
-_PAIR_ITEM = ",\n        "
-_PAIR_NEXT = "\n      ],\n      [\n        "
-
-
-def _pair_grid_rows(value):
-    """The C-encoded rows of a rectangular list of rows of [x, y] scalar
-    pairs, or None when ``value`` is anything else."""
-    if type(value) is not list or not value or type(value[0]) is not list:
-        return None
-    cols = len(value[0])
-    if not all(type(row) is list and len(row) == cols
-               and set(map(type, row)) == {list} and set(map(len, row)) == {2}
-               for row in value):
-        return None
-    rows = [json.dumps(row) for row in value]
-    # no list below the pairs, no string and no object: every scalar is one
-    # token without brackets, commas or spaces
-    if any(t.count("[") != 1 + cols or '"' in t or "{" in t for t in rows):
-        return None
-    return rows
-
-
 def _emit(obj):
-    """Write ``json.dump(obj, indent=2)`` and a newline.
-
-    The indent=2 encoder runs in Python. A top-level ``"matrix"`` that is
-    a grid of [x, y] pairs (the holonomy) is encoded row by row by the C
-    encoder, whose scalar tokens (float repr, NaN, Infinity) are the same,
-    and laid out by replacing its separators.
-    """
-    out = sys.stdout
-    rows = _pair_grid_rows(obj.get("matrix")) if type(obj) is dict else None
-    if rows is None:
-        json.dump(obj, out, indent=2)
-        out.write("\n")
-        return
-    # the only line indented by two spaces that starts with a quote is a
-    # top-level key, and a dict holds each key once
-    mark = '\n  "matrix": '
-    head, tail = json.dumps({**obj, "matrix": None}, indent=2).split(mark + "null", 1)
-    out.write(head + mark + "[\n    ")
-    for k, row in enumerate(rows):
-        out.write(",\n    [\n      [\n        " if k else "[\n      [\n        ")
-        out.write(row[2:-2].replace("], [", _PAIR_NEXT).replace(", ", _PAIR_ITEM))
-        out.write("\n      ]\n    ]")
-    out.write("\n  ]" + tail + "\n")
+    """Write ``json.dump(obj, indent=2)`` and a newline."""
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _report(command, verdicts, witnesses, started):
@@ -135,10 +92,12 @@ def cmd_check(args):
     unknown = set(laws) - set(LAWS)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}; choose from {LAWS}")
-    verdicts = check_laws(r, laws)
+    # one integer form Z = D R for both checkers
+    cleared = la.clear_denominators(r.matrix)
+    verdicts = check_laws(r, laws, cleared)
     witnesses = {}
     if "long" in laws:
-        witness = long_witness(r)
+        witness = long_witness(r, cleared)
         if (witness is None) != verdicts["long"]:
             raise InternalCheckFailed(
                 "matrix-level and componentwise Long checks disagree"
@@ -258,20 +217,23 @@ def cmd_kz(args):
             return EXIT_USAGE
     residuals = kz.flatness_residuals(r, args.points)
     w = kz.integrate_holonomy(system, loop)
-    out = jsonio.holonomy_to_json(w, h, args.points, r.dim)
-    out["format_version"] = jsonio.FORMAT_VERSION
-    out["residuals"] = residuals
-    out["elapsed_s"] = round(time.monotonic() - started, 6)
+    fields = {
+        "format_version": jsonio.FORMAT_VERSION,
+        "residuals": residuals,
+        "elapsed_s": round(time.monotonic() - started, 6),
+    }
     code = EXIT_OK
     if args.compare:
         import numpy as np
 
         oracle = kz.circle_oracle(system, loop_obj["moving"] - 1,
                                   loop_obj["center"] - 1)
-        out["oracle_distance"] = float(np.max(np.abs(w - oracle)))
+        fields["oracle_distance"] = float(np.max(np.abs(w - oracle)))
         if not all(residuals.values()):
             code = EXIT_FAIL
-    _emit(out)
+    # the bytes of _emit({**holonomy_to_json(w, ...), **fields}), written from w
+    jsonio.write_holonomy(sys.stdout, w, h, args.points, r.dim, fields)
+    sys.stdout.write("\n")
     return code
 
 

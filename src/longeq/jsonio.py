@@ -7,6 +7,7 @@ is the sole float-bearing format. All tensor indices on the wire are
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -235,12 +236,61 @@ def loop_to_json(loop: LoopSpec) -> dict:
     return out
 
 
+def _holonomy_header(h, big_n, n) -> dict:
+    """The fields of a holonomy report before its matrix."""
+    return {"h": _complex_pair(h), "N": big_n, "n": n}
+
+
 def holonomy_to_json(w, h, big_n, n) -> dict:
     w = np.ascontiguousarray(w, dtype=complex)
     return {
-        "h": _complex_pair(h),
-        "N": big_n,
-        "n": n,
+        **_holonomy_header(h, big_n, n),
         # the real view interleaves re and im, so its rows are [re, im] pairs
         "matrix": w.view(float).reshape(w.shape + (2,)).tolist(),
     }
+
+
+# json.dump(indent=2) layout of a top-level "matrix" of rows of [re, im]
+# pairs: between the two doubles of a pair, between two pairs of a row, and
+# around a row
+_PAIR_ITEM = ",\n        "
+_PAIR_NEXT = "\n      ],\n      [\n        "
+_ROW_OPEN = "[\n      [\n        "
+_ROW_CLOSE = "\n      ]\n    ]"
+_ZERO_PAIR = "0.0" + _PAIR_ITEM + "0.0"
+# json writes the non-finite doubles as these tokens and the others as repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_holonomy(out, w, h, big_n, n, fields) -> None:
+    """Write ``json.dump({**holonomy_to_json(w, h, big_n, n), **fields},
+    out, indent=2)`` for a nonempty matrix ``w`` and ``fields`` whose keys
+    are not those of the report.
+
+    No nested list is formed. A pair whose two doubles have all bits zero
+    (+0.0, +0.0) is one shared token; only the other pairs, found on the
+    bits, are formatted, with ``repr`` as json formats a float, so -0.0,
+    subnormals and the non-finite values are written as ``json.dump``
+    writes them. Each row is one join and one ``out.write``, so no string
+    longer than a row is held.
+    """
+    w = np.ascontiguousarray(w, dtype=complex)
+    rows, cols = w.shape
+    bits = w.view(np.uint64).reshape(-1, 2)
+    live = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    tokens = [_NON_FINITE.get(t, t)
+              for t in map(repr, w.reshape(-1)[live].view(float).tolist())]
+    pairs = [re + _PAIR_ITEM + im for re, im in zip(tokens[0::2], tokens[1::2])]
+    # live is ascending, so row k's live pairs are pairs[bounds[k]:bounds[k + 1]]
+    at = (live % cols).tolist()
+    bounds = np.searchsorted(live, np.arange(rows + 1) * cols).tolist()
+    zeros = [_ZERO_PAIR] * cols
+    head = json.dumps(_holonomy_header(h, big_n, n), indent=2)
+    out.write(head[:-2] + ',\n  "matrix": [\n    ')
+    for k in range(rows):
+        cells = zeros.copy()
+        for p in range(bounds[k], bounds[k + 1]):
+            cells[at[p]] = pairs[p]
+        out.write((",\n    " if k else "") + _ROW_OPEN + _PAIR_NEXT.join(cells) + _ROW_CLOSE)
+    tail = json.dumps(fields, indent=2)
+    out.write("\n  ]" + ("," + tail[1:] if fields else "\n}"))

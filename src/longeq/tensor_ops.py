@@ -244,7 +244,7 @@ def flip_invariant(r: TensorOp2) -> bool:
     return all(m[flip[a]][flip[b]] == x for a, row in enumerate(m) for b, x in enumerate(row))
 
 
-def check_laws(r: TensorOp2, laws=None) -> dict:
+def check_laws(r: TensorOp2, laws=None, cleared=None) -> dict:
     """Evaluate the requested laws exactly; returns {law: bool}.
 
     Laws: long, d_equation, qybe, hopf, kz_bracket, symmetric. When the
@@ -259,13 +259,16 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     so it holds iff Z23 Z13 Z12 = D Z12 Z23. Each side is compared row by
     row (``_products_equal``), so no n^3 x n^3 product is built or stored.
     Symmetry is an index permutation (``flip_invariant``).
+
+    ``cleared`` is ``la.clear_denominators(r.matrix)`` when the caller has
+    formed it for ``long_witness`` too.
     """
     wanted = set(LAWS) if laws is None else set(laws)
     unknown = wanted - set(LAWS)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}")
     n = r.dim
-    z, scale = la.clear_denominators(r.matrix)
+    z, scale = cleared or la.clear_denominators(r.matrix)
     z12, z13, z23 = (_lift_sparse(z, n, *_LIFT_SLOTS[s], 3) for s in (12, 13, 23))
     report = {}
     need_long = bool({"long", "kz_bracket"} & wanted)
@@ -433,7 +436,7 @@ def _descent_basis(table, n):
     return None, echelon
 
 
-def long_witness(r: TensorOp2):
+def long_witness(r: TensorOp2, cleared=None):
     """First componentwise violation of the Long system, or None.
 
     Returns ``(equation_number, (i, j, k, l, p, q))`` with 1-based indices;
@@ -446,9 +449,11 @@ def long_witness(r: TensorOp2):
     span of earlier rows is skipped (``_descent_basis``), since both passed
     with the rows they depend on. Both equations are homogeneous
     quadratics, so they are checked on Z = D x, D the lcm of the
-    denominators, which violates them at the same tuples.
+    denominators, which violates them at the same tuples. ``cleared`` is
+    ``la.clear_denominators(r.matrix)`` when the caller has formed it.
     """
-    return _descent_basis(_int_form(r)[0], r.dim)[0]
+    z = (cleared or la.clear_denominators(r.matrix))[0]
+    return _descent_basis(_form(z, r.dim), r.dim)[0]
 
 
 def _coeff_family(n, matrix):

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line front end and JSON wire formats."""
 
+import functools
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +21,14 @@ from longeq import (
     cyclic_group_algebra,
     jsonio,
     kz,
+    make_conjugate,
+    make_diag,
     make_pair,
     make_phi,
     tensor_ops,
 )
-from longeq.cli import _emit, _pair_grid_rows, main
+from longeq import linalg as la
+from longeq.cli import _emit, main
 from longeq.jsonio import (
     bialgebra_to_json,
     operator_from_json,
@@ -129,6 +135,37 @@ def test_check_kz_bracket_internal_disagreement_exits_70(tmp_path, capsys, monke
     assert code == 70
     assert out == ""
     assert "KZ bracket" in err
+
+
+@pytest.mark.parametrize("r", [
+    make_conjugate([[1, Fraction(1, 7)], [0, 1]],
+                   make_diag(2, [[Fraction(1, 2), Fraction(2, 3)],
+                                 [Fraction(3, 5), Fraction(5, 6)]])),
+    TensorOp2(2, [[0, Fraction(1, 3), 0, 0], [0, 0, 0, 0], [1, 0, 0, 0],
+                  [0, 0, 1, Fraction(1, 2)]]),
+])
+def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
+    """check_laws and long_witness share one integer form Z = D R; the
+    report is the one each forming its own gives."""
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    argv = ["check", "--op", op, "--laws", "long,hopf,kz_bracket"]
+    _, want, _ = _run(capsys, argv)
+    cleared = []
+    real = la.clear_denominators
+
+    def counting(rows):
+        cleared.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(la, "clear_denominators", counting)
+    code, out, _ = _run(capsys, argv)
+    assert cleared.count(r.dim ** 2) == 1
+    assert re.sub(r'"elapsed_s": [^\n]*', "", out) == re.sub(r'"elapsed_s": [^\n]*', "", want)
+    verdicts = json.loads(out)["verdicts"]
+    assert code == (0 if all(verdicts.values()) else 1)
+    monkeypatch.undo()
+    assert verdicts == tensor_ops.check_laws(r, ["long", "hopf", "kz_bracket"])
+    assert (tensor_ops.long_witness(r) is None) == verdicts["long"]
 
 
 def test_check_unknown_law_is_usage_error(tmp_path, capsys):
@@ -528,31 +565,104 @@ def test_kz_stdout_on_fixed_circle_is_pinned(tmp_path, capsys):
         "d637f234d5a7e04646ad47d1bc9c8d32ac8b7d42dca38955ad3f923d568bdb0e")
 
 
-def _kz_report(d, seed, oracle):
-    """A kz report around a random d x d holonomy with IEEE edge entries."""
+_SPECIALS = [-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, float("nan"),
+             float("inf"), -float("inf"), 0.1, 1 / 3]
+
+
+def _kz_report(d, seed, oracle, zeros=0.0):
+    """(W, fields) of a kz report: a random d x d holonomy with IEEE edge
+    entries, a share ``zeros`` of its pairs set to +0.0."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    specials = [-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, float("nan"),
-                float("inf"), -float("inf"), 0.1, 1 / 3]
+    w[rng.random((d, d)) < zeros] = 0
     flat = w.view(float).ravel()
     flat[rng.choice(flat.size, size=min(flat.size, 40), replace=False)] = (
-        specials * 4)[:min(flat.size, 40)]
-    out = jsonio.holonomy_to_json(w, 0.1 - 0.05j, 4, 2)
-    out["format_version"] = jsonio.FORMAT_VERSION
-    out["residuals"] = {"[R12,R13+R23]": True, "[R12,R34]": False}
-    out["elapsed_s"] = 0.123456
+        _SPECIALS * 4)[:min(flat.size, 40)]
+    fields = {"format_version": jsonio.FORMAT_VERSION,
+              "residuals": {"[R12,R13+R23]": True, "[R12,R34]": False},
+              "elapsed_s": 0.123456}
     if oracle:
-        out["oracle_distance"] = float(np.max(np.abs(w)))
-    return out
+        fields["oracle_distance"] = float(np.max(np.abs(w)))
+    return w, fields
+
+
+def _report_text(w, fields):
+    """The report as json.dump(indent=2) writes the dict form."""
+    return json.dumps({**jsonio.holonomy_to_json(w, 0.1 - 0.05j, 4, 2), **fields},
+                      indent=2)
+
+
+def _write_report(w, fields):
+    buf = io.StringIO()
+    jsonio.write_holonomy(buf, w, 0.1 - 0.05j, 4, 2, fields)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("d", [4, 8, 81, 256])
 @pytest.mark.parametrize("oracle", [False, True])
-def test_emit_matches_json_dump_on_kz_report(capsys, d, oracle):
-    obj = _kz_report(d, d, oracle)
-    assert _pair_grid_rows(obj["matrix"]) is not None  # the C-encoded layout
-    _emit(obj)
-    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+def test_emit_matches_json_dump_on_kz_report(d, oracle):
+    w, fields = _kz_report(d, d, oracle)
+    assert _write_report(w, fields) == _report_text(w, fields)
+
+
+@pytest.mark.parametrize("d", [81, 256])
+def test_write_holonomy_on_mostly_zero_w(d):
+    """98% of the pairs are +0.0 and written as the shared zero token."""
+    w, fields = _kz_report(d, d + 1, True, zeros=0.98)
+    bits = w.view(np.uint64).reshape(-1, 2)
+    assert np.mean((bits == 0).all(axis=1)) > 0.95
+    assert _write_report(w, fields) == _report_text(w, fields)
+
+
+def test_write_holonomy_keeps_signed_zero_pairs():
+    """Only a pair with all bits zero is the zero token; -0.0 is written as
+    json writes it, in either place of a pair."""
+    w = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0), 0j],
+                  [complex(-0.0, -0.0), 0j, complex(5e-324, 0.0)],
+                  [0j, complex(0.0, float("nan")), complex(-float("inf"), -0.0)]])
+    text = _write_report(w, {})
+    assert text == _report_text(w, {})
+    assert len(re.findall(r"-0\.0\b", text)) == 5 and "NaN" in text and "-Infinity" in text
+
+
+def test_write_holonomy_writes_one_row_at_a_time():
+    """No single write of the d = 256 report is longer than one row of it."""
+    w, fields = _kz_report(256, 7, True, zeros=0.98)
+    writes = []
+
+    class Out:
+        def write(self, text):
+            writes.append(text)
+
+    jsonio.write_holonomy(Out(), w, 0.1 - 0.05j, 4, 2, fields)
+    want = _report_text(w, fields)
+    assert "".join(writes) == want
+    # a row sits four spaces deeper than at the top level, after ",\n    "
+    row_len = max(len(t) + 4 * t.count("\n") + 6
+                  for t in map(functools.partial(json.dumps, indent=2),
+                               json.loads(want)["matrix"]))
+    assert len(writes) >= 256
+    assert max(map(len, writes)) <= row_len
+
+
+def test_kz_polygon_stdout_is_json_dump_of_itself(tmp_path, capsys):
+    """A polygon holonomy at complex h, with zero and nonzero pairs, is
+    written exactly as json.dump(indent=2) writes the parsed report."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[2.0, 2.0], [0.0, 0.0], [6.0, 1.0]], "kind": "polygon",
+        "steps": 32, "waypoints": [[[2.0, 2.0], [-2.0, 2.0], [-2.0, -2.0],
+                                    [2.0, -2.0], [2.0, 2.0]],
+                                   [[0.0, 0.0]] * 5, [[6.0, 1.0]] * 5]})
+    code, out, _ = _run(capsys, ["kz", "--op", op, "--points", "3",
+                                 "--h", "0.1,0.2", "--loop", loop])
+    assert code == 0
+    obj = json.loads(out)
+    assert out == json.dumps(obj, indent=2) + "\n"
+    assert list(obj) == ["h", "N", "n", "matrix", "format_version",
+                         "residuals", "elapsed_s"]
+    pairs = [p for row in obj["matrix"] for p in row]
+    assert [0.0, 0.0] in pairs and any(p != [0.0, 0.0] for p in pairs)
 
 
 @pytest.mark.parametrize("obj", [

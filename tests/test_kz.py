@@ -33,7 +33,7 @@ from longeq import (
 from longeq import kz
 from longeq import linalg as la
 from longeq.jsonio import holonomy_to_json, loop_from_json, loop_to_json
-from longeq.tensor_ops import flip_matrix
+from longeq.tensor_ops import _commute, _lift_sparse, check_laws, flip_matrix
 
 
 def _float(mat):
@@ -165,6 +165,36 @@ def test_flatness_matches_dense_oracle(corpus):
         assert list(report.items()) == list(_flatness_oracle(r, N).items()), (r, N)
         failing += not all(report.values())
     assert failing > 0
+
+
+def _disjoint_brackets_oracle(r):
+    """The N = 4 disjoint brackets [R^{ab}, R^{cd}], evaluated on the sparse
+    integer lifts of Z = D R."""
+    z = la.clear_denominators(r.matrix)[0]
+    lifts = {(i, j): _lift_sparse(z, r.dim, i, j, 4)
+             for (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2))}
+    return {f"[R{a + 1}{b + 1},R{c + 1}{d + 1}]": _commute(lifts[(a, b)], lifts[(c, d)])
+            for (a, b) in ((0, 1), (1, 0)) for (c, d) in ((2, 3), (3, 2))}
+
+
+def test_disjoint_brackets_match_commute_oracle(corpus):
+    """flatness_residuals reports the disjoint brackets without evaluating
+    them (they vanish for every operator); evaluating them agrees, on the
+    corpus and on seeded operators that are not Long."""
+    cases = list(corpus.values())
+    rng = random.Random(20261)
+    for n in (2, 2, 3, 3, 4):
+        entries = [[rng.choice((-2, -1, 0, 0, 1, Fraction(1, 3)))
+                    for _ in range(n * n)] for _ in range(n * n)]
+        r = TensorOp2(n, entries)
+        assert not check_laws(r, ["long"])["long"]
+        cases.append(r)
+    for r in cases:
+        report = flatness_residuals(r, 4)
+        oracle = _disjoint_brackets_oracle(r)
+        assert list(report)[6:] == list(oracle)
+        assert all(report[label] for label in oracle)
+        assert all(oracle.values()), r
 
 
 # ---------------------------------------------------------------------------
