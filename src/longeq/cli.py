@@ -24,7 +24,7 @@ from .errors import (
     NotALongSolution,
     PathTooClose,
 )
-from .frt import build_LR, presentation_text
+from .frt import build_LR, presentation_text, round_trip
 from .scalars import parse_frac
 from .tensor_ops import (
     LAWS,
@@ -77,6 +77,14 @@ def _square(values, what):
     return [values[r * n:(r + 1) * n] for r in range(n)]
 
 
+def _load_spec(path):
+    """A construct spec file, which must hold a JSON object."""
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
 def _spec_index(x, size, what):
     """A 0-based index into a spec list of ``size`` items; booleans,
     non-integers and indices outside [0, size) are a ValueError."""
@@ -123,7 +131,9 @@ def cmd_construct(args):
         base = jsonio.operator_from_json(_load_json(args.op))
         r = make_conjugate(_square(_frac_list(args.u), "--u"), base)
     elif args.kind == "graded":
-        spec = _load_json(args.spec)
+        spec = _load_spec(args.spec)
+        if not isinstance(spec["actions"], dict):
+            raise ValueError("actions must be an object mapping elements to matrices")
         elements = spec["elements"]
         table = {
             (elements[i], elements[j]):
@@ -137,7 +147,7 @@ def cmd_construct(args):
         }
         r = make_graded(GradedActionData(elements, table, actions, spec["degrees"]))
     elif args.kind == "homothety":
-        spec = _load_json(args.spec)
+        spec = _load_spec(args.spec)
         rep = [[[parse_frac(x) for x in row] for row in m] for m in spec["rep"]]
         element = [
             (parse_frac(c), _spec_index(li, len(rep), "element index"),
@@ -154,7 +164,6 @@ def cmd_construct(args):
 def _build_presentation(args):
     r = jsonio.operator_from_json(_load_json(args.op))
     naming = _load_json(args.naming) if getattr(args, "naming", None) else None
-    # build_LR verifies the round trip and raises InternalCheckFailed on a mismatch
     return build_LR(r, naming=naming)
 
 
@@ -170,7 +179,9 @@ def cmd_frt(args):
 
 def cmd_roundtrip(args):
     started = time.monotonic()
-    _build_presentation(args)
+    pres = _build_presentation(args)
+    if round_trip(pres) != pres.r:
+        raise InternalCheckFailed("coset form does not reproduce the input operator")
     _emit(_report("roundtrip", {"round_trip": True}, {}, started))
     return EXIT_OK
 
@@ -180,7 +191,7 @@ def cmd_kz(args):
     r = jsonio.operator_from_json(_load_json(args.op))
     loop_obj = _load_json(args.loop)
     loop = jsonio.loop_from_json(loop_obj)
-    if args.steps:
+    if args.steps is not None:
         loop = loop.with_steps(args.steps)
     if loop.N != args.points:
         raise ValueError("--points disagrees with the loop base configuration")

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end and JSON wire formats."""
 
+import ast
 import functools
 import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from longeq import (
     cli,
     comatrix_tensor_truncation,
     cyclic_group_algebra,
+    frt,
     jsonio,
     kz,
     make_conjugate,
@@ -242,6 +245,21 @@ def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
         assert operator_from_json(json.loads(out)) == corpus[name]
 
 
+@pytest.mark.parametrize("kind, spec, want", [
+    ("graded", [_GRADED], "spec must be a JSON object, got list"),
+    ("homothety", [_HOMOTHETY], "spec must be a JSON object, got list"),
+    ("graded", dict(_GRADED, actions=list(_GRADED["actions"].values())),
+     "actions must be an object"),
+], ids=["graded-list", "homothety-list", "graded-list-actions"])
+def test_construct_spec_of_wrong_type_is_usage_error(tmp_path, capsys, kind, spec, want):
+    """A spec that is a JSON list, or a list of ``actions``, exits 2 with an
+    ``error:`` line instead of a TypeError or AttributeError."""
+    path = _write(tmp_path, "spec.json", spec)
+    code, out, err = _run(capsys, ["construct", kind, "--spec", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and want in err
+
+
 @pytest.mark.parametrize("n, f, g", [
     ("3", "1,0,0,1", "2,0,0,1"),
     ("1", "1,0,0,1", "2,0,0,1"),
@@ -297,6 +315,42 @@ def test_roundtrip_command(tmp_path, capsys):
     code, out, _ = _run(capsys, ["roundtrip", "--op", op])
     assert code == 0
     assert json.loads(out)["verdicts"] == {"round_trip": True}
+
+
+def test_build_decides_each_fact_once(tmp_path, capsys, monkeypatch, corpus):
+    """``build_LR`` (and so ``frt``) runs neither the L1 check, the round
+    trip nor the coset table, which follow from descent; ``roundtrip``
+    calls ``round_trip`` exactly once, which forms the coset table."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("check_L1_on_generators", "round_trip", "_int_coset_table"):
+        monkeypatch.setattr(frt, name, spy(name, getattr(frt, name)))
+    monkeypatch.setattr(cli, "round_trip", frt.round_trip)  # cli binds it by name
+    for r in corpus.values():
+        frt.build_LR(r)
+    op = _write(tmp_path, "op.json", operator_to_json(corpus["pair_235"]))
+    assert _run(capsys, ["frt", "--op", op])[0] == 0
+    assert _run(capsys, ["frt", "--op", op, "--present"])[0] == 0
+    assert calls == []
+    assert _run(capsys, ["roundtrip", "--op", op])[0] == 0
+    assert calls == ["round_trip", "_int_coset_table"]
+
+
+def test_roundtrip_mismatch_is_internal_error(tmp_path, capsys, monkeypatch):
+    """``roundtrip`` compares ``round_trip`` with the input itself: a coset
+    form that gave back another operator exits 70."""
+    other = make_phi(3, [1, 1, 1])
+    monkeypatch.setattr(cli, "round_trip", lambda pres: other)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(3, [1, 1, 3])))
+    code, out, err = _run(capsys, ["roundtrip", "--op", op])
+    assert (code, out) == (70, "")
+    assert err == "internal error: coset form does not reproduce the input operator\n"
 
 
 _ELAPSED = re.compile(r',\n\s*"elapsed_s": [^,\n}]*')
@@ -528,6 +582,17 @@ def test_kz_steps_above_cap_is_usage_error(tmp_path, capsys, monkeypatch, source
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"steps must be at most {kz.MAX_STEPS}" in err
+
+
+def test_kz_steps_zero_is_usage_error(tmp_path, capsys, monkeypatch):
+    """``--steps 0`` is refused, not read as "no override"."""
+    monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2", "--h", "0.05",
+                                   "--loop", _write(tmp_path, "loop.json", _CIRCLE),
+                                   "--steps", "0"])
+    assert (code, out) == (2, "")
+    assert "steps must be positive" in err
 
 
 @pytest.mark.parametrize("h", ["nan", "0.1,inf", "1e400"])
@@ -876,3 +941,14 @@ def test_bad_scalar_input_exits_2_without_traceback(tmp_path, case):
                           capture_output=True, text=True, env=env, check=False)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_no_assert_statements_in_src():
+    """Internal invariants raise ``InternalCheckFailed``: an ``assert`` would
+    vanish under ``python -O``."""
+    found = []
+    for path in sorted(pathlib.Path(longeq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -698,9 +698,12 @@ def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions
                 proj = q.project_label(i, j)
                 assert [proj[s] for s in q.rep_slots] == q.basis_coset(i, j)
                 assert q.delta_on_coset(i, j) == _delta_on_coset_oracle(q, i, j), (name, i, j)
-        assert pres.sigma.coset_table == _coset_table_oracle(pres.sigma.table, q), name
+        # build_LR's two derivations: the coset table is sigma_0, so the round
+        # trip gives back r and degree-one L1 holds
+        table = _coset_table_oracle(pres.sigma.table, q)
+        assert pres.sigma.coset_table == table == pres.sigma.table, name
         assert check_L1_on_generators(pres) == _check_L1_oracle(pres) == (True, None)
-        assert pres.sigma.reproduces_operator() and round_trip(pres) == r
+        assert round_trip(pres) == r, name
 
 
 def test_l1_override_matches_fraction_oracle(phi4_solutions):
