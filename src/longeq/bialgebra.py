@@ -10,6 +10,14 @@ Validation at construction is mandatory: every axiom check below presumes
 a genuine bialgebra, so failures implicate the sigma table, not the
 structure constants.
 
+The constructor reads each cell of ``mult`` and ``comult`` once and keeps
+only its nonzero entries. The dense d x d x d Fraction cubes ``mult`` and
+``comult`` are views of those, formed on first read; no law, no axiom
+and no CLI command reads them. Validation visits only the basis tuples
+that have a term: an associativity triple (a, b, c) whose two sums are
+empty, with e_b e_c = 0 and e_m e_c = 0 for every e_m in e_a e_b, holds
+and is skipped.
+
 Every law and every axiom is decided on Python ints. D (``scale``) is the
 lcm of the denominators of the nonzero structure constants (of ``comult``
 and ``counit`` only, for a ``Coalgebra``); ``comult_nz``, ``mult_nz``,
@@ -60,11 +68,16 @@ GENERATOR_WORD_CAP = 4
 
 
 def _cube(name, t, d):
-    """``t`` as a d x d x d array of Fractions, or InvalidBialgebra naming the field."""
+    """The nonzero entries of the d x d x d array ``t``: for each a and b the
+    (c, Fraction) pairs with t[a][b][c] != 0, or InvalidBialgebra naming the
+    field. Every entry but an int zero is read by ``as_frac``."""
     if len(t) != d or any(len(row) != d or any(len(cell) != d for cell in row)
                           for row in t):
         raise InvalidBialgebra(f"'{name}' must be a {d} x {d} x {d} array")
-    return [[[la.as_frac(x) for x in cell] for cell in row] for row in t]
+    as_frac = la.as_frac
+    return [[[(c, f) for c, x in enumerate(cell)
+              if (x.__class__ is not int or x) and (f := as_frac(x))]
+             for cell in row] for row in t]
 
 
 def _vector(name, v, d):
@@ -95,7 +108,9 @@ class Coalgebra:
     def __init__(self, basis, comult, counit):
         self.basis = list(basis)
         self.d = d = len(self.basis)
-        self.comult = _cube("comult", comult, d)
+        # the nonzero (p, q, Fraction) of each Delta(e_a), until they are scaled
+        self.comult_nz = [[(p, q, x) for p, cell in enumerate(m) for q, x in cell]
+                          for m in _cube("comult", comult, d)]
         self.counit = _vector("counit", counit, d)
         self._clear_denominators()
         self._validate()
@@ -103,14 +118,24 @@ class Coalgebra:
     def _clear_denominators(self, denominators=frozenset()):
         """Set ``scale``, the lcm of ``denominators`` and of those of the
         nonzero comultiplication and counit constants, and the scaled ints."""
-        nz = [[(p, q, x) for p, row in enumerate(m) for q, x in enumerate(row) if x]
-              for m in self.comult]
+        nz = self.comult_nz
         self.scale = scale = math.lcm(
             *denominators | {x.denominator for terms in nz for *_, x in terms}
             | {x.denominator for x in self.counit})
         # nonzero (p, q, scaled coeff) of each Delta(e_a), also read by the axiom equations
         self.comult_nz = [[(p, q, _scaled(x, scale)) for p, q, x in terms] for terms in nz]
         self.int_counit = [_scaled(x, scale) for x in self.counit]
+
+    @cached_property
+    def comult(self):
+        """The d x d x d Fraction cube of Delta, formed from ``comult_nz`` on
+        first read; no law reads it."""
+        d, scale = self.d, self.scale
+        cube = [la.zeros(d, d) for _ in range(d)]
+        for m, terms in zip(cube, self.comult_nz):
+            for p, q, x in terms:
+                m[p][q] = Fraction(x, scale)
+        return cube
 
     def _validate(self):
         eps, nz, scale2 = self.int_counit, self.comult_nz, self.scale ** 2
@@ -150,12 +175,13 @@ class FinDimBialgebra(Coalgebra):
     def __init__(self, basis, mult, unit, comult, counit):
         basis = list(basis)
         d = len(basis)
-        self.mult = _cube("mult", mult, d)
+        # the nonzero (c, Fraction) of each e_a e_b, until they are scaled
+        self.mult_nz = _cube("mult", mult, d)
         self.unit = _vector("unit", unit, d)
         super().__init__(basis, comult, counit)
 
     def _clear_denominators(self):
-        nz = [[[(c, x) for c, x in enumerate(cell) if x] for cell in row] for row in self.mult]
+        nz = self.mult_nz
         super()._clear_denominators({x.denominator for row in nz for cell in row for _, x in cell}
                                     | {x.denominator for x in self.unit})
         scale = self.scale
@@ -163,6 +189,18 @@ class FinDimBialgebra(Coalgebra):
         self.mult_nz = [[[(c, _scaled(x, scale)) for c, x in cell] for cell in row]
                         for row in nz]
         self.int_unit = [_scaled(x, scale) for x in self.unit]
+
+    @cached_property
+    def mult(self):
+        """The d x d x d Fraction cube of the product, formed from ``mult_nz``
+        on first read; no law reads it."""
+        d, scale = self.d, self.scale
+        cube = [la.zeros(d, d) for _ in range(d)]
+        for m, row in zip(cube, self.mult_nz):
+            for cell, terms in zip(m, row):
+                for c, x in terms:
+                    cell[c] = Fraction(x, scale)
+        return cube
 
     def product(self, va, vb):
         """Product of two coordinate vectors."""
@@ -195,10 +233,18 @@ class FinDimBialgebra(Coalgebra):
                     right[c] = right.get(c, 0) + u * x
             if not (_is_basis_vector(left, b, scale2) and _is_basis_vector(right, b, scale2)):
                 raise InvalidBialgebra(f"unit law fails on basis {b}")
+        # the c with e_b e_c != 0, for each b
+        live = [[c for c, bc in enumerate(row) if bc] for row in nz]
         for a, row_a in enumerate(nz):
             for b, ab in enumerate(row_a):
                 row_b = nz[b]
-                for c, bc in enumerate(row_b):
+                # both sums are empty unless e_b e_c or some e_m e_c with
+                # mu_ab^m != 0 is nonzero
+                cs = live[b]
+                if ab:
+                    cs = sorted(set(cs).union(*[live[m] for m, _ in ab]))
+                for c in cs:
+                    bc = row_b[c]
                     # associativity: sum_m mu_ab^m e_m e_c - sum_m mu_bc^m e_a e_m
                     acc = {}
                     for m, x in ab:

@@ -93,6 +93,19 @@ def _spec_index(x, size, what):
     return x
 
 
+def _spec_list(x, what):
+    """A spec field that must be a JSON list; anything else is a ValueError."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def _spec_matrix(m, what):
+    """A spec matrix, a list of rows of fractions, as Fractions."""
+    return [[parse_frac(x) for x in _spec_list(row, f"{what} row")]
+            for row in _spec_list(m, what)]
+
+
 def cmd_check(args):
     started = time.monotonic()
     r = jsonio.operator_from_json(_load_json(args.op))
@@ -134,25 +147,29 @@ def cmd_construct(args):
         spec = _load_spec(args.spec)
         if not isinstance(spec["actions"], dict):
             raise ValueError("actions must be an object mapping elements to matrices")
-        elements = spec["elements"]
+        elements = _spec_list(spec["elements"], "elements")
+        if any(isinstance(g, (list, dict)) for g in elements):
+            raise ValueError("elements must be JSON scalars, not lists or objects")
+        rows = [_spec_list(row, "table row") for row in _spec_list(spec["table"], "table")]
         table = {
             (elements[i], elements[j]):
-                elements[_spec_index(spec["table"][i][j], len(elements), "table entry")]
+                elements[_spec_index(rows[i][j], len(elements), "table entry")]
             for i in range(len(elements))
             for j in range(len(elements))
         }
-        actions = {
-            g: [[parse_frac(x) for x in row] for row in m]
-            for g, m in spec["actions"].items()
-        }
-        r = make_graded(GradedActionData(elements, table, actions, spec["degrees"]))
+        actions = {g: _spec_matrix(m, f"action {g!r}") for g, m in spec["actions"].items()}
+        degrees = _spec_list(spec["degrees"], "degrees")
+        r = make_graded(GradedActionData(elements, table, actions, degrees))
     elif args.kind == "homothety":
         spec = _load_spec(args.spec)
-        rep = [[[parse_frac(x) for x in row] for row in m] for m in spec["rep"]]
+        rep = [_spec_matrix(m, "rep matrix") for m in _spec_list(spec["rep"], "rep")]
+        terms = _spec_list(spec["element"], "element")
+        if any(not isinstance(t, list) or len(t) != 3 for t in terms):
+            raise ValueError("element terms must be [coeff, left index, right index] lists")
         element = [
             (parse_frac(c), _spec_index(li, len(rep), "element index"),
              _spec_index(ri, len(rep), "element index"))
-            for c, li, ri in spec["element"]
+            for c, li, ri in terms
         ]
         r = make_homothety(rep, element)
     else:  # pragma: no cover - argparse restricts choices

@@ -96,12 +96,28 @@ def presentation_to_json(pres: LongPresentation) -> dict:
     }
 
 
+def _memo_parser():
+    """``parse_frac`` that parses each distinct string once per call of this."""
+    memo = {}
+
+    def parse(x):
+        if x.__class__ is not str:
+            return parse_frac(x)
+        f = memo.get(x)
+        if f is None:
+            f = memo[x] = parse_frac(x)
+        return f
+
+    return parse
+
+
 def _frac_array(value, depth, field, parse):
-    """A ``depth``-fold nested JSON list of fraction strings, parsed by ``parse``."""
+    """A ``depth``-fold nested JSON list of fraction strings, parsed by
+    ``parse``; a ``"0"`` is the int 0 without a call."""
     if not isinstance(value, list):
         raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
     if depth == 1:
-        return [parse(x) for x in value]
+        return [0 if x == "0" else parse(x) for x in value]
     return [_frac_array(v, depth - 1, field, parse) for v in value]
 
 
@@ -115,17 +131,7 @@ def bialgebra_from_json(obj) -> FinDimBialgebra:
         raise ValueError("'dim' must be a positive integer")
     if d > MAX_BIALGEBRA_DIM:
         raise DimensionCap(f"bialgebra dim {d} exceeds cap {MAX_BIALGEBRA_DIM}")
-    memo = {}
-
-    def parse(x):
-        # each distinct string is parsed once per document
-        if x.__class__ is not str:
-            return parse_frac(x)
-        f = memo.get(x)
-        if f is None:
-            f = memo[x] = parse_frac(x)
-        return f
-
+    parse = _memo_parser()
     try:
         basis = obj["basis"]
         mult = _frac_array(obj["mult"], 3, "mult", parse)
@@ -151,8 +157,9 @@ def bialgebra_to_json(b: FinDimBialgebra) -> dict:
 
 
 def sigma_from_json(obj) -> SigmaTable:
+    parse = _memo_parser()
     try:
-        table = [[parse_frac(x) for x in row] for row in obj["table"]]
+        table = [[parse(x) for x in row] for row in obj["table"]]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed sigma JSON") from exc
     return SigmaTable(table)

@@ -25,7 +25,7 @@ from longeq import (
     sigma_feasibility,
     sweedler_h4,
 )
-from longeq import bialgebra
+from longeq import bialgebra, jsonio
 from longeq.bialgebra import Coalgebra, FinDimBialgebra, GeneratorBialgebra
 from longeq.frt import cm_index
 from longeq.linalg import identity as la_identity
@@ -56,6 +56,26 @@ def test_invalid_bialgebra_rejected():
 
     with pytest.raises(InvalidBialgebra):
         FinDimBialgebra(h4.basis, bad, h4.unit, h4.comult, h4.counit)
+
+
+@pytest.mark.parametrize("field", ["mult", "comult"])
+def test_constructor_reads_every_entry_but_an_int_zero(field):
+    """A zero of another type is read as zero, and an entry that is not a
+    rational raises, also where it stands for a zero of H4."""
+    h4 = sweedler_h4()
+    fields = {"mult": h4.mult, "unit": h4.unit, "comult": h4.comult, "counit": h4.counit}
+
+    def with_zero_at(value):
+        cube = [[cell[:] for cell in row] for row in fields[field]]
+        cube[2][2][3] = value  # y*y = 0 and Delta(y) has no e_z (x) e_w term
+        return FinDimBialgebra(h4.basis, **dict(fields, **{field: cube}))
+
+    for zero in (0, F(0), False, 0.0, "0", "-0", "0/7"):
+        b = with_zero_at(zero)
+        assert (b.mult, b.comult, b.scale) == (h4.mult, h4.comult, 1)
+    for bad in (None, [], [0], 0j, "x"):
+        with pytest.raises((TypeError, ValueError)):
+            with_zero_at(bad)
 
 
 def _coalgebra_oracle(comult, counit):
@@ -172,11 +192,12 @@ def _change_basis(b, p):
     return {"mult": mult, "unit": in_f(b.unit), "comult": comult, "counit": counit}
 
 
-def _seeded_mutations(rng, bases, count):
+def _seeded_mutations(rng, bases, count, empty_cell=False):
     """``count`` copies of the bases' structure constants (dicts of mult,
     unit, comult, counit), each with one entry moved by +-1 or +-1/2; a base
     is drawn with weight d, so the larger ones, whose many entries give the
-    rarer failures, are mutated more often."""
+    rarer failures, are mutated more often. With ``empty_cell`` the entry is
+    in a ``mult`` cell e_a e_b that is zero on the base."""
     out = []
     for _ in range(count):
         b = rng.choices(bases, weights=[len(b["unit"]) for b in bases])[0]
@@ -187,10 +208,16 @@ def _seeded_mutations(rng, bases, count):
             "comult": [[row[:] for row in m] for m in b["comult"]],
             "counit": b["counit"][:],
         }
-        name = rng.choice(sorted(fields))
-        target = fields[name]
-        if name in ("mult", "comult"):
-            target = target[rng.randrange(d)][rng.randrange(d)]
+        if empty_cell:
+            name = "mult"
+            a, e = rng.choice([(a, e) for a in range(d) for e in range(d)
+                               if not any(b["mult"][a][e])])
+            target = fields["mult"][a][e]
+        else:
+            name = rng.choice(sorted(fields))
+            target = fields[name]
+            if name in ("mult", "comult"):
+                target = target[rng.randrange(d)][rng.randrange(d)]
         target[rng.randrange(d)] += rng.choice([F(1), F(-1), F(1, 2), F(-1, 2)])
         out.append(fields)
     return out
@@ -199,8 +226,11 @@ def _seeded_mutations(rng, bases, count):
 def test_validation_matches_dense_oracle():
     """Sparse validation raises exactly the dense oracle's first message,
     for ``FinDimBialgebra`` and for ``Coalgebra`` on its own, on the builtin
-    bialgebras, three of them on other bases, and 200 seeded single-entry
-    mutations; the six law failures reachable that way all occur."""
+    bialgebras, three of them on other bases, 200 seeded single-entry
+    mutations, and 30 that make a zero product e_a e_b nonzero, of
+    truncation(2,2) and of truncation(2,1) on a basis where a few products
+    have two terms (the associativity pass skips triples through zero
+    products); the six law failures reachable that way all occur."""
     rng = random.Random(1)
     builtins = [sweedler_h4()] + [cyclic_group_algebra(m) for m in range(2, 7)]
     builtins.append(comatrix_tensor_truncation(2, 1))
@@ -217,6 +247,13 @@ def test_validation_matches_dense_oracle():
     big = [{"mult": big.mult, "unit": big.unit, "comult": big.comult, "counit": big.counit}]
     inputs = small + big
     inputs += _seeded_mutations(rng, small, 190) + _seeded_mutations(rng, big, 10)
+    inputs += _seeded_mutations(rng, big, 10, empty_cell=True)
+    # f_5 = e_5 + e_1 spreads a few products of truncation(2,1) over two
+    # basis vectors, so a skipped triple can hang on the second of them
+    spread = _change_basis(comatrix_tensor_truncation(2, 1),
+                           [[int(k == i or (i, k) == (5, 1)) for k in range(6)]
+                            for i in range(6)])
+    inputs += _seeded_mutations(rng, [spread], 20, empty_cell=True)
     messages = set()
     for k, f in enumerate(inputs):
         basis = [str(i) for i in range(len(f["unit"]))]
@@ -232,6 +269,73 @@ def test_validation_matches_dense_oracle():
         "counit law fails", "coassociativity fails", "unit law fails",
         "associativity fails", "counit not multiplicative", "Delta not multiplicative",
     } <= messages, messages
+
+
+def _builtin_inputs(monkeypatch):
+    """Each builtin bialgebra and coalgebra with the structure constants its
+    constructor was given, recorded by a subclass in place of the class."""
+    seen = []
+
+    def recording(cls):
+        class Recording(cls):
+            def __init__(self, basis, *fields):
+                super().__init__(basis, *fields)
+                seen.append((self, fields))
+        return Recording
+
+    monkeypatch.setattr(bialgebra, "FinDimBialgebra", recording(FinDimBialgebra))
+    monkeypatch.setattr(bialgebra, "Coalgebra", recording(Coalgebra))
+    for make in (sweedler_h4, lambda: comatrix_tensor_truncation(2, 1),
+                 lambda: comatrix_tensor_truncation(2, 2), lambda: comatrix_coalgebra(2),
+                 lambda: comatrix_coalgebra(3)):
+        make()
+    for m in range(2, 7):
+        cyclic_group_algebra(m)
+    return seen[:]
+
+
+def test_dense_cubes_equal_the_constructor_input(monkeypatch):
+    """``mult`` and ``comult`` are formed from the scaled nonzeros on first
+    read; with ``unit`` and ``counit`` they equal the constructor's input
+    entry by entry, as Fractions, on every builtin, on the changed bases of
+    the oracle test, on H4 given as ints, and after a JSON round trip."""
+    cases = _builtin_inputs(monkeypatch)
+    assert len(cases) == 10
+    for f in (_change_basis(cyclic_group_algebra(2), [[1, 1], [1, -1]]),
+              _change_basis(sweedler_h4(), [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0],
+                                            [2, 0, 1, 1]]),
+              _change_basis(comatrix_tensor_truncation(2, 1),
+                            [[1 if k == i else 1 if k == i + 1 else 0 for k in range(6)]
+                             for i in range(6)])):
+        fields = (f["mult"], f["unit"], f["comult"], f["counit"])
+        cases.append((FinDimBialgebra([str(i) for i in range(len(f["unit"]))], *fields),
+                      fields))
+    h4 = sweedler_h4()
+    as_ints = lambda t: [as_ints(x) for x in t] if isinstance(t, list) else int(t)
+    fields = tuple(as_ints(getattr(h4, name)) for name in ("mult", "unit", "comult", "counit"))
+    cases.append((FinDimBialgebra(h4.basis, *fields), fields))
+    assert any(b.scale > 1 for b, _ in cases)
+    assert not any({"mult", "comult"} & set(vars(b)) for b, _ in cases)
+    cases += [(jsonio.bialgebra_from_json(jsonio.bialgebra_to_json(b)), fields)
+              for b, fields in cases if isinstance(b, FinDimBialgebra)]
+    for b, fields in cases:
+        names = ("mult", "unit", "comult", "counit") if len(fields) == 4 else ("comult", "counit")
+        for name, want in zip(names, fields):
+            got = getattr(b, name)
+            assert got == want and getattr(b, name) is got, name
+            flat = got if name in ("unit", "counit") else [x for m in got for row in m
+                                                             for x in row]
+            assert {x.__class__ for x in flat} == {Fraction}, name
+
+
+def test_bialgebra_check_forms_no_dense_cube():
+    """Loading the d = 22 truncation from JSON and checking every axiom on
+    it reads only the scaled nonzeros: neither dense cube is formed."""
+    b = comatrix_tensor_truncation(2, 2)
+    loaded = jsonio.bialgebra_from_json(jsonio.bialgebra_to_json(b))
+    report = check_axioms(loaded, SigmaTable.counit_square(loaded), AXIOMS)
+    assert list(report) == ["L1", "strongD", "L2", "L4", "L3", "L5", "B1"]
+    assert "mult" not in vars(loaded) and "comult" not in vars(loaded)
 
 
 def test_counit_square_universal_l1_l5():

@@ -250,10 +250,21 @@ def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
     ("homothety", [_HOMOTHETY], "spec must be a JSON object, got list"),
     ("graded", dict(_GRADED, actions=list(_GRADED["actions"].values())),
      "actions must be an object"),
-], ids=["graded-list", "homothety-list", "graded-list-actions"])
+    ("graded", dict(_GRADED, elements=5), "elements must be a list, got int"),
+    ("graded", dict(_GRADED, elements=[["e"], "g"]), "elements must be JSON scalars"),
+    ("graded", dict(_GRADED, table=3), "table must be a list, got int"),
+    ("graded", dict(_GRADED, degrees=7), "degrees must be a list, got int"),
+    ("graded", dict(_GRADED, actions=dict(_GRADED["actions"], e=3)),
+     "action 'e' must be a list, got int"),
+    ("homothety", dict(_HOMOTHETY, rep=3), "rep must be a list, got int"),
+    ("homothety", dict(_HOMOTHETY, rep=[3, 4]), "rep matrix must be a list, got int"),
+    ("homothety", dict(_HOMOTHETY, element=7), "element must be a list, got int"),
+], ids=["graded-list", "homothety-list", "graded-list-actions", "graded-int-elements",
+        "graded-list-element", "graded-int-table", "graded-int-degrees", "graded-int-action",
+        "homothety-int-rep", "homothety-int-matrices", "homothety-int-element"])
 def test_construct_spec_of_wrong_type_is_usage_error(tmp_path, capsys, kind, spec, want):
-    """A spec that is a JSON list, or a list of ``actions``, exits 2 with an
-    ``error:`` line instead of a TypeError or AttributeError."""
+    """A spec that is a JSON list, or a field of the wrong JSON type, exits
+    2 with an ``error:`` line instead of a TypeError or AttributeError."""
     path = _write(tmp_path, "spec.json", spec)
     code, out, err = _run(capsys, ["construct", kind, "--spec", path])
     assert (code, out) == (2, "")
@@ -880,6 +891,76 @@ def test_bialgebra_json_bad_fraction_string_message():
     obj["counit"][1] = "1/x"
     with pytest.raises(ValueError, match=r"^not a fraction string: '1/x'$"):
         jsonio.bialgebra_from_json(obj)
+
+
+def _set(path, value):
+    """An edit of a JSON object that puts ``value`` at the key path ``path``."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+_NESTED = "must be a {}-fold nested list of fractions"
+
+
+@pytest.mark.parametrize("bi_edit, sig_edit, want", [
+    (_set(["basis"], 2), None, "basis length disagrees with 'dim'"),
+    (_set(["mult", 1, 0], "0"), None, "'mult' " + _NESTED.format(1)),
+    (_set(["mult", 1], 3), None, "'mult' " + _NESTED.format(2)),
+    (_set(["mult", 0, 1], {"0": "1"}), None, "'mult' " + _NESTED.format(1)),
+    (_set(["mult", 0, 1, 1], ["1"]), None, "not a fraction string: ['1']"),
+    (_set(["mult", 0, 1, 1], True), None, "not a fraction string: True"),
+    (_set(["mult", 0, 1, 1], 1.0), None, "not a fraction string: 1.0"),
+    (_set(["mult", 0, 1, 0], None), None, "not a fraction string: None"),
+    (_set(["unit"], {"0": "1", "1": "0"}), None, "'unit' " + _NESTED.format(1)),
+    (_set(["counit"], ["1"]), None, "'counit' must have length 2"),
+    (None, _set(["table"], 3), "malformed sigma JSON"),
+    (None, _set(["table"], [1, 1]), "malformed sigma JSON"),
+    (None, _set(["table"], [["1", "1"], ["1"]]), "'table' must be 2 x 2; a row has 1 entries"),
+    (None, _set(["table"], {"0": ["1", "1"], "1": ["1", "1"]}),
+     "'table' must be 2 x 2; a row has 1 entries"),
+    (None, lambda sig: [sig], "malformed sigma JSON"),
+    (None, _set(["table", 1, 0], None), "not a fraction string: None"),
+], ids=["basis-int", "mult-string-cell", "mult-int-row", "mult-dict-cell", "mult-list-entry",
+        "mult-true-entry", "mult-float-entry", "mult-null-entry", "unit-dict", "counit-short",
+        "sigma-int-table", "sigma-int-rows", "sigma-ragged", "sigma-dict-table",
+        "sigma-list-file", "sigma-null-entry"])
+def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit, want):
+    """A wrong-typed or wrong-sized field of the bialgebra or sigma JSON of
+    k[Z/2] exits 2 with exactly this ``error:`` line, the one the dense
+    loader printed."""
+    b = cyclic_group_algebra(2)
+    bi, sig = bialgebra_to_json(b), sigma_to_json(SigmaTable.counit_square(b))
+    if bi_edit:
+        bi_edit(bi)
+    if sig_edit:
+        sig = sig_edit(sig) or sig
+    code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", _write(tmp_path, "b.json", bi),
+                                   "--sigma", _write(tmp_path, "s.json", sig)])
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+def test_bialgebra_check_zero_spellings_give_the_same_report(tmp_path, capsys):
+    """On H4, writing every zero of ``mult`` and ``comult`` as "0", 0, "-0",
+    "00" or "0/7" gives the same algebra and the same report."""
+    b = sweedler_h4()
+    sig = _write(tmp_path, "s.json", sigma_to_json(SigmaTable.counit_square(b)))
+    outputs = set()
+    for zero in ("0", 0, "-0", "00", "0/7"):
+        obj = bialgebra_to_json(b)
+        for field in ("mult", "comult"):
+            obj[field] = [[[zero if x == "0" else x for x in cell] for cell in row]
+                          for row in obj[field]]
+        loaded = jsonio.bialgebra_from_json(obj)
+        assert (loaded.mult, loaded.comult) == (b.mult, b.comult)
+        code, out, _ = _run(capsys, ["bialgebra-check", "--bialgebra",
+                                     _write(tmp_path, "b.json", obj), "--sigma", sig,
+                                     "--axioms", "L1,L2,L3,L4,L5,B1"])
+        assert code == 1
+        outputs.add(re.sub(r'"elapsed_s": [^\n]*', "", out))
+    assert len(outputs) == 1
 
 
 def _bad_input_argv(tmp_path, case):
