@@ -14,6 +14,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import jsonio, kz
 from . import linalg as la
 from .bialgebra import AXIOMS, check_axioms
@@ -245,6 +247,9 @@ def cmd_kz(args):
             return EXIT_USAGE
     residuals = kz.flatness_residuals(r, args.points)
     w = kz.integrate_holonomy(system, loop)
+    if not np.isfinite(w).all():
+        raise ValueError("the holonomy is not finite: the integration overflowed; "
+                         "reduce |h| or the scale of the loop")
     fields = {
         "format_version": jsonio.FORMAT_VERSION,
         "residuals": residuals,
@@ -252,8 +257,6 @@ def cmd_kz(args):
     }
     code = EXIT_OK
     if args.compare:
-        import numpy as np
-
         oracle = kz.circle_oracle(system, loop_obj["moving"] - 1,
                                   loop_obj["center"] - 1)
         fields["oracle_distance"] = float(np.max(np.abs(w - oracle)))

@@ -113,12 +113,16 @@ def _memo_parser():
 
 def _frac_array(value, depth, field, parse):
     """A ``depth``-fold nested JSON list of fraction strings, parsed by
-    ``parse``; a ``"0"`` is the int 0 without a call."""
-    if not isinstance(value, list):
-        raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
-    if depth == 1:
-        return [0 if x == "0" else parse(x) for x in value]
-    return [_frac_array(v, depth - 1, field, parse) for v in value]
+    ``parse``; a ``"0"`` is the int 0 without a call. A level that is not a
+    list is refused with the field's full depth."""
+    def walk(v, level):
+        if not isinstance(v, list):
+            raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
+        if level == 1:
+            return [0 if x == "0" else parse(x) for x in v]
+        return [walk(x, level - 1) for x in v]
+
+    return walk(value, depth)
 
 
 def bialgebra_from_json(obj) -> FinDimBialgebra:
@@ -146,12 +150,25 @@ def bialgebra_from_json(obj) -> FinDimBialgebra:
 
 
 def bialgebra_to_json(b: FinDimBialgebra) -> dict:
+    """The wire form, written from the scaled nonzeros ``mult_nz`` and
+    ``comult_nz``: every other entry of ``mult`` and ``comult`` is "0",
+    and neither dense cube is formed."""
+    d, scale = b.d, b.scale
+    mult = [[["0"] * d for _ in range(d)] for _ in range(d)]
+    for cells, row in zip(mult, b.mult_nz):
+        for cell, terms in zip(cells, row):
+            for c, x in terms:
+                cell[c] = frac_str(Fraction(x, scale))
+    comult = [[["0"] * d for _ in range(d)] for _ in range(d)]
+    for m, terms in zip(comult, b.comult_nz):
+        for p, q, x in terms:
+            m[p][q] = frac_str(Fraction(x, scale))
     return {
-        "dim": b.d,
+        "dim": d,
         "basis": list(b.basis),
-        "mult": [[[frac_str(x) for x in cell] for cell in row] for row in b.mult],
+        "mult": mult,
         "unit": [frac_str(x) for x in b.unit],
-        "comult": [[[frac_str(x) for x in cell] for cell in row] for row in b.comult],
+        "comult": comult,
         "counit": [frac_str(x) for x in b.counit],
     }
 

@@ -45,7 +45,8 @@ CHUNK_ENTRIES = 1 << 16
 # polygon where all four points move at n = 4, N = 4 (22 MB for a dense
 # conjugate), 1.6 GB for a circle at n = 4, N = 6
 MAX_INTEGRATOR_BYTES = 1 << 29
-# d x d arrays an *apply* step holds at once: W, k1..k4 and one stage argument
+# d x d arrays an *apply* step holds at once: W, its working copy of the
+# moved columns and the four arrays of ``_apply_increment``
 APPLY_ARRAYS = 6
 # bytes per lift entry while a segment operator is built: its position,
 # the inverse of the sort and the pair index (8 each), the value (16), and
@@ -192,8 +193,9 @@ class LoopSpec:
             self.radius = _finite(radius, "radius", numbers.Real)
             if self.radius <= 0:
                 raise ValueError("radius must be positive")
-            z0 = self.base[self.moving]
-            self.theta0 = cmath.phase(z0 - self.center) if z0 != self.center else 0.0
+            # cmath.phase(z) without its OverflowError on an underflowing angle
+            dz = self.base[self.moving] - self.center
+            self.theta0 = math.atan2(dz.imag, dz.real) if dz else 0.0
             self.segments = 1
         elif kind == "polygon":
             if waypoints is None:
@@ -326,10 +328,14 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     builds nothing.
 
     With T the most live pairs on a segment, E = T n^(N-2) nnz(R) lift
-    entries bound nnz(A). The rule at E picks the d x d arrays: APPLY_ARRAYS
-    for *apply*, else 5 b + 3 for the propagator's batch of b steps (2 b + 1
-    stage matrices, X2, X3, X4, W and one product). A segment whose
-    nnz(A) is below E can only switch to *apply*, which holds fewer. Stage
+    entries bound nnz(A). The rule at E picks the d x d arrays. W and the
+    working copy of its moved columns are two of them (the copy is at most
+    d x d). *apply* adds four (``_apply_increment``): APPLY_ARRAYS. The
+    propagator's batch of b steps adds 2 b + 1 stage matrices, X2, X3 and
+    X4, 5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
+    levels hold X2 and at most 1.25 b + 1 more matrices, and before the
+    product that updates W. A segment whose nnz(A) is below E can only
+    switch to *apply*, which holds fewer. Stage
     data, formed and copied once per batch, is at most
     2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
     takes ENTRY_BYTES per lift entry:
@@ -378,27 +384,35 @@ def _apply_steps(w, op, data, dt):
     """Classical RK4 on W, with A(t) at the stage times held by the rows of
     ``data`` (start, middle, end, middle, end, ...) swapped into ``op``."""
     for s in range(0, len(data) - 1, 2):
-        op.data = data[s]
-        k1 = op @ w
-        op.data = data[s + 1]
-        k2 = op @ (w + (dt / 2) * k1)
-        k3 = op @ (w + (dt / 2) * k2)
-        op.data = data[s + 2]
-        k4 = op @ (w + dt * k3)
-        # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        k2 *= 2
-        k2 += k1
-        k3 *= 2
-        k2 += k3
-        k2 += k4
-        k2 *= dt / 6
-        w += k2
+        w += _apply_increment(w, op, data[s:s + 3], dt)
     return w
 
 
+def _apply_increment(w, op, data, dt):
+    """One step's dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order. k1 is
+    added once k3 is taken, so the step holds at most four arrays of the
+    shape of ``w`` besides it, and none of them outlives the step."""
+    op.data = data[0]
+    k1 = op @ w
+    op.data = data[1]
+    k2 = op @ (w + (dt / 2) * k1)
+    k3 = op @ (w + (dt / 2) * k2)
+    k2 *= 2
+    k2 += k1
+    del k1
+    op.data = data[2]
+    k4 = op @ (w + dt * k3)
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6
+    return k2
+
+
 def _propagator_steps(w, a, dt):
-    """The same steps as propagators M = I + (M - I), applied as w + (M - I) w,
-    from the dense stage matrices ``a`` (start, middle, end, middle, ...)."""
+    """The same steps as propagators M = I + (M - I), from the dense stage
+    matrices ``a`` (start, middle, end, middle, ...); the batch is applied
+    as w + (M_b ... M_1 - I) w."""
     a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
     x2 = a2 @ a1
     x2 *= dt / 2
@@ -416,8 +430,18 @@ def _propagator_steps(w, a, dt):
     x2 += x3
     x2 += x4
     x2 *= dt / 6
-    for inc in x2:
-        w += inc @ w
+    del x3, x4  # within integration_bytes: freed before the products below
+    # the batch's M_b ... M_1 - I, multiplied pairwise in increment form,
+    # (I + B)(I + A) - I = A + B + B A; an odd last increment moves up a level
+    inc = x2
+    while len(inc) > 1:
+        odd = len(inc) % 2
+        first, then = inc[:len(inc) - odd:2], inc[1::2]
+        pair = then @ first
+        pair += first
+        pair += then
+        inc = np.concatenate((pair, inc[-1:])) if odd else pair
+    w += inc[0] @ w
     return w
 
 
@@ -428,37 +452,56 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     straddles a polygon corner. On a segment A(t) is the sum over its live
     pairs (i, j), those whose point i moves, of h v_i / (z_i - z_j) R^{ij},
     held as one ``segment_operator``: the CSR data at every stage time is
-    one product of its (nnz, T) map with the coefficients. Each segment is
-    then integrated by one of two evaluations of the same RK4 step:
+    one product of its (nnz, T) map with the coefficients.
+
+    Only the columns of W that can move are integrated. The mask ``moved``
+    collects the columns of each live segment's CSR pattern, and the
+    segment steps W[:, moved], or W itself once every column has moved.
+    This is exact: a column k outside the mask is still e_k, and k is no
+    column of the pattern, so A(t) e_k = 0 at every stage time. Every RK4
+    stage of that column is then exactly 0, and it stays e_k. Both
+    evaluations below treat W column by column, so under *apply* the
+    integrated columns come out bit for bit as in a full-width run. For a
+    phi operator at n = 4 the lifts R^{mj} of a moving point m have nonzero
+    columns only where a_m = a_j lies in im phi for some j != m, which is
+    37 rank(phi) of the 256 columns.
+
+    Each segment is integrated by one of two evaluations of the same RK4 step:
 
     - *apply*: k1 = A1 W, k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2),
       k4 = A4 (W + dt k3), W + dt/6 (k1 + 2 k2 + 2 k3 + k4), each A_s W a
       sparse product that costs about nnz(A) d;
     - *propagator*: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with
       X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2), X4 = A4 (I + dt X3),
-      from dense stage matrices, applied as W + (M - I) W: five dense
-      d^3 products per step. Forming I + (M - I) would round each step's
-      increment against the identity, which over the 4000 steps of a
-      circle moved W by about 2e-13.
+      from dense stage matrices: five dense d^3 products per step. The b
+      steps of a batch are multiplied pairwise in increment form,
+      (I + B)(I + A) - I = A + B + B A, with one stacked product per level
+      over about log2(b) levels, and applied as W + (M_b ... M_1 - I) W.
+      Forming I + (M - I) would round each step's increment against the
+      identity, which over the 4000 steps of a circle moved W by about
+      2e-13; the increment form never does.
 
     A1, A2, A4 are A at the start, middle and end of the step. A segment
     uses *apply* iff 8 nnz(A) d + 32^3 <= d^3: a sparse complex
     multiply-add is priced at 8 BLAS ones, and 32^3 covers the fixed cost
     of the four sparse products per step, which rules at small d. Median
-    ms per loop, *apply* / propagator, each forced (Python 3.11.7,
-    scipy 1.17.1, 2 BLAS threads, 2 CPUs):
+    ms per loop, *apply* / propagator, each forced, the two interleaved
+    (Python 3.11.7, scipy 1.17.1, 2 BLAS threads, 2 shared CPUs; h = 0.1;
+    circles move point 1 around point 0 at radius 0.5 with the other
+    points at 10, 20i, -15, 30; polygons move every point along 4 sides):
 
-    - phi operators: the d = 8 circle of 4000 steps 208 / 36; polygons of
-      60 steps at d = 16: 5.1 / 2.5, d = 27: 5.2 / 4.1, d = 32: 8.2 / 6.0,
-      d = 64 (n = 4): 9.8 / 22.8, d = 81: 11.7 / 30.0; the d = 256 circle
-      of 16 steps 32.8 / 130.5;
+    - phi operators: the d = 8 circle of 4000 steps 183 / 26; polygons of
+      60 steps at d = 16: 4.7 / 2.7, d = 27: 4.6 / 4.6, d = 32: 6.6 / 6.7,
+      d = 64 (n = 4): 7.1 / 26.0, d = 81: 14.6 / 41.0; the d = 256 circle
+      of 16 steps 15.0 / 141;
     - conjugates u R_phi u^-1 with nnz(R) = 73 of 81 at n = 3 and 224 of
-      256 at n = 4: the d = 64 circle 14.5 / 10.9, the d = 81 polygon
-      96 / 38, the d = 256 circle 182 / 114.
+      256 at n = 4: the d = 64 circle 10.9 / 10.9, the d = 81 polygon
+      72 / 39, the d = 256 circle 212 / 166.
 
-    The rule picks the faster one in each case but one near the crossover:
-    the n = 2, N = 6 polygon (d = 64, nnz(A) = 483) takes the propagator,
-    24.0 ms, where *apply* takes 16.1.
+    The rule picks the faster one in each case, or one within 2% of it
+    (d = 27 and d = 32). The host's speed drifts by about 25% between
+    runs; the two numbers of a pair were taken interleaved, so their ratio
+    is firmer than either number.
 
     Stage coefficients are formed for batches of steps holding at most
     about CHUNK_ENTRIES entries of stage data (or of stage matrices).
@@ -467,6 +510,7 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
         raise ValueError("loop and system disagree on the number of points")
     d = sys.dim
     w = np.eye(d, dtype=complex)
+    moved = np.zeros(d, dtype=bool)  # the columns of W that may differ from I's
     per_seg = max(1, -(-loop.steps // loop.segments))
     dt = 1.0 / (loop.segments * per_seg)
     built = None  # consecutive segments with the same live pairs share it
@@ -484,6 +528,9 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
         _, op, pos, m, apply, batch, stages = built
         if not len(pos):  # R = 0
             continue
+        moved[op.indices] = True
+        live = np.flatnonzero(moved)
+        part = w if len(live) == d else w.take(live, axis=1)  # C order, as scipy reads it
         rows, cols = np.array(pairs).T
         t0 = seg / loop.segments
         for k0 in range(0, per_seg, batch):
@@ -493,11 +540,13 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
             coeffs = sys.h * v[rows] / (z[rows] - z[cols])
             data = (m @ coeffs).T
             if apply:
-                w = _apply_steps(w, op, np.ascontiguousarray(data), dt)
+                part = _apply_steps(part, op, np.ascontiguousarray(data), dt)
             else:
                 a = stages[:len(ts)]
                 a[:, pos] = data
-                w = _propagator_steps(w, a.reshape(-1, d, d), dt)
+                part = _propagator_steps(part, a.reshape(-1, d, d), dt)
+        if part is not w:
+            w[:, live] = part
     return w
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from longeq.bialgebra import Coalgebra, FinDimBialgebra, GeneratorBialgebra
 from longeq.frt import cm_index
 from longeq.linalg import identity as la_identity
 from longeq.linalg import mat_inv as la_inv
+from longeq.scalars import frac_str
 
 F = Fraction
 
@@ -326,6 +328,31 @@ def test_dense_cubes_equal_the_constructor_input(monkeypatch):
             flat = got if name in ("unit", "counit") else [x for m in got for row in m
                                                              for x in row]
             assert {x.__class__ for x in flat} == {Fraction}, name
+
+
+def test_bialgebra_to_json_is_frac_str_of_the_dense_cubes(monkeypatch):
+    """``bialgebra_to_json`` writes the scaled nonzeros without forming a
+    dense cube, to the bytes that ``frac_str`` of every cube entry gave: on
+    every builtin bialgebra and on changed bases with fractional constants."""
+    cases = [b for b, _ in _builtin_inputs(monkeypatch) if isinstance(b, FinDimBialgebra)]
+    assert len(cases) == 8
+    for b, p in ((cyclic_group_algebra(3), [[1, 1, 0], [0, 2, 1], [0, 0, 3]]),
+                 (comatrix_tensor_truncation(2, 1),
+                  [[1 if k == i else 1 if k == i + 1 else 0 for k in range(6)]
+                   for i in range(6)])):
+        f = _change_basis(b, p)
+        cases.append(FinDimBialgebra([str(i) for i in range(b.d)], f["mult"], f["unit"],
+                                     f["comult"], f["counit"]))
+    assert any(b.scale > 1 for b in cases)
+    for b in cases:
+        got = json.dumps(jsonio.bialgebra_to_json(b))
+        assert "mult" not in vars(b) and "comult" not in vars(b)
+        want = {"dim": b.d, "basis": list(b.basis),
+                "mult": [[[frac_str(x) for x in cell] for cell in row] for row in b.mult],
+                "unit": [frac_str(x) for x in b.unit],
+                "comult": [[[frac_str(x) for x in cell] for cell in row] for row in b.comult],
+                "counit": [frac_str(x) for x in b.counit]}
+        assert got == json.dumps(want)
 
 
 def test_bialgebra_check_forms_no_dense_cube():

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import longeq
 from longeq import (
@@ -623,6 +625,115 @@ def test_kz_points_mismatch_is_usage_error(tmp_path, capsys):
     assert err
 
 
+def test_kz_overflowing_holonomy_is_usage_error(tmp_path, capsys):
+    """A loop that passes every input check but whose coefficients overflow
+    exits 2 instead of writing NaN into the report (found by the fuzz test
+    below; it exited 0 with NaN entries)."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[-9, -1.37], [1e154, -3.04]], "kind": "circle", "steps": 5,
+        "moving": 1, "center": 2, "radius": 1e154})
+    with np.errstate(all="ignore"):
+        code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
+                                       "--h", "1e308,1e308", "--loop", loop])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the holonomy is not finite: the integration overflowed; "
+                        "reduce |h| or the scale of the loop\n")
+
+
+# JSON scalars of every type, with extremes a float overflows or underflows on
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 8), st.integers(-10 ** 30, 10 ** 30),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400]))
+_JSON_ANY = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                         max_leaves=8)
+_COORD = st.one_of(st.integers(-12, 12), st.floats(-12, 12),
+                   st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400]))
+
+
+@st.composite
+def _loop_objects(draw):
+    """Loop JSON near the valid ones: every key with a value of the right
+    type, indices near their range, coordinates small, huge or subnormal,
+    paths closed; then at most one key dropped or given any JSON value."""
+    count = draw(st.integers(0, 4))
+    pair = st.lists(_COORD, min_size=2, max_size=2)
+    obj = {"base": draw(st.lists(pair, min_size=count, max_size=count)),
+           "kind": draw(st.sampled_from(["circle", "polygon"])),
+           # at most 12 steps or above the cap: a valid loop integrates quickly
+           "steps": draw(st.one_of(st.integers(-1, 12),
+                                   st.sampled_from([kz.MAX_STEPS + 1, 10 ** 40]))),
+           "moving": draw(st.integers(0, count + 1)),
+           "center": draw(st.one_of(st.integers(0, count + 1), pair)),
+           "radius": draw(_COORD),
+           "waypoints": draw(st.lists(st.lists(pair, min_size=1, max_size=4).map(
+               lambda path: path + path[:1]), min_size=count, max_size=count))}
+    key = draw(st.sampled_from([None, *obj]))
+    if key is not None:
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_ANY)
+    return obj
+
+
+# the start of a circle whose angle underflows: cmath.phase raised OverflowError
+_UNDERFLOWING_CIRCLE = {"base": [[1e308, 1e-320], [0, 0]], "kind": "circle", "steps": 1,
+                        "moving": 1, "center": 2, "radius": 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_loop_objects(), _JSON_ANY))
+@example(_UNDERFLOWING_CIRCLE)
+def test_loop_from_json_fuzz_refuses_with_usage_errors(obj):
+    """Any JSON value either reads as a loop or raises an error that ``main``
+    reports as exit 2 with an ``error:`` line, never another exception."""
+    try:
+        with np.errstate(all="ignore"):  # huge coordinates overflow in the guard
+            loop = jsonio.loop_from_json(obj)
+    except (ValueError, longeq.PathTooClose):
+        return
+    assert isinstance(loop, kz.LoopSpec)
+
+
+_KZ_ARG = st.one_of(st.sampled_from(["2", "3", "0", "-1", "x", "", "1e3", "nan", "inf",
+                                     "1,2", "1,", ",1", "1,2,3", "0.1,-0.05", "1e308,1e308",
+                                     "1e-320", str(kz.MAX_STEPS + 1)]),
+                    st.text(max_size=4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_loop_objects(), st.one_of(st.none(), _KZ_ARG), _KZ_ARG,
+       st.one_of(st.none(), _KZ_ARG), st.booleans())
+@example(_UNDERFLOWING_CIRCLE, None, "0.1", None, False)
+def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, h, steps,
+                                             compare):
+    """``kz`` on fuzzed loop JSON and ``--points``, ``--h`` and ``--steps``
+    values exits 0 or 1 with a report, or 2 with an ``error:`` line (or the
+    comparison-mode usage line); it never raises. ``--points`` is the loop's
+    own count when not drawn."""
+    loop = _write(tmp_path, "loop.json", loop_obj)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    if points is None:
+        base = loop_obj.get("base")
+        points = str(len(base)) if isinstance(base, list) else "2"
+    argv = ["kz", "--op", op, "--points", points, "--h", h, "--loop", loop]
+    argv += [] if steps is None else ["--steps", steps]
+    argv += ["--compare"] if compare else []
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code, out, err = _run(capsys, argv)
+    if code == 2:
+        last = err.splitlines()[-1]
+        assert "error:" in last or last.startswith("comparison mode requires"), err
+        assert out == ""
+    else:
+        assert code in (0, 1) and json.loads(out)["N"] == int(points), (code, err)
+
+
 def test_kz_stdout_on_fixed_circle_is_pinned(tmp_path, capsys):
     """The whole kz report of a three-point circle at h = 0, whose holonomy
     and oracle are exactly the identity, matches the bytes the
@@ -907,9 +1018,9 @@ _NESTED = "must be a {}-fold nested list of fractions"
 
 @pytest.mark.parametrize("bi_edit, sig_edit, want", [
     (_set(["basis"], 2), None, "basis length disagrees with 'dim'"),
-    (_set(["mult", 1, 0], "0"), None, "'mult' " + _NESTED.format(1)),
-    (_set(["mult", 1], 3), None, "'mult' " + _NESTED.format(2)),
-    (_set(["mult", 0, 1], {"0": "1"}), None, "'mult' " + _NESTED.format(1)),
+    (_set(["mult", 1, 0], "0"), None, "'mult' " + _NESTED.format(3)),
+    (_set(["mult", 1], 3), None, "'mult' " + _NESTED.format(3)),
+    (_set(["mult", 0, 1], {"0": "1"}), None, "'mult' " + _NESTED.format(3)),
     (_set(["mult", 0, 1, 1], ["1"]), None, "not a fraction string: ['1']"),
     (_set(["mult", 0, 1, 1], True), None, "not a fraction string: True"),
     (_set(["mult", 0, 1, 1], 1.0), None, "not a fraction string: 1.0"),
@@ -930,7 +1041,8 @@ _NESTED = "must be a {}-fold nested list of fractions"
 def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit, want):
     """A wrong-typed or wrong-sized field of the bialgebra or sigma JSON of
     k[Z/2] exits 2 with exactly this ``error:`` line, the one the dense
-    loader printed."""
+    loader printed, except that a level of ``mult`` that is not a list now
+    names the field's shape, 3-fold, not the depth left where it failed."""
     b = cyclic_group_algebra(2)
     bi, sig = bialgebra_to_json(b), sigma_to_json(SigmaTable.counit_square(b))
     if bi_edit:

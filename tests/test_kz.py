@@ -623,6 +623,170 @@ def test_apply_batches_across_segments(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
+def _full_width(sys, loop):
+    """``integrate_holonomy``'s steps, batches and evaluation taken on all d
+    columns of W on every live segment: the oracle of the moved-columns rule."""
+    d = sys.dim
+    w = np.eye(d, dtype=complex)
+    per_seg = max(1, -(-loop.steps // loop.segments))
+    dt = 1.0 / (loop.segments * per_seg)
+    for seg, pairs in enumerate(kz.segment_pairs(loop)):
+        if not pairs:
+            continue
+        op, pos, m = kz.segment_operator(sys, pairs)
+        apply = kz._applies(d, len(pos))
+        batch = max(1, kz.CHUNK_ENTRIES // max(len(pos) if apply else d * d, len(pairs)))
+        rows, cols = np.array(pairs).T
+        for k0 in range(0, per_seg, batch):
+            ts = seg / loop.segments + np.arange(2 * k0, 2 * min(per_seg, k0 + batch) + 1) * (dt / 2)
+            z, v = loop.stage_data(ts, seg)
+            data = (m @ (sys.h * v[rows] / (z[rows] - z[cols]))).T
+            if apply:
+                w = kz._apply_steps(w, op, np.ascontiguousarray(data), dt)
+            else:
+                a = np.zeros((len(ts), d * d), dtype=complex)
+                a[:, pos] = data
+                w = kz._propagator_steps(w, a.reshape(-1, d, d), dt)
+    return w
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 13])
+def test_propagator_batch_is_its_steps_in_order(b):
+    """A batch of b propagator steps, multiplied pairwise, is the steps
+    applied one at a time, w + (M_k - I) w, on random stage matrices that do
+    not commute, so a product taken in the wrong order shows."""
+    rng = np.random.default_rng(b)
+    d, dt = 6, 0.05
+    a = rng.standard_normal((2 * b + 1, d, d)) + 1j * rng.standard_normal((2 * b + 1, d, d))
+    w = rng.standard_normal((d, 4)) + 1j * rng.standard_normal((d, 4))
+    want = w.copy()
+    for a1, a2, a4 in zip(a[:-1:2], a[1::2], a[2::2]):
+        x2 = a2 + dt / 2 * a2 @ a1
+        x3 = a2 + dt / 2 * a2 @ x2
+        x4 = a4 + dt * a4 @ x3
+        want = want + dt / 6 * (a1 + 2 * x2 + 2 * x3 + x4) @ want
+    got = kz._propagator_steps(w, a, dt)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _record_widths(monkeypatch):
+    """Record (evaluation, columns of W integrated, array returned) for every
+    batch."""
+    widths = []
+    for name in ("_apply_steps", "_propagator_steps"):
+        def counted(w, *args, steps=getattr(kz, name), mode=name[1:-6]):
+            out = steps(w, *args)
+            widths.append((mode, w.shape[1], out))
+            return out
+
+        monkeypatch.setattr(kz, name, counted)
+    return widths
+
+
+def _moved_cases():
+    """(name, system, loop, evaluation): the cases of the moved-columns rule."""
+    # point 0 moves on the first two segments, point 2 on the last three: the
+    # second adds the columns with a_2 = a_j in im phi and a_0 != a_j for all
+    # j, and the last two still step the columns only point 0 moved
+    late = [[1 + 1j, -1 + 1j, 1 + 1j, 1 + 1j, 1 + 1j],
+            [6.0] * 5, [12.0, 12.0, 12.0 + 1j, 13.0, 12.0]]
+    # no point moves on the second segment: A = 0 there
+    paused = [[1.0, 1.5, 1.5, 1.2 + 0.4j, 1.0], [0.0] * 5, [9.0] * 5]
+    phi4 = make_phi(4, [1, 2, 2, 4])
+    return [
+        ("circle-4-4-r3", KZSystem.from_op(phi4, 4, 0.05 + 0.02j),
+         LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 3, moving=1, center=0, radius=0.5),
+         "apply"),
+        ("late-apply", KZSystem.from_op(make_phi(3, [1, 2, 2]), 4, 0.1 - 0.03j),
+         LoopSpec([1 + 1j, 6.0, 12.0, 30.0], "polygon", 8,
+                  waypoints=late + [[30.0] * 5]), "apply"),
+        ("late-propagator", KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.03j),
+         LoopSpec([1 + 1j, 6.0, 12.0], "polygon", 8, waypoints=late), "propagator"),
+        ("paused-apply", KZSystem.from_op(phi4, 4, 0.08),
+         LoopSpec([1.0, 0.0, 9.0, 20.0], "polygon", 9,
+                  waypoints=paused + [[20.0] * 5]), "apply"),
+        ("paused-propagator", KZSystem.from_op(make_phi(2, [1, 2]), 3, 0.08),
+         LoopSpec([1.0, 0.0, 9.0], "polygon", 9, waypoints=paused), "propagator"),
+        ("dense-apply", KZSystem.from_op(_DIAG3, 4, 0.03 + 0.01j),
+         LoopSpec(**_INTEGRATOR_CASES["diag-3-4-nonsymmetric"][3]), "apply"),
+        ("dense-propagator", KZSystem.from_op(_CONJ4, 3, 0.05 - 0.01j),
+         LoopSpec(**_INTEGRATOR_CASES["conjugate-4-3"][3]), "propagator"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_moved_cases())),
+                         ids=[c[0] for c in _moved_cases()])
+def test_moved_columns_match_full_width(case, monkeypatch):
+    """Integrating only the moved columns of W gives the full-width run:
+    bit for bit under *apply*, within 1e-11 under the propagator. A column
+    joins when a live segment's pattern first reaches it, a segment with
+    A = 0 moves none, and once every column has moved W itself is stepped."""
+    name, sys, loop, mode = _moved_cases()[case]
+    N = sys.N
+    want = _full_width(sys, loop)
+    widths = _record_widths(monkeypatch)
+    got = integrate_holonomy(sys, loop)
+    assert {m for m, _, _ in widths} == {mode}
+    # in C order, which scipy's sparse products read without a copy
+    assert all(out.flags.c_contiguous for _, _, out in widths)
+    if mode == "apply":
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+    d = sys.dim
+    seen = [w for _, w, _ in widths]
+    assert seen == sorted(seen)
+    # W itself is stepped, with no copy, exactly once every column has moved
+    assert (widths[-1][2] is got) == (seen[-1] == d)
+    unmoved = np.all(got == np.eye(d), axis=0)
+    assert seen[-1] == d - np.count_nonzero(unmoved)
+    if name.startswith("dense"):
+        assert set(seen) == {d}
+    elif name.startswith("late"):
+        assert [len(p) for p in kz.segment_pairs(loop)] == [N - 1, 2 * N - 2, N - 1, N - 1]
+        assert seen[0] < seen[-1] < d
+    elif name.startswith("paused"):
+        assert [bool(p) for p in kz.segment_pairs(loop)] == [True, False, True, True]
+        assert len(widths) == 3 and seen[-1] < d
+
+
+def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
+    """A phi circle at n = 4, N = 4 integrates the columns a with
+    a_m = a_j in im phi for some j != m, m the moving point: for each of the
+    rank values v, 4^3 - 3^3 = 37 of them. The holonomy is the full-width
+    run's, bit for bit."""
+    loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0, radius=0.5)
+    for phi in ([1, 1, 1, 1], [1, 2, 1, 2], [1, 2, 2, 4], [1, 2, 3, 4]):
+        sys = KZSystem.from_op(make_phi(4, phi), 4, 0.05 + 0.02j)
+        want = _full_width(sys, loop)
+        widths = _record_widths(monkeypatch)
+        got = integrate_holonomy(sys, loop)
+        assert [w[:2] for w in widths] == [("apply", 37 * len(set(phi)))]
+        assert np.array_equal(got, want)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", ["circle-4-4", "long-circle"])
+def test_integration_bytes_bounds_the_traced_peak(case):
+    """The peak that tracemalloc sees while ``integrate_holonomy`` runs,
+    working copy of the moved columns included, stays within
+    ``integration_bytes``: one *apply* case and one propagator case."""
+    import tracemalloc
+
+    (n, N), phi, h, spec, mode = _INTEGRATOR_CASES[case]
+    sys = KZSystem.from_op(make_phi(n, phi), N, h)
+    loop = LoopSpec(**spec)
+    integrate_holonomy(sys, loop)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        integrate_holonomy(sys, loop)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= kz.integration_bytes(sys, loop)
+
+
 def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
     """The 4s run of a loop with s > MAX_STEPS / 4 steps is refused before
     the s and 2s runs are integrated."""
