@@ -641,16 +641,15 @@ def test_kz_overflowing_holonomy_is_usage_error(tmp_path, capsys):
                         "reduce |h| or the scale of the loop\n")
 
 
-# JSON scalars of every type, with extremes a float overflows or underflows on
+# numbers that overflow or underflow a float, or a product of two floats
+_EXTREMES = st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400])
 _JSON_SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-4, 8), st.integers(-10 ** 30, 10 ** 30),
-    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
-    st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400]))
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3), _EXTREMES)
 _JSON_ANY = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
                          | st.dictionaries(st.text(max_size=6), inner, max_size=3),
                          max_leaves=8)
-_COORD = st.one_of(st.integers(-12, 12), st.floats(-12, 12),
-                   st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400]))
+_COORD = st.one_of(st.integers(-12, 12), st.floats(-12, 12), _EXTREMES)
 
 
 @st.composite

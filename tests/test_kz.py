@@ -684,7 +684,9 @@ def _record_widths(monkeypatch):
 
 
 def _moved_cases():
-    """(name, system, loop, evaluation): the cases of the moved-columns rule."""
+    """(name, system, loop, evaluation): the cases of the moved-columns rule
+    beyond the single circle, which ``test_circle_moves_37_rank_columns_at_n4``
+    takes."""
     # point 0 moves on the first two segments, point 2 on the last three: the
     # second adds the columns with a_2 = a_j in im phi and a_0 != a_j for all
     # j, and the last two still step the columns only point 0 moved
@@ -694,9 +696,6 @@ def _moved_cases():
     paused = [[1.0, 1.5, 1.5, 1.2 + 0.4j, 1.0], [0.0] * 5, [9.0] * 5]
     phi4 = make_phi(4, [1, 2, 2, 4])
     return [
-        ("circle-4-4-r3", KZSystem.from_op(phi4, 4, 0.05 + 0.02j),
-         LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 3, moving=1, center=0, radius=0.5),
-         "apply"),
         ("late-apply", KZSystem.from_op(make_phi(3, [1, 2, 2]), 4, 0.1 - 0.03j),
          LoopSpec([1 + 1j, 6.0, 12.0, 30.0], "polygon", 8,
                   waypoints=late + [[30.0] * 5]), "apply"),
@@ -722,7 +721,6 @@ def test_moved_columns_match_full_width(case, monkeypatch):
     joins when a live segment's pattern first reaches it, a segment with
     A = 0 moves none, and once every column has moved W itself is stepped."""
     name, sys, loop, mode = _moved_cases()[case]
-    N = sys.N
     want = _full_width(sys, loop)
     widths = _record_widths(monkeypatch)
     got = integrate_holonomy(sys, loop)
@@ -743,7 +741,8 @@ def test_moved_columns_match_full_width(case, monkeypatch):
     if name.startswith("dense"):
         assert set(seen) == {d}
     elif name.startswith("late"):
-        assert [len(p) for p in kz.segment_pairs(loop)] == [N - 1, 2 * N - 2, N - 1, N - 1]
+        k = sys.N - 1
+        assert [len(p) for p in kz.segment_pairs(loop)] == [k, 2 * k, k, k]
         assert seen[0] < seen[-1] < d
     elif name.startswith("paused"):
         assert [bool(p) for p in kz.segment_pairs(loop)] == [True, False, True, True]
@@ -753,8 +752,8 @@ def test_moved_columns_match_full_width(case, monkeypatch):
 def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
     """A phi circle at n = 4, N = 4 integrates the columns a with
     a_m = a_j in im phi for some j != m, m the moving point: for each of the
-    rank values v, 4^3 - 3^3 = 37 of them. The holonomy is the full-width
-    run's, bit for bit."""
+    rank values v, 4^3 - 3^3 = 37 of them, in C order. The holonomy is the
+    full-width run's, bit for bit."""
     loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0, radius=0.5)
     for phi in ([1, 1, 1, 1], [1, 2, 1, 2], [1, 2, 2, 4], [1, 2, 3, 4]):
         sys = KZSystem.from_op(make_phi(4, phi), 4, 0.05 + 0.02j)
@@ -762,6 +761,7 @@ def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
         widths = _record_widths(monkeypatch)
         got = integrate_holonomy(sys, loop)
         assert [w[:2] for w in widths] == [("apply", 37 * len(set(phi)))]
+        assert widths[0][2].flags.c_contiguous
         assert np.array_equal(got, want)
         monkeypatch.undo()
 
