@@ -72,7 +72,6 @@ from .tensor_ops import (
     _descent_basis,
     _first_descent_failure,
     _form,
-    _int_form,
     _obstruction_rows,
     _obstruction_vectors,
     invert,
@@ -92,7 +91,7 @@ def cm_label(slot, n):
 
 def comatrix_eps(vec, n):
     """Counit on a comatrix element: sum of the diagonal coordinates."""
-    return sum((vec[cm_index(i, i, n)] for i in range(1, n + 1)), F0)
+    return sum(vec[cm_index(i, i, n)] for i in range(1, n + 1))
 
 
 def comatrix_delta(vec, n):
@@ -113,9 +112,9 @@ def obstructions(r: TensorOp2):
 
     o(i,j,k,l) = sum_v x[k,v,j,i] c_vl - sum_a x[k,l,j,a] c_ia. Defined for
     any operator; each has counit value zero by cancellation. Formed on
-    Z = D x and divided by D.
+    Z = D x (``TensorOp2.int_form``) and divided by D.
     """
-    table, d = _int_form(r)
+    table, d = r.int_form
     return [[Fraction(x, d) if x else F0 for x in vec]
             for _, vec in _obstruction_vectors(table, r.dim)]
 
@@ -130,7 +129,7 @@ def obstruction_rows(r: TensorOp2):
     unique, so ``QuotientCoalgebra(n, obstruction_rows(r))`` is the quotient
     that ``build_LR`` forms from the basis of ``tensor_ops._descent_basis``.
     """
-    return [row for _, row in _obstruction_rows(_int_form(r)[0], r.dim)]
+    return [row for _, row in _obstruction_rows(r.int_form[0], r.dim)]
 
 
 class QuotientCoalgebra:
@@ -240,19 +239,19 @@ class QuotientCoalgebra:
 class SigmaForm:
     """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
 
-    ``table`` is sigma_0 and ``int_table`` is D sigma_0, the form of Z; the
-    constructor checks descent on it and the integer RREF rows.
-    ``int_coset_table``, L^2 D sigma on the projections of every label pair,
-    is formed on first read by ``coset_table`` (its exact value),
-    ``on_cosets``, ``round_trip`` or ``check_L1_on_generators``. ``form`` is
-    ``_int_form(r)`` when the caller has formed it.
+    ``table`` is sigma_0 and ``int_table`` is D sigma_0, the form of Z
+    (``TensorOp2.int_form``); the constructor checks descent on it and the
+    integer RREF rows. ``int_coset_table``, L^2 D sigma on the projections
+    of every label pair, is formed on first read by ``coset_table`` (its
+    exact value), ``on_cosets``, ``round_trip`` or
+    ``check_L1_on_generators``.
     """
 
-    def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra, form=None):
+    def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
         n = r.dim
         self.n = n
         self.table = _form(r.matrix, n)
-        self.int_table, self.scale = form or _int_form(r)
+        self.int_table, self.scale = r.int_form
         self.quotient = quotient
         self._check_descends()
         reps = quotient.rep_slots
@@ -308,9 +307,9 @@ class LongPresentation:
         self.eps = [F1 if i == j else F0 for (i, j) in quotient.rep_labels]
         self.sigma_gen = [row[:] for row in sigma.rep_table]
         self.names = [f"c_{i}_{j}" for (i, j) in quotient.rep_labels]
-        self.naming = dict(naming or {})
-        if naming:
+        if naming is not None:
             self._apply_naming(naming)
+        self.naming = dict(naming or {})
         # the generators as a free bialgebra on generator indices, for the
         # word extension of sigma
         self.generator_bialgebra = GeneratorBialgebra(
@@ -325,21 +324,35 @@ class LongPresentation:
         self._word_memo = {}
 
     def _apply_naming(self, naming):
-        """Rename generators. Keys are canonical labels ``c_i_j``; a key whose
-        coset is exactly one representative (coefficient 1) renames that
-        representative."""
+        """Rename generators. ``naming`` maps canonical labels ``c_i_j``,
+        1 <= i, j <= n, to strings; a key whose coset is exactly one
+        representative (coefficient 1) renames that representative. Each
+        generator is renamed at most once, and the names, new and canonical,
+        stay distinct. Anything else is a ValueError."""
+        if not isinstance(naming, dict):
+            raise ValueError("naming must be a JSON object mapping c_i_j to names")
+        n = self.quotient.n
+        labels = {f"c_{i}_{j}": (i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        renamed = {}
         for key, new in naming.items():
-            parts = key.split("_")
-            if len(parts) != 3 or parts[0] != "c":
-                raise ValueError(f"bad naming key {key!r}; expected c_i_j")
-            i, j = int(parts[1]), int(parts[2])
-            coords = self.quotient.basis_coset(i, j)
+            if key not in labels:
+                raise ValueError(f"bad naming key {key!r}; expected c_i_j with 1 <= i, j <= {n}")
+            if not isinstance(new, str):
+                raise ValueError(f"naming value for {key!r} must be a string")
+            coords = self.quotient.basis_coset(*labels[key])
             hits = [t for t, x in enumerate(coords) if x]
             if len(hits) != 1 or coords[hits[0]] != 1:
                 raise ValueError(
                     f"naming key {key!r} does not reduce to a single representative"
                 )
-            self.names[hits[0]] = str(new)
+            if hits[0] in renamed:
+                raise ValueError(
+                    f"naming keys {renamed[hits[0]]!r} and {key!r} rename the same generator")
+            renamed[hits[0]] = key
+            self.names[hits[0]] = new
+        for t, name in enumerate(self.names):
+            if name in self.names[:t]:
+                raise ValueError(f"naming gives two generators the name {name!r}")
 
     @property
     def num_generators(self):
@@ -371,14 +384,13 @@ def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
       sum_v x[q,v,p,i] c_vj - sum_a x[q,j,p,a] c_ia = o(i,p,q,j), which
       lies in V and projects to zero (``check_L1_on_generators``).
     """
-    form = _int_form(r)
-    witness, basis = _descent_basis(form[0], r.dim)
+    witness, basis = _descent_basis(r.int_form[0], r.dim)
     if witness is not None:
         raise NotALongSolution(
             f"componentwise equation {witness[0]} fails at {witness[1]}", witness
         )
     quotient = QuotientCoalgebra(r.dim, basis.int_rows())
-    return LongPresentation(r, quotient, SigmaForm(r, quotient, form), naming)
+    return LongPresentation(r, quotient, SigmaForm(r, quotient), naming)
 
 
 def round_trip(pres: LongPresentation) -> TensorOp2:

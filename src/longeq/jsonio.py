@@ -28,17 +28,20 @@ MAX_BIALGEBRA_DIM = 64
 
 
 def operator_to_json(r: TensorOp2) -> dict:
+    """The nonzero entries in wire order (v, u, i, j): the columns
+    (v-1)n + (u-1) of the matrix view, then the rows (i-1)n + (j-1)."""
+    n = r.dim
     entries = []
-    for v in range(1, r.dim + 1):
-        for u in range(1, r.dim + 1):
-            for i in range(1, r.dim + 1):
-                for j in range(1, r.dim + 1):
-                    x = r.coeff(u, v, j, i)
-                    if x:
-                        entries.append(
-                            {"v": v, "u": u, "i": i, "j": j, "coeff": frac_str(x)}
-                        )
-    return {"dim": r.dim, "entries": entries}
+    for col in range(n * n):
+        v, u = divmod(col, n)
+        for row in range(n * n):
+            x = r.matrix[row][col]
+            if x:
+                i, j = divmod(row, n)
+                entries.append(
+                    {"v": v + 1, "u": u + 1, "i": i + 1, "j": j + 1, "coeff": frac_str(x)}
+                )
+    return {"dim": n, "entries": entries}
 
 
 def operator_from_json(obj) -> TensorOp2:
@@ -53,7 +56,7 @@ def operator_from_json(obj) -> TensorOp2:
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError("'entries' must be a list")
-    coeffs = [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    matrix = [[F0] * (n * n) for _ in range(n * n)]
     seen = set()
     for e in entries:
         try:
@@ -68,8 +71,8 @@ def operator_from_json(obj) -> TensorOp2:
         if key in seen:
             raise ValueError(f"duplicate entry for (v,u,i,j)={key}")
         seen.add(key)
-        coeffs[u - 1][v - 1][j - 1][i - 1] = x
-    return TensorOp2.from_coeffs(n, coeffs)
+        matrix[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)] = x
+    return TensorOp2(n, matrix)
 
 
 def presentation_to_json(pres: LongPresentation) -> dict:

@@ -20,21 +20,24 @@ import os
 
 import numpy as np
 
-from . import linalg as la
 from .errors import DimensionCap, PathTooClose
 from .tensor_ops import (  # lift_exact is re-exported next to lift_float
     TensorOp2,
-    _commute,
-    _lift_sparse,
     _slot_blocks,
-    _sparse_add,
     flip_invariant,
+    kz_bracket,
     lift_exact,
 )
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 MIN_SEPARATION_FACTOR = 1e-6
+# largest magnitude of a loop's base points, waypoints and centre and of
+# its radius: positions then stay within 2e100, pairwise distances within
+# 4e100 and velocities within 2e100 times the segment count (7e100 on a
+# circle), far inside the float range, so neither ``stage_data`` nor the
+# separation guard can overflow
+MAX_COORDINATE = 1e100
 MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positions
 # complex entries formed at once: the integrator batches about
 # CHUNK_ENTRIES // dim^2 propagator steps (one at dim 256), or
@@ -66,14 +69,19 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
     """Exact vanishing table of the flatness brackets.
 
     For every ordered triple of distinct slots (a, b, c) on M^(x3) the
-    bracket [R^{ab}, R^{ac} + R^{bc}] is evaluated exactly; when N >= 4 the
+    bracket [R^{ab}, R^{ac} + R^{bc}] is reported; when N >= 4 the
     disjoint-pair brackets [R^{ab}, R^{cd}] on M^(x4) are reported too.
     Keys are labels like "[R12,R13+R23]" (slots 1-based); values are
     booleans.
 
-    Each triple bracket is a homogeneous quadratic in R, so it is decided
-    on the integer matrix Z = D R, D the lcm of the denominators, lifted as
-    sparse rows; no dense n^N x n^N matrix is built.
+    The six triple brackets are one bracket, decided exactly once by
+    ``tensor_ops.kz_bracket`` (the ``kz_bracket`` law of ``check_laws``).
+    Let P be the permutation of the three tensor slots that carries slots
+    1, 2, 3 to a, b, c. Then R^{ab} = P R^{12} P^-1, R^{ac} = P R^{13} P^-1
+    and R^{bc} = P R^{23} P^-1, so
+    [R^{ab}, R^{ac} + R^{bc}] = P [R^{12}, R^{13} + R^{23}] P^-1, which
+    vanishes exactly when [R^{12}, R^{13} + R^{23}] does. The tests
+    evaluate all six on dense lifts as the oracle.
 
     The disjoint brackets vanish for every operator and are not evaluated.
     With {a, b} and {c, d} disjoint, let P be the permutation of the four
@@ -83,21 +91,11 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
     [R^{ab}, R^{cd}] = P [R (x) I, I (x) R] P^-1 = 0. The tests evaluate
     them with the sparse lifts as the oracle.
     """
-    n = r.dim
     report = {}
     if N >= 3:
-        z = la.clear_denominators(r.matrix)[0]
-        lifts3 = {
-            (i, j): _lift_sparse(z, n, i, j, 3)
-            for i in range(3)
-            for j in range(3)
-            if i != j
-        }
-        for a, b, c in itertools.permutations(range(3)):
-            label = f"[R{a + 1}{b + 1},R{a + 1}{c + 1}+R{b + 1}{c + 1}]"
-            report[label] = _commute(
-                lifts3[(a, b)], _sparse_add(lifts3[(a, c)], lifts3[(b, c)])
-            )
+        holds = kz_bracket(r)
+        for a, b, c in itertools.permutations((1, 2, 3)):
+            report[f"[R{a}{b},R{a}{c}+R{b}{c}]"] = holds
     if N >= 4:
         for ab in ("12", "21"):
             for cd in ("34", "43"):
@@ -123,10 +121,10 @@ class KZSystem:
         self.dim = n ** N
 
     @classmethod
-    def from_op(cls, r: TensorOp2, N, h, dim_cap=None):
+    def from_op(cls, r: TensorOp2, N, h):
         if N < 2:
             raise ValueError("N must be >= 2")
-        cap = max_dim() if dim_cap is None else dim_cap
+        cap = max_dim()
         n = r.dim
         if n ** N > cap:
             raise DimensionCap(f"n^N = {n ** N} exceeds cap {cap}")
@@ -143,12 +141,16 @@ def _integer(x, what):
     return int(x)
 
 
-def _finite(x, what, kind=numbers.Complex):
-    """x as a finite complex, or float when kind is numbers.Real; else ValueError."""
+def _coordinate(x, what, kind=numbers.Complex):
+    """x as a complex, or float when kind is numbers.Real, of magnitude at
+    most MAX_COORDINATE; else ValueError."""
     if not isinstance(x, bool) and isinstance(x, kind):
         try:
             if cmath.isfinite(x):
-                return float(x) if kind is numbers.Real else complex(x)
+                z = float(x) if kind is numbers.Real else complex(x)
+                if abs(z) <= MAX_COORDINATE:
+                    return z
+                raise ValueError(f"{what} must have magnitude at most {MAX_COORDINATE:.0e}")
         except OverflowError:
             pass
     name = "real" if kind is numbers.Real else "complex"
@@ -170,7 +172,7 @@ class LoopSpec:
 
     def __init__(self, base, kind, steps, moving=None, center=None, radius=None,
                  waypoints=None):
-        self.base = [_finite(z, "base point") for z in base]
+        self.base = [_coordinate(z, "base point") for z in base]
         self.N = len(self.base)
         self.kind = kind
         self.steps = _integer(steps, "steps")
@@ -189,8 +191,8 @@ class LoopSpec:
                     raise ValueError("center index out of range")
                 self.center = self.base[center]
             else:
-                self.center = _finite(center, "center")
-            self.radius = _finite(radius, "radius", numbers.Real)
+                self.center = _coordinate(center, "center")
+            self.radius = _coordinate(radius, "radius", numbers.Real)
             if self.radius <= 0:
                 raise ValueError("radius must be positive")
             # cmath.phase(z) without its OverflowError on an underflowing angle
@@ -200,7 +202,7 @@ class LoopSpec:
         elif kind == "polygon":
             if waypoints is None:
                 raise ValueError("polygon loops need waypoints")
-            self.waypoints = [[_finite(z, "waypoint") for z in path]
+            self.waypoints = [[_coordinate(z, "waypoint") for z in path]
                               for path in waypoints]
             if len(self.waypoints) != self.N:
                 raise ValueError("one waypoint path per coordinate required")

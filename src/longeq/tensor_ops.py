@@ -7,8 +7,7 @@ Conventions, used everywhere downstream:
   output.
 * The matrix view indexes the ordered basis ``m_a (x) m_b`` at row/column
   ``(a-1)n + (b-1)``, so the entry at row ``(i-1)n+(j-1)``, column
-  ``(v-1)n+(u-1)`` is ``x[u,v,j,i]``. The matrix view and the 4-index
-  coefficient family round-trip losslessly.
+  ``(v-1)n+(u-1)`` is ``x[u,v,j,i]`` (``TensorOp2.coeff``).
 
 The Long check is sigma_0-descent. Let sigma_0(c_iv (x) c_ju) = x[u,v,j,i]
 on the comatrix coalgebra C and o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from . import linalg as la
 from .errors import (
@@ -48,7 +48,12 @@ LAWS = ("long", "d_equation", "qybe", "hopf", "kz_bracket", "symmetric")
 
 
 class TensorOp2:
-    """Exact endomorphism of M(x)M, stored as its n^2 x n^2 matrix view."""
+    """Exact endomorphism of M(x)M, stored as its n^2 x n^2 matrix view.
+
+    The matrix is not mutated after construction: the integer forms
+    ``cleared`` and ``int_form`` and the ``lifts`` of Z are formed from it
+    once, on first read, and every law check reads them.
+    """
 
     def __init__(self, dim, matrix):
         if dim < 1:
@@ -59,27 +64,26 @@ class TensorOp2:
         self.dim = dim
         self.matrix = matrix
 
-    @classmethod
-    def from_coeffs(cls, dim, x):
-        """Build from the 4-index family ``x[u][v][j][i]`` (0-based nesting);
-        the constructor converts the entries with ``la.as_frac``."""
-        n = dim
-        mat = la.zeros(n * n, n * n)
-        for u in range(n):
-            for v in range(n):
-                for j in range(n):
-                    for i in range(n):
-                        mat[i * n + j][v * n + u] = x[u][v][j][i]
-        return cls(dim, mat)
+    @cached_property
+    def cleared(self):
+        """``(Z, D)``: Z = D R as int rows, D the lcm of the denominators."""
+        return la.clear_denominators(self.matrix)
+
+    @cached_property
+    def int_form(self):
+        """``(table, D)``: the form ``_form`` of Z = D R, and D."""
+        z, d = self.cleared
+        return _form(z, self.dim), d
+
+    @cached_property
+    def lifts(self):
+        """The sparse lifts of Z onto slots 12, 13, 23 of M(x3) (``_lift_sparse``)."""
+        return [_lift_sparse(self.cleared[0], self.dim, *_LIFT_SLOTS[s], 3) for s in (12, 13, 23)]
 
     def coeff(self, u, v, j, i):
         """x[u,v,j,i] with 1-based indices."""
         n = self.dim
         return self.matrix[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)]
-
-    def coeffs(self):
-        """The 4-index family as nested lists ``x[u][v][j][i]`` (0-based)."""
-        return _coeff_family(self.dim, self.matrix)
 
     def __eq__(self, other):
         return (
@@ -244,32 +248,36 @@ def flip_invariant(r: TensorOp2) -> bool:
     return all(m[flip[a]][flip[b]] == x for a, row in enumerate(m) for b, x in enumerate(row))
 
 
-def check_laws(r: TensorOp2, laws=None, cleared=None) -> dict:
+def kz_bracket(r: TensorOp2) -> bool:
+    """The ``kz_bracket`` law of ``check_laws``, [R12, R13 + R23] = 0,
+    decided on the lifts of Z = D R alone: Long is not evaluated with it."""
+    z12, z13, z23 = r.lifts
+    return _commute(z12, _sparse_add(z13, z23))
+
+
+def check_laws(r: TensorOp2, laws=None) -> dict:
     """Evaluate the requested laws exactly; returns {law: bool}.
 
     Laws: long, d_equation, qybe, hopf, kz_bracket, symmetric. When the
     Long law holds the KZ bracket must hold as well (it is an algebraic
     consequence); a failure raises ``InternalCheckFailed``.
 
-    The laws are decided on Z = D R, D the lcm of the denominators, lifted
-    onto slots 12, 13, 23 as sparse integer rows. Long, d_equation,
-    kz_bracket (quadratic) and qybe (cubic) are homogeneous, so they vanish
-    on Z exactly when they vanish on R. Hopf, R23 R13 R12 = R12 R23, is
-    not: with R = Z / D its sides are Z23 Z13 Z12 / D^3 and Z12 Z23 / D^2,
-    so it holds iff Z23 Z13 Z12 = D Z12 Z23. Each side is compared row by
-    row (``_products_equal``), so no n^3 x n^3 product is built or stored.
+    The laws are decided on Z = D R (``TensorOp2.cleared``), D the lcm of
+    the denominators, lifted onto slots 12, 13, 23 as sparse integer rows
+    (``TensorOp2.lifts``).
+    Long, d_equation, kz_bracket (quadratic) and qybe (cubic) are
+    homogeneous, so they vanish on Z exactly when they vanish on R. Hopf,
+    R23 R13 R12 = R12 R23, is not: with R = Z / D its sides are
+    Z23 Z13 Z12 / D^3 and Z12 Z23 / D^2, so it holds iff
+    Z23 Z13 Z12 = D Z12 Z23. Each side is compared row by row
+    (``_products_equal``), so no n^3 x n^3 product is built or stored.
     Symmetry is an index permutation (``flip_invariant``).
-
-    ``cleared`` is ``la.clear_denominators(r.matrix)`` when the caller has
-    formed it for ``long_witness`` too.
     """
     wanted = set(LAWS) if laws is None else set(laws)
     unknown = wanted - set(LAWS)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}")
-    n = r.dim
-    z, scale = cleared or la.clear_denominators(r.matrix)
-    z12, z13, z23 = (_lift_sparse(z, n, *_LIFT_SLOTS[s], 3) for s in (12, 13, 23))
+    z12, z13, z23 = r.lifts
     report = {}
     need_long = bool({"long", "kz_bracket"} & wanted)
     long_ok = None
@@ -284,9 +292,9 @@ def check_laws(r: TensorOp2, laws=None, cleared=None) -> dict:
     if "qybe" in wanted:
         report["qybe"] = _products_equal([z12, z13, z23], [z23, z13, z12])
     if "hopf" in wanted:
-        report["hopf"] = _products_equal([z23, z13, z12], [z12, z23], scale)
+        report["hopf"] = _products_equal([z23, z13, z12], [z12, z23], r.cleared[1])
     if "kz_bracket" in wanted:
-        kz = _commute(z12, _sparse_add(z13, z23))
+        kz = kz_bracket(r)
         if long_ok and not kz:
             raise InternalCheckFailed("Long holds but the KZ bracket does not")
         report["kz_bracket"] = kz
@@ -344,13 +352,6 @@ def _form(matrix, n):
     matrix view, entries as given: an index permutation."""
     rng = range(n)
     return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
-
-
-def _int_form(r: TensorOp2):
-    """``(table, D)``: the form of Z = D x and D, the lcm of the denominators
-    of ``r``; ``frt.build_LR`` forms it once for all its readers."""
-    z, d = la.clear_denominators(r.matrix)
-    return _form(z, r.dim), d
 
 
 def _first_descent_failure(table, rows):
@@ -436,7 +437,7 @@ def _descent_basis(table, n):
     return None, echelon
 
 
-def long_witness(r: TensorOp2, cleared=None):
+def long_witness(r: TensorOp2):
     """First componentwise violation of the Long system, or None.
 
     Returns ``(equation_number, (i, j, k, l, p, q))`` with 1-based indices;
@@ -448,28 +449,10 @@ def long_witness(r: TensorOp2, cleared=None):
     as zero or repeated is a multiple of an earlier row, and one in the
     span of earlier rows is skipped (``_descent_basis``), since both passed
     with the rows they depend on. Both equations are homogeneous
-    quadratics, so they are checked on Z = D x, D the lcm of the
-    denominators, which violates them at the same tuples. ``cleared`` is
-    ``la.clear_denominators(r.matrix)`` when the caller has formed it.
+    quadratics, so they are checked on Z = D x (``TensorOp2.int_form``),
+    D the lcm of the denominators, which violates them at the same tuples.
     """
-    z = (cleared or la.clear_denominators(r.matrix))[0]
-    return _descent_basis(_form(z, r.dim), r.dim)[0]
-
-
-def _coeff_family(n, matrix):
-    """The 4-index family ``x[u][v][j][i]`` (0-based) of a matrix view."""
-    return [
-        [
-            [[matrix[i * n + j][v * n + u] for i in range(n)] for j in range(n)]
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
-
-
-def check_long_componentwise(r: TensorOp2) -> bool:
-    """Componentwise Long check; the independent oracle for check_laws."""
-    return long_witness(r) is None
+    return _descent_basis(r.int_form[0], r.dim)[0]
 
 
 def make_diag(n, a) -> TensorOp2:
@@ -606,7 +589,9 @@ def make_homothety(rep, element) -> TensorOp2:
     ``rep`` is a list of n x n matrices generating the acting algebra;
     ``element`` is a list of ``(coeff, left_index, right_index)`` triples
     describing sum coeff * rep[left] (x) rep[right]. The left legs must
-    commute with every generator (checked exactly).
+    commute with every generator a (checked exactly). Over the terms
+    coeff * L (x) R of the sum S, sum coeff (L a - a L) (x) R is
+    S (a (x) I) - (a (x) I) S, so the check is one commutator per generator.
     """
     rep = [la.to_frac_matrix(m) for m in rep]
     if not rep:
@@ -615,13 +600,10 @@ def make_homothety(rep, element) -> TensorOp2:
     acc = la.zeros(n * n, n * n)
     for coeff, li, ri in element:
         acc = la.mat_add(acc, la.mat_scale(la.kron(rep[li], rep[ri]), coeff))
+    eye = la.identity(n)
     for idx, a in enumerate(rep):
-        lhs = la.zeros(n * n, n * n)
-        rhs = la.zeros(n * n, n * n)
-        for coeff, li, ri in element:
-            lhs = la.mat_add(lhs, la.mat_scale(la.kron(la.mat_mul(rep[li], a), rep[ri]), coeff))
-            rhs = la.mat_add(rhs, la.mat_scale(la.kron(la.mat_mul(a, rep[li]), rep[ri]), coeff))
-        if not la.mat_eq(lhs, rhs):
+        a1 = la.kron(a, eye)
+        if not la.mat_eq(la.mat_mul(acc, a1), la.mat_mul(a1, acc)):
             raise CentralityViolated(f"left legs do not commute with rep[{idx}]")
     return TensorOp2(n, acc)
 

@@ -142,17 +142,17 @@ def test_check_kz_bracket_internal_disagreement_exits_70(tmp_path, capsys, monke
     assert "KZ bracket" in err
 
 
-@pytest.mark.parametrize("r", [
+_FRACTIONAL_OPS = [
     make_conjugate([[1, Fraction(1, 7)], [0, 1]],
                    make_diag(2, [[Fraction(1, 2), Fraction(2, 3)],
                                  [Fraction(3, 5), Fraction(5, 6)]])),
     TensorOp2(2, [[0, Fraction(1, 3), 0, 0], [0, 0, 0, 0], [1, 0, 0, 0],
                   [0, 0, 1, Fraction(1, 2)]]),
-])
-def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
-    """check_laws and long_witness share one integer form Z = D R; the
-    verdicts, witness and exit code are those each forming its own gives."""
-    op = _write(tmp_path, "op.json", operator_to_json(r))
+]
+
+
+def _count_clearings(monkeypatch):
+    """The row counts of the matrices ``la.clear_denominators`` is called on."""
     cleared = []
     real = la.clear_denominators
 
@@ -161,6 +161,15 @@ def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
         return real(rows)
 
     monkeypatch.setattr(la, "clear_denominators", counting)
+    return cleared
+
+
+@pytest.mark.parametrize("r", _FRACTIONAL_OPS)
+def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
+    """check_laws and long_witness share one integer form Z = D R; the
+    verdicts, witness and exit code are those each forming its own gives."""
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    cleared = _count_clearings(monkeypatch)
     code, out, _ = _run(capsys, ["check", "--op", op, "--laws", "long,hopf,kz_bracket"])
     assert cleared.count(r.dim ** 2) == 1
     monkeypatch.undo()
@@ -170,6 +179,22 @@ def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
     witness = tensor_ops.long_witness(r)
     assert report["witnesses"] == ({} if witness is None else {
         "long": {"equation": witness[0], "indices": list(witness[1])}})
+
+
+@pytest.mark.parametrize("r", _FRACTIONAL_OPS[:1] + [make_phi(3, [1, 2, 2])])
+def test_check_and_build_LR_clear_the_denominators_once(tmp_path, capsys, monkeypatch, r):
+    """A ``check`` of every law and a ``build_LR`` each clear the denominators
+    of their operator once; the Long check, the obstruction rows and the
+    sigma-form all read ``TensorOp2.cleared``."""
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    cleared = _count_clearings(monkeypatch)
+    code, _, _ = _run(capsys, ["check", "--op", op, "--laws", ",".join(tensor_ops.LAWS)])
+    assert code in (0, 1)
+    assert cleared == [r.dim ** 2]
+    cleared.clear()
+    pres = frt.build_LR(operator_from_json(operator_to_json(r)))
+    assert cleared.count(r.dim ** 2) == 1  # rref_int clears single rows
+    assert frt.round_trip(pres) == r
 
 
 def test_check_unknown_law_is_usage_error(tmp_path, capsys):
@@ -367,6 +392,54 @@ def test_roundtrip_mismatch_is_internal_error(tmp_path, capsys, monkeypatch):
 
 
 _ELAPSED = re.compile(r',\n\s*"elapsed_s": [^,\n}]*')
+
+
+_IDENTITY_2 = TensorOp2(2, la.identity(4))
+_PAIR_111 = make_pair([[1, 1], [0, 1]], [[1, 1], [0, 1]])  # c_1_1 = c_2_2 modulo V
+
+
+@pytest.mark.parametrize("r, naming, message", [
+    (_IDENTITY_2, {"c_0_1": "x"}, "bad naming key 'c_0_1'; expected c_i_j with 1 <= i, j <= 2"),
+    (_IDENTITY_2, {"c_-1_1": "x"},
+     "bad naming key 'c_-1_1'; expected c_i_j with 1 <= i, j <= 2"),
+    (_IDENTITY_2, {"c_3_1": "x"}, "bad naming key 'c_3_1'; expected c_i_j with 1 <= i, j <= 2"),
+    (_IDENTITY_2, {"c_01_1": "x"},
+     "bad naming key 'c_01_1'; expected c_i_j with 1 <= i, j <= 2"),
+    (_IDENTITY_2, {"c_1_1": "x", "c_2_2": "x"}, "naming gives two generators the name 'x'"),
+    (_IDENTITY_2, {"c_1_1": "c_2_2"}, "naming gives two generators the name 'c_2_2'"),
+    (_IDENTITY_2, {"c_1_1": ["x"]}, "naming value for 'c_1_1' must be a string"),
+    (_IDENTITY_2, {"c_1_1": 7}, "naming value for 'c_1_1' must be a string"),
+    (_IDENTITY_2, [1, 2], "naming must be a JSON object mapping c_i_j to names"),
+    (_IDENTITY_2, "c_1_1", "naming must be a JSON object mapping c_i_j to names"),
+    (_PAIR_111, {"c_1_1": "a", "c_2_2": "b"},
+     "naming keys 'c_1_1' and 'c_2_2' rename the same generator"),
+], ids=["zero-index", "negative-index", "past-end-index", "padded-index", "same-name",
+        "canonical-name", "list-value", "int-value", "list-file", "string-file",
+        "same-generator"])
+def test_frt_naming_bad_input_is_usage_error(tmp_path, capsys, r, naming, message):
+    """A naming file must be an object whose keys are c_i_j, 1 <= i, j <= n,
+    and whose values are strings, distinct from each other and from the
+    canonical names left. The parent renamed c_2_1 for c_0_1 (a wrapped
+    index), kept duplicate names, stringified a list and ended a list file
+    in a TypeError traceback."""
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    code, out, err = _run(capsys, ["frt", "--op", op, "--naming",
+                                   _write(tmp_path, "naming.json", naming)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_frt_naming_swaps_and_keeps_canonical_names(tmp_path, capsys):
+    """Names may swap two canonical labels; a renamed label's canonical name
+    is free for another generator."""
+    op = _write(tmp_path, "op.json", operator_to_json(_IDENTITY_2))
+    naming = {"c_1_1": "c_2_2", "c_2_2": "c_1_1", "c_1_2": "y"}
+    code, out, _ = _run(capsys, ["frt", "--op", op, "--naming",
+                                 _write(tmp_path, "naming.json", naming)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["generators"] == ["c_2_2", "y", "c_2_1", "c_1_1"]
+    assert report["naming"] == naming
+    assert sorted(report["epsilon"]) == sorted(report["generators"])
 
 
 def test_parser_is_built_once_and_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
@@ -627,18 +700,43 @@ def test_kz_points_mismatch_is_usage_error(tmp_path, capsys):
 
 def test_kz_overflowing_holonomy_is_usage_error(tmp_path, capsys):
     """A loop that passes every input check but whose coefficients overflow
-    exits 2 instead of writing NaN into the report (found by the fuzz test
-    below; it exited 0 with NaN entries)."""
+    at |h| = 1e308 exits 2 instead of writing NaN into the report (found by
+    the fuzz test below; it exited 0 with NaN entries)."""
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
-    loop = _write(tmp_path, "loop.json", {
-        "base": [[-9, -1.37], [1e154, -3.04]], "kind": "circle", "steps": 5,
-        "moving": 1, "center": 2, "radius": 1e154})
+    loop = _write(tmp_path, "loop.json", _CIRCLE)
     with np.errstate(all="ignore"):
         code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
                                        "--h", "1e308,1e308", "--loop", loop])
     assert (code, out) == (2, "")
     assert err.endswith("error: the holonomy is not finite: the integration overflowed; "
                         "reduce |h| or the scale of the loop\n")
+
+
+@pytest.mark.parametrize("field, loop", [
+    # found by the fuzz tests below: the positions of the guard overflowed
+    ("base point", {"base": [[-9, -1.37], [1e154, -3.04]], "kind": "circle", "steps": 5,
+                    "moving": 1, "center": 2, "radius": 1e154}),
+    ("center", {**_CIRCLE, "center": [0, -1e101]}),
+    ("radius", {**_CIRCLE, "radius": 2e100}),
+    ("waypoint", {**_POLYGON, "waypoints": [_SQUARE, [[0, 0], [1e101, 0]] + [[0, 0]] * 3]}),
+])
+def test_kz_loop_coordinates_are_bounded_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                         field, loop):
+    """A base point, waypoint, centre or radius above kz.MAX_COORDINATE in
+    magnitude exits 2 naming the field before any position is formed."""
+    monkeypatch.setattr(kz.LoopSpec, "stage_data", _refuse)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2", "--h", "0.1",
+                                   "--loop", _write(tmp_path, "loop.json", loop)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must have magnitude at most 1e+100\n"
+
+
+def test_loop_coordinates_at_the_bound_are_accepted():
+    big = kz.MAX_COORDINATE
+    loop = jsonio.loop_from_json({"base": [[-big, 0], [big, 0]], "kind": "circle", "steps": 4,
+                                  "moving": 1, "center": [0, big], "radius": big})
+    assert np.isfinite(loop.separation()).all()
 
 
 # numbers that overflow or underflow a float, or a product of two floats

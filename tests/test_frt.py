@@ -38,7 +38,7 @@ from longeq.frt import (
     comatrix_eps,
     obstruction_rows,
 )
-from longeq.tensor_ops import _descent_basis, _int_form
+from longeq.tensor_ops import _descent_basis
 from conftest import upper_pair_operator
 from test_linalg import _rref_oracle
 from test_tensor_ops import (
@@ -808,7 +808,7 @@ def test_descent_basis_gives_the_quotient_of_all_obstruction_rows(corpus, phi4_s
     ranks = set()
     for name, r in cases.items():
         n = r.dim
-        witness, echelon = _descent_basis(_int_form(r)[0], n)
+        witness, echelon = _descent_basis(r.int_form[0], n)
         assert witness is None, name
         basis = echelon.int_rows()
         want = QuotientCoalgebra(n, obstruction_rows(r))

@@ -159,6 +159,16 @@ def test_flatness_matches_dense_oracle(corpus):
     cases.append((make_conjugate([[1, Fraction(1, 7)], [0, 1]], diag), 4))
     # a solution whose bracket products cancel to explicit zeros
     cases.append((make_conjugate([[1, -2], [0, 1]], make_diag(2, [[2, 0], [0, 2]])), 4))
+    # the flip is not Long, yet its bracket holds; R_x = I (x) E12 + E33 (x) E21
+    # is Long, yet [R13, R23] != 0
+    flip = TensorOp2(2, flip_matrix(2))
+    e = [[[int((i, j) == (a, b)) for j in range(3)] for i in range(3)]
+         for a in range(3) for b in range(3)]
+    r_x = TensorOp2(3, la.mat_add(la.kron(la.identity(3), e[1]), la.kron(e[8], e[3])))
+    assert check_laws(flip, ["long", "kz_bracket"]) == {"long": False, "kz_bracket": True}
+    assert check_laws(r_x, ["long"])["long"]
+    assert not _commute(*(_lift_sparse(r_x.cleared[0], 3, i, 2, 3) for i in (0, 1)))
+    cases += [(flip, 3), (flip, 4), (r_x, 4)]
     failing = 0
     for r, N in cases:
         report = flatness_residuals(r, N)
@@ -202,18 +212,15 @@ def test_disjoint_brackets_match_commute_oracle(corpus):
 # ---------------------------------------------------------------------------
 
 
-def test_dimension_cap_parameter():
-    r = make_phi(2, [1, 1])
-    with pytest.raises(DimensionCap):
-        KZSystem.from_op(r, 5, 0.1, dim_cap=16)
-    KZSystem.from_op(r, 4, 0.1, dim_cap=16)
-
-
 def test_dimension_cap_env(monkeypatch):
     r = make_phi(2, [1, 1])
     monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
     with pytest.raises(DimensionCap):
         KZSystem.from_op(r, 4, 0.1)
+    monkeypatch.setenv("LONGEQ_MAX_DIM", "16")
+    with pytest.raises(DimensionCap):
+        KZSystem.from_op(r, 5, 0.1)
+    KZSystem.from_op(r, 4, 0.1)
 
 
 def test_symmetric_flag(corpus):

@@ -18,7 +18,6 @@ from longeq import (
     SingularOperator,
     TensorOp2,
     check_laws,
-    check_long_componentwise,
     idempotent_maps,
     invert,
     lift,
@@ -53,9 +52,6 @@ def op_from_entries(n, entries):
 
 def test_coeff_matrix_roundtrip():
     r = upper_pair_operator(2, 3, 5)
-    n = r.dim
-    again = TensorOp2.from_coeffs(n, r.coeffs())
-    assert again == r
     # spot-check Eq-(9)-style entries: x_21^11 = ac, x_22^11 = c
     assert r.coeff(2, 1, 1, 1) == 10
     assert r.coeff(2, 2, 1, 1) == 5
@@ -125,19 +121,19 @@ def test_componentwise_matches_matrix_level_on_mutations():
             (1, 1, 2, 2): 1,
         },
     )
-    assert check_laws(r, ["long"])["long"] == check_long_componentwise(r)
+    assert check_laws(r, ["long"])["long"] == (long_witness(r) is None)
     # x_12^11 = 1 perturbation
     mat = [row[:] for row in base.matrix]
     mat[0][2] = F(1)
     r2 = TensorOp2(2, mat)
-    assert check_laws(r2, ["long"])["long"] == check_long_componentwise(r2)
+    assert check_laws(r2, ["long"])["long"] == (long_witness(r2) is None)
 
 
 def test_long_witness_identifies_violation():
     mat = la.identity(4)
     mat[0][2] = F(1)  # x_12^11 = 1 on top of the identity
     r = TensorOp2(2, mat)
-    assert not check_long_componentwise(r)
+    assert long_witness(r) is not None
     eq_no, (i, j, k, l, p, q) = long_witness(r)
     assert eq_no in (1, 2)
     n = 2
@@ -159,7 +155,7 @@ def test_long_witness_identifies_violation():
 def test_oracle_equivalence_random(entries):
     mat = [[F(entries[r * 4 + c]) for c in range(4)] for r in range(4)]
     r = TensorOp2(2, mat)
-    assert check_laws(r, ["long"])["long"] == check_long_componentwise(r)
+    assert check_laws(r, ["long"])["long"] == (long_witness(r) is None)
 
 
 def test_make_diag_always_long():
@@ -232,6 +228,21 @@ def test_graded_data_rejects_degree_mixing():
         GradedActionData(["e", "g"], table, actions, ["e", "g"])
 
 
+def _first_noncentral(rep, element):
+    """The first generator a with sum c (L a - a L) (x) R != 0, summed term
+    by term with dense kron products; None when there is none."""
+    rep = [la.to_frac_matrix(m) for m in rep]
+    n = len(rep[0])
+    for idx, a in enumerate(rep):
+        diff = la.zeros(n * n, n * n)
+        for c, li, ri in element:
+            comm = la.mat_sub(la.mat_mul(rep[li], a), la.mat_mul(a, rep[li]))
+            diff = la.mat_add(diff, la.mat_scale(la.kron(comm, rep[ri]), c))
+        if not la.is_zero_matrix(diff):
+            return idx
+    return None
+
+
 def test_make_homothety_long_and_centrality():
     rep = [[[1, 0], [0, 1]], [[2, 0], [0, 3]]]
     r = make_homothety(rep, [(F(1), 1, 1), (F(2), 0, 1)])
@@ -239,6 +250,26 @@ def test_make_homothety_long_and_centrality():
     bad_rep = [[[0, 1], [0, 0]], [[1, 0], [0, 2]]]
     with pytest.raises(CentralityViolated):
         make_homothety(bad_rep, [(F(1), 1, 0)])
+    # seeded specs, a third of them with diagonal (commuting) generators,
+    # against the term-by-term sum
+    rng = random.Random(2026)
+    verdicts = []
+    for k in range(40):
+        n = rng.choice((2, 3))
+        diagonal = k % 3 == 0
+        rep = [[[rng.randint(-2, 2) if i == j or not diagonal else 0 for j in range(n)]
+                for i in range(n)] for _ in range(3)]
+        element = [(F(rng.randint(-3, 3)), rng.randrange(3), rng.randrange(3))
+                   for _ in range(rng.randint(1, 3))]
+        bad = _first_noncentral(rep, element)
+        verdicts.append(bad)
+        if bad is None:
+            r = make_homothety(rep, element)
+            assert check_laws(r, ["long"])["long"]
+        else:
+            with pytest.raises(CentralityViolated, match=rf"rep\[{bad}\]$"):
+                make_homothety(rep, element)
+    assert verdicts.count(None) >= 5 and len(set(verdicts)) == 4
 
 
 def test_invert_roundtrip_and_singular():
@@ -587,6 +618,6 @@ def test_long_witness_forms_rows_only_for_independent_table_columns(monkeypatch)
     for r in ops:
         formed.clear()
         assert long_witness(r) == _long_witness_oracle(r)
-        table = tensor_ops._int_form(r)[0]
+        table = r.int_form[0]
         rank = len(la.rref_int([list(col) for col in zip(*table)])[0])
         assert len(formed) <= 16 * rank < 256, r.matrix
