@@ -212,15 +212,19 @@ def test_disjoint_brackets_match_commute_oracle(corpus):
 # ---------------------------------------------------------------------------
 
 
+def test_dimension_cap_parameter(monkeypatch):
+    r = make_phi(2, [1, 1])
+    monkeypatch.setenv("LONGEQ_MAX_DIM", "16")
+    with pytest.raises(DimensionCap):
+        KZSystem.from_op(r, 5, 0.1)
+    KZSystem.from_op(r, 4, 0.1)
+
+
 def test_dimension_cap_env(monkeypatch):
     r = make_phi(2, [1, 1])
     monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
     with pytest.raises(DimensionCap):
         KZSystem.from_op(r, 4, 0.1)
-    monkeypatch.setenv("LONGEQ_MAX_DIM", "16")
-    with pytest.raises(DimensionCap):
-        KZSystem.from_op(r, 5, 0.1)
-    KZSystem.from_op(r, 4, 0.1)
 
 
 def test_symmetric_flag(corpus):
