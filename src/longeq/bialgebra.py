@@ -64,7 +64,11 @@ from .tensor_ops import TensorOp2, long_witness
 
 AXIOMS = ("L1", "L2", "L3", "L4", "L5", "B1", "strongD")
 
-GENERATOR_WORD_CAP = 4
+# longest word the sigma word extension accepts
+WORD_CAP = 6
+
+# the memo value of a word pair whose sigma is being computed
+_PENDING = object()
 
 
 def _cube(name, t, d):
@@ -521,11 +525,8 @@ def l1_solution_space(b: FinDimBialgebra) -> AffineTableSpace:
 
 @dataclass
 class FeasibilityResult:
-    """Outcome of the sound-but-incomplete sigma feasibility procedure.
-
-    ``status`` is ``"infeasible"`` (a proof, with a witness description) or
-    ``"unknown"`` (the residual affine space; NOT a feasibility claim).
-    """
+    """Outcome of ``sigma_feasibility``: ``status`` "unknown" and the residual
+    affine ``space``, NOT a feasibility claim; ``witness`` is always None."""
 
     status: str
     witness: str | None = None
@@ -533,24 +534,32 @@ class FeasibilityResult:
 
 
 def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
-    """Sound, incomplete search for Long-structure obstructions.
+    """Narrow the Long-structure tables by the linearizable quadratic axioms.
 
     Solves the linear axioms, then repeatedly linearizes any quadratic
-    axiom instance whose products each contain at most one unpinned factor.
-    Reports infeasible only on an exact 0 = nonzero contradiction.
+    axiom instance whose products each contain at most one unpinned factor,
+    and returns the residual space.
+
+    No system formed here is inconsistent on a validated bialgebra:
+    eps (x) eps satisfies L1-L5 (``SigmaTable.counit_square``), so it lies
+    in the L1/L2/L4 space, and each pinned variable, constant on the space,
+    has its value there. A linearized L3 or L5 instance puts those values
+    in for the pinned factors, so eps (x) eps satisfies it too and stays
+    in every narrowed space. An inconsistent solve is InternalCheckFailed.
     """
     rows, rhs = _linear_system(b)
     quads = [(name, eq) for name in ("L3", "L5") for eq in EQUATIONS[name](b, 1)]
     d2 = b.d * b.d
-    sol = la.solve_affine(rows, rhs)
-    if sol is None:
-        return FeasibilityResult("infeasible", witness="linear axioms L1/L2/L4")
     used = set()
-    while True:
+    added = True
+    while added:
+        sol = la.solve_affine(rows, rhs)
+        if sol is None:
+            raise InternalCheckFailed(
+                "linear and linearized axioms are inconsistent on a validated bialgebra, "
+                "though eps (x) eps satisfies them")
         particular, basis = sol
-        pinned = {
-            k: particular[k] for k in range(d2) if all(not v[k] for v in basis)
-        }
+        pinned = {k: particular[k] for k in range(d2) if all(not v[k] for v in basis)}
         added = False
         for eq_id, (name, (where, const, lin, quad)) in enumerate(quads):
             if eq_id in used:
@@ -573,24 +582,12 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
             if not usable:
                 continue
             used.add(eq_id)
-            if la.is_zero_vec(row):
-                if c0:
-                    return FeasibilityResult(
-                        "infeasible", witness=f"{name} at basis triple {where}"
-                    )
-                continue
-            rows.append(row)
-            rhs.append(-c0)
-            added = True
-        if not added:
-            break
-        sol = la.solve_affine(rows, rhs)
-        if sol is None:
-            return FeasibilityResult(
-                "infeasible", witness="linearized quadratic axioms contradict L1/L2/L4"
-            )
-    particular, basis = sol
-    return FeasibilityResult("unknown", space=AffineTableSpace(b.d, particular, basis))
+            # a zero row with a nonzero constant makes the next solve fail
+            if c0 or not la.is_zero_vec(row):
+                rows.append(row)
+                rhs.append(-c0)
+                added = True
+    return FeasibilityResult("unknown", space=AffineTableSpace(b.d, *sol))
 
 
 @dataclass
@@ -624,47 +621,53 @@ class GeneratorBialgebra:
         return terms
 
 
-def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2, left_first=False,
-                          cap=GENERATOR_WORD_CAP, memo=None):
+def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2, left_first=False, memo=None):
     """Extend a generator-pair sigma table to words via the splitting laws.
 
     ``table`` maps generator pairs to scalars (missing pairs are zero). The
     right word is split first (L3, the multiplicative law in the second
     argument) unless ``left_first`` (L5); for a Long bialgebra the result is
-    splitting-order independent. Words are capped at ``cap`` as a recursion
-    guard. ``memo`` caches values across calls with the same ``g`` and
-    ``table``.
+    splitting-order independent. A word longer than ``WORD_CAP`` is a
+    ValueError. ``memo`` caches values across calls with the same ``g`` and
+    ``table``; a pair is marked in it while its value is computed, so a
+    comultiplication that makes sigma on a pair refer back to itself (such
+    as Delta x = xx (x) x) is a ValueError naming the pair, not an endless
+    recursion.
     """
     w1, w2 = tuple(w1), tuple(w2)
-    if len(w1) > cap or len(w2) > cap:
-        raise ValueError(f"word longer than cap {cap}")
+    if len(w1) > WORD_CAP or len(w2) > WORD_CAP:
+        raise ValueError(f"word longer than cap {WORD_CAP}")
     memo = {} if memo is None else memo
     key = (w1, w2, left_first)
     hit = memo.get(key)
+    if hit is _PENDING:
+        raise ValueError(f"sigma on the words {w1} and {w2} refers back to itself")
     if hit is not None:
         return hit
-    if not w1:
-        val = g.eps_word(w2)
-    elif not w2:
-        val = g.eps_word(w1)
-    elif len(w1) == 1 and len(w2) == 1:
-        val = Fraction(table.get((w1[0], w2[0]), F0))
-    elif len(w2) > 1 and not (left_first and len(w1) > 1):
-        y, z = w2[:1], w2[1:]
-        val = F0
-        for coeff, lw, rw in g.delta_word(w1):
-            s1 = generator_sigma_words(g, table, lw, y, left_first, cap, memo)
-            if s1:
-                val += coeff * s1 * generator_sigma_words(g, table, rw, z, left_first,
-                                                          cap, memo)
-    else:
-        x, y = w1[:1], w1[1:]
-        val = F0
-        for coeff, lw, rw in g.delta_word(w2):
-            s1 = generator_sigma_words(g, table, y, lw, left_first, cap, memo)
-            if s1:
-                val += coeff * s1 * generator_sigma_words(g, table, x, rw, left_first,
-                                                          cap, memo)
+    memo[key] = _PENDING
+    try:
+        if not w1:
+            val = g.eps_word(w2)
+        elif not w2:
+            val = g.eps_word(w1)
+        elif len(w1) == 1 and len(w2) == 1:
+            val = Fraction(table.get((w1[0], w2[0]), F0))
+        elif len(w2) > 1 and not (left_first and len(w1) > 1):
+            y, z = w2[:1], w2[1:]
+            val = F0
+            for coeff, lw, rw in g.delta_word(w1):
+                s1 = generator_sigma_words(g, table, lw, y, left_first, memo)
+                if s1:
+                    val += coeff * s1 * generator_sigma_words(g, table, rw, z, left_first, memo)
+        else:
+            x, y = w1[:1], w1[1:]
+            val = F0
+            for coeff, lw, rw in g.delta_word(w2):
+                s1 = generator_sigma_words(g, table, y, lw, left_first, memo)
+                if s1:
+                    val += coeff * s1 * generator_sigma_words(g, table, x, rw, left_first, memo)
+    finally:
+        del memo[key]
     memo[key] = val
     return val
 
@@ -672,71 +675,50 @@ def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2, left_first=False
 def check_generator_long(g: GeneratorBialgebra, table):
     """Degree-one strong D-identity over the free algebra on the generators.
 
-    For each generator pair (x, y) the two sides of the identity are expanded
-    and matched word by word, with sigma extended through the splitting laws
-    where a word factor is longer than one letter. Returns ``(ok, report)``;
-    the report carries the forced linear constraints on the generator-pair
-    table when every comultiplication factor is a word of length <= 1, and
-    the first violating pair otherwise.
+    For each generator pair (x, y), sum c sigma(lw (x) y) rw - sum c
+    sigma(rw (x) y) lw over the terms c lw (x) rw of Delta x is expanded
+    once, the coefficient of each word as const + sum lin[k] t_k in
+    t_{a*m+b} = sigma(g_a (x) g_b): a one-letter factor adds to ``lin``, any
+    other (eps for the empty word, the splitting laws past one letter) to
+    ``const``. Evaluated at ``table`` the forms give the violations; when
+    every factor has length <= 1 they are linear, and also the rows of the
+    forced constraints. Returns ``(ok, report)``: each violating pair with
+    its nonzero word coefficients, and the constraints when linearizable.
     """
     gens = list(g.generators)
-    violations = []
+    m = len(gens)
+    gi = {name: k for k, name in enumerate(gens)}
+    t = [Fraction(table.get((a, b), F0)) for a in gens for b in gens]
+    linearizable = all(len(lw) <= 1 and len(rw) <= 1
+                       for x in gens for _, lw, rw in g.delta[x])
+    violations, rows, rhs = [], [], []
     memo = {}
     for x in gens:
         for y in gens:
-            coeffs = {}
+            forms = {}  # word: [const, {k: coefficient of t_k}]
             for c, lw, rw in g.delta[x]:
                 c = Fraction(c)
-                s = generator_sigma_words(g, table, lw, (y,), memo=memo)
-                if s:
-                    coeffs[rw] = coeffs.get(rw, F0) + c * s
-                s = generator_sigma_words(g, table, rw, (y,), memo=memo)
-                if s:
-                    coeffs[lw] = coeffs.get(lw, F0) - c * s
-            bad = {w: v for w, v in coeffs.items() if v}
+                for f, u, w in ((c, lw, rw), (-c, rw, lw)):
+                    form = forms.setdefault(w, [F0, {}])
+                    if len(u) == 1:
+                        k = gi[u[0]] * m + gi[y]
+                        form[1][k] = form[1].get(k, F0) + f
+                    else:
+                        form[0] += f * generator_sigma_words(g, table, u, (y,), memo=memo)
+            bad = {}
+            for w, (const, lin) in forms.items():
+                val = const + sum([a * t[k] for k, a in lin.items()])
+                if val:
+                    bad[w] = val
+                if linearizable and (const or any(lin.values())):
+                    rows.append([lin.get(k, F0) for k in range(m * m)])
+                    rhs.append(-const)
             if bad:
                 violations.append(((x, y), bad))
     report = {"violations": violations}
-    linearizable = all(
-        len(lw) <= 1 and len(rw) <= 1
-        for gname in gens
-        for _, lw, rw in g.delta[gname]
-    )
     if linearizable:
-        m = len(gens)
-        gi = {name: k for k, name in enumerate(gens)}
-        idx = lambda a, b: a * m + b
-        rows, rhs = [], []
-        for x in gens:
-            for y in gens:
-                word_rows = {}
-                word_consts = {}
-                for c, lw, rw in g.delta[x]:
-                    c = Fraction(c)
-                    # + sigma(lw (x) y) * rw
-                    if lw:
-                        word_rows.setdefault(rw, [F0] * (m * m))[
-                            idx(gi[lw[0]], gi[y])
-                        ] += c
-                    else:
-                        word_consts[rw] = word_consts.get(rw, F0) + c * Fraction(g.eps[y])
-                    # - sigma(rw (x) y) * lw
-                    if rw:
-                        word_rows.setdefault(lw, [F0] * (m * m))[
-                            idx(gi[rw[0]], gi[y])
-                        ] -= c
-                    else:
-                        word_consts[lw] = word_consts.get(lw, F0) - c * Fraction(g.eps[y])
-                for w in set(word_rows) | set(word_consts):
-                    row = word_rows.get(w, [F0] * (m * m))
-                    if not la.is_zero_vec(row) or word_consts.get(w, F0):
-                        rows.append(row)
-                        rhs.append(-word_consts.get(w, F0))
-        if rows:
-            sol = la.solve_affine(rows, rhs)
-        else:  # no pair constrains the table: every table is allowed
-            sol = ([F0] * (m * m), [[F1 if k == c else F0 for k in range(m * m)]
-                                    for c in range(m * m)])
+        # with no row, the one zero row leaves every table allowed
+        sol = la.solve_affine(rows or [[F0] * (m * m)], rhs or [F0])
         if sol is None:
             report["constraints"] = None
         else:

@@ -130,6 +130,9 @@ def cmd_check(args):
 
 
 def cmd_construct(args):
+    # each kind refuses an operator above the size cap before building it
+    if args.kind in ("phi", "diag", "pair"):
+        jsonio.check_operator_dim(args.n)
     if args.kind == "phi":
         r = make_phi(args.n, [int(tok) for tok in args.map.split(",")])
     elif args.kind == "diag":
@@ -144,6 +147,8 @@ def cmd_construct(args):
         r = make_conjugate(_square(_frac_list(args.u), "--u"), base)
     elif args.kind == "graded":
         spec = _load_spec(args.spec)
+        degrees = _spec_list(spec["degrees"], "degrees")
+        jsonio.check_operator_dim(len(degrees))
         if not isinstance(spec["actions"], dict):
             raise ValueError("actions must be an object mapping elements to matrices")
         elements = _spec_list(spec["elements"], "elements")
@@ -157,11 +162,11 @@ def cmd_construct(args):
             for j in range(len(elements))
         }
         actions = {g: _spec_matrix(m, f"action {g!r}") for g, m in spec["actions"].items()}
-        degrees = _spec_list(spec["degrees"], "degrees")
         r = make_graded(GradedActionData(elements, table, actions, degrees))
     elif args.kind == "homothety":
         spec = _load_spec(args.spec)
         rep = [_spec_matrix(m, "rep matrix") for m in _spec_list(spec["rep"], "rep")]
+        jsonio.check_operator_dim(len(rep[0]) if rep else 0)
         terms = _spec_list(spec["element"], "element")
         if any(not isinstance(t, list) or len(t) != 3 for t in terms):
             raise ValueError("element terms must be [coeff, left index, right index] lists")

@@ -77,8 +77,6 @@ from .tensor_ops import (
     invert,
 )
 
-DEFAULT_WORD_CAP = 6
-
 
 def cm_index(i, j, n):
     """Slot of c_ij (1-based i, j) in a comatrix coordinate vector."""
@@ -171,20 +169,13 @@ class QuotientCoalgebra:
     def num_generators(self):
         return len(self.rep_slots)
 
-    @cached_property
-    def sparse_rows(self):
-        """The Fraction RREF rows as ``la.sparse_rref`` pairs."""
-        return la.sparse_rref(self.rows, self.pivots)
-
-    def project(self, vec):
-        """Reduce a comatrix vector modulo V; pivot coordinates become zero."""
-        return la.reduce_mod(vec, self.sparse_rows)
-
     def project_label(self, i, j):
-        """``project`` of the unit vector of c_ij."""
+        """c_ij reduced modulo V as a comatrix vector: its coset at the
+        representative slots, zero at the pivots."""
         vec = [F0] * (self.n * self.n)
-        vec[cm_index(i, j, self.n)] = F1
-        return self.project(vec)
+        for t, x in self.coset_terms(i, j):
+            vec[self.rep_slots[t]] = x
+        return vec
 
     def basis_coset(self, i, j):
         """Coset coordinates of the basis label c_ij."""
@@ -302,7 +293,6 @@ class LongPresentation:
         self.r = r
         self.quotient = quotient
         self.sigma = sigma
-        m = quotient.num_generators
         self.delta = [quotient.delta_on_coset(i, j) for (i, j) in quotient.rep_labels]
         self.eps = [F1 if i == j else F0 for (i, j) in quotient.rep_labels]
         self.sigma_gen = [row[:] for row in sigma.rep_table]
@@ -310,18 +300,23 @@ class LongPresentation:
         if naming is not None:
             self._apply_naming(naming)
         self.naming = dict(naming or {})
-        # the generators as a free bialgebra on generator indices, for the
-        # word extension of sigma
-        self.generator_bialgebra = GeneratorBialgebra(
-            list(range(m)),
+        self._word_memo = {}
+
+    @cached_property
+    def generator_bialgebra(self):
+        """The generators as a free bialgebra on generator indices, for the
+        word extension of sigma; formed on first use."""
+        return GeneratorBialgebra(
+            list(range(self.num_generators)),
             {t: [(x, (s,), (u,)) for s, row in enumerate(dt) for u, x in enumerate(row) if x]
              for t, dt in enumerate(self.delta)},
             dict(enumerate(self.eps)),
         )
-        self._sigma_pairs = {
-            (s, u): x for s, row in enumerate(self.sigma_gen) for u, x in enumerate(row)
-        }
-        self._word_memo = {}
+
+    @cached_property
+    def _sigma_pairs(self):
+        """``sigma_gen`` as a map from generator index pairs; formed on first use."""
+        return {(s, u): x for s, row in enumerate(self.sigma_gen) for u, x in enumerate(row)}
 
     def _apply_naming(self, naming):
         """Rename generators. ``naming`` maps canonical labels ``c_i_j``,
@@ -407,10 +402,26 @@ def sigma_extend(pres: LongPresentation, w1, w2, left_first=False) -> Fraction:
     """sigma on a pair of generator words (indices into the generator list).
 
     The right word is split first unless ``left_first``; words are capped at
-    ``DEFAULT_WORD_CAP``. See ``bialgebra.generator_sigma_words``.
+    ``bialgebra.WORD_CAP``. See ``bialgebra.generator_sigma_words``.
     """
     return generator_sigma_words(pres.generator_bialgebra, pres._sigma_pairs, w1, w2,
-                                 left_first, DEFAULT_WORD_CAP, pres._word_memo)
+                                 left_first, pres._word_memo)
+
+
+def _l1_defect(q: QuotientCoalgebra, i, j, s):
+    """L (sum_v s[iv] pi(c_vj) - sum_a s[aj] pi(c_ia)) in representative
+    coordinates from the L-scaled ``int_cosets``, for 0-based i, j and ``s``
+    by comatrix slot (s[iv] = s[i*n + v]). At s[a] = sigma(pi c_a (x) y) it
+    is L times the projected L1 difference of (c_ij, y), as
+    Delta c_ij = sum_v c_iv (x) c_vj."""
+    n, cosets = q.n, q.int_cosets
+    acc = [0] * q.num_generators
+    for v in range(n):
+        for x, terms in ((s[i * n + v], cosets[v * n + j]), (-s[v * n + j], cosets[i * n + v])):
+            if x:
+                for t, y in terms:
+                    acc[t] += x * y
+    return acc
 
 
 def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
@@ -419,39 +430,21 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
     For cosets x = c_ij, y = c_pq the difference
     sum_v sigma(c_iv (x) y) c_vj - sum_a sigma(c_aj (x) y) c_ia must project
     to zero. ``sigma_table`` overrides the n^2 x n^2 form (mutation testing).
-    Returns ``(ok, witness)`` with the violating (i, j, p, q) on failure.
+    Returns ``(ok, witness)`` with the first violating (i, j, p, q) on failure.
 
-    The projection is linear, so the difference is projected as
-    sum_v s_v pi(c_vj) - sum_a s_a pi(c_ia) in representative coordinates.
-    It is formed on integers: s from the L^2 D-scaled coset table (an
-    override is scaled by the lcm of its own denominators) and pi from the
-    L-scaled cosets, so each difference is a fixed nonzero multiple of the
-    rational one and vanishes exactly when it does.
+    The projection is linear, so each difference is ``_l1_defect`` of the
+    column of y in the L^2 D-scaled coset table (an override is scaled by
+    the lcm of its own denominators): a fixed nonzero multiple of the
+    rational difference, which vanishes exactly when it does.
     """
     q = pres.quotient
     n = q.n
     table = (pres.sigma.int_coset_table if sigma_table is None
              else _int_coset_table(la.clear_denominators(sigma_table)[0], q))
-    cosets = q.int_cosets
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for p in rng:
-                for q_ in rng:
-                    col = p * n + q_
-                    acc = [0] * q.num_generators
-                    for v in rng:
-                        s = table[i * n + v][col]
-                        if s:
-                            for t, x in cosets[v * n + j]:
-                                acc[t] += s * x
-                    for a in rng:
-                        s = table[a * n + j][col]
-                        if s:
-                            for t, x in cosets[i * n + a]:
-                                acc[t] -= s * x
-                    if any(acc):
-                        return False, (i + 1, j + 1, p + 1, q_ + 1)
+    columns = list(zip(*table))
+    for i, j, col in itertools.product(range(n), range(n), range(n * n)):
+        if any(_l1_defect(q, i, j, columns[col])):
+            return False, (i + 1, j + 1, col // n + 1, col % n + 1)
     return True, None
 
 
@@ -460,40 +453,26 @@ def dimodule_action(pres: LongPresentation, word, l):
 
     h . m_l = sum_v sigma(coset c_vl (x) h) m_v; returns the length-n vector.
     """
-    n = pres.quotient.n
-    return [
-        pres.coset_sigma_word(pres.quotient.basis_coset(v, l), tuple(word))
-        for v in range(1, n + 1)
-    ]
+    q = pres.quotient
+    return [pres.coset_sigma_word(q.basis_coset(v, l), tuple(word)) for v in range(1, q.n + 1)]
 
 
 def dimodule_compatible(pres: LongPresentation, word, l) -> bool:
-    """Compatibility of action and coaction on (word, m_l), checked exactly.
+    """Compatibility of action and coaction on (word h, m_l), checked exactly.
 
-    Both sides are elements of M (x) C/V, compared in representative
-    coordinates.
+    With rho(m_l) = sum_v m_v (x) pi(c_vl) and s[a] = sigma(pi c_a (x) h),
+    the two sides in M (x) C/V are rho(h . m_l) = sum_w m_w (x)
+    sum_v s[vl] pi(c_wv) and sum_w m_w (x) sum_v s[wv] pi(c_vl). Their
+    difference at m_w is the projected L1 difference of (c_wl, h), as
+    Delta c_wl = sum_v c_wv (x) c_vl, so the sides agree exactly when
+    ``_l1_defect`` of s vanishes at (w, l) for every w: compatibility is L1
+    on C/V.
     """
     q = pres.quotient
     n = q.n
     word = tuple(word)
-    m = q.num_generators
-    lhs = la.zeros(n, m)
-    rhs = la.zeros(n, m)
-    act = dimodule_action(pres, word, l)
-    for w in range(1, n + 1):
-        for v in range(1, n + 1):
-            if act[v - 1]:
-                wv = q.basis_coset(w, v)
-                for t in range(m):
-                    lhs[w - 1][t] += act[v - 1] * wv[t]
-        vl_all = q.basis_coset
-        for v in range(1, n + 1):
-            s = pres.coset_sigma_word(q.basis_coset(w, v), word)
-            if s:
-                vl = vl_all(v, l)
-                for t in range(m):
-                    rhs[w - 1][t] += s * vl[t]
-    return la.mat_eq(lhs, rhs)
+    s = [pres.coset_sigma_word(q.basis_coset(*cm_label(a, n)), word) for a in range(n * n)]
+    return not any(any(_l1_defect(q, w, l - 1, s)) for w in range(n))
 
 
 def convolution_inverse(pres: LongPresentation, r: TensorOp2):

@@ -44,15 +44,20 @@ def operator_to_json(r: TensorOp2) -> dict:
     return {"dim": n, "entries": entries}
 
 
+def check_operator_dim(n):
+    """Refuse, with ``DimensionCap``, an operator whose n^3 exceeds ``max_dim()``."""
+    cap = max_dim()
+    if n ** 3 > cap:
+        raise DimensionCap(f"operator dim {n}: n^3 = {n ** 3} exceeds cap {cap}")
+
+
 def operator_from_json(obj) -> TensorOp2:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("operator JSON must be an object with a 'dim' key")
     n = obj["dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'dim' must be a positive integer")
-    cap = max_dim()
-    if n ** 3 > cap:
-        raise DimensionCap(f"operator dim {n}: n^3 = {n ** 3} exceeds cap {cap}")
+    check_operator_dim(n)
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError("'entries' must be a list")
@@ -177,12 +182,16 @@ def bialgebra_to_json(b: FinDimBialgebra) -> dict:
 
 
 def sigma_from_json(obj) -> SigmaTable:
-    parse = _memo_parser()
+    """The table of ``{"table": rows}``; each row must be a JSON list, and
+    every entry is parsed through one memo per document."""
     try:
-        table = [[parse(x) for x in row] for row in obj["table"]]
+        rows = obj["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed sigma JSON") from exc
-    return SigmaTable(table)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("'table' must be a 2-fold nested list of fractions")
+    parse = _memo_parser()
+    return SigmaTable([[parse(x) for x in row] for row in rows])
 
 
 def sigma_to_json(s: SigmaTable) -> dict:

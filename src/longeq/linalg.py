@@ -6,19 +6,23 @@ echelon forms (and therefore all downstream presentations) are reproducible.
 Multiplication skips zero entries, which matters for the very sparse lifted
 operators this package produces.
 
-``rref_int`` is the one Gauss-Jordan routine. It eliminates over Python
-ints and returns the RREF as primitive integer rows: a row scaled by a
-nonzero rational spans the same line, so each input row is first scaled
-by the lcm of its denominators (and divided by the gcd of its entries),
-and every row that elimination changes is divided by the gcd of its
-entries again. The reduced row echelon form of a row space is unique, so
-its rows are determined up to scale, and fixing the scale by "primitive,
-positive pivot" makes the integer rows unique as well: the Fraction RREF
-row is the integer row divided by its pivot entry. ``rref`` is that
-division, and ``mat_inv`` and ``solve_affine`` call ``rref``.
+``rref_int`` is the Gauss-Jordan routine for a matrix given whole. It
+eliminates over Python ints and returns the RREF as primitive integer
+rows: each input row is scaled by the lcm of its denominators and divided
+by the gcd of its entries, as is every row elimination changes (a nonzero
+multiple spans the same line). The RREF of a row space is unique and
+"primitive, positive pivot" fixes the scale, so the integer rows are
+unique too; the Fraction RREF row is the integer row over its pivot entry.
+``rref`` is that division; ``mat_inv`` and ``solve_affine`` call it.
 ``Echelon`` keeps the same integer RREF of a span that grows one row at a
-time, and tells whether each new row lies in it; it serves a caller that
-stops at the first row with some property among the independent ones.
+time and tells whether each new row lies in it, for a caller that stops
+at the first independent row with some property. Neither replaces the
+other (best of 7, Python 3.11.7, 2 shared CPUs): built by ``Echelon``,
+``sigma_feasibility`` on the (2,1) truncation took 14.2 -> 16.2 ms and
+``QuotientCoalgebra`` on the V of a dense n = 4 conjugate 0.66 -> 1.09 ms;
+``rref_int`` for the column test of ``tensor_ops._descent_basis`` took
+1.1 -> 1.7 ms per n = 4 Long solution, and for its row ``Echelon``
+0.6 -> 1.4 ms per dense n = 4 conjugate.
 ``sparse_rref`` and ``reduce_mod`` reduce a vector modulo an RREF row
 space over the rows' nonzeros; ``clear_denominators`` scales a rational
 matrix to integers for the callers that decide on them.

@@ -23,11 +23,17 @@ from longeq import (
     group_algebra,
     l1_solution_space,
     make_phi,
+    sigma_extend,
     sigma_feasibility,
     sweedler_h4,
 )
 from longeq import bialgebra, jsonio
-from longeq.bialgebra import Coalgebra, FinDimBialgebra, GeneratorBialgebra
+from longeq.bialgebra import (
+    Coalgebra,
+    FinDimBialgebra,
+    GeneratorBialgebra,
+    generator_sigma_words,
+)
 from longeq.frt import cm_index
 from longeq.linalg import identity as la_identity
 from longeq.linalg import mat_inv as la_inv
@@ -788,6 +794,159 @@ def test_generator_long_unconstrained_table_space():
     space = rep["constraints"]
     assert space.contains([[5]]) and space.contains([[0]])
     assert space.pinned() == {}
+
+
+def _generator_long_oracle(g, table):
+    """The two-pass body ``check_generator_long`` had: the violations from
+    sigma on every factor, then the constraint rows built apart."""
+    gens = list(g.generators)
+    violations = []
+    memo = {}
+    for x in gens:
+        for y in gens:
+            coeffs = {}
+            for c, lw, rw in g.delta[x]:
+                c = F(c)
+                s = generator_sigma_words(g, table, lw, (y,), memo=memo)
+                if s:
+                    coeffs[rw] = coeffs.get(rw, F(0)) + c * s
+                s = generator_sigma_words(g, table, rw, (y,), memo=memo)
+                if s:
+                    coeffs[lw] = coeffs.get(lw, F(0)) - c * s
+            bad = {w: v for w, v in coeffs.items() if v}
+            if bad:
+                violations.append(((x, y), bad))
+    report = {"violations": violations}
+    if all(len(lw) <= 1 and len(rw) <= 1 for x in gens for _, lw, rw in g.delta[x]):
+        m = len(gens)
+        gi = {name: k for k, name in enumerate(gens)}
+        rows, rhs = [], []
+        for x in gens:
+            for y in gens:
+                word_rows, word_consts = {}, {}
+                for c, lw, rw in g.delta[x]:
+                    c = F(c)
+                    if lw:
+                        word_rows.setdefault(rw, [F(0)] * (m * m))[gi[lw[0]] * m + gi[y]] += c
+                    else:
+                        word_consts[rw] = word_consts.get(rw, F(0)) + c * F(g.eps[y])
+                    if rw:
+                        word_rows.setdefault(lw, [F(0)] * (m * m))[gi[rw[0]] * m + gi[y]] -= c
+                    else:
+                        word_consts[lw] = word_consts.get(lw, F(0)) - c * F(g.eps[y])
+                for w in set(word_rows) | set(word_consts):
+                    row = word_rows.get(w, [F(0)] * (m * m))
+                    if any(row) or word_consts.get(w, F(0)):
+                        rows.append(row)
+                        rhs.append(-word_consts.get(w, F(0)))
+        if rows:
+            sol = bialgebra.la.solve_affine(rows, rhs)
+        else:
+            sol = ([F(0)] * (m * m), [[F(int(k == c)) for k in range(m * m)]
+                                      for c in range(m * m)])
+        if sol is None:
+            report["constraints"] = None
+        else:
+            report["constraints"] = bialgebra.AffineTableSpace(m, *sol)
+            report["generator_order"] = gens
+    return not violations, report
+
+
+def _random_generator_bialgebra(rng, longest):
+    """One to three generators, each Delta one to three terms c lw (x) rw
+    with words of at most ``longest`` letters."""
+    gens = ["x", "y", "z"][:rng.randint(1, 3)]
+    word = lambda: tuple(rng.choice(gens) for _ in range(rng.randint(0, longest)))
+    delta = {x: [(rng.choice([1, -1, 2, F(1, 2)]), word(), word())
+                 for _ in range(rng.randint(1, 3))] for x in gens}
+    return GeneratorBialgebra(gens, delta, {x: rng.choice([0, 1, -1, F(1, 2)]) for x in gens})
+
+
+def test_check_generator_long_matches_the_two_pass_oracle():
+    """The one expansion against the two passes, on seeded random generator
+    bialgebras with words of at most one letter (linearizable) and two: the
+    same verdict and report, ``constraints.particular`` and ``.basis``
+    included, or a ValueError from both. A member of the constraint space
+    passes, so both verdicts occur."""
+    rng = random.Random(23)
+    verdicts, refused = set(), 0
+    for trial in range(300):
+        g = _random_generator_bialgebra(rng, 1 if trial % 2 else 2)
+        table = {(a, b): rng.choice([0, 1, -1, 2, F(1, 3)]) for a in g.generators
+                 for b in g.generators if rng.random() < 0.8}
+        tables = [table]
+        try:
+            want = _generator_long_oracle(g, table)
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_generator_long(g, table)
+            refused += 1
+            continue
+        space = want[1].get("constraints")
+        if space is not None:
+            m = len(g.generators)
+            tables.append({(a, b): space.particular[p * m + q]
+                           for p, a in enumerate(g.generators)
+                           for q, b in enumerate(g.generators)})
+        for t in tables:
+            ok, report = check_generator_long(g, t)
+            want_ok, want_report = _generator_long_oracle(g, t)
+            assert (ok, report) == (want_ok, want_report), (trial, g, t)
+            if space is not None:
+                assert (report["constraints"].particular, report["constraints"].basis) == (
+                    want_report["constraints"].particular, want_report["constraints"].basis)
+            verdicts.add(ok)
+    assert verdicts == {True, False} and refused
+
+
+def test_word_engine_refuses_a_pair_that_refers_back_to_itself():
+    """Delta x = xx (x) x makes sigma(x (x) xx) split into sigma(xx (x) x),
+    which splits back into sigma(x (x) xx): a ValueError naming the pair,
+    through the engine and through ``check_generator_long``, and the memo
+    keeps no mark of the failed pairs."""
+    g = GeneratorBialgebra(["x"], {"x": [(1, ("x", "x"), ("x",))]}, {"x": 1})
+    memo = {}
+    with pytest.raises(ValueError, match=r"^sigma on the words \('x',\) and \('x', 'x'\) "
+                                         r"refers back to itself$"):
+        generator_sigma_words(g, {("x", "x"): 1}, ["x"], ["x", "x"], memo=memo)
+    assert all(isinstance(v, Fraction) for v in memo.values())
+    with pytest.raises(ValueError, match="refers back to itself"):
+        check_generator_long(g, {("x", "x"): F(1)})
+
+
+def test_word_cap_is_one_constant_of_six_for_both_callers():
+    """A 6-letter word is split (the generator check capped words at 4),
+    and a 7-letter word is a ValueError through ``sigma_extend`` and
+    ``check_generator_long`` alike."""
+    assert bialgebra.WORD_CAP == 6
+    for length, ok in ((6, True), (7, False)):
+        g = GeneratorBialgebra(["x", "y"], {"x": [(1, ("x",), ("x",))],
+                                            "y": [(1, ("x",) * length, ("y",))]},
+                               {"x": 1, "y": 0})
+        pres = build_LR(make_phi(2, [1, 2]))
+        if ok:
+            check_generator_long(g, {("x", "x"): F(2)})
+            sigma_extend(pres, [0] * length, [0])
+            continue
+        with pytest.raises(ValueError, match="^word longer than cap 6$"):
+            check_generator_long(g, {("x", "x"): F(2)})
+        with pytest.raises(ValueError, match="^word longer than cap 6$"):
+            sigma_extend(pres, [0] * length, [0])
+
+
+@pytest.mark.parametrize("name, equation", [("L2", ((0,), 1, {}, {})),
+                                            ("L3", ((0, 0, 0), 1, {}, {}))],
+                         ids=["linear", "linearized"])
+def test_sigma_feasibility_inconsistency_is_an_internal_error(monkeypatch, name, equation):
+    """eps (x) eps satisfies every system the pass forms, so no validated
+    bialgebra makes it inconsistent; a stream given the equation 1 = 0, in
+    the linear system or among the quadratic ones, raises
+    ``InternalCheckFailed`` instead of reporting "infeasible"."""
+    stream = bialgebra.EQUATIONS[name]
+    monkeypatch.setitem(bialgebra.EQUATIONS, name,
+                        lambda b, scale: itertools.chain(stream(b, scale), [equation]))
+    with pytest.raises(InternalCheckFailed, match="inconsistent on a validated bialgebra"):
+        sigma_feasibility(cyclic_group_algebra(2))
 
 
 def test_strong_dmap_full_comatrix_identity_r():

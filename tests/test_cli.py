@@ -310,6 +310,35 @@ def test_construct_pair_checks_n(capsys, n, f, g):
     assert "--f and --g must be n x n" in err
 
 
+_CONSTRUCT_N3 = {
+    "phi": ["--n", "3", "--map", "1,2,3"],
+    "diag": ["--n", "3", "--a", "1,2,3,4,5,6,7,8,9"],
+    "pair": ["--n", "3", "--f", "1,0,0,0,1,0,0,0,1", "--g", "2,0,0,0,1,0,0,0,1"],
+    "graded": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]],
+               "actions": {"e": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                           "g": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+               "degrees": ["e", "g", "e"]},
+    "homothety": {"rep": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "element": [["2", 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONSTRUCT_N3))
+def test_construct_refuses_n_cubed_above_the_cap(tmp_path, capsys, monkeypatch, kind):
+    """Every constructor kind refuses n = 3 (n^3 = 27) under a cap of 8
+    with exit 2, before its ``make_*`` builds anything; without the cap the
+    same arguments build the operator."""
+    args = _CONSTRUCT_N3[kind]
+    if isinstance(args, dict):
+        args = ["--spec", _write(tmp_path, "spec.json", args)]
+    code, out, _ = _run(capsys, ["construct", kind, *args])
+    assert code == 0 and json.loads(out)["dim"] == 3
+    monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
+    monkeypatch.setattr(longeq.cli, f"make_{kind}", lambda *a: pytest.fail("built"))
+    code, out, err = _run(capsys, ["construct", kind, *args])
+    assert (code, out) == (2, "")
+    assert err == "error: operator dim 3: n^3 = 27 exceeds cap 8\n"
+
+
 def test_construct_pair_noncommuting_is_usage_error(capsys):
     code, _, err = _run(capsys, ["construct", "pair", "--n", "2",
                                  "--f", "1,1,0,1", "--g", "1,0,1,1"])
@@ -1124,22 +1153,25 @@ _NESTED = "must be a {}-fold nested list of fractions"
     (_set(["mult", 0, 1, 0], None), None, "not a fraction string: None"),
     (_set(["unit"], {"0": "1", "1": "0"}), None, "'unit' " + _NESTED.format(1)),
     (_set(["counit"], ["1"]), None, "'counit' must have length 2"),
-    (None, _set(["table"], 3), "malformed sigma JSON"),
-    (None, _set(["table"], [1, 1]), "malformed sigma JSON"),
+    (None, _set(["table"], 3), "'table' " + _NESTED.format(2)),
+    (None, _set(["table"], [1, 1]), "'table' " + _NESTED.format(2)),
     (None, _set(["table"], [["1", "1"], ["1"]]), "'table' must be 2 x 2; a row has 1 entries"),
-    (None, _set(["table"], {"0": ["1", "1"], "1": ["1", "1"]}),
-     "'table' must be 2 x 2; a row has 1 entries"),
+    (None, _set(["table"], {"0": ["1", "1"], "1": ["1", "1"]}), "'table' " + _NESTED.format(2)),
+    (None, _set(["table"], ["11", "11"]), "'table' " + _NESTED.format(2)),
     (None, lambda sig: [sig], "malformed sigma JSON"),
     (None, _set(["table", 1, 0], None), "not a fraction string: None"),
 ], ids=["basis-int", "mult-string-cell", "mult-int-row", "mult-dict-cell", "mult-list-entry",
         "mult-true-entry", "mult-float-entry", "mult-null-entry", "unit-dict", "counit-short",
         "sigma-int-table", "sigma-int-rows", "sigma-ragged", "sigma-dict-table",
-        "sigma-list-file", "sigma-null-entry"])
+        "sigma-string-rows", "sigma-list-file", "sigma-null-entry"])
 def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit, want):
     """A wrong-typed or wrong-sized field of the bialgebra or sigma JSON of
     k[Z/2] exits 2 with exactly this ``error:`` line, the one the dense
     loader printed, except that a level of ``mult`` that is not a list now
-    names the field's shape, 3-fold, not the depth left where it failed."""
+    names the field's shape, 3-fold, not the depth left where it failed, and
+    that a sigma table or row that is not a list names 'table' as a 2-fold
+    list: the dense loader read 3 and [1, 1] as "malformed sigma JSON", and
+    iterated a string row (or a dict's keys) character by character."""
     b = cyclic_group_algebra(2)
     bi, sig = bialgebra_to_json(b), sigma_to_json(SigmaTable.counit_square(b))
     if bi_edit:
@@ -1149,6 +1181,30 @@ def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit,
     code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", _write(tmp_path, "b.json", bi),
                                    "--sigma", _write(tmp_path, "s.json", sig)])
     assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+_SIGMA_ENTRY = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-0", "3/0", "1/x", " 2 ", "+4", "11", ""]),
+    _JSON_SCALAR)
+_SIGMA_ROW = st.one_of(st.lists(_SIGMA_ENTRY, max_size=3), _JSON_ANY)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.fixed_dictionaries({"table": st.lists(_SIGMA_ROW, max_size=3)}),
+                 st.fixed_dictionaries({"table": _JSON_ANY}), _JSON_ANY))
+@example({"table": ["11", "11"]})
+@example({"table": [["1", "1"], ["1", "-1"]]})
+def test_bialgebra_check_sigma_fuzz_exits_0_1_or_2(tmp_path, capsys, sig):
+    """``bialgebra-check`` on k[Z/2] with fuzzed sigma JSON exits 0 or 1
+    with a report, or 2 with an ``error:`` line; it never raises."""
+    bi = _write(tmp_path, "b.json", bialgebra_to_json(cyclic_group_algebra(2)))
+    code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", bi,
+                                   "--sigma", _write(tmp_path, "s.json", sig)])
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+    else:
+        assert code in (0, 1) and json.loads(out)["command"] == "bialgebra-check", err
 
 
 def test_bialgebra_check_zero_spellings_give_the_same_report(tmp_path, capsys):

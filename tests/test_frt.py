@@ -16,6 +16,7 @@ from longeq import (
     build_LR,
     check_L1_on_generators,
     convolution_inverse,
+    dimodule_action,
     dimodule_compatible,
     idempotent_maps,
     make_conjugate,
@@ -349,6 +350,54 @@ def test_dimodule_compatibility_corpus(corpus):
                     assert dimodule_compatible(pres, word, l), (name, word)
 
 
+def _dimodule_oracle(pres, word, l):
+    """The two sides of the compatibility, formed apart in M (x) C/V and
+    compared (the body ``dimodule_compatible`` had before it read L1)."""
+    q = pres.quotient
+    n, m, word = q.n, q.num_generators, tuple(word)
+    lhs, rhs = la.zeros(n, m), la.zeros(n, m)
+    act = dimodule_action(pres, word, l)
+    for w in range(1, n + 1):
+        for v in range(1, n + 1):
+            if act[v - 1]:
+                wv = q.basis_coset(w, v)
+                for t in range(m):
+                    lhs[w - 1][t] += act[v - 1] * wv[t]
+        for v in range(1, n + 1):
+            s = pres.coset_sigma_word(q.basis_coset(w, v), word)
+            if s:
+                vl = q.basis_coset(v, l)
+                for t in range(m):
+                    rhs[w - 1][t] += s * vl[t]
+    return la.mat_eq(lhs, rhs)
+
+
+def test_dimodule_compatible_matches_the_two_sided_oracle(corpus):
+    """``dimodule_compatible`` (L1 on C/V) against the two sides formed
+    apart, on presentations whose sigma pairs are perturbed before the word
+    engine first reads them: both verdicts occur."""
+    rng = random.Random(19)
+    ops = {**corpus, **_dense_conjugates()}
+    ops.update({f"phi4_{k}": make_phi(4, phi) for k, phi in
+                enumerate([(1, 2, 2, 2), (2, 2, 4, 4), (1, 1, 3, 3)])})
+    verdicts = []
+    for name, r in ops.items():
+        for trial in range(4):
+            pres = build_LR(r)
+            m = pres.num_generators
+            # the word engine is formed on first use, after the perturbation
+            assert not {"generator_bialgebra", "_sigma_pairs"} & set(vars(pres)), name
+            for _ in range(trial):
+                pres.sigma_gen[rng.randrange(m)][rng.randrange(m)] += F(rng.choice([-2, 1, 3]), 2)
+            words = [[g] for g in range(m)] + [[rng.randrange(m), rng.randrange(m)]]
+            for word in words:
+                for l in range(1, r.dim + 1):
+                    want = _dimodule_oracle(pres, word, l)
+                    assert dimodule_compatible(pres, word, l) == want, (name, trial, word, l)
+                    verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
 def test_build_lr_rejects_non_long():
     mat = la.identity(4)
     mat[0][2] = F(1)
@@ -413,8 +462,8 @@ def test_coset_table_matches_direct_pairing(corpus):
         p_table = pres.sigma.coset_table
         for a in range(n * n):
             for b in range(n * n):
-                want = _bilinear(pres.sigma.table, q.project_label(*cm_label(a, n)),
-                                 q.project_label(*cm_label(b, n)))
+                want = _bilinear(pres.sigma.table, _project_oracle(q, *cm_label(a, n)),
+                                 _project_oracle(q, *cm_label(b, n)))
                 assert p_table[a][b] == want, (name, a, b)
                 i, v = cm_label(a, n)
                 j, u = cm_label(b, n)
@@ -574,11 +623,16 @@ def _obstructions_oracle(r):
     return out
 
 
-def _coset_terms_oracle(q, i, j):
-    """The coset of c_ij by projecting its unit vector through ``reduce_mod``."""
+def _project_oracle(q, i, j):
+    """The unit vector of c_ij reduced modulo the Fraction RREF rows of V."""
     vec = [F(0)] * (q.n * q.n)
     vec[cm_index(i, j, q.n)] = F(1)
-    red = la.reduce_mod(vec, la.sparse_rref(q.rows, q.pivots))
+    return la.reduce_mod(vec, la.sparse_rref(q.rows, q.pivots))
+
+
+def _coset_terms_oracle(q, i, j):
+    """The coset of c_ij by projecting its unit vector through ``reduce_mod``."""
+    red = _project_oracle(q, i, j)
     return [(t, red[s]) for t, s in enumerate(q.rep_slots) if red[s]]
 
 
@@ -696,6 +750,7 @@ def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions
                 want = _coset_terms_oracle(q, i, j)
                 assert q.coset_terms(i, j) == want, (name, i, j)
                 proj = q.project_label(i, j)
+                assert proj == _project_oracle(q, i, j), (name, i, j)
                 assert [proj[s] for s in q.rep_slots] == q.basis_coset(i, j)
                 assert q.delta_on_coset(i, j) == _delta_on_coset_oracle(q, i, j), (name, i, j)
         # build_LR's two derivations: the coset table is sigma_0, so the round
