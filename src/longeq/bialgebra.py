@@ -71,15 +71,28 @@ WORD_CAP = 6
 _PENDING = object()
 
 
+class ZeroCell(tuple):
+    """A read-only cell of d int zeros. The JSON reader shares one among the
+    all-zero cells of a document; ``_cube`` knows it by its class and does
+    not read its entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, d):
+        return super().__new__(cls, (0,) * d)
+
+
 def _cube(name, t, d):
     """The nonzero entries of the d x d x d array ``t``: for each a and b the
     (c, Fraction) pairs with t[a][b][c] != 0, or InvalidBialgebra naming the
-    field. Every entry but an int zero is read by ``as_frac``."""
+    field. Every entry but an int zero is read by ``as_frac``, except in a
+    ``ZeroCell``."""
     if len(t) != d or any(len(row) != d or any(len(cell) != d for cell in row)
                           for row in t):
         raise InvalidBialgebra(f"'{name}' must be a {d} x {d} x {d} array")
     as_frac = la.as_frac
-    return [[[(c, f) for c, x in enumerate(cell)
+    return [[[] if cell.__class__ is ZeroCell else
+             [(c, f) for c, x in enumerate(cell)
               if (x.__class__ is not int or x) and (f := as_frac(x))]
              for cell in row] for row in t]
 
@@ -346,11 +359,14 @@ def _l1_equations(c, scale):
         for p, q, x in terms:
             coeffs[q, p] = coeffs.get((q, p), 0) + x
             coeffs[p, q] = coeffs.get((p, q), 0) - x
+        by_r = {}  # r: its nonzero (p, coefficient) pairs, in the order of coeffs
+        for (r, p), x in coeffs.items():
+            if x:
+                by_r.setdefault(r, []).append((p, x))
+        rows = sorted(by_r.items())
         for y in range(d):
-            for r in range(d):
-                lin = {p * d + y: x for (r_, p), x in coeffs.items() if r_ == r and x}
-                if lin:
-                    yield (a, y), 0, lin, {}
+            for r, pairs in rows:
+                yield (a, y), 0, {p * d + y: x for p, x in pairs}, {}
 
 
 def _l2_equations(b, scale):

@@ -448,12 +448,20 @@ def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
     return True, None
 
 
+def _module_index(l, n):
+    """Refuse, with a ValueError naming ``l``, a 1-based index of m_l that is
+    not an int in 1..n (a bool included)."""
+    if isinstance(l, bool) or not isinstance(l, int) or not 1 <= l <= n:
+        raise ValueError(f"'l' must be an int in 1..{n}, got {l!r}")
+
+
 def dimodule_action(pres: LongPresentation, word, l):
     """Left action of a generator word on the basis vector m_l.
 
     h . m_l = sum_v sigma(coset c_vl (x) h) m_v; returns the length-n vector.
     """
     q = pres.quotient
+    _module_index(l, q.n)
     return [pres.coset_sigma_word(q.basis_coset(v, l), tuple(word)) for v in range(1, q.n + 1)]
 
 
@@ -470,6 +478,7 @@ def dimodule_compatible(pres: LongPresentation, word, l) -> bool:
     """
     q = pres.quotient
     n = q.n
+    _module_index(l, n)
     word = tuple(word)
     s = [pres.coset_sigma_word(q.basis_coset(*cm_label(a, n)), word) for a in range(n * n)]
     return not any(any(_l1_defect(q, w, l - 1, s)) for w in range(n))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bialgebra import FinDimBialgebra, SigmaTable
+from .bialgebra import FinDimBialgebra, SigmaTable, ZeroCell
 from .frt import LongPresentation
 from .errors import DimensionCap
 from .kz import LoopSpec, max_dim
@@ -63,10 +63,11 @@ def operator_from_json(obj) -> TensorOp2:
         raise ValueError("'entries' must be a list")
     matrix = [[F0] * (n * n) for _ in range(n * n)]
     seen = set()
+    parse = _memo_parser()
     for e in entries:
         try:
             v, u, i, j = e["v"], e["u"], e["i"], e["j"]
-            x = parse_frac(e["coeff"])
+            x = parse(e["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed operator entry {e!r}") from exc
         for idx in (v, u, i, j):
@@ -119,14 +120,20 @@ def _memo_parser():
     return parse
 
 
-def _frac_array(value, depth, field, parse):
+def _frac_array(value, depth, field, parse, zero):
     """A ``depth``-fold nested JSON list of fraction strings, parsed by
-    ``parse``; a ``"0"`` is the int 0 without a call. A level that is not a
-    list is refused with the field's full depth."""
+    ``parse``; a ``"0"`` is the int 0 without a call. A level-1 list of as
+    many ``"0"`` strings as ``zero`` has entries is ``zero`` itself, found
+    by one ``count``. A level that is not a list is refused with the
+    field's full depth."""
+    d = len(zero)
+
     def walk(v, level):
         if not isinstance(v, list):
             raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
         if level == 1:
+            if len(v) == d and v.count("0") == d:
+                return zero
             return [0 if x == "0" else parse(x) for x in v]
         return [walk(x, level - 1) for x in v]
 
@@ -135,7 +142,9 @@ def _frac_array(value, depth, field, parse):
 
 def bialgebra_from_json(obj) -> FinDimBialgebra:
     """A validated bialgebra; ``dim`` is checked against ``MAX_BIALGEBRA_DIM``
-    before any entry is read, and the shapes by ``FinDimBialgebra``."""
+    before any entry is read, and the shapes by ``FinDimBialgebra``. Every
+    cell of d ``"0"`` strings is one shared ``ZeroCell``, which the
+    constructor skips without reading its entries."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("bialgebra JSON must be an object with a 'dim' key")
     d = obj["dim"]
@@ -143,13 +152,13 @@ def bialgebra_from_json(obj) -> FinDimBialgebra:
         raise ValueError("'dim' must be a positive integer")
     if d > MAX_BIALGEBRA_DIM:
         raise DimensionCap(f"bialgebra dim {d} exceeds cap {MAX_BIALGEBRA_DIM}")
-    parse = _memo_parser()
+    parse, zero = _memo_parser(), ZeroCell(d)
     try:
         basis = obj["basis"]
-        mult = _frac_array(obj["mult"], 3, "mult", parse)
-        unit = _frac_array(obj["unit"], 1, "unit", parse)
-        comult = _frac_array(obj["comult"], 3, "comult", parse)
-        counit = _frac_array(obj["counit"], 1, "counit", parse)
+        mult = _frac_array(obj["mult"], 3, "mult", parse, zero)
+        unit = _frac_array(obj["unit"], 1, "unit", parse, zero)
+        comult = _frac_array(obj["comult"], 3, "comult", parse, zero)
+        counit = _frac_array(obj["counit"], 1, "counit", parse, zero)
     except KeyError as exc:
         raise ValueError("malformed bialgebra JSON") from exc
     if not isinstance(basis, list) or len(basis) != d:

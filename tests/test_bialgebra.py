@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +36,7 @@ from longeq.bialgebra import (
     generator_sigma_words,
 )
 from longeq.frt import cm_index
+from longeq import linalg as la
 from longeq.linalg import identity as la_identity
 from longeq.linalg import mat_inv as la_inv
 from longeq.scalars import frac_str
@@ -719,6 +721,131 @@ def test_l1_space_agrees_with_strongd_check():
     wild = SigmaTable([[7, -1, 2], [0, 3, 4], [1, 1, 9]])
     rep2 = check_axioms(b, wild, ["L1", "strongD"])
     assert rep2["L1"][0] and rep2["strongD"][0]
+
+
+def _l1_equations_oracle(c, scale):
+    """The L1 stream as it was written before it grouped each a's
+    coefficients by r: all of ``coeffs`` scanned for every (y, r)."""
+    d = c.d
+    for a, terms in enumerate(c.comult_nz):
+        coeffs = {}
+        for p, q, x in terms:
+            coeffs[q, p] = coeffs.get((q, p), 0) + x
+            coeffs[p, q] = coeffs.get((p, q), 0) - x
+        for y in range(d):
+            for r in range(d):
+                lin = {p * d + y: x for (r_, p), x in coeffs.items() if r_ == r and x}
+                if lin:
+                    yield (a, y), 0, lin, {}
+
+
+def test_l1_equations_match_the_full_scan(monkeypatch):
+    """The L1 stream emits the equations of the full scan, in its order and
+    with each ``lin`` in its key order: on every builtin, on changed bases,
+    and on seeded random comultiplication tables (where p = q terms cancel
+    and cells repeat), which the stream reads without validation."""
+    cases = [b for b, _ in _builtin_inputs(monkeypatch)]
+    cases += [FinDimBialgebra([str(i) for i in range(len(f["unit"]))], f["mult"], f["unit"],
+                              f["comult"], f["counit"])
+              for f in (_change_basis(sweedler_h4(), [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0],
+                                                      [2, 0, 1, 1]]),
+                        _change_basis(cyclic_group_algebra(3), [[1, 1, 0], [0, 2, 1],
+                                                                [0, 0, 3]]))]
+    rng = random.Random(2020)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        cases.append(SimpleNamespace(d=d, comult_nz=[
+            [(rng.randrange(d), rng.randrange(d), rng.choice([-2, -1, 1, 3]))
+             for _ in range(rng.randint(0, 2 * d))] for _ in range(d)]))
+    for c in cases:
+        got = [(w, k, list(lin.items()), q) for w, k, lin, q in bialgebra._l1_equations(c, 1)]
+        want = [(w, k, list(lin.items()), q) for w, k, lin, q in _l1_equations_oracle(c, 1)]
+        assert got == want
+
+
+def _respell_zeros(obj, zero):
+    """A copy of bialgebra JSON with every "0" of every field written ``zero``."""
+    def respell(t):
+        return [respell(x) for x in t] if isinstance(t, list) else zero if t == "0" else t
+    return dict(obj, **{k: respell(obj[k]) for k in ("mult", "unit", "comult", "counit")})
+
+
+def test_bialgebra_from_json_matches_the_dense_constructor(monkeypatch):
+    """The JSON reader, which shares one zero cell among the all-"0" cells,
+    gives the scaled nonzeros and scale of the dense Python constructor on
+    every builtin bialgebra and on changed bases, with the zeros spelled
+    "0", 0, "-0" or "0/7"."""
+    cases = [b for b, _ in _builtin_inputs(monkeypatch) if isinstance(b, FinDimBialgebra)]
+    for b, p in ((sweedler_h4(), [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 1, 1]]),
+                 (cyclic_group_algebra(3), [[1, 1, 0], [0, 2, 1], [0, 0, 3]])):
+        f = _change_basis(b, p)
+        cases.append(FinDimBialgebra([str(i) for i in range(b.d)], f["mult"], f["unit"],
+                                     f["comult"], f["counit"]))
+    assert len(cases) == 10 and any(b.scale > 1 for b in cases)
+    for b in cases:
+        dense = FinDimBialgebra(b.basis, b.mult, b.unit, b.comult, b.counit)
+        want = (dense.mult_nz, dense.comult_nz, dense.scale, dense.int_unit, dense.int_counit)
+        for zero in ("0", 0, "-0", "0/7"):
+            loaded = jsonio.bialgebra_from_json(_respell_zeros(jsonio.bialgebra_to_json(b), zero))
+            assert (loaded.mult_nz, loaded.comult_nz, loaded.scale, loaded.int_unit,
+                    loaded.int_counit) == want, (b.basis, zero)
+
+
+def test_truncation_read_parses_only_the_nonzero_entries(monkeypatch):
+    """Reading the d = 22 truncation parses each entry that is not "0" once
+    and no "0". Each all-"0" cell reaches the constructor as one shared
+    ``ZeroCell``, and the constructor reads by ``as_frac`` only the nonzero
+    entries, besides ``unit`` and ``counit``."""
+    b = comatrix_tensor_truncation(2, 2)
+    obj = jsonio.bialgebra_to_json(b)
+    flat = lambda t: [y for x in t for y in flat(x)] if isinstance(t, list) else [t]
+    cubes = flat(obj["mult"]) + flat(obj["comult"])
+    parsed, read = [], []
+    memo_parser = jsonio._memo_parser
+
+    def counting_parser():
+        parse = memo_parser()
+        return lambda x: parsed.append(x) or parse(x)
+
+    as_frac, given = la.as_frac, []
+    monkeypatch.setattr(jsonio, "_memo_parser", counting_parser)
+    monkeypatch.setattr(la, "as_frac", lambda x: read.append(x) or as_frac(x))
+    monkeypatch.setattr(jsonio, "FinDimBialgebra",
+                        lambda *fields: given.extend(fields) or FinDimBialgebra(*fields))
+    loaded = jsonio.bialgebra_from_json(obj)
+    # every all-"0" cell is one shared zero cell
+    _, mult, _, comult, _ = given
+    zero = next(cell for m in mult for cell in m if cell.__class__ is bialgebra.ZeroCell)
+    assert len(zero) == b.d
+    for got, cube in ((mult, obj["mult"]), (comult, obj["comult"])):
+        assert [[cell is zero for cell in m] for m in got] == [
+            [cell.count("0") == b.d for cell in m] for m in cube]
+    vectors = obj["unit"] + obj["counit"]
+    assert sorted(parsed) == sorted(x for x in cubes + vectors if x != "0")
+    assert len([x for x in cubes if x != "0"]) == 104 + 74
+    nonzero_cells = [cell for m in obj["mult"] + obj["comult"] for cell in m
+                     if cell.count("0") < b.d]
+    assert len(read) == sum(map(len, nonzero_cells)) - len(
+        [x for cell in nonzero_cells for x in cell if x == "0"]) + 2 * b.d
+    assert (loaded.mult_nz, loaded.comult_nz) == (b.mult_nz, b.comult_nz)
+
+
+def test_zero_cell_is_skipped_and_other_zero_cells_are_read():
+    """A ``ZeroCell`` has no nonzero entry without being read, and its shape
+    is checked; any other cell of zeros is read entry by entry, so a cell
+    of d complex zeros still raises."""
+    h4 = sweedler_h4()
+    zero = bialgebra.ZeroCell(4)
+    assert zero == (0,) * 4
+    mult = [[list(cell) for cell in row] for row in h4.mult]
+    mult[2][2] = bialgebra.ZeroCell(3)
+    with pytest.raises(InvalidBialgebra, match="'mult' must be a 4 x 4 x 4 array"):
+        FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit)
+    mult[2][2] = zero  # y * y = 0
+    assert FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit).mult_nz == h4.mult_nz
+    mult[2][2] = [0j] * 4
+    with pytest.raises(TypeError):
+        FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit)
 
 
 def test_sigma_feasibility_soundness_sentinel():

@@ -4,9 +4,11 @@ import ast
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from longeq.jsonio import (
     sigma_to_json,
 )
 from longeq.bialgebra import SigmaTable, sweedler_h4
+from longeq.scalars import parse_frac
 
 
 def _write(tmp_path, name, obj):
@@ -53,6 +56,16 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# numbers that overflow or underflow a float, or a product of two floats
+_EXTREMES = st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400])
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 8), st.integers(-10 ** 30, 10 ** 30),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3), _EXTREMES)
+_JSON_ANY = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                         max_leaves=8)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +107,165 @@ def test_operator_json_non_list_entries_is_usage_error(tmp_path, capsys):
     code, out, err = _run(capsys, ["check", "--op", op])
     assert (code, out) == (2, "")
     assert "'entries' must be a list" in err
+
+
+def _operator_oracle(obj):
+    """The operator of a valid operator JSON, with ``parse_frac`` called on
+    every coefficient string and every index range-checked one at a time."""
+    n = obj["dim"]
+    matrix = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for e in obj["entries"]:
+        assert all(1 <= e[k] <= n for k in "vuij")
+        matrix[(e["i"] - 1) * n + e["j"] - 1][(e["v"] - 1) * n + e["u"] - 1] = \
+            parse_frac(e["coeff"])
+    return TensorOp2(n, matrix)
+
+
+# the spellings of a few rationals that a coefficient string may take
+_COEFF_SPELLINGS = ["1", "-1", "0", "-0", "0/7", "2/4", "-3/6", " 5 ", "+1", "-4/8", 7, -2]
+
+
+def test_operator_from_json_matches_per_entry_parse_oracle(corpus):
+    """``operator_from_json``, which parses each distinct coefficient string
+    once, gives the operator of a per-entry ``parse_frac``: on the corpus, on
+    seeded {-1, 0, 1} candidates and on seeded spellings of small rationals,
+    with the entries in shuffled order."""
+    rng = random.Random(2020)
+    objs = [operator_to_json(r) for r in corpus.values()]
+    for k in range(60):
+        n = 2 + k % 3
+        entries = [{"v": v, "u": u, "i": i, "j": j,
+                    "coeff": rng.choice(["-1", "1", "0"] if k % 2 else _COEFF_SPELLINGS)}
+                   for v, u, i, j in itertools.product(range(1, n + 1), repeat=4)
+                   if rng.random() < 0.3]
+        rng.shuffle(entries)
+        objs.append({"dim": n, "entries": entries})
+    for obj in objs:
+        assert operator_from_json(obj) == _operator_oracle(obj)
+
+
+def test_operator_read_parses_each_distinct_coefficient_once(monkeypatch):
+    """Each distinct coefficient string of one document is parsed once; a
+    second document parses its strings again."""
+    calls = []
+    monkeypatch.setattr(jsonio, "parse_frac", lambda x: calls.append(x) or parse_frac(x))
+    obj = {"dim": 3, "entries": [
+        {"v": v, "u": u, "i": i, "j": j, "coeff": ["-1", "1", "1/2"][(v + u + i + j) % 3]}
+        for v, u, i, j in itertools.product(range(1, 4), repeat=4)]}
+    want = _operator_oracle(obj)
+    assert operator_from_json(obj) == want
+    assert sorted(calls) == ["-1", "1", "1/2"]
+    assert operator_from_json(obj) == want and len(calls) == 6
+
+
+def _entry(**fields):
+    """An operator entry at (1, 1, 1, 1) with coefficient "1", with ``fields``
+    changed; a field given as ``...`` is left out."""
+    e = dict({"v": 1, "u": 1, "i": 1, "j": 1, "coeff": "1"}, **fields)
+    return {k: x for k, x in e.items() if x is not ...}
+
+
+# each message as the per-entry parser gave it
+@pytest.mark.parametrize("obj, want", [
+    ([1], "operator JSON must be an object with a 'dim' key"),
+    ({"entries": []}, "operator JSON must be an object with a 'dim' key"),
+    ({"dim": True}, "'dim' must be a positive integer"),
+    ({"dim": 0}, "'dim' must be a positive integer"),
+    ({"dim": 2, "entries": {}}, "'entries' must be a list"),
+    ({"dim": 2, "entries": [[1, 1, 1, 1, "1"]]}, "malformed operator entry [1, 1, 1, 1, '1']"),
+    ({"dim": 2, "entries": ["v"]}, "malformed operator entry 'v'"),
+    ({"dim": 2, "entries": [_entry(coeff=...)]},
+     "malformed operator entry {'v': 1, 'u': 1, 'i': 1, 'j': 1}"),
+    ({"dim": 2, "entries": [_entry(j=...)]},
+     "malformed operator entry {'v': 1, 'u': 1, 'i': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(coeff=None)]}, "not a fraction string: None"),
+    ({"dim": 2, "entries": [_entry(coeff=True)]}, "not a fraction string: True"),
+    ({"dim": 2, "entries": [_entry(coeff=0.5)]}, "not a fraction string: 0.5"),
+    ({"dim": 2, "entries": [_entry(coeff=["1"])]}, "not a fraction string: ['1']"),
+    ({"dim": 2, "entries": [_entry(coeff="1/0")]}, "zero denominator: '1/0'"),
+    ({"dim": 2, "entries": [_entry(coeff="x")]}, "not a fraction string: 'x'"),
+    ({"dim": 2, "entries": [_entry(coeff="1/x", v=0)]}, "not a fraction string: '1/x'"),
+    ({"dim": 2, "entries": [_entry(v=0)]},
+     "index out of range in entry {'v': 0, 'u': 1, 'i': 1, 'j': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(j=3)]},
+     "index out of range in entry {'v': 1, 'u': 1, 'i': 1, 'j': 3, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(u=True)]},
+     "index out of range in entry {'v': 1, 'u': True, 'i': 1, 'j': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(i=1.0)]},
+     "index out of range in entry {'v': 1, 'u': 1, 'i': 1.0, 'j': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(i="1")]},
+     "index out of range in entry {'v': 1, 'u': 1, 'i': '1', 'j': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(v=None)]},
+     "index out of range in entry {'v': None, 'u': 1, 'i': 1, 'j': 1, 'coeff': '1'}"),
+    ({"dim": 2, "entries": [_entry(), _entry(coeff="2")]},
+     "duplicate entry for (v,u,i,j)=(1, 1, 1, 1)"),
+    ({"dim": 2, "entries": [_entry(coeff="1/2", v=2), _entry(coeff="1/2"),
+                            _entry(coeff="1/2", v=2)]},
+     "duplicate entry for (v,u,i,j)=(2, 1, 1, 1)"),
+    ({"dim": 2, "entries": [_entry(coeff="3"), _entry(coeff="3", v=2),
+                            _entry(coeff="3/0", u=2)]}, "zero denominator: '3/0'"),
+], ids=["not-object", "no-dim", "dim-bool", "dim-zero", "entries-dict", "entry-list",
+        "entry-string", "no-coeff", "no-j", "coeff-null", "coeff-bool", "coeff-float",
+        "coeff-list", "coeff-zero-denominator", "coeff-word", "coeff-before-index",
+        "index-zero", "index-past-end", "index-bool", "index-float", "index-string",
+        "index-null", "duplicate", "duplicate-after-repeated-coeff", "bad-after-good"])
+def test_operator_from_json_bad_entry_messages(obj, want):
+    """Each bad operator JSON raises the ValueError the per-entry parser
+    raised, with the same message: the coefficient is read before the
+    indices are checked, and the first bad entry is named."""
+    with pytest.raises(ValueError) as info:
+        operator_from_json(obj)
+    assert str(info.value) == want
+
+
+_INDEX = st.one_of(st.integers(-1, 4), st.booleans(), st.none(), st.sampled_from([1.0, "1"]))
+_GOOD_COEFF = st.sampled_from(["1", "-1", "0", "-0", "0/7", "1/2", " 2 ", 3])
+_COEFF = st.one_of(_GOOD_COEFF, st.sampled_from(["1/0", "x", "", "1e3"]),
+                   st.none(), st.booleans(), st.floats(-2, 2))
+
+
+@st.composite
+def _operator_objects(draw):
+    """Operator JSON near the valid ones at dim 1..3: indices near their
+    range or of a wrong type, coefficients of every spelling, sometimes a
+    repeated entry, a key dropped, or a field given any JSON value."""
+    n = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.fixed_dictionaries(
+        {"v": st.integers(1, n), "u": st.integers(1, n), "i": st.integers(1, n),
+         "j": st.integers(1, n), "coeff": _GOOD_COEFF}), max_size=6))
+    if entries and draw(st.booleans()):
+        e = draw(st.sampled_from(entries))
+        entries.append(dict(e, coeff=draw(_COEFF)))
+    if entries and draw(st.booleans()):
+        e = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(sorted(e)))
+        if draw(st.booleans()):
+            del e[key]
+        else:
+            e[key] = draw(_INDEX if key != "coeff" else _COEFF)
+    obj = {"dim": n, "entries": entries}
+    key = draw(st.sampled_from([None, None, None, "dim", "entries"]))
+    if key is not None:
+        obj[key] = draw(_JSON_ANY)
+    return obj
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_operator_objects(), _JSON_ANY))
+@example({"dim": 2, "entries": [_entry(u=True)]})
+@example({"dim": 2, "entries": [_entry(), _entry()]})
+@example({"dim": 2, "entries": [_entry(j=3), _entry(coeff="1/0")]})
+@example({"dim": 2, "entries": [_entry(coeff=None)]})
+def test_check_operator_fuzz_exits_0_1_or_2(tmp_path, capsys, obj):
+    """``check`` on fuzzed operator JSON exits 0 or 1 with a report, or 2
+    with an ``error:`` line; it never raises."""
+    code, out, err = _run(capsys, ["check", "--op", _write(tmp_path, "op.json", obj),
+                                   "--laws", "long,qybe"])
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+    else:
+        assert code in (0, 1) and json.loads(out)["command"] == "check", err
 
 
 # ---------------------------------------------------------------------------
@@ -768,14 +940,6 @@ def test_loop_coordinates_at_the_bound_are_accepted():
     assert np.isfinite(loop.separation()).all()
 
 
-# numbers that overflow or underflow a float, or a product of two floats
-_EXTREMES = st.sampled_from([1e308, -1e308, 1e154, 1e-320, 5e-324, 10 ** 400])
-_JSON_SCALAR = st.one_of(
-    st.none(), st.booleans(), st.integers(-4, 8), st.integers(-10 ** 30, 10 ** 30),
-    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3), _EXTREMES)
-_JSON_ANY = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
-                         | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-                         max_leaves=8)
 _COORD = st.one_of(st.integers(-12, 12), st.floats(-12, 12), _EXTREMES)
 
 
@@ -1200,6 +1364,71 @@ def test_bialgebra_check_sigma_fuzz_exits_0_1_or_2(tmp_path, capsys, sig):
     with a report, or 2 with an ``error:`` line; it never raises."""
     bi = _write(tmp_path, "b.json", bialgebra_to_json(cyclic_group_algebra(2)))
     code, out, err = _run(capsys, ["bialgebra-check", "--bialgebra", bi,
+                                   "--sigma", _write(tmp_path, "s.json", sig)])
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+    else:
+        assert code in (0, 1) and json.loads(out)["command"] == "bialgebra-check", err
+
+
+_ZERO_SPELLINGS = ["0", 0, "-0", "0/7"]
+_BIALGEBRA_ENTRY = st.one_of(st.sampled_from(_ZERO_SPELLINGS + ["1", "-1", "1/2", "1/0", "x"]),
+                             st.none(), st.booleans(), st.floats(-2, 2))
+
+
+@st.composite
+def _bialgebra_objects(draw):
+    """Bialgebra JSON of k[Z/2] or H4 near the valid one: every zero of the
+    cubes respelled, then a few edits, each a wrong-length cell, a level or a
+    cell that is not a list, an entry of any spelling, or a field given any
+    JSON value or dropped. Returns it with the JSON of the table eps (x) eps."""
+    b = draw(st.sampled_from([cyclic_group_algebra(2), sweedler_h4()]))
+    sig = sigma_to_json(SigmaTable.counit_square(b))
+    obj = bialgebra_to_json(b)
+    zero = draw(st.sampled_from(_ZERO_SPELLINGS))
+    for name in ("mult", "comult"):
+        obj[name] = [[[zero if x == "0" else x for x in cell] for cell in row]
+                     for row in obj[name]]
+    d = b.d
+    index = st.integers(0, d - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["mult", "comult", "unit", "counit", "dim", "basis"]))
+        edit = draw(st.sampled_from(["entry", "cell", "level", "any", "drop"]))
+        a, p, q = draw(index), draw(index), draw(index)
+        if name in ("mult", "comult", "unit", "counit") and edit in ("entry", "cell", "level"):
+            try:  # an earlier edit may have left no list at this place
+                if name in ("unit", "counit"):
+                    obj[name][a] = draw(_BIALGEBRA_ENTRY)
+                elif edit == "entry":
+                    obj[name][a][p][q] = draw(_BIALGEBRA_ENTRY)
+                elif edit == "cell":
+                    obj[name][a][p] = draw(st.sampled_from(
+                        [[zero] * (d + 1), [zero] * (d - 1), [zero] * d + ["1"], zero, None]))
+                else:
+                    obj[name][a] = draw(st.sampled_from([zero, [zero] * d, None]))
+            except (IndexError, KeyError, TypeError):
+                pass
+        elif edit == "drop":
+            obj.pop(name, None)
+        elif edit == "any":
+            obj[name] = draw(_JSON_ANY)
+    return obj, sig
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_bialgebra_objects(),
+                 st.tuples(_JSON_ANY, st.just({"table": [["1", "1"], ["1", "1"]]}))))
+@example(({"dim": 2, "basis": ["e", "g"], "mult": [[["0", "0"]] * 2] * 2, "unit": ["0", "0"],
+           "comult": [[["0", "0"]] * 2] * 2, "counit": ["0", "0"]},
+          {"table": [["1", "1"], ["1", "1"]]}))
+def test_bialgebra_check_bialgebra_fuzz_exits_0_1_or_2(tmp_path, capsys, objs):
+    """``bialgebra-check`` on fuzzed bialgebra JSON, with the table
+    eps (x) eps of the algebra it was drawn from, exits 0 or 1 with a
+    report, or 2 with an ``error:`` line; it never raises."""
+    obj, sig = objs
+    code, out, err = _run(capsys, ["bialgebra-check",
+                                   "--bialgebra", _write(tmp_path, "b.json", obj),
                                    "--sigma", _write(tmp_path, "s.json", sig)])
     if code == 2:
         assert out == "" and err.startswith("error: "), err

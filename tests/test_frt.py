@@ -350,6 +350,18 @@ def test_dimodule_compatibility_corpus(corpus):
                     assert dimodule_compatible(pres, word, l), (name, word)
 
 
+@pytest.mark.parametrize("l", [0, 3, -1, True, 1.0, "1"])
+def test_dimodule_refuses_an_index_of_m_out_of_range(l):
+    """The 1-based index l of m_l must be an int in 1..n, and not a bool:
+    l = 0 read wrapped slots (``dimodule_compatible`` gave False for [0] and
+    True for [1]) and l = n + 1 raised IndexError."""
+    pres = build_LR(make_phi(2, [1, 1]))
+    for call in (dimodule_action, dimodule_compatible):
+        with pytest.raises(ValueError, match=r"^'l' must be an int in 1\.\.2, got "):
+            call(pres, [0], l)
+    assert dimodule_compatible(pres, [0], 1) and dimodule_compatible(pres, [0], 2)
+
+
 def _dimodule_oracle(pres, word, l):
     """The two sides of the compatibility, formed apart in M (x) C/V and
     compared (the body ``dimodule_compatible`` had before it read L1)."""
