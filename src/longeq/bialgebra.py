@@ -41,6 +41,19 @@ positive multiple of the rational one; ``_linear_system``,
 ``sigma_feasibility`` and ``strong_dmap_rsigma`` read them so. A scaled
 row spans the same line and the RREF of a row space is unique, so every
 solution space and feasibility verdict is unchanged.
+
+``check_axioms`` reads the streams of L1, L2 and L4, and decides L3, L5 and
+B1 block by block on T. A block holds the values at T of the stream
+equations that share an outer index: a for L3, x for L5 and the pair
+(a, c) for B1. It is accumulated at once from the nonzeros of ``mult_nz``,
+``comult_nz`` and of T's rows or columns, and no per-tuple equation is
+built. Each value is the one its stream equation takes, and the blocks and
+their entries are scanned in the stream's order, so every witness is the
+stream's first violation. That order is why L5 is blocked by x, its
+first index, and not by a: blocks by a name a failure at a = 0 ahead of
+an earlier one at a > 0. The streams stay the one encoding of each axiom;
+``sigma_feasibility`` reads them, and the tests check the blocks against
+them.
 """
 
 from __future__ import annotations
@@ -294,21 +307,30 @@ class FinDimBialgebra(Coalgebra):
                 acc[p, q] = acc.get((p, q), 0) - up * uq
         if any(acc.values()):
             raise InvalidBialgebra("Delta(1) != 1 (x) 1")
-        # Delta is an algebra map; the left side is degree 2, the right degree 4
-        for a in range(self.d):
-            for b in range(self.d):
+        # Delta is an algebra map, accumulated on e_p (x) e_q at p*d + q; the
+        # left side is degree 2, the right degree 4
+        d = self.d
+        for a in range(d):
+            for b in range(d):
                 acc = {}
                 for c, xc in mult_nz[a][b]:
                     f = scale2 * xc
                     for p, q, x in comult_nz[c]:
-                        acc[(p, q)] = acc.get((p, q), 0) + f * x
+                        k = p * d + q
+                        acc[k] = acc.get(k, 0) + f * x
                 for p1, q1, x1 in comult_nz[a]:
+                    row_p, row_q = mult_nz[p1], mult_nz[q1]
                     for p2, q2, x2 in comult_nz[b]:
+                        # a term pair with e_p1 e_p2 = 0 or e_q1 e_q2 = 0 adds nothing
+                        pp, qq = row_p[p2], row_q[q2]
+                        if not (pp and qq):
+                            continue
                         f = x1 * x2
-                        for p, xp in mult_nz[p1][p2]:
-                            fp = f * xp
-                            for q, xq in mult_nz[q1][q2]:
-                                acc[(p, q)] = acc.get((p, q), 0) - fp * xq
+                        for p, xp in pp:
+                            fp, base = f * xp, p * d
+                            for q, xq in qq:
+                                k = base + q
+                                acc[k] = acc.get(k, 0) - fp * xq
                 if any(acc.values()):
                     raise InvalidBialgebra(f"Delta not multiplicative at ({a},{b})")
 
@@ -447,6 +469,119 @@ def _first_violation(equations, table):
     return None
 
 
+# The blocks of L3, L5 and B1 on the integer table T at sigma scale S
+# (module docstring). A block's least nonzero entry is the first violation
+# of the stream within it.
+
+
+def _nonzeros(rows):
+    """The nonzero (index, value) pairs of each row of ``rows``."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+
+
+def _l3_block(b, table, rows, scale, a):
+    """L3's block at a: {x*d + y: value} over (x, y) of
+    S sum_m mu_xy^m T[a,m] - sum_{(p,q,v) in Delta(e_a)} v T[p,x] T[q,y];
+    an (x, y) with no term is absent. ``rows`` is ``_nonzeros(table)``."""
+    d, ta, block = b.d, table[a], {}
+    for x, row in enumerate(b.mult_nz):
+        base = x * d
+        for y, cell in enumerate(row):
+            val = 0
+            for m, v in cell:
+                if ta[m]:
+                    val += v * ta[m]
+            if val:
+                block[base + y] = scale * val
+    for p, q, v in b.comult_nz[a]:
+        rq = rows[q]
+        if rq:
+            for x, tx in rows[p]:
+                f, base = v * tx, x * d
+                for y, ty in rq:
+                    k = base + y
+                    block[k] = block.get(k, 0) - f * ty
+    return block
+
+
+def _l5_block(b, table, rows, cols, scale, x):
+    """L5's block at x: {y*d + a: value} over (y, a) of
+    S sum_m mu_xy^m T[m,a] - sum_{(p,q,v) in Delta(e_a)} v T[y,p] T[x,q];
+    a (y, a) with no term is absent. ``rows`` and ``cols`` are the
+    ``_nonzeros`` of T's rows and columns."""
+    d, tx, block = b.d, table[x], {}
+    for y, cell in enumerate(b.mult_nz[x]):
+        base = y * d
+        for m, v in cell:
+            f = scale * v
+            for a, t in rows[m]:
+                k = base + a
+                block[k] = block.get(k, 0) + f * t
+    for a, terms in enumerate(b.comult_nz):
+        for p, q, v in terms:
+            if tx[q]:
+                f = v * tx[q]
+                for y, ty in cols[p]:
+                    k = y * d + a
+                    block[k] = block.get(k, 0) - f * ty
+    return block
+
+
+def _b1_block(b, table, a, c):
+    """B1's block at (a, c): the e_m coefficients, m = 0..d-1, of
+    sum T[a_1, c_1] c_2 a_2 - sum a_1 c_1 T[a_2, c_2]."""
+    mult_nz, acc = b.mult_nz, [0] * b.d
+    for p, q, x1 in b.comult_nz[a]:
+        tp, tq = table[p], table[q]
+        for r, u, x2 in b.comult_nz[c]:
+            if tp[r]:
+                f = x1 * x2 * tp[r]
+                for m, v in mult_nz[u][q]:
+                    acc[m] += f * v
+            if tq[u]:
+                f = x1 * x2 * tq[u]
+                for m, v in mult_nz[p][r]:
+                    acc[m] -= f * v
+    return acc
+
+
+def _first_failure(blocks, d):
+    """(i, *divmod(k, d)) for the least key k with a nonzero value in the
+    first block of ``blocks`` that has one, i its place; or None."""
+    for i, block in enumerate(blocks):
+        bad = [k for k, val in block.items() if val]
+        if bad:
+            return (i, *divmod(min(bad), d))
+    return None
+
+
+def _l3_violation(b, table, scale):
+    """``where`` (a, x, y) of L3's first violation, scanning blocks by a."""
+    rows = _nonzeros(table)
+    return _first_failure((_l3_block(b, table, rows, scale, a) for a in range(b.d)), b.d)
+
+
+def _l5_violation(b, table, scale):
+    """``where`` (x, y, a) of L5's first violation, scanning blocks by x. The
+    stream's order is (x, y, a): blocks by a would name a failure at a = 0
+    ahead of an earlier one at a > 0."""
+    rows, cols = _nonzeros(table), _nonzeros(zip(*table))
+    return _first_failure((_l5_block(b, table, rows, cols, scale, x) for x in range(b.d)), b.d)
+
+
+def _b1_violation(b, table, scale):
+    """``where`` (a, c) of B1's first violation; B1 is linear, so S does not enter."""
+    for a, c in itertools.product(range(b.d), repeat=2):
+        if any(_b1_block(b, table, a, c)):
+            return (a, c)
+    return None
+
+
+# the axioms ``check_axioms`` decides by blocks; the others it reads from
+# their streams
+_BLOCK_DECIDERS = {"L3": _l3_violation, "L5": _l5_violation, "B1": _b1_violation}
+
+
 def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     """Check the requested axioms exactly on basis tuples.
 
@@ -467,7 +602,9 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     witness is the first violating basis tuple: (a, c) for L1 and B1, (a,)
     for L2 and L4, (a, x, y) for L3 and (x, y, a) for L5. ``strongD`` is the
     same identity as L1 phrased on the coalgebra alone. The equations are
-    decided on the integer table S sigma (module docstring).
+    decided on the integer table S sigma (module docstring): L1, L2 and L4
+    from their streams, L3 block by block over a, L5 over x and B1 over
+    (a, c), each witness the first violation in the stream's order.
     """
     which = set(AXIOMS) - {"strongD"} if which is None else set(which)
     unknown = which - set(AXIOMS)
@@ -478,9 +615,12 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     report = {}
     for name, equations in EQUATIONS.items():
         if name in which:
-            if equations not in found:
-                found[equations] = _first_violation(equations(b, scale), table)
-            report[name] = (found[equations] is None, found[equations])
+            decide = _BLOCK_DECIDERS.get(name)
+            key = decide or equations
+            if key not in found:
+                found[key] = (decide(b, table, scale) if decide
+                              else _first_violation(equations(b, scale), table))
+            report[name] = (found[key] is None, found[key])
     return report
 
 

@@ -67,6 +67,15 @@ def _report(command, verdicts, witnesses, started):
     }
 
 
+def _names(text, option):
+    """The comma-separated names in ``text``, blanks stripped; a list that
+    names nothing would verify nothing, so it is a ValueError."""
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ValueError(f"{option} names nothing; give at least one name")
+    return names
+
+
 def _frac_list(text):
     return [parse_frac(tok) for tok in text.split(",")]
 
@@ -110,7 +119,7 @@ def _spec_matrix(m, what):
 def cmd_check(args):
     started = time.monotonic()
     r = jsonio.operator_from_json(_load_json(args.op))
-    laws = [tok.strip() for tok in args.laws.split(",") if tok.strip()]
+    laws = _names(args.laws, "--laws")
     unknown = set(laws) - set(LAWS)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}; choose from {LAWS}")
@@ -276,11 +285,8 @@ def cmd_bialgebra_check(args):
     s = jsonio.sigma_from_json(_load_json(args.sigma))
     if s.d != b.d:
         raise ValueError("sigma table size disagrees with the bialgebra dimension")
-    axioms = (
-        [tok.strip() for tok in args.axioms.split(",") if tok.strip()]
-        if args.axioms
-        else ["L1", "L2", "L3", "L4", "L5"]
-    )
+    axioms = (["L1", "L2", "L3", "L4", "L5"] if args.axioms is None
+              else _names(args.axioms, "--axioms"))
     unknown = set(axioms) - set(AXIOMS)
     if unknown:
         raise ValueError(f"unknown axioms: {sorted(unknown)}; choose from {AXIOMS}")
@@ -349,7 +355,8 @@ def build_parser():
     c = sub.add_parser("bialgebra-check", help="check sigma-table axioms")
     c.add_argument("--bialgebra", required=True)
     c.add_argument("--sigma", required=True)
-    c.add_argument("--axioms", help="comma-separated subset of the axiom names")
+    c.add_argument("--axioms",
+                   help="comma-separated subset of the axiom names (default L1,L2,L3,L4,L5)")
     return p
 
 

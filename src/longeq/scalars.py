@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` values throughout: canonical reduced
 form and positive denominator come for free, and all arithmetic is exact.
-The JSON wire format is a decimal integer string, optionally ``"p/q"``.
+The JSON wire format is a decimal integer string, optionally ``"p/q"``
+with a sign on p only.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_FRAC_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_FRAC_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_frac(s) -> Fraction:
     """Parse a fraction string like ``"3"`` or ``"-2/7"``; ints pass through.
-    Anything else, a bool or a zero denominator included, is a ValueError."""
+    Anything else, a bool, a signed denominator or a zero denominator
+    included, is a ValueError."""
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _FRAC_RE.match(s.strip()):

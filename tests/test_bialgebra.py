@@ -685,6 +685,111 @@ def test_check_axioms_report_order():
     assert list(check_axioms(b, s)) == ["L1", "L2", "L4", "L3", "L5", "B1"]
 
 
+def _equation_values(equations, table):
+    """(where, value) of each stream equation at the integer table
+    ``table``: the per-tuple oracle of the L3, L5 and B1 blocks."""
+    t = [x for row in table for x in row]
+    for where, const, lin, quad in equations:
+        yield where, (const + sum(c * t[k] for k, c in lin.items())
+                      + sum(c * t[k1] * t[k2] for (k1, k2), c in quad.items()))
+
+
+def _block_tables(b, rng, count):
+    """eps (x) eps, which passes L1-L5 so that every block is scanned, and
+    ``count`` seeded tables at each sigma scale 1, 2 and 6: eps (x) eps with
+    one entry moved, members of the L1/L2/L4 space, and small random tables."""
+    d, space = b.d, l1_solution_space(b)
+    tables = [SigmaTable.counit_square(b).table]
+    for den in (1, 2, 6):
+        steps = [F(k, den) for k in (-1, 1)] + ([F(1, 3)] if den == 6 else [])
+        for k in range(count):
+            if k % 3 == 0:
+                table = [row[:] for row in tables[0]]
+            elif k % 3 == 1:
+                vec = list(space.particular)
+                for v in space.basis:
+                    c = rng.choice([-1, 0, 1])
+                    vec = [x + c * y for x, y in zip(vec, v)]
+                table = [vec[p * d:(p + 1) * d] for p in range(d)]
+            else:
+                table = [[F(rng.choice([-1, 0, 0, 1])) for _ in range(d)] for _ in range(d)]
+            for step in rng.sample(steps, 2 if den == 6 else 1):
+                table[rng.randrange(d)][rng.randrange(d)] += step
+            tables.append(table)
+    return tables
+
+
+def test_axiom_blocks_match_the_per_tuple_streams():
+    """The L3, L5 and B1 blocks hold the value of every stream equation in
+    them, and ``check_axioms`` names the stream's first violation: on every
+    builtin bialgebra, the d = 22 truncation included, and on two with
+    fractional structure constants, at sigma scales 1, 2 and 6. The streams
+    stay in ``EQUATIONS`` as the oracle, read by ``sigma_feasibility``."""
+    rng = random.Random(20261019)
+    witnesses = {name: set() for name in ("L3", "L5", "B1")}
+    scales = set()
+    cases = [(b, 3) for b in _spaced_algebras()] + [(comatrix_tensor_truncation(2, 2), 1)]
+    for b, count in cases:
+        d = b.d
+        for table in _block_tables(b, rng, count):
+            t, scale = la.clear_denominators(table)
+            scales.add(scale)
+            got = check_axioms(b, SigmaTable(table), ["L3", "L5", "B1"])
+            rows, cols = bialgebra._nonzeros(t), bialgebra._nonzeros(zip(*t))
+            l3, l5, b1 = {}, {}, {}
+            for (a, x, y), val in _equation_values(bialgebra.EQUATIONS["L3"](b, scale), t):
+                l3.setdefault(a, {})[x * d + y] = val
+            for (x, y, a), val in _equation_values(bialgebra.EQUATIONS["L5"](b, scale), t):
+                l5.setdefault(x, {})[y * d + a] = val
+            for where, val in _equation_values(bialgebra.EQUATIONS["B1"](b, scale), t):
+                b1.setdefault(where, []).append(val)
+            for outer in range(d):
+                block = bialgebra._l3_block(b, t, rows, scale, outer)
+                assert ({k: v for k, v in block.items() if v}
+                        == {k: v for k, v in l3[outer].items() if v}), (b.basis, outer)
+                block = bialgebra._l5_block(b, t, rows, cols, scale, outer)
+                assert ({k: v for k, v in block.items() if v}
+                        == {k: v for k, v in l5[outer].items() if v}), (b.basis, outer)
+            for (a, c), values in b1.items():
+                assert bialgebra._b1_block(b, t, a, c) == values, (b.basis, a, c)
+            for name in ("L3", "L5", "B1"):
+                want = bialgebra._first_violation(bialgebra.EQUATIONS[name](b, scale), t)
+                assert got[name] == (want is None, want), (b.basis, name, table)
+                witnesses[name].add(want is None)
+    assert all(seen == {True, False} for seen in witnesses.values()), witnesses
+    assert {1, 2, 6} <= scales, scales
+
+
+def test_l5_blocks_run_by_x_not_by_a():
+    """On k[Z/2], with Delta e_a = e_a (x) e_a and e_x e_y = e_{x+y}, L5 at
+    (x, y, a) reads t[x+y][a] - t[y][a] t[x][a]. The table [[0, -1], [1, 0]]
+    passes it at (0, 0, 0) (0 - 0), fails it at (0, 0, 1) (-1 - 1) and at
+    (0, 1, 0) (1 - 1 * 0). The stream's order is (x, y, a), so its first
+    violation is (0, 0, 1); blocks keyed by a would reach a = 0 first and
+    name (0, 1, 0)."""
+    b = cyclic_group_algebra(2)
+    table = [[0, -1], [1, 0]]
+    assert check_axioms(b, SigmaTable(table), ["L5"]) == {"L5": (False, (0, 0, 1))}
+    failures = [w for w, v in _equation_values(bialgebra.EQUATIONS["L5"](b, 1), table) if v]
+    assert min(failures) == (0, 0, 1)
+    assert min(failures, key=lambda w: (w[2], w[0], w[1])) == (0, 1, 0)
+
+
+def test_check_axioms_forms_no_per_tuple_equation_of_l3_l5_b1(monkeypatch):
+    """``check_axioms`` decides L3, L5 and B1 by blocks: with their streams
+    replaced by ones that raise, every report is the one before."""
+    b, rng = comatrix_tensor_truncation(2, 1), random.Random(5)
+    tables = _block_tables(b, rng, 3)
+    want = [check_axioms(b, SigmaTable(t), AXIOMS) for t in tables]
+
+    def refuse(b, scale):
+        raise AssertionError("a per-tuple L3, L5 or B1 stream was read")
+
+    for name in ("L3", "L5", "B1"):
+        monkeypatch.setitem(bialgebra.EQUATIONS, name, refuse)
+    assert [check_axioms(b, SigmaTable(t), AXIOMS) for t in tables] == want
+
+
 def test_l1_space_h4_forced_constraints():
     h4 = sweedler_h4()
     space = l1_solution_space(h4)

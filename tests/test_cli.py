@@ -376,6 +376,82 @@ def test_check_unknown_law_is_usage_error(tmp_path, capsys):
     assert "unknown laws" in err
 
 
+def _small_argv(tmp_path, command, edit=None):
+    """argv of ``check`` on make_phi(2, [1, 1]) or of ``bialgebra-check`` on
+    k[Z/2] with eps (x) eps, ``edit`` applied to the operator or sigma JSON."""
+    if command == "check":
+        op = operator_to_json(make_phi(2, [1, 1]))
+        if edit:
+            edit(op)
+        return ["check", "--op", _write(tmp_path, "op.json", op)]
+    b = cyclic_group_algebra(2)
+    sig = sigma_to_json(SigmaTable.counit_square(b))
+    if edit:
+        edit(sig)
+    return ["bialgebra-check", "--bialgebra", _write(tmp_path, "b.json", bialgebra_to_json(b)),
+            "--sigma", _write(tmp_path, "s.json", sig)]
+
+
+@pytest.mark.parametrize("command, option", [("check", "--laws"), ("bialgebra-check", "--axioms")])
+@pytest.mark.parametrize("names", ["", ",", " , ", ",,"])
+def test_empty_name_list_is_usage_error(tmp_path, capsys, command, option, names):
+    """A ``--laws`` or ``--axioms`` list that names nothing would verify
+    nothing and report success; it exits 2. An empty ``--axioms`` string
+    is such a list too, not the L1-L5 default of an omitted ``--axioms``."""
+    code, out, err = _run(capsys, _small_argv(tmp_path, command) + [f"{option}={names}"])
+    assert (code, out, err) == (2, "", f"error: {option} names nothing; give at least one name\n")
+
+
+def test_omitted_axioms_check_l1_to_l5(tmp_path, capsys):
+    code, out, _ = _run(capsys, _small_argv(tmp_path, "bialgebra-check"))
+    assert code == 0 and list(json.loads(out)["verdicts"]) == ["L1", "L2", "L4", "L3", "L5"]
+
+
+def _name_lists(names):
+    """Strings for a comma-separated name option: known names, near misses,
+    blanks and arbitrary text, joined by commas, or any text at all."""
+    token = st.one_of(st.sampled_from(list(names) + ["", " ", "bogus", names[0].upper(),
+                                                     f" {names[-1]} "]),
+                      st.text(max_size=4))
+    return st.one_of(st.lists(token, max_size=4).map(",".join), st.text(max_size=8))
+
+
+def _check_name_option(capsys, argv, option, text):
+    """Run ``argv`` with ``option=text``: exit 0 or 1 with a verdict for
+    each name given, and at least one given, or 2 with an ``error:`` line;
+    never a traceback."""
+    code, out, err = _run(capsys, argv + [f"{option}={text}"])
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+    else:
+        assert code in (0, 1), err
+        given_names = {tok.strip() for tok in text.split(",") if tok.strip()}
+        assert given_names and set(json.loads(out)["verdicts"]) == given_names
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_name_lists(tensor_ops.LAWS))
+@example("long,,qybe")
+@example(" symmetric , hopf,long ")
+@example("long,bogus")
+def test_check_laws_fuzz_exits_0_1_or_2(tmp_path, capsys, text):
+    _check_name_option(capsys, _small_argv(tmp_path, "check"), "--laws", text)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_name_lists(longeq.AXIOMS))
+@example("L1,strongD,L1")
+@example(" B1 , L5")
+@example("L3,l3")
+def test_bialgebra_check_axioms_fuzz_exits_0_1_or_2(tmp_path, capsys, text):
+    # on H4, eps (x) eps fails B1, so exit 1 is reached too
+    bi, sig = _bialgebra_files(tmp_path, sweedler_h4())
+    _check_name_option(capsys, ["bialgebra-check", "--bialgebra", bi, "--sigma", sig],
+                       "--axioms", text)
+
+
 def test_check_missing_file_is_usage_error(capsys):
     code, _, err = _run(capsys, ["check", "--op", "/nonexistent/op.json"])
     assert code == 2
@@ -1301,6 +1377,29 @@ def _set(path, value):
             obj = obj[key]
         obj[path[-1]] = value
     return edit
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("check", _set(["entries", 0, "coeff"], "1/-2")),
+    ("bialgebra-check", _set(["table", 0, 1], "1/-2")),
+], ids=["check", "bialgebra-check"])
+def test_signed_denominator_is_not_a_fraction_string(tmp_path, capsys, command, edit):
+    """A denominator carries no sign: "1/-2" exits 2 with the message of
+    every other malformed fraction string, in an operator entry and in a
+    sigma table entry; it used to reach ``Fraction`` and print its
+    "Invalid literal for Fraction"."""
+    argv = _small_argv(tmp_path, command, edit)
+    assert _run(capsys, argv) == (2, "", "error: not a fraction string: '1/-2'\n")
+
+
+@pytest.mark.parametrize("text, want", [("1/-2", None), ("1/+2", None), ("-1/-2", None),
+                                        ("-1/2", Fraction(-1, 2)), ("+3/6", Fraction(1, 2))])
+def test_parse_frac_takes_a_sign_on_the_numerator_only(text, want):
+    if want is None:
+        with pytest.raises(ValueError, match=re.escape(f"not a fraction string: '{text}'")):
+            parse_frac(text)
+    else:
+        assert parse_frac(text) == want
 
 
 _NESTED = "must be a {}-fold nested list of fractions"
