@@ -604,12 +604,18 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     same identity as L1 phrased on the coalgebra alone. The equations are
     decided on the integer table S sigma (module docstring): L1, L2 and L4
     from their streams, L3 block by block over a, L5 over x and B1 over
-    (a, c), each witness the first violation in the stream's order.
+    (a, c), each witness the first violation in the stream's order. ``which``
+    defaults to all but ``strongD``; an empty ``which``, an unknown name or
+    a sigma table whose size is not ``b.d`` is a ValueError.
     """
+    if s.d != b.d:
+        raise ValueError("sigma table size disagrees with the bialgebra dimension")
     which = set(AXIOMS) - {"strongD"} if which is None else set(which)
+    if not which:
+        raise ValueError("the axiom list names nothing; give at least one axiom")
     unknown = which - set(AXIOMS)
     if unknown:
-        raise ValueError(f"unknown axioms: {sorted(unknown)}")
+        raise ValueError(f"unknown axioms: {sorted(unknown)}; choose from {AXIOMS}")
     table, scale = la.clear_denominators(s.table)
     found = {}
     report = {}
@@ -889,9 +895,12 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
     ``c`` is a ``Coalgebra``; ``rho`` gives the coaction: rho[v][l] is the
     coalgebra coordinate vector of the coefficient of m_v in rho(m_l).
     Checks the strong D-map identity (L1) and the coaction laws, then
-    verifies the output is a Long solution.
+    verifies the output is a Long solution; a sigma table not c.d x c.d is
+    a ValueError.
     """
     d = c.d
+    if s.d != d:
+        raise ValueError("sigma table size disagrees with the coalgebra dimension")
     n = len(rho)
     rho = [[ [Fraction(x) for x in cell] for cell in row] for row in rho]
     if any(len(row) != n for row in rho) or any(

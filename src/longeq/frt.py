@@ -402,8 +402,14 @@ def sigma_extend(pres: LongPresentation, w1, w2, left_first=False) -> Fraction:
     """sigma on a pair of generator words (indices into the generator list).
 
     The right word is split first unless ``left_first``; words are capped at
-    ``bialgebra.WORD_CAP``. See ``bialgebra.generator_sigma_words``.
+    ``bialgebra.WORD_CAP``. See ``bialgebra.generator_sigma_words``. A letter
+    that is not an int in 0..num_generators - 1 is a ValueError naming its word.
     """
+    w1, w2, m = tuple(w1), tuple(w2), pres.num_generators
+    for w in (w1, w2):
+        if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < m for x in w):
+            raise ValueError(f"word {w!r} has a letter that is not a generator "
+                             f"index in 0..{m - 1}")
     return generator_sigma_words(pres.generator_bialgebra, pres._sigma_pairs, w1, w2,
                                  left_first, pres._word_memo)
 

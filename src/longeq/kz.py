@@ -164,6 +164,8 @@ class LoopSpec:
     around ``center`` (a fixed-coordinate index, or an explicit complex
     point) at the given radius, starting on the ray through its base
     position; the other coordinates stay at the base configuration.
+    ``center_index`` keeps the index of a fixed-point centre, None for an
+    explicit point.
 
     ``kind="polygon"``: ``waypoints[k]`` is the closed piecewise-linear
     path of coordinate k (first point = last point exactly); every
@@ -189,8 +191,10 @@ class LoopSpec:
             if isinstance(center, int) and not isinstance(center, bool):
                 if not 0 <= center < self.N or center == self.moving:
                     raise ValueError("center index out of range")
+                self.center_index = center
                 self.center = self.base[center]
             else:
+                self.center_index = None
                 self.center = _coordinate(center, "center")
             self.radius = _coordinate(radius, "radius", numbers.Real)
             if self.radius <= 0:
@@ -219,8 +223,9 @@ class LoopSpec:
 
     def with_steps(self, steps):
         if self.kind == "circle":
+            center = self.center if self.center_index is None else self.center_index
             return LoopSpec(self.base, "circle", steps, moving=self.moving,
-                            center=self.center, radius=self.radius)
+                            center=center, radius=self.radius)
         return LoopSpec(self.base, "polygon", steps, waypoints=self.waypoints)
 
     def stage_data(self, ts, seg=None):
@@ -550,6 +555,22 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
         if part is not w:
             w[:, live] = part
     return w
+
+
+def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
+    """The ``--compare`` preconditions, each a ValueError: the command
+    requires a flip-invariant operator and a circle centred on a fixed
+    point that encloses no other point. ``circle_oracle`` is exact when R
+    satisfies Long equation 1 and the circle encloses only its centre, as
+    its docstring derives."""
+    if not sys.symmetric:
+        raise ValueError("comparison mode requires a symmetric operator (flip-invariant)")
+    if loop.kind != "circle" or loop.center_index is None:
+        raise ValueError("comparison mode requires a circle loop centered on a fixed point")
+    if any(abs(z - loop.center) < loop.radius for j, z in enumerate(loop.base)
+           if j not in (loop.center_index, loop.moving)):
+        raise ValueError("comparison mode requires a circle that encloses no fixed point "
+                         "besides its centre")
 
 
 def circle_oracle(sys: KZSystem, moving, center) -> np.ndarray:

@@ -258,8 +258,9 @@ def kz_bracket(r: TensorOp2) -> bool:
 def check_laws(r: TensorOp2, laws=None) -> dict:
     """Evaluate the requested laws exactly; returns {law: bool}.
 
-    Laws: long, d_equation, qybe, hopf, kz_bracket, symmetric. When the
-    Long law holds the KZ bracket must hold as well (it is an algebraic
+    Laws: long, d_equation, qybe, hopf, kz_bracket, symmetric (``None``:
+    all); an empty list or an unknown name is a ValueError. When the Long
+    law holds the KZ bracket must hold as well (it is an algebraic
     consequence); a failure raises ``InternalCheckFailed``.
 
     The laws are decided on Z = D R (``TensorOp2.cleared``), D the lcm of
@@ -274,9 +275,11 @@ def check_laws(r: TensorOp2, laws=None) -> dict:
     Symmetry is an index permutation (``flip_invariant``).
     """
     wanted = set(LAWS) if laws is None else set(laws)
+    if not wanted:
+        raise ValueError("the law list names nothing; give at least one law")
     unknown = wanted - set(LAWS)
     if unknown:
-        raise ValueError(f"unknown laws: {sorted(unknown)}")
+        raise ValueError(f"unknown laws: {sorted(unknown)}; choose from {LAWS}")
     z12, z13, z23 = r.lifts
     report = {}
     need_long = bool({"long", "kz_bracket"} & wanted)

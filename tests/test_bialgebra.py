@@ -1235,6 +1235,46 @@ def test_strong_dmap_rejects_violations():
         strong_dmap_rsigma(c, SigmaTable(pres.sigma_gen), broken_rho)
 
 
+def test_strong_dmap_refuses_a_sigma_table_of_the_wrong_size():
+    """A 2 x 2 table on the one-element comatrix coalgebra read the wrong
+    cells and gave R = [[2]]; it is a ValueError."""
+    from longeq import strong_dmap_rsigma
+
+    with pytest.raises(ValueError, match="^sigma table size disagrees with the coalgebra "
+                                         "dimension$"):
+        strong_dmap_rsigma(comatrix_coalgebra(1), SigmaTable([[1, 1], [1, 1]]),
+                           fundamental_comodule(1))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_check_axioms_refuses_a_sigma_table_of_the_wrong_size(size):
+    """On k[Z/2] a 3 x 3 table returned verdicts (L1 and B1 true) and a
+    1 x 1 table raised IndexError; both are a ValueError, whatever axioms
+    are asked for."""
+    b = cyclic_group_algebra(2)
+    table = SigmaTable([[int(p == q) for q in range(size)] for p in range(size)])
+    for which in (None, ["L1"], ["L9"]):
+        with pytest.raises(ValueError, match="^sigma table size disagrees with the bialgebra "
+                                             "dimension$"):
+            check_axioms(b, table, which)
+
+
+def test_check_axioms_refuses_an_empty_or_unknown_axiom_list():
+    """An empty list would verify nothing and ``check_axioms`` returned {}
+    for it; it is a ValueError, and so is an unknown name, whose message
+    lists the axioms to choose from. ``None`` still asks for all but
+    ``strongD``."""
+    b = cyclic_group_algebra(2)
+    s = SigmaTable.counit_square(b)
+    with pytest.raises(ValueError, match="^the axiom list names nothing; give at least one "
+                                         "axiom$"):
+        check_axioms(b, s, [])
+    with pytest.raises(ValueError) as exc:
+        check_axioms(b, s, ["L1", "L9"])
+    assert str(exc.value) == f"unknown axioms: ['L9']; choose from {AXIOMS}"
+    assert set(check_axioms(b, s)) == set(AXIOMS) - {"strongD"}
+
+
 def test_group_algebra_validation():
     b = group_algebra(["e", "g"], [[0, 1], [1, 0]])
     assert b.counit == [F(1), F(1)]

@@ -402,6 +402,33 @@ def test_empty_name_list_is_usage_error(tmp_path, capsys, command, option, names
     assert (code, out, err) == (2, "", f"error: {option} names nothing; give at least one name\n")
 
 
+_SIGMA_3X3 = {"table": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("command, extra, want", [
+    ("check", ["--laws", "bogus"],
+     "unknown laws: ['bogus']; choose from "
+     "('long', 'd_equation', 'qybe', 'hopf', 'kz_bracket', 'symmetric')"),
+    ("bialgebra-check", ["--axioms", "L9"],
+     "unknown axioms: ['L9']; choose from ('L1', 'L2', 'L3', 'L4', 'L5', 'B1', 'strongD')"),
+    ("bialgebra-3x3", ["--axioms", "L9"],
+     "sigma table size disagrees with the bialgebra dimension"),
+    ("bialgebra-3x3", [], "sigma table size disagrees with the bialgebra dimension"),
+    ("bialgebra-3x3", ["--axioms", ","], "--axioms names nothing; give at least one name"),
+])
+def test_refused_names_and_sizes_stderr_is_pinned(tmp_path, capsys, command, extra, want):
+    """The library decides unknown names and the sigma size; the CLI maps
+    its ValueError to exit 2 with the same bytes as before. A 3 x 3 sigma on
+    k[Z/2] is refused before its names, unless they name nothing."""
+    if command == "bialgebra-3x3":
+        argv = _small_argv(tmp_path, "bialgebra-check")
+        argv[-1] = _write(tmp_path, "s3.json", _SIGMA_3X3)
+    else:
+        argv = _small_argv(tmp_path, command)
+    code, out, err = _run(capsys, argv + extra)
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
 def test_omitted_axioms_check_l1_to_l5(tmp_path, capsys):
     code, out, _ = _run(capsys, _small_argv(tmp_path, "bialgebra-check"))
     assert code == 0 and list(json.loads(out)["verdicts"]) == ["L1", "L2", "L4", "L3", "L5"]
@@ -781,6 +808,10 @@ def test_kz_compare_symmetric(tmp_path, capsys):
     assert code == 0
     assert obj["oracle_distance"] < 1e-6
     assert all(obj["residuals"].values())
+    # --steps rebuilds the loop; the rebuilt circle keeps its fixed-point centre
+    code, out, _ = _run(capsys, ["kz", "--op", op, "--points", "2", "--h", "0.05",
+                                 "--loop", loop, "--steps", "32", "--compare"])
+    assert code == 0 and json.loads(out)["oracle_distance"] < 1e-6
 
 
 def test_kz_compare_rejects_nonsymmetric(tmp_path, capsys, corpus):
@@ -844,7 +875,7 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
         want = "n^N = 16 exceeds cap 8"
     elif case == "nonsymmetric":
         argv.append("--compare")
-        want = "comparison mode requires a symmetric operator"
+        want = "comparison mode requires a symmetric operator (flip-invariant)"
     elif case == "explicit_center":
         loop = _write(tmp_path, "loop.json", {
             "base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
@@ -860,8 +891,7 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
         argv = ["kz", "--op", op, "--points", "3", "--h", "0.05", "--loop", loop, "--compare"]
         want = "comparison mode requires a circle that encloses no fixed point besides its centre"
     code, out, err = _run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert want in err
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 def test_kz_lift_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -1078,9 +1108,8 @@ _KZ_ARG = st.one_of(st.sampled_from(["2", "3", "0", "-1", "x", "", "1e3", "nan",
 def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, h, steps,
                                              compare):
     """``kz`` on fuzzed loop JSON and ``--points``, ``--h`` and ``--steps``
-    values exits 0 or 1 with a report, or 2 with an ``error:`` line (or the
-    comparison-mode usage line); it never raises. ``--points`` is the loop's
-    own count when not drawn."""
+    values exits 0 or 1 with a report, or 2 with an ``error:`` line; it
+    never raises. ``--points`` is the loop's own count when not drawn."""
     loop = _write(tmp_path, "loop.json", loop_obj)
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     if points is None:
@@ -1094,7 +1123,7 @@ def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, 
         code, out, err = _run(capsys, argv)
     if code == 2:
         last = err.splitlines()[-1]
-        assert "error:" in last or last.startswith("comparison mode requires"), err
+        assert "error:" in last, err
         assert out == ""
     else:
         assert code in (0, 1) and json.loads(out)["N"] == int(points), (code, err)
@@ -1625,4 +1654,23 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cmd_handlers_leave_usage_errors_to_main():
+    """Each refusal is a library exception that ``main`` maps to exit 2 with
+    an ``error:`` line, so no ``cmd_*`` handler writes to stderr, names
+    ``EXIT_USAGE`` or returns 2 itself."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(handlers) == 6
+    found = []
+    for f in handlers:
+        for node in ast.walk(f):
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                    or isinstance(node, ast.Name) and node.id == "EXIT_USAGE"
+                    or isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found.append(f"{f.name}:{node.lineno}")
     assert found == []

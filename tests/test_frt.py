@@ -303,6 +303,25 @@ def test_sigma_extension_word_cap():
         sigma_extend(pres, [0] * 7, [0])
 
 
+@pytest.mark.parametrize("w1, w2, bad", [((7,), (0,), (7,)), ((-1,), (0,), (-1,)),
+                                         ((7,), (), (7,)), ((0,), (0, 2), (0, 2)),
+                                         ((True,), (0,), (True,)), ((0.0,), (0,), (0.0,))],
+                         ids=["7", "-1", "7-on-empty", "right-word", "bool", "float"])
+def test_sigma_extension_refuses_a_letter_that_is_not_a_generator(w1, w2, bad):
+    """make_phi(2, [1, 1]) has two generators. Letters 7 and -1 read as
+    zero (sigma_extend gave 0, dimodule_action the zero vector) or raised a
+    bare KeyError; each is a ValueError naming its word, through every
+    caller of the word engine."""
+    pres = build_LR(make_phi(2, [1, 1]))
+    assert pres.num_generators == 2
+    match = rf"^word {re.escape(repr(bad))} has a letter that is not a generator index in 0\.\.1$"
+    with pytest.raises(ValueError, match=match):
+        sigma_extend(pres, w1, w2)
+    for call in (dimodule_action, dimodule_compatible):
+        with pytest.raises(ValueError, match=match):
+            call(pres, bad, 1)
+
+
 def test_convolution_inverse_on_invertible_corpus(corpus):
     from longeq import SingularOperator, invert
 

@@ -104,6 +104,18 @@ def test_check_laws_identity_all_true():
     }
 
 
+def test_check_laws_refuses_an_empty_or_unknown_law_list():
+    """An empty list would verify nothing and ``check_laws`` returned {}
+    for it; it is a ValueError, and so is an unknown name, whose message
+    lists the laws to choose from. ``None`` still asks for all of them."""
+    r = make_phi(2, [1, 1])
+    with pytest.raises(ValueError, match="^the law list names nothing; give at least one law$"):
+        check_laws(r, [])
+    with pytest.raises(ValueError) as exc:
+        check_laws(r, ["long", "bogus"])
+    assert str(exc.value) == f"unknown laws: ['bogus']; choose from {LAWS}"
+
+
 def test_long_implies_kz_bracket(corpus):
     for name, r in corpus.items():
         rep = check_laws(r, ["long", "kz_bracket"])
