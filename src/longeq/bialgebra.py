@@ -12,11 +12,11 @@ structure constants.
 
 The constructor reads each cell of ``mult`` and ``comult`` once and keeps
 only its nonzero entries. The dense d x d x d Fraction cubes ``mult`` and
-``comult`` are views of those, formed on first read; no law, no axiom
-and no CLI command reads them. Validation visits only the basis tuples
-that have a term: an associativity triple (a, b, c) whose two sums are
-empty, with e_b e_c = 0 and e_m e_c = 0 for every e_m in e_a e_b, holds
-and is skipped.
+``comult`` are views of those, formed on first read; no module of the
+package reads them, ``strong_dmap_rsigma`` included. Validation visits
+only the basis tuples that have a term: an associativity triple
+(a, b, c) whose two sums are empty, with e_b e_c = 0 and e_m e_c = 0 for
+every e_m in e_a e_b, holds and is skipped.
 
 Every law and every axiom is decided on Python ints. D (``scale``) is the
 lcm of the denominators of the nonzero structure constants (of ``comult``
@@ -73,7 +73,7 @@ from .errors import (
     NotAStrongDMap,
 )
 from .linalg import F0, F1
-from .tensor_ops import TensorOp2, long_witness
+from .tensor_ops import TensorOp2, _form, _pullback, long_witness
 
 AXIOMS = ("L1", "L2", "L3", "L4", "L5", "B1", "strongD")
 
@@ -894,9 +894,11 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
 
     ``c`` is a ``Coalgebra``; ``rho`` gives the coaction: rho[v][l] is the
     coalgebra coordinate vector of the coefficient of m_v in rho(m_l).
-    Checks the strong D-map identity (L1) and the coaction laws, then
-    verifies the output is a Long solution; a sigma table not c.d x c.d is
-    a ValueError.
+    Checks the strong D-map identity (L1), then that c_vl -> rho_vl is a
+    coalgebra map (on the nonzeros of rho and ``comult_nz``, at D =
+    ``c.scale``), then that the output, sigma(rho_iv (x) rho_ju) at
+    ((i,j), (v,u)) by ``_pullback``, is a Long solution; a sigma table not
+    c.d x c.d is a ValueError.
     """
     d = c.d
     if s.d != d:
@@ -910,20 +912,23 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
     w = _first_violation(_l1_equations(c, 1), s.table)
     if w is not None:
         raise NotAStrongDMap(f"strong D-map identity fails at basis pair {w}", w)
-    rng, vals = range(n), range(d)
-    # counit law and coassociativity of the coaction
+    rng, scale, eps, nz = range(n), c.scale, c.int_counit, c.comult_nz
+    # the nonzero (k, coefficient) pairs of each rho_vl
+    rho = [[[(k, x) for k, x in enumerate(cell) if x] for cell in row] for row in rho]
     for v, l in itertools.product(rng, repeat=2):
-        if sum((rho[v][l][k] * c.counit[k] for k in vals), F0) != (F1 if v == l else F0):
+        if sum([x * eps[k] for k, x in rho[v][l]]) != (scale if v == l else 0):
             raise InvalidCoaction(f"counit law fails at ({v},{l})")
-    for v, l, p, q in itertools.product(rng, rng, vals, vals):
-        if (sum((rho[v][l][k] * c.comult[k][p][q] for k in vals), F0)
-                != sum((rho[v][w_][p] * rho[w_][l][q] for w_ in rng), F0)):
+    for v, l in itertools.product(rng, repeat=2):
+        acc = {}  # (p, q): D times the e_p (x) e_q coefficient of the difference
+        for k, x in rho[v][l]:
+            for p, q, y in nz[k]:
+                acc[p, q] = acc.get((p, q), 0) + x * y
+        for w_ in rng:
+            for (p, x), (q, y) in itertools.product(rho[v][w_], rho[w_][l]):
+                acc[p, q] = acc.get((p, q), 0) - scale * x * y
+        if any(acc.values()):
             raise InvalidCoaction(f"coassociativity fails at ({v},{l})")
-    t = s.table
-    mat = [[sum((x1 * x2 * t[k1][k2] for k1, x1 in enumerate(rho[i][v]) if x1
-                 for k2, x2 in enumerate(rho[j][u]) if x2), F0)
-            for v in rng for u in rng] for i in rng for j in rng]
-    out = TensorOp2(n, mat)
+    out = TensorOp2(n, _form(_pullback([cell for row in rho for cell in row], s.table), n))
     witness = long_witness(out)
     if witness is not None:
         raise InternalCheckFailed(

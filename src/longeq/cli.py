@@ -25,6 +25,7 @@ from .frt import build_LR, presentation_text, round_trip
 from .scalars import parse_frac
 from .tensor_ops import (
     GradedActionData,
+    _spec_index,
     check_laws,
     long_witness,
     make_conjugate,
@@ -90,14 +91,6 @@ def _load_spec(path):
     return spec
 
 
-def _spec_index(x, size, what):
-    """A 0-based index into a spec list of ``size`` items; booleans,
-    non-integers and indices outside [0, size) are a ValueError."""
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size:
-        raise ValueError(f"{what} must be an integer index in [0, {size}), got {x!r}")
-    return x
-
-
 def _spec_list(x, what):
     """A spec field that must be a JSON list; anything else is a ValueError."""
     if not isinstance(x, list):
@@ -131,9 +124,6 @@ def cmd_check(args):
 
 
 def cmd_construct(args):
-    # each kind refuses an operator above the size cap before building it
-    if args.kind in ("phi", "diag", "pair"):
-        jsonio.check_operator_dim(args.n)
     if args.kind == "phi":
         r = make_phi(args.n, [int(tok) for tok in args.map.split(",")])
     elif args.kind == "diag":
@@ -149,7 +139,6 @@ def cmd_construct(args):
     elif args.kind == "graded":
         spec = _load_spec(args.spec)
         degrees = _spec_list(spec["degrees"], "degrees")
-        jsonio.check_operator_dim(len(degrees))
         if not isinstance(spec["actions"], dict):
             raise ValueError("actions must be an object mapping elements to matrices")
         elements = _spec_list(spec["elements"], "elements")
@@ -167,16 +156,10 @@ def cmd_construct(args):
     elif args.kind == "homothety":
         spec = _load_spec(args.spec)
         rep = [_spec_matrix(m, "rep matrix") for m in _spec_list(spec["rep"], "rep")]
-        jsonio.check_operator_dim(len(rep[0]) if rep else 0)
         terms = _spec_list(spec["element"], "element")
         if any(not isinstance(t, list) or len(t) != 3 for t in terms):
             raise ValueError("element terms must be [coeff, left index, right index] lists")
-        element = [
-            (parse_frac(c), _spec_index(li, len(rep), "element index"),
-             _spec_index(ri, len(rep), "element index"))
-            for c, li, ri in terms
-        ]
-        r = make_homothety(rep, element)
+        r = make_homothety(rep, [(parse_frac(c), li, ri) for c, li, ri in terms])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown constructor {args.kind}")
     _emit(jsonio.operator_to_json(r))

@@ -52,7 +52,8 @@ vector is. So every verdict, and every first failure, is the one over Q:
 the counit is tested on integer RREF rows, Delta descent at scale L^2
 (pi (x) pi) and sigma descent at D (on integer rows). The coset table,
 formed when read, is L^2 D times sigma on projected labels, and
-``check_L1_on_generators`` tests L1 on it at L^3 D.
+``check_L1_on_generators`` tests L1 on it at L^3 D. ``_int_coset_table``
+forms it by ``tensor_ops._pullback``, as ``strong_dmap_rsigma`` forms R_sigma.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .tensor_ops import (
     _form,
     _obstruction_rows,
     _obstruction_vectors,
+    _pullback,
     invert,
 )
 
@@ -271,19 +273,10 @@ class SigmaForm:
 
 
 def _int_coset_table(table, quotient):
-    """The integer form ``table`` on the scaled cosets:
-    P[a][b] = table(L pi c_a (x) L pi c_b).
-
-    Indexed by comatrix slots a = (i-1)n + (v-1), b = (j-1)n + (u-1); this is
-    Pi^T T Pi with Pi the scaled projections, summed over their nonzeros.
-    """
-    cosets = quotient.int_cosets
+    """P[a][b] = table(L pi c_a (x) L pi c_b) by comatrix slots a, b: the
+    ``_pullback`` of ``table`` on the representatives along ``int_cosets``."""
     reps = quotient.rep_slots
-    # right[s][b] = sum_t T[rep s][rep t] * (L pi c_b)[t]
-    right = [[sum([table[ra][reps[t]] * x for t, x in terms]) for terms in cosets]
-             for ra in reps]
-    return [[sum([x * right[s][b] for s, x in terms]) for b in range(len(cosets))]
-            for terms in cosets]
+    return _pullback(quotient.int_cosets, [[table[a][b] for b in reps] for a in reps])
 
 
 class LongPresentation:

@@ -15,10 +15,10 @@ import numpy as np
 from .bialgebra import FinDimBialgebra, SigmaTable, ZeroCell
 from .frt import LongPresentation
 from .errors import DimensionCap
-from .kz import LoopSpec, max_dim
+from .kz import LoopSpec
 from .linalg import F0
 from .scalars import frac_str, parse_frac
-from .tensor_ops import TensorOp2
+from .tensor_ops import TensorOp2, check_operator_dim
 
 FORMAT_VERSION = "1"
 
@@ -42,13 +42,6 @@ def operator_to_json(r: TensorOp2) -> dict:
                     {"v": v + 1, "u": u + 1, "i": i + 1, "j": j + 1, "coeff": frac_str(x)}
                 )
     return {"dim": n, "entries": entries}
-
-
-def check_operator_dim(n):
-    """Refuse, with ``DimensionCap``, an operator whose n^3 exceeds ``max_dim()``."""
-    cap = max_dim()
-    if n ** 3 > cap:
-        raise DimensionCap(f"operator dim {n}: n^3 = {n ** 3} exceeds cap {cap}")
 
 
 def operator_from_json(obj) -> TensorOp2:

@@ -16,7 +16,6 @@ import cmath
 import itertools
 import math
 import numbers
-import os
 
 import numpy as np
 
@@ -27,10 +26,9 @@ from .tensor_ops import (  # lift_exact is re-exported next to lift_float
     flip_invariant,
     kz_bracket,
     lift_exact,
+    max_dim,
 )
 
-DEFAULT_DIM_CAP = 4096
-DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 MIN_SEPARATION_FACTOR = 1e-6
 # largest magnitude of a loop's base points, waypoints and centre and of
 # its radius: positions then stay within 2e100, pairwise distances within
@@ -101,12 +99,6 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
             for cd in ("34", "43"):
                 report[f"[R{ab},R{cd}]"] = True
     return report
-
-
-def max_dim():
-    """The size cap: ``LONGEQ_MAX_DIM``, or 4096 when it is unset."""
-    raw = os.environ.get(DIM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_DIM_CAP
 
 
 class KZSystem:

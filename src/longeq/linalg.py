@@ -105,10 +105,6 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def kron(a, b):
     """Kronecker product; row/col blocks follow the left factor."""
     ra, ca = len(a), len(a[0])

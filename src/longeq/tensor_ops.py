@@ -22,6 +22,9 @@ decides Long (``long_witness``) and yields the RREF basis of V
 (``frt.build_LR``) in one pass; ``frt.SigmaForm`` runs it on that basis
 (``_first_descent_failure``).
 
+R_sigma is formed in one place, ``_pullback``, for ``frt`` and ``bialgebra``.
+Each constructor refuses n^3 above ``max_dim()`` before it builds anything.
+
 All arithmetic in this module is exact rational.
 """
 
@@ -29,11 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from functools import cached_property
 
 from . import linalg as la
 from .errors import (
     CentralityViolated,
+    DimensionCap,
     InternalCheckFailed,
     NonCommutingPair,
     NotALongSolution,
@@ -45,6 +50,27 @@ from .errors import (
 from .linalg import F0, F1
 
 LAWS = ("long", "d_equation", "qybe", "hopf", "kz_bracket", "symmetric")
+DEFAULT_DIM_CAP = 4096
+DIM_CAP_ENV = "LONGEQ_MAX_DIM"
+
+
+def max_dim():
+    """The size cap: ``LONGEQ_MAX_DIM``, or 4096 when it is unset."""
+    return int(os.environ.get(DIM_CAP_ENV) or DEFAULT_DIM_CAP)
+
+
+def check_operator_dim(n):
+    """Refuse, with ``DimensionCap``, an operator whose n^3 exceeds ``max_dim()``."""
+    cap = max_dim()
+    if n ** 3 > cap:
+        raise DimensionCap(f"operator dim {n}: n^3 = {n ** 3} exceeds cap {cap}")
+
+
+def _spec_index(x, size, what):
+    """``x`` if it is an int (not a bool) in [0, size), else a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size:
+        raise ValueError(f"{what} must be an integer index in [0, {size}), got {x!r}")
+    return x
 
 
 class TensorOp2:
@@ -357,6 +383,14 @@ def _form(matrix, n):
     return [[matrix[i * n + j][v * n + u] for j in rng for u in rng] for i in rng for v in rng]
 
 
+def _pullback(vecs, table):
+    """P[a][b] = sum_{s,t} vecs[a][s] table[s][t] vecs[b][t]: the form ``table``
+    pulled back along ``vecs``, lists of nonzero ``(index, value)`` pairs."""
+    # cols[b][s] = sum_t table[s][t] vecs[b][t]
+    cols = [[sum([row[t] * x for t, x in terms]) for row in table] for terms in vecs]
+    return [[sum([x * col[s] for s, x in terms]) for col in cols] for terms in vecs]
+
+
 def _first_descent_failure(table, rows):
     """First place where the form ``table`` fails to vanish on a row, or None.
 
@@ -460,6 +494,7 @@ def long_witness(r: TensorOp2):
 
 def make_diag(n, a) -> TensorOp2:
     """R(m_i (x) m_j) = a[i][j] m_i (x) m_j (a is n x n, 1-based in math)."""
+    check_operator_dim(n)
     a = la.to_frac_matrix(a)
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("a must be n x n")
@@ -475,6 +510,7 @@ def make_pair(f, g) -> TensorOp2:
     f = la.to_frac_matrix(f)
     g = la.to_frac_matrix(g)
     n = len(f)
+    check_operator_dim(n)
     if len(g) != n:
         raise ValueError("f and g must have equal size")
     if not la.mat_eq(la.mat_mul(f, g), la.mat_mul(g, f)):
@@ -504,6 +540,7 @@ def make_phi(n, phi) -> TensorOp2:
     ``phi`` is a length-n sequence of 1-based values. Coefficients:
     x[u,v,j,i] = [u==v][phi(i)==v][phi(j)==v].
     """
+    check_operator_dim(n)
     phi = list(phi)
     if len(phi) != n or any(not 1 <= p <= n for p in phi):
         raise ValueError("phi must map {1..n} into itself")
@@ -524,15 +561,17 @@ class GradedActionData:
     ``elements`` are hashable labels, ``table`` maps (g, h) -> gh,
     ``actions`` maps each element to an invertible n x n matrix (columns
     convention: (g . m_v) = sum_i actions[g][i][v] m_i), and ``degrees``
-    assigns a group element to each basis vector.
+    assigns a group element to each basis vector; n^3 above ``max_dim()``
+    is refused first, so ``make_graded`` never builds such an operator.
     """
 
     def __init__(self, elements, table, actions, degrees):
+        self.degrees = list(degrees)
+        self.n = len(self.degrees)
+        check_operator_dim(self.n)
         self.elements = list(elements)
         self.table = dict(table)
         self.actions = {g: la.to_frac_matrix(m) for g, m in actions.items()}
-        self.degrees = list(degrees)
-        self.n = len(self.degrees)
         self._validate()
 
     def _validate(self):
@@ -595,14 +634,17 @@ def make_homothety(rep, element) -> TensorOp2:
     commute with every generator a (checked exactly). Over the terms
     coeff * L (x) R of the sum S, sum coeff (L a - a L) (x) R is
     S (a (x) I) - (a (x) I) S, so the check is one commutator per generator.
+    An index that is not an int in 0..len(rep) - 1 is a ValueError.
     """
     rep = [la.to_frac_matrix(m) for m in rep]
     if not rep:
         raise ValueError("rep must be nonempty")
     n = len(rep[0])
+    check_operator_dim(n)
     acc = la.zeros(n * n, n * n)
     for coeff, li, ri in element:
-        acc = la.mat_add(acc, la.mat_scale(la.kron(rep[li], rep[ri]), coeff))
+        left, right = (rep[_spec_index(x, len(rep), "element index")] for x in (li, ri))
+        acc = la.mat_add(acc, la.mat_scale(la.kron(left, right), coeff))
     eye = la.identity(n)
     for idx, a in enumerate(rep):
         a1 = la.kron(a, eye)

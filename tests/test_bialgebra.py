@@ -12,8 +12,11 @@ from longeq import (
     InvalidBialgebra,
     InvalidCoaction,
     InvalidGroupTable,
+    LongeqError,
     NotAStrongDMap,
     SigmaTable,
+    SingularMatrix,
+    TensorOp2,
     build_LR,
     check_axioms,
     check_generator_long,
@@ -22,10 +25,14 @@ from longeq import (
     cyclic_group_algebra,
     fundamental_comodule,
     group_algebra,
+    idempotent_maps,
     l1_solution_space,
+    make_conjugate,
     make_phi,
+    round_trip,
     sigma_extend,
     sigma_feasibility,
+    strong_dmap_rsigma,
     sweedler_h4,
 )
 from longeq import bialgebra, jsonio
@@ -365,12 +372,16 @@ def test_bialgebra_to_json_is_frac_str_of_the_dense_cubes(monkeypatch):
 
 def test_bialgebra_check_forms_no_dense_cube():
     """Loading the d = 22 truncation from JSON and checking every axiom on
-    it reads only the scaled nonzeros: neither dense cube is formed."""
+    it reads only the scaled nonzeros: neither dense cube is formed. Nor
+    does ``strong_dmap_rsigma`` form the Delta cube of its coalgebra."""
     b = comatrix_tensor_truncation(2, 2)
     loaded = jsonio.bialgebra_from_json(jsonio.bialgebra_to_json(b))
     report = check_axioms(loaded, SigmaTable.counit_square(loaded), AXIOMS)
     assert list(report) == ["L1", "strongD", "L2", "L4", "L3", "L5", "B1"]
     assert "mult" not in vars(loaded) and "comult" not in vars(loaded)
+    c, table, rho = _comatrix2_case()
+    assert strong_dmap_rsigma(c, SigmaTable(table), rho).matrix == la_identity(4)
+    assert "comult" not in vars(c)
 
 
 def test_counit_square_universal_l1_l5():
@@ -1199,16 +1210,145 @@ def test_strong_dmap_full_comatrix_identity_r():
     assert r.matrix == la_identity(n * n)
 
 
-def test_strong_dmap_on_quotient_matches_frt_roundtrip():
-    from longeq import strong_dmap_rsigma
+def _dense_strong_dmap_rsigma(c, s, rho):
+    """The dense Fraction body ``strong_dmap_rsigma`` had before it moved onto
+    ``comult_nz``: the slow oracle of the sparse one. It reads the dense
+    ``c.comult`` cube and forms R_sigma as a triple sum."""
+    d = c.d
+    if s.d != d:
+        raise ValueError("sigma table size disagrees with the coalgebra dimension")
+    n = len(rho)
+    rho = [[[F(x) for x in cell] for cell in row] for row in rho]
+    if any(len(row) != n for row in rho) or any(
+        len(cell) != d for row in rho for cell in row
+    ):
+        raise InvalidCoaction("rho must be n x n with coalgebra-valued entries")
+    w = bialgebra._first_violation(bialgebra._l1_equations(c, 1), s.table)
+    if w is not None:
+        raise NotAStrongDMap(f"strong D-map identity fails at basis pair {w}", w)
+    rng, vals = range(n), range(d)
+    for v, l in itertools.product(rng, repeat=2):
+        if sum((rho[v][l][k] * c.counit[k] for k in vals), F(0)) != (F(1) if v == l else F(0)):
+            raise InvalidCoaction(f"counit law fails at ({v},{l})")
+    for v, l, p, q in itertools.product(rng, rng, vals, vals):
+        if (sum((rho[v][l][k] * c.comult[k][p][q] for k in vals), F(0))
+                != sum((rho[v][w_][p] * rho[w_][l][q] for w_ in rng), F(0))):
+            raise InvalidCoaction(f"coassociativity fails at ({v},{l})")
+    t = s.table
+    mat = [[sum((x1 * x2 * t[k1][k2] for k1, x1 in enumerate(rho[i][v]) if x1
+                 for k2, x2 in enumerate(rho[j][u]) if x2), F(0))
+            for v in rng for u in rng] for i in rng for j in rng]
+    out = TensorOp2(n, mat)
+    witness = bialgebra.long_witness(out)
+    if witness is not None:
+        raise InternalCheckFailed(
+            f"induced operator fails Long equation {witness[0]} at {witness[1]}"
+        )
+    return out
 
-    r = make_phi(2, [1, 1])
+
+def _quotient_inputs(r):
+    """C/V, the sigma table on its generators and the coaction
+    rho[v][l] = pi(c_{v+1, l+1}) of the presentation of L(R)."""
     pres = build_LR(r)
-    q = pres.quotient
-    c = Coalgebra(pres.names, pres.delta, pres.eps)
-    s = SigmaTable(pres.sigma_gen)
-    rho = [[q.basis_coset(v + 1, l + 1) for l in range(2)] for v in range(2)]
-    assert strong_dmap_rsigma(c, s, rho) == r
+    q, n = pres.quotient, r.dim
+    rho = [[q.basis_coset(v + 1, l + 1) for l in range(n)] for v in range(n)]
+    return Coalgebra(pres.names, pres.delta, pres.eps), SigmaTable(pres.sigma_gen), rho, pres
+
+
+def _seeded_conjugate(rng, n, rank):
+    """u R_phi u^-1 for a seeded dense invertible u with entries in
+    {-2, -1, 1, 2} and a phi with |im phi| = rank."""
+    maps = [phi for phi in idempotent_maps(n) if len(set(phi)) == rank]
+    while True:
+        u = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+        try:
+            return make_conjugate(u, make_phi(n, rng.choice(maps)))
+        except SingularMatrix:
+            continue
+
+
+def _rsigma_operators(corpus, phi4_solutions):
+    """87 Long operators: the 22 of the constructor corpus, every phi at
+    n = 2, 3, 4 (54), 6 dense conjugates at n = 3 and 4 at n = 4 (one per
+    rank) and R_x = I (x) E12 + E33 (x) E21, whose right legs do not commute."""
+    ops = dict(corpus)
+    for n in (2, 3):
+        ops.update({f"phi{n}_{phi}": make_phi(n, phi) for phi in idempotent_maps(n)})
+    ops.update({f"phi4_{phi}": r for phi, r in phi4_solutions.items()})
+    rng = random.Random(24)
+    ops.update({f"conj3_{k}": _seeded_conjugate(rng, 3, 1 + k % 3) for k in range(6)})
+    ops.update({f"conj4_{rank}": _seeded_conjugate(rng, 4, rank) for rank in range(1, 5)})
+    e = [[[int((i, j) == (a, b)) for j in range(3)] for i in range(3)]
+         for a in range(3) for b in range(3)]
+    ops["r_x"] = TensorOp2(3, la.mat_add(la.kron(la_identity(3), e[1]), la.kron(e[8], e[3])))
+    return ops
+
+
+def test_strong_dmap_on_quotient_matches_frt_roundtrip(corpus, phi4_solutions):
+    """R_sigma = R: ``strong_dmap_rsigma`` on C/V, the generator sigma table
+    and rho = pi of the fundamental comodule gives back R, as ``round_trip``
+    does, on every one of the 87 operators."""
+    ops = _rsigma_operators(corpus, phi4_solutions)
+    assert len(ops) == 87
+    for name, r in ops.items():
+        c, s, rho, pres = _quotient_inputs(r)
+        assert strong_dmap_rsigma(c, s, rho) == r == round_trip(pres), name
+
+
+def _outcome(f, *args):
+    """The operator ``f`` returns, or the class and message of what it raises."""
+    try:
+        return f(*args).matrix
+    except (LongeqError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_strong_dmap_matches_dense_oracle_on_perturbed_inputs(corpus, phi4_solutions):
+    """On corpus presentations and seeded perturbations of them, the sparse
+    ``strong_dmap_rsigma`` returns the dense oracle's operator, or raises
+    its class with its message. A perturbation changes a sigma entry (L1
+    fails), a rho entry (a coaction law fails), scales sigma or adds a
+    multiple of eps (x) eps (L1 holds, R_sigma changes), or changes the
+    basis of the comodule by a seeded u (rho -> u rho u^-1, a comodule
+    again, R_sigma the conjugate)."""
+    ops = _rsigma_operators(corpus, phi4_solutions)
+    rng = random.Random(2024)
+    names = ["diag_2", "pair_235", "conjugate", "homothety", "graded_z2", "phi_3_113",
+             "phi4_(1, 2, 2, 4)", "conj3_0", "conj3_4", "conj4_2", "r_x"]
+    kinds = {"none": 0, "sigma": 0, "rho": 0, "scale": 0, "eps": 0, "basis": 0}
+    for name in names:
+        c, s, rho, _ = _quotient_inputs(ops[name])
+        n, d = len(rho), c.d
+        for kind in kinds:
+            for _ in range(3 if kind in ("sigma", "rho", "basis") else 1):
+                table = [row[:] for row in s.table]
+                coaction = [[cell[:] for cell in row] for row in rho]
+                step = rng.choice((F(1), F(-2), F(1, 3)))
+                if kind == "sigma":
+                    table[rng.randrange(d)][rng.randrange(d)] += step
+                elif kind == "rho":
+                    coaction[rng.randrange(n)][rng.randrange(n)][rng.randrange(d)] += step
+                elif kind == "scale":
+                    table = [[step * x for x in row] for row in table]
+                elif kind == "eps":
+                    table = [[x + step * c.counit[p] * c.counit[q] for q, x in enumerate(row)]
+                             for p, row in enumerate(table)]
+                elif kind == "basis":
+                    u = [[F(rng.randint(-1, 1)) + (i == j) for j in range(n)] for i in range(n)]
+                    try:
+                        u_inv = la_inv(u)
+                    except ValueError:
+                        continue
+                    coaction = [[[sum((u[v][a] * coaction[a][b][k] * u_inv[b][l]
+                                       for a in range(n) for b in range(n)), F(0))
+                                  for k in range(d)] for l in range(n)] for v in range(n)]
+                want = _outcome(_dense_strong_dmap_rsigma, c, SigmaTable(table), coaction)
+                got = _outcome(strong_dmap_rsigma, c, SigmaTable(table), coaction)
+                assert got == want, (name, kind)
+                kinds[kind] += not isinstance(want[0], type)
+    # the scaled, eps-shifted and re-based inputs reach the output
+    assert kinds["scale"] and kinds["eps"] and kinds["basis"], kinds
 
 
 def test_strong_dmap_rejects_violations():
@@ -1244,6 +1384,67 @@ def test_strong_dmap_refuses_a_sigma_table_of_the_wrong_size():
                                          "dimension$"):
         strong_dmap_rsigma(comatrix_coalgebra(1), SigmaTable([[1, 1], [1, 1]]),
                            fundamental_comodule(1))
+
+
+def _comatrix2_case():
+    """comatrix_coalgebra(2), eps (x) eps (so R = Id) and the fundamental
+    comodule: an input that ``strong_dmap_rsigma`` accepts."""
+    c = comatrix_coalgebra(2)
+    return c, [[x * y for y in c.counit] for x in c.counit], fundamental_comodule(2)
+
+
+def _broken_coaction(counit=False, coassociativity=False):
+    """The fundamental comodule of order 2 with rho_01 = c_12 + c_21, which
+    keeps the counit law and breaks coassociativity from (0, 0) on, and/or
+    rho_11 = 2 c_22, which breaks the counit law at (1, 1)."""
+    rho = fundamental_comodule(2)
+    if coassociativity:
+        rho[0][1][2] = F(1)
+    if counit:
+        rho[1][1][3] = F(2)
+    return rho
+
+
+def _strong_dmap_refusals():
+    """(name, c, table, rho, class, message) for each refusal of
+    ``strong_dmap_rsigma``, in the order in which it checks them."""
+    c, table, rho = _comatrix2_case()
+    not_l1 = [row[:] for row in table]
+    not_l1[0][1] += 1
+    ragged = [rho[0], rho[1][:1]]
+    short_cell = [[rho[0][0][:3], rho[0][1]], rho[1]]
+    unreadable = [rho[0], [["x"] * 4]]
+    shape = (InvalidCoaction, "rho must be n x n with coalgebra-valued entries")
+    return [
+        ("sigma-size", c, [[1]], unreadable, ValueError,
+         "sigma table size disagrees with the coalgebra dimension"),
+        ("entry-before-shape", c, table, unreadable, ValueError,
+         "Invalid literal for Fraction: 'x'"),
+        ("ragged", c, not_l1, ragged, *shape),
+        ("short-cell", c, not_l1, short_cell, *shape),
+        ("L1", c, not_l1, _broken_coaction(True, True), NotAStrongDMap,
+         "strong D-map identity fails at basis pair (1, 1)"),
+        ("counit", c, table, _broken_coaction(True, True), InvalidCoaction,
+         "counit law fails at (1,1)"),
+        ("coassociativity", c, table, _broken_coaction(coassociativity=True),
+         InvalidCoaction, "coassociativity fails at (0,0)"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7), ids=[
+    "sigma-size", "entry-before-shape", "ragged", "short-cell", "L1", "counit",
+    "coassociativity"])
+def test_strong_dmap_refusals_keep_their_class_message_and_order(case):
+    """Each refusal of ``strong_dmap_rsigma`` raises its class with its
+    exact message, and an input that breaks several laws is refused by the
+    first in the order: sigma size, rho entries, shape, L1, counit law (at
+    every (v, l)), coassociativity. The L1 refusal carries its witness."""
+    _, c, table, rho, cls, message = _strong_dmap_refusals()[case]
+    with pytest.raises(cls) as exc:
+        strong_dmap_rsigma(c, SigmaTable(table), rho)
+    assert type(exc.value) is cls and str(exc.value) == message
+    if cls is NotAStrongDMap:
+        assert exc.value.witness == (1, 1)
 
 
 @pytest.mark.parametrize("size", [1, 3])
@@ -1301,5 +1502,6 @@ def test_strong_dmap_output_check_raises_internal_error(monkeypatch):
     c = comatrix_coalgebra(n)
     table = [[x * y for y in c.counit] for x in c.counit]  # eps (x) eps: R = Id
     monkeypatch.setattr(bialgebra, "long_witness", lambda r: (2, (1, 2, 1, 1, 2, 1)))
-    with pytest.raises(InternalCheckFailed, match=r"equation 2 at \(1, 2, 1, 1, 2, 1\)"):
+    with pytest.raises(InternalCheckFailed, match=r"^induced operator fails Long equation 2 "
+                                                  r"at \(1, 2, 1, 1, 2, 1\)$"):
         bialgebra.strong_dmap_rsigma(c, SigmaTable(table), fundamental_comodule(n))

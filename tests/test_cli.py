@@ -600,7 +600,7 @@ _CONSTRUCT_N3 = {
 @pytest.mark.parametrize("kind", list(_CONSTRUCT_N3))
 def test_construct_refuses_n_cubed_above_the_cap(tmp_path, capsys, monkeypatch, kind):
     """Every constructor kind refuses n = 3 (n^3 = 27) under a cap of 8
-    with exit 2, before its ``make_*`` builds anything; without the cap the
+    with exit 2, and its ``make_*`` builds no operator; without the cap the
     same arguments build the operator."""
     args = _CONSTRUCT_N3[kind]
     if isinstance(args, dict):
@@ -608,7 +608,7 @@ def test_construct_refuses_n_cubed_above_the_cap(tmp_path, capsys, monkeypatch, 
     code, out, _ = _run(capsys, ["construct", kind, *args])
     assert code == 0 and json.loads(out)["dim"] == 3
     monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
-    monkeypatch.setattr(longeq.cli, f"make_{kind}", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(longeq.tensor_ops, "TensorOp2", lambda *a: pytest.fail("built"))
     code, out, err = _run(capsys, ["construct", kind, *args])
     assert (code, out) == (2, "")
     assert err == "error: operator dim 3: n^3 = 27 exceeds cap 8\n"
@@ -1654,6 +1654,19 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_src_module_reads_a_dense_structure_cube():
+    """The dense d x d x d cubes ``mult`` and ``comult`` are views that only
+    the tests read: no module reads an attribute of either name, so every
+    law and axiom runs on the scaled nonzeros. The cached-property
+    definitions are ``def``s, not attribute reads."""
+    found = []
+    for path in sorted(pathlib.Path(longeq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("mult", "comult")]
     assert found == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from longeq import (
     LAWS,
     CentralityViolated,
+    DimensionCap,
     InternalCheckFailed,
     KZSystem,
     NonCommutingPair,
@@ -30,7 +31,7 @@ from longeq import (
     make_phi,
 )
 from longeq import linalg as la
-from longeq import tensor_ops
+from longeq import jsonio, kz, tensor_ops
 from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix
 
 from conftest import upper_pair_operator, z2_graded_data
@@ -282,6 +283,60 @@ def test_make_homothety_long_and_centrality():
             with pytest.raises(CentralityViolated, match=rf"rep\[{bad}\]$"):
                 make_homothety(rep, element)
     assert verdicts.count(None) >= 5 and len(set(verdicts)) == 4
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5, True, 1.0, "0"])
+def test_make_homothety_refuses_an_element_index_out_of_range(index):
+    """An element index that is not an int in 0..len(rep) - 1 is a
+    ValueError, on either leg; -1 built rep[-1] (x) rep[0] and 5 raised a
+    bare IndexError."""
+    rep = [[[1, 0], [0, 1]], [[2, 0], [0, 3]]]
+    want = f"element index must be an integer index in [0, 2), got {index!r}"
+    for term in ((F(1), index, 0), (F(1), 0, index)):
+        with pytest.raises(ValueError) as exc:
+            make_homothety(rep, [(F(1), 1, 1), term])
+        assert str(exc.value) == want
+
+
+def _cap_builds():
+    """Each constructor at n = 3, as a thunk."""
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    table = {(g, h): "e" if g == h else "g" for g in "eg" for h in "eg"}
+    actions = {"e": eye, "g": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}
+    return {
+        "phi": lambda: make_phi(3, [1, 2, 3]),
+        "diag": lambda: make_diag(3, eye),
+        "pair": lambda: make_pair(eye, eye),
+        "graded": lambda: make_graded(GradedActionData(["e", "g"], table, actions,
+                                                       ["e", "g", "e"])),
+        "homothety": lambda: make_homothety([eye], [(F(2), 0, 0)]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["phi", "diag", "pair", "graded", "homothety"])
+def test_constructors_refuse_n_cubed_above_the_cap(monkeypatch, kind):
+    """Every ``make_*`` refuses n^3 above ``LONGEQ_MAX_DIM`` with the
+    message of ``construct``, before it builds an operator; under the
+    default cap the same call builds it."""
+    build = _cap_builds()[kind]
+    assert build().dim == 3
+    monkeypatch.setenv("LONGEQ_MAX_DIM", "8")
+    monkeypatch.setattr(tensor_ops, "TensorOp2", lambda *a: pytest.fail("built"))
+    with pytest.raises(DimensionCap) as exc:
+        build()
+    assert str(exc.value) == "operator dim 3: n^3 = 27 exceeds cap 8"
+
+
+def test_make_phi_refuses_n_17_under_the_default_cap(monkeypatch):
+    """n = 17 (n^3 = 4913) is above the default cap of 4096, which the CLI
+    and the API share: ``kz.max_dim`` and ``jsonio.check_operator_dim`` are
+    the ``tensor_ops`` ones."""
+    monkeypatch.delenv("LONGEQ_MAX_DIM", raising=False)
+    with pytest.raises(DimensionCap, match=r"^operator dim 17: n\^3 = 4913 exceeds cap 4096$"):
+        make_phi(17, [1] * 17)
+    assert make_phi(16, [1] * 16).dim == 16
+    assert kz.max_dim is tensor_ops.max_dim and tensor_ops.max_dim() == 4096
+    assert jsonio.check_operator_dim is tensor_ops.check_operator_dim
 
 
 def test_invert_roundtrip_and_singular():
