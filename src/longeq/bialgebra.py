@@ -898,12 +898,14 @@ def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:
     coalgebra map (on the nonzeros of rho and ``comult_nz``, at D =
     ``c.scale``), then that the output, sigma(rho_iv (x) rho_ju) at
     ((i,j), (v,u)) by ``_pullback``, is a Long solution; a sigma table not
-    c.d x c.d is a ValueError.
+    c.d x c.d is a ValueError, and an empty rho an ``InvalidCoaction``.
     """
     d = c.d
     if s.d != d:
         raise ValueError("sigma table size disagrees with the coalgebra dimension")
     n = len(rho)
+    if not n:
+        raise InvalidCoaction("rho is empty: the coaction needs at least one basis vector m_l")
     rho = [[ [Fraction(x) for x in cell] for cell in row] for row in rho]
     if any(len(row) != n for row in rho) or any(
         len(cell) != d for row in rho for cell in row

@@ -156,10 +156,7 @@ def cmd_construct(args):
     elif args.kind == "homothety":
         spec = _load_spec(args.spec)
         rep = [_spec_matrix(m, "rep matrix") for m in _spec_list(spec["rep"], "rep")]
-        terms = _spec_list(spec["element"], "element")
-        if any(not isinstance(t, list) or len(t) != 3 for t in terms):
-            raise ValueError("element terms must be [coeff, left index, right index] lists")
-        r = make_homothety(rep, [(parse_frac(c), li, ri) for c, li, ri in terms])
+        r = make_homothety(rep, _spec_list(spec["element"], "element"))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown constructor {args.kind}")
     _emit(jsonio.operator_to_json(r))

@@ -232,23 +232,27 @@ class QuotientCoalgebra:
 class SigmaForm:
     """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
 
-    ``table`` is sigma_0 and ``int_table`` is D sigma_0, the form of Z
-    (``TensorOp2.int_form``); the constructor checks descent on it and the
-    integer RREF rows. ``int_coset_table``, L^2 D sigma on the projections
+    ``int_table`` is D sigma_0, the form of Z (``TensorOp2.int_form``); the
+    constructor checks descent on it and the integer RREF rows and reads
+    ``rep_table`` off it, and ``table``, sigma_0 as Fractions, is formed
+    from it on first read. ``int_coset_table``, L^2 D sigma on the projections
     of every label pair, is formed on first read by ``coset_table`` (its
     exact value), ``on_cosets``, ``round_trip`` or
     ``check_L1_on_generators``.
     """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
-        n = r.dim
-        self.n = n
-        self.table = _form(r.matrix, n)
+        self.n = r.dim
         self.int_table, self.scale = r.int_form
         self.quotient = quotient
         self._check_descends()
-        reps = quotient.rep_slots
-        self.rep_table = [[self.table[a][b] for b in reps] for a in reps]
+        reps, t = quotient.rep_slots, self.int_table
+        self.rep_table = [[Fraction(t[a][b], self.scale) for b in reps] for a in reps]
+
+    @cached_property
+    def table(self):
+        """sigma_0 as Fractions: ``int_table`` over D."""
+        return [[Fraction(x, self.scale) if x else F0 for x in row] for row in self.int_table]
 
     @cached_property
     def int_coset_table(self):

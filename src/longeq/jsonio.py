@@ -16,7 +16,6 @@ from .bialgebra import FinDimBialgebra, SigmaTable, ZeroCell
 from .frt import LongPresentation
 from .errors import DimensionCap
 from .kz import LoopSpec
-from .linalg import F0
 from .scalars import frac_str, parse_frac
 from .tensor_ops import TensorOp2, check_operator_dim
 
@@ -32,19 +31,16 @@ def operator_to_json(r: TensorOp2) -> dict:
     (v-1)n + (u-1) of the matrix view, then the rows (i-1)n + (j-1)."""
     n = r.dim
     entries = []
-    for col in range(n * n):
-        v, u = divmod(col, n)
-        for row in range(n * n):
-            x = r.matrix[row][col]
-            if x:
-                i, j = divmod(row, n)
-                entries.append(
-                    {"v": v + 1, "u": u + 1, "i": i + 1, "j": j + 1, "coeff": frac_str(x)}
-                )
+    for col, row, x in sorted((b, a, x) for a, cols in r.rows.items() for b, x in cols.items()):
+        (v, u), (i, j) = divmod(col, n), divmod(row, n)
+        entries.append({"v": v + 1, "u": u + 1, "i": i + 1, "j": j + 1, "coeff": frac_str(x)})
     return {"dim": n, "entries": entries}
 
 
 def operator_from_json(obj) -> TensorOp2:
+    """The operator of an operator document, built from its nonzero
+    entries (``TensorOp2.from_rows``); an entry whose coefficient is zero
+    is checked as any other, duplicates included, and then left out."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("operator JSON must be an object with a 'dim' key")
     n = obj["dim"]
@@ -54,7 +50,7 @@ def operator_from_json(obj) -> TensorOp2:
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError("'entries' must be a list")
-    matrix = [[F0] * (n * n) for _ in range(n * n)]
+    rows = {}
     seen = set()
     parse = _memo_parser()
     for e in entries:
@@ -70,8 +66,9 @@ def operator_from_json(obj) -> TensorOp2:
         if key in seen:
             raise ValueError(f"duplicate entry for (v,u,i,j)={key}")
         seen.add(key)
-        matrix[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)] = x
-    return TensorOp2(n, matrix)
+        if x:
+            rows.setdefault((i - 1) * n + (j - 1), {})[(v - 1) * n + (u - 1)] = x
+    return TensorOp2.from_rows(n, rows)
 
 
 def presentation_to_json(pres: LongPresentation) -> dict:

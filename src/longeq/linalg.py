@@ -25,7 +25,8 @@ other (best of 7, Python 3.11.7, 2 shared CPUs): built by ``Echelon``,
 0.6 -> 1.4 ms per dense n = 4 conjugate.
 ``sparse_rref`` and ``reduce_mod`` reduce a vector modulo an RREF row
 space over the rows' nonzeros; ``clear_denominators`` scales a rational
-matrix to integers for the callers that decide on them.
+matrix to integers for the callers that decide on them, and
+``clear_sparse`` does so for a matrix given by its nonzero entries.
 """
 
 from __future__ import annotations
@@ -285,6 +286,17 @@ def clear_denominators(rows):
     if scale == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def clear_sparse(rows):
+    """``clear_denominators`` of a matrix given by its nonzero entries,
+    ``{row: {col: Fraction}}``: the same rows of ints, and the lcm of the
+    denominators of the entries."""
+    scale = math.lcm(*(x.denominator for row in rows.values() for x in row.values()))
+    if scale == 1:
+        return {a: {b: x.numerator for b, x in row.items()} for a, row in rows.items()}, 1
+    return {a: {b: x.numerator * (scale // x.denominator) for b, x in row.items()}
+            for a, row in rows.items()}, scale
 
 
 def sparse_rref(rows, pivots):

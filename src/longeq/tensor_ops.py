@@ -8,6 +8,10 @@ Conventions, used everywhere downstream:
 * The matrix view indexes the ordered basis ``m_a (x) m_b`` at row/column
   ``(a-1)n + (b-1)``, so the entry at row ``(i-1)n+(j-1)``, column
   ``(v-1)n+(u-1)`` is ``x[u,v,j,i]`` (``TensorOp2.coeff``).
+* A ``TensorOp2`` holds only the nonzero entries of the matrix view, as
+  sparse rows. The law checks, the Long check and ``frt.build_LR`` read
+  them and the integer forms made from them; the dense Fraction matrix is
+  formed only for dense algebra such as conjugation and inversion.
 
 The Long check is sigma_0-descent. Let sigma_0(c_iv (x) c_ju) = x[u,v,j,i]
 on the comatrix coalgebra C and o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
@@ -48,6 +52,7 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import F0, F1
+from .scalars import parse_frac
 
 LAWS = ("long", "d_equation", "qybe", "hopf", "kz_bracket", "symmetric")
 DEFAULT_DIM_CAP = 4096
@@ -74,32 +79,70 @@ def _spec_index(x, size, what):
 
 
 class TensorOp2:
-    """Exact endomorphism of M(x)M, stored as its n^2 x n^2 matrix view.
+    """Exact endomorphism of M(x)M, held as the nonzero entries of its
+    n^2 x n^2 matrix view: ``rows`` maps a row index to ``{column: entry}``,
+    the entries Fractions, with no zero entry and no empty row.
 
-    The matrix is not mutated after construction: the integer forms
-    ``cleared`` and ``int_form`` and the ``lifts`` of Z are formed from it
-    once, on first read, and every law check reads them.
+    The entries are not mutated after construction: the integer forms
+    ``cleared`` and ``int_form``, the ``lifts`` of Z and the dense
+    ``matrix`` view are formed from them once, on first read. The law
+    checks, ``frt.build_LR`` and the JSON writer read the sparse rows; only
+    the dense algebra (``make_conjugate``, ``invert``,
+    ``frt.convolution_inverse``, ``kz.KZSystem.from_op``) forms ``matrix``.
     """
 
     def __init__(self, dim, matrix):
+        """The operator with the dense matrix view ``matrix``; every entry
+        is read by ``linalg.as_frac``."""
         if dim < 1:
             raise ValueError("dim must be positive")
         matrix = la.to_frac_matrix(matrix)
         if len(matrix) != dim * dim or any(len(r) != dim * dim for r in matrix):
             raise ValueError("matrix view must be n^2 x n^2")
         self.dim = dim
-        self.matrix = matrix
+        self.rows = {}
+        for a, row in enumerate(matrix):
+            nonzero = {b: x for b, x in enumerate(row) if x}
+            if nonzero:
+                self.rows[a] = nonzero
+
+    @classmethod
+    def from_rows(cls, dim, rows):
+        """The operator whose nonzero entries are ``rows``, in the form of
+        ``TensorOp2.rows``, taken as given: the caller has checked dim, the
+        indices and the entries (``jsonio.operator_from_json``)."""
+        r = cls.__new__(cls)
+        r.dim, r.rows = dim, rows
+        return r
+
+    @cached_property
+    def matrix(self):
+        """The dense n^2 x n^2 Fraction matrix view."""
+        m = la.zeros(self.dim ** 2, self.dim ** 2)
+        for a, row in self.rows.items():
+            for b, x in row.items():
+                m[a][b] = x
+        return m
 
     @cached_property
     def cleared(self):
-        """``(Z, D)``: Z = D R as int rows, D the lcm of the denominators."""
-        return la.clear_denominators(self.matrix)
+        """``(Z, D)``: Z = D R as sparse int rows in the form of ``rows``,
+        D the lcm of the denominators (``linalg.clear_sparse``)."""
+        return la.clear_sparse(self.rows)
 
     @cached_property
     def int_form(self):
-        """``(table, D)``: the form ``_form`` of Z = D R, and D."""
+        """``(table, D)``: the form ``_form`` of Z = D R as a dense int
+        table, and D."""
         z, d = self.cleared
-        return _form(z, self.dim), d
+        n = self.dim
+        table = [[0] * (n * n) for _ in range(n * n)]
+        for a, row in z.items():
+            i, j = divmod(a, n)
+            for b, x in row.items():
+                v, u = divmod(b, n)
+                table[i * n + v][j * n + u] = x
+        return table, d
 
     @cached_property
     def lifts(self):
@@ -109,14 +152,10 @@ class TensorOp2:
     def coeff(self, u, v, j, i):
         """x[u,v,j,i] with 1-based indices."""
         n = self.dim
-        return self.matrix[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)]
+        return self.rows.get((i - 1) * n + (j - 1), {}).get((v - 1) * n + (u - 1), F0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorOp2)
-            and self.dim == other.dim
-            and la.mat_eq(self.matrix, other.matrix)
-        )
+        return isinstance(other, TensorOp2) and self.dim == other.dim and self.rows == other.rows
 
     def __repr__(self):
         return f"TensorOp2(dim={self.dim})"
@@ -186,16 +225,14 @@ def _slot_blocks(n, i, j, N):
 
 
 def lift_exact(r: TensorOp2, i, j, N):
-    """Exact n^N x n^N matrix of R acting on tensor slots (i, j), 0-based."""
+    """Exact n^N x n^N matrix of R acting on tensor slots (i, j), 0-based:
+    the dense form of ``_lift_sparse`` on the nonzero rows of R."""
     n = r.dim
     out = la.zeros(n ** N, n ** N)
-    for idxs in _slot_blocks(n, i, j, N):
-        for a, ra in enumerate(idxs):
-            row = r.matrix[a]
-            orow = out[ra]
-            for b, cb in enumerate(idxs):
-                if row[b]:
-                    orow[cb] = row[b]
+    for a, row in _lift_sparse(r.rows, n, i, j, N).items():
+        orow = out[a]
+        for b, x in row.items():
+            orow[b] = x
     return out
 
 
@@ -213,13 +250,12 @@ def lift(r: TensorOp2, positions: int) -> TensorOp3:
 
 
 def _lift_sparse(z, n, i, j, N):
-    """Sparse rows ``{row: {col: entry}}`` of the n^2 x n^2 matrix z on slots (i, j)."""
-    nonzero = [[(b, x) for b, x in enumerate(row) if x] for row in z]
+    """Sparse rows ``{row: {col: entry}}`` on slots (i, j) of the n^2 x n^2
+    matrix given by its sparse rows ``z`` (the form of ``TensorOp2.rows``)."""
     out = {}
     for idxs in _slot_blocks(n, i, j, N):
-        for a, ra in enumerate(idxs):
-            if nonzero[a]:
-                out[ra] = {idxs[b]: x for b, x in nonzero[a]}
+        for a, row in z.items():
+            out[idxs[a]] = {idxs[b]: x for b, x in row.items()}
     return out
 
 
@@ -267,11 +303,12 @@ def _commute(a, b):
 
 def flip_invariant(r: TensorOp2) -> bool:
     """Whether tau R tau = R, read off by index permutation:
-    R[(i,j),(v,u)] = R[(j,i),(u,v)] for all i, j, u, v."""
-    n = r.dim
-    m = r.matrix
+    R[(i,j),(v,u)] = R[(j,i),(u,v)] for all i, j, u, v. The flip is an
+    involution, so comparing every nonzero entry with its image decides it."""
+    n, rows = r.dim, r.rows
     flip = [(a % n) * n + a // n for a in range(n * n)]
-    return all(m[flip[a]][flip[b]] == x for a, row in enumerate(m) for b, x in enumerate(row))
+    return all(rows.get(flip[a], {}).get(flip[b]) == x
+               for a, row in rows.items() for b, x in row.items())
 
 
 def kz_bracket(r: TensorOp2) -> bool:
@@ -634,8 +671,14 @@ def make_homothety(rep, element) -> TensorOp2:
     commute with every generator a (checked exactly). Over the terms
     coeff * L (x) R of the sum S, sum coeff (L a - a L) (x) R is
     S (a (x) I) - (a (x) I) S, so the check is one commutator per generator.
-    An index that is not an int in 0..len(rep) - 1 is a ValueError.
+    A term that is not a 3-item list or tuple, a coefficient that
+    ``scalars.parse_frac`` refuses and an index that is not an int in
+    0..len(rep) - 1 are ValueErrors.
     """
+    element = list(element)
+    if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in element):
+        raise ValueError("element terms must be [coeff, left index, right index] lists")
+    element = [(parse_frac(coeff), li, ri) for coeff, li, ri in element]
     rep = [la.to_frac_matrix(m) for m in rep]
     if not rep:
         raise ValueError("rep must be nonempty")

@@ -1405,6 +1405,10 @@ def _broken_coaction(counit=False, coassociativity=False):
     return rho
 
 
+# an empty rho ran the L1 check and then failed in TensorOp2 with "dim must be positive"
+_EMPTY_RHO = "rho is empty: the coaction needs at least one basis vector m_l"
+
+
 def _strong_dmap_refusals():
     """(name, c, table, rho, class, message) for each refusal of
     ``strong_dmap_rsigma``, in the order in which it checks them."""
@@ -1418,6 +1422,8 @@ def _strong_dmap_refusals():
     return [
         ("sigma-size", c, [[1]], unreadable, ValueError,
          "sigma table size disagrees with the coalgebra dimension"),
+        ("empty", c, table, [], InvalidCoaction, _EMPTY_RHO),
+        ("empty-before-L1", c, not_l1, [], InvalidCoaction, _EMPTY_RHO),
         ("entry-before-shape", c, table, unreadable, ValueError,
          "Invalid literal for Fraction: 'x'"),
         ("ragged", c, not_l1, ragged, *shape),
@@ -1431,14 +1437,15 @@ def _strong_dmap_refusals():
     ]
 
 
-@pytest.mark.parametrize("case", range(7), ids=[
-    "sigma-size", "entry-before-shape", "ragged", "short-cell", "L1", "counit",
-    "coassociativity"])
+@pytest.mark.parametrize("case", range(9), ids=[
+    "sigma-size", "empty", "empty-before-L1", "entry-before-shape", "ragged", "short-cell",
+    "L1", "counit", "coassociativity"])
 def test_strong_dmap_refusals_keep_their_class_message_and_order(case):
     """Each refusal of ``strong_dmap_rsigma`` raises its class with its
     exact message, and an input that breaks several laws is refused by the
-    first in the order: sigma size, rho entries, shape, L1, counit law (at
-    every (v, l)), coassociativity. The L1 refusal carries its witness."""
+    first in the order: sigma size, an empty rho, rho entries, shape, L1,
+    counit law (at every (v, l)), coassociativity. The L1 refusal carries
+    its witness."""
     _, c, table, rho, cls, message = _strong_dmap_refusals()[case]
     with pytest.raises(cls) as exc:
         strong_dmap_rsigma(c, SigmaTable(table), rho)

@@ -204,11 +204,14 @@ def _entry(**fields):
      "duplicate entry for (v,u,i,j)=(2, 1, 1, 1)"),
     ({"dim": 2, "entries": [_entry(coeff="3"), _entry(coeff="3", v=2),
                             _entry(coeff="3/0", u=2)]}, "zero denominator: '3/0'"),
+    ({"dim": 2, "entries": [_entry(coeff="0"), _entry(coeff="-0")]},
+     "duplicate entry for (v,u,i,j)=(1, 1, 1, 1)"),
 ], ids=["not-object", "no-dim", "dim-bool", "dim-zero", "entries-dict", "entry-list",
         "entry-string", "no-coeff", "no-j", "coeff-null", "coeff-bool", "coeff-float",
         "coeff-list", "coeff-zero-denominator", "coeff-word", "coeff-before-index",
         "index-zero", "index-past-end", "index-bool", "index-float", "index-string",
-        "index-null", "duplicate", "duplicate-after-repeated-coeff", "bad-after-good"])
+        "index-null", "duplicate", "duplicate-after-repeated-coeff", "bad-after-good",
+        "duplicate-zero"])
 def test_operator_from_json_bad_entry_messages(obj, want):
     """Each bad operator JSON raises the ValueError the per-entry parser
     raised, with the same message: the coefficient is read before the
@@ -324,15 +327,16 @@ _FRACTIONAL_OPS = [
 
 
 def _count_clearings(monkeypatch):
-    """The row counts of the matrices ``la.clear_denominators`` is called on."""
+    """The nonzero rows of each operator whose denominators are cleared:
+    the arguments of ``la.clear_sparse``, which ``TensorOp2.cleared`` calls."""
     cleared = []
-    real = la.clear_denominators
+    real = la.clear_sparse
 
     def counting(rows):
-        cleared.append(len(rows))
+        cleared.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(la, "clear_denominators", counting)
+    monkeypatch.setattr(la, "clear_sparse", counting)
     return cleared
 
 
@@ -343,7 +347,7 @@ def test_check_clears_the_denominators_once(tmp_path, capsys, monkeypatch, r):
     op = _write(tmp_path, "op.json", operator_to_json(r))
     cleared = _count_clearings(monkeypatch)
     code, out, _ = _run(capsys, ["check", "--op", op, "--laws", "long,hopf,kz_bracket"])
-    assert cleared.count(r.dim ** 2) == 1
+    assert cleared == [r.rows]
     monkeypatch.undo()
     report = json.loads(out)
     assert report["verdicts"] == tensor_ops.check_laws(r, ["long", "hopf", "kz_bracket"])
@@ -362,11 +366,57 @@ def test_check_and_build_LR_clear_the_denominators_once(tmp_path, capsys, monkey
     cleared = _count_clearings(monkeypatch)
     code, _, _ = _run(capsys, ["check", "--op", op, "--laws", ",".join(tensor_ops.LAWS)])
     assert code in (0, 1)
-    assert cleared == [r.dim ** 2]
+    assert cleared == [r.rows]
     cleared.clear()
     pres = frt.build_LR(operator_from_json(operator_to_json(r)))
-    assert cleared.count(r.dim ** 2) == 1  # rref_int clears single rows
+    assert cleared == [r.rows]
     assert frt.round_trip(pres) == r
+
+
+def _check_outcome(capsys, path):
+    """Exit code, report without ``elapsed_s`` and stderr of ``check`` with every law."""
+    code, out, err = _run(capsys, ["check", "--op", path, "--laws", ",".join(tensor_ops.LAWS)])
+    report = json.loads(out)
+    del report["elapsed_s"]
+    return code, report, err
+
+
+@pytest.mark.parametrize("zero", ["0", "-0", "0/7", 0])
+def test_check_reads_a_zero_entry_as_left_out(tmp_path, capsys, zero):
+    """Entries whose coefficient spells zero, before, among and after the
+    others, give the exit code, verdicts and witness of the same document
+    without them."""
+    for r in (make_phi(3, [1, 2, 2]), *_FRACTIONAL_OPS):
+        n, obj = r.dim, operator_to_json(r)
+        taken = {tuple(e[k] for k in "vuij") for e in obj["entries"]}
+        zeros = [dict(zip("vuij", key), coeff=zero)
+                 for key in itertools.product(range(1, n + 1), repeat=4) if key not in taken]
+        entries = zeros[::3] + obj["entries"][:2] + zeros[1::3] + obj["entries"][2:] + zeros[2::3]
+        padded = dict(obj, entries=entries)
+        want = _check_outcome(capsys, _write(tmp_path, "op.json", obj))
+        assert _check_outcome(capsys, _write(tmp_path, "zeros.json", padded)) == want
+        assert operator_from_json(padded) == r
+
+
+def test_check_frt_and_roundtrip_never_form_the_dense_matrix(tmp_path, capsys, monkeypatch):
+    """The operator that ``check`` with every law, ``frt``, ``frt --present``
+    and ``roundtrip`` read keeps only its sparse rows: the dense ``matrix``
+    view is never formed on the way from JSON to verdict."""
+    read = []
+    real = jsonio.operator_from_json
+    monkeypatch.setattr(jsonio, "operator_from_json", lambda obj: read.append(real(obj)) or read[-1])
+    # exit codes of check and of frt, frt --present and roundtrip: the
+    # conjugate fails hopf, and the last operator is not a Long solution
+    cases = [(make_phi(3, [1, 2, 2]), 0, 0), (_FRACTIONAL_OPS[0], 1, 0), (_FRACTIONAL_OPS[1], 1, 1)]
+    for r, check_code, frt_code in cases:
+        op = _write(tmp_path, "op.json", operator_to_json(r))
+        for argv, want in (
+                (["check", "--op", op, "--laws", ",".join(tensor_ops.LAWS)], check_code),
+                (["frt", "--op", op], frt_code), (["frt", "--op", op, "--present"], frt_code),
+                (["roundtrip", "--op", op], frt_code)):
+            code, _, _ = _run(capsys, argv)
+            assert code == want, argv
+            assert read[-1] == r and "matrix" not in vars(read[-1]), argv
 
 
 def test_check_unknown_law_is_usage_error(tmp_path, capsys):
@@ -561,9 +611,12 @@ def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
     ("homothety", dict(_HOMOTHETY, rep=3), "rep must be a list, got int"),
     ("homothety", dict(_HOMOTHETY, rep=[3, 4]), "rep matrix must be a list, got int"),
     ("homothety", dict(_HOMOTHETY, element=7), "element must be a list, got int"),
+    ("homothety", dict(_HOMOTHETY, element=[["x", 0, 0], ["2", 0]]),
+     "element terms must be [coeff, left index, right index] lists"),
 ], ids=["graded-list", "homothety-list", "graded-list-actions", "graded-int-elements",
         "graded-list-element", "graded-int-table", "graded-int-degrees", "graded-int-action",
-        "homothety-int-rep", "homothety-int-matrices", "homothety-int-element"])
+        "homothety-int-rep", "homothety-int-matrices", "homothety-int-element",
+        "homothety-short-term"])
 def test_construct_spec_of_wrong_type_is_usage_error(tmp_path, capsys, kind, spec, want):
     """A spec that is a JSON list, or a field of the wrong JSON type, exits
     2 with an ``error:`` line instead of a TypeError or AttributeError."""

@@ -180,8 +180,7 @@ def test_flatness_matches_dense_oracle(corpus):
 def _disjoint_brackets_oracle(r):
     """The N = 4 disjoint brackets [R^{ab}, R^{cd}], evaluated on the sparse
     integer lifts of Z = D R."""
-    z = la.clear_denominators(r.matrix)[0]
-    lifts = {(i, j): _lift_sparse(z, r.dim, i, j, 4)
+    lifts = {(i, j): _lift_sparse(r.cleared[0], r.dim, i, j, 4)
              for (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2))}
     return {f"[R{a + 1}{b + 1},R{c + 1}{d + 1}]": _commute(lifts[(a, b)], lifts[(c, d)])
             for (a, b) in ((0, 1), (1, 0)) for (c, d) in ((2, 3), (3, 2))}

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -32,7 +34,8 @@ from longeq import (
 )
 from longeq import linalg as la
 from longeq import jsonio, kz, tensor_ops
-from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix
+from longeq.scalars import frac_str
+from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix, lift_exact
 
 from conftest import upper_pair_operator, z2_graded_data
 
@@ -296,6 +299,28 @@ def test_make_homothety_refuses_an_element_index_out_of_range(index):
         with pytest.raises(ValueError) as exc:
             make_homothety(rep, [(F(1), 1, 1), term])
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("term", [(F(1), 0), [F(1), 0, 0, 0], (), 7, "abc", None])
+def test_make_homothety_refuses_a_malformed_term_by_name(term):
+    """A term that is not a 3-item list or tuple is refused with the message
+    ``construct homothety`` prints, before any coefficient or index is read;
+    ``(1, 0)`` raised a bare "not enough values to unpack"."""
+    rep = [[[1, 0], [0, 1]]]
+    with pytest.raises(ValueError) as exc:
+        make_homothety(rep, [("x", 5, 5), term])
+    assert str(exc.value) == "element terms must be [coeff, left index, right index] lists"
+
+
+def test_make_homothety_reads_coefficients_as_fraction_strings():
+    """A coefficient is read by ``parse_frac``: ints, Fractions and the wire
+    strings give one operator, and a string it refuses is a ValueError."""
+    rep = [[[1, 0], [0, 1]], [[2, 0], [0, 3]]]
+    want = make_homothety(rep, [(F(1, 2), 1, 1), (F(-2), 0, 1)])
+    assert make_homothety(rep, [("1/2", 1, 1), [-2, 0, 1]]) == want
+    for bad in ("1/0", "1.5", True):
+        with pytest.raises(ValueError):
+            make_homothety(rep, [(bad, 0, 0)])
 
 
 def _cap_builds():
@@ -688,3 +713,122 @@ def test_long_witness_forms_rows_only_for_independent_table_columns(monkeypatch)
         table = r.int_form[0]
         rank = len(la.rref_int([list(col) for col in zip(*table)])[0])
         assert len(formed) <= 16 * rank < 256, r.matrix
+
+
+# The dense formulas of TensorOp2 and its readers from when the operator was
+# held as its n^2 x n^2 Fraction matrix: the oracles of the sparse rows.
+
+
+def _dense_int_form(m, n):
+    z, d = la.clear_denominators(m)
+    return tensor_ops._form(z, n), d
+
+
+def _dense_lift(z, n, i, j, N):
+    nonzero = [[(b, x) for b, x in enumerate(row) if x] for row in z]
+    out = {}
+    for idxs in tensor_ops._slot_blocks(n, i, j, N):
+        for a, ra in enumerate(idxs):
+            if nonzero[a]:
+                out[ra] = {idxs[b]: x for b, x in nonzero[a]}
+    return out
+
+
+def _dense_lift_exact(m, n, i, j, N):
+    out = la.zeros(n ** N, n ** N)
+    for idxs in tensor_ops._slot_blocks(n, i, j, N):
+        for a, ra in enumerate(idxs):
+            for b, cb in enumerate(idxs):
+                if m[a][b]:
+                    out[ra][cb] = m[a][b]
+    return out
+
+
+def _dense_flip_invariant(m, n):
+    flip = [(a % n) * n + a // n for a in range(n * n)]
+    return all(m[flip[a]][flip[b]] == x for a, row in enumerate(m) for b, x in enumerate(row))
+
+
+def _dense_coeff(m, n, u, v, j, i):
+    return m[(i - 1) * n + (j - 1)][(v - 1) * n + (u - 1)]
+
+
+def _dense_operator_to_json(m, n):
+    entries = []
+    for col in range(n * n):
+        v, u = divmod(col, n)
+        for row in range(n * n):
+            x = m[row][col]
+            if x:
+                i, j = divmod(row, n)
+                entries.append(
+                    {"v": v + 1, "u": u + 1, "i": i + 1, "j": j + 1, "coeff": frac_str(x)}
+                )
+    return {"dim": n, "entries": entries}
+
+
+def _sparse_state_cases(corpus, phi4_solutions):
+    """(n, dense matrix) pairs: the corpus (every phi at n <= 3), every phi at
+    n = 4, R_x = I (x) E12 + E33 (x) E21, and seeded candidates at n = 2..4
+    with entries in {-1, 0, 1} or over mixed denominators."""
+    cases = [(r.dim, r.matrix) for r in (*corpus.values(), *phi4_solutions.values())]
+    e = [[[int((i, j) == (a, b)) for j in range(3)] for i in range(3)]
+         for a in range(3) for b in range(3)]
+    cases.append((3, la.mat_add(la.kron(la.identity(3), e[1]), la.kron(e[8], e[3]))))
+    rng = random.Random(2025)
+    for values in ((-1, 1), (F(1, 2), F(-1, 3), F(5, 6), -2, F(3, 4))):
+        for n, density in itertools.product((2, 3, 4), (0.05, 0.2, 0.5)):
+            for _ in range(4):
+                cases.append((n, [[rng.choice(values) if rng.random() < density else 0
+                                   for _ in range(n * n)] for _ in range(n * n)]))
+    return cases
+
+
+def test_sparse_state_matches_dense_oracle(corpus, phi4_solutions):
+    """``cleared``, ``int_form``, ``lifts``, ``lift_exact``,
+    ``flip_invariant``, ``coeff``, ``__eq__``, the ``matrix`` view and the
+    ``operator_to_json`` bytes of an operator built from a dense matrix, and
+    of the one read back from its JSON, are the dense formulas' values."""
+    cases = _sparse_state_cases(corpus, phi4_solutions)
+    assert len(cases) == 22 + 41 + 1 + 72
+    assert any(x.denominator > 1 for _, m in cases for row in m for x in map(F, row))
+    flips = 0
+    for k, (n, dense) in enumerate(cases):
+        m = la.to_frac_matrix(dense)
+        r = TensorOp2(n, dense)
+        wire = json.dumps(_dense_operator_to_json(m, n), indent=2)
+        assert json.dumps(jsonio.operator_to_json(r), indent=2) == wire, k
+        z, d = la.clear_denominators(m)
+        for op in (r, jsonio.operator_from_json(json.loads(wire))):
+            assert op.cleared == ({a: {b: x for b, x in enumerate(row) if x}
+                                   for a, row in enumerate(z) if any(row)}, d), k
+            assert op.int_form == _dense_int_form(m, n), k
+            assert op.lifts == [_dense_lift(z, n, i, j, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+            assert lift_exact(op, 2, 0, 3) == _dense_lift_exact(m, n, 2, 0, 3), k
+            assert tensor_ops.flip_invariant(op) == _dense_flip_invariant(m, n), k
+            assert all(op.coeff(*idx) == _dense_coeff(m, n, *idx)
+                       for idx in itertools.product(range(1, n + 1), repeat=4)), k
+            assert op == r and op.matrix == m, k
+        flips += _dense_flip_invariant(m, n)
+        # one entry changed: to zero when it is nonzero, else to 1/7
+        a, b = divmod(k * 7 % (n ** 4), n * n)
+        changed = [row[:] for row in m]
+        changed[a][b] = F(0) if m[a][b] else F(1, 7)
+        assert not la.mat_eq(m, changed) and not r == TensorOp2(n, changed), k
+        assert r != TensorOp2(n + 1, la.zeros((n + 1) ** 2, (n + 1) ** 2))
+    assert 0 < flips < len(cases)
+
+
+@pytest.mark.parametrize("bad", [None, [1], 0j])
+def test_dense_constructor_refuses_what_as_frac_refuses(bad):
+    """``TensorOp2(n, dense)`` reads every entry by ``linalg.as_frac``, as
+    it did when it kept the dense matrix: None, a list and a complex entry
+    are refused, wherever they sit, and a fraction string is read."""
+    for pos in (0, 3):
+        dense = [[0] * 4 for _ in range(4)]
+        dense[pos][pos] = bad
+        with pytest.raises(TypeError):
+            TensorOp2(2, dense)
+    dense = [["0"] * 4 for _ in range(4)]
+    dense[1][2] = "-3/4"
+    assert TensorOp2(2, dense).rows == {1: {2: F(-3, 4)}}
