@@ -22,7 +22,7 @@ from . import jsonio, kz
 from .bialgebra import check_axioms
 from .errors import InternalCheckFailed, LongeqError, NotALongSolution
 from .frt import build_LR, presentation_text, round_trip
-from .scalars import parse_frac
+from .scalars import parse_frac, parse_int
 from .tensor_ops import (
     GradedActionData,
     _spec_index,
@@ -125,7 +125,7 @@ def cmd_check(args):
 
 def cmd_construct(args):
     if args.kind == "phi":
-        r = make_phi(args.n, [int(tok) for tok in args.map.split(",")])
+        r = make_phi(args.n, [parse_int(tok) for tok in args.map.split(",")])
     elif args.kind == "diag":
         r = make_diag(args.n, _square(_frac_list(args.a), "--a"))
     elif args.kind == "pair":

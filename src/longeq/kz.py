@@ -8,6 +8,22 @@ with R^{ij} acting as R on tensor slots (i, j) and as the identity
 elsewhere. All algebraic identities (flatness brackets) are evaluated
 exactly, over integers with the denominators cleared; only the ODE itself
 runs in complex doubles.
+
+Two OpenBLAS pools. numpy and scipy each bundle their own OpenBLAS, with
+its own thread pool; the integrator multiplies with numpy and
+``circle_oracle`` exponentiates with scipy. Right after a scipy ``expm``,
+on 2 CPUs, a numpy product large enough to run on numpy's threads stalls
+for about 4 ms while the two pools contend. Medians of 9 runs in one
+process (numpy 2.4.6, scipy 1.17.1) gave the complex products
+(1024 x 3) @ (3 x 64) 4.3 ms and (64 x 30) @ (30 x 64) 4.1 ms, against
+0.17 and 0.07 ms at best, while (256 x 3) @ (3 x 64) stayed at
+0.05-0.1 ms. Complex products stalled from 2^16 m k n on (65,280 did not,
+65,536 did); real ones stalled at 1,048,320 m k n and not at 768,000 or
+below. The words path's product is real (the words of a rational R are)
+and is taken in calls of at most SERIAL_PRODUCT m k n, the work of 2^15
+complex multiply-adds. The stacked products of the pairwise product,
+which both propagator forms take, reach the complex threshold from d = 41
+on and still run on the threads.
 """
 
 from __future__ import annotations
@@ -38,7 +54,8 @@ MIN_SEPARATION_FACTOR = 1e-6
 MAX_COORDINATE = 1e100
 MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positions
 # complex entries formed at once: the integrator batches about
-# CHUNK_ENTRIES // dim^2 propagator steps (one at dim 256), or
+# CHUNK_ENTRIES // dim^2 propagator steps (one at dim 256), in either
+# form, or
 # CHUNK_ENTRIES // nnz(A) steps of stage data when it applies A to W; the
 # separation guard CHUNK_ENTRIES // (N(N-1)/2) samples
 CHUNK_ENTRIES = 1 << 16
@@ -49,6 +66,10 @@ MAX_INTEGRATOR_BYTES = 1 << 29
 # d x d arrays an *apply* step holds at once: W, its working copy of the
 # moved columns and the four arrays of ``_apply_increment``
 APPLY_ARRAYS = 6
+# m k n of each real numpy product the words path takes (``_serial_product``):
+# well below the size at which numpy's OpenBLAS starts its threads (module
+# docstring)
+SERIAL_PRODUCT = 1 << 17
 # bytes per lift entry while a segment operator is built: its position,
 # the inverse of the sort and the pair index (8 each), the value (16), and
 # the map's value and indices (32), with the sort's copies
@@ -121,9 +142,10 @@ class KZSystem:
         if n ** N > cap:
             raise DimensionCap(f"n^N = {n ** N} exceeds cap {cap}")
         symmetric = flip_invariant(r)
-        r_mat = np.array(
-            [[complex(x) for x in row] for row in r.matrix], dtype=complex
-        )
+        r_mat = np.zeros((n * n, n * n), dtype=complex)
+        for a, row in r.rows.items():
+            for b, x in row.items():
+                r_mat[a, b] = complex(x)
         return cls(n, N, complex(h), r_mat, symmetric)
 
 
@@ -317,9 +339,30 @@ def segment_operator(sys: KZSystem, pairs):
     return op, pos, m
 
 
-def _applies(d, nnz):
-    """The cost rule: *apply* A to W iff 8 nnz(A) d + 32^3 <= d^3."""
-    return 8 * nnz * d + 32 ** 3 <= d ** 3
+def _word_count(terms):
+    """W = T + T^2 + T^3 + T^4: the ordered words of length 1 to 4 in T lifts."""
+    return terms * (1 + terms * (1 + terms * (1 + terms)))
+
+
+def _evaluation(d, terms, nnz):
+    """The cost rule: (evaluation, batch) for a segment of T = ``terms``
+    live lifts whose A has ``nnz`` entries.
+
+    *apply* iff 8 nnz d + 32^3 <= d^3, in batches of the stage data of
+    CHUNK_ENTRIES // nnz steps. Otherwise the propagator, in batches of
+    b = CHUNK_ENTRIES // d^2 steps: from the W = ``_word_count(T)`` lift
+    words iff W <= 64 and W <= min(2 b + 1, d^2), else from stacked
+    stages. ``integrate_holonomy`` tabulates the rule; the second bound
+    keeps the words within the stage buffer of stacked stages, and their
+    coefficients within b stage matrices.
+    """
+    if 8 * nnz * d + 32 ** 3 <= d ** 3:
+        return "apply", max(1, CHUNK_ENTRIES // max(nnz, terms))
+    batch = max(1, CHUNK_ENTRIES // max(d * d, terms))
+    words = _word_count(terms)
+    if words <= min(64, 2 * batch + 1, d * d):
+        return "words", batch
+    return "propagator", batch
 
 
 def integration_bytes(sys: KZSystem, loop: LoopSpec):
@@ -332,10 +375,19 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     d x d). *apply* adds four (``_apply_increment``): APPLY_ARRAYS. The
     propagator's batch of b steps adds 2 b + 1 stage matrices, X2, X3 and
     X4, 5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
-    levels hold X2 and at most 1.25 b + 1 more matrices, and before the
-    product that updates W. A segment whose nnz(A) is below E can only
-    switch to *apply*, which holds fewer. Stage
-    data, formed and copied once per batch, is at most
+    levels hold X2 and at most ceil(b / 2) more matrices, and before the
+    product that updates W. The words path holds fewer: its real words
+    (W / 2 matrices, with W <= 2 b + 1), a buffer of 2 b matrices that
+    holds the increments twice and then the pairwise levels, and, while a
+    batch's (W, b) coefficients are formed, at most 1.2 b more (the
+    pieces, the result and the stage coefficients, at most 2 W + 2 T^2 +
+    3 T entries per step, with W <= d^2, d >= 8 for two lifts and d >= 4
+    for one). Forming the words holds at most W / 2 matrices more, and
+    the map and the T <= 2 sparse lifts it reads stay within ENTRY_BYTES
+    per lift entry (words are taken for at most two lifts,
+    ``integrate_holonomy``). A segment whose nnz(A) is below E can only
+    switch to *apply* or to words, which hold fewer.
+    Stage data, formed and copied once per batch, is at most
     2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
     takes ENTRY_BYTES per lift entry:
 
@@ -344,10 +396,8 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     d = sys.dim
     terms = max(map(len, segment_pairs(loop)), default=0)
     entries = terms * (d // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
-    if _applies(d, entries):
-        arrays = APPLY_ARRAYS
-    else:
-        arrays = 5 * max(1, CHUNK_ENTRIES // max(d * d, terms)) + 3
+    mode, batch = _evaluation(d, terms, entries)
+    arrays = APPLY_ARRAYS if mode == "apply" else 5 * batch + 3
     item = np.dtype(complex).itemsize
     return (item * (arrays * d * d + 2 * (2 * CHUNK_ENTRIES + 3 * entries))
             + ENTRY_BYTES * entries)
@@ -412,6 +462,12 @@ def _propagator_steps(w, a, dt):
     """The same steps as propagators M = I + (M - I), from the dense stage
     matrices ``a`` (start, middle, end, middle, ...); the batch is applied
     as w + (M_b ... M_1 - I) w."""
+    inc = _stage_increments(a, dt)
+    return _multiply_increments(w, inc, np.empty_like(inc[:(len(inc) + 1) // 2]))
+
+
+def _stage_increments(a, dt):
+    """Each step's M - I from the dense stage matrices ``a``."""
     a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
     x2 = a2 @ a1
     x2 *= dt / 2
@@ -429,19 +485,124 @@ def _propagator_steps(w, a, dt):
     x2 += x3
     x2 += x4
     x2 *= dt / 6
-    del x3, x4  # within integration_bytes: freed before the products below
-    # the batch's M_b ... M_1 - I, multiplied pairwise in increment form,
-    # (I + B)(I + A) - I = A + B + B A; an odd last increment moves up a level
-    inc = x2
+    return x2  # within integration_bytes: X3 and X4 are freed on return
+
+
+def _words_steps(w, held, c, dt):
+    """The same steps as propagators, each M - I formed from the segment's
+    lift words and the lift coefficients ``c``, one row per lift and one
+    column per stage time (start, middle, end, middle, ...).
+
+    ``held`` is ``_words_held``'s (words, buffer). Every batch of the
+    segment writes its b increments into the buffer twice, as d^2 x b and
+    as b x d x d, and the pairwise product writes its levels into the
+    first half, so no batch allocates an increment array: on the d = 8
+    circle of 4000 steps, increments formed in fresh arrays took 10.7 ms
+    against 8.6 ms in the buffer (medians of 30 interleaved runs).
+    """
+    words, buf = held
+    coef = _word_coefficients(c, dt)
+    b, dd, d = coef.shape[1], words.shape[1], w.shape[0]
+    # (M - I)^T: a real product with the coefficients' real and imaginary
+    # parts, which alternate along a row of their float view
+    inc_t = buf[:dd * b].reshape(dd, b)
+    _serial_product(words.T, coef.view(float), inc_t.view(float))
+    del coef  # within integration_bytes: freed before the pairwise product
+    inc = buf[dd * b:2 * dd * b].reshape(b, d, d)
+    np.copyto(inc.reshape(b, dd), inc_t.T)
+    return _multiply_increments(w, inc, buf[:dd * b].reshape(b, d, d))
+
+
+def _words_held(op, pos, m, batch):
+    """What a words segment holds: its real words (``segment_words``) and a
+    buffer of 2 ``batch`` d^2 complex entries for its batches' increments."""
+    d = op.shape[0]
+    return segment_words(op, pos, m), np.empty(2 * batch * d * d, dtype=complex)
+
+
+def _word_coefficients(c, dt):
+    """The (W, b) coefficients of the words in each step's M - I, in C order.
+
+    With A_s = sum_a c_s[a] L_a at the stages s = 1, 2, 4,
+    M - I = dt/6 (A1 + 4 A2 + A4) + dt^2/6 (A2 A1 + A2 A2 + A4 A2)
+    + dt^3/12 (A2 A2 A1 + A4 A2 A2) + dt^4/24 A4 A2 A2 A1, so the word
+    L_a L_b takes dt^2/6 (c2[a] c1[b] + c2[a] c2[b] + c4[a] c2[b]), and so
+    on: the outer products of the stage coefficients, first letter first.
+    """
+    # contiguous rows: the outer products are many small broadcasts
+    c1, c2, c4 = c[:, :-1:2].copy(), c[:, 1::2].copy(), c[:, 2::2].copy()
+
+    def outer(x, y):
+        return (x[:, None] * y[None, :]).reshape(-1, x.shape[1])
+
+    c21, c42 = outer(c2, c1), outer(c4, c2)
+    return np.concatenate((
+        (dt / 6) * (c1 + 4 * c2 + c4),
+        (dt ** 2 / 6) * (c21 + outer(c2, c2) + c42),
+        (dt ** 3 / 12) * (outer(outer(c2, c2), c1) + outer(c42, c2)),
+        (dt ** 4 / 24) * outer(c42, c21),
+    ))
+
+
+def _serial_product(a, b, out):
+    """out = a @ b, in numpy products of at most SERIAL_PRODUCT m k n each,
+    which numpy's OpenBLAS runs on the calling thread."""
+    m, k = a.shape
+    rows = min(m, max(1, SERIAL_PRODUCT // k))
+    cols = max(1, SERIAL_PRODUCT // (k * rows))
+    for i in range(0, m, rows):
+        for j in range(0, b.shape[1], cols):
+            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
+
+
+def _multiply_increments(w, inc, spare):
+    """w + (M_b ... M_1 - I) w from the steps' increments M_k - I, multiplied
+    pairwise in increment form, (I + B)(I + A) - I = A + B + B A; an odd
+    last increment moves up a level. The levels are written into ``spare``,
+    at least ceil(b / 2) d x d matrices, and back into ``inc`` in turn."""
     while len(inc) > 1:
-        odd = len(inc) % 2
-        first, then = inc[:len(inc) - odd:2], inc[1::2]
-        pair = then @ first
+        half, odd = divmod(len(inc), 2)
+        out = spare[:half + odd]
+        pair = out[:half]
+        first = inc[:2 * half:2]
+        np.matmul(inc[1::2], first, out=pair)
         pair += first
-        pair += then
-        inc = np.concatenate((pair, inc[-1:])) if odd else pair
+        pair += inc[1::2]
+        if odd:
+            out[half] = inc[-1]
+        inc, spare = out, inc
     w += inc[0] @ w
     return w
+
+
+def segment_words(op, pos, m):
+    """The ordered words of length 1 to 4 in a segment's T lifts, as the
+    (W, d^2) rows of ``_word_count(T)`` d x d matrices.
+
+    ``op``, ``pos`` and ``m`` are a ``segment_operator``; lift t is the d x d
+    matrix with the data ``m[:, t]`` on the pattern of ``op``. The words of
+    each length follow the shorter ones, in lexicographic order of their
+    letters: the word L_a L_b ... L_e is row a T^(k-1) + ... + e of its
+    length k. Each longer word is a shorter one times a sparse lift, so no
+    dense d x d product is taken.
+    """
+    from scipy import sparse
+
+    d = op.shape[0]
+    coef = m.toarray().real  # R is rational: its lifts and their words are real
+    terms = coef.shape[1]
+    words = np.zeros((_word_count(terms), d * d))
+    words[:terms, pos] = coef.T
+    lifts = [sparse.csr_matrix((coef[:, t], op.indices, op.indptr), shape=(d, d))
+             for t in range(terms)]
+    lo, hi = 0, terms  # the rows of the last length formed
+    for _ in range(3):
+        shorter = words[lo:hi].reshape(-1, d)
+        longer = words[hi:hi + (hi - lo) * terms].reshape(hi - lo, terms, d, d)
+        for t, lift in enumerate(lifts):
+            longer[:, t] = (shorter @ lift).reshape(-1, d, d)
+        lo, hi = hi, hi + (hi - lo) * terms
+    return words
 
 
 def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
@@ -458,49 +619,89 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     segment steps W[:, moved], or W itself once every column has moved.
     This is exact: a column k outside the mask is still e_k, and k is no
     column of the pattern, so A(t) e_k = 0 at every stage time. Every RK4
-    stage of that column is then exactly 0, and it stays e_k. Both
+    stage of that column is then exactly 0, and it stays e_k. All three
     evaluations below treat W column by column, so under *apply* the
     integrated columns come out bit for bit as in a full-width run. For a
     phi operator at n = 4 the lifts R^{mj} of a moving point m have nonzero
     columns only where a_m = a_j lies in im phi for some j != m, which is
     37 rank(phi) of the 256 columns.
 
-    Each segment is integrated by one of two evaluations of the same RK4 step:
+    Each segment is integrated by one of three evaluations of the same RK4
+    step; A1, A2, A4 are A at the start, middle and end of the step:
 
     - *apply*: k1 = A1 W, k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2),
       k4 = A4 (W + dt k3), W + dt/6 (k1 + 2 k2 + 2 k3 + k4), each A_s W a
       sparse product that costs about nnz(A) d;
-    - *propagator*: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with
-      X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2), X4 = A4 (I + dt X3),
-      from dense stage matrices: five dense d^3 products per step. The b
-      steps of a batch are multiplied pairwise in increment form,
-      (I + B)(I + A) - I = A + B + B A, with one stacked product per level
-      over about log2(b) levels, and applied as W + (M_b ... M_1 - I) W.
-      Forming I + (M - I) would round each step's increment against the
-      identity, which over the 4000 steps of a circle moved W by about
-      2e-13; the increment form never does.
+    - *propagator* from stacked stages: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4)
+      with X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2),
+      X4 = A4 (I + dt X3), from dense stage matrices: three stacked d^3
+      products per step, and twelve elementwise passes over them;
+    - *words*: the same M - I from the segment's lift words. With
+      A_s = sum_a c_s[a] L_a over its T live lifts,
+      M - I = dt/6 (A1 + 4 A2 + A4) + dt^2/6 (A2 A1 + A2 A2 + A4 A2)
+      + dt^3/12 (A2 A2 A1 + A4 A2 A2) + dt^4/24 A4 A2 A2 A1
+      is a fixed combination of the W = T + T^2 + T^3 + T^4 ordered words
+      L_a L_b ... (``segment_words``, formed once per segment operator;
+      real, since R is rational). A batch's increments are one real
+      product of the (W, d^2) words with its (W, b) coefficients, outer
+      products of the stage coefficients (``_word_coefficients``): 2 W d^2
+      real multiply-adds per step, written into a buffer that every batch
+      of the segment reuses.
 
-    A1, A2, A4 are A at the start, middle and end of the step. A segment
-    uses *apply* iff 8 nnz(A) d + 32^3 <= d^3: a sparse complex
+    Both propagator forms then multiply the b steps of a batch pairwise in
+    increment form, (I + B)(I + A) - I = A + B + B A, with one stacked
+    product per level over about log2(b) levels, and apply them as
+    W + (M_b ... M_1 - I) W (``_multiply_increments``). Forming
+    I + (M - I) would round each step's increment against the identity,
+    which over the 4000 steps of a circle moved W by about 2e-13; the
+    increment form never does.
+
+    The cost rule (``_evaluation``) reads d, T, nnz(A) and the batch. A
+    segment uses *apply* iff 8 nnz(A) d + 32^3 <= d^3: a sparse complex
     multiply-add is priced at 8 BLAS ones, and 32^3 covers the fixed cost
-    of the four sparse products per step, which rules at small d. Median
-    ms per loop, *apply* / propagator, each forced, the two interleaved
-    (Python 3.11.7, scipy 1.17.1, 2 BLAS threads, 2 shared CPUs; h = 0.1;
-    circles move point 1 around point 0 at radius 0.5 with the other
-    points at 10, 20i, -15, 30; polygons move every point along 4 sides):
+    of the four sparse products per step, which rules at small d. Else it
+    uses words iff W <= 64 (and the words fit the stage buffer,
+    W <= min(2 b + 1, d^2)). Per batch of about CHUNK_ENTRIES stage
+    entries, on random stage matrices and words (medians of 15), stacked
+    stages (``_propagator_steps``) took 3.1-4.6 ms at d = 8 to 64, and
+    words (``_words_steps``) 1.2-1.7 ms plus 0.015-0.09 ms per word, the
+    pairwise product included in both. Words took 0.27-0.87 of the time
+    of stacked stages for W = 4 and 30 at every d measured (d = 4 to 64),
+    and 1.05,
+    1.33 and 1.57 of it for W = 120 at d = 16, 27 and 32. T = 1, 2, 3, 4
+    make W = 4, 30, 120, 340, so every bound from 30 to 119 takes the same
+    decisions. With W <= 2 b + 1, words are taken, where *apply* is not,
+    for one live lift at 2 <= d <= 181 and for two at 6 <= d <= 66, and
+    never for more.
 
-    - phi operators: the d = 8 circle of 4000 steps 183 / 26; polygons of
-      60 steps at d = 16: 4.7 / 2.7, d = 27: 4.6 / 4.6, d = 32: 6.6 / 6.7,
-      d = 64 (n = 4): 7.1 / 26.0, d = 81: 14.6 / 41.0; the d = 256 circle
-      of 16 steps 15.0 / 141;
-    - conjugates u R_phi u^-1 with nnz(R) = 73 of 81 at n = 3 and 224 of
-      256 at n = 4: the d = 64 circle 10.9 / 10.9, the d = 81 polygon
-      72 / 39, the d = 256 circle 212 / 166.
+    Median ms per loop, *apply* / stacked stages / words, each forced, the
+    three interleaved, 9 runs (Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
+    2 BLAS threads, 2 shared CPUs; h = 0.1; circles move point 1 around
+    point 0 at radius 0.5 with the other points at 10, 20i, -15, 30;
+    polygons move every point along 4 sides; "-" where W exceeds the stage
+    buffer):
 
-    The rule picks the faster one in each case, or one within 2% of it
-    (d = 27 and d = 32). The host's speed drifts by about 25% between
-    runs; the two numbers of a pair were taken interleaved, so their ratio
-    is firmer than either number.
+    - phi operators: the d = 8 circle (n = 2, N = 3, T = 2) of 4000 steps
+      108 / 17.1 / 8.8; the d = 16 circle (n = 2, N = 4, T = 3) of 1000
+      steps 31.2 / 13.5 / 12.3; the d = 27 circle (n = 3, N = 3, T = 2) of
+      400 steps 12.8 / 17.6 / 8.3; polygons of 60 steps at d = 16
+      (n = 2): 2.9 / 1.6 / -, d = 27: 2.6 / 2.8 / -, d = 64 (n = 4):
+      4.7 / 20.7 / -;
+    - the conjugate u R_phi u^-1 with nnz(R) = 224 of 256 at n = 4: the
+      d = 64 circle (T = 2) of 40 steps 22.6 / 16.9 / 12.4.
+
+    The host's speed drifts by up to 50% between runs; the three numbers
+    of a row were taken interleaved, so their ratios are firmer than any
+    one number. Measured before the words path existed, *apply* /
+    stacked stages: phi polygons of 60 steps at d = 32 6.6 / 6.7 and
+    d = 81 14.6 / 41.0; the phi d = 256 circle of 16 steps 15.0 / 141;
+    conjugates with nnz(R) = 73 of 81 at n = 3 and 224 of 256 at n = 4:
+    the d = 81 polygon 72 / 39, the d = 256 circle 212 / 166. The rule
+    picks the fastest evaluation in each case, or one within 10% of it:
+    *apply* was 0-10% faster on the d = 27 polygon over three such runs
+    and 2% faster on the d = 32 polygon, and words were 5-9% faster on the
+    d = 16 circle here but 5% slower per batch in isolation, so three
+    lifts stay on stacked stages.
 
     Stage coefficients are formed for batches of steps holding at most
     about CHUNK_ENTRIES entries of stage data (or of stage matrices).
@@ -519,12 +720,15 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
         if built is None or built[0] != pairs:
             built = None  # free the previous operator first
             op, pos, m = segment_operator(sys, pairs)
-            apply = _applies(d, len(pos))
-            batch = max(1, CHUNK_ENTRIES // max(len(pos) if apply else d * d, len(pairs)))
-            # the propagator's stage matrices; entries off the pattern stay zero
-            stages = None if apply else np.zeros((2 * batch + 1, d * d), dtype=complex)
-            built = pairs, op, pos, m, apply, batch, stages
-        _, op, pos, m, apply, batch, stages = built
+            mode, batch = _evaluation(d, len(pairs), len(pos))
+            if mode == "words":
+                held = _words_held(op, pos, m, batch)
+            elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
+                held = np.zeros((2 * batch + 1, d * d), dtype=complex)
+            else:
+                held = None
+            built = pairs, op, pos, m, mode, batch, held
+        _, op, pos, m, mode, batch, held = built
         if not len(pos):  # R = 0
             continue
         moved[op.indices] = True
@@ -537,12 +741,13 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
             ts = t0 + np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
             z, v = loop.stage_data(ts, seg)
             coeffs = sys.h * v[rows] / (z[rows] - z[cols])
-            data = (m @ coeffs).T
-            if apply:
-                part = _apply_steps(part, op, np.ascontiguousarray(data), dt)
+            if mode == "words":
+                part = _words_steps(part, held, coeffs, dt)
+            elif mode == "apply":
+                part = _apply_steps(part, op, np.ascontiguousarray((m @ coeffs).T), dt)
             else:
-                a = stages[:len(ts)]
-                a[:, pos] = data
+                a = held[:len(ts)]
+                a[:, pos] = (m @ coeffs).T
                 part = _propagator_steps(part, a.reshape(-1, d, d), dt)
         if part is not w:
             w[:, live] = part

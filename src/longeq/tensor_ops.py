@@ -86,9 +86,9 @@ class TensorOp2:
     The entries are not mutated after construction: the integer forms
     ``cleared`` and ``int_form``, the ``lifts`` of Z and the dense
     ``matrix`` view are formed from them once, on first read. The law
-    checks, ``frt.build_LR`` and the JSON writer read the sparse rows; only
-    the dense algebra (``make_conjugate``, ``invert``,
-    ``frt.convolution_inverse``, ``kz.KZSystem.from_op``) forms ``matrix``.
+    checks, ``frt.build_LR``, ``kz.KZSystem.from_op`` and the JSON writer
+    read the sparse rows; only the dense algebra (``make_conjugate``,
+    ``invert`` and ``frt.convolution_inverse``) forms ``matrix``.
     """
 
     def __init__(self, dim, matrix):
@@ -556,19 +556,19 @@ def make_pair(f, g) -> TensorOp2:
 
 
 def make_conjugate(u, r: TensorOp2) -> TensorOp2:
-    """(u (x) u) R (u (x) u)^{-1} for invertible u and Long R."""
+    """(u (x) u) R (u (x) u)^{-1} for invertible u and Long R, with
+    (u (x) u)^{-1} = u^{-1} (x) u^{-1}: only the n x n u is inverted."""
     u = la.to_frac_matrix(u)
-    if len(u) != r.dim:
+    if len(u) != r.dim or any(len(row) != r.dim for row in u):
         raise ValueError("u must be n x n")
     try:
-        pass_mat = la.kron(u, u)
-        pass_inv = la.mat_inv(pass_mat)
+        u_inv = la.mat_inv(u)
     except ValueError as exc:
         raise SingularMatrix("u is not invertible") from exc
     witness = long_witness(r)
     if witness is not None:
         raise NotALongSolution("input is not a Long solution", witness)
-    return TensorOp2(r.dim, la.mat_mul(pass_mat, la.mat_mul(r.matrix, pass_inv)))
+    return TensorOp2(r.dim, la.mat_mul(la.kron(u, u), la.mat_mul(r.matrix, la.kron(u_inv, u_inv))))
 
 
 def make_phi(n, phi) -> TensorOp2:

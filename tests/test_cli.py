@@ -399,21 +399,24 @@ def test_check_reads_a_zero_entry_as_left_out(tmp_path, capsys, zero):
 
 
 def test_check_frt_and_roundtrip_never_form_the_dense_matrix(tmp_path, capsys, monkeypatch):
-    """The operator that ``check`` with every law, ``frt``, ``frt --present``
-    and ``roundtrip`` read keeps only its sparse rows: the dense ``matrix``
-    view is never formed on the way from JSON to verdict."""
+    """The operator that ``check`` with every law, ``frt``, ``frt --present``,
+    ``roundtrip`` and ``kz`` read keeps only its sparse rows: the dense
+    ``matrix`` view is never formed on the way from JSON to verdict."""
     read = []
     real = jsonio.operator_from_json
     monkeypatch.setattr(jsonio, "operator_from_json", lambda obj: read.append(real(obj)) or read[-1])
     # exit codes of check and of frt, frt --present and roundtrip: the
     # conjugate fails hopf, and the last operator is not a Long solution
     cases = [(make_phi(3, [1, 2, 2]), 0, 0), (_FRACTIONAL_OPS[0], 1, 0), (_FRACTIONAL_OPS[1], 1, 1)]
+    loop = _write(tmp_path, "loop.json", {"base": [[0, 0], [1, 0], [6, 2]], "kind": "circle",
+                                          "steps": 20, "moving": 2, "center": 1, "radius": 0.5})
     for r, check_code, frt_code in cases:
         op = _write(tmp_path, "op.json", operator_to_json(r))
         for argv, want in (
                 (["check", "--op", op, "--laws", ",".join(tensor_ops.LAWS)], check_code),
                 (["frt", "--op", op], frt_code), (["frt", "--op", op, "--present"], frt_code),
-                (["roundtrip", "--op", op], frt_code)):
+                (["roundtrip", "--op", op], frt_code),
+                (["kz", "--op", op, "--points", "3", "--h", "0.05", "--loop", loop], 0)):
             code, _, _ = _run(capsys, argv)
             assert code == want, argv
             assert read[-1] == r and "matrix" not in vars(read[-1]), argv
@@ -1482,6 +1485,68 @@ def test_parse_frac_takes_a_sign_on_the_numerator_only(text, want):
             parse_frac(text)
     else:
         assert parse_frac(text) == want
+
+
+# non-ASCII decimal digits: Arabic-Indic, Extended Arabic-Indic, Devanagari
+# and fullwidth; str.isdigit, \\d, int() and Fraction() accept each of them
+_UNICODE_DIGITS = "\u0661\u0662\u06f4\u0967\uff11\uff12"
+
+
+@pytest.mark.parametrize("text", ["\u0661", "\uff11/\uff12", "1/\u0662", "-\u0967", "1_0", "1/2_0"])
+@pytest.mark.parametrize("command", ["check", "bialgebra-check"])
+def test_fraction_strings_take_ascii_digits_only(tmp_path, capsys, command, text):
+    """The wire format is a decimal string of ASCII digits: other Unicode
+    digits and ``_`` separators, which ``Fraction`` would read, exit 2 in
+    an operator entry and in a sigma table entry."""
+    where = ["entries", 0, "coeff"] if command == "check" else ["table", 0, 1]
+    argv = _small_argv(tmp_path, command, _set(where, text))
+    assert _run(capsys, argv) == (2, "", f"error: not a fraction string: {text!r}\n")
+    with pytest.raises(ValueError, match="not a fraction string"):
+        parse_frac(text)
+
+
+@pytest.mark.parametrize("phi_map", ["1,\u0662", "\uff11,\uff11", "1,0_2", "1,2.0", "1,+2 "])
+def test_construct_phi_map_takes_ascii_integers_only(capsys, phi_map):
+    """``--map`` takes comma-separated ASCII integers, signs and blanks
+    allowed; ``int()`` also read Unicode digits and ``_`` separators."""
+    code, out, err = _run(capsys, ["construct", "phi", "--n", "2", "--map", phi_map])
+    if phi_map == "1,+2 ":
+        assert code == 0 and operator_from_json(json.loads(out)) == make_phi(2, [1, 2])
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: not an integer string:")
+
+
+_CONSTRUCT_TOKEN = st.text(alphabet="0123456789/-+ ._e" + _UNICODE_DIGITS, max_size=4)
+_CONSTRUCT_ARG = st.one_of(st.lists(_CONSTRUCT_TOKEN, max_size=5).map(",".join),
+                           st.text(max_size=8))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["phi", "diag", "pair", "conjugate"]), st.sampled_from("0123"),
+       _CONSTRUCT_ARG, _CONSTRUCT_ARG)
+@example("phi", "2", "1,\u0662", "")
+@example("diag", "1", "\u0661", "")
+@example("pair", "1", "2", "\uff11/\uff12")
+@example("conjugate", "2", "1,0,0,1_0", "")
+def test_construct_string_arguments_fuzz(tmp_path, capsys, kind, n, first, second):
+    """``construct`` on fuzzed ``--map``, ``--a``, ``--f``, ``--g`` and
+    ``--u`` strings exits 0 with an operator, or 2 with an ``error:``
+    line; it never raises. A non-ASCII digit or a ``_`` always exits 2."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    argv = {"phi": ["--n", n, "--map", first], "diag": ["--n", n, "--a", first],
+            "pair": ["--n", n, "--f", first, "--g", second],
+            "conjugate": ["--op", op, "--u", first]}[kind]
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["construct", kind] + argv)
+    if code == 2:
+        assert "error:" in err.splitlines()[-1], err
+        assert out == ""
+    else:
+        assert code == 0 and isinstance(operator_from_json(json.loads(out)), TensorOp2), err
+    used = first + second if kind == "pair" else first
+    if any(ch == "_" or ch.isdigit() and not ch.isascii() for ch in used):
+        assert code == 2
 
 
 _NESTED = "must be a {}-fold nested list of fractions"

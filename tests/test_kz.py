@@ -534,16 +534,29 @@ _CONJ4 = make_conjugate([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 3, 1], [1, 1, 1, 4]]
                         make_phi(4, [1, 2, 2, 4]))
 # a Long solution that is not flip-invariant
 _DIAG3 = make_diag(3, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+
+
+def _random_op(n, seed):
+    """An operator with small random integer entries: no Long solution, and
+    its lifts on a shared slot do not commute."""
+    rng = random.Random(seed)
+    return TensorOp2(n, [[rng.randint(-3, 3) for _ in range(n * n)] for _ in range(n * n)])
+
+
 _INTEGRATOR_CASES = {
     # (n, N), phi or operator, h, loop keyword arguments, the evaluation taken
     "circle-2-2": ((2, 2), [1, 1], 0.1, dict(base=[1.0, 0.0], kind="circle", steps=40,
-                                             moving=0, center=1, radius=0.5), "propagator"),
+                                             moving=0, center=1, radius=0.5), "words"),
     "circle-2-3": ((2, 3), [1, 2], 0.08 + 0.03j,
                    dict(base=[0.0, 1.0, 7 + 2j], kind="circle", steps=150, moving=1,
-                        center=0, radius=0.4), "propagator"),
+                        center=0, radius=0.4), "words"),
+    # d = 16 with 3 live lifts: 120 words, so stacked stages
+    "circle-2-4": ((2, 4), [1, 2], 0.08 - 0.02j,
+                   dict(base=[0.0, 1.0, 10.0, 20j], kind="circle", steps=40, moving=1,
+                        center=0, radius=0.5), "propagator"),
     "circle-3-3-point": ((3, 3), [1, 1, 3], 0.1 - 0.05j,
                          dict(base=[0.0, 1.0, -6j], kind="circle", steps=30, moving=0,
-                              center=0.9 + 0.1j, radius=0.7), "propagator"),
+                              center=0.9 + 0.1j, radius=0.7), "words"),
     "circle-4-4": ((4, 4), [1, 2, 2, 4], 0.05 + 0.02j,
                    dict(base=[0.0, 1.0, 10.0, 20j], kind="circle", steps=3, moving=1,
                         center=0, radius=0.5), "apply"),
@@ -556,17 +569,17 @@ _INTEGRATOR_CASES = {
                             waypoints=[_square(*c, count=4) for c in _CORNERS[:2]]
                             + [[4 + 4j] * 4] + [_square(0, 4, count=4)]), "propagator"),
     "one-step": ((2, 3), [1, 1], 0.1j, dict(base=[0.0, 1.0, 5.0], kind="circle", steps=1,
-                                            moving=0, center=1, radius=0.3), "propagator"),
+                                            moving=0, center=1, radius=0.3), "words"),
     # 1100 steps at dim 8: one batch of 1024 and one of 76
     "long-circle": ((2, 3), [2, 2], 0.1, dict(base=[0.0, 1.0, 5j], kind="circle",
                                               steps=1100, moving=2, center=1, radius=1.0),
-                    "propagator"),
+                    "words"),
     "conjugate-3-4": ((3, 4), _CONJ3, 0.07 + 0.02j,
                       dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=6,
                            waypoints=[_square(*c, count=4) for c in _CORNERS]), "propagator"),
     "conjugate-4-3": ((4, 3), _CONJ4, 0.05 - 0.01j,
                       dict(base=[0.0, 1.0, 6 + 1j], kind="circle", steps=5, moving=0,
-                           center=1, radius=0.6), "propagator"),
+                           center=1, radius=0.6), "words"),
     "diag-3-4-nonsymmetric": ((3, 4), _DIAG3, 0.03 + 0.01j,
                               dict(base=[complex(*c) for c in _CORNERS], kind="polygon",
                                    steps=6, waypoints=[_square(*c, count=4) for c in _CORNERS]),
@@ -574,13 +587,25 @@ _INTEGRATOR_CASES = {
     "circle-3-5": ((3, 5), [1, 2, 2], 0.06 + 0.02j,
                    dict(base=[0.0, 1.0, 10.0, 20j, -15.0], kind="circle", steps=3, moving=1,
                         center=0, radius=0.5), "apply"),
+    # random operators, whose lifts do not commute, so a word taken in the
+    # wrong order shows: a circle, and a polygon on which one point moves,
+    # at d = 8; the ratio of their two lift coefficients varies along each
+    # segment, which it does not when both points of N = 2 move
+    "random-circle-2-3": ((2, 3), _random_op(2, 2), 0.05 + 0.02j,
+                          dict(base=[0.0, 1.0, 6 - 2j], kind="circle", steps=60, moving=1,
+                               center=0, radius=0.5), "words"),
+    "random-polygon-2-3": ((2, 3), _random_op(2, 3), 0.04 - 0.01j,
+                           dict(base=[0.0, 4.0, 4j], kind="polygon", steps=30,
+                                waypoints=[_square(0, 0), [4.0] * 5, [4j] * 5]), "words"),
 }
+_EVALUATIONS = {"apply": "_apply_steps", "propagator": "_propagator_steps",
+                "words": "_words_steps"}
 
 
 @pytest.mark.parametrize("case", sorted(_INTEGRATOR_CASES))
 def test_integrate_matches_rk4_oracle(case, monkeypatch):
-    """Both evaluations match classical RK4 on the dense connection; each
-    case takes the evaluation it names, and the other one is never called."""
+    """Every evaluation matches classical RK4 on the dense connection; each
+    case takes the evaluation it names, and the other two are never called."""
     (n, N), op, h, spec, mode = _INTEGRATOR_CASES[case]
     r = op if isinstance(op, TensorOp2) else make_phi(n, op)
     sys = KZSystem.from_op(r, N, h)
@@ -590,8 +615,9 @@ def test_integrate_matches_rk4_oracle(case, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"{case} left the {mode} evaluation")
 
-    monkeypatch.setattr(kz, "_propagator_steps" if mode == "apply" else "_apply_steps",
-                        refuse)
+    for name in _EVALUATIONS.values():
+        if name != _EVALUATIONS[mode]:
+            monkeypatch.setattr(kz, name, refuse)
     got = integrate_holonomy(sys, loop)
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
@@ -633,6 +659,29 @@ def test_apply_batches_across_segments(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
+def test_words_batches_across_segments(monkeypatch):
+    """23 steps over 3 segments are 8 per segment, formed from the words in
+    batches of 5 and 3 when CHUNK_ENTRIES holds 5 stage matrices; one point
+    moves, so its one lift makes 4 words."""
+    monkeypatch.setattr(kz, "CHUNK_ENTRIES", 5 * 4 * 4)
+    sys = KZSystem.from_op(_random_op(2, 5), 2, 0.1 - 0.02j)
+    loop = LoopSpec([1 + 1j, 0.0], "polygon", 23,
+                    waypoints=[_square(1, 1, count=4), [0.0] * 4])
+    assert loop.segments == 3
+    batches = []
+    words_steps = kz._words_steps
+
+    def counted(w, held, c, dt):
+        batches.append((len(held[0]), (c.shape[1] - 1) // 2))
+        return words_steps(w, held, c, dt)
+
+    monkeypatch.setattr(kz, "_words_steps", counted)
+    want = _integrate_oracle(sys, loop)
+    got = integrate_holonomy(sys, loop)
+    assert batches == [(4, 5), (4, 3)] * 3
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
 def _full_width(sys, loop):
     """``integrate_holonomy``'s steps, batches and evaluation taken on all d
     columns of W on every live segment: the oracle of the moved-columns rule."""
@@ -644,14 +693,17 @@ def _full_width(sys, loop):
         if not pairs:
             continue
         op, pos, m = kz.segment_operator(sys, pairs)
-        apply = kz._applies(d, len(pos))
-        batch = max(1, kz.CHUNK_ENTRIES // max(len(pos) if apply else d * d, len(pairs)))
+        mode, batch = kz._evaluation(d, len(pairs), len(pos))
+        held = kz._words_held(op, pos, m, batch) if mode == "words" else None
         rows, cols = np.array(pairs).T
         for k0 in range(0, per_seg, batch):
             ts = seg / loop.segments + np.arange(2 * k0, 2 * min(per_seg, k0 + batch) + 1) * (dt / 2)
             z, v = loop.stage_data(ts, seg)
-            data = (m @ (sys.h * v[rows] / (z[rows] - z[cols]))).T
-            if apply:
+            coeffs = sys.h * v[rows] / (z[rows] - z[cols])
+            data = (m @ coeffs).T
+            if mode == "words":
+                w = kz._words_steps(w, held, coeffs, dt)
+            elif mode == "apply":
                 w = kz._apply_steps(w, op, np.ascontiguousarray(data), dt)
             else:
                 a = np.zeros((len(ts), d * d), dtype=complex)
@@ -679,12 +731,80 @@ def test_propagator_batch_is_its_steps_in_order(b):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _random_segment(terms, d, seed):
+    """T random real lifts that do not commute, on a shared sparse pattern,
+    as a ``segment_operator`` (op, pos, m); the lifts of a rational R are
+    real."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(seed)
+    lifts = rng.standard_normal((terms, d, d)) * (rng.random((terms, d, d)) < 0.6)
+    pos = np.flatnonzero(np.any(lifts != 0, axis=0))
+    m = sparse.csr_matrix(lifts.reshape(terms, -1)[:, pos].T)
+    op = sparse.csr_matrix((np.zeros(len(pos), dtype=complex), pos % d,
+                            np.searchsorted(pos, np.arange(d + 1) * d)), shape=(d, d))
+    return lifts, (op, pos, m)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_word_increments_match_stage_increments(terms):
+    """The words are the products of the lifts, first letter leftmost, in
+    lexicographic order by length; a batch's increments formed from them
+    are those of the stacked stage matrices, and so are its steps, on T
+    random lifts that do not commute."""
+    d, b, dt = 5, 6, 0.05
+    lifts, segment = _random_segment(terms, d, terms)
+    words = kz.segment_words(*segment)
+    want = [np.linalg.multi_dot([np.eye(d)] + [lifts[t] for t in letters])
+            for k in range(1, 5) for letters in itertools.product(range(terms), repeat=k)]
+    assert words.shape == (kz._word_count(terms), d * d) == (len(want), d * d)
+    want = np.array(want).reshape(len(want), -1)
+    assert np.max(np.abs(words - want)) <= 1e-13 * np.max(np.abs(want))
+    rng = np.random.default_rng(10 + terms)
+    c = rng.standard_normal((terms, 2 * b + 1)) + 1j * rng.standard_normal((terms, 2 * b + 1))
+    a = np.einsum("ts,tij->sij", c, lifts)
+    stages = kz._stage_increments(a, dt)
+    got = (kz._word_coefficients(c, dt).T @ words).reshape(b, d, d)
+    assert np.max(np.abs(got - stages)) <= 1e-13 * np.max(np.abs(stages))
+    w = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    want = kz._propagator_steps(w.copy(), a, dt)
+    got = kz._words_steps(w.copy(), kz._words_held(*segment, b), c, dt)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["circle-2-3", "conjugate-4-3"])
+def test_words_products_stay_serial(case, monkeypatch):
+    """Each numpy product of the words path multiplies at most
+    SERIAL_PRODUCT m k n (the two-dimensional products; the pairwise
+    product's are stacked), and the chunks tile the product: with the
+    bound lowered to 64, which splits both rows and columns, the words
+    give the same holonomy."""
+    (n, N), op, h, spec, _ = _INTEGRATOR_CASES[case]
+    r = op if isinstance(op, TensorOp2) else make_phi(n, op)
+    sys, loop = KZSystem.from_op(r, N, h), LoopSpec(**spec)
+    want = integrate_holonomy(sys, loop)
+    sizes = []
+    matmul = np.matmul
+
+    def recorded(a, b, out):
+        if a.ndim == 2:
+            sizes.append(a.shape + b.shape[1:])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    integrate_holonomy(sys, loop)
+    assert len(sizes) > 1 and max(m * k * p for m, k, p in sizes) <= kz.SERIAL_PRODUCT
+    monkeypatch.setattr(kz, "SERIAL_PRODUCT", 64)
+    got = integrate_holonomy(sys, loop)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _record_widths(monkeypatch):
     """Record (evaluation, columns of W integrated, array returned) for every
     batch."""
     widths = []
-    for name in ("_apply_steps", "_propagator_steps"):
-        def counted(w, *args, steps=getattr(kz, name), mode=name[1:-6]):
+    for mode, name in _EVALUATIONS.items():
+        def counted(w, *args, steps=getattr(kz, name), mode=mode):
             out = steps(w, *args)
             widths.append((mode, w.shape[1], out))
             return out
@@ -694,9 +814,10 @@ def _record_widths(monkeypatch):
 
 
 def _moved_cases():
-    """(name, system, loop, evaluation): the cases of the moved-columns rule
+    """(name, system, loop, evaluations): the cases of the moved-columns rule
     beyond the single circle, which ``test_circle_moves_37_rank_columns_at_n4``
-    takes."""
+    takes. A "propagator" case takes the propagator forms: words on the
+    segments with two live lifts, stacked stages on the one with four."""
     # point 0 moves on the first two segments, point 2 on the last three: the
     # second adds the columns with a_2 = a_j in im phi and a_0 != a_j for all
     # j, and the last two still step the columns only point 0 moved
@@ -708,18 +829,19 @@ def _moved_cases():
     return [
         ("late-apply", KZSystem.from_op(make_phi(3, [1, 2, 2]), 4, 0.1 - 0.03j),
          LoopSpec([1 + 1j, 6.0, 12.0, 30.0], "polygon", 8,
-                  waypoints=late + [[30.0] * 5]), "apply"),
+                  waypoints=late + [[30.0] * 5]), {"apply"}),
         ("late-propagator", KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.03j),
-         LoopSpec([1 + 1j, 6.0, 12.0], "polygon", 8, waypoints=late), "propagator"),
+         LoopSpec([1 + 1j, 6.0, 12.0], "polygon", 8, waypoints=late),
+         {"words", "propagator"}),
         ("paused-apply", KZSystem.from_op(phi4, 4, 0.08),
          LoopSpec([1.0, 0.0, 9.0, 20.0], "polygon", 9,
-                  waypoints=paused + [[20.0] * 5]), "apply"),
+                  waypoints=paused + [[20.0] * 5]), {"apply"}),
         ("paused-propagator", KZSystem.from_op(make_phi(2, [1, 2]), 3, 0.08),
-         LoopSpec([1.0, 0.0, 9.0], "polygon", 9, waypoints=paused), "propagator"),
+         LoopSpec([1.0, 0.0, 9.0], "polygon", 9, waypoints=paused), {"words"}),
         ("dense-apply", KZSystem.from_op(_DIAG3, 4, 0.03 + 0.01j),
-         LoopSpec(**_INTEGRATOR_CASES["diag-3-4-nonsymmetric"][3]), "apply"),
+         LoopSpec(**_INTEGRATOR_CASES["diag-3-4-nonsymmetric"][3]), {"apply"}),
         ("dense-propagator", KZSystem.from_op(_CONJ4, 3, 0.05 - 0.01j),
-         LoopSpec(**_INTEGRATOR_CASES["conjugate-4-3"][3]), "propagator"),
+         LoopSpec(**_INTEGRATOR_CASES["conjugate-4-3"][3]), {"words"}),
     ]
 
 
@@ -727,17 +849,17 @@ def _moved_cases():
                          ids=[c[0] for c in _moved_cases()])
 def test_moved_columns_match_full_width(case, monkeypatch):
     """Integrating only the moved columns of W gives the full-width run:
-    bit for bit under *apply*, within 1e-11 under the propagator. A column
+    bit for bit under *apply*, within 1e-11 under the propagator forms. A column
     joins when a live segment's pattern first reaches it, a segment with
     A = 0 moves none, and once every column has moved W itself is stepped."""
-    name, sys, loop, mode = _moved_cases()[case]
+    name, sys, loop, modes = _moved_cases()[case]
     want = _full_width(sys, loop)
     widths = _record_widths(monkeypatch)
     got = integrate_holonomy(sys, loop)
-    assert {m for m, _, _ in widths} == {mode}
+    assert {m for m, _, _ in widths} == modes
     # in C order, which scipy's sparse products read without a copy
     assert all(out.flags.c_contiguous for _, _, out in widths)
-    if mode == "apply":
+    if modes == {"apply"}:
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
@@ -776,11 +898,12 @@ def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("case", ["circle-4-4", "long-circle"])
+@pytest.mark.parametrize("case", ["circle-4-4", "long-circle", "polygon-all-moving"])
 def test_integration_bytes_bounds_the_traced_peak(case):
     """The peak that tracemalloc sees while ``integrate_holonomy`` runs,
     working copy of the moved columns included, stays within
-    ``integration_bytes``: one *apply* case and one propagator case."""
+    ``integration_bytes``: one case of each evaluation (*apply*, words and
+    stacked stages)."""
     import tracemalloc
 
     (n, N), phi, h, spec, mode = _INTEGRATOR_CASES[case]

@@ -190,6 +190,33 @@ def test_make_conjugate_preserves_long():
     assert check_laws(r, ["long"])["long"]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_make_conjugate_matches_the_inverse_of_the_kron(n):
+    """(u (x) u)^{-1} = u^{-1} (x) u^{-1}: on seeded u with fraction
+    entries, ``make_conjugate`` gives the conjugate formed with the inverse
+    of the n^2 x n^2 kron(u, u), and a singular u is refused with the same
+    message."""
+    rng = random.Random(n)
+    maps = idempotent_maps(n)
+    done = 0
+    while done < 4:
+        u = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        pass_mat = la.kron(u, u)
+        r = make_phi(n, rng.choice(maps))
+        try:
+            pass_inv = la.mat_inv(pass_mat)
+        except ValueError:
+            with pytest.raises(SingularMatrix, match="^u is not invertible$"):
+                make_conjugate(u, r)
+            continue
+        want = la.mat_mul(pass_mat, la.mat_mul(r.matrix, pass_inv))
+        assert make_conjugate(u, r) == TensorOp2(n, want)
+        done += 1
+    singular = [[F(k + 1)] * n for k in range(n)]
+    with pytest.raises(SingularMatrix, match="^u is not invertible$"):
+        make_conjugate(singular, make_phi(n, maps[0]))
+
+
 def test_make_conjugate_errors():
     base = make_diag(2, [[2, 3], [5, 7]])
     with pytest.raises(SingularMatrix):
