@@ -243,6 +243,15 @@ def cmd_bialgebra_check(args):
     return EXIT_OK if all(verdicts.values()) else EXIT_FAIL
 
 
+def _int_option(text):
+    """An integer option, read by ``scalars.parse_int``: ASCII digits only,
+    where argparse's ``type=int`` also took other Unicode digits and ``_``."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="longeq",
@@ -258,13 +267,13 @@ def build_parser():
     c = sub.add_parser("construct", help="emit a constructed solution as JSON")
     kinds = c.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("phi")
-    k.add_argument("--n", type=int, required=True)
+    k.add_argument("--n", type=_int_option, required=True)
     k.add_argument("--map", required=True, help="comma-separated values of phi")
     k = kinds.add_parser("diag")
-    k.add_argument("--n", type=int, required=True)
+    k.add_argument("--n", type=_int_option, required=True)
     k.add_argument("--a", required=True, help="row-major n*n fraction list")
     k = kinds.add_parser("pair")
-    k.add_argument("--n", type=int, required=True)
+    k.add_argument("--n", type=_int_option, required=True)
     k.add_argument("--f", required=True, help="row-major n*n fraction list")
     k.add_argument("--g", required=True, help="row-major n*n fraction list")
     k = kinds.add_parser("conjugate")
@@ -286,10 +295,10 @@ def build_parser():
 
     c = sub.add_parser("kz", help="integrate loop holonomy of the connection")
     c.add_argument("--op", required=True)
-    c.add_argument("--points", type=int, required=True)
+    c.add_argument("--points", type=_int_option, required=True)
     c.add_argument("--h", required=True, help="complex parameter as RE or RE,IM")
     c.add_argument("--loop", required=True, help="loop JSON file")
-    c.add_argument("--steps", type=int, help="override the loop step count")
+    c.add_argument("--steps", type=_int_option, help="override the loop step count")
     c.add_argument(
         "--compare",
         action="store_true",

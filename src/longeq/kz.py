@@ -63,8 +63,9 @@ CHUNK_ENTRIES = 1 << 16
 # polygon where all four points move at n = 4, N = 4 (22 MB for a dense
 # conjugate), 1.6 GB for a circle at n = 4, N = 6
 MAX_INTEGRATOR_BYTES = 1 << 29
-# d x d arrays an *apply* step holds at once: W, its working copy of the
-# moved columns and the four arrays of ``_apply_increment``
+# d x d arrays an *apply* step holds at once: W, the array of its moved
+# columns that it steps (W[:, moved] or the component-stacked array, each at
+# most d x d) and the four arrays of ``_apply_increment``
 APPLY_ARRAYS = 6
 # m k n of each real numpy product the words path takes (``_serial_product``):
 # well below the size at which numpy's OpenBLAS starts its threads (module
@@ -339,6 +340,84 @@ def segment_operator(sys: KZSystem, pairs):
     return op, pos, m
 
 
+def _union_pairs(seg_pairs):
+    """The live pairs of any segment, in ``segment_pairs`` order."""
+    return sorted({p for pairs in seg_pairs for p in pairs})
+
+
+def _components(op):
+    """The weakly connected components of the pattern of the square CSR
+    matrix ``op``: each index's label is the smallest index of its component.
+
+    Labels start as the indices; each pass lowers every label to the least
+    label across its edges and then follows labels to their own labels until
+    none changes. A label is always an index of the same component and never
+    above its own index, so at the fixed point, where the labels agree across
+    every edge, each component carries its smallest index.
+    """
+    d = op.shape[0]
+    rows = np.repeat(np.arange(d), np.diff(op.indptr))
+    cols = op.indices
+    labels = np.arange(d)
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        np.minimum.at(low, cols, labels[rows])
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
+        if np.array_equal(low, labels):
+            return labels
+        labels = low
+
+
+def _stacked(op, labels, moved):
+    """The component-stacked layout of W's moved columns for an *apply*
+    segment (``integrate_holonomy``), or None when it is W[:, moved] itself:
+    one live component that holds every row.
+
+    Returns ``(op, layout)``: the segment's operator on the live rows, those
+    of the components that hold a moved column, and the layout that
+    ``_stack_positions`` reads. Row p of the tall array is row ``rows[p]``
+    of W, and holds W's moved columns ``cols[start[p]:start[p] + count[p]]``,
+    those of its component, in its first ``count[p]`` entries. The rows keep
+    their order, and every row outside them is empty in ``op``, so the
+    operator keeps its stored entries in their order: the map's data fits.
+    """
+    from scipy import sparse
+
+    d = len(labels)
+    cols = np.flatnonzero(moved)
+    cols = cols[np.argsort(labels[cols], kind="stable")]
+    comps, first, width = np.unique(labels[cols], return_index=True, return_counts=True)
+    live = np.zeros(d, dtype=bool)
+    live[comps] = True
+    rows = np.flatnonzero(live[labels])
+    if len(comps) == 1 and len(rows) == d:
+        return None
+    block = np.searchsorted(comps, labels[rows])
+    order = np.empty(d, dtype=op.indices.dtype)
+    order[rows] = np.arange(len(rows))
+    indptr = np.append(op.indptr[rows], op.indptr[-1])
+    return (sparse.csr_matrix((op.data, order[op.indices], indptr),
+                              shape=(len(rows), len(rows))),
+            (d, rows, cols, first[block], width[block]))
+
+
+def _stack_positions(layout):
+    """``(shape, src, dst)``: the shape of the tall array of a ``_stacked``
+    layout, and the flat positions in it and in W of the entries it holds.
+    Formed for the gather and again for the scatter, so none is held while
+    the segment steps."""
+    d, rows, cols, start, count = layout
+    width = int(count.max())
+    p = np.repeat(np.arange(len(rows)), count)
+    j = np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
+    return (len(rows), width), p * width + j, rows[p] * d + cols[start[p] + j]
+
+
 def _word_count(terms):
     """W = T + T^2 + T^3 + T^4: the ordered words of length 1 to 4 in T lifts."""
     return terms * (1 + terms * (1 + terms * (1 + terms)))
@@ -371,9 +450,15 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
 
     With T the most live pairs on a segment, E = T n^(N-2) nnz(R) lift
     entries bound nnz(A). The rule at E picks the d x d arrays. W and the
-    working copy of its moved columns are two of them (the copy is at most
-    d x d). *apply* adds four (``_apply_increment``): APPLY_ARRAYS. The
-    propagator's batch of b steps adds 2 b + 1 stage matrices, X2, X3 and
+    array of its moved columns that a segment steps are two of them: that
+    array is W[:, moved], or under *apply* the component-stacked array,
+    whose rows are those of the live components, at most d, and whose
+    width, the most moved columns of one component, is at most d. *apply*
+    adds the four arrays of ``_apply_increment``, of the stepped array's
+    shape: APPLY_ARRAYS. The positions that gather the stacked array from W
+    and scatter it back, 16 bytes per entry, are formed only around the
+    steps, when the four arrays are not held. The propagator's batch of b
+    steps adds 2 b + 1 stage matrices, X2, X3 and
     X4, 5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
     levels hold X2 and at most ceil(b / 2) more matrices, and before the
     product that updates W. The words path holds fewer: its real words
@@ -389,18 +474,27 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     switch to *apply* or to words, which hold fewer.
     Stage data, formed and copied once per batch, is at most
     2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
-    takes ENTRY_BYTES per lift entry:
+    takes ENTRY_BYTES per lift entry. That also covers a held operator with
+    its copy on the live rows: the position, the data and the map of each
+    entry, about 52 bytes, and the copy's column indices, 4 bytes. The components are read off the operator of the
+    U pairs live on any segment. When some live segment has other pairs,
+    that operator is built beside a segment's, and adds E_U = U n^(N-2)
+    nnz(R) entries; else E_U = 0, since a segment's operator is the union's:
 
-        16 (arrays d^2 + 2 (2 CHUNK_ENTRIES + 3 E)) + ENTRY_BYTES E.
+        16 (arrays d^2 + 2 (2 CHUNK_ENTRIES + 3 E)) + ENTRY_BYTES (E + E_U).
     """
     d = sys.dim
-    terms = max(map(len, segment_pairs(loop)), default=0)
-    entries = terms * (d // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
+    seg_pairs = segment_pairs(loop)
+    terms = max(map(len, seg_pairs), default=0)
+    per_pair = (d // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
+    entries = terms * per_pair
+    union = _union_pairs(seg_pairs)
+    extra = len(union) * per_pair if any(p and p != union for p in seg_pairs) else 0
     mode, batch = _evaluation(d, terms, entries)
     arrays = APPLY_ARRAYS if mode == "apply" else 5 * batch + 3
     item = np.dtype(complex).itemsize
     return (item * (arrays * d * d + 2 * (2 * CHUNK_ENTRIES + 3 * entries))
-            + ENTRY_BYTES * entries)
+            + ENTRY_BYTES * (entries + extra))
 
 
 def check_integrator_memory(sys: KZSystem, loop: LoopSpec):
@@ -626,6 +720,35 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     columns only where a_m = a_j lies in im phi for some j != m, which is
     37 rank(phi) of the 256 columns.
 
+    An *apply* segment also skips the rows that stay zero. A(t) only mixes
+    basis vectors within a weakly connected component of the loop's
+    pattern, the union of the patterns of every segment's live lifts
+    (``_components``, read off one ``segment_operator`` of all the live
+    pairs, which is the segment operator itself when a segment's pairs are
+    all of them). W(0) = I, so W stays block diagonal along the components.
+    A segment steps a tall array with one row for each row of W in a
+    component that holds a moved column, in W's order: row r holds the
+    moved columns of r's component, left-aligned, padded with zeros to the
+    most moved columns of one component (``_stacked``). Column j of the
+    rows of one component is one column of W, its j-th moved column, and
+    A never mixes rows of two components, so the segment's operator, on
+    the same rows, steps the blocks side by side; they are scattered back
+    after it. The result is W's, bit for bit: ``csr_matvecs`` sums each
+    output entry over its row's stored entries in stored order, and the
+    operator on the live rows keeps every stored entry and its order (the
+    other rows are empty); the RK4 sums are elementwise. So every entry of
+    W sees the same floating-point operations as in a full-width run, and
+    padded columns never reach a real one. One live component holding
+    every row is W[:, moved] itself, and is stepped so. For phi at n = 4,
+    N = 4 on a circle the tall array is 256 x 37, 224 x 7, 186 x 7 and
+    148 x 1 for rank 1 to 4, against 256 x 37 rank; at n = 3 an all-moving
+    polygon steps 81 x 11 for rank 2 and 81 x 1 for rank 3, against 81 x 60
+    and 81 x 81. On the perfbench *apply* pool loops, integration took 0.26,
+    0.16 and 0.032 of the time of W[:, moved] on circles of rank 2, 3 and
+    4, 0.36 and 0.35 on polygons of rank 2 and 3, and within noise of it
+    at rank 1 (medians of 9 interleaved rounds in one process, 2 shared
+    CPUs).
+
     Each segment is integrated by one of three evaluations of the same RK4
     step; A1, A2, A4 are A at the start, middle and end of the step:
 
@@ -713,27 +836,42 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     moved = np.zeros(d, dtype=bool)  # the columns of W that may differ from I's
     per_seg = max(1, -(-loop.steps // loop.segments))
     dt = 1.0 / (loop.segments * per_seg)
+    seg_pairs = segment_pairs(loop)
+    union = _union_pairs(seg_pairs)
+    labels = None  # the components of the loop's pattern, found at the first *apply* segment
     built = None  # consecutive segments with the same live pairs share it
-    for seg, pairs in enumerate(segment_pairs(loop)):
+    for seg, pairs in enumerate(seg_pairs):
         if not pairs:  # A vanishes on the segment
             continue
         if built is None or built[0] != pairs:
             built = None  # free the previous operator first
             op, pos, m = segment_operator(sys, pairs)
             mode, batch = _evaluation(d, len(pairs), len(pos))
+            # later segments of a run with the same operator move no new column
+            moved[op.indices] = True
+            live = np.flatnonzero(moved)
+            held = stack = None
             if mode == "words":
                 held = _words_held(op, pos, m, batch)
             elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
                 held = np.zeros((2 * batch + 1, d * d), dtype=complex)
-            else:
-                held = None
-            built = pairs, op, pos, m, mode, batch, held
-        _, op, pos, m, mode, batch, held = built
+            elif len(pos):
+                if labels is None:
+                    labels = _components(op if pairs == union
+                                         else segment_operator(sys, union)[0])
+                stack = _stacked(op, labels, moved)
+            built = pairs, op, pos, m, mode, batch, held, live, stack
+        _, op, pos, m, mode, batch, held, live, stack = built
         if not len(pos):  # R = 0
             continue
-        moved[op.indices] = True
-        live = np.flatnonzero(moved)
-        part = w if len(live) == d else w.take(live, axis=1)  # C order, as scipy reads it
+        if stack is None:  # C order, as scipy reads it
+            part = w if len(live) == d else w.take(live, axis=1)
+        else:
+            op, layout = stack
+            shape, src, dst = _stack_positions(layout)
+            part = np.zeros(shape, dtype=complex)
+            part.put(src, w.take(dst))
+            del src, dst
         rows, cols = np.array(pairs).T
         t0 = seg / loop.segments
         for k0 in range(0, per_seg, batch):
@@ -749,7 +887,10 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
                 a = held[:len(ts)]
                 a[:, pos] = (m @ coeffs).T
                 part = _propagator_steps(part, a.reshape(-1, d, d), dt)
-        if part is not w:
+        if stack is not None:
+            _, src, dst = _stack_positions(layout)
+            w.put(dst, part.take(src))
+        elif part is not w:
             w[:, live] = part
     return w
 

@@ -802,6 +802,48 @@ def test_frt_naming_swaps_and_keeps_canonical_names(tmp_path, capsys):
     assert sorted(report["epsilon"]) == sorted(report["generators"])
 
 
+# indices near 1..n: out of range, padded, signed, blank, non-ASCII, empty
+_NAMING_INDEX = st.one_of(st.integers(-1, 4).map(str),
+                          st.sampled_from(["01", " 1", "1 ", "+1", "\u0661", "\uff12", "1_0", ""]))
+_NAMING_LABEL = st.sampled_from(["c_1_1", "c_1_2", "c_2_1", "c_2_2"])
+_NAMING_KEY = st.one_of(
+    _NAMING_LABEL,
+    st.builds("c_{}_{}".format, _NAMING_INDEX, _NAMING_INDEX),
+    st.sampled_from(["c_1", "c_1_1_1", "C_1_1", "c__1_1", "c_1_1 ", "c-1-1", ""]),
+    st.text(max_size=6))
+_NAMING_VALUE = st.one_of(st.sampled_from(["c_1_1", "c_2_2", "c_1_2", "c_2_1", "x", ""]),
+                          st.text(max_size=4), _JSON_ANY)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["identity", "pair"]),
+       st.one_of(st.dictionaries(_NAMING_LABEL, st.text(max_size=4), max_size=4),
+                 st.dictionaries(_NAMING_KEY, _NAMING_VALUE, max_size=4), _JSON_ANY))
+@example("identity", {"c_1_1": "c_2_2", "c_2_2": "c_1_1"})
+@example("pair", {"c_1_1": "a", "c_2_2": "b"})
+@example("identity", {"c_1_1": None})
+def test_frt_naming_fuzz_exits_0_or_2(tmp_path, capsys, which, naming):
+    """``frt --naming`` on fuzzed JSON, objects with keys near ``c_i_j``
+    and values of every JSON type, lists and scalars, exits 0 with the
+    naming applied or 2 with an ``error:`` line; it never raises."""
+    r = {"identity": _IDENTITY_2, "pair": _PAIR_111}[which]
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["frt", "--op", op, "--naming",
+                                   _write(tmp_path, "naming.json", naming)])
+    if code == 2:
+        assert "error:" in err.splitlines()[-1], err
+        assert out == ""
+        return
+    assert code == 0, err
+    report = json.loads(out)
+    # a file holding null reads as no naming
+    assert report["naming"] == ({} if naming is None else naming)
+    assert len(set(report["generators"])) == len(report["generators"])
+    assert set(report["naming"].values()) <= set(report["generators"])
+
+
 def test_parser_is_built_once_and_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
     """A sequence of calls through the one shared parser gives, call by
     call, the exit code, stdout and stderr of a fresh parser per call; the
@@ -1150,10 +1192,19 @@ def test_loop_from_json_fuzz_refuses_with_usage_errors(obj):
     assert isinstance(loop, kz.LoopSpec)
 
 
+# integer options with other Unicode digits or a ``_``, which int() reads
+_NON_ASCII_INTS = ["\u0662", "\u0663", "\uff13", "1_6", "\u0661\u0666", " 3 ", "+3"]
 _KZ_ARG = st.one_of(st.sampled_from(["2", "3", "0", "-1", "x", "", "1e3", "nan", "inf",
                                      "1,2", "1,", ",1", "1,2,3", "0.1,-0.05", "1e308,1e308",
-                                     "1e-320", str(kz.MAX_STEPS + 1)]),
+                                     "1e-320", str(kz.MAX_STEPS + 1)] + _NON_ASCII_INTS),
+                    st.text(alphabet=st.sampled_from("0123456789_+- ,.e" + "\u0662\u0663\uff13"),
+                            max_size=4),
                     st.text(max_size=4))
+
+
+def _non_ascii_int(text):
+    """Whether ``text`` has a ``_`` or a digit that is not ASCII."""
+    return any(ch == "_" or ch.isdigit() and not ch.isascii() for ch in text)
 
 
 @settings(max_examples=150, deadline=None,
@@ -1161,11 +1212,17 @@ _KZ_ARG = st.one_of(st.sampled_from(["2", "3", "0", "-1", "x", "", "1e3", "nan",
 @given(_loop_objects(), st.one_of(st.none(), _KZ_ARG), _KZ_ARG,
        st.one_of(st.none(), _KZ_ARG), st.booleans())
 @example(_UNDERFLOWING_CIRCLE, None, "0.1", None, False)
+@example({"base": [[0, 0], [1, 0], [6, 0]], "kind": "circle", "steps": 4, "moving": 1,
+          "center": 0, "radius": 0.5}, "\u0663", "0.1", None, False)
+@example({"base": [[0, 0], [1, 0], [6, 0]], "kind": "circle", "steps": 4, "moving": 1,
+          "center": 0, "radius": 0.5}, "3", "0.1", "1_6", True)
 def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, h, steps,
                                              compare):
     """``kz`` on fuzzed loop JSON and ``--points``, ``--h`` and ``--steps``
     values exits 0 or 1 with a report, or 2 with an ``error:`` line; it
-    never raises. ``--points`` is the loop's own count when not drawn."""
+    never raises. ``--points`` is the loop's own count when not drawn. A
+    ``--points`` or ``--steps`` with a non-ASCII digit or a ``_`` always
+    exits 2."""
     loop = _write(tmp_path, "loop.json", loop_obj)
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     if points is None:
@@ -1183,6 +1240,8 @@ def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, 
         assert out == ""
     else:
         assert code in (0, 1) and json.loads(out)["N"] == int(points), (code, err)
+    if _non_ascii_int(points) or steps is not None and _non_ascii_int(steps):
+        assert code == 2
 
 
 def test_kz_stdout_on_fixed_circle_is_pinned(tmp_path, capsys):
@@ -1516,6 +1575,26 @@ def test_construct_phi_map_takes_ascii_integers_only(capsys, phi_map):
         assert (code, out) == (2, "") and err.startswith("error: not an integer string:")
 
 
+@pytest.mark.parametrize("option, value, argv", [
+    ("--n", "\u0662", ["construct", "phi", "--map", "1,1"]),
+    ("--n", "1_0", ["construct", "diag", "--a", "1"]),
+    ("--n", "\uff11", ["construct", "pair", "--f", "1", "--g", "1"]),
+    ("--points", "\u0663", ["kz", "--op", "op.json", "--h", "0.1", "--loop", "loop.json"]),
+    ("--steps", "1_6", ["kz", "--op", "op.json", "--points", "3", "--h", "0.1",
+                        "--loop", "loop.json"]),
+], ids=["construct-phi-n", "construct-diag-n", "construct-pair-n", "kz-points", "kz-steps"])
+def test_int_options_take_ascii_integers_only(capsys, option, value, argv):
+    """``--n``, ``--points`` and ``--steps`` are read by ``parse_int``:
+    argparse's ``type=int`` also took other Unicode digits and ``_``
+    separators, so ``construct phi --n \u0662 --map 1,1`` exited 0. The
+    option is refused while the arguments are parsed, before any file is
+    read."""
+    code, out, err = _run(capsys, argv + [option, value])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {option}: not an integer string: {value!r}")
+
+
 _CONSTRUCT_TOKEN = st.text(alphabet="0123456789/-+ ._e" + _UNICODE_DIGITS, max_size=4)
 _CONSTRUCT_ARG = st.one_of(st.lists(_CONSTRUCT_TOKEN, max_size=5).map(",".join),
                            st.text(max_size=8))
@@ -1523,15 +1602,18 @@ _CONSTRUCT_ARG = st.one_of(st.lists(_CONSTRUCT_TOKEN, max_size=5).map(",".join),
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["phi", "diag", "pair", "conjugate"]), st.sampled_from("0123"),
+@given(st.sampled_from(["phi", "diag", "pair", "conjugate"]),
+       st.one_of(st.sampled_from("0123"), st.sampled_from(_NON_ASCII_INTS), _CONSTRUCT_TOKEN),
        _CONSTRUCT_ARG, _CONSTRUCT_ARG)
 @example("phi", "2", "1,\u0662", "")
 @example("diag", "1", "\u0661", "")
 @example("pair", "1", "2", "\uff11/\uff12")
 @example("conjugate", "2", "1,0,0,1_0", "")
+@example("phi", "\u0662", "1,1", "")
+@example("diag", "1_0", "1", "")
 def test_construct_string_arguments_fuzz(tmp_path, capsys, kind, n, first, second):
-    """``construct`` on fuzzed ``--map``, ``--a``, ``--f``, ``--g`` and
-    ``--u`` strings exits 0 with an operator, or 2 with an ``error:``
+    """``construct`` on fuzzed ``--n``, ``--map``, ``--a``, ``--f``, ``--g``
+    and ``--u`` strings exits 0 with an operator, or 2 with an ``error:``
     line; it never raises. A non-ASCII digit or a ``_`` always exits 2."""
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     argv = {"phi": ["--n", n, "--map", first], "diag": ["--n", n, "--a", first],
@@ -1545,7 +1627,8 @@ def test_construct_string_arguments_fuzz(tmp_path, capsys, kind, n, first, secon
     else:
         assert code == 0 and isinstance(operator_from_json(json.loads(out)), TensorOp2), err
     used = first + second if kind == "pair" else first
-    if any(ch == "_" or ch.isdigit() and not ch.isascii() for ch in used):
+    used += "" if kind == "conjugate" else n
+    if _non_ascii_int(used):
         assert code == 2
 
 

@@ -584,6 +584,11 @@ _INTEGRATOR_CASES = {
                               dict(base=[complex(*c) for c in _CORNERS], kind="polygon",
                                    steps=6, waypoints=[_square(*c, count=4) for c in _CORNERS]),
                               "apply"),
+    # every point moves: the perfbench polygon, stacked by 20 components
+    "polygon-4-all-moving": ((3, 4), [1, 2, 2], 0.08 - 0.02j,
+                             dict(base=[complex(*c) for c in _CORNERS], kind="polygon",
+                                  steps=8, waypoints=[_square(*c) for c in _CORNERS]),
+                             "apply"),
     "circle-3-5": ((3, 5), [1, 2, 2], 0.06 + 0.02j,
                    dict(base=[0.0, 1.0, 10.0, 20j, -15.0], kind="circle", steps=3, moving=1,
                         center=0, radius=0.5), "apply"),
@@ -800,17 +805,80 @@ def test_words_products_stay_serial(case, monkeypatch):
 
 
 def _record_widths(monkeypatch):
-    """Record (evaluation, columns of W integrated, array returned) for every
-    batch."""
+    """Record (evaluation, shape of the array of W integrated, array
+    returned) for every batch: (d, moved columns) for W[:, moved], the
+    stacked shape for a component-stacked *apply* segment."""
     widths = []
     for mode, name in _EVALUATIONS.items():
         def counted(w, *args, steps=getattr(kz, name), mode=mode):
             out = steps(w, *args)
-            widths.append((mode, w.shape[1], out))
+            widths.append((mode, w.shape, out))
             return out
 
         monkeypatch.setattr(kz, name, counted)
     return widths
+
+
+def _bfs_components(adj):
+    """Component labels of the symmetric closure of the boolean d x d
+    pattern ``adj``, by breadth-first search: each the smallest index of its
+    component."""
+    sym = adj | adj.T
+    labels = np.full(len(adj), -1)
+    for start in range(len(adj)):
+        if labels[start] < 0:
+            labels[start] = start
+            queue = [start]
+            while queue:
+                for u in np.flatnonzero(sym[queue.pop()]):
+                    if labels[u] < 0:
+                        labels[u] = start
+                        queue.append(u)
+    return labels
+
+
+def _pattern(sys, pairs):
+    """The boolean d x d union of the patterns of the lifts R^{ij}, (i, j) in
+    ``pairs``, from dense lifts."""
+    return sum(lift_float(sys.r_float != 0, sys.n, i, j, sys.N) for i, j in pairs) != 0
+
+
+def _stacked_shapes(sys, loop):
+    """The shape of the array each live segment of an *apply* run steps: the
+    rows of the components of the loop's pattern that hold a moved column,
+    and the most moved columns one component holds (d and the moved-column
+    count when one component holds every row); from dense lifts and BFS."""
+    live = [p for p in kz.segment_pairs(loop) if p]
+    labels = _bfs_components(_pattern(sys, {p for pairs in live for p in pairs}))
+    moved = np.zeros(sys.dim, dtype=bool)
+    shapes = []
+    for pairs in live:
+        moved |= np.any(_pattern(sys, pairs), axis=0)
+        comps = np.unique(labels[moved])
+        shapes.append((int(np.isin(labels, comps).sum()),
+                       int(np.bincount(labels[moved]).max())))
+    return shapes
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 30, 81, 256])
+def test_components_match_bfs(d):
+    """``_components`` labels each index with the smallest index of its
+    weakly connected component, as breadth-first search on the symmetric
+    closure does, on seeded random patterns: empty, diagonal, a reversed
+    path (the slowest case for label propagation), and sparse and denser
+    random ones with self-loops."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(d)
+    path = np.zeros((d, d), dtype=bool)
+    path[np.arange(1, d), np.arange(d - 1)] = True
+    order = rng.permutation(d)
+    patterns = [np.zeros((d, d), dtype=bool), np.eye(d, dtype=bool), path,
+                path[np.ix_(order, order)]]
+    patterns += [rng.random((d, d)) < p / d for p in (0.3, 0.7, 1.0, 1.5, 3.0)]
+    for adj in patterns:
+        op = sparse.csr_matrix(adj.astype(complex))
+        assert np.array_equal(kz._components(op), _bfs_components(adj))
 
 
 def _moved_cases():
@@ -851,7 +919,8 @@ def test_moved_columns_match_full_width(case, monkeypatch):
     """Integrating only the moved columns of W gives the full-width run:
     bit for bit under *apply*, within 1e-11 under the propagator forms. A column
     joins when a live segment's pattern first reaches it, a segment with
-    A = 0 moves none, and once every column has moved W itself is stepped."""
+    A = 0 moves none, and once every column has moved W itself is stepped.
+    *apply* steps them stacked by the components of the loop's pattern."""
     name, sys, loop, modes = _moved_cases()[case]
     want = _full_width(sys, loop)
     widths = _record_widths(monkeypatch)
@@ -864,60 +933,118 @@ def test_moved_columns_match_full_width(case, monkeypatch):
     else:
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
     d = sys.dim
-    seen = [w for _, w, _ in widths]
-    assert seen == sorted(seen)
+    seen = [shape for _, shape, _ in widths]
+    assert all(a <= b for prev, shape in zip(seen, seen[1:]) for a, b in zip(prev, shape))
     # W itself is stepped, with no copy, exactly once every column has moved
-    assert (widths[-1][2] is got) == (seen[-1] == d)
+    assert (widths[-1][2] is got) == (seen[-1] == (d, d))
     unmoved = np.all(got == np.eye(d), axis=0)
-    assert seen[-1] == d - np.count_nonzero(unmoved)
-    if name.startswith("dense"):
-        assert set(seen) == {d}
+    if modes == {"apply"}:
+        assert seen == _stacked_shapes(sys, loop)
+        # the moved columns are those of the live lifts' patterns
+        union = {p for pairs in kz.segment_pairs(loop) for p in pairs}
+        assert np.array_equal(~unmoved, np.any(_pattern(sys, union), axis=0))
+    else:
+        assert seen[-1] == (d, d - np.count_nonzero(unmoved))
+    if name == "dense-apply":  # diagonal R: W is diagonal, each column its own block
+        assert set(seen) == {(d, 1)}
+    elif name.startswith("dense"):
+        assert set(seen) == {(d, d)}
     elif name.startswith("late"):
         k = sys.N - 1
         assert [len(p) for p in kz.segment_pairs(loop)] == [k, 2 * k, k, k]
-        assert seen[0] < seen[-1] < d
+        assert seen[0] != seen[-1] and seen[-1] != (d, d)
     elif name.startswith("paused"):
         assert [bool(p) for p in kz.segment_pairs(loop)] == [True, False, True, True]
-        assert len(widths) == 3 and seen[-1] < d
+        assert len(widths) == 3 and seen[-1] != (d, d)
 
 
 def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
     """A phi circle at n = 4, N = 4 integrates the columns a with
     a_m = a_j in im phi for some j != m, m the moving point: for each of the
-    rank values v, 4^3 - 3^3 = 37 of them, in C order. The holonomy is the
-    full-width run's, bit for bit."""
+    rank values v, 4^3 - 3^3 = 37 of them. They are stepped stacked by the
+    components of the pattern, in C order: at rank 1 one component of all
+    256 rows, stepped as W[:, moved], and at rank 4, where W is diagonal,
+    148 blocks of one. The holonomy is the full-width run's, bit for bit."""
     loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0, radius=0.5)
-    for phi in ([1, 1, 1, 1], [1, 2, 1, 2], [1, 2, 2, 4], [1, 2, 3, 4]):
-        sys = KZSystem.from_op(make_phi(4, phi), 4, 0.05 + 0.02j)
+    stacked = {(1, 1, 1, 1): (256, 37), (1, 2, 1, 2): (224, 7), (1, 2, 2, 4): (186, 7),
+               (1, 2, 3, 4): (148, 1)}
+    for phi, shape in stacked.items():
+        sys = KZSystem.from_op(make_phi(4, list(phi)), 4, 0.05 + 0.02j)
         want = _full_width(sys, loop)
         widths = _record_widths(monkeypatch)
         got = integrate_holonomy(sys, loop)
-        assert [w[:2] for w in widths] == [("apply", 37 * len(set(phi)))]
+        pattern = _pattern(sys, kz.segment_pairs(loop)[0])
+        assert np.count_nonzero(np.any(pattern, axis=0)) == 37 * len(set(phi))
+        assert [w[:2] for w in widths] == [("apply", shape)]
+        # rank 1 is one component holding every row: W[:, moved], not permuted
+        op = kz.segment_operator(sys, kz.segment_pairs(loop)[0])[0]
+        moved = np.zeros(sys.dim, dtype=bool)
+        moved[op.indices] = True
+        assert (kz._stacked(op, kz._components(op), moved) is None) == (len(set(phi)) == 1)
+        assert _stacked_shapes(sys, loop) == [shape]
         assert widths[0][2].flags.c_contiguous
         assert np.array_equal(got, want)
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("case", ["circle-4-4", "long-circle", "polygon-all-moving"])
+@pytest.mark.parametrize("phi", idempotent_maps(3), ids=lambda phi: "".join(map(str, phi)))
+def test_stacked_polygon_matches_full_width_at_n3(phi, monkeypatch):
+    """Every phi at n = 3 on the N = 4 polygon on which every point moves:
+    the stacked *apply* run is the full-width run bit for bit, and the
+    loop's one ``segment_operator`` call also gives its components."""
+    (_, N), _, h, spec, _ = _INTEGRATOR_CASES["polygon-all-moving"]
+    spec = dict(spec, base=[complex(*c) for c in _CORNERS], steps=8,
+                waypoints=[_square(*c) for c in _CORNERS])
+    sys, loop = KZSystem.from_op(make_phi(3, list(phi)), 4, h), LoopSpec(**spec)
+    want = _full_width(sys, loop)
+    built = _record_segment_operators(monkeypatch)
+    widths = _record_widths(monkeypatch)
+    got = integrate_holonomy(sys, loop)
+    assert built == [kz.segment_pairs(loop)[0]]
+    assert {m for m, _, _ in widths} == {"apply"}
+    assert [shape for _, shape, _ in widths] == _stacked_shapes(sys, loop)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["circle-4-4", "long-circle", "polygon-all-moving",
+                                  "polygon-4-all-moving"])
 def test_integration_bytes_bounds_the_traced_peak(case):
     """The peak that tracemalloc sees while ``integrate_holonomy`` runs,
-    working copy of the moved columns included, stays within
+    the array of the moved columns it steps included, stays within
     ``integration_bytes``: one case of each evaluation (*apply*, words and
-    stacked stages)."""
-    import tracemalloc
-
+    stacked stages), and a component-stacked *apply* polygon."""
     (n, N), phi, h, spec, mode = _INTEGRATOR_CASES[case]
     sys = KZSystem.from_op(make_phi(n, phi), N, h)
     loop = LoopSpec(**spec)
-    integrate_holonomy(sys, loop)  # imports and first-call caches
+    assert 0 < _traced_peak(sys, loop) <= kz.integration_bytes(sys, loop)
+
+
+def _traced_peak(sys, loop):
+    """The peak that tracemalloc sees while ``integrate_holonomy`` runs, past
+    what was held before it, on a second run (imports and first-call
+    caches come before)."""
+    import tracemalloc
+
+    integrate_holonomy(sys, loop)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         integrate_holonomy(sys, loop)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= kz.integration_bytes(sys, loop)
+
+
+def test_integration_bytes_bounds_the_traced_peak_with_the_union():
+    """On a loop whose first *apply* segment has fewer live pairs than the
+    loop, the operator of the union of the live pairs, which gives the
+    components, is built beside the segment's, and ``integration_bytes``
+    counts it."""
+    _, sys, loop, _ = next(c for c in _moved_cases() if c[0] == "late-apply")
+    seg_pairs = kz.segment_pairs(loop)
+    union = kz._union_pairs(seg_pairs)
+    assert any(p and p != union for p in seg_pairs)
+    assert 0 < _traced_peak(sys, loop) <= kz.integration_bytes(sys, loop)
 
 
 def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
