@@ -145,6 +145,9 @@ def cmd_construct(args):
         if any(isinstance(g, (list, dict)) for g in elements):
             raise ValueError("elements must be JSON scalars, not lists or objects")
         rows = [_spec_list(row, "table row") for row in _spec_list(spec["table"], "table")]
+        k = len(elements)
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise ValueError(f"table must be {k} x {k}, a row of element indices per element")
         table = {
             (elements[i], elements[j]):
                 elements[_spec_index(rows[i][j], len(elements), "table entry")]
@@ -165,8 +168,9 @@ def cmd_construct(args):
 
 def _build_presentation(args):
     r = jsonio.operator_from_json(_load_json(args.op))
-    naming = _load_json(args.naming) if getattr(args, "naming", None) else None
-    return build_LR(r, naming=naming)
+    if args.naming is None:
+        return build_LR(r)
+    return build_LR(r, naming=_load_json(args.naming))
 
 
 def cmd_frt(args):
@@ -208,9 +212,6 @@ def cmd_kz(args):
         kz.check_circle_oracle(system, loop)
     residuals = kz.flatness_residuals(r, args.points)
     w = kz.integrate_holonomy(system, loop)
-    if not np.isfinite(w).all():
-        raise ValueError("the holonomy is not finite: the integration overflowed; "
-                         "reduce |h| or the scale of the loop")
     fields = {
         "format_version": jsonio.FORMAT_VERSION,
         "residuals": residuals,

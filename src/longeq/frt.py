@@ -60,8 +60,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from . import linalg as la
 from .bialgebra import GeneratorBialgebra, generator_sigma_words
@@ -286,7 +288,7 @@ def _int_coset_table(table, quotient):
 class LongPresentation:
     """Presentation of L(R): generators, Delta, counit and sigma on cosets."""
 
-    def __init__(self, r, quotient, sigma, naming=None):
+    def __init__(self, r, quotient, sigma, naming=MappingProxyType({})):
         self.r = r
         self.quotient = quotient
         self.sigma = sigma
@@ -294,9 +296,9 @@ class LongPresentation:
         self.eps = [F1 if i == j else F0 for (i, j) in quotient.rep_labels]
         self.sigma_gen = [row[:] for row in sigma.rep_table]
         self.names = [f"c_{i}_{j}" for (i, j) in quotient.rep_labels]
-        if naming is not None:
+        if naming != {}:  # the empty mapping renames nothing
             self._apply_naming(naming)
-        self.naming = dict(naming or {})
+        self.naming = dict(naming)
         self._word_memo = {}
 
     @cached_property
@@ -320,8 +322,9 @@ class LongPresentation:
         1 <= i, j <= n, to strings; a key whose coset is exactly one
         representative (coefficient 1) renames that representative. Each
         generator is renamed at most once, and the names, new and canonical,
-        stay distinct. Anything else is a ValueError."""
-        if not isinstance(naming, dict):
+        stay distinct. Anything else is a ValueError, ``None`` (a naming file
+        that holds null) included; the default mapping renames nothing."""
+        if not isinstance(naming, Mapping):
             raise ValueError("naming must be a JSON object mapping c_i_j to names")
         n = self.quotient.n
         labels = {f"c_{i}_{j}": (i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
@@ -359,7 +362,7 @@ class LongPresentation:
         return acc
 
 
-def build_LR(r: TensorOp2, naming=None) -> LongPresentation:
+def build_LR(r: TensorOp2, naming=MappingProxyType({})) -> LongPresentation:
     """Construct the presentation of L(R) for a Long solution R.
 
     One pass over the obstruction rows decides Long, raising

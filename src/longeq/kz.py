@@ -63,9 +63,9 @@ CHUNK_ENTRIES = 1 << 16
 # polygon where all four points move at n = 4, N = 4 (22 MB for a dense
 # conjugate), 1.6 GB for a circle at n = 4, N = 6
 MAX_INTEGRATOR_BYTES = 1 << 29
-# d x d arrays an *apply* step holds at once: W, the array of its moved
-# columns that it steps (W[:, moved] or the component-stacked array, each at
-# most d x d) and the four arrays of ``_apply_increment``
+# d x d arrays an *apply* step holds at once: W, the component-stacked array
+# of its moved columns that it steps (at most d x d) and the four arrays of
+# ``_apply_increment``
 APPLY_ARRAYS = 6
 # m k n of each real numpy product the words path takes (``_serial_product``):
 # well below the size at which numpy's OpenBLAS starts its threads (module
@@ -185,6 +185,7 @@ class LoopSpec:
     ``kind="polygon"``: ``waypoints[k]`` is the closed piecewise-linear
     path of coordinate k (first point = last point exactly); every
     coordinate must list the same number of waypoints. Indices are 0-based.
+    ``steps`` is rounded up to whole steps per segment: the steps integrated.
     """
 
     def __init__(self, base, kind, steps, moving=None, center=None, radius=None,
@@ -192,11 +193,9 @@ class LoopSpec:
         self.base = [_coordinate(z, "base point") for z in base]
         self.N = len(self.base)
         self.kind = kind
-        self.steps = _integer(steps, "steps")
-        if self.steps < 1:
+        steps = _integer(steps, "steps")
+        if steps < 1:
             raise ValueError("steps must be positive")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}")
         if kind == "circle":
             if moving is None or center is None or radius is None:
                 raise ValueError("circle loops need moving, center, radius")
@@ -234,6 +233,9 @@ class LoopSpec:
             self.segments = len(self.waypoints[0]) - 1
         else:
             raise ValueError(f"unknown loop kind {kind!r}")
+        self.steps = self.segments * -(-steps // self.segments)  # no step straddles a corner
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}")
         self._check_separation()
 
     def with_steps(self, steps):
@@ -274,8 +276,9 @@ class LoopSpec:
         return self.stage_data([t], seg)[1][:, 0].tolist()
 
     def separation(self):
-        """(minimum, maximum) pairwise distance over the guard's 2 * steps + 1
-        evenly spaced samples; (inf, 0.0) for a single point."""
+        """(minimum, maximum) pairwise distance over the 2 * steps + 1 stage
+        times that ``integrate_holonomy`` evaluates, k / (2 steps) for
+        k = 0 .. 2 steps; (inf, 0.0) for a single point."""
         samples = 2 * self.steps + 1
         rows, cols = np.triu_indices(self.N, 1)
         lo, hi = math.inf, 0.0
@@ -374,12 +377,13 @@ def _components(op):
 
 
 def _stacked(op, labels, moved):
-    """The component-stacked layout of W's moved columns for an *apply*
-    segment (``integrate_holonomy``), or None when it is W[:, moved] itself:
-    one live component that holds every row.
+    """The component-stacked layout of W's moved columns, which every live
+    segment steps (``integrate_holonomy``).
 
-    Returns ``(op, layout)``: the segment's operator on the live rows, those
-    of the components that hold a moved column, and the layout that
+    Returns ``(op, pos, layout)``: the segment's operator on the live rows,
+    those of the components that hold a moved column; the positions
+    row * r + col of its entries on those r rows, in CSR order, which
+    ``segment_words`` and the stage matrices read; and the layout that
     ``_stack_positions`` reads. Row p of the tall array is row ``rows[p]``
     of W, and holds W's moved columns ``cols[start[p]:start[p] + count[p]]``,
     those of its component, in its first ``count[p]`` entries. The rows keep
@@ -395,14 +399,14 @@ def _stacked(op, labels, moved):
     live = np.zeros(d, dtype=bool)
     live[comps] = True
     rows = np.flatnonzero(live[labels])
-    if len(comps) == 1 and len(rows) == d:
-        return None
     block = np.searchsorted(comps, labels[rows])
     order = np.empty(d, dtype=op.indices.dtype)
     order[rows] = np.arange(len(rows))
     indptr = np.append(op.indptr[rows], op.indptr[-1])
-    return (sparse.csr_matrix((op.data, order[op.indices], indptr),
-                              shape=(len(rows), len(rows))),
+    indices = order[op.indices]
+    r = len(rows)
+    return (sparse.csr_matrix((op.data, indices, indptr), shape=(r, r)),
+            np.repeat(np.arange(r), np.diff(indptr)) * r + indices,
             (d, rows, cols, first[block], width[block]))
 
 
@@ -450,36 +454,35 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
 
     With T the most live pairs on a segment, E = T n^(N-2) nnz(R) lift
     entries bound nnz(A). The rule at E picks the d x d arrays. W and the
-    array of its moved columns that a segment steps are two of them: that
-    array is W[:, moved], or under *apply* the component-stacked array,
-    whose rows are those of the live components, at most d, and whose
-    width, the most moved columns of one component, is at most d. *apply*
-    adds the four arrays of ``_apply_increment``, of the stepped array's
-    shape: APPLY_ARRAYS. The positions that gather the stacked array from W
-    and scatter it back, 16 bytes per entry, are formed only around the
-    steps, when the four arrays are not held. The propagator's batch of b
-    steps adds 2 b + 1 stage matrices, X2, X3 and
-    X4, 5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
+    component-stacked array that a segment steps are two: the array's rows,
+    those of the live components, and its width, the most moved columns of
+    one component, are at most d. The positions that gather and scatter it,
+    16 bytes per entry, are one more, formed only around the steps. *apply*
+    adds the four arrays of ``_apply_increment``, not held with the
+    positions: APPLY_ARRAYS. The propagator forms work on the live rows, in
+    matrices of at most d x d. A batch of b steps of stacked stages adds
+    2 b + 1 stage matrices, held with the positions, and X2, X3 and X4:
+    5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
     levels hold X2 and at most ceil(b / 2) more matrices, and before the
     product that updates W. The words path holds fewer: its real words
-    (W / 2 matrices, with W <= 2 b + 1), a buffer of 2 b matrices that
-    holds the increments twice and then the pairwise levels, and, while a
-    batch's (W, b) coefficients are formed, at most 1.2 b more (the
-    pieces, the result and the stage coefficients, at most 2 W + 2 T^2 +
-    3 T entries per step, with W <= d^2, d >= 8 for two lifts and d >= 4
-    for one). Forming the words holds at most W / 2 matrices more, and
-    the map and the T <= 2 sparse lifts it reads stay within ENTRY_BYTES
-    per lift entry (words are taken for at most two lifts,
-    ``integrate_holonomy``). A segment whose nnz(A) is below E can only
-    switch to *apply* or to words, which hold fewer.
-    Stage data, formed and copied once per batch, is at most
+    (W / 2 matrices, with W <= 2 b + 1), a buffer of 2 b matrices that holds
+    the increments twice and then the pairwise levels, and, while a batch's
+    (W, b) coefficients are formed, at most 1.2 b more (the pieces, the
+    result and the stage coefficients, at most 2 W + 2 T^2 + 3 T entries per
+    step, with W <= d^2, d >= 8 for two lifts and d >= 4 for one). Forming
+    the words holds at most W / 2 matrices more, and the map and the T <= 2
+    sparse lifts it reads stay within ENTRY_BYTES per lift entry (words are
+    taken for at most two lifts, ``integrate_holonomy``). A segment whose
+    nnz(A) is below E can only switch to *apply* or to words, which hold
+    fewer. Stage data, formed and copied once per batch, is at most
     2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
     takes ENTRY_BYTES per lift entry. That also covers a held operator with
     its copy on the live rows: the position, the data and the map of each
-    entry, about 52 bytes, and the copy's column indices, 4 bytes. The components are read off the operator of the
-    U pairs live on any segment. When some live segment has other pairs,
-    that operator is built beside a segment's, and adds E_U = U n^(N-2)
-    nnz(R) entries; else E_U = 0, since a segment's operator is the union's:
+    entry, about 52 bytes, and the copy's column indices and positions,
+    12 bytes. The components are read off the operator of the U pairs live
+    on any segment. When some live segment has other pairs, that operator is
+    built beside a segment's, and adds E_U = U n^(N-2) nnz(R) entries; else
+    E_U = 0, since a segment's operator is the union's:
 
         16 (arrays d^2 + 2 (2 CHUNK_ENTRIES + 3 E)) + ENTRY_BYTES (E + E_U).
     """
@@ -699,6 +702,7 @@ def segment_words(op, pos, m):
     return words
 
 
+@np.errstate(all="ignore")
 def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     """Classical fixed-step RK4 transport of W(0)=Id to W(1).
 
@@ -708,46 +712,37 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     held as one ``segment_operator``: the CSR data at every stage time is
     one product of its (nnz, T) map with the coefficients.
 
-    Only the columns of W that can move are integrated. The mask ``moved``
-    collects the columns of each live segment's CSR pattern, and the
-    segment steps W[:, moved], or W itself once every column has moved.
-    This is exact: a column k outside the mask is still e_k, and k is no
-    column of the pattern, so A(t) e_k = 0 at every stage time. Every RK4
-    stage of that column is then exactly 0, and it stays e_k. All three
-    evaluations below treat W column by column, so under *apply* the
-    integrated columns come out bit for bit as in a full-width run. For a
-    phi operator at n = 4 the lifts R^{mj} of a moving point m have nonzero
-    columns only where a_m = a_j lies in im phi for some j != m, which is
-    37 rank(phi) of the 256 columns.
-
-    An *apply* segment also skips the rows that stay zero. A(t) only mixes
-    basis vectors within a weakly connected component of the loop's
-    pattern, the union of the patterns of every segment's live lifts
-    (``_components``, read off one ``segment_operator`` of all the live
-    pairs, which is the segment operator itself when a segment's pairs are
-    all of them). W(0) = I, so W stays block diagonal along the components.
-    A segment steps a tall array with one row for each row of W in a
+    Only the moved entries of W are integrated, in one layout. The mask
+    ``moved`` collects the columns of each live segment's CSR pattern. A
+    column k outside it is still e_k, and k is no column of the pattern, so
+    A(t) e_k = 0 at every stage time and the column stays e_k. For phi at
+    n = 4 the lifts R^{mj} of a moving point m have nonzero columns only
+    where a_m = a_j lies in im phi for some j != m: 37 rank(phi) of the 256.
+    A(t) also mixes basis vectors only within a weakly connected component
+    of the loop's pattern, the union of every segment's live lifts
+    (``_components``, read at the first live segment off one
+    ``segment_operator`` of all the live pairs). W(0) = I, so W stays block
+    diagonal along the components. Every live segment steps a tall array,
+    gathered from W and scattered back, with a row for each row of W in a
     component that holds a moved column, in W's order: row r holds the
     moved columns of r's component, left-aligned, padded with zeros to the
-    most moved columns of one component (``_stacked``). Column j of the
-    rows of one component is one column of W, its j-th moved column, and
-    A never mixes rows of two components, so the segment's operator, on
-    the same rows, steps the blocks side by side; they are scattered back
-    after it. The result is W's, bit for bit: ``csr_matvecs`` sums each
-    output entry over its row's stored entries in stored order, and the
-    operator on the live rows keeps every stored entry and its order (the
-    other rows are empty); the RK4 sums are elementwise. So every entry of
-    W sees the same floating-point operations as in a full-width run, and
-    padded columns never reach a real one. One live component holding
-    every row is W[:, moved] itself, and is stepped so. For phi at n = 4,
-    N = 4 on a circle the tall array is 256 x 37, 224 x 7, 186 x 7 and
-    148 x 1 for rank 1 to 4, against 256 x 37 rank; at n = 3 an all-moving
-    polygon steps 81 x 11 for rank 2 and 81 x 1 for rank 3, against 81 x 60
-    and 81 x 81. On the perfbench *apply* pool loops, integration took 0.26,
-    0.16 and 0.032 of the time of W[:, moved] on circles of rank 2, 3 and
-    4, 0.36 and 0.35 on polygons of rank 2 and 3, and within noise of it
-    at rank 1 (medians of 9 interleaved rounds in one process, 2 shared
-    CPUs).
+    most moved columns of one component (``_stacked``); the operator is
+    taken on the same rows, its entries in their order. This is exact in
+    every evaluation: *apply* applies A, and each propagator step's M - I
+    is a polynomial in the A(t), so each is block diagonal along the
+    components, and a row of the tall array meets only rows of its own
+    component; padded columns stay zero. Under *apply* the result is W's
+    full-width run bit for bit: ``csr_matvecs`` sums each output entry over
+    its row's stored entries in stored order, the operator on the live rows
+    keeps them all in order, and the RK4 sums are elementwise. The
+    propagator forms agree with it to rounding. For phi at n = 4, N = 4 on
+    a circle the tall array is 256 x 37, 224 x 7, 186 x 7 and 148 x 1 for
+    rank 1 to 4; at n = 3 an all-moving polygon steps 81 x 11 for rank 2
+    and 81 x 1 for rank 3, against 81 x 60 and 81 x 81 moved columns. On
+    the perfbench *apply* pool loops, integration took 0.26, 0.16 and 0.032
+    of the time of stepping W[:, moved] on circles of rank 2, 3 and 4, 0.36
+    and 0.35 on polygons of rank 2 and 3, and within noise of it at rank 1
+    (medians of 9 interleaved rounds in one process, 2 shared CPUs).
 
     Each segment is integrated by one of three evaluations of the same RK4
     step; A1, A2, A4 are A at the start, middle and end of the step:
@@ -828,17 +823,20 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
 
     Stage coefficients are formed for batches of steps holding at most
     about CHUNK_ENTRIES entries of stage data (or of stage matrices).
+
+    The integration runs with numpy's floating-point warnings off; a
+    holonomy that is not finite, from an overflow, is a ValueError.
     """
     if loop.N != sys.N:
         raise ValueError("loop and system disagree on the number of points")
     d = sys.dim
     w = np.eye(d, dtype=complex)
     moved = np.zeros(d, dtype=bool)  # the columns of W that may differ from I's
-    per_seg = max(1, -(-loop.steps // loop.segments))
-    dt = 1.0 / (loop.segments * per_seg)
-    seg_pairs = segment_pairs(loop)
+    per_seg = loop.steps // loop.segments
+    dt = 1.0 / loop.steps
+    seg_pairs = segment_pairs(loop) if sys.r_float.any() else []  # R = 0: A = 0
     union = _union_pairs(seg_pairs)
-    labels = None  # the components of the loop's pattern, found at the first *apply* segment
+    labels = None  # the components of the loop's pattern, found at the first live segment
     built = None  # consecutive segments with the same live pairs share it
     for seg, pairs in enumerate(seg_pairs):
         if not pairs:  # A vanishes on the segment
@@ -849,29 +847,21 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
             mode, batch = _evaluation(d, len(pairs), len(pos))
             # later segments of a run with the same operator move no new column
             moved[op.indices] = True
-            live = np.flatnonzero(moved)
-            held = stack = None
+            if labels is None:
+                labels = _components(op if pairs == union
+                                     else segment_operator(sys, union)[0])
+            op, pos, layout = _stacked(op, labels, moved)
+            held = None
             if mode == "words":
                 held = _words_held(op, pos, m, batch)
             elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
-                held = np.zeros((2 * batch + 1, d * d), dtype=complex)
-            elif len(pos):
-                if labels is None:
-                    labels = _components(op if pairs == union
-                                         else segment_operator(sys, union)[0])
-                stack = _stacked(op, labels, moved)
-            built = pairs, op, pos, m, mode, batch, held, live, stack
-        _, op, pos, m, mode, batch, held, live, stack = built
-        if not len(pos):  # R = 0
-            continue
-        if stack is None:  # C order, as scipy reads it
-            part = w if len(live) == d else w.take(live, axis=1)
-        else:
-            op, layout = stack
-            shape, src, dst = _stack_positions(layout)
-            part = np.zeros(shape, dtype=complex)
-            part.put(src, w.take(dst))
-            del src, dst
+                held = np.zeros((2 * batch + 1, op.shape[0] ** 2), dtype=complex)
+            built = pairs, op, pos, m, mode, batch, held, layout
+        _, op, pos, m, mode, batch, held, layout = built
+        shape, src, dst = _stack_positions(layout)  # C order, as scipy reads it
+        part = np.zeros(shape, dtype=complex)
+        part.put(src, w.take(dst))
+        del src, dst
         rows, cols = np.array(pairs).T
         t0 = seg / loop.segments
         for k0 in range(0, per_seg, batch):
@@ -886,12 +876,12 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
             else:
                 a = held[:len(ts)]
                 a[:, pos] = (m @ coeffs).T
-                part = _propagator_steps(part, a.reshape(-1, d, d), dt)
-        if stack is not None:
-            _, src, dst = _stack_positions(layout)
-            w.put(dst, part.take(src))
-        elif part is not w:
-            w[:, live] = part
+                part = _propagator_steps(part, a.reshape(-1, *op.shape), dt)
+        _, src, dst = _stack_positions(layout)
+        w.put(dst, part.take(src))
+    if not np.isfinite(w).all():
+        raise ValueError("the holonomy is not finite: the integration overflowed; "
+                         "reduce |h| or the scale of the loop")
     return w
 
 

@@ -598,8 +598,9 @@ class GradedActionData:
     ``elements`` are hashable labels, ``table`` maps (g, h) -> gh,
     ``actions`` maps each element to an invertible n x n matrix (columns
     convention: (g . m_v) = sum_i actions[g][i][v] m_i), and ``degrees``
-    assigns a group element to each basis vector; n^3 above ``max_dim()``
-    is refused first, so ``make_graded`` never builds such an operator.
+    assigns a group element to each basis vector, so n = len(degrees);
+    n^3 above ``max_dim()`` is refused first, so ``make_graded`` never
+    builds such an operator.
     """
 
     def __init__(self, elements, table, actions, degrees):
@@ -615,8 +616,11 @@ class GradedActionData:
         elems = self.elements
         if set(self.actions) != set(elems):
             raise ValueError("one action matrix per group element required")
-        if any(d not in elems for d in self.degrees):
-            raise ValueError("degrees must be group elements")
+        for g, m in self.actions.items():
+            if len(m) != self.n or any(len(row) != self.n for row in m):
+                raise ValueError(f"action {g!r} must be {self.n} x {self.n}, n = len(degrees)")
+        if not self.degrees or any(d not in elems for d in self.degrees):
+            raise ValueError("degrees must be a nonempty list of group elements")
         # identity element
         ident = next(
             (e for e in elems if all(self.table[(e, g)] == g == self.table[(g, e)] for g in elems)),
@@ -672,17 +676,18 @@ def make_homothety(rep, element) -> TensorOp2:
     coeff * L (x) R of the sum S, sum coeff (L a - a L) (x) R is
     S (a (x) I) - (a (x) I) S, so the check is one commutator per generator.
     A term that is not a 3-item list or tuple, a coefficient that
-    ``scalars.parse_frac`` refuses and an index that is not an int in
-    0..len(rep) - 1 are ValueErrors.
+    ``scalars.parse_frac`` refuses, an index that is not an int in
+    0..len(rep) - 1 and a matrix that is not n x n, n >= 1 the rows of
+    rep[0], are ValueErrors.
     """
     element = list(element)
     if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in element):
         raise ValueError("element terms must be [coeff, left index, right index] lists")
     element = [(parse_frac(coeff), li, ri) for coeff, li, ri in element]
     rep = [la.to_frac_matrix(m) for m in rep]
-    if not rep:
-        raise ValueError("rep must be nonempty")
-    n = len(rep[0])
+    n = len(rep[0]) if rep else 0
+    if not n or any(len(m) != n or any(len(row) != n for row in m) for m in rep):
+        raise ValueError("rep must be a nonempty list of n x n matrices, n >= 1 the rows of rep[0]")
     check_operator_dim(n)
     acc = la.zeros(n * n, n * n)
     for coeff, li, ri in element:

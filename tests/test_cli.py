@@ -616,17 +616,111 @@ def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
     ("homothety", dict(_HOMOTHETY, element=7), "element must be a list, got int"),
     ("homothety", dict(_HOMOTHETY, element=[["x", 0, 0], ["2", 0]]),
      "element terms must be [coeff, left index, right index] lists"),
+    ("graded", dict(_GRADED, table=[[0, 1], [1]]),
+     "table must be 2 x 2, a row of element indices per element"),
+    ("graded", dict(_GRADED, table=[[0, 1]]),
+     "table must be 2 x 2, a row of element indices per element"),
+    ("graded", dict(_GRADED, degrees=["e"]), "action 'e' must be 1 x 1, n = len(degrees)"),
+    ("homothety", dict(_HOMOTHETY, rep=[[[1, 0], [0, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 1]]]),
+     "rep must be a nonempty list of n x n matrices, n >= 1 the rows of rep[0]"),
+    ("homothety", dict(_HOMOTHETY, rep=[[[1, 0, 0], [0, 1, 0]], [[2, 0], [0, 3]]]),
+     "rep must be a nonempty list of n x n matrices, n >= 1 the rows of rep[0]"),
 ], ids=["graded-list", "homothety-list", "graded-list-actions", "graded-int-elements",
         "graded-list-element", "graded-int-table", "graded-int-degrees", "graded-int-action",
         "homothety-int-rep", "homothety-int-matrices", "homothety-int-element",
-        "homothety-short-term"])
+        "homothety-short-term", "graded-short-row", "graded-missing-row",
+        "graded-action-size", "homothety-rep-size", "homothety-rep-not-square"])
 def test_construct_spec_of_wrong_type_is_usage_error(tmp_path, capsys, kind, spec, want):
-    """A spec that is a JSON list, or a field of the wrong JSON type, exits
-    2 with an ``error:`` line instead of a TypeError or AttributeError."""
+    """A spec that is a JSON list, or a field of the wrong JSON type or
+    shape, exits 2 with an ``error:`` line naming the field instead of a
+    TypeError or AttributeError. The parent read a short table row as "list
+    index out of range", a rep matrix of another size as "dimension
+    mismatch" and a 2 x 2 action at n = 1 as an identity that does not act
+    as the identity."""
     path = _write(tmp_path, "spec.json", spec)
     code, out, err = _run(capsys, ["construct", kind, "--spec", path])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and want in err
+
+
+_SPEC_ENTRY = st.one_of(st.sampled_from([0, 1, -1, 2, "1", "-1/2", "0", "x", True, None]),
+                        _JSON_SCALAR)
+_SPEC_INDEX = st.one_of(st.integers(-1, 3), _SPEC_ENTRY)
+
+
+@st.composite
+def _spec_matrix(draw, n):
+    """An n x n matrix: the identity, a diagonal of small integers, or
+    entries of any kind in rows of up to n + 1 entries."""
+    diag = draw(st.lists(st.sampled_from([1, 1, -1, 2]), min_size=n, max_size=n))
+    square = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return draw(st.one_of(st.just(square), st.lists(st.lists(
+        _SPEC_ENTRY, max_size=n + 1), min_size=max(0, n - 1), max_size=n + 1)))
+
+
+def _near(draw, obj):
+    """``obj`` with at most one key dropped or given any JSON value."""
+    key = draw(st.sampled_from([None, *obj]))
+    if key is not None:
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_ANY)
+    return obj
+
+
+@st.composite
+def _graded_specs(draw):
+    """Graded specs near the valid ones: Z/k for k <= 3 with its table,
+    an entry of which may be anything, degrees of n <= 3 elements, and
+    actions that are often diagonal n x n; then at most one key dropped
+    or given any JSON value."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    elements = ["e", "g", "h"][:k]
+    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    if draw(st.booleans()):
+        table[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(_SPEC_INDEX)
+    if draw(st.booleans()):
+        table[-1] = table[-1][:-1]
+    return _near(draw, {
+        "elements": elements, "table": table,
+        "actions": {g: draw(_spec_matrix(n)) for g in elements},
+        "degrees": draw(st.lists(st.sampled_from(elements + [0]), min_size=n, max_size=n))})
+
+
+@st.composite
+def _homothety_specs(draw):
+    """Homothety specs near the valid ones: up to three n x n matrices,
+    n <= 3, often diagonal, and terms of up to four items whose indices
+    are near range; then at most one key dropped or given any JSON
+    value."""
+    n = draw(st.integers(0, 3))
+    term = st.lists(st.one_of(st.sampled_from(["1", "-2", "1/3", 2]), _SPEC_INDEX),
+                    min_size=3, max_size=3) | st.lists(_SPEC_INDEX, max_size=4)
+    return _near(draw, {"rep": draw(st.lists(_spec_matrix(n), max_size=3)),
+                        "element": draw(st.lists(term, max_size=3))})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.tuples(st.just("graded"), st.one_of(_graded_specs(), _JSON_ANY)),
+                 st.tuples(st.just("homothety"), st.one_of(_homothety_specs(), _JSON_ANY))))
+@example(("graded", _GRADED))
+@example(("homothety", _HOMOTHETY))
+@example(("graded", dict(_GRADED, table=[[0, 1], [1]])))
+@example(("homothety", dict(_HOMOTHETY, rep=[[[1, 0], [0, 1]], [[2]]])))
+def test_construct_spec_fuzz_exits_0_or_2(tmp_path, capsys, case):
+    """``construct graded|homothety --spec`` on fuzzed specs exits 0 with
+    an operator, or 2 with an ``error:`` line; it never raises."""
+    kind, spec = case
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["construct", kind, "--spec",
+                                   _write(tmp_path, "spec.json", spec)])
+    if code == 2:
+        assert "error:" in err.splitlines()[-1], err
+        assert out == ""
+    else:
+        assert code == 0 and isinstance(operator_from_json(json.loads(out)), TensorOp2), err
 
 
 @pytest.mark.parametrize("n, f, g", [
@@ -771,21 +865,31 @@ _PAIR_111 = make_pair([[1, 1], [0, 1]], [[1, 1], [0, 1]])  # c_1_1 = c_2_2 modul
     (_IDENTITY_2, {"c_1_1": 7}, "naming value for 'c_1_1' must be a string"),
     (_IDENTITY_2, [1, 2], "naming must be a JSON object mapping c_i_j to names"),
     (_IDENTITY_2, "c_1_1", "naming must be a JSON object mapping c_i_j to names"),
+    (_IDENTITY_2, None, "naming must be a JSON object mapping c_i_j to names"),
     (_PAIR_111, {"c_1_1": "a", "c_2_2": "b"},
      "naming keys 'c_1_1' and 'c_2_2' rename the same generator"),
 ], ids=["zero-index", "negative-index", "past-end-index", "padded-index", "same-name",
         "canonical-name", "list-value", "int-value", "list-file", "string-file",
-        "same-generator"])
+        "null-file", "same-generator"])
 def test_frt_naming_bad_input_is_usage_error(tmp_path, capsys, r, naming, message):
     """A naming file must be an object whose keys are c_i_j, 1 <= i, j <= n,
     and whose values are strings, distinct from each other and from the
     canonical names left. The parent renamed c_2_1 for c_0_1 (a wrapped
-    index), kept duplicate names, stringified a list and ended a list file
-    in a TypeError traceback."""
+    index), kept duplicate names, stringified a list, ended a list file
+    in a TypeError traceback and read a file holding null as no naming."""
     op = _write(tmp_path, "op.json", operator_to_json(r))
     code, out, err = _run(capsys, ["frt", "--op", op, "--naming",
                                    _write(tmp_path, "naming.json", naming)])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_frt_empty_naming_path_is_usage_error(tmp_path, capsys):
+    """``--naming ""`` names no file: it exits 2 like any missing file,
+    where the parent read no file and exited 0 as if no naming were given."""
+    op = _write(tmp_path, "op.json", operator_to_json(_IDENTITY_2))
+    code, out, err = _run(capsys, ["frt", "--op", op, "--naming", ""])
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_frt_naming_swaps_and_keeps_canonical_names(tmp_path, capsys):
@@ -823,10 +927,12 @@ _NAMING_VALUE = st.one_of(st.sampled_from(["c_1_1", "c_2_2", "c_1_2", "c_2_1", "
 @example("identity", {"c_1_1": "c_2_2", "c_2_2": "c_1_1"})
 @example("pair", {"c_1_1": "a", "c_2_2": "b"})
 @example("identity", {"c_1_1": None})
+@example("identity", None)
 def test_frt_naming_fuzz_exits_0_or_2(tmp_path, capsys, which, naming):
     """``frt --naming`` on fuzzed JSON, objects with keys near ``c_i_j``
     and values of every JSON type, lists and scalars, exits 0 with the
-    naming applied or 2 with an ``error:`` line; it never raises."""
+    naming applied or 2 with an ``error:`` line; it never raises. Only an
+    object is applied: a file holding null exits 2."""
     r = {"identity": _IDENTITY_2, "pair": _PAIR_111}[which]
     op = _write(tmp_path, "op.json", operator_to_json(r))
     capsys.readouterr()
@@ -836,10 +942,9 @@ def test_frt_naming_fuzz_exits_0_or_2(tmp_path, capsys, which, naming):
         assert "error:" in err.splitlines()[-1], err
         assert out == ""
         return
-    assert code == 0, err
+    assert code == 0 and isinstance(naming, dict), err
     report = json.loads(out)
-    # a file holding null reads as no naming
-    assert report["naming"] == ({} if naming is None else naming)
+    assert report["naming"] == naming
     assert len(set(report["generators"])) == len(report["generators"])
     assert set(report["naming"].values()) <= set(report["generators"])
 
@@ -1106,15 +1211,15 @@ def test_kz_points_mismatch_is_usage_error(tmp_path, capsys):
 def test_kz_overflowing_holonomy_is_usage_error(tmp_path, capsys):
     """A loop that passes every input check but whose coefficients overflow
     at |h| = 1e308 exits 2 instead of writing NaN into the report (found by
-    the fuzz test below; it exited 0 with NaN entries)."""
+    the fuzz test below; it exited 0 with NaN entries). The integration
+    runs with numpy's warnings off, so stderr is the one error line."""
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     loop = _write(tmp_path, "loop.json", _CIRCLE)
-    with np.errstate(all="ignore"):
-        code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
-                                       "--h", "1e308,1e308", "--loop", loop])
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
+                                   "--h", "1e308,1e308", "--loop", loop])
     assert (code, out) == (2, "")
-    assert err.endswith("error: the holonomy is not finite: the integration overflowed; "
-                        "reduce |h| or the scale of the loop\n")
+    assert err == ("error: the holonomy is not finite: the integration overflowed; "
+                   "reduce |h| or the scale of the loop\n")
 
 
 @pytest.mark.parametrize("field, loop", [
@@ -1135,6 +1240,28 @@ def test_kz_loop_coordinates_are_bounded_at_parse_time(tmp_path, capsys, monkeyp
                                    "--loop", _write(tmp_path, "loop.json", loop)])
     assert (code, out) == (2, "")
     assert err == f"error: {field} must have magnitude at most 1e+100\n"
+
+
+@pytest.mark.parametrize("walk, distance", [
+    ([[1, 0], [0, 0], [0, 1], [-1, 0], [1, 0]], "0.000e+00"),
+    ([[1, 0], [1e-7, 1e-7], [0, 1], [-1, 0], [0, -1], [1, 0]], "1.414e-07"),
+], ids=["through", "near-corner"])
+def test_kz_guard_samples_the_stage_times(tmp_path, capsys, monkeypatch, walk, distance):
+    """One step over k segments is k steps, and the separation guard samples
+    their 2 k + 1 stage times. Point 0 walks the polygon ``walk`` around the
+    fixed point 1 at 0; its second corner, reached at t = 1/k, is 0 or
+    1e-7 (1 + i). The parent sampled t = 0, 1/2 and 1 only: it integrated
+    the first loop into numpy warnings and an overflow, and the second
+    into a report that exited 0. Both are refused before integrating."""
+    monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    loop = _write(tmp_path, "loop.json", {"base": [[1, 0], [0, 0]], "kind": "polygon",
+                                          "steps": 1, "waypoints": [walk, [[0, 0]] * len(walk)]})
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2", "--h", "0.1",
+                                   "--loop", loop])
+    assert (code, out) == (2, "")
+    assert err == (f"error: minimum pairwise distance {distance} below guard 1e-06 x "
+                   "diameter 1.000e+00\n")
 
 
 def test_loop_coordinates_at_the_bound_are_accepted():

@@ -628,14 +628,15 @@ def test_integrate_matches_rk4_oracle(case, monkeypatch):
 
 
 def test_integrate_batches_across_segments(monkeypatch):
-    """23 steps over 3 segments are 8 per segment, in batches of 5 and 3."""
+    """23 steps over 3 segments are 8 per segment, in batches of 5 and 3;
+    the loop's step count is rounded up to the 24 it takes."""
     monkeypatch.setattr(kz, "CHUNK_ENTRIES", 5 * 8 * 8)
     (_, N), _, h, spec, _ = _INTEGRATOR_CASES["polygon-all-moving"]
     spec = dict(spec, steps=23,
                 waypoints=[_square(*c, count=4) for c in _CORNERS[:3]])
     sys = KZSystem.from_op(make_phi(2, [1, 1]), N, h)
     loop = LoopSpec(**spec)
-    assert loop.segments == 3
+    assert (loop.segments, loop.steps) == (3, 24)
     want = _integrate_oracle(sys, loop)
     got = integrate_holonomy(sys, loop)
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
@@ -805,9 +806,8 @@ def test_words_products_stay_serial(case, monkeypatch):
 
 
 def _record_widths(monkeypatch):
-    """Record (evaluation, shape of the array of W integrated, array
-    returned) for every batch: (d, moved columns) for W[:, moved], the
-    stacked shape for a component-stacked *apply* segment."""
+    """Record (evaluation, shape of the component-stacked array integrated,
+    array returned) for every batch."""
     widths = []
     for mode, name in _EVALUATIONS.items():
         def counted(w, *args, steps=getattr(kz, name), mode=mode):
@@ -844,10 +844,10 @@ def _pattern(sys, pairs):
 
 
 def _stacked_shapes(sys, loop):
-    """The shape of the array each live segment of an *apply* run steps: the
-    rows of the components of the loop's pattern that hold a moved column,
-    and the most moved columns one component holds (d and the moved-column
-    count when one component holds every row); from dense lifts and BFS."""
+    """The shape of the array each live segment steps, in every evaluation:
+    the rows of the components of the loop's pattern that hold a moved
+    column, and the most moved columns one component holds; from dense
+    lifts and BFS."""
     live = [p for p in kz.segment_pairs(loop) if p]
     labels = _bfs_components(_pattern(sys, {p for pairs in live for p in pairs}))
     moved = np.zeros(sys.dim, dtype=bool)
@@ -885,7 +885,9 @@ def _moved_cases():
     """(name, system, loop, evaluations): the cases of the moved-columns rule
     beyond the single circle, which ``test_circle_moves_37_rank_columns_at_n4``
     takes. A "propagator" case takes the propagator forms: words on the
-    segments with two live lifts, stacked stages on the one with four."""
+    segments with two live lifts, stacked stages on the one with four. The
+    "components" cases take words and stacked stages on a pattern of several
+    components: phi = (1, 2) makes W diagonal."""
     # point 0 moves on the first two segments, point 2 on the last three: the
     # second adds the columns with a_2 = a_j in im phi and a_0 != a_j for all
     # j, and the last two still step the columns only point 0 moved
@@ -910,17 +912,21 @@ def _moved_cases():
          LoopSpec(**_INTEGRATOR_CASES["diag-3-4-nonsymmetric"][3]), {"apply"}),
         ("dense-propagator", KZSystem.from_op(_CONJ4, 3, 0.05 - 0.01j),
          LoopSpec(**_INTEGRATOR_CASES["conjugate-4-3"][3]), {"words"}),
+        ("components-words", KZSystem.from_op(make_phi(2, [1, 2]), 3, 0.08 + 0.03j),
+         LoopSpec(**_INTEGRATOR_CASES["circle-2-3"][3]), {"words"}),
+        ("components-propagator", KZSystem.from_op(make_phi(2, [1, 2]), 4, 0.08 - 0.02j),
+         LoopSpec(**_INTEGRATOR_CASES["circle-2-4"][3]), {"propagator"}),
     ]
 
 
 @pytest.mark.parametrize("case", range(len(_moved_cases())),
                          ids=[c[0] for c in _moved_cases()])
 def test_moved_columns_match_full_width(case, monkeypatch):
-    """Integrating only the moved columns of W gives the full-width run:
-    bit for bit under *apply*, within 1e-11 under the propagator forms. A column
-    joins when a live segment's pattern first reaches it, a segment with
-    A = 0 moves none, and once every column has moved W itself is stepped.
-    *apply* steps them stacked by the components of the loop's pattern."""
+    """Integrating only the moved columns of W, stacked by the components of
+    the loop's pattern, gives the full-width run: bit for bit under *apply*,
+    within 1e-11 under the propagator forms. A column joins when a live
+    segment's pattern first reaches it, and a segment with A = 0 moves
+    none."""
     name, sys, loop, modes = _moved_cases()[case]
     want = _full_width(sys, loop)
     widths = _record_widths(monkeypatch)
@@ -935,20 +941,20 @@ def test_moved_columns_match_full_width(case, monkeypatch):
     d = sys.dim
     seen = [shape for _, shape, _ in widths]
     assert all(a <= b for prev, shape in zip(seen, seen[1:]) for a, b in zip(prev, shape))
-    # W itself is stepped, with no copy, exactly once every column has moved
-    assert (widths[-1][2] is got) == (seen[-1] == (d, d))
-    unmoved = np.all(got == np.eye(d), axis=0)
+    assert seen == _stacked_shapes(sys, loop)
     if modes == {"apply"}:
-        assert seen == _stacked_shapes(sys, loop)
         # the moved columns are those of the live lifts' patterns
         union = {p for pairs in kz.segment_pairs(loop) for p in pairs}
+        unmoved = np.all(got == np.eye(d), axis=0)
         assert np.array_equal(~unmoved, np.any(_pattern(sys, union), axis=0))
-    else:
-        assert seen[-1] == (d, d - np.count_nonzero(unmoved))
     if name == "dense-apply":  # diagonal R: W is diagonal, each column its own block
         assert set(seen) == {(d, 1)}
     elif name.startswith("dense"):
         assert set(seen) == {(d, d)}
+    elif name.startswith("components"):
+        # W diagonal: one row per moved column, all but the two rows a
+        # whose moving coordinate differs from every other
+        assert set(seen) == {(d - 2, 1)}
     elif name.startswith("late"):
         k = sys.N - 1
         assert [len(p) for p in kz.segment_pairs(loop)] == [k, 2 * k, k, k]
@@ -963,8 +969,9 @@ def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
     a_m = a_j in im phi for some j != m, m the moving point: for each of the
     rank values v, 4^3 - 3^3 = 37 of them. They are stepped stacked by the
     components of the pattern, in C order: at rank 1 one component of all
-    256 rows, stepped as W[:, moved], and at rank 4, where W is diagonal,
-    148 blocks of one. The holonomy is the full-width run's, bit for bit."""
+    256 rows, whose 37 columns are W's moved columns in W's order, and at
+    rank 4, where W is diagonal, 148 blocks of one. The holonomy is the
+    full-width run's, bit for bit."""
     loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 2, moving=1, center=0, radius=0.5)
     stacked = {(1, 1, 1, 1): (256, 37), (1, 2, 1, 2): (224, 7), (1, 2, 2, 4): (186, 7),
                (1, 2, 3, 4): (148, 1)}
@@ -976,11 +983,14 @@ def test_circle_moves_37_rank_columns_at_n4(monkeypatch):
         pattern = _pattern(sys, kz.segment_pairs(loop)[0])
         assert np.count_nonzero(np.any(pattern, axis=0)) == 37 * len(set(phi))
         assert [w[:2] for w in widths] == [("apply", shape)]
-        # rank 1 is one component holding every row: W[:, moved], not permuted
-        op = kz.segment_operator(sys, kz.segment_pairs(loop)[0])[0]
-        moved = np.zeros(sys.dim, dtype=bool)
-        moved[op.indices] = True
-        assert (kz._stacked(op, kz._components(op), moved) is None) == (len(set(phi)) == 1)
+        if len(set(phi)) == 1:  # one component holding every row, not permuted
+            op = kz.segment_operator(sys, kz.segment_pairs(loop)[0])[0]
+            moved = np.zeros(sys.dim, dtype=bool)
+            moved[op.indices] = True
+            d, rows, cols, start, count = kz._stacked(op, kz._components(op), moved)[2]
+            assert np.array_equal(rows, np.arange(d))
+            assert np.array_equal(cols, np.flatnonzero(moved))
+            assert set(start) == {0} and set(count) == {37}
         assert _stacked_shapes(sys, loop) == [shape]
         assert widths[0][2].flags.c_contiguous
         assert np.array_equal(got, want)
