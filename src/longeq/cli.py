@@ -16,8 +16,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import jsonio, kz
 from .bialgebra import check_axioms
 from .errors import InternalCheckFailed, LongeqError, NotALongSolution
@@ -83,11 +81,15 @@ def _square(values, what):
     return [values[r * n:(r + 1) * n] for r in range(n)]
 
 
-def _load_spec(path):
-    """A construct spec file, which must hold a JSON object."""
+def _load_spec(path, kind, keys):
+    """A ``construct kind`` spec file, which must hold a JSON object with
+    every one of ``keys``; a missing key is named with the kind."""
     spec = _load_json(path)
     if not isinstance(spec, dict):
         raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise ValueError(f"{kind} spec is missing {', '.join(map(repr, missing))}")
     return spec
 
 
@@ -137,7 +139,7 @@ def cmd_construct(args):
         base = jsonio.operator_from_json(_load_json(args.op))
         r = make_conjugate(_square(_frac_list(args.u), "--u"), base)
     elif args.kind == "graded":
-        spec = _load_spec(args.spec)
+        spec = _load_spec(args.spec, "graded", ("elements", "table", "actions", "degrees"))
         degrees = _spec_list(spec["degrees"], "degrees")
         if not isinstance(spec["actions"], dict):
             raise ValueError("actions must be an object mapping elements to matrices")
@@ -157,7 +159,7 @@ def cmd_construct(args):
         actions = {g: _spec_matrix(m, f"action {g!r}") for g, m in spec["actions"].items()}
         r = make_graded(GradedActionData(elements, table, actions, degrees))
     elif args.kind == "homothety":
-        spec = _load_spec(args.spec)
+        spec = _load_spec(args.spec, "homothety", ("rep", "element"))
         rep = [_spec_matrix(m, "rep matrix") for m in _spec_list(spec["rep"], "rep")]
         r = make_homothety(rep, _spec_list(spec["element"], "element"))
     else:  # pragma: no cover - argparse restricts choices
@@ -219,8 +221,8 @@ def cmd_kz(args):
     }
     code = EXIT_OK
     if args.compare:
-        oracle = kz.circle_oracle(system, loop.moving, loop.center_index)
-        fields["oracle_distance"] = float(np.max(np.abs(w - oracle)))
+        fields["oracle_distance"] = kz.oracle_distance(system, w, loop.moving,
+                                                       loop.center_index)
         if not all(residuals.values()):
             code = EXIT_FAIL
     # the bytes of _emit({**holonomy_to_json(w, ...), **fields}), written from w

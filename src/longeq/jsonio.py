@@ -286,11 +286,13 @@ def holonomy_to_json(w, h, big_n, n) -> dict:
 
 
 # json.dump(indent=2) layout of a top-level "matrix" of rows of [re, im]
-# pairs: between the two doubles of a pair, between two pairs of a row, and
-# around a row
+# pairs: between the two doubles of a pair, after a pair that is not the
+# last of its row, before the first row, before each later row and after
+# the last pair of a row
 _PAIR_ITEM = ",\n        "
 _PAIR_NEXT = "\n      ],\n      [\n        "
 _ROW_OPEN = "[\n      [\n        "
+_ROW_NEXT = ",\n    " + _ROW_OPEN
 _ROW_CLOSE = "\n      ]\n    ]"
 _ZERO_PAIR = "0.0" + _PAIR_ITEM + "0.0"
 # json writes the non-finite doubles as these tokens and the others as repr
@@ -302,30 +304,62 @@ def write_holonomy(out, w, h, big_n, n, fields) -> None:
     out, indent=2)`` for a nonempty matrix ``w`` and ``fields`` whose keys
     are not those of the report.
 
-    No nested list is formed. A pair whose two doubles have all bits zero
-    (+0.0, +0.0) is one shared token; only the other pairs, found on the
-    bits, are formatted, with ``repr`` as json formats a float, so -0.0,
-    subnormals and the non-finite values are written as ``json.dump``
-    writes them. Each row is one join and one ``out.write``, so no string
-    longer than a row is held.
+    No nested list and no row string is formed. Each ``out.write`` is of
+    a piece formed once per call or of one live cell:
+
+    - A cell whose two doubles have all bits zero (+0.0, +0.0) is a zero
+      cell; the live cells are found on the ``uint64`` view of ``w``.
+    - Each distinct 64-bit pattern among the live cells' doubles is
+      formatted once, with ``repr`` as json formats a float, so -0.0,
+      subnormals and the non-finite values are written as ``json.dump``
+      writes them. A live cell is written as its two tokens and the text
+      that follows it in its row.
+    - A run of z zero cells is written as the pieces of 2^j zero cells for
+      the set bits j of z, each piece formed once.
+
+    So no write is longer than a row and no zero cell is copied per row.
     """
     w = np.ascontiguousarray(w, dtype=complex)
     rows, cols = w.shape
     bits = w.view(np.uint64).reshape(-1, 2)
-    live = np.flatnonzero(bits[:, 0] | bits[:, 1])
-    tokens = [_NON_FINITE.get(t, t)
-              for t in map(repr, w.reshape(-1)[live].view(float).tolist())]
-    pairs = [re + _PAIR_ITEM + im for re, im in zip(tokens[0::2], tokens[1::2])]
-    # live is ascending, so row k's live pairs are pairs[bounds[k]:bounds[k + 1]]
+    # the pairs with a bit set, in row-major order
+    live = np.flatnonzero(np.logical_or(bits[:, 0], bits[:, 1]))
+    distinct, which = np.unique(bits[live].reshape(-1), return_inverse=True)
+    tokens = [_NON_FINITE.get(t, t) for t in map(repr, distinct.view(float).tolist())]
+    which = which.tolist()
+    # each live pair with the text that follows it when it does not end its row
+    after = [f"{tokens[re]}{_PAIR_ITEM}{tokens[im]}{_PAIR_NEXT}"
+             for re, im in zip(which[0::2], which[1::2])]
+    # runs[j] is 2^j zero cells; zeros[z] the pieces of a run of z of them
+    runs = [_ZERO_PAIR + _PAIR_NEXT]
+    while 1 << len(runs) < cols:
+        runs.append(runs[-1] + runs[-1])
+    zeros = [()]
+    for z in range(1, cols):
+        low = z & -z
+        zeros.append(zeros[z ^ low] + (runs[low.bit_length() - 1],))
+    # live is ascending, so row k's live pairs are bounds[k] .. bounds[k + 1] - 1
     at = (live % cols).tolist()
     bounds = np.searchsorted(live, np.arange(rows + 1) * cols).tolist()
-    zeros = [_ZERO_PAIR] * cols
+    last = cols - 1
+    write = out.write
     head = json.dumps(_holonomy_header(h, big_n, n), indent=2)
-    out.write(head[:-2] + ',\n  "matrix": [\n    ')
+    write(head[:-2] + ',\n  "matrix": [\n    ')
     for k in range(rows):
-        cells = zeros.copy()
-        for p in range(bounds[k], bounds[k + 1]):
-            cells[at[p]] = pairs[p]
-        out.write((",\n    " if k else "") + _ROW_OPEN + _PAIR_NEXT.join(cells) + _ROW_CLOSE)
+        write(_ROW_NEXT if k else _ROW_OPEN)
+        lo, hi = bounds[k], bounds[k + 1]
+        # a live pair in the last column closes the row
+        end = hi - 1 if hi > lo and at[hi - 1] == last else hi
+        c0 = 0
+        for c, piece in zip(at[lo:end], after[lo:end]):
+            if c > c0:
+                for run in zeros[c - c0]:
+                    write(run)
+            write(piece)
+            c0 = c + 1
+        for run in zeros[last - c0]:
+            write(run)
+        write(after[end][:-len(_PAIR_NEXT)] if end < hi else _ZERO_PAIR)
+        write(_ROW_CLOSE)
     tail = json.dumps(fields, indent=2)
-    out.write("\n  ]" + ("," + tail[1:] if fields else "\n}"))
+    write("\n  ]" + ("," + tail[1:] if fields else "\n}"))

@@ -11,7 +11,7 @@ runs in complex doubles.
 
 Two OpenBLAS pools. numpy and scipy each bundle their own OpenBLAS, with
 its own thread pool; the integrator multiplies with numpy and
-``circle_oracle`` exponentiates with scipy. Right after a scipy ``expm``,
+``circle_block`` exponentiates with scipy. Right after a scipy ``expm``,
 on 2 CPUs, a numpy product large enough to run on numpy's threads stalls
 for about 4 ms while the two pools contend. Medians of 9 runs in one
 process (numpy 2.4.6, scipy 1.17.1) gave the complex products
@@ -24,6 +24,18 @@ and is taken in calls of at most SERIAL_PRODUCT m k n, the work of 2^15
 complex multiply-adds. The stacked products of the pairwise product,
 which both propagator forms take, reach the complex threshold from d = 41
 on and still run on the threads.
+
+The ``--compare`` distance. The oracle ``circle_oracle`` of a circle of
+point m about the fixed point c is the lift of the n^2 x n^2 block
+E = exp(2 pi i h R) (``circle_block``) to the n^(N-2) slot blocks of
+(m, c), and 0 off them; those blocks partition the basis. So
+max |W - lift(E)| is the larger of two maxima: max |W_b - E| over the
+diagonal blocks W_b of W, and max |W_ij| over the entries off the blocks.
+Off the blocks W_ij - 0 is W_ij as a double (-0.0 - 0.0 is -0.0), so each
+term of either maximum is the double that the dense difference holds,
+and a max of doubles is exact. ``oracle_distance`` therefore returns the
+float of ``np.max(np.abs(w - circle_oracle(...)))`` from W and E alone,
+without the lift, the difference or its ``abs``, three d x d arrays.
 """
 
 from __future__ import annotations
@@ -71,6 +83,9 @@ APPLY_ARRAYS = 6
 # well below the size at which numpy's OpenBLAS starts its threads (module
 # docstring)
 SERIAL_PRODUCT = 1 << 17
+# entries of W that ``oracle_distance`` reads at once (64 rows at d = 256):
+# its arrays then hold about a quarter of W's bytes, dense or not
+DISTANCE_ENTRIES = 1 << 14
 # bytes per lift entry while a segment operator is built: its position,
 # the inverse of the sort and the pair index (8 each), the value (16), and
 # the map's value and indices (32), with the sort's copies
@@ -901,6 +916,13 @@ def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
                          "besides its centre")
 
 
+def circle_block(sys: KZSystem) -> np.ndarray:
+    """exp(2 pi i h R), the n^2 x n^2 block that ``circle_oracle`` lifts."""
+    from scipy.linalg import expm
+
+    return expm(2.0j * math.pi * sys.h * sys.r_float)
+
+
 def circle_oracle(sys: KZSystem, moving, center) -> np.ndarray:
     """exp(2 pi i h R^{moving,center}): the holonomy of point ``moving``
     circling the fixed point ``center`` once (the ``--compare`` oracle).
@@ -919,12 +941,37 @@ def circle_oracle(sys: KZSystem, moving, center) -> np.ndarray:
 
     R^{ij} is block diagonal with blocks R (its slot blocks partition the
     basis), so its exponential is the lift of the n^2 x n^2 block
-    exponential; no n^N x n^N exponential is formed.
+    exponential ``circle_block``; no n^N x n^N exponential is formed.
+    ``oracle_distance`` measures W against this lift without forming it.
     """
-    from scipy.linalg import expm
+    return lift_float(circle_block(sys), sys.n, moving, center, sys.N)
 
-    return lift_float(expm(2.0j * math.pi * sys.h * sys.r_float), sys.n,
-                      moving, center, sys.N)
+
+def oracle_distance(sys: KZSystem, w, moving, center) -> float:
+    """``float(np.max(np.abs(w - circle_oracle(sys, moving, center))))``,
+    the ``--compare`` distance, as the same float but without the d x d
+    lift, difference or ``abs`` array (module docstring): the rows of
+    |W - lift(E)| are formed DISTANCE_ENTRIES entries at a time."""
+    blocks = np.array(list(_slot_blocks(sys.n, moving, center, sys.N)))
+    block = circle_block(sys)
+    count, size = blocks.shape
+    # label[i] is the block of basis index i, place[i] its index in the block
+    label = np.empty(sys.dim, dtype=np.intp)
+    label[blocks] = np.arange(count)[:, None]
+    place = np.empty(sys.dim, dtype=np.intp)
+    place[blocks] = np.arange(size)
+    step = max(1, DISTANCE_ENTRIES // sys.dim)
+    maxima = []
+    for start in range(0, sys.dim, step):
+        part = w[start:start + step]
+        rows = np.arange(start, start + len(part))
+        # the cells of each row's block, as (row in part, column)
+        own = rows[:, None] - start, blocks[label[rows]]
+        # |W_ij - 0| = |W_ij| off the blocks, then |W_b - E| on them
+        dist = np.abs(part)
+        dist[own] = np.abs(part[own] - block[place[rows]])
+        maxima.append(dist.max())
+    return float(np.max(maxima))
 
 
 def convergence_order(sys: KZSystem, loop: LoopSpec):

@@ -625,24 +625,31 @@ def test_construct_spec_kinds_match_api(tmp_path, capsys, corpus):
      "rep must be a nonempty list of n x n matrices, n >= 1 the rows of rep[0]"),
     ("homothety", dict(_HOMOTHETY, rep=[[[1, 0, 0], [0, 1, 0]], [[2, 0], [0, 3]]]),
      "rep must be a nonempty list of n x n matrices, n >= 1 the rows of rep[0]"),
+    ("graded", {"elements": [0], "table": [[0]], "actions": {}},
+     "graded spec is missing 'degrees'"),
+    ("homothety", {"rep": []}, "homothety spec is missing 'element'"),
+    ("graded", {}, "graded spec is missing 'elements', 'table', 'actions', 'degrees'"),
 ], ids=["graded-list", "homothety-list", "graded-list-actions", "graded-int-elements",
         "graded-list-element", "graded-int-table", "graded-int-degrees", "graded-int-action",
         "homothety-int-rep", "homothety-int-matrices", "homothety-int-element",
         "homothety-short-term", "graded-short-row", "graded-missing-row",
-        "graded-action-size", "homothety-rep-size", "homothety-rep-not-square"])
+        "graded-action-size", "homothety-rep-size", "homothety-rep-not-square",
+        "graded-no-degrees", "homothety-no-element", "graded-empty"])
 def test_construct_spec_of_wrong_type_is_usage_error(tmp_path, capsys, kind, spec, want):
-    """A spec that is a JSON list, or a field of the wrong JSON type or
-    shape, exits 2 with an ``error:`` line naming the field instead of a
-    TypeError or AttributeError. The parent read a short table row as "list
-    index out of range", a rep matrix of another size as "dimension
-    mismatch" and a 2 x 2 action at n = 1 as an identity that does not act
-    as the identity."""
+    """A spec that is a JSON list, that lacks a key, or that has a field of
+    the wrong JSON type or shape, exits 2 with an ``error:`` line naming the
+    field instead of a TypeError or AttributeError. The parent read a short
+    table row as "list index out of range", a rep matrix of another size as
+    "dimension mismatch" and a 2 x 2 action at n = 1 as an identity that
+    does not act as the identity; a missing key printed only its name."""
     path = _write(tmp_path, "spec.json", spec)
     code, out, err = _run(capsys, ["construct", kind, "--spec", path])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and want in err
 
 
+_SPEC_KEYS = {"graded": ("elements", "table", "actions", "degrees"),
+              "homothety": ("rep", "element")}
 _SPEC_ENTRY = st.one_of(st.sampled_from([0, 1, -1, 2, "1", "-1/2", "0", "x", True, None]),
                         _JSON_SCALAR)
 _SPEC_INDEX = st.one_of(st.integers(-1, 3), _SPEC_ENTRY)
@@ -709,13 +716,22 @@ def _homothety_specs(draw):
 @example(("homothety", _HOMOTHETY))
 @example(("graded", dict(_GRADED, table=[[0, 1], [1]])))
 @example(("homothety", dict(_HOMOTHETY, rep=[[[1, 0], [0, 1]], [[2]]])))
+@example(("graded", {key: v for key, v in _GRADED.items() if key != "degrees"}))
+@example(("homothety", {"rep": []}))
 def test_construct_spec_fuzz_exits_0_or_2(tmp_path, capsys, case):
     """``construct graded|homothety --spec`` on fuzzed specs exits 0 with
-    an operator, or 2 with an ``error:`` line; it never raises."""
+    an operator, or 2 with an ``error:`` line; it never raises. A spec
+    object without one of its kind's keys (``_near`` drops one at random)
+    exits 2, and the ``error:`` line names the kind and every missing key."""
     kind, spec = case
     capsys.readouterr()
     code, out, err = _run(capsys, ["construct", kind, "--spec",
                                    _write(tmp_path, "spec.json", spec)])
+    missing = [key for key in _SPEC_KEYS[kind] if isinstance(spec, dict) and key not in spec]
+    if missing:
+        line = err.splitlines()[-1]
+        assert code == 2 and line.startswith(f"error: {kind} spec is missing "), err
+        assert all(repr(key) in line for key in missing), err
     if code == 2:
         assert "error:" in err.splitlines()[-1], err
         assert out == ""
@@ -988,6 +1004,34 @@ def test_parser_is_built_once_and_matches_a_fresh_parser(tmp_path, capsys, monke
 # ---------------------------------------------------------------------------
 # kz
 # ---------------------------------------------------------------------------
+
+
+def test_kz_compare_forms_no_dense_oracle(tmp_path, capsys, monkeypatch):
+    """``kz --compare`` at n = 4, N = 4 (d = 256) measures the distance
+    with ``circle_oracle`` and ``lift_float`` made to raise, and reports the
+    float of the dense difference of the written W from the lift."""
+    r = make_phi(4, [1, 2, 2, 2])
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [0.0, 20.0]], "kind": "circle",
+        "steps": 16, "moving": 2, "center": 1, "radius": 0.5})
+
+    def refuse(*args):
+        raise AssertionError("a d x d oracle was formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(kz, "circle_oracle", refuse)
+        m.setattr(kz, "lift_float", refuse)
+        code, out, err = _run(capsys, ["kz", "--op", op, "--points", "4", "--h", "0.1",
+                                       "--loop", loop, "--compare"])
+    assert code == 0, err
+    report = json.loads(out)
+    w = np.array(report["matrix"]).view(complex)[..., 0]
+    system = kz.KZSystem.from_op(r, 4, 0.1)
+    assert w.shape == (256, 256)
+    assert report["oracle_distance"] == float(
+        np.max(np.abs(w - kz.circle_oracle(system, 1, 0))))
+    assert report["oracle_distance"] < 1e-6
 
 
 def _kz_files(tmp_path, r):
@@ -1446,6 +1490,72 @@ def test_write_holonomy_keeps_signed_zero_pairs():
     text = _write_report(w, {})
     assert text == _report_text(w, {})
     assert len(re.findall(r"-0\.0\b", text)) == 5 and "NaN" in text and "-Infinity" in text
+
+
+def _edge_w(case):
+    """W of one writer edge case; the sizes give zero runs of many lengths."""
+    rng = np.random.default_rng(len(case))
+    if case == "identity":
+        return np.eye(37, dtype=complex)
+    if case == "zero":
+        return np.zeros((37, 37), dtype=complex)
+    if case == "one-zero":
+        return np.zeros((1, 1), dtype=complex)
+    if case == "one-live":
+        return np.array([[complex(-0.0, 2.5)]])
+    w = np.zeros((37, 37), dtype=complex)
+    if case == "first-column":
+        w[::2, 0] = rng.standard_normal(19) + 0.5j
+    elif case == "last-column":
+        w[1::3, -1] = complex(0.0, -0.0)
+        w[::4, -1] = rng.standard_normal(10)
+    elif case == "adjacent":
+        w[0] = 1.5
+        w[3, 4:9] = rng.standard_normal(5)
+        w[5, -2:] = -1j
+        w[7, :2] = 2
+        w[9, 16:34] = 3 - 1j
+    else:  # few distinct values, scattered over a wider W
+        w = rng.choice(np.array([0, 0, 0, 1, -0.5j, 1 / 3 + 1j]), size=(100, 100))
+    return w
+
+
+@pytest.mark.parametrize("case", ["identity", "zero", "one-zero", "one-live", "first-column",
+                                  "last-column", "adjacent", "few-values"])
+def test_write_holonomy_edge_cases(case):
+    """The written report is byte for byte json.dump's of the dict form on
+    W = I, an all-zero W, 1 x 1 W, live cells only in the first or the last
+    column, adjacent live cells and a W of few distinct values."""
+    w = _edge_w(case)
+    fields = {"format_version": jsonio.FORMAT_VERSION, "elapsed_s": 0.5}
+    for f in (fields, {}):
+        assert _write_report(w, f) == _report_text(w, f)
+
+
+def test_write_holonomy_holds_a_small_share_of_its_text():
+    """Writing a phi holonomy at n = 4, N = 4 into an ``io.StringIO`` peaks,
+    under tracemalloc, below a quarter of the text's length. The StringIO
+    holds the written strings until ``getvalue`` joins them, so the peak is
+    what the writer forms: one string per row made it 3.1 MB for 2.7 MB of
+    text."""
+    import tracemalloc
+
+    system = kz.KZSystem.from_op(make_phi(4, [1, 1, 1, 1]), 4, 0.1)
+    loop = kz.LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 16, moving=0, center=1, radius=0.5)
+    w = kz.integrate_holonomy(system, loop)
+    fields = {"format_version": jsonio.FORMAT_VERSION, "oracle_distance": 1e-12}
+    _write_report(w, fields)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        jsonio.write_holonomy(buf, w, 0.1 - 0.05j, 4, 2, fields)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    text = buf.getvalue()
+    assert text == _report_text(w, fields)
+    assert 0 < peak < len(text) // 4
 
 
 def test_write_holonomy_writes_one_row_at_a_time():

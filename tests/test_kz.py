@@ -341,6 +341,80 @@ def test_circle_oracle_is_dense_exponential(corpus, N):
             assert np.max(np.abs(got - dense)) <= 1e-12, (name, moving, center)
 
 
+def _dense_distance(sys, w, moving, center):
+    """The ``--compare`` distance as the dense difference from the lift."""
+    return float(np.max(np.abs(w - kz.circle_oracle(sys, moving, center))))
+
+
+def _distance_cases():
+    """(system, W, moving, center): integrated phi circles at (n, N) =
+    (2, 3) and (4, 4), one phi of each rank, and a phi conjugate."""
+    cases = []
+    for n, N in ((2, 3), (4, 4)):
+        ranks = {}
+        for phi in idempotent_maps(n):
+            ranks.setdefault(len(set(phi)), make_phi(n, phi))
+        cases += [(r, N) for _, r in sorted(ranks.items())]
+    cases.append((make_conjugate([[1, 2, 0], [0, 1, -1], [0, 0, 1]],
+                                 make_phi(3, [1, 1, 3])), 3))
+    out = []
+    for r, N in cases:
+        sys = KZSystem.from_op(r, N, 0.11 - 0.04j)
+        base = [0.0, 1.0, 10.0, 20j][:N]
+        for moving, center in ((0, 1), (N - 1, 0)):
+            loop = LoopSpec(base, "circle", 16, moving=moving, center=center, radius=0.5)
+            out.append((sys, integrate_holonomy(sys, loop), moving, center))
+    return out
+
+
+def test_oracle_distance_is_the_dense_distance():
+    """``oracle_distance`` is bit for bit the max of |W - lift(E)|: on
+    integrated phi circles of every rank at (n, N) = (2, 3) and (4, 4) and a
+    phi conjugate; on random W with entries off the blocks, -0.0 and
+    subnormals; and on the lift itself (distance 0)."""
+    rng = np.random.default_rng(29)
+    specials = [-0.0, 5e-324, -2.5e-310, 1e-300, 0.0]
+    checked = 0
+    for sys, w, moving, center in _distance_cases():
+        assert kz.oracle_distance(sys, w, moving, center) == _dense_distance(
+            sys, w, moving, center)
+        d = sys.dim
+        noise = rng.standard_normal((d, 2 * d)).view(complex) * rng.random((d, d)) ** 8
+        flat = noise.view(float).ravel()
+        flat[rng.choice(flat.size, size=min(flat.size, 60), replace=False)] = (
+            specials * 12)[:min(flat.size, 60)]
+        oracle = kz.circle_oracle(sys, moving, center)
+        for v in (noise, oracle + noise * 1e-9, oracle * -0.0):
+            assert kz.oracle_distance(sys, v, moving, center) == _dense_distance(
+                sys, v, moving, center)
+        assert kz.oracle_distance(sys, oracle, moving, center) == 0.0
+        checked += 1
+    assert checked == 14
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_oracle_distance_holds_less_than_half_of_w(dense):
+    """At d = 256 ``oracle_distance`` holds, at its tracemalloc peak, less
+    than half of W's bytes, for a phi holonomy and for a dense W; the dense
+    form holds the lift, the difference and its abs (2 MB)."""
+    import tracemalloc
+
+    sys = KZSystem.from_op(make_phi(4, [1, 2, 2, 2]), 4, 0.1)
+    loop = LoopSpec([0.0, 1.0, 10.0, 20j], "circle", 16, moving=0, center=1, radius=0.5)
+    w = integrate_holonomy(sys, loop)
+    if dense:
+        w = w + np.random.default_rng(3).standard_normal((256, 512)).view(complex)
+    kz.oracle_distance(sys, w, 0, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kz.oracle_distance(sys, w, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < w.nbytes // 2
+
+
 # ---------------------------------------------------------------------------
 # Loop geometry
 # ---------------------------------------------------------------------------
