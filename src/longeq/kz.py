@@ -76,8 +76,8 @@ CHUNK_ENTRIES = 1 << 16
 # conjugate), 1.6 GB for a circle at n = 4, N = 6
 MAX_INTEGRATOR_BYTES = 1 << 29
 # d x d arrays an *apply* step holds at once: W, the component-stacked array
-# of its moved columns that it steps (at most d x d) and the four arrays of
-# ``_apply_increment``
+# of its moved columns that it steps (at most d x d) and the four buffers of
+# ``_apply_steps`` (k1 and k4, k2, k3 and the stage argument)
 APPLY_ARRAYS = 6
 # m k n of each real numpy product the words path takes (``_serial_product``):
 # well below the size at which numpy's OpenBLAS starts its threads (module
@@ -87,8 +87,8 @@ SERIAL_PRODUCT = 1 << 17
 # its arrays then hold about a quarter of W's bytes, dense or not
 DISTANCE_ENTRIES = 1 << 14
 # bytes per lift entry while a segment operator is built: its position,
-# the inverse of the sort and the pair index (8 each), the value (16), and
-# the map's value and indices (32), with the sort's copies
+# sorted and unsorted, the sort order and the pair index (8 each), the value
+# (16), and the map's value and indices (32), with the copies scipy makes
 ENTRY_BYTES = 128
 
 
@@ -340,18 +340,27 @@ def segment_operator(sys: KZSystem, pairs):
     c_t = h v_i / (z_i - z_j) the connection A = sum_t c_t R^{ij} has the
     data ``m @ c``; entries that several lifts share are summed by ``m``.
     No n^N x n^N lift is formed.
+
+    The blocks of all T pairs are one (T, n^(N-2), n^2) array, so the lift
+    entries, T n^(N-2) nnz(R) of them in pair-major order, come from one
+    index pass. A stable sort of their positions groups each stored entry's
+    lifts in pair order, which is ``m``'s CSR layout: row k of ``m`` holds
+    the lifts of the k-th distinct position, and lift entry e carries R's
+    (e mod nnz(R))-th nonzero.
     """
     from scipy import sparse
 
     d = sys.dim
     ra, ca = np.nonzero(sys.r_float)
-    blocks = [np.array(list(_slot_blocks(sys.n, i, j, sys.N))) for i, j in pairs]
-    lin = np.concatenate([(b[:, ra] * d + b[:, ca]).ravel() for b in blocks])
-    pos, entry = np.unique(lin, return_inverse=True)
+    blocks = np.array([_slot_blocks(sys.n, i, j, sys.N) for i, j in pairs])
+    lin = (blocks[:, :, ra] * d + blocks[:, :, ca]).ravel()
+    order = np.argsort(lin, kind="stable")
+    lin = lin[order]
+    first = np.flatnonzero(np.diff(lin, prepend=-1))  # the first of each position
+    pos = lin[first]
     per_lift = len(lin) // len(pairs)
-    term = np.repeat(np.arange(len(pairs)), per_lift)
-    vals = np.tile(sys.r_float[ra, ca], len(pairs) * (d // sys.n ** 2))
-    m = sparse.csr_matrix((vals, (entry, term)), shape=(len(pos), len(pairs)))
+    m = sparse.csr_matrix((sys.r_float[ra, ca][order % len(ra)], order // per_lift,
+                           np.append(first, len(lin))), shape=(len(pos), len(pairs)))
     indptr = np.searchsorted(pos, np.arange(d + 1) * d)
     op = sparse.csr_matrix((np.zeros(len(pos), dtype=complex), pos % d, indptr),
                            shape=(d, d))
@@ -428,8 +437,9 @@ def _stacked(op, labels, moved):
 def _stack_positions(layout):
     """``(shape, src, dst)``: the shape of the tall array of a ``_stacked``
     layout, and the flat positions in it and in W of the entries it holds.
-    Formed for the gather and again for the scatter, so none is held while
-    the segment steps."""
+    ``integrate_holonomy`` forms them for the gather, where a run of
+    segments with the same live pairs begins, and again for the scatter,
+    where it ends, so none is held while the run steps."""
     d, rows, cols, start, count = layout
     width = int(count.max())
     p = np.repeat(np.arange(len(rows)), count)
@@ -472,15 +482,16 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     component-stacked array that a segment steps are two: the array's rows,
     those of the live components, and its width, the most moved columns of
     one component, are at most d. The positions that gather and scatter it,
-    16 bytes per entry, are one more, formed only around the steps. *apply*
-    adds the four arrays of ``_apply_increment``, not held with the
-    positions: APPLY_ARRAYS. The propagator forms work on the live rows, in
-    matrices of at most d x d. A batch of b steps of stacked stages adds
-    2 b + 1 stage matrices, held with the positions, and X2, X3 and X4:
-    5 b + 3 in all. It frees X3 and X4 before the pairwise product, whose
-    levels hold X2 and at most ceil(b / 2) more matrices, and before the
-    product that updates W. The words path holds fewer: its real words
-    (W / 2 matrices, with W <= 2 b + 1), a buffer of 2 b matrices that holds
+    16 bytes per entry, are one more, formed only where a run of segments
+    with the same live pairs begins and ends. *apply* adds the four buffers
+    of ``_apply_steps``, not held with the positions: APPLY_ARRAYS. The
+    propagator forms work on the live rows, in matrices of at most d x d. A
+    batch of b steps of stacked stages adds 2 b + 1 stage matrices, held
+    with the positions, and X2, X3 and X4: 5 b + 3 in all. It frees X3 and
+    X4 before the pairwise product, whose levels hold X2 and at most
+    ceil(b / 2) more matrices, and before the product that updates W. The
+    words path holds fewer: its real words (W / 2 matrices, with
+    W <= 2 b + 1), a buffer of 2 b matrices that holds
     the increments twice and then the pairwise levels, and, while a batch's
     (W, b) coefficients are formed, at most 1.2 b more (the pieces, the
     result and the stage coefficients, at most 2 W + 2 T^2 + 3 T entries per
@@ -543,31 +554,45 @@ def connection_matrix(sys: KZSystem, loop: LoopSpec, t, seg=None) -> np.ndarray:
 
 def _apply_steps(w, op, data, dt):
     """Classical RK4 on W, with A(t) at the stage times held by the rows of
-    ``data`` (start, middle, end, middle, end, ...) swapped into ``op``."""
+    ``data`` (start, middle, end, middle, end, ...) on the pattern of ``op``.
+
+    Each product A x is scipy's ``csr_matvecs``, which adds A x into its
+    output, called on one of four arrays of the shape of ``w`` allocated
+    once per call: k1 (reused for k4), k2, k3 and the stage argument x.
+    ``op @ x`` zeroes a fresh result and calls the same routine, so each
+    buffer is zeroed before its product and holds ``op @ x`` bit for bit.
+    The sums are ``op @ x`` RK4's, in its order: w + (dt/2) k1 is formed as
+    (dt/2) k1 + w, the same double since IEEE addition is commutative, and
+    the step adds dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order.
+    """
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    k1, k2, k3, x = np.empty((4, *w.shape), dtype=complex)
+    csr = *op.shape, w.shape[1], op.indptr, op.indices
+
+    def product(a, src, out):  # out = A src
+        out.fill(0)
+        csr_matvecs(*csr, a, src, out)
+
     for s in range(0, len(data) - 1, 2):
-        w += _apply_increment(w, op, data[s:s + 3], dt)
+        product(data[s], w, k1)
+        np.multiply(k1, dt / 2, out=x)
+        x += w
+        product(data[s + 1], x, k2)
+        np.multiply(k2, dt / 2, out=x)
+        x += w
+        product(data[s + 1], x, k3)
+        k2 *= 2
+        k2 += k1
+        np.multiply(k3, dt, out=x)
+        x += w
+        product(data[s + 2], x, k1)  # k4
+        k3 *= 2
+        k2 += k3
+        k2 += k1
+        k2 *= dt / 6
+        w += k2
     return w
-
-
-def _apply_increment(w, op, data, dt):
-    """One step's dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order. k1 is
-    added once k3 is taken, so the step holds at most four arrays of the
-    shape of ``w`` besides it, and none of them outlives the step."""
-    op.data = data[0]
-    k1 = op @ w
-    op.data = data[1]
-    k2 = op @ (w + (dt / 2) * k1)
-    k3 = op @ (w + (dt / 2) * k2)
-    k2 *= 2
-    k2 += k1
-    del k1
-    op.data = data[2]
-    k4 = op @ (w + dt * k3)
-    k3 *= 2
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6
-    return k2
 
 
 def _propagator_steps(w, a, dt):
@@ -737,16 +762,19 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     of the loop's pattern, the union of every segment's live lifts
     (``_components``, read at the first live segment off one
     ``segment_operator`` of all the live pairs). W(0) = I, so W stays block
-    diagonal along the components. Every live segment steps a tall array,
-    gathered from W and scattered back, with a row for each row of W in a
-    component that holds a moved column, in W's order: row r holds the
-    moved columns of r's component, left-aligned, padded with zeros to the
-    most moved columns of one component (``_stacked``); the operator is
-    taken on the same rows, its entries in their order. This is exact in
-    every evaluation: *apply* applies A, and each propagator step's M - I
-    is a polynomial in the A(t), so each is block diagonal along the
-    components, and a row of the tall array meets only rows of its own
-    component; padded columns stay zero. Under *apply* the result is W's
+    diagonal along the components. Each run of consecutive live segments
+    with the same live pairs, which share one operator, steps a tall array,
+    gathered from W where the run begins and scattered back where it ends
+    (a segment without live pairs leaves W as it is and ends no run, and a
+    polygon on which every point moves is one run), with a row for each row
+    of W in a component that holds a moved column, in W's order: row r
+    holds the moved columns of r's component, left-aligned, padded with
+    zeros to the most moved columns of one component (``_stacked``); the
+    operator is taken on the same rows, its entries in their order. This is
+    exact in every evaluation: *apply* applies A, and each propagator
+    step's M - I is a polynomial in the A(t), so each is block diagonal
+    along the components, and a row of the tall array meets only rows of
+    its own component; padded columns stay zero. Under *apply* the result is W's
     full-width run bit for bit: ``csr_matvecs`` sums each output entry over
     its row's stored entries in stored order, the operator on the live rows
     keeps them all in order, and the RK4 sums are elementwise. The
@@ -764,7 +792,9 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
 
     - *apply*: k1 = A1 W, k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2),
       k4 = A4 (W + dt k3), W + dt/6 (k1 + 2 k2 + 2 k3 + k4), each A_s W a
-      sparse product that costs about nnz(A) d;
+      sparse product that costs about nnz(A) d, scipy's ``csr_matvecs``
+      called into buffers that every step of a batch reuses
+      (``_apply_steps``);
     - *propagator* from stacked stages: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4)
       with X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2),
       X4 = A4 (I + dt X3), from dense stage matrices: three stacked d^3
@@ -852,48 +882,44 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     seg_pairs = segment_pairs(loop) if sys.r_float.any() else []  # R = 0: A = 0
     union = _union_pairs(seg_pairs)
     labels = None  # the components of the loop's pattern, found at the first live segment
-    built = None  # consecutive segments with the same live pairs share it
-    for seg, pairs in enumerate(seg_pairs):
-        if not pairs:  # A vanishes on the segment
-            continue
-        if built is None or built[0] != pairs:
-            built = None  # free the previous operator first
-            op, pos, m = segment_operator(sys, pairs)
-            mode, batch = _evaluation(d, len(pairs), len(pos))
-            # later segments of a run with the same operator move no new column
-            moved[op.indices] = True
-            if labels is None:
-                labels = _components(op if pairs == union
-                                     else segment_operator(sys, union)[0])
-            op, pos, layout = _stacked(op, labels, moved)
-            held = None
-            if mode == "words":
-                held = _words_held(op, pos, m, batch)
-            elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
-                held = np.zeros((2 * batch + 1, op.shape[0] ** 2), dtype=complex)
-            built = pairs, op, pos, m, mode, batch, held, layout
-        _, op, pos, m, mode, batch, held, layout = built
+    # A vanishes on a segment without live pairs, so W stays as it is there
+    live = [(seg, pairs) for seg, pairs in enumerate(seg_pairs) if pairs]
+    for pairs, run in itertools.groupby(live, key=lambda item: item[1]):
+        op, pos, m = segment_operator(sys, pairs)
+        mode, batch = _evaluation(d, len(pairs), len(pos))
+        # later segments of the run move no new column
+        moved[op.indices] = True
+        if labels is None:
+            labels = _components(op if pairs == union
+                                 else segment_operator(sys, union)[0])
+        op, pos, layout = _stacked(op, labels, moved)
+        held = None
+        if mode == "words":
+            held = _words_held(op, pos, m, batch)
+        elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
+            held = np.zeros((2 * batch + 1, op.shape[0] ** 2), dtype=complex)
         shape, src, dst = _stack_positions(layout)  # C order, as scipy reads it
         part = np.zeros(shape, dtype=complex)
         part.put(src, w.take(dst))
         del src, dst
         rows, cols = np.array(pairs).T
-        t0 = seg / loop.segments
-        for k0 in range(0, per_seg, batch):
-            k1 = min(per_seg, k0 + batch)
-            ts = t0 + np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
-            z, v = loop.stage_data(ts, seg)
-            coeffs = sys.h * v[rows] / (z[rows] - z[cols])
-            if mode == "words":
-                part = _words_steps(part, held, coeffs, dt)
-            elif mode == "apply":
-                part = _apply_steps(part, op, np.ascontiguousarray((m @ coeffs).T), dt)
-            else:
-                a = held[:len(ts)]
-                a[:, pos] = (m @ coeffs).T
-                part = _propagator_steps(part, a.reshape(-1, *op.shape), dt)
+        for seg, _ in run:
+            t0 = seg / loop.segments
+            for k0 in range(0, per_seg, batch):
+                k1 = min(per_seg, k0 + batch)
+                ts = t0 + np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
+                z, v = loop.stage_data(ts, seg)
+                coeffs = sys.h * v[rows] / (z[rows] - z[cols])
+                if mode == "words":
+                    part = _words_steps(part, held, coeffs, dt)
+                elif mode == "apply":
+                    part = _apply_steps(part, op, np.ascontiguousarray((m @ coeffs).T), dt)
+                else:
+                    held[:len(ts), pos] = (m @ coeffs).T
+                    part = _propagator_steps(part, held[:len(ts)].reshape(-1, *op.shape), dt)
         _, src, dst = _stack_positions(layout)
         w.put(dst, part.take(src))
+        del op, pos, m, held, part, src, dst  # freed before the next run's operator is built
     if not np.isfinite(w).all():
         raise ValueError("the holonomy is not finite: the integration overflowed; "
                          "reduce |h| or the scale of the loop")
@@ -952,7 +978,7 @@ def oracle_distance(sys: KZSystem, w, moving, center) -> float:
     the ``--compare`` distance, as the same float but without the d x d
     lift, difference or ``abs`` array (module docstring): the rows of
     |W - lift(E)| are formed DISTANCE_ENTRIES entries at a time."""
-    blocks = np.array(list(_slot_blocks(sys.n, moving, center, sys.N)))
+    blocks = np.array(_slot_blocks(sys.n, moving, center, sys.N))
     block = circle_block(sys)
     count, size = blocks.shape
     # label[i] is the block of basis index i, place[i] its index in the block

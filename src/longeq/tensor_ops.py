@@ -34,7 +34,6 @@ All arithmetic in this module is exact rational.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from functools import cached_property
@@ -208,20 +207,23 @@ def flip_matrix(n):
 
 
 def _slot_blocks(n, i, j, N):
-    """Yield (row/column index lists) embedding an n^2-block on slots (i, j).
+    """The row/column index lists that embed an n^2-block on slots (i, j).
 
     Slot i carries the first tensor leg of the block and slot j the second;
     for i > j this realizes the flip-conjugated convention on sorted slots.
+    Basis index sum_k a_k n^(N-1-k) is the base offset of the other slots
+    plus the in-block offset a_i n^(N-1-i) + a_j n^(N-1-j), entry a_i n + a_j
+    of a block. One block per base, the other slots' digits in lexicographic
+    order, the first of them slowest.
     """
-    others = [k for k in range(N) if k != i and k != j]
-    weights = [n ** (N - 1 - k) for k in range(N)]
-    for rest in itertools.product(range(n), repeat=N - 2):
-        base = sum(rest[t] * weights[others[t]] for t in range(N - 2))
-        yield [
-            base + ai * weights[i] + aj * weights[j]
-            for ai in range(n)
-            for aj in range(n)
-        ]
+    bases = [0]
+    for k in range(N):
+        if k != i and k != j:
+            step = n ** (N - 1 - k)
+            bases = [b + x for b in bases for x in range(0, n * step, step)]
+    wi, wj = n ** (N - 1 - i), n ** (N - 1 - j)
+    offsets = [ai + aj for ai in range(0, n * wi, wi) for aj in range(0, n * wj, wj)]
+    return [[b + o for o in offsets] for b in bases]
 
 
 def lift_exact(r: TensorOp2, i, j, N):

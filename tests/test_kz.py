@@ -1131,6 +1131,218 @@ def test_integration_bytes_bounds_the_traced_peak_with_the_union():
     assert 0 < _traced_peak(sys, loop) <= kz.integration_bytes(sys, loop)
 
 
+def _apply_increment_oracle(w, op, data, dt):
+    """One RK4 step's dt/6 (k1 + 2 k2 + 2 k3 + k4) by ``op @ x`` products,
+    A(t) swapped into a copy of ``op`` as its data: the step ``_apply_steps``
+    took before it called ``csr_matvecs`` into its own buffers."""
+    op = op.copy()
+    op.data = data[0]
+    k1 = op @ w
+    op.data = data[1]
+    k2 = op @ (w + (dt / 2) * k1)
+    k3 = op @ (w + (dt / 2) * k2)
+    k2 *= 2
+    k2 += k1
+    op.data = data[2]
+    k4 = op @ (w + dt * k3)
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6
+    return k2
+
+
+def _apply_steps_oracle(w, op, data, dt):
+    for s in range(0, len(data) - 1, 2):
+        w += _apply_increment_oracle(w, op, data[s:s + 3], dt)
+    return w
+
+
+def _random_apply_inputs(r, width, steps, density, seed):
+    """A random complex r x r CSR pattern with some rows left empty, the
+    stage data of ``steps`` RK4 steps on it and a random complex (r, width) W."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(seed)
+    pattern = rng.random((r, r)) < density
+    pattern[rng.random(r) < 0.3] = False  # empty rows
+    op = sparse.csr_matrix(pattern.astype(complex))
+    data = (rng.standard_normal((2 * steps + 1, op.nnz))
+            + 1j * rng.standard_normal((2 * steps + 1, op.nnz)))
+    w = rng.standard_normal((r, width)) + 1j * rng.standard_normal((r, width))
+    return w, op, data
+
+
+@pytest.mark.parametrize("r,width,steps,density", [
+    (1, 1, 1, 1.0), (1, 4, 3, 1.0), (5, 1, 2, 0.5), (7, 3, 4, 0.0), (30, 1, 3, 0.2),
+    (30, 11, 2, 0.3), (81, 33, 2, 0.1), (256, 7, 2, 0.03), (256, 37, 1, 0.05)])
+def test_apply_steps_match_the_operator_products(r, width, steps, density):
+    """``_apply_steps`` is the ``op @ x`` RK4 bit for bit: on random complex
+    operators with empty rows (one with no entry at all), a single row,
+    width 1 and r up to 256, and on W both C- and Fortran-ordered."""
+    w, op, data = _random_apply_inputs(r, width, steps, density, r * width + steps)
+    dt = 0.05
+    want = _apply_steps_oracle(w.copy(), op, data, dt)
+    got = kz._apply_steps(w.copy(), op, data, dt)
+    assert np.array_equal(got, want)
+    assert kz._apply_steps(w.copy(order="F"), op, data, dt).tobytes("C") == want.tobytes()
+    assert not np.array_equal(want, w) or op.nnz == 0
+
+
+@pytest.mark.parametrize("case", ["circle-4-4", "polygon-4-all-moving", "circle-3-5",
+                                  "diag-3-4-nonsymmetric"])
+def test_apply_steps_match_the_operator_products_on_loops(case, monkeypatch):
+    """The *apply* loops, among them those of the perfbench pool's shapes
+    (the n = 3, N = 4 polygon on which every point moves, and the n = 4,
+    N = 4 circle at every rank of phi), integrate to the same holonomy bit
+    for bit with the ``op @ x`` step as with ``_apply_steps``."""
+    (n, N), op, h, spec, _ = _INTEGRATOR_CASES[case]
+    loop = LoopSpec(**spec)
+    ops = [op]
+    if case == "circle-4-4":
+        ops = [[1, 1, 1, 1], [1, 2, 1, 2], [1, 2, 2, 4], [1, 2, 3, 4]]
+    for phi in ops:
+        r = phi if isinstance(phi, TensorOp2) else make_phi(n, phi)
+        sys = KZSystem.from_op(r, N, h)
+        got = integrate_holonomy(sys, loop)
+        monkeypatch.setattr(kz, "_apply_steps", _apply_steps_oracle)
+        want = integrate_holonomy(sys, loop)
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+
+
+def test_csr_matvecs_adds_the_product():
+    """The private scipy routine ``_apply_steps`` calls,
+    ``csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, X, Y)``, adds
+    A X into Y: on a nonzero Y, with int32 and with int64 indices, on a
+    rectangular A with an empty row and on one vector. The entries are
+    small Gaussian integers, so every sum is exact."""
+    from scipy import sparse
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    rng = np.random.default_rng(7)
+
+    def gaussian(*shape):
+        return rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+
+    a = gaussian(6, 5) * (rng.random((6, 5)) < 0.5)
+    a[2] = 0
+    csr = sparse.csr_matrix(a)
+    for index in (np.int32, np.int64):
+        for vecs in (1, 3):
+            x, y = gaussian(5, vecs), gaussian(6, vecs)
+            want = y + a @ x
+            csr_matvecs(6, 5, vecs, csr.indptr.astype(index), csr.indices.astype(index),
+                        csr.data, x, y)
+            assert np.array_equal(y, want)
+
+
+def _segment_operator_oracle(sys, pairs):
+    """``segment_operator`` built block by block, one array of slot blocks
+    per pair and the map through a COO matrix: the oracle of the one-pass
+    build."""
+    from scipy import sparse
+
+    d = sys.dim
+    ra, ca = np.nonzero(sys.r_float)
+    blocks = [np.array(list(kz._slot_blocks(sys.n, i, j, sys.N))) for i, j in pairs]
+    lin = np.concatenate([(b[:, ra] * d + b[:, ca]).ravel() for b in blocks])
+    pos, entry = np.unique(lin, return_inverse=True)
+    per_lift = len(lin) // len(pairs)
+    term = np.repeat(np.arange(len(pairs)), per_lift)
+    vals = np.tile(sys.r_float[ra, ca], len(pairs) * (d // sys.n ** 2))
+    m = sparse.csr_matrix((vals, (entry, term)), shape=(len(pos), len(pairs)))
+    indptr = np.searchsorted(pos, np.arange(d + 1) * d)
+    op = sparse.csr_matrix((np.zeros(len(pos), dtype=complex), pos % d, indptr),
+                           shape=(d, d))
+    return op, pos, m
+
+
+def _pair_sets():
+    """(system, pairs): every pair set of the integrator cases (each
+    segment's and their union), and of the perfbench loop shapes at every
+    rank of phi: every point moving, and one point moving, at (n, N) =
+    (2, 3), (3, 4) and (4, 4)."""
+    for (n, N), op, h, spec, _ in _INTEGRATOR_CASES.values():
+        sys = KZSystem.from_op(op if isinstance(op, TensorOp2) else make_phi(n, op), N, h)
+        seg_pairs = kz.segment_pairs(LoopSpec(**spec))
+        for pairs in [p for p in seg_pairs if p] + [kz._union_pairs(seg_pairs)]:
+            yield sys, pairs
+    for n, N in ((2, 3), (3, 4), (4, 4)):
+        for rank in range(1, n + 1):
+            phi = next(p for p in idempotent_maps(n) if len(set(p)) == rank)
+            sys = KZSystem.from_op(make_phi(n, list(phi)), N, 0.1)
+            yield sys, [(i, j) for i in range(N) for j in range(N) if i != j]
+            for i in range(N):
+                yield sys, [(i, j) for j in range(N) if j != i]
+
+
+def test_segment_operator_matches_the_per_block_build():
+    """The one-pass ``segment_operator`` gives the per-block build's CSR
+    pattern, positions and map, array for array."""
+    count = 0
+    for sys, pairs in _pair_sets():
+        op, pos, m = kz.segment_operator(sys, pairs)
+        want_op, want_pos, want_m = _segment_operator_oracle(sys, pairs)
+        assert op.shape == want_op.shape and m.shape == want_m.shape
+        assert np.array_equal(op.indptr, want_op.indptr)
+        assert np.array_equal(op.indices, want_op.indices)
+        assert np.array_equal(pos, want_pos)
+        for got, want in ((m.indptr, want_m.indptr), (m.indices, want_m.indices),
+                          (m.data, want_m.data)):
+            assert np.array_equal(got, want)
+        count += 1
+    assert count > 50
+
+
+def _runs(seg_pairs):
+    """The runs of consecutive live segments with the same pairs, segments
+    without a live pair left out."""
+    runs = []
+    for pairs in seg_pairs:
+        if pairs and (not runs or runs[-1] != pairs):
+            runs.append(pairs)
+    return runs
+
+
+@pytest.mark.parametrize("case", ["polygon-4-all-moving", "late-apply", "late-propagator",
+                                  "paused-apply", "paused-propagator"])
+def test_stacked_array_is_gathered_once_per_run(case, monkeypatch):
+    """The component-stacked array is gathered from W when a run of
+    segments with the same live pairs begins and scattered back when it
+    ends: two ``_stack_positions`` calls per run, one before the run's first
+    step and one after its last. An all-moving polygon is one run; the late
+    loops change their pairs twice; the paused loops' segment without a live
+    pair leaves W as it is and ends no run."""
+    if case in _INTEGRATOR_CASES:
+        (n, N), phi, h, spec, _ = _INTEGRATOR_CASES[case]
+        sys, loop = KZSystem.from_op(make_phi(n, phi), N, h), LoopSpec(**spec)
+    else:
+        _, sys, loop, _ = next(c for c in _moved_cases() if c[0] == case)
+    runs = _runs(kz.segment_pairs(loop))
+    assert len(runs) == {"polygon": 1, "late": 3, "paused": 1}[case.split("-")[0]]
+    want = _full_width(sys, loop)
+    events = []
+    positions = kz._stack_positions
+
+    def recorded(layout):
+        events.append("positions")
+        return positions(layout)
+
+    monkeypatch.setattr(kz, "_stack_positions", recorded)
+    for name in _EVALUATIONS.values():
+        def counted(*args, steps=getattr(kz, name)):
+            events.append("steps")
+            return steps(*args)
+
+        monkeypatch.setattr(kz, name, counted)
+    got = integrate_holonomy(sys, loop)
+    # each run: a gather, its batches of steps, a scatter
+    batches = [e for k, e in enumerate(events) if e != "steps" or events[k - 1] != "steps"]
+    assert batches == ["positions", "steps", "positions"] * len(runs)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
 def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
     """The 4s run of a loop with s > MAX_STEPS / 4 steps is refused before
     the s and 2s runs are integrated."""

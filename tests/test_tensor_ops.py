@@ -100,6 +100,32 @@ def test_lift_23_matches_kron_structure():
     assert r23.matrix == expect
 
 
+def _slot_blocks_oracle(n, i, j, N):
+    """The slot blocks by ``itertools.product`` over the other slots' digits:
+    the oracle of ``tensor_ops._slot_blocks``."""
+    others = [k for k in range(N) if k != i and k != j]
+    weights = [n ** (N - 1 - k) for k in range(N)]
+    for rest in itertools.product(range(n), repeat=N - 2):
+        base = sum(rest[t] * weights[others[t]] for t in range(N - 2))
+        yield [
+            base + ai * weights[i] + aj * weights[j]
+            for ai in range(n)
+            for aj in range(n)
+        ]
+
+
+def test_slot_blocks_match_the_product_oracle():
+    """The arithmetic slot blocks are the oracle's, block for block and in
+    its order, for every ordered pair of slots at n <= 4 and N <= 5; each
+    set of blocks partitions the basis."""
+    for n in range(1, 5):
+        for N in range(2, 6):
+            for i, j in itertools.permutations(range(N), 2):
+                blocks = tensor_ops._slot_blocks(n, i, j, N)
+                assert blocks == list(_slot_blocks_oracle(n, i, j, N)), (n, i, j, N)
+                assert sorted(x for b in blocks for x in b) == list(range(n ** N))
+
+
 def test_check_laws_identity_all_true():
     rep = check_laws(identity_op(2))
     assert rep == {law: True for law in rep}
