@@ -49,7 +49,6 @@ from .frt import (
     convolution_inverse,
     dimodule_action,
     dimodule_compatible,
-    obstructions,
     presentation_text,
     round_trip,
     sigma_extend,
@@ -57,22 +56,17 @@ from .frt import (
 from .kz import (
     KZSystem,
     LoopSpec,
-    connection_matrix,
     convergence_order,
     flatness_residuals,
     integrate_holonomy,
-    lift_exact,
-    lift_float,
 )
 from .tensor_ops import (
     LAWS,
     GradedActionData,
     TensorOp2,
-    TensorOp3,
     check_laws,
     idempotent_maps,
     invert,
-    lift,
     long_witness,
     make_conjugate,
     make_diag,

@@ -255,6 +255,14 @@ def _int_option(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _ascii_number_option(text):
+    """A number option such as ``--h``, refused unless it is ASCII without
+    ``_``: ``float()`` also takes other Unicode digits and ``_`` separators."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"not an ASCII number string: {text!r}")
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="longeq",
@@ -299,7 +307,8 @@ def build_parser():
     c = sub.add_parser("kz", help="integrate loop holonomy of the connection")
     c.add_argument("--op", required=True)
     c.add_argument("--points", type=_int_option, required=True)
-    c.add_argument("--h", required=True, help="complex parameter as RE or RE,IM")
+    c.add_argument("--h", type=_ascii_number_option, required=True,
+                   help="complex parameter as RE or RE,IM")
     c.add_argument("--loop", required=True, help="loop JSON file")
     c.add_argument("--steps", type=_int_option, help="override the loop step count")
     c.add_argument(

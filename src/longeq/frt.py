@@ -75,7 +75,6 @@ from .tensor_ops import (
     _descent_basis,
     _first_descent_failure,
     _form,
-    _obstruction_rows,
     _obstruction_vectors,
     _pullback,
     invert,
@@ -96,19 +95,6 @@ def comatrix_eps(vec, n):
     return sum(vec[cm_index(i, i, n)] for i in range(1, n + 1))
 
 
-def comatrix_delta(vec, n):
-    """Comultiplication of a comatrix element as an n^2 x n^2 coefficient
-    matrix over the basis {c_pq (x) c_rs} (left index rows)."""
-    out = la.zeros(n * n, n * n)
-    for slot, x in enumerate(vec):
-        if not x:
-            continue
-        j, k = cm_label(slot, n)
-        for u in range(1, n + 1):
-            out[cm_index(j, u, n)][cm_index(u, k, n)] += x
-    return out
-
-
 def obstructions(r: TensorOp2):
     """The n^4 relation vectors o(i,j,k,l), lexicographic in (i,j,k,l).
 
@@ -119,19 +105,6 @@ def obstructions(r: TensorOp2):
     table, d = r.int_form
     return [[Fraction(x, d) if x else F0 for x in vec]
             for _, vec in _obstruction_vectors(table, r.dim)]
-
-
-def obstruction_rows(r: TensorOp2):
-    """Primitive integer rows spanning the relation span V of ``r``.
-
-    These are the obstruction vectors of Z = D x, each divided by the gcd
-    of its entries and signed so that its first nonzero entry is positive;
-    zero rows and repeated rows are dropped (``tensor_ops._obstruction_rows``).
-    None of this changes the row space, and the RREF of a row space is
-    unique, so ``QuotientCoalgebra(n, obstruction_rows(r))`` is the quotient
-    that ``build_LR`` forms from the basis of ``tensor_ops._descent_basis``.
-    """
-    return [row for _, row in _obstruction_rows(r.int_form[0], r.dim)]
 
 
 class QuotientCoalgebra:
@@ -172,14 +145,6 @@ class QuotientCoalgebra:
     @property
     def num_generators(self):
         return len(self.rep_slots)
-
-    def project_label(self, i, j):
-        """c_ij reduced modulo V as a comatrix vector: its coset at the
-        representative slots, zero at the pivots."""
-        vec = [F0] * (self.n * self.n)
-        for t, x in self.coset_terms(i, j):
-            vec[self.rep_slots[t]] = x
-        return vec
 
     def basis_coset(self, i, j):
         """Coset coordinates of the basis label c_ij."""
@@ -239,8 +204,7 @@ class SigmaForm:
     ``rep_table`` off it, and ``table``, sigma_0 as Fractions, is formed
     from it on first read. ``int_coset_table``, L^2 D sigma on the projections
     of every label pair, is formed on first read by ``coset_table`` (its
-    exact value), ``on_cosets``, ``round_trip`` or
-    ``check_L1_on_generators``.
+    exact value), ``round_trip`` or ``check_L1_on_generators``.
     """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
@@ -271,11 +235,6 @@ class SigmaForm:
         if failure is not None:
             side = "V (x) C" if failure[2] == 1 else "C (x) V"
             raise SigmaIllDefined(f"sigma does not vanish on {side}")
-
-    def on_cosets(self, i, v, j, u):
-        """sigma(coset of c_iv (x) coset of c_ju), read from ``coset_table``."""
-        n = self.n
-        return self.coset_table[cm_index(i, v, n)][cm_index(j, u, n)]
 
 
 def _int_coset_table(table, quotient):

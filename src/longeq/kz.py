@@ -9,6 +9,29 @@ elsewhere. All algebraic identities (flatness brackets) are evaluated
 exactly, over integers with the denominators cleared; only the ODE itself
 runs in complex doubles.
 
+Flatness. The connection form is
+omega = h sum_{i != j} R^{ij} dz_i / (z_i - z_j), and no term is closed:
+d(dz_i / (z_i - z_j)) = dz_i ^ dz_j / (z_i - z_j)^2. The terms (i, j) and
+(j, i) sum to
+
+    d omega = h sum_{i < j} (R^{ij} - R^{ji}) dz_i ^ dz_j / (z_i - z_j)^2,
+
+which vanishes iff R^{ji} = R^{ij}, that is iff R is flip-invariant. The
+same form in omega ^ omega is -h^2 [R^{ij}, R^{ji}], and for a Long R it
+vanishes: write R = sum_k A_k (x) B_k; Long equation 2 makes every A_k
+commute with every B_l, so R^{ij} and R^{ji} commute. So for a Long R the
+connection is flat iff R is flip-invariant (the ``symmetric`` law), and
+the holonomy of a contractible loop need not be the identity otherwise.
+The tests integrate a rectangle in (z_0, z_1) on which one point moves at
+a time: for the Long pair ``make_pair([[1, 1], [0, 1]], [[1, 2], [0, 1]])``
+at h = 0.1, W = exp(h c (R^{01} - R^{10})) with
+c = Log 1.3 - Log((1.3 - 0.3i) / (1 - 0.3i)), |W - I| = 6.7e-3. The
+ordered form h sum_{i < j} R^{ij} dlog(z_i - z_j) is closed, and by
+Kohno's infinitesimal pure braid relations (T. Kohno, Ann. Inst. Fourier
+37, 1987) a Long R makes it flat iff [R^{13}, R^{23}] = 0.
+``flatness_residuals`` reports the bracket [R^{12}, R^{13} + R^{23}], the
+integrability condition, not the flatness of omega.
+
 Two OpenBLAS pools. numpy and scipy each bundle their own OpenBLAS, with
 its own thread pool; the integrator multiplies with numpy and
 ``circle_block`` exponentiates with scipy. Right after a scipy ``expm``,
@@ -25,17 +48,18 @@ complex multiply-adds. The stacked products of the pairwise product,
 which both propagator forms take, reach the complex threshold from d = 41
 on and still run on the threads.
 
-The ``--compare`` distance. The oracle ``circle_oracle`` of a circle of
-point m about the fixed point c is the lift of the n^2 x n^2 block
-E = exp(2 pi i h R) (``circle_block``) to the n^(N-2) slot blocks of
-(m, c), and 0 off them; those blocks partition the basis. So
-max |W - lift(E)| is the larger of two maxima: max |W_b - E| over the
-diagonal blocks W_b of W, and max |W_ij| over the entries off the blocks.
-Off the blocks W_ij - 0 is W_ij as a double (-0.0 - 0.0 is -0.0), so each
-term of either maximum is the double that the dense difference holds,
-and a max of doubles is exact. ``oracle_distance`` therefore returns the
-float of ``np.max(np.abs(w - circle_oracle(...)))`` from W and E alone,
-without the lift, the difference or its ``abs``, three d x d arrays.
+The ``--compare`` distance. The oracle of a circle of point m about the
+fixed point c is exp(2 pi i h R^{mc}) (``check_circle_oracle``), the lift
+``lift_float(circle_block(sys), n, m, c, N)`` of the n^2 x n^2 block
+E = exp(2 pi i h R) to the n^(N-2) slot blocks of (m, c), and 0 off them;
+those blocks partition the basis. So max |W - lift(E)| is the larger of
+two maxima: max |W_b - E| over the diagonal blocks W_b of W, and
+max |W_ij| over the entries off the blocks. Off the blocks W_ij - 0 is
+W_ij as a double (-0.0 - 0.0 is -0.0), so each term of either maximum is
+the double that the dense difference holds, and a max of doubles is
+exact. ``oracle_distance`` therefore returns the float of
+``np.max(np.abs(w - lift(E)))`` from W and E alone, without the lift, the
+difference or its ``abs``, three d x d arrays.
 """
 
 from __future__ import annotations
@@ -48,7 +72,7 @@ import numbers
 import numpy as np
 
 from .errors import DimensionCap, PathTooClose
-from .tensor_ops import (  # lift_exact is re-exported next to lift_float
+from .tensor_ops import (  # perfbench/tracing.py wraps lift_exact as kz.lift_exact
     TensorOp2,
     _slot_blocks,
     flip_invariant,
@@ -107,7 +131,9 @@ def flatness_residuals(r: TensorOp2, N) -> dict:
     bracket [R^{ab}, R^{ac} + R^{bc}] is reported; when N >= 4 the
     disjoint-pair brackets [R^{ab}, R^{cd}] on M^(x4) are reported too.
     Keys are labels like "[R12,R13+R23]" (slots 1-based); values are
-    booleans.
+    booleans. They decide [R^{12}, R^{13} + R^{23}] = 0, not the flatness
+    of the connection, which for a Long R also needs R flip-invariant
+    (module docstring).
 
     The six triple brackets are one bracket, decided exactly once by
     ``tensor_ops.kz_bracket`` (the ``kz_bracket`` law of ``check_laws``).
@@ -855,16 +881,11 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
 
     The host's speed drifts by up to 50% between runs; the three numbers
     of a row were taken interleaved, so their ratios are firmer than any
-    one number. Measured before the words path existed, *apply* /
-    stacked stages: phi polygons of 60 steps at d = 32 6.6 / 6.7 and
-    d = 81 14.6 / 41.0; the phi d = 256 circle of 16 steps 15.0 / 141;
-    conjugates with nnz(R) = 73 of 81 at n = 3 and 224 of 256 at n = 4:
-    the d = 81 polygon 72 / 39, the d = 256 circle 212 / 166. The rule
-    picks the fastest evaluation in each case, or one within 10% of it:
-    *apply* was 0-10% faster on the d = 27 polygon over three such runs
-    and 2% faster on the d = 32 polygon, and words were 5-9% faster on the
-    d = 16 circle here but 5% slower per batch in isolation, so three
-    lifts stay on stacked stages.
+    one number. The rule picks the fastest evaluation in each case, or
+    one within 10% of it: *apply* was 0-10% faster on the d = 27 polygon
+    over three such runs, and words were 5-9% faster on the d = 16 circle
+    here but 5% slower per batch in isolation, so three lifts stay on
+    stacked stages.
 
     Stage coefficients are formed for batches of steps holding at most
     about CHUNK_ENTRIES entries of stage data (or of stage matrices).
@@ -929,9 +950,22 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
 def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
     """The ``--compare`` preconditions, each a ValueError: the command
     requires a flip-invariant operator and a circle centred on a fixed
-    point that encloses no other point. ``circle_oracle`` is exact when R
-    satisfies Long equation 1 and the circle encloses only its centre, as
-    its docstring derives."""
+    point that encloses no other point.
+
+    The oracle exp(2 pi i h R^{mc}), for point m circling the fixed point
+    c, is exact whenever the circle encloses c and no other point and R
+    satisfies Long equation 1. Only z_m moves, so
+    A(t) = h sum_{j != m} dz_m/dt / (z_m - z_j) R^{mj}. The live lifts R^{mj}
+    share their first slot m, and Long equation 1 gives
+    [R^{ab}, R^{ac}] = 0 for distinct slots a, b, c (relabel the slots), so
+    they commute. Then A(t) commutes with A(s) for all t, s, and the
+    transport is the exponential of the integral of A:
+    prod_j exp(h R^{mj} oint dz/(z - z_j)) = prod_j exp(2 pi i h w_j R^{mj}),
+    w_j the winding number of the circle about z_j: 1 for the centre and 0
+    for every point outside the circle. The distance from the integrated
+    holonomy is then the RK4 error alone. Flip invariance is more than
+    that needs.
+    """
     if not sys.symmetric:
         raise ValueError("comparison mode requires a symmetric operator (flip-invariant)")
     if loop.kind != "circle" or loop.center_index is None:
@@ -943,41 +977,23 @@ def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
 
 
 def circle_block(sys: KZSystem) -> np.ndarray:
-    """exp(2 pi i h R), the n^2 x n^2 block that ``circle_oracle`` lifts."""
+    """exp(2 pi i h R), the n^2 x n^2 block whose lift to the slot blocks
+    of a circle's pair is the ``--compare`` oracle (``oracle_distance``)."""
     from scipy.linalg import expm
 
     return expm(2.0j * math.pi * sys.h * sys.r_float)
 
 
-def circle_oracle(sys: KZSystem, moving, center) -> np.ndarray:
-    """exp(2 pi i h R^{moving,center}): the holonomy of point ``moving``
-    circling the fixed point ``center`` once (the ``--compare`` oracle).
-
-    It is exact whenever the circle encloses ``center`` and no other point
-    and R satisfies Long equation 1. With m = ``moving``, only z_m moves, so
-    A(t) = h sum_{j != m} dz_m/dt / (z_m - z_j) R^{mj}. The live lifts R^{mj}
-    share their first slot m, and Long equation 1 gives
-    [R^{ab}, R^{ac}] = 0 for distinct slots a, b, c (relabel the slots), so
-    they commute. Then A(t) commutes with A(s) for all t, s, and the
-    transport is the exponential of the integral of A:
-    prod_j exp(h R^{mj} oint dz/(z - z_j)) = prod_j exp(2 pi i h w_j R^{mj}),
-    w_j the winding number of the circle about z_j: 1 for the centre and 0
-    for every point outside the circle. The distance from the integrated
-    holonomy is then the RK4 error alone.
-
-    R^{ij} is block diagonal with blocks R (its slot blocks partition the
-    basis), so its exponential is the lift of the n^2 x n^2 block
-    exponential ``circle_block``; no n^N x n^N exponential is formed.
-    ``oracle_distance`` measures W against this lift without forming it.
-    """
-    return lift_float(circle_block(sys), sys.n, moving, center, sys.N)
-
-
 def oracle_distance(sys: KZSystem, w, moving, center) -> float:
-    """``float(np.max(np.abs(w - circle_oracle(sys, moving, center))))``,
-    the ``--compare`` distance, as the same float but without the d x d
-    lift, difference or ``abs`` array (module docstring): the rows of
-    |W - lift(E)| are formed DISTANCE_ENTRIES entries at a time."""
+    """The ``--compare`` distance max |W - exp(2 pi i h R^{mc})|, m = ``moving``
+    and c = ``center``: the float of ``np.max(np.abs(w - o))`` for the
+    oracle o = ``lift_float(circle_block(sys), n, moving, center, N)``.
+
+    R^{mc} is block diagonal with blocks R (its slot blocks partition the
+    basis), so its exponential is o, the lift of the n^2 x n^2 block
+    exponential E. The same float is formed without the d x d lift,
+    difference or ``abs`` array (module docstring): the rows of
+    |W - o| are formed DISTANCE_ENTRIES entries at a time."""
     blocks = np.array(_slot_blocks(sys.n, moving, center, sys.N))
     block = circle_block(sys)
     count, size = blocks.shape

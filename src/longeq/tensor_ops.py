@@ -176,12 +176,6 @@ class TensorOp3:
     def __mul__(self, other):
         return TensorOp3(self.dim, la.mat_mul(self.matrix, other.matrix))
 
-    def __add__(self, other):
-        return TensorOp3(self.dim, la.mat_add(self.matrix, other.matrix))
-
-    def __sub__(self, other):
-        return TensorOp3(self.dim, la.mat_sub(self.matrix, other.matrix))
-
     def __eq__(self, other):
         return (
             isinstance(other, TensorOp3)
@@ -195,15 +189,6 @@ class TensorOp3:
     @classmethod
     def identity(cls, n):
         return cls(n, la.identity(n**3))
-
-
-def flip_matrix(n):
-    """Matrix of the flip tau(m_a (x) m_b) = m_b (x) m_a."""
-    t = la.zeros(n * n, n * n)
-    for a in range(n):
-        for b in range(n):
-            t[b * n + a][a * n + b] = F1
-    return t
 
 
 def _slot_blocks(n, i, j, N):

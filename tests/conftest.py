@@ -11,6 +11,16 @@ from longeq import (
     make_pair,
     make_phi,
 )
+from longeq import linalg as la
+
+
+def flip_matrix(n):
+    """Matrix of the flip tau(m_a (x) m_b) = m_b (x) m_a."""
+    t = la.zeros(n * n, n * n)
+    for a in range(n):
+        for b in range(n):
+            t[b * n + a][a * n + b] = la.F1
+    return t
 
 
 def upper_pair_operator(a, b, c):

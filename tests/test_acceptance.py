@@ -35,8 +35,6 @@ from longeq import (
     integrate_holonomy,
     invert,
     l1_solution_space,
-    lift,
-    lift_float,
     long_witness,
     make_diag,
     make_phi,
@@ -45,6 +43,8 @@ from longeq import (
 )
 from longeq import linalg as la
 from longeq.frt import cm_index
+from longeq.kz import lift_float
+from longeq.tensor_ops import lift
 
 from conftest import upper_pair_operator
 

@@ -1008,8 +1008,8 @@ def test_parser_is_built_once_and_matches_a_fresh_parser(tmp_path, capsys, monke
 
 def test_kz_compare_forms_no_dense_oracle(tmp_path, capsys, monkeypatch):
     """``kz --compare`` at n = 4, N = 4 (d = 256) measures the distance
-    with ``circle_oracle`` and ``lift_float`` made to raise, and reports the
-    float of the dense difference of the written W from the lift."""
+    with ``lift_float`` made to raise, and reports the float of the dense
+    difference of the written W from the lift of ``circle_block``."""
     r = make_phi(4, [1, 2, 2, 2])
     op = _write(tmp_path, "op.json", operator_to_json(r))
     loop = _write(tmp_path, "loop.json", {
@@ -1020,7 +1020,6 @@ def test_kz_compare_forms_no_dense_oracle(tmp_path, capsys, monkeypatch):
         raise AssertionError("a d x d oracle was formed")
 
     with monkeypatch.context() as m:
-        m.setattr(kz, "circle_oracle", refuse)
         m.setattr(kz, "lift_float", refuse)
         code, out, err = _run(capsys, ["kz", "--op", op, "--points", "4", "--h", "0.1",
                                        "--loop", loop, "--compare"])
@@ -1030,7 +1029,7 @@ def test_kz_compare_forms_no_dense_oracle(tmp_path, capsys, monkeypatch):
     system = kz.KZSystem.from_op(r, 4, 0.1)
     assert w.shape == (256, 256)
     assert report["oracle_distance"] == float(
-        np.max(np.abs(w - kz.circle_oracle(system, 1, 0))))
+        np.max(np.abs(w - kz.lift_float(kz.circle_block(system), 4, 1, 0, 4))))
     assert report["oracle_distance"] < 1e-6
 
 
@@ -1104,7 +1103,7 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
                                                           monkeypatch, corpus, case):
     """Each usage error exits 2 before any bracket or integration.
     ``encloses_second_point``: point 2 circling point 1 (at 0) at radius 2
-    also encloses point 3 (at 1.6), where ``circle_oracle`` is not exact:
+    also encloses point 3 (at 1.6), where the oracle is not exact:
     at h = 0.05 and 64 steps the integrated holonomy lies 0.31 from it."""
     monkeypatch.setattr(kz, "flatness_residuals", _refuse)
     monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
@@ -1387,13 +1386,15 @@ def _non_ascii_int(text):
           "center": 0, "radius": 0.5}, "\u0663", "0.1", None, False)
 @example({"base": [[0, 0], [1, 0], [6, 0]], "kind": "circle", "steps": 4, "moving": 1,
           "center": 0, "radius": 0.5}, "3", "0.1", "1_6", True)
+@example({"base": [[0, 0], [1, 0], [6, 0]], "kind": "circle", "steps": 4, "moving": 1,
+          "center": 0, "radius": 0.5}, "3", "1_0", None, False)
 def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, h, steps,
                                              compare):
     """``kz`` on fuzzed loop JSON and ``--points``, ``--h`` and ``--steps``
     values exits 0 or 1 with a report, or 2 with an ``error:`` line; it
     never raises. ``--points`` is the loop's own count when not drawn. A
-    ``--points`` or ``--steps`` with a non-ASCII digit or a ``_`` always
-    exits 2."""
+    ``--points``, ``--h`` or ``--steps`` with a non-ASCII digit or a ``_``
+    always exits 2."""
     loop = _write(tmp_path, "loop.json", loop_obj)
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     if points is None:
@@ -1411,7 +1412,8 @@ def test_kz_fuzz_exits_2_with_an_error_line(tmp_path, capsys, loop_obj, points, 
         assert out == ""
     else:
         assert code in (0, 1) and json.loads(out)["N"] == int(points), (code, err)
-    if _non_ascii_int(points) or steps is not None and _non_ascii_int(steps):
+    if (_non_ascii_int(points) or _non_ascii_int(h)
+            or steps is not None and _non_ascii_int(steps)):
         assert code == 2
 
 
@@ -1830,6 +1832,19 @@ def test_int_options_take_ascii_integers_only(capsys, option, value, argv):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(
         f"error: argument {option}: not an integer string: {value!r}")
+
+
+@pytest.mark.parametrize("h", ["\u0661", "1_0", "0.1,\u0661", "\uff10.\uff11"])
+def test_kz_h_takes_ascii_only(capsys, h):
+    """``--h`` is refused unless it is ASCII without ``_``: ``float()`` also
+    read other Unicode digits and ``_`` separators, so ``--h \u0661`` ran
+    with h = 1 and ``--h 1_0`` with h = 10, both exiting 0. The option is
+    refused while the arguments are parsed, before any file is read."""
+    code, out, err = _run(capsys, ["kz", "--op", "op.json", "--points", "2", "--h", h,
+                                   "--loop", "loop.json"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --h: not an ASCII number string: {h!r}")
 
 
 _CONSTRUCT_TOKEN = st.text(alphabet="0123456789/-+ ._e" + _UNICODE_DIGITS, max_size=4)

@@ -17,14 +17,10 @@ from longeq import (
     LoopSpec,
     PathTooClose,
     TensorOp2,
-    connection_matrix,
     convergence_order,
     flatness_residuals,
     idempotent_maps,
     integrate_holonomy,
-    lift,
-    lift_exact,
-    lift_float,
     make_conjugate,
     make_diag,
     make_pair,
@@ -33,7 +29,10 @@ from longeq import (
 from longeq import kz
 from longeq import linalg as la
 from longeq.jsonio import holonomy_to_json, loop_from_json, loop_to_json
-from longeq.tensor_ops import _commute, _lift_sparse, check_laws, flip_matrix
+from longeq.kz import connection_matrix, lift_float
+from longeq.tensor_ops import _commute, _lift_sparse, check_laws, lift, lift_exact
+
+from conftest import flip_matrix
 
 
 def _float(mat):
@@ -337,13 +336,18 @@ def test_circle_oracle_is_dense_exponential(corpus, N):
         for moving, center in ((1, 0), (0, 2), (N - 1, 1)):
             dense = expm(2j * math.pi * h * lift_float(sys.r_float, r.dim,
                                                        moving, center, N))
-            got = kz.circle_oracle(sys, moving, center)
+            got = _circle_oracle(sys, moving, center)
             assert np.max(np.abs(got - dense)) <= 1e-12, (name, moving, center)
+
+
+def _circle_oracle(sys, moving, center):
+    """exp(2 pi i h R^{moving,center}) as the lift of ``circle_block``."""
+    return lift_float(kz.circle_block(sys), sys.n, moving, center, sys.N)
 
 
 def _dense_distance(sys, w, moving, center):
     """The ``--compare`` distance as the dense difference from the lift."""
-    return float(np.max(np.abs(w - kz.circle_oracle(sys, moving, center))))
+    return float(np.max(np.abs(w - _circle_oracle(sys, moving, center))))
 
 
 def _distance_cases():
@@ -383,7 +387,7 @@ def test_oracle_distance_is_the_dense_distance():
         flat = noise.view(float).ravel()
         flat[rng.choice(flat.size, size=min(flat.size, 60), replace=False)] = (
             specials * 12)[:min(flat.size, 60)]
-        oracle = kz.circle_oracle(sys, moving, center)
+        oracle = _circle_oracle(sys, moving, center)
         for v in (noise, oracle + noise * 1e-9, oracle * -0.0):
             assert kz.oracle_distance(sys, v, moving, center) == _dense_distance(
                 sys, v, moving, center)
@@ -572,6 +576,48 @@ def test_holonomy_polygon_square_matches_circle_oracle():
     w = integrate_holonomy(sys, loop)
     oracle = expm(2j * math.pi * h * _float(lift_exact(r, 0, 1, 2)))
     assert np.max(np.abs(w - oracle)) < 1e-10
+
+
+def test_contractible_rectangle_is_not_flat_for_a_nonsymmetric_pair():
+    """The connection is flat for a Long R only when R is flip-invariant
+    (``kz`` module docstring). On the rectangle in (z_0, z_1) where point 0
+    goes 1 -> 1.3 and back and point 1 goes 0 -> 0.3i and back, one point
+    moves at a time, so each side's transport is exp(h I R^{ij}) for the
+    integral I of its coefficient, and R^{01} and R^{10} commute by Long
+    equation 2. The sides of point 0 give I_01 = c and those of point 1
+    give I_10 = -c, with c = Log 1.3 - Log((1.3 - 0.3i) / (1 - 0.3i)), so
+    W = exp(h c (R^{01} - R^{10})): the identity for a symmetric R, and
+    6.7e-3 from it for the Long pair, which is not symmetric."""
+    h = 0.1
+    loop = LoopSpec([1, 0], "polygon", 1000,
+                    waypoints=[[1, 1.3, 1.3, 1, 1], [0, 0, 0.3j, 0.3j, 0]])
+    c = cmath.log(1.3) - cmath.log((1.3 - 0.3j) / (1 - 0.3j))
+    pair = make_pair([[1, 1], [0, 1]], [[1, 2], [0, 1]])
+    assert check_laws(pair, ["long", "symmetric"]) == {"long": True, "symmetric": False}
+    for r in (pair, make_phi(2, [1, 1])):
+        sys = KZSystem.from_op(r, 2, h)
+        w = integrate_holonomy(sys, loop)
+        swap = lift_float(sys.r_float, 2, 0, 1, 2) - lift_float(sys.r_float, 2, 1, 0, 2)
+        assert np.max(np.abs(w - expm(h * c * swap))) <= 1e-12
+        if r is pair:
+            assert np.max(np.abs(w - np.eye(4))) >= 1e-3
+        else:
+            assert np.max(np.abs(w - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_circle_oracle_is_exact_for_a_nonsymmetric_long_pair(N):
+    """The ``--compare`` oracle exp(2 pi i h R^{10}) needs only Long
+    equation 1 (``check_circle_oracle``): on the Long pair, which is not
+    symmetric, point 1 circling point 0 lies within RK4 error of it at
+    N = 2, 3 and 4. ``check_circle_oracle`` still refuses the pair."""
+    r = make_pair([[1, 1], [0, 1]], [[1, 2], [0, 1]])
+    sys = KZSystem.from_op(r, N, 0.05)
+    loop = LoopSpec([0, 0.5, 20j, -15][:N], "circle", 2000, moving=1, center=0, radius=0.5)
+    w = integrate_holonomy(sys, loop)
+    assert kz.oracle_distance(sys, w, 1, 0) <= 1e-12
+    with pytest.raises(ValueError, match="requires a symmetric operator"):
+        kz.check_circle_oracle(sys, loop)
 
 
 def _integrate_oracle(sys, loop):

@@ -23,7 +23,6 @@ from longeq import (
     check_laws,
     idempotent_maps,
     invert,
-    lift,
     long_witness,
     make_conjugate,
     make_diag,
@@ -35,9 +34,9 @@ from longeq import (
 from longeq import linalg as la
 from longeq import jsonio, kz, tensor_ops
 from longeq.scalars import frac_str
-from longeq.tensor_ops import GradedActionData, TensorOp3, flip_matrix, lift_exact
+from longeq.tensor_ops import GradedActionData, TensorOp3, lift, lift_exact
 
-from conftest import upper_pair_operator, z2_graded_data
+from conftest import flip_matrix, upper_pair_operator, z2_graded_data
 
 F = Fraction
 
