@@ -357,9 +357,6 @@ class SigmaTable:
         """
         return cls([[b.counit[p] * b.counit[q] for q in range(b.d)] for p in range(b.d)])
 
-    def __getitem__(self, key):
-        return self.table[key[0]][key[1]]
-
 
 # Each axiom is a lazy stream of sparse integer equations (where, const, lin,
 # quad): const + sum lin[k] T_k + sum quad[k1, k2] T_k1 T_k2 = 0, with

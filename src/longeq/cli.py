@@ -325,6 +325,19 @@ def build_parser():
     return p
 
 
+def _join_h_values(argv):
+    """``argv`` with ``--h VALUE`` joined as ``--h=VALUE`` when VALUE starts
+    with one ``-``: argparse takes ``-1e-3`` or ``-0.1,0.2`` for an option,
+    and ``--h`` then has no value. ``--h --loop`` still has none."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--h" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = "--h=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def _parser():
     """The parser, built once per process; parsing does not change it."""
@@ -333,7 +346,7 @@ def _parser():
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_h_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     # the handler is looked up when the command runs, so a replaced

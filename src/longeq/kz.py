@@ -118,9 +118,9 @@ ENTRY_BYTES = 128
 
 def lift_float(r_mat: np.ndarray, n, i, j, N):
     """Complex-double n^N x n^N matrix of R on slots (i, j), 0-based."""
+    blocks = _slot_blocks(n, i, j, N)
     out = np.zeros((n ** N, n ** N), dtype=complex)
-    for idxs in _slot_blocks(n, i, j, N):
-        out[np.ix_(idxs, idxs)] = r_mat
+    out[blocks[:, :, None], blocks[:, None, :]] = r_mat
     return out
 
 
@@ -400,30 +400,15 @@ def _union_pairs(seg_pairs):
 
 def _components(op):
     """The weakly connected components of the pattern of the square CSR
-    matrix ``op``: each index's label is the smallest index of its component.
+    matrix ``op``: each index's label is the smallest index of its component."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
 
-    Labels start as the indices; each pass lowers every label to the least
-    label across its edges and then follows labels to their own labels until
-    none changes. A label is always an index of the same component and never
-    above its own index, so at the fixed point, where the labels agree across
-    every edge, each component carries its smallest index.
-    """
-    d = op.shape[0]
-    rows = np.repeat(np.arange(d), np.diff(op.indptr))
-    cols = op.indices
-    labels = np.arange(d)
-    while True:
-        low = labels.copy()
-        np.minimum.at(low, rows, labels[cols])
-        np.minimum.at(low, cols, labels[rows])
-        while True:
-            jumped = low[low]
-            if np.array_equal(jumped, low):
-                break
-            low = jumped
-        if np.array_equal(low, labels):
-            return labels
-        labels = low
+    pattern = sparse.csr_matrix((np.ones(len(op.indices)), op.indices, op.indptr),
+                                shape=op.shape)
+    _, labels = connected_components(pattern, connection="weak")
+    _, least, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return least[inverse]
 
 
 def _stacked(op, labels, moved):
@@ -807,11 +792,9 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     propagator forms agree with it to rounding. For phi at n = 4, N = 4 on
     a circle the tall array is 256 x 37, 224 x 7, 186 x 7 and 148 x 1 for
     rank 1 to 4; at n = 3 an all-moving polygon steps 81 x 11 for rank 2
-    and 81 x 1 for rank 3, against 81 x 60 and 81 x 81 moved columns. On
-    the perfbench *apply* pool loops, integration took 0.26, 0.16 and 0.032
-    of the time of stepping W[:, moved] on circles of rank 2, 3 and 4, 0.36
-    and 0.35 on polygons of rank 2 and 3, and within noise of it at rank 1
-    (medians of 9 interleaved rounds in one process, 2 shared CPUs).
+    and 81 x 1 for rank 3. ``BENCH_27.json`` (``layers_in_process``)
+    records these shapes and the integration times against stepping
+    W[:, moved].
 
     Each segment is integrated by one of three evaluations of the same RK4
     step; A1, A2, A4 are A at the start, middle and end of the step:
@@ -994,7 +977,7 @@ def oracle_distance(sys: KZSystem, w, moving, center) -> float:
     exponential E. The same float is formed without the d x d lift,
     difference or ``abs`` array (module docstring): the rows of
     |W - o| are formed DISTANCE_ENTRIES entries at a time."""
-    blocks = np.array(_slot_blocks(sys.n, moving, center, sys.N))
+    blocks = _slot_blocks(sys.n, moving, center, sys.N)
     block = circle_block(sys)
     count, size = blocks.shape
     # label[i] is the block of basis index i, place[i] its index in the block

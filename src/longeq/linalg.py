@@ -89,10 +89,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     c = Fraction(c)
     return [[c * x for x in row] for row in a]
@@ -100,10 +96,6 @@ def mat_scale(a, c):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 def kron(a, b):

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 from . import linalg as la
 from .errors import (
@@ -160,55 +162,22 @@ class TensorOp2:
         return f"TensorOp2(dim={self.dim})"
 
 
-class TensorOp3:
-    """Endomorphism of M(x)M(x)M over the basis m_a(x)m_b(x)m_c.
-
-    Basis index: ``(a-1)n^2 + (b-1)n + (c-1)``.
-    """
-
-    def __init__(self, dim, matrix):
-        matrix = la.to_frac_matrix(matrix)
-        if len(matrix) != dim**3 or any(len(r) != dim**3 for r in matrix):
-            raise ValueError("matrix must be n^3 x n^3")
-        self.dim = dim
-        self.matrix = matrix
-
-    def __mul__(self, other):
-        return TensorOp3(self.dim, la.mat_mul(self.matrix, other.matrix))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorOp3)
-            and self.dim == other.dim
-            and la.mat_eq(self.matrix, other.matrix)
-        )
-
-    def is_zero(self):
-        return la.is_zero_matrix(self.matrix)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, la.identity(n**3))
-
-
+@cache
 def _slot_blocks(n, i, j, N):
-    """The row/column index lists that embed an n^2-block on slots (i, j).
+    """The basis indices that embed an n^2-block on slots (i, j), as a
+    read-only (n^(N-2), n^2) int array, one per ``(n, i, j, N)``.
 
     Slot i carries the first tensor leg of the block and slot j the second;
     for i > j this realizes the flip-conjugated convention on sorted slots.
-    Basis index sum_k a_k n^(N-1-k) is the base offset of the other slots
-    plus the in-block offset a_i n^(N-1-i) + a_j n^(N-1-j), entry a_i n + a_j
-    of a block. One block per base, the other slots' digits in lexicographic
-    order, the first of them slowest.
+    Basis index sum_k a_k n^(N-1-k) is the C-order flat index of the digit
+    array (a_0, ..., a_{N-1}); moving axes i and j last gives row
+    (other digits) and column a_i n + a_j. One block per row, the other
+    slots' digits in lexicographic order, the first of them slowest.
     """
-    bases = [0]
-    for k in range(N):
-        if k != i and k != j:
-            step = n ** (N - 1 - k)
-            bases = [b + x for b in bases for x in range(0, n * step, step)]
-    wi, wj = n ** (N - 1 - i), n ** (N - 1 - j)
-    offsets = [ai + aj for ai in range(0, n * wi, wi) for aj in range(0, n * wj, wj)]
-    return [[b + o for o in offsets] for b in bases]
+    index = np.arange(n ** N).reshape((n,) * N)
+    blocks = np.moveaxis(index, (i, j), (-2, -1)).reshape(-1, n * n)
+    blocks.flags.writeable = False
+    return blocks
 
 
 def lift_exact(r: TensorOp2, i, j, N):
@@ -226,21 +195,22 @@ def lift_exact(r: TensorOp2, i, j, N):
 _LIFT_SLOTS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
 
-def lift(r: TensorOp2, positions: int) -> TensorOp3:
-    """Place R on two of the three tensor slots; identity on the third.
+def lift(r: TensorOp2, positions: int):
+    """Place R on two of the three tensor slots, identity on the third: the
+    dense n^3 x n^3 Fraction matrix ``lift_exact`` forms.
 
     ``positions`` is one of 12, 13, 23.
     """
     if positions not in _LIFT_SLOTS:
         raise ValueError("positions must be 12, 13 or 23")
-    return TensorOp3(r.dim, lift_exact(r, *_LIFT_SLOTS[positions], 3))
+    return lift_exact(r, *_LIFT_SLOTS[positions], 3)
 
 
 def _lift_sparse(z, n, i, j, N):
     """Sparse rows ``{row: {col: entry}}`` on slots (i, j) of the n^2 x n^2
     matrix given by its sparse rows ``z`` (the form of ``TensorOp2.rows``)."""
     out = {}
-    for idxs in _slot_blocks(n, i, j, N):
+    for idxs in _slot_blocks(n, i, j, N).tolist():
         for a, row in z.items():
             out[idxs[a]] = {idxs[b]: x for b, x in row.items()}
     return out

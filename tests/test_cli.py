@@ -1366,6 +1366,7 @@ def test_loop_from_json_fuzz_refuses_with_usage_errors(obj):
 _NON_ASCII_INTS = ["\u0662", "\u0663", "\uff13", "1_6", "\u0661\u0666", " 3 ", "+3"]
 _KZ_ARG = st.one_of(st.sampled_from(["2", "3", "0", "-1", "x", "", "1e3", "nan", "inf",
                                      "1,2", "1,", ",1", "1,2,3", "0.1,-0.05", "1e308,1e308",
+                                     "-1e-3", "-0.1,0.2", "-.5", "-1_0", "-\u0661", "-inf",
                                      "1e-320", str(kz.MAX_STEPS + 1)] + _NON_ASCII_INTS),
                     st.text(alphabet=st.sampled_from("0123456789_+- ,.e" + "\u0662\u0663\uff13"),
                             max_size=4),
@@ -1845,6 +1846,54 @@ def test_kz_h_takes_ascii_only(capsys, h):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(
         f"error: argument --h: not an ASCII number string: {h!r}")
+
+
+def _without_elapsed(out):
+    return [line for line in out.splitlines() if '"elapsed_s"' not in line]
+
+
+@pytest.mark.parametrize("h", ["-1e-3", "-0.1,0.2", "-.5,-0.25", "-0.1"])
+def test_kz_h_takes_a_negative_real_part_after_a_space(tmp_path, capsys, h):
+    """``--h VALUE`` runs as ``--h=VALUE`` does when VALUE starts with
+    ``-``: argparse took ``-1e-3`` and ``-0.1,0.2`` for options, so
+    ``--h -1e-3`` exited 2 with ``expected one argument``. The two reports
+    agree byte for byte but for ``elapsed_s``."""
+    op, loop = _kz_files(tmp_path, make_phi(2, [1, 1]))
+    argv = ["kz", "--op", op, "--points", "2", "--loop", loop]
+    spaced = _run(capsys, argv + ["--h", h])
+    joined = _run(capsys, argv + [f"--h={h}"])
+    assert spaced[0] == joined[0] == 0, spaced[2]
+    assert _without_elapsed(spaced[1]) == _without_elapsed(joined[1])
+    assert json.loads(spaced[1])["h"] == json.loads(joined[1])["h"]
+
+
+@pytest.mark.parametrize("h, want", [
+    ("-\u0661", "argument --h: not an ASCII number string: '-\u0661'"),
+    ("-1_0", "argument --h: not an ASCII number string: '-1_0'"),
+    ("-inf", "--h must be finite"),
+    ("-0.1,nan", "--h must be finite"),
+    ("-x", "could not convert string to float: '-x'"),
+], ids=["non-ascii", "underscore", "infinite", "nan", "not-a-number"])
+def test_kz_h_refusals_after_a_space_match_the_joined_form(tmp_path, capsys, h, want):
+    """A refused ``--h VALUE`` starting with ``-`` exits 2 with the ``--h=VALUE``
+    form's ``error:`` line, and never a traceback."""
+    op, loop = _kz_files(tmp_path, make_phi(2, [1, 1]))
+    argv = ["kz", "--op", op, "--points", "2", "--loop", loop]
+    spaced = _run(capsys, argv + ["--h", h])
+    joined = _run(capsys, argv + [f"--h={h}"])
+    assert spaced[:2] == joined[:2] == (2, "")
+    assert spaced[2].splitlines()[-1] == joined[2].splitlines()[-1]
+    assert spaced[2].splitlines()[-1].endswith(f"error: {want}")
+
+
+def test_kz_h_without_a_value_is_still_refused(tmp_path, capsys):
+    """``--h`` followed by an option, or by nothing, has no value: exit 2."""
+    op, loop = _kz_files(tmp_path, make_phi(2, [1, 1]))
+    for argv in (["kz", "--op", op, "--points", "2", "--h", "--loop", loop],
+                 ["kz", "--op", op, "--points", "2", "--loop", loop, "--h"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("error: argument --h: expected one argument")
 
 
 _CONSTRUCT_TOKEN = st.text(alphabet="0123456789/-+ ._e" + _UNICODE_DIGITS, max_size=4)

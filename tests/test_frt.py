@@ -583,7 +583,7 @@ def _delta_descent_oracle(q):
         for slot, x in enumerate(row):
             if x:
                 acc = la.mat_add(acc, la.mat_scale(q.delta_on_coset(*cm_label(slot, n)), x))
-        if not la.is_zero_matrix(acc):
+        if any(any(row) for row in acc):
             return False
     return True
 

@@ -34,7 +34,7 @@ from longeq import (
 from longeq import linalg as la
 from longeq import jsonio, kz, tensor_ops
 from longeq.scalars import frac_str
-from longeq.tensor_ops import GradedActionData, TensorOp3, lift, lift_exact
+from longeq.tensor_ops import GradedActionData, lift, lift_exact
 
 from conftest import flip_matrix, upper_pair_operator, z2_graded_data
 
@@ -71,7 +71,21 @@ def test_pair_is_kron():
 def test_lift_identity_is_identity():
     r = identity_op(2)
     for pos in (12, 13, 23):
-        assert lift(r, pos) == TensorOp3.identity(2)
+        assert lift(r, pos) == la.identity(8)
+
+
+def test_lift_is_lift_exact_on_its_slots(corpus):
+    """``lift(r, p)`` is ``lift_exact`` on the slots that p names, as a
+    plain list of Fraction rows; any other p is refused."""
+    for r in corpus.values():
+        for p, (i, j) in ((12, (0, 1)), (13, (0, 2)), (23, (1, 2))):
+            got = lift(r, p)
+            assert type(got) is list and all(type(row) is list for row in got)
+            assert all(isinstance(x, F) for row in got for x in row)
+            assert got == lift_exact(r, i, j, 3), p
+    for p in (21, 0, "12"):
+        with pytest.raises(ValueError, match="positions must be 12, 13 or 23"):
+            lift(identity_op(2), p)
 
 
 def test_lift_diag_hand_expansion():
@@ -83,12 +97,12 @@ def test_lift_diag_hand_expansion():
         for b in range(2):
             for c in range(2):
                 idx = a * 4 + b * 2 + c
-                d12 = r12.matrix[idx][idx]
-                d13 = r13.matrix[idx][idx]
+                d12 = r12[idx][idx]
+                d13 = r13[idx][idx]
                 assert d12 == (2 if (a, b) == (0, 0) else 1)
                 assert d13 == (2 if (a, c) == (0, 0) else 1)
                 assert all(
-                    r12.matrix[idx][o] == 0 for o in range(8) if o != idx
+                    r12[idx][o] == 0 for o in range(8) if o != idx
                 )
 
 
@@ -96,7 +110,7 @@ def test_lift_23_matches_kron_structure():
     r = make_pair([[1, 2], [0, 1]], [[1, 5], [0, 1]])
     r23 = lift(r, 23)
     expect = la.kron(la.identity(2), r.matrix)
-    assert r23.matrix == expect
+    assert r23 == expect
 
 
 def _slot_blocks_oracle(n, i, j, N):
@@ -120,9 +134,22 @@ def test_slot_blocks_match_the_product_oracle():
     for n in range(1, 5):
         for N in range(2, 6):
             for i, j in itertools.permutations(range(N), 2):
-                blocks = tensor_ops._slot_blocks(n, i, j, N)
+                blocks = tensor_ops._slot_blocks(n, i, j, N).tolist()
                 assert blocks == list(_slot_blocks_oracle(n, i, j, N)), (n, i, j, N)
                 assert sorted(x for b in blocks for x in b) == list(range(n ** N))
+
+
+def test_slot_blocks_are_one_shared_read_only_array():
+    """A repeat call returns the same array, and writing to it, or to a
+    view of it, raises, so no reader can corrupt the blocks that every
+    later lift reads."""
+    blocks = tensor_ops._slot_blocks(3, 2, 0, 4)
+    assert tensor_ops._slot_blocks(3, 2, 0, 4) is blocks
+    assert blocks.shape == (9, 9) and blocks.dtype.kind == "i"
+    with pytest.raises(ValueError):
+        blocks[0, 0] = 1
+    with pytest.raises(ValueError):
+        blocks[:, 1:].fill(0)
 
 
 def test_check_laws_identity_all_true():
@@ -297,16 +324,17 @@ def test_graded_data_rejects_degree_mixing():
 
 
 def _first_noncentral(rep, element):
-    """The first generator a with sum c (L a - a L) (x) R != 0, summed term
-    by term with dense kron products; None when there is none."""
+    """The first generator a with sum c (L a) (x) R != sum c (a L) (x) R,
+    each side summed term by term with dense kron products; None when there
+    is none."""
     rep = [la.to_frac_matrix(m) for m in rep]
     n = len(rep[0])
     for idx, a in enumerate(rep):
-        diff = la.zeros(n * n, n * n)
+        l_a, a_l = la.zeros(n * n, n * n), la.zeros(n * n, n * n)
         for c, li, ri in element:
-            comm = la.mat_sub(la.mat_mul(rep[li], a), la.mat_mul(a, rep[li]))
-            diff = la.mat_add(diff, la.mat_scale(la.kron(comm, rep[ri]), c))
-        if not la.is_zero_matrix(diff):
+            l_a = la.mat_add(l_a, la.mat_scale(la.kron(la.mat_mul(rep[li], a), rep[ri]), c))
+            a_l = la.mat_add(a_l, la.mat_scale(la.kron(la.mat_mul(a, rep[li]), rep[ri]), c))
+        if not la.mat_eq(l_a, a_l):
             return idx
     return None
 
@@ -612,11 +640,12 @@ def test_long_witness_matches_oracle_on_late_violations_n4():
 
 
 def _check_laws_oracle(r: TensorOp2, laws=None) -> dict:
-    """The law report on dense n^3 x n^3 Fraction lifts (``lift``, ``TensorOp3``
-    and ``flip_matrix``); the slow reference for the sparse integer
-    ``check_laws``, with the same key order and the same KZ-bracket raise."""
+    """The law report on dense n^3 x n^3 Fraction lifts (``lift``,
+    ``linalg.mat_mul`` and ``flip_matrix``); the slow reference for the
+    sparse integer ``check_laws``, with the same key order and the same
+    KZ-bracket raise."""
     wanted = set(LAWS) if laws is None else set(laws)
-    m12, m13, m23 = (lift(r, positions).matrix for positions in (12, 13, 23))
+    m12, m13, m23 = (lift(r, positions) for positions in (12, 13, 23))
     report = {}
     need_long = bool({"long", "kz_bracket"} & wanted)
     long_ok = None
@@ -740,7 +769,7 @@ def test_hopf_clears_denominators_inhomogeneously():
     assert la.clear_denominators(r.matrix)[1] == 81
     assert check_laws(r, ["hopf"]) == _check_laws_oracle(r, ["hopf"]) == {"hopf": True}
     r12, r23 = lift(r, 12), lift(r, 23)
-    assert not (r12 * r23).is_zero()
+    assert any(any(row) for row in la.mat_mul(r12, r23))
 
 
 def test_long_witness_forms_rows_only_for_independent_table_columns(monkeypatch):
@@ -779,7 +808,7 @@ def _dense_int_form(m, n):
 def _dense_lift(z, n, i, j, N):
     nonzero = [[(b, x) for b, x in enumerate(row) if x] for row in z]
     out = {}
-    for idxs in tensor_ops._slot_blocks(n, i, j, N):
+    for idxs in tensor_ops._slot_blocks(n, i, j, N).tolist():
         for a, ra in enumerate(idxs):
             if nonzero[a]:
                 out[ra] = {idxs[b]: x for b, x in nonzero[a]}
@@ -788,7 +817,7 @@ def _dense_lift(z, n, i, j, N):
 
 def _dense_lift_exact(m, n, i, j, N):
     out = la.zeros(n ** N, n ** N)
-    for idxs in tensor_ops._slot_blocks(n, i, j, N):
+    for idxs in tensor_ops._slot_blocks(n, i, j, N).tolist():
         for a, ra in enumerate(idxs):
             for b, cb in enumerate(idxs):
                 if m[a][b]:
