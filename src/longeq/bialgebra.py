@@ -13,10 +13,19 @@ structure constants.
 The constructor reads each cell of ``mult`` and ``comult`` once and keeps
 only its nonzero entries. The dense d x d x d Fraction cubes ``mult`` and
 ``comult`` are views of those, formed on first read; no module of the
-package reads them, ``strong_dmap_rsigma`` included. Validation visits
-only the basis tuples that have a term: an associativity triple
-(a, b, c) whose two sums are empty, with e_b e_c = 0 and e_m e_c = 0 for
-every e_m in e_a e_b, holds and is skipped.
+package reads them, ``strong_dmap_rsigma`` included. Associativity and
+Delta-multiplicativity are summed over their nonzero terms only, in one
+block per outer index a: a dict keyed on the inner indices, (b, c, t) for
+e_a e_b e_c at e_t and (b, p, q) for Delta(e_a e_b) at e_p (x) e_q. The
+left sums run over the nonzero products e_a e_b; the right ones over the
+e_m with e_a e_m != 0, reading the (b, c) with e_b e_c at e_m from an index
+of the products by target, and over each term of Delta(e_a) paired with
+the terms of every Delta(e_b) indexed by left factor. A block holds at most
+d^3 keys. A tuple that no term reaches is zero on both sides and holds, so
+a block is nonzero exactly at the tuples where the law fails, and raising
+at its least key (b, c) or b names the first failure that the loops over
+every tuple in lexicographic order find: the blocks are checked in the
+order of a, and the laws in their old order.
 
 Every law and every axiom is decided on Python ints. D (``scale``) is the
 lcm of the denominators of the nonzero structure constants (of ``comult``
@@ -198,8 +207,9 @@ class FinDimBialgebra(Coalgebra):
     """A bialgebra by structure constants; validated exactly at construction.
 
     Every law is accumulated on the nonzero scaled structure constants
-    ``mult_nz`` and ``comult_nz``, visiting basis tuples in lexicographic
-    order, so the first failing law and tuple name the violation.
+    ``mult_nz`` and ``comult_nz``, associativity and Delta-multiplicativity
+    in one block per outer index (module docstring). The first failing law
+    and its lexicographically least failing tuple name the violation.
     """
 
     def __init__(self, basis, mult, unit, comult, counit):
@@ -251,9 +261,9 @@ class FinDimBialgebra(Coalgebra):
         self._validate_compat()
 
     def _validate_algebra(self):
-        nz, scale2 = self.mult_nz, self.scale ** 2
+        nz, scale2, d = self.mult_nz, self.scale ** 2, self.d
         unit = [(a, u) for a, u in enumerate(self.int_unit) if u]
-        for b in range(self.d):
+        for b in range(d):
             # unit laws: sum u_a e_a e_b = e_b = sum u_a e_b e_a
             left, right = {}, {}
             for a, u in unit:
@@ -263,28 +273,36 @@ class FinDimBialgebra(Coalgebra):
                     right[c] = right.get(c, 0) + u * x
             if not (_is_basis_vector(left, b, scale2) and _is_basis_vector(right, b, scale2)):
                 raise InvalidBialgebra(f"unit law fails on basis {b}")
-        # the c with e_b e_c != 0, for each b
-        live = [[c for c, bc in enumerate(row) if bc] for row in nz]
+        # associativity, one block per a: sum_m mu_ab^m mu_mc^t - sum_m mu_bc^m
+        # mu_am^t at key (b d + c) d + t. The terms of each row b at c d + t,
+        # and the (b, c) with mu_bc^m != 0 at (b d + c) d, for each target m:
+        row_terms = [[] for _ in range(d)]
+        by_target = [[] for _ in range(d)]
+        for b, row in enumerate(nz):
+            terms = row_terms[b]
+            for c, cell in enumerate(row):
+                if cell:
+                    key = (b * d + c) * d
+                    for m, x in cell:
+                        terms.append((c * d + m, x))
+                        by_target[m].append((key, x))
+        dd = d * d
         for a, row_a in enumerate(nz):
+            acc = {}
             for b, ab in enumerate(row_a):
-                row_b = nz[b]
-                # both sums are empty unless e_b e_c or some e_m e_c with
-                # mu_ab^m != 0 is nonzero
-                cs = live[b]
-                if ab:
-                    cs = sorted(set(cs).union(*[live[m] for m, _ in ab]))
-                for c in cs:
-                    bc = row_b[c]
-                    # associativity: sum_m mu_ab^m e_m e_c - sum_m mu_bc^m e_a e_m
-                    acc = {}
-                    for m, x in ab:
-                        for t, y in nz[m][c]:
-                            acc[t] = acc.get(t, 0) + x * y
-                    for m, x in bc:
-                        for t, y in row_a[m]:
-                            acc[t] = acc.get(t, 0) - x * y
-                    if any(acc.values()):
-                        raise InvalidBialgebra(f"associativity fails at ({a},{b},{c})")
+                base = b * dd
+                for m, x in ab:
+                    for k, y in row_terms[m]:
+                        k += base
+                        acc[k] = acc.get(k, 0) + x * y
+            for m, am in enumerate(row_a):
+                if am:
+                    for k, x in by_target[m]:
+                        for t, y in am:
+                            acc[k + t] = acc.get(k + t, 0) - x * y
+            if any(acc.values()):
+                b, c = divmod(min(k for k, v in acc.items() if v) // d, d)
+                raise InvalidBialgebra(f"associativity fails at ({a},{b},{c})")
 
     def _validate_compat(self):
         eps, mult_nz, comult_nz = self.int_counit, self.mult_nz, self.comult_nz
@@ -292,7 +310,7 @@ class FinDimBialgebra(Coalgebra):
         # eps is an algebra map
         for a, row in enumerate(mult_nz):
             for b, ab in enumerate(row):
-                if sum([x * eps[c] for c, x in ab]) != eps[a] * eps[b]:
+                if (sum([x * eps[c] for c, x in ab]) if ab else 0) != eps[a] * eps[b]:
                     raise InvalidBialgebra(f"counit not multiplicative at ({a},{b})")
         unit = [(a, u) for a, u in enumerate(self.int_unit) if u]
         if sum([u * eps[a] for a, u in unit]) != scale2:
@@ -307,32 +325,41 @@ class FinDimBialgebra(Coalgebra):
                 acc[p, q] = acc.get((p, q), 0) - up * uq
         if any(acc.values()):
             raise InvalidBialgebra("Delta(1) != 1 (x) 1")
-        # Delta is an algebra map, accumulated on e_p (x) e_q at p*d + q; the
-        # left side is degree 2, the right degree 4
+        # Delta is an algebra map, one block per a: Delta(e_a e_b) - Delta(e_a)
+        # Delta(e_b) at key (b d + p) d + q; the left side is degree 2, the right
+        # degree 4. The terms of each Delta(e_c) at p d + q, times D^2, and the
+        # terms (b, q2, x2) of every Delta(e_b) at (b d^2, q2, x2), by left factor p2:
         d = self.d
-        for a in range(d):
-            for b in range(d):
-                acc = {}
-                for c, xc in mult_nz[a][b]:
-                    f = scale2 * xc
-                    for p, q, x in comult_nz[c]:
-                        k = p * d + q
-                        acc[k] = acc.get(k, 0) + f * x
-                for p1, q1, x1 in comult_nz[a]:
-                    row_p, row_q = mult_nz[p1], mult_nz[q1]
-                    for p2, q2, x2 in comult_nz[b]:
-                        # a term pair with e_p1 e_p2 = 0 or e_q1 e_q2 = 0 adds nothing
-                        pp, qq = row_p[p2], row_q[q2]
-                        if not (pp and qq):
-                            continue
-                        f = x1 * x2
-                        for p, xp in pp:
-                            fp, base = f * xp, p * d
-                            for q, xq in qq:
-                                k = base + q
-                                acc[k] = acc.get(k, 0) - fp * xq
-                if any(acc.values()):
-                    raise InvalidBialgebra(f"Delta not multiplicative at ({a},{b})")
+        dd = d * d
+        comult_terms = [[(p * d + q, scale2 * x) for p, q, x in terms] for terms in comult_nz]
+        by_left = [[] for _ in range(d)]
+        for b, terms in enumerate(comult_nz):
+            for p2, q2, x2 in terms:
+                by_left[p2].append((b * dd, q2, x2))
+        for a, row in enumerate(mult_nz):
+            acc = {}
+            for b, ab in enumerate(row):
+                base = b * dd
+                for c, xc in ab:
+                    for k, x in comult_terms[c]:
+                        k += base
+                        acc[k] = acc.get(k, 0) + xc * x
+            for p1, q1, x1 in comult_nz[a]:
+                row_q = mult_nz[q1]
+                for p2, pp in enumerate(mult_nz[p1]):
+                    if pp:
+                        for base, q2, x2 in by_left[p2]:
+                            # a term pair with e_q1 e_q2 = 0 adds nothing
+                            qq = row_q[q2]
+                            if qq:
+                                f = x1 * x2
+                                for p, xp in pp:
+                                    fp, bp = f * xp, base + p * d
+                                    for q, xq in qq:
+                                        acc[bp + q] = acc.get(bp + q, 0) - fp * xq
+            if any(acc.values()):
+                b = min(k for k, v in acc.items() if v) // dd
+                raise InvalidBialgebra(f"Delta not multiplicative at ({a},{b})")
 
 
 class SigmaTable:

@@ -325,14 +325,21 @@ def build_parser():
     return p
 
 
-def _join_h_values(argv):
-    """``argv`` with ``--h VALUE`` joined as ``--h=VALUE`` when VALUE starts
-    with one ``-``: argparse takes ``-1e-3`` or ``-0.1,0.2`` for an option,
-    and ``--h`` then has no value. ``--h --loop`` still has none."""
+# the value options that take a number or a number list, whose value may
+# start with "-"
+_NUMBER_OPTIONS = frozenset({"--h", "--a", "--f", "--g", "--map", "--u"})
+
+
+def _join_number_values(argv):
+    """``argv`` with ``OPTION VALUE`` joined as ``OPTION=VALUE`` for a number
+    option when VALUE starts with one ``-``: argparse takes ``-1e-3``,
+    ``-0.1,0.2`` or ``-1,0,0,1`` for an option, and OPTION then has no
+    value. ``--h --loop`` still has none."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--h" and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = "--h=" + arg
+        if (out and out[-1] in _NUMBER_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -346,7 +353,7 @@ def _parser():
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(_join_h_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_number_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     # the handler is looked up when the command runs, so a replaced

@@ -21,8 +21,9 @@ from .tensor_ops import TensorOp2, check_operator_dim
 
 FORMAT_VERSION = "1"
 
-# largest bialgebra dimension accepted on the wire; the validation and the
-# degree-three axioms (L3, L5) visit d^3 basis tuples
+# largest bialgebra dimension accepted on the wire, for a bialgebra and for
+# the rows and columns of a sigma table; the degree-three axioms (L3, L5)
+# visit d^3 basis tuples, and validation holds up to d^3 sums at a time
 MAX_BIALGEBRA_DIM = 64
 
 
@@ -182,13 +183,20 @@ def bialgebra_to_json(b: FinDimBialgebra) -> dict:
 
 def sigma_from_json(obj) -> SigmaTable:
     """The table of ``{"table": rows}``; each row must be a JSON list, and
-    every entry is parsed through one memo per document."""
+    every entry is parsed through one memo per document. More than
+    ``MAX_BIALGEBRA_DIM`` rows, or a longer row, is refused before any
+    entry is parsed; ``check_axioms`` refuses a size other than the
+    bialgebra's."""
     try:
         rows = obj["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed sigma JSON") from exc
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("'table' must be a 2-fold nested list of fractions")
+    longest = max(map(len, rows), default=0)
+    if max(len(rows), longest) > MAX_BIALGEBRA_DIM:
+        raise DimensionCap(
+            f"sigma table size {len(rows)} x {longest} exceeds cap {MAX_BIALGEBRA_DIM}")
     parse = _memo_parser()
     return SigmaTable([[parse(x) for x in row] for row in rows])
 

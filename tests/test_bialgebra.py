@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 
 from longeq import (
     AXIOMS,
+    DimensionCap,
     InternalCheckFailed,
     InvalidBialgebra,
     InvalidCoaction,
@@ -46,7 +48,7 @@ from longeq.frt import cm_index
 from longeq import linalg as la
 from longeq.linalg import identity as la_identity
 from longeq.linalg import mat_inv as la_inv
-from longeq.scalars import frac_str
+from longeq.scalars import frac_str, parse_frac
 
 F = Fraction
 
@@ -122,14 +124,17 @@ def _coalgebra_oracle(comult, counit):
     return None
 
 
-def _validate_oracle(basis, mult, unit, comult, counit):
-    """First failure message of the bialgebra laws, or None: the dense
+def _oracle_failures(basis, mult, unit, comult, counit):
+    """Every failure message of the bialgebra laws, in the order of the dense
     validation ``FinDimBialgebra`` ran before it read only ``mult_nz`` and
-    ``comult_nz``; the slow reference for the sparse one."""
+    ``comult_nz``: a failing coalgebra law alone, or each failing basis tuple
+    of the algebra laws, law by law and each law's tuples in lexicographic
+    order. The slow reference for the sparse validation."""
     d = len(basis)
     msg = _coalgebra_oracle(comult, counit)
     if msg:
-        return msg
+        yield msg
+        return
 
     def product(va, vb):
         out = [F(0)] * d
@@ -145,21 +150,21 @@ def _validate_oracle(basis, mult, unit, comult, counit):
     e = [[F(int(i == k)) for i in range(d)] for k in range(d)]
     for b in range(d):
         if product(unit, e[b]) != e[b] or product(e[b], unit) != e[b]:
-            return f"unit law fails on basis {b}"
+            yield f"unit law fails on basis {b}"
     for a, b, c in itertools.product(range(d), repeat=3):
         if product(mult[a][b], e[c]) != product(e[a], mult[b][c]):
-            return f"associativity fails at ({a},{b},{c})"
+            yield f"associativity fails at ({a},{b},{c})"
     for a in range(d):
         for b in range(d):
             val = sum((mult[a][b][c] * counit[c] for c in range(d)), F(0))
             if val != counit[a] * counit[b]:
-                return f"counit not multiplicative at ({a},{b})"
+                yield f"counit not multiplicative at ({a},{b})"
     if sum((unit[c] * counit[c] for c in range(d)), F(0)) != 1:
-        return "eps(1) != 1"
+        yield "eps(1) != 1"
     d1 = [[sum((unit[a] * comult[a][p][q] for a in range(d)), F(0)) for q in range(d)]
           for p in range(d)]
     if d1 != [[unit[p] * unit[q] for q in range(d)] for p in range(d)]:
-        return "Delta(1) != 1 (x) 1"
+        yield "Delta(1) != 1 (x) 1"
     comult_nz = [[(p, q, comult[a][p][q]) for p in range(d) for q in range(d)
                   if comult[a][p][q]] for a in range(d)]
     mult_nz = [[[(c, mult[a][b][c]) for c in range(d) if mult[a][b][c]] for b in range(d)]
@@ -176,8 +181,25 @@ def _validate_oracle(basis, mult, unit, comult, counit):
                         for q, xq in mult_nz[q1][q2]:
                             acc[p, q] = acc.get((p, q), F(0)) - x1 * x2 * xp * xq
             if any(v for v in acc.values()):
-                return f"Delta not multiplicative at ({a},{b})"
-    return None
+                yield f"Delta not multiplicative at ({a},{b})"
+
+
+def _validate_oracle(basis, mult, unit, comult, counit):
+    """First failure message of the bialgebra laws, or None."""
+    return next(_oracle_failures(basis, mult, unit, comult, counit), None)
+
+
+def _first_block_failures(basis, mult, unit, comult, counit):
+    """How many tuples of the first failing law fail at its first tuple's
+    outer index a, per the oracle: the size of the block that the sparse
+    associativity or Delta-multiplicativity pass raises from at its least key."""
+    def block(msg):
+        law, _, at = msg.partition(" at (")
+        return law, at.split(",")[0]
+
+    failures = _oracle_failures(basis, mult, unit, comult, counit)
+    first = next(failures)
+    return 1 + sum(1 for _ in itertools.takewhile(lambda m: block(m) == block(first), failures))
 
 
 def _raised(make):
@@ -240,14 +262,46 @@ def _seeded_mutations(rng, bases, count, empty_cell=False):
     return out
 
 
+def _twisted_comultiplications(rng, b, count):
+    """``count`` copies of ``b``'s structure constants with Delta and eps
+    replaced by (phi (x) phi) Delta phi^-1 and eps phi^-1, for seeded
+    invertible phi that fix e_0 = 1 and move one e_u by a vector v with
+    eps(v) = 0: a coalgebra on every copy, with the same counit, so the unit,
+    associativity and counit laws hold and Delta-multiplicativity may fail,
+    also at a pair (a, b) with e_a e_b = 0."""
+    d, rng_d = b.d, range(b.d)
+    out = []
+    while len(out) < count:
+        v = [F(0)] * d
+        for _ in range(rng.randint(1, 2)):
+            v[rng.randrange(1, d)] += rng.choice([F(1), F(-1), F(1, 2)])
+        v[0] -= sum(x * y for x, y in zip(v, b.counit))
+        u = rng.randrange(1, d)
+        p = [[F(int(r == c)) + (v[c] if r == u else 0) for c in rng_d] for r in rng_d]
+        if not p[u][u]:  # det p
+            continue
+        q = la_inv(p)
+        comult = [[[sum((q[a][k] * b.comult[k][x][y] * p[x][s] * p[y][t]
+                         for k in rng_d if q[a][k] for x in rng_d for y in rng_d
+                         if b.comult[k][x][y]), F(0)) for t in rng_d] for s in rng_d]
+                  for a in rng_d]
+        out.append({"mult": b.mult, "unit": b.unit, "comult": comult, "counit": b.counit})
+    return out
+
+
 def test_validation_matches_dense_oracle():
     """Sparse validation raises exactly the dense oracle's first message,
     for ``FinDimBialgebra`` and for ``Coalgebra`` on its own, on the builtin
     bialgebras, three of them on other bases, 200 seeded single-entry
-    mutations, and 30 that make a zero product e_a e_b nonzero, of
+    mutations, 30 that make a zero product e_a e_b nonzero, of
     truncation(2,2) and of truncation(2,1) on a basis where a few products
     have two terms (the associativity pass skips triples through zero
-    products); the six law failures reachable that way all occur."""
+    products), and 30 each of truncation(2,1) and H4 with a twisted
+    comultiplication; the six law failures reachable that way all occur.
+    Associativity and Delta-multiplicativity each fail at two or more tuples
+    of one outer index on some input, where the sparse pass raises at the
+    least failing key, and Delta-multiplicativity fails first at a zero
+    product e_a e_b on some."""
     rng = random.Random(1)
     builtins = [sweedler_h4()] + [cyclic_group_algebra(m) for m in range(2, 7)]
     builtins.append(comatrix_tensor_truncation(2, 1))
@@ -271,21 +325,49 @@ def test_validation_matches_dense_oracle():
                            [[int(k == i or (i, k) == (5, 1)) for k in range(6)]
                             for i in range(6)])
     inputs += _seeded_mutations(rng, [spread], 20, empty_cell=True)
-    messages = set()
+    inputs += _twisted_comultiplications(rng, comatrix_tensor_truncation(2, 1), 30)
+    inputs += _twisted_comultiplications(rng, sweedler_h4(), 30)
+    messages, blocks, zero_pairs = set(), set(), 0
     for k, f in enumerate(inputs):
         basis = [str(i) for i in range(len(f["unit"]))]
-        want = _validate_oracle(basis, f["mult"], f["unit"], f["comult"], f["counit"])
+        fields = (basis, f["mult"], f["unit"], f["comult"], f["counit"])
+        want = _validate_oracle(*fields)
         assert want is None or k >= len(small + big), want
         got = _raised(lambda: FinDimBialgebra(basis, f["mult"], f["unit"],
                                               f["comult"], f["counit"]))
         assert got == want, f
         want_co = _coalgebra_oracle(f["comult"], f["counit"])
         assert _raised(lambda: Coalgebra(basis, f["comult"], f["counit"])) == want_co, f
-        messages.add(want and want.split(" at ")[0].split(" on ")[0])
+        law = want and want.split(" at ")[0].split(" on ")[0]
+        messages.add(law)
+        # the oracle's pass over every tuple is slow at d = 22
+        if want and len(basis) <= 6 and _first_block_failures(*fields) >= 2:
+            blocks.add(law)
+        if law == "Delta not multiplicative":
+            a, b = map(int, want.split(" at ")[1].strip("()").split(","))
+            zero_pairs += not any(f["mult"][a][b])
     assert {
         "counit law fails", "coassociativity fails", "unit law fails",
         "associativity fails", "counit not multiplicative", "Delta not multiplicative",
     } <= messages, messages
+    assert {"associativity fails", "Delta not multiplicative"} <= blocks, blocks
+    assert zero_pairs, "no input fails Delta-multiplicativity first at a zero product"
+
+
+def test_validation_holds_at_most_a_cube_of_sums():
+    """Validating k[Z/64], whose 4,096 products are all nonzero, peaks under
+    8 MB: each associativity and Delta-multiplicativity block holds at most
+    d^3 = 262,144 sums (4,096 here), where one dict over every associativity
+    tuple (a, b, c, t) would hold the 262,144 that the products of k[Z/64]
+    reach, about 30 MB, and up to d^4 = 16.7M on a dense input."""
+    b = cyclic_group_algebra(64)
+    tracemalloc.start()
+    try:
+        b._validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def _builtin_inputs(monkeypatch):
@@ -1465,6 +1547,34 @@ def test_check_axioms_refuses_a_sigma_table_of_the_wrong_size(size):
         with pytest.raises(ValueError, match="^sigma table size disagrees with the bialgebra "
                                              "dimension$"):
             check_axioms(b, table, which)
+
+
+@pytest.mark.parametrize("rows, cols", [(65, 65), (65, 2), (2, 65), (64, 65)])
+def test_sigma_from_json_refuses_a_table_over_the_cap_before_parsing(monkeypatch, rows, cols):
+    """A sigma table with more than ``MAX_BIALGEBRA_DIM`` rows, or a longer
+    row, is refused with ``DimensionCap`` before any entry is parsed; a
+    2000 x 2000 table against k[Z/2] was parsed whole, for 2 s, before
+    ``check_axioms`` refused its size. At the cap the entries are parsed, and the size that
+    disagrees with the bialgebra is refused by ``check_axioms`` as before."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return parse_frac(x)
+
+    monkeypatch.setattr(jsonio, "parse_frac", counting)
+    cap = jsonio.MAX_BIALGEBRA_DIM
+    table = [[str(p + q) for q in range(cols)] for p in range(rows)]
+    with pytest.raises(DimensionCap, match=f"^sigma table size {rows} x {cols} exceeds cap "
+                                           f"{cap}$"):
+        jsonio.sigma_from_json({"table": table})
+    assert calls == []
+    s = jsonio.sigma_from_json({"table": [[str(p + q) for q in range(cap)]
+                                          for p in range(cap)]})
+    assert len(calls) == 2 * cap - 1  # one call per distinct string
+    with pytest.raises(ValueError, match="^sigma table size disagrees with the bialgebra "
+                                         "dimension$"):
+        check_axioms(cyclic_group_algebra(2), s)
 
 
 def test_check_axioms_refuses_an_empty_or_unknown_axiom_list():

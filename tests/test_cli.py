@@ -1896,6 +1896,42 @@ def test_kz_h_without_a_value_is_still_refused(tmp_path, capsys):
         assert err.splitlines()[-1].endswith("error: argument --h: expected one argument")
 
 
+@pytest.mark.parametrize("kind, options", [
+    ("diag", [("--n", "2"), ("--a", "-1,0,0,1")]),
+    ("pair", [("--n", "1"), ("--f", "-1"), ("--g", "-1/2")]),
+    ("phi", [("--n", "2"), ("--map", "-1,2")]),
+    ("conjugate", [("--op", "op.json"), ("--u", "-1,0,0,1")]),
+])
+def test_construct_number_lists_take_a_leading_minus_after_a_space(
+        tmp_path, capsys, kind, options):
+    """Every number-list option of ``construct`` reads ``OPTION VALUE`` as
+    ``OPTION=VALUE`` when VALUE starts with ``-``: argparse took ``-1,0,0,1``
+    and ``-1/2`` for options, so these exited 2 with ``expected one
+    argument``. Both forms give the same exit code and the same bytes."""
+    _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    options = [(o, str(tmp_path / v) if o == "--op" else v) for o, v in options]
+    spaced = _run(capsys, ["construct", kind] + [x for pair in options for x in pair])
+    joined = _run(capsys, ["construct", kind] + [f"{o}={v}" for o, v in options])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("kind, option, rest", [
+    ("diag", "--a", ["--n", "2"]),
+    ("pair", "--f", ["--n", "1", "--g", "1"]),
+    ("pair", "--g", ["--n", "1", "--f", "1"]),
+    ("phi", "--map", ["--n", "2"]),
+    ("conjugate", "--u", ["--op", "op.json"]),
+])
+def test_construct_number_list_without_a_value_is_still_refused(capsys, kind, option, rest):
+    """A number-list option followed by another option, or by nothing, has
+    no value: exit 2 before any file is read."""
+    for argv in ([option] + rest, rest + [option]):
+        code, out, err = _run(capsys, ["construct", kind] + argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {option}: expected one argument")
+
+
 _CONSTRUCT_TOKEN = st.text(alphabet="0123456789/-+ ._e" + _UNICODE_DIGITS, max_size=4)
 _CONSTRUCT_ARG = st.one_of(st.lists(_CONSTRUCT_TOKEN, max_size=5).map(",".join),
                            st.text(max_size=8))
@@ -1954,10 +1990,11 @@ _NESTED = "must be a {}-fold nested list of fractions"
     (None, _set(["table"], ["11", "11"]), "'table' " + _NESTED.format(2)),
     (None, lambda sig: [sig], "malformed sigma JSON"),
     (None, _set(["table", 1, 0], None), "not a fraction string: None"),
+    (None, _set(["table"], [["1"] * 65] * 65), "sigma table size 65 x 65 exceeds cap 64"),
 ], ids=["basis-int", "mult-string-cell", "mult-int-row", "mult-dict-cell", "mult-list-entry",
         "mult-true-entry", "mult-float-entry", "mult-null-entry", "unit-dict", "counit-short",
         "sigma-int-table", "sigma-int-rows", "sigma-ragged", "sigma-dict-table",
-        "sigma-string-rows", "sigma-list-file", "sigma-null-entry"])
+        "sigma-string-rows", "sigma-list-file", "sigma-null-entry", "sigma-over-cap"])
 def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit, want):
     """A wrong-typed or wrong-sized field of the bialgebra or sigma JSON of
     k[Z/2] exits 2 with exactly this ``error:`` line, the one the dense
@@ -1965,7 +2002,9 @@ def test_bialgebra_check_bad_input_messages(tmp_path, capsys, bi_edit, sig_edit,
     names the field's shape, 3-fold, not the depth left where it failed, and
     that a sigma table or row that is not a list names 'table' as a 2-fold
     list: the dense loader read 3 and [1, 1] as "malformed sigma JSON", and
-    iterated a string row (or a dict's keys) character by character."""
+    iterated a string row (or a dict's keys) character by character; and
+    that a table over ``MAX_BIALGEBRA_DIM`` is refused before its entries
+    are parsed, where the size that disagrees with the bialgebra was."""
     b = cyclic_group_algebra(2)
     bi, sig = bialgebra_to_json(b), sigma_to_json(SigmaTable.counit_square(b))
     if bi_edit:
