@@ -57,10 +57,9 @@ equations that share an outer index: a for L3, x for L5 and the pair
 (a, c) for B1. It is accumulated at once from the nonzeros of ``mult_nz``,
 ``comult_nz`` and of T's rows or columns, and no per-tuple equation is
 built. Each value is the one its stream equation takes, and the blocks and
-their entries are scanned in the stream's order, so every witness is the
-stream's first violation. That order is why L5 is blocked by x, its
-first index, and not by a: blocks by a name a failure at a = 0 ahead of
-an earlier one at a > 0. The streams stay the one encoding of each axiom;
+their entries are scanned in the stream's order (``_l5_violation`` says
+why L5 is blocked by x), so every witness is the stream's first
+violation. The streams stay the one encoding of each axiom;
 ``sigma_feasibility`` reads them, and the tests check the blocks against
 them.
 """
@@ -626,11 +625,10 @@ def check_axioms(b: FinDimBialgebra, s: SigmaTable, which=None) -> dict:
     witness is the first violating basis tuple: (a, c) for L1 and B1, (a,)
     for L2 and L4, (a, x, y) for L3 and (x, y, a) for L5. ``strongD`` is the
     same identity as L1 phrased on the coalgebra alone. The equations are
-    decided on the integer table S sigma (module docstring): L1, L2 and L4
-    from their streams, L3 block by block over a, L5 over x and B1 over
-    (a, c), each witness the first violation in the stream's order. ``which``
-    defaults to all but ``strongD``; an empty ``which``, an unknown name or
-    a sigma table whose size is not ``b.d`` is a ValueError.
+    decided on the integer table S sigma, L3, L5 and B1 block by block
+    (module docstring). ``which`` defaults to all but ``strongD``; an
+    empty ``which``, an unknown name or a sigma table whose size is not
+    ``b.d`` is a ValueError.
     """
     if s.d != b.d:
         raise ValueError("sigma table size disagrees with the bialgebra dimension")

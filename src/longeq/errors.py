@@ -42,9 +42,11 @@ class CentralityViolated(LongeqError):
 
 
 class SigmaIllDefined(LongeqError):
-    """Internal inconsistency: sigma fails to vanish on the relation span.
+    """sigma fails to vanish on the relation span, so it does not descend.
 
-    Cannot occur for a genuine Long solution; raising it means a bug.
+    On the obstruction span of R it means R is not Long (``frt`` module
+    docstring); ``frt.SigmaForm`` also raises it for a quotient built from
+    another operator's relations.
     """
 
 

@@ -3,31 +3,17 @@
 A degree-1 element of the tensor algebra on the comatrix coalgebra is a
 length-n^2 coordinate vector over the basis {c_ij}, with c_ij at slot
 (i-1)n + (j-1). The relation span V is the row space of the n^4
-obstruction vectors; since V is a coideal, the free algebra on the
-quotient coalgebra C/V carries the induced bialgebra structure, and the
-sigma-form on generator cosets is forced to the coefficient family of R.
+obstruction vectors o(i,j,k,l). For every operator V is a coideal, and
+sigma_0 descends to it exactly when R is Long (``tensor_ops`` module
+docstring). So the free algebra on the quotient coalgebra C/V carries the
+induced bialgebra structure, the sigma-form on generator cosets is forced
+to the coefficient family of R, the counit and Delta guards of
+``QuotientCoalgebra`` never fire on an obstruction span, and
+``SigmaIllDefined`` on an obstruction span means "not Long".
 
-The obstruction vectors o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
-sum_a x[k,l,j,a] c_ia satisfy, for every operator, eps(o) = 0 and
-Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l)
-(the cross terms cancel), so V is a coideal and the counit and Delta
-guards of ``QuotientCoalgebra`` never fire on an obstruction span. With
-sigma_0(c_iv (x) c_ju) = x[u,v,j,i], Long equation 1 at (i,j,k,l,p,q) is
-sigma_0(o(i,j,k,l) (x) c_pq) = 0 and equation 2 is
-sigma_0(c_pq (x) o(i,j,k,l)) = 0. So sigma_0 descends to V exactly when R
-is Long, and ``SigmaIllDefined`` on an obstruction span means "not Long".
-
-One pass, ``tensor_ops._descent_basis``, decides Long and yields the
-basis of V. sigma_0(. (x) c_pq) and sigma_0(c_pq (x) .) are linear, so a
-row in the span of earlier rows that all passed the descent test passes
-too; the first failing row, in (i,j,k,l) order, is independent of the rows
-before it. The pass therefore reduces each row against the echelon basis
-kept so far, skips a dependent row, and tests descent only on an
-independent row, which then joins the basis: the first failure (row,
-column, equation) is the one a test of every row finds, and on a Long
-input the basis is the RREF of V, at most n^2 - 1 rows. ``build_LR``
-passes it to ``QuotientCoalgebra``; a non-Long input is rejected before
-any full elimination. ``SigmaForm`` runs the same descent test
+``tensor_ops._descent_basis`` decides Long and yields the RREF basis of V
+in one pass, so ``build_LR`` rejects a non-Long input before any full
+elimination. ``SigmaForm`` runs the same descent test
 (``tensor_ops._first_descent_failure``) again on the RREF basis, as a
 guard.
 
@@ -96,12 +82,9 @@ def comatrix_eps(vec, n):
 
 
 def obstructions(r: TensorOp2):
-    """The n^4 relation vectors o(i,j,k,l), lexicographic in (i,j,k,l).
-
-    o(i,j,k,l) = sum_v x[k,v,j,i] c_vl - sum_a x[k,l,j,a] c_ia. Defined for
-    any operator; each has counit value zero by cancellation. Formed on
-    Z = D x (``TensorOp2.int_form``) and divided by D.
-    """
+    """The n^4 relation vectors o(i,j,k,l) (``tensor_ops`` module docstring),
+    lexicographic in (i,j,k,l), formed on Z = D x (``TensorOp2.int_form``)
+    and divided by D."""
     table, d = r.int_form
     return [[Fraction(x, d) if x else F0 for x in vec]
             for _, vec in _obstruction_vectors(table, r.dim)]
@@ -114,8 +97,9 @@ class QuotientCoalgebra:
     basis labels c_ij at the non-pivot columns, in lexicographic order.
     ``relation_rows`` may hold ints or Fractions. The checks run on the
     primitive integer RREF rows ``int_rows`` and on ``int_cosets``, the
-    coset of every label scaled by ``coset_scale`` = L (module docstring);
-    ``rows``, ``coset_terms`` and ``delta_on_coset`` are the exact values.
+    coset of every label scaled by ``coset_scale`` = L (module docstring),
+    the one stored form of pi; ``rows``, ``basis_coset`` and
+    ``delta_on_coset`` are the exact values.
     """
 
     def __init__(self, n, relation_rows):
@@ -139,7 +123,6 @@ class QuotientCoalgebra:
             f = scale // row[p]
             cosets[p] = [(rep_index[c], -f * x) for c, x in enumerate(row) if x and c != p]
         self.int_cosets = cosets
-        self._label_terms = {}
         self._check_delta_descends()
 
     @property
@@ -149,20 +132,9 @@ class QuotientCoalgebra:
     def basis_coset(self, i, j):
         """Coset coordinates of the basis label c_ij."""
         out = [F0] * self.num_generators
-        for t, x in self.coset_terms(i, j):
-            out[t] = x
+        for t, x in self.int_cosets[cm_index(i, j, self.n)]:
+            out[t] = Fraction(x, self.coset_scale)
         return out
-
-    def coset_terms(self, i, j):
-        """The coset of c_ij as nonzero ``(representative index, coefficient)``
-        pairs, formed once per label (do not mutate)."""
-        terms = self._label_terms.get((i, j))
-        if terms is None:
-            scale = self.coset_scale
-            terms = self._label_terms[(i, j)] = [
-                (t, Fraction(x, scale)) for t, x in self.int_cosets[cm_index(i, j, self.n)]
-            ]
-        return terms
 
     def _add_delta(self, acc, coeff, slot):
         """acc[(s, t)] += coeff * L^2 ((pi (x) pi) Delta(c_slot))[s][t], on ints."""
@@ -200,11 +172,11 @@ class SigmaForm:
     """The bilinear form sigma_0(c_iv (x) c_ju) = x[u,v,j,i] and its coset form.
 
     ``int_table`` is D sigma_0, the form of Z (``TensorOp2.int_form``); the
-    constructor checks descent on it and the integer RREF rows and reads
-    ``rep_table`` off it, and ``table``, sigma_0 as Fractions, is formed
-    from it on first read. ``int_coset_table``, L^2 D sigma on the projections
-    of every label pair, is formed on first read by ``coset_table`` (its
-    exact value), ``round_trip`` or ``check_L1_on_generators``.
+    constructor checks descent on it and the integer RREF rows, and
+    ``table``, sigma_0 as Fractions, is formed from it on first read.
+    ``int_coset_table``, L^2 D sigma on the projections of every label
+    pair, is formed on first read by ``coset_table`` (its exact value),
+    ``round_trip`` or ``check_L1_on_generators``.
     """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
@@ -212,8 +184,6 @@ class SigmaForm:
         self.int_table, self.scale = r.int_form
         self.quotient = quotient
         self._check_descends()
-        reps, t = quotient.rep_slots, self.int_table
-        self.rep_table = [[Fraction(t[a][b], self.scale) for b in reps] for a in reps]
 
     @cached_property
     def table(self):
@@ -253,7 +223,8 @@ class LongPresentation:
         self.sigma = sigma
         self.delta = [quotient.delta_on_coset(i, j) for (i, j) in quotient.rep_labels]
         self.eps = [F1 if i == j else F0 for (i, j) in quotient.rep_labels]
-        self.sigma_gen = [row[:] for row in sigma.rep_table]
+        reps, t = quotient.rep_slots, sigma.int_table
+        self.sigma_gen = [[Fraction(t[a][b], sigma.scale) for b in reps] for a in reps]
         self.names = [f"c_{i}_{j}" for (i, j) in quotient.rep_labels]
         if naming != {}:  # the empty mapping renames nothing
             self._apply_naming(naming)
@@ -324,9 +295,9 @@ class LongPresentation:
 def build_LR(r: TensorOp2, naming=MappingProxyType({})) -> LongPresentation:
     """Construct the presentation of L(R) for a Long solution R.
 
-    One pass over the obstruction rows decides Long, raising
+    ``tensor_ops._descent_basis`` decides Long, raising
     ``NotALongSolution`` with ``long_witness``'s witness, and yields the
-    RREF basis of V (module docstring). ``QuotientCoalgebra`` and
+    RREF basis of V. ``QuotientCoalgebra`` and
     ``SigmaForm`` then check, on one integer form of Z = D x, that the
     counit vanishes on V and that Delta and sigma_0 descend. The build
     checks no more, because the round trip and degree-one L1 follow:
@@ -449,8 +420,8 @@ def dimodule_compatible(pres: LongPresentation, word, l) -> bool:
     return not any(any(_l1_defect(q, w, l - 1, s)) for w in range(n))
 
 
-def convolution_inverse(pres: LongPresentation, r: TensorOp2):
-    """Convolution inverse of sigma on generator cosets, from R^{-1}.
+def convolution_inverse(pres: LongPresentation):
+    """Convolution inverse of sigma on generator cosets, from R^{-1}, R = ``pres.r``.
 
     Returns the n^2 x n^2 table sigma'(c_iv (x) c_ju) = y[u,v,j,i] where
     y are the coefficients of R^{-1}; the convolution identity against
@@ -462,6 +433,7 @@ def convolution_inverse(pres: LongPresentation, r: TensorOp2):
     (R R^{-1})[(i,j),(v,u)], and the opposite one is (R^{-1} R)[(i,j),(v,u)];
     both must be the identity.
     """
+    r = pres.r
     n = r.dim
     inv = invert(r)  # raises SingularOperator
     try:
@@ -469,8 +441,8 @@ def convolution_inverse(pres: LongPresentation, r: TensorOp2):
         table = SigmaForm(inv, pres.quotient).table
     except SigmaIllDefined as exc:
         raise InternalCheckFailed("convolution inverse does not descend") from exc
-    conv = la.mat_mul(pres.r.matrix, inv.matrix)
-    vonc = la.mat_mul(inv.matrix, pres.r.matrix)
+    conv = la.mat_mul(r.matrix, inv.matrix)
+    vonc = la.mat_mul(inv.matrix, r.matrix)
     for i, v, j, u in itertools.product(range(n), repeat=4):
         row, col = i * n + j, v * n + u
         expected = F1 if row == col else F0

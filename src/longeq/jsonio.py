@@ -270,7 +270,9 @@ def loop_to_json(loop: LoopSpec) -> dict:
     }
     if loop.kind == "circle":
         out["moving"] = loop.moving + 1
-        out["center"] = _complex_pair(loop.center)
+        # a fixed-point centre stays an index, which ``--compare`` requires
+        out["center"] = (_complex_pair(loop.center) if loop.center_index is None
+                         else loop.center_index + 1)
         out["radius"] = loop.radius
     else:
         out["waypoints"] = [

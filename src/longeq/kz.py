@@ -34,32 +34,18 @@ integrability condition, not the flatness of omega.
 
 Two OpenBLAS pools. numpy and scipy each bundle their own OpenBLAS, with
 its own thread pool; the integrator multiplies with numpy and
-``circle_block`` exponentiates with scipy. Right after a scipy ``expm``,
-on 2 CPUs, a numpy product large enough to run on numpy's threads stalls
-for about 4 ms while the two pools contend. Medians of 9 runs in one
-process (numpy 2.4.6, scipy 1.17.1) gave the complex products
-(1024 x 3) @ (3 x 64) 4.3 ms and (64 x 30) @ (30 x 64) 4.1 ms, against
-0.17 and 0.07 ms at best, while (256 x 3) @ (3 x 64) stayed at
-0.05-0.1 ms. Complex products stalled from 2^16 m k n on (65,280 did not,
-65,536 did); real ones stalled at 1,048,320 m k n and not at 768,000 or
-below. The words path's product is real (the words of a rational R are)
-and is taken in calls of at most SERIAL_PRODUCT m k n, the work of 2^15
-complex multiply-adds. The stacked products of the pairwise product,
-which both propagator forms take, reach the complex threshold from d = 41
-on and still run on the threads.
+``circle_block`` exponentiates with scipy. Right after a scipy ``expm``, a
+numpy product large enough to run on numpy's threads stalls while the two
+pools contend; a smaller one runs on the calling thread and does not.
+``BENCH_35.json`` (``docstring_figures``) records the stall and the sizes
+m k n from which complex and real products started the threads. The words
+path's product is real (the words of a rational R are) and is taken in
+calls of at most SERIAL_PRODUCT m k n, the work of 2^15 complex
+multiply-adds, below the real size recorded there. The stacked products of
+the pairwise product, which both propagator forms take, still run on the
+threads at large d.
 
-The ``--compare`` distance. The oracle of a circle of point m about the
-fixed point c is exp(2 pi i h R^{mc}) (``check_circle_oracle``), the lift
-``lift_float(circle_block(sys), n, m, c, N)`` of the n^2 x n^2 block
-E = exp(2 pi i h R) to the n^(N-2) slot blocks of (m, c), and 0 off them;
-those blocks partition the basis. So max |W - lift(E)| is the larger of
-two maxima: max |W_b - E| over the diagonal blocks W_b of W, and
-max |W_ij| over the entries off the blocks. Off the blocks W_ij - 0 is
-W_ij as a double (-0.0 - 0.0 is -0.0), so each term of either maximum is
-the double that the dense difference holds, and a max of doubles is
-exact. ``oracle_distance`` therefore returns the float of
-``np.max(np.abs(w - lift(E)))`` from W and E alone, without the lift, the
-difference or its ``abs``, three d x d arrays.
+The ``--compare`` distance is derived in ``oracle_distance``.
 """
 
 from __future__ import annotations
@@ -421,7 +407,8 @@ def _stacked(op, labels, moved):
     ``segment_words`` and the stage matrices read; and the layout that
     ``_stack_positions`` reads. Row p of the tall array is row ``rows[p]``
     of W, and holds W's moved columns ``cols[start[p]:start[p] + count[p]]``,
-    those of its component, in its first ``count[p]`` entries. The rows keep
+    those of its component, in its first ``count[p]`` entries, and zeros up
+    to the most moved columns of one component. The rows keep
     their order, and every row outside them is empty in ``op``, so the
     operator keeps its stored entries in their order: the map's data fits.
     """
@@ -468,12 +455,21 @@ def _evaluation(d, terms, nnz):
     live lifts whose A has ``nnz`` entries.
 
     *apply* iff 8 nnz d + 32^3 <= d^3, in batches of the stage data of
-    CHUNK_ENTRIES // nnz steps. Otherwise the propagator, in batches of
-    b = CHUNK_ENTRIES // d^2 steps: from the W = ``_word_count(T)`` lift
-    words iff W <= 64 and W <= min(2 b + 1, d^2), else from stacked
-    stages. ``integrate_holonomy`` tabulates the rule; the second bound
-    keeps the words within the stage buffer of stacked stages, and their
-    coefficients within b stage matrices.
+    CHUNK_ENTRIES // nnz steps: each of its sparse products A x costs about
+    nnz(A) d complex multiply-adds, priced at 8 BLAS ones against the d^3
+    of a dense product, and 32^3 covers the fixed cost of the four sparse
+    products per step, which rules at small d. Otherwise the propagator, in
+    batches of b = CHUNK_ENTRIES // d^2 steps: from the W = ``_word_count(T)``
+    lift words (2 W d^2 real multiply-adds per step) iff W <= 64 and
+    W <= min(2 b + 1, d^2), else from stacked stages (three stacked d^3
+    products per step). The second bound keeps the words within the stage
+    buffer of stacked stages, and their coefficients within b stage
+    matrices. T = 1, 2, 3, 4 make W = 4, 30, 120, 340, so every bound from
+    30 to 119 takes the same decisions: words are taken, where *apply* is
+    not, for one live lift at 2 <= d <= 181 and for two at 6 <= d <= 66,
+    and never for more. On each loop that ``BENCH_35.json`` records with
+    every evaluation forced, the rule picks the fastest one or one within
+    10% of it.
     """
     if 8 * nnz * d + 32 ** 3 <= d ** 3:
         return "apply", max(1, CHUNK_ENTRIES // max(nnz, terms))
@@ -565,7 +561,10 @@ def connection_matrix(sys: KZSystem, loop: LoopSpec, t, seg=None) -> np.ndarray:
 
 def _apply_steps(w, op, data, dt):
     """Classical RK4 on W, with A(t) at the stage times held by the rows of
-    ``data`` (start, middle, end, middle, end, ...) on the pattern of ``op``.
+    ``data`` (start, middle, end, middle, end, ...) on the pattern of ``op``:
+    with A1, A2, A4 at the start, middle and end of a step, k1 = A1 W,
+    k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2), k4 = A4 (W + dt k3) and
+    W + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
     Each product A x is scipy's ``csr_matvecs``, which adds A x into its
     output, called on one of four arrays of the shape of ``w`` allocated
@@ -615,7 +614,10 @@ def _propagator_steps(w, a, dt):
 
 
 def _stage_increments(a, dt):
-    """Each step's M - I from the dense stage matrices ``a``."""
+    """Each step's M - I from the dense stage matrices ``a``:
+    M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with X2 = A2 (I + dt/2 A1),
+    X3 = A2 (I + dt/2 X2) and X4 = A4 (I + dt X3), three stacked products
+    and twelve elementwise passes."""
     a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
     x2 = a2 @ a1
     x2 *= dt / 2
@@ -644,9 +646,9 @@ def _words_steps(w, held, c, dt):
     ``held`` is ``_words_held``'s (words, buffer). Every batch of the
     segment writes its b increments into the buffer twice, as d^2 x b and
     as b x d x d, and the pairwise product writes its levels into the
-    first half, so no batch allocates an increment array: on the d = 8
-    circle of 4000 steps, increments formed in fresh arrays took 10.7 ms
-    against 8.6 ms in the buffer (medians of 30 interleaved runs).
+    first half, so no batch allocates an increment array
+    (``BENCH_35.json`` records what this saved). A batch's increments are
+    one real product of the (W, d^2) words with its (W, b) coefficients.
     """
     words, buf = held
     coef = _word_coefficients(c, dt)
@@ -705,9 +707,13 @@ def _serial_product(a, b, out):
 
 def _multiply_increments(w, inc, spare):
     """w + (M_b ... M_1 - I) w from the steps' increments M_k - I, multiplied
-    pairwise in increment form, (I + B)(I + A) - I = A + B + B A; an odd
-    last increment moves up a level. The levels are written into ``spare``,
-    at least ceil(b / 2) d x d matrices, and back into ``inc`` in turn."""
+    pairwise in increment form, (I + B)(I + A) - I = A + B + B A, one
+    stacked product per level over about log2(b) levels; an odd last
+    increment moves up a level. The levels are written into ``spare``, at
+    least ceil(b / 2) d x d matrices, and back into ``inc`` in turn.
+    Forming I + (M - I) would round each step's increment against the
+    identity, which over the 4000 steps of a circle moved W by about 2e-13;
+    the increment form never does."""
     while len(inc) > 1:
         half, odd = divmod(len(inc), 2)
         out = spare[:half + odd]
@@ -774,104 +780,31 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     (``_components``, read at the first live segment off one
     ``segment_operator`` of all the live pairs). W(0) = I, so W stays block
     diagonal along the components. Each run of consecutive live segments
-    with the same live pairs, which share one operator, steps a tall array,
-    gathered from W where the run begins and scattered back where it ends
-    (a segment without live pairs leaves W as it is and ends no run, and a
-    polygon on which every point moves is one run), with a row for each row
-    of W in a component that holds a moved column, in W's order: row r
-    holds the moved columns of r's component, left-aligned, padded with
-    zeros to the most moved columns of one component (``_stacked``); the
-    operator is taken on the same rows, its entries in their order. This is
-    exact in every evaluation: *apply* applies A, and each propagator
-    step's M - I is a polynomial in the A(t), so each is block diagonal
-    along the components, and a row of the tall array meets only rows of
-    its own component; padded columns stay zero. Under *apply* the result is W's
-    full-width run bit for bit: ``csr_matvecs`` sums each output entry over
-    its row's stored entries in stored order, the operator on the live rows
-    keeps them all in order, and the RK4 sums are elementwise. The
-    propagator forms agree with it to rounding. For phi at n = 4, N = 4 on
-    a circle the tall array is 256 x 37, 224 x 7, 186 x 7 and 148 x 1 for
-    rank 1 to 4; at n = 3 an all-moving polygon steps 81 x 11 for rank 2
-    and 81 x 1 for rank 3. ``BENCH_27.json`` (``layers_in_process``)
-    records these shapes and the integration times against stepping
-    W[:, moved].
+    with the same live pairs, which share one operator, steps the tall
+    array of ``_stacked``, gathered from W where the run begins and
+    scattered back where it ends (a segment without live pairs leaves W as
+    it is and ends no run, and a polygon on which every point moves is one
+    run): a row for each row of W in a component that holds a moved column,
+    holding that component's moved columns, padded with zeros, with the
+    operator taken on the same rows. This is exact in every evaluation:
+    *apply* applies A, and each propagator step's M - I is a polynomial in
+    the A(t), so each is block diagonal along the components, and a row of
+    the tall array meets only rows of its own component; padded columns
+    stay zero. Under *apply* the result is W's full-width run bit for bit:
+    ``csr_matvecs`` sums each output entry over its row's stored entries in
+    stored order, the operator on the live rows keeps them all in order,
+    and the RK4 sums are elementwise. The propagator forms agree with it to
+    rounding. ``BENCH_27.json`` (``layers_in_process``) records the
+    integration times against stepping W[:, moved], and ``BENCH_35.json``
+    the tall arrays of phi loops.
 
-    Each segment is integrated by one of three evaluations of the same RK4
-    step; A1, A2, A4 are A at the start, middle and end of the step:
-
-    - *apply*: k1 = A1 W, k2 = A2 (W + dt/2 k1), k3 = A2 (W + dt/2 k2),
-      k4 = A4 (W + dt k3), W + dt/6 (k1 + 2 k2 + 2 k3 + k4), each A_s W a
-      sparse product that costs about nnz(A) d, scipy's ``csr_matvecs``
-      called into buffers that every step of a batch reuses
-      (``_apply_steps``);
-    - *propagator* from stacked stages: M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4)
-      with X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2),
-      X4 = A4 (I + dt X3), from dense stage matrices: three stacked d^3
-      products per step, and twelve elementwise passes over them;
-    - *words*: the same M - I from the segment's lift words. With
-      A_s = sum_a c_s[a] L_a over its T live lifts,
-      M - I = dt/6 (A1 + 4 A2 + A4) + dt^2/6 (A2 A1 + A2 A2 + A4 A2)
-      + dt^3/12 (A2 A2 A1 + A4 A2 A2) + dt^4/24 A4 A2 A2 A1
-      is a fixed combination of the W = T + T^2 + T^3 + T^4 ordered words
-      L_a L_b ... (``segment_words``, formed once per segment operator;
-      real, since R is rational). A batch's increments are one real
-      product of the (W, d^2) words with its (W, b) coefficients, outer
-      products of the stage coefficients (``_word_coefficients``): 2 W d^2
-      real multiply-adds per step, written into a buffer that every batch
-      of the segment reuses.
-
-    Both propagator forms then multiply the b steps of a batch pairwise in
-    increment form, (I + B)(I + A) - I = A + B + B A, with one stacked
-    product per level over about log2(b) levels, and apply them as
-    W + (M_b ... M_1 - I) W (``_multiply_increments``). Forming
-    I + (M - I) would round each step's increment against the identity,
-    which over the 4000 steps of a circle moved W by about 2e-13; the
-    increment form never does.
-
-    The cost rule (``_evaluation``) reads d, T, nnz(A) and the batch. A
-    segment uses *apply* iff 8 nnz(A) d + 32^3 <= d^3: a sparse complex
-    multiply-add is priced at 8 BLAS ones, and 32^3 covers the fixed cost
-    of the four sparse products per step, which rules at small d. Else it
-    uses words iff W <= 64 (and the words fit the stage buffer,
-    W <= min(2 b + 1, d^2)). Per batch of about CHUNK_ENTRIES stage
-    entries, on random stage matrices and words (medians of 15), stacked
-    stages (``_propagator_steps``) took 3.1-4.6 ms at d = 8 to 64, and
-    words (``_words_steps``) 1.2-1.7 ms plus 0.015-0.09 ms per word, the
-    pairwise product included in both. Words took 0.27-0.87 of the time
-    of stacked stages for W = 4 and 30 at every d measured (d = 4 to 64),
-    and 1.05,
-    1.33 and 1.57 of it for W = 120 at d = 16, 27 and 32. T = 1, 2, 3, 4
-    make W = 4, 30, 120, 340, so every bound from 30 to 119 takes the same
-    decisions. With W <= 2 b + 1, words are taken, where *apply* is not,
-    for one live lift at 2 <= d <= 181 and for two at 6 <= d <= 66, and
-    never for more.
-
-    Median ms per loop, *apply* / stacked stages / words, each forced, the
-    three interleaved, 9 runs (Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
-    2 BLAS threads, 2 shared CPUs; h = 0.1; circles move point 1 around
-    point 0 at radius 0.5 with the other points at 10, 20i, -15, 30;
-    polygons move every point along 4 sides; "-" where W exceeds the stage
-    buffer):
-
-    - phi operators: the d = 8 circle (n = 2, N = 3, T = 2) of 4000 steps
-      108 / 17.1 / 8.8; the d = 16 circle (n = 2, N = 4, T = 3) of 1000
-      steps 31.2 / 13.5 / 12.3; the d = 27 circle (n = 3, N = 3, T = 2) of
-      400 steps 12.8 / 17.6 / 8.3; polygons of 60 steps at d = 16
-      (n = 2): 2.9 / 1.6 / -, d = 27: 2.6 / 2.8 / -, d = 64 (n = 4):
-      4.7 / 20.7 / -;
-    - the conjugate u R_phi u^-1 with nnz(R) = 224 of 256 at n = 4: the
-      d = 64 circle (T = 2) of 40 steps 22.6 / 16.9 / 12.4.
-
-    The host's speed drifts by up to 50% between runs; the three numbers
-    of a row were taken interleaved, so their ratios are firmer than any
-    one number. The rule picks the fastest evaluation in each case, or
-    one within 10% of it: *apply* was 0-10% faster on the d = 27 polygon
-    over three such runs, and words were 5-9% faster on the d = 16 circle
-    here but 5% slower per batch in isolation, so three lifts stay on
-    stacked stages.
-
-    Stage coefficients are formed for batches of steps holding at most
-    about CHUNK_ENTRIES entries of stage data (or of stage matrices).
+    Each segment is integrated by the evaluation that ``_evaluation``
+    picks: *apply* (``_apply_steps``), or a propagator whose batches of
+    steps ``_multiply_increments`` multiplies and applies, formed from
+    stacked stages (``_propagator_steps``) or from the segment's lift words
+    (``_words_steps``). Stage coefficients are formed for batches of steps
+    holding at most about CHUNK_ENTRIES entries of stage data (or of stage
+    matrices).
 
     The integration runs with numpy's floating-point warnings off; a
     holonomy that is not finite, from an overflow, is a ValueError.
@@ -970,13 +903,19 @@ def circle_block(sys: KZSystem) -> np.ndarray:
 def oracle_distance(sys: KZSystem, w, moving, center) -> float:
     """The ``--compare`` distance max |W - exp(2 pi i h R^{mc})|, m = ``moving``
     and c = ``center``: the float of ``np.max(np.abs(w - o))`` for the
-    oracle o = ``lift_float(circle_block(sys), n, moving, center, N)``.
+    oracle o = ``lift_float(circle_block(sys), n, moving, center, N)``
+    (``check_circle_oracle``), formed without o, the difference or its
+    ``abs``, three d x d arrays.
 
-    R^{mc} is block diagonal with blocks R (its slot blocks partition the
-    basis), so its exponential is o, the lift of the n^2 x n^2 block
-    exponential E. The same float is formed without the d x d lift,
-    difference or ``abs`` array (module docstring): the rows of
-    |W - o| are formed DISTANCE_ENTRIES entries at a time."""
+    R^{mc} is block diagonal with blocks R on the n^(N-2) slot blocks of
+    (m, c), which partition the basis, so o is the n^2 x n^2 block
+    exponential E on those blocks and 0 off them. So max |W - o| is the
+    larger of two maxima: max |W_b - E| over the diagonal blocks W_b of W,
+    and max |W_ij| over the entries off the blocks. Off the blocks
+    W_ij - 0 is W_ij as a double (-0.0 - 0.0 is -0.0), so each term of
+    either maximum is the double that the dense difference holds, and a max
+    of doubles is exact. The rows of |W - o| are formed DISTANCE_ENTRIES
+    entries at a time."""
     blocks = _slot_blocks(sys.n, moving, center, sys.N)
     block = circle_block(sys)
     count, size = blocks.shape

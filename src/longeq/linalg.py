@@ -17,12 +17,10 @@ unique too; the Fraction RREF row is the integer row over its pivot entry.
 ``Echelon`` keeps the same integer RREF of a span that grows one row at a
 time and tells whether each new row lies in it, for a caller that stops
 at the first independent row with some property. Neither replaces the
-other (best of 7, Python 3.11.7, 2 shared CPUs): built by ``Echelon``,
-``sigma_feasibility`` on the (2,1) truncation took 14.2 -> 16.2 ms and
-``QuotientCoalgebra`` on the V of a dense n = 4 conjugate 0.66 -> 1.09 ms;
-``rref_int`` for the column test of ``tensor_ops._descent_basis`` took
-1.1 -> 1.7 ms per n = 4 Long solution, and for its row ``Echelon``
-0.6 -> 1.4 ms per dense n = 4 conjugate.
+other: ``sigma_feasibility`` and ``QuotientCoalgebra`` were slower built
+by ``Echelon``, and ``tensor_ops._descent_basis`` slower with ``rref_int``
+for its column test or its row ``Echelon`` (``BENCH_35.json``,
+``docstring_figures``).
 ``sparse_rref`` and ``reduce_mod`` reduce a vector modulo an RREF row
 space over the rows' nonzeros; ``clear_denominators`` scales a rational
 matrix to integers for the callers that decide on them, and

@@ -16,10 +16,11 @@ Conventions, used everywhere downstream:
 The Long check is sigma_0-descent. Let sigma_0(c_iv (x) c_ju) = x[u,v,j,i]
 on the comatrix coalgebra C and o(i,j,k,l) = sum_v x[k,v,j,i] c_vl -
 sum_a x[k,l,j,a] c_ia. For every operator eps(o) = 0 and
-Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l),
-so the span V of the o is a coideal, and the Long equations at
-(i,j,k,l,p,q) are sigma_0(o(i,j,k,l) (x) c_pq) = 0 (equation 1) and
-sigma_0(c_pq (x) o(i,j,k,l)) = 0 (equation 2). The descent test of a row
+Delta o(i,j,k,l) = sum_u o(i,j,k,u) (x) c_ul + sum_u c_iu (x) o(u,j,k,l)
+(the cross terms cancel), so the span V of the o is a coideal, and the
+Long equations at (i,j,k,l,p,q) are sigma_0(o(i,j,k,l) (x) c_pq) = 0
+(equation 1) and sigma_0(c_pq (x) o(i,j,k,l)) = 0 (equation 2): sigma_0
+descends to V exactly when R is Long. The descent test of a row
 is one kernel, ``_row_descent_failure``. ``_descent_basis`` runs it on the
 obstruction rows that are independent of the rows before them, which
 decides Long (``long_witness``) and yields the RREF basis of V
@@ -423,8 +424,9 @@ def _descent_basis(table, n):
     is skipped, and an independent row is checked for sigma_0-descent
     (``_row_descent_failure``) and, once it passes, joins the basis.
 
-    Skipping a row that lies in the span of earlier rows finds the same
-    first failure as checking every row: sigma_0(. (x) c_b) and
+    Skipping a row that lies in the span of earlier rows (as do the zero and
+    repeated rows that ``_obstruction_rows`` drops) finds the same first
+    failure as checking every row: sigma_0(. (x) c_b) and
     sigma_0(c_b (x) .) are linear, so such a row passes when the earlier
     rows did. The first failing row is therefore independent of the rows
     before it, and its own check gives the same column and equation.
@@ -476,12 +478,10 @@ def long_witness(r: TensorOp2):
     visited in lexicographic order, equation 1 before equation 2.
 
     This is the first failure of sigma_0-descent (module docstring) over
-    the primitive obstruction rows, column (p, q) by column; a row dropped
-    as zero or repeated is a multiple of an earlier row, and one in the
-    span of earlier rows is skipped (``_descent_basis``), since both passed
-    with the rows they depend on. Both equations are homogeneous
-    quadratics, so they are checked on Z = D x (``TensorOp2.int_form``),
-    D the lcm of the denominators, which violates them at the same tuples.
+    the obstruction rows, column (p, q) by column (``_descent_basis``).
+    Both equations are homogeneous quadratics, so they are checked on
+    Z = D x (``TensorOp2.int_form``), D the lcm of the denominators, which
+    violates them at the same tuples.
     """
     return _descent_basis(r.int_form[0], r.dim)[0]
 

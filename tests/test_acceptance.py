@@ -305,7 +305,7 @@ def test_criterion_5_round_trip(corpus, phi4_solutions):
             invert(r)
         except SingularOperator:
             continue
-        convolution_inverse(pres, r)
+        convolution_inverse(pres)
         inverses += 1
     ok = not bad
     _line(5, ok, f"R_sigma = R exactly on {len(corpus) + len(phi4_solutions)} "

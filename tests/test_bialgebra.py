@@ -1622,3 +1622,29 @@ def test_strong_dmap_output_check_raises_internal_error(monkeypatch):
     with pytest.raises(InternalCheckFailed, match=r"^induced operator fails Long equation 2 "
                                                   r"at \(1, 2, 1, 1, 2, 1\)$"):
         bialgebra.strong_dmap_rsigma(c, SigmaTable(table), fundamental_comodule(n))
+
+
+# d = 2 with e_0, e_1 orthogonal idempotents (unit e_0 + e_1), e_0 group-like
+# and Delta(e_1) = e_0 (x) e_1 + e_1 (x) e_0 with eps = (1, 0): every law
+# before Delta(1) = 1 (x) 1 holds, and Delta(1) lacks the term e_1 (x) e_1
+_NOT_UNITAL_COALGEBRA_MAP = (["a", "b"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1],
+                             [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: group_algebra(["e", "g"], [[0, 1]]), InvalidGroupTable, "table must be d x d"),
+    # the constant table is associative and has no identity
+    (lambda: group_algebra(["e", "g"], [[0, 0], [0, 0]]), InvalidGroupTable,
+     "no identity element"),
+    # 0 is the identity and 1 absorbs: a monoid that is not a group
+    (lambda: group_algebra(["e", "z"], [[0, 1], [1, 1]]), InvalidGroupTable,
+     "element 1 has no inverse"),
+    # the empty basis: its unit is 0, so eps(1) = 0
+    (lambda: FinDimBialgebra([], [], [], [], []), InvalidBialgebra, "eps(1) != 1"),
+    (lambda: FinDimBialgebra(*_NOT_UNITAL_COALGEBRA_MAP), InvalidBialgebra,
+     "Delta(1) != 1 (x) 1"),
+])
+def test_group_algebra_and_bialgebra_refusals(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

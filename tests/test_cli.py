@@ -1093,6 +1093,46 @@ def test_kz_without_compare_exits_0_on_failing_residual(tmp_path, capsys):
     assert not all(json.loads(out)["residuals"].values())
 
 
+def test_kz_compare_exits_1_on_failing_bracket(tmp_path, capsys):
+    """A flip-invariant operator that fails [R12, R13 + R23] = 0 passes the
+    ``--compare`` usage checks; the full report, oracle distance included,
+    goes to stdout and the failing residuals make the exit code 1."""
+    r = TensorOp2(2, [[0, 0, 0, 1], [0, -1, -1, -1], [0, -1, -1, -1], [-1, 0, 0, 0]])
+    assert tensor_ops.check_laws(r, ["symmetric", "kz_bracket"]) == {"symmetric": True,
+                                                                     "kz_bracket": False}
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], "kind": "circle",
+        "steps": 16, "moving": 2, "center": 3, "radius": 0.5,
+    })
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "3", "--h", "0.05",
+                                   "--loop", loop, "--compare"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert sorted(report) == ["N", "elapsed_s", "format_version", "h", "matrix", "n",
+                              "oracle_distance", "residuals"]
+    assert len(report["residuals"]) == 6 and not any(report["residuals"].values())
+    assert (report["N"], report["n"], len(report["matrix"])) == (3, 2, 8)
+    system = kz.KZSystem.from_op(r, 3, 0.05)
+    spec = jsonio.loop_from_json(json.loads(pathlib.Path(loop).read_text()))
+    w = kz.integrate_holonomy(system, spec)
+    assert report["oracle_distance"] == kz.oracle_distance(system, w, 1, 2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kz", "--points", "1", "--h", "0.1"], "N must be >= 2"),
+    (["construct", "diag", "--n", "2", "--a", "1,2,3"],
+     "--a must have a square number of entries"),
+])
+def test_cli_refusals_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "kz":
+        argv += ["--op", _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1]))),
+                 "--loop", _write(tmp_path, "loop.json", {
+                     "base": [[0.0, 0.0]], "kind": "circle", "steps": 8, "moving": 1,
+                     "center": [1.0, 0.0], "radius": 0.5})]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def _refuse(*args, **kwargs):
     raise RuntimeError("the usage checks must run first")
 

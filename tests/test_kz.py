@@ -28,7 +28,13 @@ from longeq import (
 )
 from longeq import kz
 from longeq import linalg as la
-from longeq.jsonio import holonomy_to_json, loop_from_json, loop_to_json
+from longeq.cli import main
+from longeq.jsonio import (
+    holonomy_to_json,
+    loop_from_json,
+    loop_to_json,
+    operator_to_json,
+)
 from longeq.kz import connection_matrix, lift_float
 from longeq.tensor_ops import _commute, _lift_sparse, check_laws, lift, lift_exact
 
@@ -1436,7 +1442,10 @@ def test_connection_matrix_antisymmetry_of_pair_terms():
 # ---------------------------------------------------------------------------
 
 
-def test_loop_json_roundtrip_circle():
+def test_loop_json_roundtrip_circle(tmp_path, capsys):
+    """A fixed-point centre is written as its 1-based index and an explicit
+    one as [re, im]; a centre at the origin is one of each. ``kz --compare``
+    accepts the written fixed-point loop and refuses the explicit one."""
     loop = LoopSpec([1.0, 0.0], "circle", steps=32, moving=0, center=1,
                     radius=0.5)
     blob = json.dumps(loop_to_json(loop))
@@ -1444,10 +1453,29 @@ def test_loop_json_roundtrip_circle():
     assert back.kind == "circle"
     assert back.moving == 0
     assert back.center == loop.center
+    assert back.center_index == 1
     assert back.radius == loop.radius
     assert back.steps == 32
     for t in (0.0, 0.3, 0.7):
         assert back.positions(t) == loop.positions(t)
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator_to_json(make_phi(2, [1, 1]))))
+    for center, index, code in ((0, 0, 0), (0j, None, 2)):
+        loop = LoopSpec([0, 1, 10j], "circle", 8, moving=1, center=center, radius=0.5)
+        obj = loop_to_json(loop)
+        assert obj["center"] == (1 if index == 0 else [0.0, 0.0])
+        back = loop_from_json(json.loads(json.dumps(obj)))
+        assert back.center_index == index and back.center == loop.center == 0
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(obj))
+        assert main(["kz", "--op", str(op), "--points", "3", "--h", "0.05", "--compare",
+                     "--loop", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err == ("error: comparison mode requires a circle loop centered on a "
+                           "fixed point\n")
+        else:
+            assert json.loads(out)["oracle_distance"] < 1e-6 and err == ""
 
 
 def test_loop_json_roundtrip_polygon():
@@ -1469,3 +1497,21 @@ def test_holonomy_json_shape():
     assert obj["h"] == [0.1, 0.0]
     assert len(obj["matrix"]) == 4
     assert all(len(row) == 4 for row in obj["matrix"])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LoopSpec([0, 1], "circle", 8, moving=1, center=0),
+     "circle loops need moving, center, radius"),
+    (lambda: LoopSpec([0, 1], "polygon", 8), "polygon loops need waypoints"),
+    (lambda: LoopSpec([0, 1], "polygon", 8, waypoints=[[0, 1j, 0]]),
+     "one waypoint path per coordinate required"),
+    (lambda: LoopSpec([0, 1], "ellipse", 8), "unknown loop kind 'ellipse'"),
+    (lambda: integrate_holonomy(KZSystem.from_op(make_phi(2, [1, 1]), 3, 0.1),
+                                LoopSpec([0, 1], "circle", 8, moving=1, center=0,
+                                         radius=0.5)),
+     "loop and system disagree on the number of points"),
+])
+def test_loop_and_integration_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -913,3 +913,27 @@ def test_dense_constructor_refuses_what_as_frac_refuses(bad):
     dense = [["0"] * 4 for _ in range(4)]
     dense[1][2] = "-3/4"
     assert TensorOp2(2, dense).rows == {1: {2: F(-3, 4)}}
+
+
+_Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GradedActionData([0, 1], _Z2_TABLE, {0: [[1]]}, [0]),
+     "one action matrix per group element required"),
+    (lambda: GradedActionData([0, 1], dict.fromkeys(_Z2_TABLE, 0), {0: [[1]], 1: [[1]]}, [0]),
+     "group table has no identity"),
+    (lambda: GradedActionData([0, 1], _Z2_TABLE, {0: [[-1]], 1: [[1]]}, [0]),
+     "identity element must act as the identity matrix"),
+    (lambda: GradedActionData([0, 1], _Z2_TABLE, {0: [[1]], 1: [[2]]}, [0]),
+     "actions violate the group law at (1, 1)"),
+    (lambda: TensorOp2(0, []), "dim must be positive"),
+    (lambda: TensorOp2(2, [[1]]), "matrix view must be n^2 x n^2"),
+    (lambda: make_diag(2, [[1, 2, 3]]), "a must be n x n"),
+    (lambda: make_pair([[1]], [[1, 0], [0, 1]]), "f and g must have equal size"),
+    (lambda: make_conjugate([[1]], make_phi(2, [1, 1])), "u must be n x n"),
+])
+def test_constructor_shape_and_group_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
