@@ -10,6 +10,11 @@ Validation at construction is mandatory: every axiom check below presumes
 a genuine bialgebra, so failures implicate the sigma table, not the
 structure constants.
 
+The JSON reader walks each wire cube once, straight to the nonzero entries
+of its cells, and hands them to the constructor as a ``NonzeroCube``,
+which ``_cube`` returns as it is: no entry is read twice and no dense cube
+is formed on the way.
+
 The constructor reads each cell of ``mult`` and ``comult`` once and keeps
 only its nonzero entries. The dense d x d x d Fraction cubes ``mult`` and
 ``comult`` are views of those, formed on first read; no module of the
@@ -50,6 +55,16 @@ positive multiple of the rational one; ``_linear_system``,
 ``sigma_feasibility`` and ``strong_dmap_rsigma`` read them so. A scaled
 row spans the same line and the RREF of a row space is unique, so every
 solution space and feasibility verdict is unchanged.
+
+``sigma_feasibility`` stays on the integers between its rounds. A round
+eliminates the last RREF and the new rows by ``la.rref_int`` and reads the
+pinned values off it; a linearized L3 or L5 row formed on P times those
+values (P the lcm of their denominators) is P^2 times the rational row,
+and a primitive row that an earlier round added is not added again. The
+space is the one that re-solving every row over Fractions in each round
+gives: each row is a positive multiple of the rational one, a row left
+out repeats one already in, and the RREF of a row space is unique, so
+each round pins the same variables and the last RREF is the same.
 
 ``check_axioms`` reads the streams of L1, L2 and L4, and decides L3, L5 and
 B1 block by block on T. A block holds the values at T of the stream
@@ -92,28 +107,26 @@ WORD_CAP = 6
 _PENDING = object()
 
 
-class ZeroCell(tuple):
-    """A read-only cell of d int zeros. The JSON reader shares one among the
-    all-zero cells of a document; ``_cube`` knows it by its class and does
-    not read its entries."""
+class NonzeroCube(list):
+    """The nonzero (c, Fraction) pairs of each cell of a d x d x d cube, as
+    ``_cube`` gives them, from a reader that has checked the shape and read
+    every entry; ``_cube`` returns one as it is."""
 
     __slots__ = ()
-
-    def __new__(cls, d):
-        return super().__new__(cls, (0,) * d)
 
 
 def _cube(name, t, d):
     """The nonzero entries of the d x d x d array ``t``: for each a and b the
     (c, Fraction) pairs with t[a][b][c] != 0, or InvalidBialgebra naming the
-    field. Every entry but an int zero is read by ``as_frac``, except in a
-    ``ZeroCell``."""
+    field. Every entry but an int zero is read by ``as_frac``; a
+    ``NonzeroCube`` is returned as it is."""
+    if t.__class__ is NonzeroCube:
+        return t
     if len(t) != d or any(len(row) != d or any(len(cell) != d for cell in row)
                           for row in t):
         raise InvalidBialgebra(f"'{name}' must be a {d} x {d} x {d} array")
     as_frac = la.as_frac
-    return [[[] if cell.__class__ is ZeroCell else
-             [(c, f) for c, x in enumerate(cell)
+    return [[[(c, f) for c, x in enumerate(cell)
               if (x.__class__ is not int or x) and (f := as_frac(x))]
              for cell in row] for row in t]
 
@@ -224,9 +237,10 @@ class FinDimBialgebra(Coalgebra):
         super()._clear_denominators({x.denominator for row in nz for cell in row for _, x in cell}
                                     | {x.denominator for x in self.unit})
         scale = self.scale
-        # nonzero (c, scaled coeff) of each e_a e_b, also read by the axiom equations
-        self.mult_nz = [[[(c, _scaled(x, scale)) for c, x in cell] for cell in row]
-                        for row in nz]
+        # nonzero (c, scaled coeff) of each e_a e_b, also read by the axiom
+        # equations; a zero cell is the empty tuple, which allocates nothing
+        self.mult_nz = [[[(c, _scaled(x, scale)) for c, x in cell] if cell else ()
+                         for cell in row] for row in nz]
         self.int_unit = [_scaled(x, scale) for x in self.unit]
 
     @cached_property
@@ -729,49 +743,67 @@ def sigma_feasibility(b: FinDimBialgebra) -> FeasibilityResult:
     in the L1/L2/L4 space, and each pinned variable, constant on the space,
     has its value there. A linearized L3 or L5 instance puts those values
     in for the pinned factors, so eps (x) eps satisfies it too and stays
-    in every narrowed space. An inconsistent solve is InternalCheckFailed.
+    in every narrowed space. An inconsistent system is InternalCheckFailed.
+
+    Each round runs ``la.rref_int`` on the last round's integer RREF rows,
+    right-hand side last, and the rows the round before it added. A
+    variable is pinned where an RREF row has no entry at a free column:
+    its value is the right-hand side over the pivot, in lowest terms, as
+    the row is primitive. The pass stops at a round that adds no row, and
+    one ``solve_affine`` on the last RREF gives the space (module
+    docstring).
     """
     rows, rhs = _linear_system(b)
-    quads = [(name, eq) for name in ("L3", "L5") for eq in EQUATIONS[name](b, 1)]
     d2 = b.d * b.d
-    used = set()
-    added = True
-    while added:
-        sol = la.solve_affine(rows, rhs)
-        if sol is None:
+    pending = [eq for name in ("L3", "L5") for eq in EQUATIONS[name](b, 1)]
+    seen = set()
+    new = [row + [c] for row, c in zip(rows, rhs)]
+    red = []
+    while new:
+        red, pivots = la.rref_int(red + new)
+        if d2 in pivots:
             raise InternalCheckFailed(
                 "linear and linearized axioms are inconsistent on a validated bialgebra, "
                 "though eps (x) eps satisfies them")
-        particular, basis = sol
-        pinned = {k: particular[k] for k in range(d2) if all(not v[k] for v in basis)}
-        added = False
-        for eq_id, (name, (where, const, lin, quad)) in enumerate(quads):
-            if eq_id in used:
-                continue
-            row = [0] * d2
-            c0 = const
-            for k, coeff in lin.items():
-                row[k] += coeff
-            usable = True
+        # (variable, numerator, denominator) of each row whose pivot is its
+        # only entry left of the right-hand side; P is den
+        fixed = [(p, row[d2], row[p]) for row, p in zip(red, pivots)
+                 if row[:d2].count(0) == d2 - 1]
+        den = math.lcm(*(q for *_, q in fixed))
+        pinned = {p: n * (den // q) for p, n, q in fixed}
+        den2 = den * den
+        new, unused = [], []
+        for eq in pending:
+            _, const, lin, quad = eq
+            c0, terms = const * den2, []
             for (k1, k2), coeff in quad.items():
-                if k1 in pinned and k2 in pinned:
-                    c0 += coeff * pinned[k1] * pinned[k2]
-                elif k1 in pinned:
-                    row[k2] += coeff * pinned[k1]
-                elif k2 in pinned:
-                    row[k1] += coeff * pinned[k2]
+                n1, n2 = pinned.get(k1), pinned.get(k2)
+                if n1 is None:
+                    if n2 is None:
+                        unused.append(eq)
+                        break
+                    terms.append((k1, coeff * n2 * den))
+                elif n2 is None:
+                    terms.append((k2, coeff * n1 * den))
                 else:
-                    usable = False
-                    break
-            if not usable:
-                continue
-            used.add(eq_id)
-            # a zero row with a nonzero constant makes the next solve fail
-            if c0 or not la.is_zero_vec(row):
-                rows.append(row)
-                rhs.append(-c0)
-                added = True
-    return FeasibilityResult("unknown", space=AffineTableSpace(b.d, *sol))
+                    c0 += coeff * n1 * n2
+            else:
+                row = [0] * d2 + [-c0]
+                for k, coeff in lin.items():
+                    row[k] = coeff * den2
+                for k, x in terms:
+                    row[k] += x
+                # a zero row adds nothing; a zero row with a nonzero constant
+                # is a pivot at the right-hand side, and the next round fails
+                g = math.gcd(*row)
+                if g:
+                    key = tuple(row) if g == 1 else tuple(x // g for x in row)
+                    if key not in seen:
+                        seen.add(key)
+                        new.append(list(key))
+        pending = unused
+    return FeasibilityResult("unknown", space=AffineTableSpace(
+        b.d, *la.solve_affine([row[:d2] for row in red], [row[d2] for row in red])))
 
 
 @dataclass

@@ -46,9 +46,9 @@ def _load_json(path):
 
 
 def _emit(obj):
-    """Write ``json.dump(obj, indent=2)`` and a newline."""
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write ``json.dump(obj, indent=2)`` and a newline, in one write:
+    ``json.dump`` writes the same text chunk by chunk."""
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _report(command, verdicts, witnesses, started):
@@ -211,7 +211,7 @@ def cmd_kz(args):
     system = kz.KZSystem.from_op(r, args.points, h)
     kz.check_integrator_memory(system, loop)
     if args.compare:
-        kz.check_circle_oracle(system, loop)
+        kz.check_circle_oracle(r, system, loop)
     residuals = kz.flatness_residuals(r, args.points)
     w = kz.integrate_holonomy(system, loop)
     fields = {
@@ -314,7 +314,7 @@ def build_parser():
     c.add_argument(
         "--compare",
         action="store_true",
-        help="compare against the exponential oracle (symmetric circle loops)",
+        help="compare against the exponential oracle (circle loops, Long equation 1)",
     )
 
     c = sub.add_parser("bialgebra-check", help="check sigma-table axioms")

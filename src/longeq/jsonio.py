@@ -2,7 +2,10 @@
 
 Algebraic payloads carry exact fraction strings only; the holonomy output
 is the sole float-bearing format. All tensor indices on the wire are
-1-based, matching the coefficient conventions of the library.
+1-based, matching the coefficient conventions of the library. Each
+distinct entry string is parsed once per document; a bialgebra's
+structure cubes are read in one walk to their nonzero entries
+(``bialgebra_from_json``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bialgebra import FinDimBialgebra, SigmaTable, ZeroCell
+from .bialgebra import FinDimBialgebra, NonzeroCube, SigmaTable
 from .frt import LongPresentation
 from .errors import DimensionCap
 from .kz import LoopSpec
@@ -111,31 +114,54 @@ def _memo_parser():
     return parse
 
 
-def _frac_array(value, depth, field, parse, zero):
-    """A ``depth``-fold nested JSON list of fraction strings, parsed by
-    ``parse``; a ``"0"`` is the int 0 without a call. A level-1 list of as
-    many ``"0"`` strings as ``zero`` has entries is ``zero`` itself, found
-    by one ``count``. A level that is not a list is refused with the
-    field's full depth."""
-    d = len(zero)
+def _frac_vector(value, field, parse):
+    """A JSON list of fraction strings, parsed by ``parse``; a ``"0"`` is the
+    int 0 without a call. A value that is not a list is refused."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{field}' must be a 1-fold nested list of fractions")
+    return [0 if x == "0" else parse(x) for x in value]
 
-    def walk(v, level):
-        if not isinstance(v, list):
-            raise ValueError(f"'{field}' must be a {depth}-fold nested list of fractions")
-        if level == 1:
-            if len(v) == d and v.count("0") == d:
-                return zero
-            return [0 if x == "0" else parse(x) for x in v]
-        return [walk(x, level - 1) for x in v]
 
-    return walk(value, depth)
+def _nonzero_cube(value, field, d, parse):
+    """The nonzero (c, Fraction) pairs of each cell of ``value``, a 3-fold
+    nested JSON list of fraction strings, in one walk. A cell of ``"0"``
+    strings alone is found by one ``count`` and is the empty tuple, so it
+    allocates nothing; in any other cell each entry
+    but ``"0"`` is parsed by ``parse``, and a zero it parses to is left
+    out. A level that is not a list is refused with the field's full depth,
+    and a parse fault as ``parse`` raises it, whichever the walk meets
+    first. Returns a ``NonzeroCube`` when ``value`` is d x d x d, and
+    ``value`` itself otherwise, whose shape the constructor refuses."""
+    bad = f"'{field}' must be a 3-fold nested list of fractions"
+    if not isinstance(value, list):
+        raise ValueError(bad)
+    shaped = len(value) == d
+    cube = NonzeroCube()
+    for row in value:
+        if not isinstance(row, list):
+            raise ValueError(bad)
+        shaped = shaped and len(row) == d
+        cells = []
+        for cell in row:
+            if not isinstance(cell, list):
+                raise ValueError(bad)
+            size = len(cell)
+            shaped = shaped and size == d
+            cells.append(() if cell.count("0") == size else
+                         [(c, f) for c, x in enumerate(cell) if x != "0" and (f := parse(x))])
+        cube.append(cells)
+    return cube if shaped else value
 
 
 def bialgebra_from_json(obj) -> FinDimBialgebra:
     """A validated bialgebra; ``dim`` is checked against ``MAX_BIALGEBRA_DIM``
-    before any entry is read, and the shapes by ``FinDimBialgebra``. Every
-    cell of d ``"0"`` strings is one shared ``ZeroCell``, which the
-    constructor skips without reading its entries."""
+    before any entry is read. ``mult`` and ``comult`` are each walked once,
+    to the nonzero entries of their cells (``_nonzero_cube``), and reach the
+    constructor as ``NonzeroCube``s, which it takes as they are; ``unit``
+    and ``counit`` reach it as lists. The type and parse faults of the four
+    fields, in that order, are refused before the length of ``basis`` and
+    before any shape, which the constructor checks: a cube of another shape
+    reaches it as the JSON list it was."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("bialgebra JSON must be an object with a 'dim' key")
     d = obj["dim"]
@@ -143,13 +169,13 @@ def bialgebra_from_json(obj) -> FinDimBialgebra:
         raise ValueError("'dim' must be a positive integer")
     if d > MAX_BIALGEBRA_DIM:
         raise DimensionCap(f"bialgebra dim {d} exceeds cap {MAX_BIALGEBRA_DIM}")
-    parse, zero = _memo_parser(), ZeroCell(d)
+    parse = _memo_parser()
     try:
         basis = obj["basis"]
-        mult = _frac_array(obj["mult"], 3, "mult", parse, zero)
-        unit = _frac_array(obj["unit"], 1, "unit", parse, zero)
-        comult = _frac_array(obj["comult"], 3, "comult", parse, zero)
-        counit = _frac_array(obj["counit"], 1, "counit", parse, zero)
+        mult = _nonzero_cube(obj["mult"], "mult", d, parse)
+        unit = _frac_vector(obj["unit"], "unit", parse)
+        comult = _nonzero_cube(obj["comult"], "comult", d, parse)
+        counit = _frac_vector(obj["counit"], "counit", parse)
     except KeyError as exc:
         raise ValueError("malformed bialgebra JSON") from exc
     if not isinstance(basis, list) or len(basis) != d:

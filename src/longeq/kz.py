@@ -60,6 +60,7 @@ import numpy as np
 from .errors import DimensionCap, PathTooClose
 from .tensor_ops import (  # perfbench/tracing.py wraps lift_exact as kz.lift_exact
     TensorOp2,
+    _commute,
     _slot_blocks,
     flip_invariant,
     kz_bracket,
@@ -863,10 +864,12 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     return w
 
 
-def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
+def check_circle_oracle(r: TensorOp2, sys: KZSystem, loop: LoopSpec):
     """The ``--compare`` preconditions, each a ValueError: the command
-    requires a flip-invariant operator and a circle centred on a fixed
-    point that encloses no other point.
+    requires an operator ``r`` that satisfies Long equation 1,
+    [R^{12}, R^{13}] = 0, and a circle centred on a fixed point that
+    encloses no other point. Equation 1 is decided on ``r.lifts`` here
+    alone, so a ``kz`` without ``--compare`` does not decide it.
 
     The oracle exp(2 pi i h R^{mc}), for point m circling the fixed point
     c, is exact whenever the circle encloses c and no other point and R
@@ -879,11 +882,13 @@ def check_circle_oracle(sys: KZSystem, loop: LoopSpec):
     prod_j exp(h R^{mj} oint dz/(z - z_j)) = prod_j exp(2 pi i h w_j R^{mj}),
     w_j the winding number of the circle about z_j: 1 for the centre and 0
     for every point outside the circle. The distance from the integrated
-    holonomy is then the RK4 error alone. Flip invariance is more than
-    that needs.
+    holonomy is then the RK4 error alone. Flip invariance neither gives
+    equation 1 nor is needed: the flip itself fails it.
     """
-    if not sys.symmetric:
-        raise ValueError("comparison mode requires a symmetric operator (flip-invariant)")
+    z12, z13, _ = r.lifts
+    if not _commute(z12, z13):
+        raise ValueError("comparison mode requires an operator that satisfies "
+                         "Long equation 1, [R12, R13] = 0")
     if loop.kind != "circle" or loop.center_index is None:
         raise ValueError("comparison mode requires a circle loop centered on a fixed point")
     if any(abs(z - loop.center) < loop.radius for j, z in enumerate(loop.base)

@@ -758,7 +758,7 @@ def test_solution_spaces_match_fraction_streams():
     streams at sigma scale 1; their particular solution, basis, status and
     witness equal those solved from the Fraction streams, on the builtins
     and on two algebras with fractional structure constants."""
-    for b in _spaced_algebras():
+    for b in _spaced_algebras() + [cyclic_group_algebra(7)]:
         space = l1_solution_space(b)
         want = bialgebra.la.solve_affine(*_oracle_linear_system(_fraction_streams(b), b.d ** 2))
         assert (space.d, space.particular, space.basis) == (b.d, *want)
@@ -766,6 +766,41 @@ def test_solution_spaces_match_fraction_streams():
         got = (res.status, res.witness, *((res.space.particular, res.space.basis)
                                           if res.space else (None, None)))
         assert got == _oracle_feasibility(b), b.basis
+
+
+def test_sigma_feasibility_adds_each_linearized_row_once(monkeypatch):
+    """With every L3 and L5 equation yielded twice, ``sigma_feasibility``
+    gives the space of the unpatched streams, and each round eliminates as
+    many rows: the second copy of a linearized row is not added."""
+    rref_int, sizes = la.rref_int, []
+
+    def sized(rows):
+        sizes.append(len(rows))
+        return rref_int(rows)
+
+    monkeypatch.setattr(la, "rref_int", sized)
+    cases = _spaced_algebras()
+    want, want_sizes = [], []
+    for b in cases:
+        sizes.clear()
+        space = sigma_feasibility(b).space
+        want.append((space.particular, space.basis))
+        want_sizes.append(list(sizes))
+
+    def twice(stream):
+        def equations(b, scale):
+            for eq in stream(b, scale):
+                yield eq
+                yield eq
+        return equations
+
+    for name in ("L3", "L5"):
+        monkeypatch.setitem(bialgebra.EQUATIONS, name, twice(bialgebra.EQUATIONS[name]))
+    for b, space, rounds in zip(cases, want, want_sizes):
+        sizes.clear()
+        res = sigma_feasibility(b)
+        assert ((res.space.particular, res.space.basis), sizes) == (space, rounds), b.basis
+    assert any(len(rounds) > 2 for rounds in want_sizes)
 
 
 def test_check_axioms_report_order():
@@ -989,61 +1024,127 @@ def test_bialgebra_from_json_matches_the_dense_constructor(monkeypatch):
                     loaded.int_counit) == want, (b.basis, zero)
 
 
+class _Walked(list):
+    """A JSON list that counts the walks over it (``__iter__``); ``len`` and
+    ``count`` do not walk it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _walked(t):
+    """``t`` with each nested list a ``_Walked``."""
+    return _Walked(map(_walked, t)) if isinstance(t, list) else t
+
+
+def _walk_counts(t):
+    """The walks over ``t`` and over each list in it, read without walking."""
+    if not isinstance(t, _Walked):
+        return None
+    return t.walks, [_walk_counts(x) for x in list.__iter__(t)]
+
+
 def test_truncation_read_parses_only_the_nonzero_entries(monkeypatch):
-    """Reading the d = 22 truncation parses each entry that is not "0" once
-    and no "0". Each all-"0" cell reaches the constructor as one shared
-    ``ZeroCell``, and the constructor reads by ``as_frac`` only the nonzero
-    entries, besides ``unit`` and ``counit``."""
+    """Reading the d = 22 truncation walks ``mult`` and ``comult`` once: each
+    of their rows is walked once, a cell with an entry other than "0" once,
+    and an all-"0" cell never (one ``count`` finds it). Each entry that is
+    not "0" is parsed once and no "0" is. Both cubes reach ``_cube`` as
+    ``NonzeroCube``s, which it returns as they are, so ``as_frac`` reads
+    only ``unit`` and ``counit``."""
     b = comatrix_tensor_truncation(2, 2)
     obj = jsonio.bialgebra_to_json(b)
     flat = lambda t: [y for x in t for y in flat(x)] if isinstance(t, list) else [t]
     cubes = flat(obj["mult"]) + flat(obj["comult"])
-    parsed, read = [], []
-    memo_parser = jsonio._memo_parser
+    walked = dict(obj, mult=_walked(obj["mult"]), comult=_walked(obj["comult"]))
+    parsed, read, returned = [], [], []
+    memo_parser, as_frac, cube = jsonio._memo_parser, la.as_frac, bialgebra._cube
 
     def counting_parser():
         parse = memo_parser()
         return lambda x: parsed.append(x) or parse(x)
 
-    as_frac, given = la.as_frac, []
+    def tracked_cube(name, t, d):
+        out = cube(name, t, d)
+        returned.append((name, type(t).__name__, out is t))
+        return out
+
     monkeypatch.setattr(jsonio, "_memo_parser", counting_parser)
     monkeypatch.setattr(la, "as_frac", lambda x: read.append(x) or as_frac(x))
-    monkeypatch.setattr(jsonio, "FinDimBialgebra",
-                        lambda *fields: given.extend(fields) or FinDimBialgebra(*fields))
-    loaded = jsonio.bialgebra_from_json(obj)
-    # every all-"0" cell is one shared zero cell
-    _, mult, _, comult, _ = given
-    zero = next(cell for m in mult for cell in m if cell.__class__ is bialgebra.ZeroCell)
-    assert len(zero) == b.d
-    for got, cube in ((mult, obj["mult"]), (comult, obj["comult"])):
-        assert [[cell is zero for cell in m] for m in got] == [
-            [cell.count("0") == b.d for cell in m] for m in cube]
+    monkeypatch.setattr(bialgebra, "_cube", tracked_cube)
+    loaded = jsonio.bialgebra_from_json(walked)
+    assert returned == [("mult", "NonzeroCube", True), ("comult", "NonzeroCube", True)]
+    for field in ("mult", "comult"):
+        assert _walk_counts(walked[field]) == (1, [
+            (1, [(int(cell.count("0") < b.d), [None] * b.d) for cell in row])
+            for row in obj[field]])
     vectors = obj["unit"] + obj["counit"]
     assert sorted(parsed) == sorted(x for x in cubes + vectors if x != "0")
     assert len([x for x in cubes if x != "0"]) == 104 + 74
-    nonzero_cells = [cell for m in obj["mult"] + obj["comult"] for cell in m
-                     if cell.count("0") < b.d]
-    assert len(read) == sum(map(len, nonzero_cells)) - len(
-        [x for cell in nonzero_cells for x in cell if x == "0"]) + 2 * b.d
+    assert len(read) == 2 * b.d
     assert (loaded.mult_nz, loaded.comult_nz) == (b.mult_nz, b.comult_nz)
 
 
-def test_zero_cell_is_skipped_and_other_zero_cells_are_read():
-    """A ``ZeroCell`` has no nonzero entry without being read, and its shape
-    is checked; any other cell of zeros is read entry by entry, so a cell
-    of d complex zeros still raises."""
+def test_nonzero_cube_is_taken_as_it_is_and_other_cubes_are_read():
+    """``_cube`` returns a ``NonzeroCube`` as it is; any other cube has its
+    shape checked and is read entry by entry, so a cell of d complex zeros
+    still raises."""
     h4 = sweedler_h4()
-    zero = bialgebra.ZeroCell(4)
-    assert zero == (0,) * 4
     mult = [[list(cell) for cell in row] for row in h4.mult]
-    mult[2][2] = bialgebra.ZeroCell(3)
+    nonzeros = bialgebra.NonzeroCube(bialgebra._cube("mult", mult, 4))
+    assert bialgebra._cube("mult", nonzeros, 4) is nonzeros
+    assert FinDimBialgebra(h4.basis, nonzeros, h4.unit, h4.comult,
+                           h4.counit).mult_nz == h4.mult_nz
+    mult[2][2] = [0] * 3
     with pytest.raises(InvalidBialgebra, match="'mult' must be a 4 x 4 x 4 array"):
         FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit)
-    mult[2][2] = zero  # y * y = 0
-    assert FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit).mult_nz == h4.mult_nz
     mult[2][2] = [0j] * 4
     with pytest.raises(TypeError):
         FinDimBialgebra(h4.basis, mult, h4.unit, h4.comult, h4.counit)
+
+
+def _edited(obj, *edits):
+    """A deep copy of the JSON ``obj`` with each (path, value) set in turn."""
+    obj = json.loads(json.dumps(obj))
+    for path, value in edits:
+        t = obj
+        for k in path[:-1]:
+            t = t[k]
+        t[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    (((["mult", 1], [["1", "0"]]), (["comult", 1, 1, 1], "x")),
+     ValueError, "not a fraction string: 'x'"),
+    (((["mult", 0, 0, 1], "x"), (["mult", 0, 1], 3)), ValueError, "not a fraction string: 'x'"),
+    (((["mult", 0, 0], 3), (["mult", 0, 1, 1], "x")),
+     ValueError, "'mult' must be a 3-fold nested list of fractions"),
+    (((["mult"], [[["1", "0"]]]), (["unit"], {"a": 1})),
+     ValueError, "'unit' must be a 1-fold nested list of fractions"),
+    (((["comult", 0, 0], ["1"]), (["counit", 0], "1/0")), ValueError, "zero denominator: '1/0'"),
+    (((["mult", 0], []), (["basis"], ["a"])), ValueError, "basis length disagrees with 'dim'"),
+    (((["mult", 0, 0], ["1", "0", "0"]), (["unit"], ["1"])),
+     InvalidBialgebra, "'mult' must be a 2 x 2 x 2 array"),
+    (((["unit"], ["1"]), (["comult", 1], [])), InvalidBialgebra, "'unit' must have length 2"),
+    (((["mult", 0, 1], ["0"]), (["comult", 0, 1, 1], True)),
+     ValueError, "not a fraction string: True"),
+], ids=["comult-entry-before-mult-shape", "bad-string-before-non-list-cell",
+        "non-list-cell-before-bad-string", "unit-type-before-mult-shape",
+        "counit-entry-before-comult-cell-length", "basis-before-mult-shape",
+        "mult-shape-before-unit-length", "unit-length-before-comult-shape",
+        "comult-entry-after-short-zero-cell"])
+def test_bialgebra_read_refuses_the_first_of_two_faults(edits, error, message):
+    """A k[Z/2] document with two faults is refused with the message the
+    dense two-pass reader gave: the type and parse faults of mult, unit,
+    comult and counit in the order of a walk over them, then the length of
+    basis, then the shapes of mult, unit, comult and counit."""
+    obj = _edited(jsonio.bialgebra_to_json(cyclic_group_algebra(2)), *edits)
+    with pytest.raises(error) as info:
+        jsonio.bialgebra_from_json(obj)
+    assert str(info.value) == message
 
 
 def test_sigma_feasibility_soundness_sentinel():

@@ -1060,12 +1060,46 @@ def test_kz_compare_symmetric(tmp_path, capsys):
     assert code == 0 and json.loads(out)["oracle_distance"] < 1e-6
 
 
-def test_kz_compare_rejects_nonsymmetric(tmp_path, capsys, corpus):
-    op, loop = _kz_files(tmp_path, corpus["pair_235"])
-    code, _, err = _run(capsys, ["kz", "--op", op, "--points", "2",
-                                 "--h", "0.05", "--loop", loop, "--compare"])
-    assert code == 2
-    assert "symmetric" in err
+_FLIP = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+_EQUATION_1 = "comparison mode requires an operator that satisfies Long equation 1, [R12, R13] = 0"
+
+
+@pytest.mark.parametrize("matrix", [_FLIP, [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0],
+                                            [0, 0, 0, 0]]], ids=["flip", "one_minus_flip"])
+def test_kz_compare_rejects_operators_failing_equation_1(tmp_path, capsys, matrix):
+    """The flip P and I - P are flip-invariant and pass the KZ bracket, but
+    fail Long equation 1, on which the ``--compare`` oracle rests: with
+    base 0, 1, 10, point 2 about point 3, radius 0.5 and h = 0.05 its
+    distance from RK4 read 8.8e-4 at 16 to 1,024 steps. ``--compare``
+    refuses them, naming the equation."""
+    r = TensorOp2(2, matrix)
+    assert tensor_ops.check_laws(r, ["symmetric", "kz_bracket"]) == {"symmetric": True,
+                                                                     "kz_bracket": True}
+    op, loop = _kz_files(tmp_path, r)
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", "2",
+                                   "--h", "0.05", "--loop", loop, "--compare"])
+    assert (code, out, err) == (2, "", f"error: {_EQUATION_1}\n")
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("name", ["pair", "pair_235"])
+def test_kz_compare_accepts_nonsymmetric_long_operators(tmp_path, capsys, corpus, name, N):
+    """Long equation 1 is all the ``--compare`` oracle needs: on F1's pair
+    and on ``pair_235``, Long and not flip-invariant, point 2 circling
+    point 1 exits 0 with the oracle within 1e-6 at N = 2, 3 and 4."""
+    r = (make_pair([[1, 1], [0, 1]], [[1, 2], [0, 1]]) if name == "pair"
+         else corpus[name])
+    assert tensor_ops.check_laws(r, ["long", "symmetric"]) == {"long": True,
+                                                               "symmetric": False}
+    op = _write(tmp_path, "op.json", operator_to_json(r))
+    loop = _write(tmp_path, "loop.json", {
+        "base": [[0.0, 0.0], [0.5, 0.0], [0.0, 20.0], [-15.0, 0.0]][:N], "kind": "circle",
+        "steps": 256, "moving": 2, "center": 1, "radius": 0.5,
+    })
+    code, out, err = _run(capsys, ["kz", "--op", op, "--points", str(N), "--h", "0.05",
+                                   "--loop", loop, "--compare"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle_distance"] <= 1e-6
 
 
 def test_kz_without_compare_reports_holonomy(tmp_path, capsys, corpus):
@@ -1094,12 +1128,14 @@ def test_kz_without_compare_exits_0_on_failing_residual(tmp_path, capsys):
 
 
 def test_kz_compare_exits_1_on_failing_bracket(tmp_path, capsys):
-    """A flip-invariant operator that fails [R12, R13 + R23] = 0 passes the
-    ``--compare`` usage checks; the full report, oracle distance included,
-    goes to stdout and the failing residuals make the exit code 1."""
-    r = TensorOp2(2, [[0, 0, 0, 1], [0, -1, -1, -1], [0, -1, -1, -1], [-1, 0, 0, 0]])
-    assert tensor_ops.check_laws(r, ["symmetric", "kz_bracket"]) == {"symmetric": True,
-                                                                     "kz_bracket": False}
+    """An operator that satisfies Long equation 1, [R12, R13] = 0, and fails
+    [R12, R13 + R23] = 0 passes the ``--compare`` usage checks; the full
+    report, oracle distance included, goes to stdout and the failing
+    residuals make the exit code 1."""
+    r = TensorOp2(2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    z12, z13, _ = r.lifts
+    assert tensor_ops._commute(z12, z13)
+    assert not tensor_ops.check_laws(r, ["kz_bracket"])["kz_bracket"]
     op = _write(tmp_path, "op.json", operator_to_json(r))
     loop = _write(tmp_path, "loop.json", {
         "base": [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], "kind": "circle",
@@ -1137,17 +1173,17 @@ def _refuse(*args, **kwargs):
     raise RuntimeError("the usage checks must run first")
 
 
-@pytest.mark.parametrize("case", ["cap", "nonsymmetric", "explicit_center",
+@pytest.mark.parametrize("case", ["cap", "equation_1", "explicit_center",
                                   "encloses_second_point"])
 def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
-                                                          monkeypatch, corpus, case):
+                                                          monkeypatch, case):
     """Each usage error exits 2 before any bracket or integration.
     ``encloses_second_point``: point 2 circling point 1 (at 0) at radius 2
     also encloses point 3 (at 1.6), where the oracle is not exact:
     at h = 0.05 and 64 steps the integrated holonomy lies 0.31 from it."""
     monkeypatch.setattr(kz, "flatness_residuals", _refuse)
     monkeypatch.setattr(kz, "integrate_holonomy", _refuse)
-    r = corpus["pair_235"] if case == "nonsymmetric" else make_phi(2, [1, 1])
+    r = TensorOp2(2, _FLIP) if case == "equation_1" else make_phi(2, [1, 1])
     op, loop = _kz_files(tmp_path, r)
     argv = ["kz", "--op", op, "--points", "2", "--h", "0.05", "--loop", loop]
     if case == "cap":
@@ -1159,9 +1195,9 @@ def test_kz_usage_checks_precede_brackets_and_integration(tmp_path, capsys,
         })
         argv = ["kz", "--op", op, "--points", "4", "--h", "0.05", "--loop", loop]
         want = "n^N = 16 exceeds cap 8"
-    elif case == "nonsymmetric":
+    elif case == "equation_1":
         argv.append("--compare")
-        want = "comparison mode requires a symmetric operator (flip-invariant)"
+        want = _EQUATION_1
     elif case == "explicit_center":
         loop = _write(tmp_path, "loop.json", {
             "base": [[1.0, 0.0], [0.0, 0.0]], "kind": "circle", "steps": 64,
@@ -1656,6 +1692,45 @@ def test_kz_polygon_stdout_is_json_dump_of_itself(tmp_path, capsys):
 def test_emit_matches_json_dump_on_other_shapes(capsys, obj):
     _emit(obj)
     assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
+class _Writes:
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("kind", ["check", "check-witness", "construct", "frt", "roundtrip",
+                                  "bialgebra-check", "bialgebra-check-witness"])
+def test_emit_writes_the_json_dump_text_in_one_write(tmp_path, monkeypatch, kind):
+    """Every report that ``_emit`` writes is one write of the text that
+    ``json.dump(obj, indent=2)`` writes chunk by chunk, and a newline."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    bad = _write(tmp_path, "bad.json", operator_to_json(TensorOp2(2, _FLIP)))
+    b = cyclic_group_algebra(2)
+    bi = _write(tmp_path, "b.json", bialgebra_to_json(b))
+    table = [[2, 0], [0, 1]] if kind.endswith("witness") else SigmaTable.counit_square(b).table
+    sig = _write(tmp_path, "s.json", sigma_to_json(SigmaTable(table)))
+    argv = {"check": ["check", "--op", op, "--laws", "long,symmetric"],
+            "check-witness": ["check", "--op", bad, "--laws", "long"],
+            "construct": ["construct", "phi", "--n", "2", "--map", "1,1"],
+            "frt": ["frt", "--op", op],
+            "roundtrip": ["roundtrip", "--op", op],
+            "bialgebra-check": ["bialgebra-check", "--bialgebra", bi, "--sigma", sig],
+            "bialgebra-check-witness": ["bialgebra-check", "--bialgebra", bi, "--sigma", sig]}
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(argv[kind])
+    assert code == (1 if kind.endswith("witness") else 0)
+    [text] = out.writes
+    buf = io.StringIO()
+    json.dump(json.loads(text), buf, indent=2)
+    assert text == buf.getvalue() + "\n"
 
 
 # ---------------------------------------------------------------------------
