@@ -11,7 +11,6 @@ from .bialgebra import (
     GeneratorBialgebra,
     SigmaTable,
     check_axioms,
-    check_generator_long,
     comatrix_coalgebra,
     comatrix_tensor_truncation,
     cyclic_group_algebra,

@@ -405,15 +405,12 @@ class SigmaTable:
 # The checker, the solution space and the feasibility pass all read them.
 
 
-def _l1_equations(c, scale):
-    """L1 at (a, y, r): the e_r coefficient of
-    sum sigma(a_1 (x) y) a_2 - sum sigma(a_2 (x) y) a_1.
-
-    Reads only ``d`` and the comultiplication, so any ``Coalgebra`` serves;
-    linear, so the sigma scale does not enter.
-    """
-    d = c.d
-    for a, terms in enumerate(c.comult_nz):
+def _l1_rows(c):
+    """L1's coefficients, the one place they are formed: for each e_a in
+    turn, lazily, the rows (r, [(p, coefficient of sigma(e_p (x) y) e_r)]) of
+    sum sigma(a_1 (x) y) a_2 - sum sigma(a_2 (x) y) a_1, sorted by r and the
+    same for every y. Reads only ``comult_nz``, so any ``Coalgebra`` serves."""
+    for terms in c.comult_nz:
         coeffs = {}  # (r, p): coefficient of sigma(e_p (x) y) e_r
         for p, q, x in terms:
             coeffs[q, p] = coeffs.get((q, p), 0) + x
@@ -422,7 +419,13 @@ def _l1_equations(c, scale):
         for (r, p), x in coeffs.items():
             if x:
                 by_r.setdefault(r, []).append((p, x))
-        rows = sorted(by_r.items())
+        yield sorted(by_r.items())
+
+
+def _l1_equations(c, scale):
+    """L1 at (a, y, r) from ``_l1_rows``; linear, so the sigma scale does not enter."""
+    d = c.d
+    for a, rows in enumerate(_l1_rows(c)):
         for y in range(d):
             for r, pairs in rows:
                 yield (a, y), 0, {p * d + y: x for p, x in pairs}, {}
@@ -886,61 +889,6 @@ def generator_sigma_words(g: GeneratorBialgebra, table, w1, w2, left_first=False
         del memo[key]
     memo[key] = val
     return val
-
-
-def check_generator_long(g: GeneratorBialgebra, table):
-    """Degree-one strong D-identity over the free algebra on the generators.
-
-    For each generator pair (x, y), sum c sigma(lw (x) y) rw - sum c
-    sigma(rw (x) y) lw over the terms c lw (x) rw of Delta x is expanded
-    once, the coefficient of each word as const + sum lin[k] t_k in
-    t_{a*m+b} = sigma(g_a (x) g_b): a one-letter factor adds to ``lin``, any
-    other (eps for the empty word, the splitting laws past one letter) to
-    ``const``. Evaluated at ``table`` the forms give the violations; when
-    every factor has length <= 1 they are linear, and also the rows of the
-    forced constraints. Returns ``(ok, report)``: each violating pair with
-    its nonzero word coefficients, and the constraints when linearizable.
-    """
-    gens = list(g.generators)
-    m = len(gens)
-    gi = {name: k for k, name in enumerate(gens)}
-    t = [Fraction(table.get((a, b), F0)) for a in gens for b in gens]
-    linearizable = all(len(lw) <= 1 and len(rw) <= 1
-                       for x in gens for _, lw, rw in g.delta[x])
-    violations, rows, rhs = [], [], []
-    memo = {}
-    for x in gens:
-        for y in gens:
-            forms = {}  # word: [const, {k: coefficient of t_k}]
-            for c, lw, rw in g.delta[x]:
-                c = Fraction(c)
-                for f, u, w in ((c, lw, rw), (-c, rw, lw)):
-                    form = forms.setdefault(w, [F0, {}])
-                    if len(u) == 1:
-                        k = gi[u[0]] * m + gi[y]
-                        form[1][k] = form[1].get(k, F0) + f
-                    else:
-                        form[0] += f * generator_sigma_words(g, table, u, (y,), memo=memo)
-            bad = {}
-            for w, (const, lin) in forms.items():
-                val = const + sum([a * t[k] for k, a in lin.items()])
-                if val:
-                    bad[w] = val
-                if linearizable and (const or any(lin.values())):
-                    rows.append([lin.get(k, F0) for k in range(m * m)])
-                    rhs.append(-const)
-            if bad:
-                violations.append(((x, y), bad))
-    report = {"violations": violations}
-    if linearizable:
-        # with no row, the one zero row leaves every table allowed
-        sol = la.solve_affine(rows or [[F0] * (m * m)], rhs or [F0])
-        if sol is None:
-            report["constraints"] = None
-        else:
-            report["constraints"] = AffineTableSpace(m, *sol)
-            report["generator_order"] = gens
-    return (not violations, report)
 
 
 def strong_dmap_rsigma(c, s: SigmaTable, rho) -> TensorOp2:

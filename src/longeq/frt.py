@@ -37,9 +37,9 @@ argument, and a nonzero multiple of a vector is zero exactly when the
 vector is. So every verdict, and every first failure, is the one over Q:
 the counit is tested on integer RREF rows, Delta descent at scale L^2
 (pi (x) pi) and sigma descent at D (on integer rows). The coset table,
-formed when read, is L^2 D times sigma on projected labels, and
-``check_L1_on_generators`` tests L1 on it at L^3 D. ``_int_coset_table``
-forms it by ``tensor_ops._pullback``, as ``strong_dmap_rsigma`` forms R_sigma.
+formed when read, is L^2 D times sigma on projected labels, by
+``tensor_ops._pullback``, as ``strong_dmap_rsigma`` forms R_sigma. L1 on
+C/V is read from ``bialgebra._l1_rows``, its one encoding.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
+from . import bialgebra
 from . import linalg as la
-from .bialgebra import GeneratorBialgebra, generator_sigma_words
+from .bialgebra import Coalgebra, GeneratorBialgebra, generator_sigma_words
 from .errors import InternalCheckFailed, NotALongSolution, SigmaIllDefined
 from .linalg import F0, F1
 from .scalars import frac_str
@@ -173,10 +174,8 @@ class SigmaForm:
 
     ``int_table`` is D sigma_0, the form of Z (``TensorOp2.int_form``); the
     constructor checks descent on it and the integer RREF rows, and
-    ``table``, sigma_0 as Fractions, is formed from it on first read.
-    ``int_coset_table``, L^2 D sigma on the projections of every label
-    pair, is formed on first read by ``coset_table`` (its exact value),
-    ``round_trip`` or ``check_L1_on_generators``.
+    ``table``, sigma_0 as Fractions, is formed from it on first read, and
+    ``coset_table`` on first read too (by ``round_trip``).
     """
 
     def __init__(self, r: TensorOp2, quotient: QuotientCoalgebra):
@@ -191,27 +190,20 @@ class SigmaForm:
         return [[Fraction(x, self.scale) if x else F0 for x in row] for row in self.int_table]
 
     @cached_property
-    def int_coset_table(self):
-        return _int_coset_table(self.int_table, self.quotient)
-
-    @cached_property
     def coset_table(self):
-        """sigma(pi c_a (x) pi c_b) by comatrix slots a, b, as Fractions."""
-        scale = self.quotient.coset_scale ** 2 * self.scale
-        return [[Fraction(x, scale) if x else F0 for x in row] for row in self.int_coset_table]
+        """sigma(pi c_a (x) pi c_b) by comatrix slots a, b, as Fractions: the
+        ``_pullback`` of ``int_table`` on the representatives along
+        ``int_cosets``, over L^2 D."""
+        q, t = self.quotient, self.int_table
+        reps, scale = q.rep_slots, q.coset_scale ** 2 * self.scale
+        table = _pullback(q.int_cosets, [[t[a][b] for b in reps] for a in reps])
+        return [[Fraction(x, scale) if x else F0 for x in row] for row in table]
 
     def _check_descends(self):
         failure = _first_descent_failure(self.int_table, self.quotient.int_rows)
         if failure is not None:
             side = "V (x) C" if failure[2] == 1 else "C (x) V"
             raise SigmaIllDefined(f"sigma does not vanish on {side}")
-
-
-def _int_coset_table(table, quotient):
-    """P[a][b] = table(L pi c_a (x) L pi c_b) by comatrix slots a, b: the
-    ``_pullback`` of ``table`` on the representatives along ``int_cosets``."""
-    reps = quotient.rep_slots
-    return _pullback(quotient.int_cosets, [[table[a][b] for b in reps] for a in reps])
 
 
 class LongPresentation:
@@ -241,6 +233,12 @@ class LongPresentation:
              for t, dt in enumerate(self.delta)},
             dict(enumerate(self.eps)),
         )
+
+    @cached_property
+    def coalgebra(self):
+        """C/V as a ``Coalgebra`` on the generators, from ``delta`` and
+        ``eps``; formed on first use."""
+        return Coalgebra(self.names, self.delta, self.eps)
 
     @cached_property
     def _sigma_pairs(self):
@@ -282,14 +280,6 @@ class LongPresentation:
     @property
     def num_generators(self):
         return self.quotient.num_generators
-
-    def coset_sigma_word(self, vec_coords, word):
-        """sigma(coset (x) word) for a coset given in representative coords."""
-        acc = F0
-        for s, x in enumerate(vec_coords):
-            if x:
-                acc += x * sigma_extend(self, (s,), word)
-        return acc
 
 
 def build_LR(r: TensorOp2, naming=MappingProxyType({})) -> LongPresentation:
@@ -344,44 +334,30 @@ def sigma_extend(pres: LongPresentation, w1, w2, left_first=False) -> Fraction:
                                  left_first, pres._word_memo)
 
 
-def _l1_defect(q: QuotientCoalgebra, i, j, s):
-    """L (sum_v s[iv] pi(c_vj) - sum_a s[aj] pi(c_ia)) in representative
-    coordinates from the L-scaled ``int_cosets``, for 0-based i, j and ``s``
-    by comatrix slot (s[iv] = s[i*n + v]). At s[a] = sigma(pi c_a (x) y) it
-    is L times the projected L1 difference of (c_ij, y), as
-    Delta c_ij = sum_v c_iv (x) c_vj."""
-    n, cosets = q.n, q.int_cosets
-    acc = [0] * q.num_generators
-    for v in range(n):
-        for x, terms in ((s[i * n + v], cosets[v * n + j]), (-s[v * n + j], cosets[i * n + v])):
-            if x:
-                for t, y in terms:
-                    acc[t] += x * y
-    return acc
-
-
 def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
-    """Strong D-identity on every pair of basis cosets.
-
-    For cosets x = c_ij, y = c_pq the difference
-    sum_v sigma(c_iv (x) y) c_vj - sum_a sigma(c_aj (x) y) c_ia must project
-    to zero. ``sigma_table`` overrides the n^2 x n^2 form (mutation testing).
-    Returns ``(ok, witness)`` with the first violating (i, j, p, q) on failure.
-
-    The projection is linear, so each difference is ``_l1_defect`` of the
-    column of y in the L^2 D-scaled coset table (an override is scaled by
-    the lcm of its own denominators): a fixed nonzero multiple of the
-    rational difference, which vanishes exactly when it does.
+    """Strong D-identity on every pair of generators x, y of C/V:
+    sum sigma(x_1 (x) y) x_2 = sum sigma(x_2 (x) y) x_1, the
+    ``bialgebra._l1_equations`` of ``pres.coalgebra`` at ``sigma_gen``.
+    ``sigma_table``, an n^2 x n^2 form on comatrix labels (mutation
+    testing), overrides sigma at the representative slots; another shape
+    is a ValueError. Returns ``(ok, witness)``, on failure the first
+    violating generator pair named by its representative labels
+    (i, j, p, q). L1 is linear and the representative cosets are a basis of
+    C/V, so this is L1 on every pair of label cosets, and the witness is a
+    violating label pair.
     """
     q = pres.quotient
-    n = q.n
-    table = (pres.sigma.int_coset_table if sigma_table is None
-             else _int_coset_table(la.clear_denominators(sigma_table)[0], q))
-    columns = list(zip(*table))
-    for i, j, col in itertools.product(range(n), range(n), range(n * n)):
-        if any(_l1_defect(q, i, j, columns[col])):
-            return False, (i + 1, j + 1, col // n + 1, col % n + 1)
-    return True, None
+    table = pres.sigma_gen
+    if sigma_table is not None:
+        size = q.n * q.n
+        if len(sigma_table) != size or any(len(row) != size for row in sigma_table):
+            raise ValueError(f"'sigma_table' must be {size} x {size}, "
+                             f"one row and one column per label c_ij")
+        table = [[sigma_table[a][b] for b in q.rep_slots] for a in q.rep_slots]
+    where = bialgebra._first_violation(bialgebra._l1_equations(pres.coalgebra, 1), table)
+    if where is None:
+        return True, None
+    return False, (*q.rep_labels[where[0]], *q.rep_labels[where[1]])
 
 
 def _module_index(l, n):
@@ -391,14 +367,23 @@ def _module_index(l, n):
         raise ValueError(f"'l' must be an int in 1..{n}, got {l!r}")
 
 
+def _sigma_column(pres: LongPresentation, word):
+    """sigma(e_p (x) h) for each generator e_p; ``sigma_extend`` checks the word h."""
+    word = tuple(word)
+    return [sigma_extend(pres, (p,), word) for p in range(pres.num_generators)]
+
+
 def dimodule_action(pres: LongPresentation, word, l):
     """Left action of a generator word on the basis vector m_l.
 
     h . m_l = sum_v sigma(coset c_vl (x) h) m_v; returns the length-n vector.
     """
     q = pres.quotient
-    _module_index(l, q.n)
-    return [pres.coset_sigma_word(q.basis_coset(v, l), tuple(word)) for v in range(1, q.n + 1)]
+    n = q.n
+    _module_index(l, n)
+    s = _sigma_column(pres, word)
+    return [sum([x * s[t] for t, x in q.int_cosets[v * n + l - 1]], F0) / q.coset_scale
+            for v in range(n)]
 
 
 def dimodule_compatible(pres: LongPresentation, word, l) -> bool:
@@ -407,17 +392,25 @@ def dimodule_compatible(pres: LongPresentation, word, l) -> bool:
     With rho(m_l) = sum_v m_v (x) pi(c_vl) and s[a] = sigma(pi c_a (x) h),
     the two sides in M (x) C/V are rho(h . m_l) = sum_w m_w (x)
     sum_v s[vl] pi(c_wv) and sum_w m_w (x) sum_v s[wv] pi(c_vl). Their
-    difference at m_w is the projected L1 difference of (c_wl, h), as
-    Delta c_wl = sum_v c_wv (x) c_vl, so the sides agree exactly when
-    ``_l1_defect`` of s vanishes at (w, l) for every w: compatibility is L1
-    on C/V.
+    difference at m_w is L1's at (pi c_wl, h), as Delta c_wl =
+    sum_v c_wv (x) c_vl: compatibility is L1 on C/V. It is linear in
+    pi c_wl, a sum of generators e_t, each read by ``bialgebra._l1_rows``.
     """
     q = pres.quotient
     n = q.n
     _module_index(l, n)
-    word = tuple(word)
-    s = [pres.coset_sigma_word(q.basis_coset(*cm_label(a, n)), word) for a in range(n * n)]
-    return not any(any(_l1_defect(q, w, l - 1, s)) for w in range(n))
+    s = _sigma_column(pres, word)
+    # L1's difference at (e_t, h) by t, as its nonzero (r, e_r coefficient) pairs
+    diffs = [[(r, val) for r, pairs in rows if (val := sum([x * s[p] for p, x in pairs]))]
+             for rows in bialgebra._l1_rows(pres.coalgebra)]
+    for w in range(n):
+        acc = [F0] * q.num_generators
+        for t, x in q.int_cosets[w * n + l - 1]:
+            for r, val in diffs[t]:
+                acc[r] += x * val
+        if any(acc):
+            return False
+    return True
 
 
 def convolution_inverse(pres: LongPresentation):

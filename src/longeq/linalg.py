@@ -265,7 +265,9 @@ def _primitive(row):
 
 
 def _primitive_int_row(row):
-    """A rational row scaled to a primitive integer row spanning the same line."""
+    """A rational row scaled to a primitive integer row spanning the same line, a new list."""
+    if all(x.__class__ is int for x in row):
+        return _primitive(list(row))
     return _primitive(clear_denominators([row])[0][0])
 
 

@@ -21,10 +21,11 @@ from longeq import (
     TensorOp2,
     build_LR,
     check_axioms,
-    check_generator_long,
+    check_L1_on_generators,
     comatrix_coalgebra,
     comatrix_tensor_truncation,
     cyclic_group_algebra,
+    dimodule_compatible,
     fundamental_comodule,
     group_algebra,
     idempotent_maps,
@@ -996,6 +997,53 @@ def test_l1_equations_match_the_full_scan(monkeypatch):
         assert got == want
 
 
+def _l1_rows_without_the_subtracted_half(c):
+    """``bialgebra._l1_rows`` with the sum sigma(a_2 (x) y) a_1 left out."""
+    for terms in c.comult_nz:
+        coeffs = {}
+        for p, q, x in terms:
+            coeffs[q, p] = coeffs.get((q, p), 0) + x
+        by_r = {}
+        for (r, p), x in sorted(coeffs.items()):
+            if x:
+                by_r.setdefault(r, []).append((p, x))
+        yield sorted(by_r.items())
+
+
+def test_every_l1_reader_reads_the_one_encoding(monkeypatch):
+    """``bialgebra._l1_rows`` is the one place L1's coefficients are formed:
+    with the subtracted half of L1 dropped there, each reader of L1 changes
+    its result on a fixed input (k[Z/2] with eps (x) eps, and the
+    presentation of phi = (1, 1) at n = 2), so a reader that forms L1 on its
+    own fails here."""
+    b = cyclic_group_algebra(2)
+    s = SigmaTable.counit_square(b)
+
+    def results():
+        c, sigma, rho, pres = _quotient_inputs(make_phi(2, [1, 1]))
+        calls = {
+            "check_axioms": lambda: check_axioms(b, s, ["L1"]),
+            "l1_solution_space": lambda: l1_solution_space(b),
+            "strong_dmap_rsigma": lambda: strong_dmap_rsigma(c, sigma, rho).matrix,
+            "check_L1_on_generators": lambda: check_L1_on_generators(pres),
+            "dimodule_compatible": lambda: [dimodule_compatible(pres, [g], l)
+                                            for g in range(pres.num_generators)
+                                            for l in (1, 2)],
+        }
+        out = {}
+        for name, call in calls.items():
+            try:
+                out[name] = call()
+            except (LongeqError, ValueError) as exc:
+                out[name] = type(exc), str(exc)
+        return out
+
+    want = results()
+    monkeypatch.setattr(bialgebra, "_l1_rows", _l1_rows_without_the_subtracted_half)
+    got = results()
+    assert [name for name in want if got[name] == want[name]] == []
+
+
 def _respell_zeros(obj, zero):
     """A copy of bialgebra JSON with every "0" of every field written ``zero``."""
     def respell(t):
@@ -1222,6 +1270,63 @@ def test_generator_long_unconstrained_table_space():
     assert space.pinned() == {}
 
 
+def check_generator_long(g, table):
+    """Degree-one strong D-identity over the free algebra on the generators,
+    the oracle of ``frt.check_L1_on_generators``'s witness.
+
+    For each generator pair (x, y), sum c sigma(lw (x) y) rw - sum c
+    sigma(rw (x) y) lw over the terms c lw (x) rw of Delta x is expanded
+    once, the coefficient of each word as const + sum lin[k] t_k in
+    t_{a*m+b} = sigma(g_a (x) g_b): a one-letter factor adds to ``lin``, any
+    other (eps for the empty word, the splitting laws past one letter) to
+    ``const``. Evaluated at ``table`` the forms give the violations; when
+    every factor has length <= 1 they are linear, and also the rows of the
+    forced constraints. Returns ``(ok, report)``: each violating pair with
+    its nonzero word coefficients, in the order of (x, y), and the
+    constraints when linearizable.
+    """
+    gens = list(g.generators)
+    m = len(gens)
+    gi = {name: k for k, name in enumerate(gens)}
+    t = [F(table.get((a, b), 0)) for a in gens for b in gens]
+    linearizable = all(len(lw) <= 1 and len(rw) <= 1
+                       for x in gens for _, lw, rw in g.delta[x])
+    violations, rows, rhs = [], [], []
+    memo = {}
+    for x in gens:
+        for y in gens:
+            forms = {}  # word: [const, {k: coefficient of t_k}]
+            for c, lw, rw in g.delta[x]:
+                c = F(c)
+                for f, u, w in ((c, lw, rw), (-c, rw, lw)):
+                    form = forms.setdefault(w, [F(0), {}])
+                    if len(u) == 1:
+                        k = gi[u[0]] * m + gi[y]
+                        form[1][k] = form[1].get(k, F(0)) + f
+                    else:
+                        form[0] += f * generator_sigma_words(g, table, u, (y,), memo=memo)
+            bad = {}
+            for w, (const, lin) in forms.items():
+                val = const + sum([a * t[k] for k, a in lin.items()])
+                if val:
+                    bad[w] = val
+                if linearizable and (const or any(lin.values())):
+                    rows.append([lin.get(k, F(0)) for k in range(m * m)])
+                    rhs.append(-const)
+            if bad:
+                violations.append(((x, y), bad))
+    report = {"violations": violations}
+    if linearizable:
+        # with no row, the one zero row leaves every table allowed
+        sol = la.solve_affine(rows or [[F(0)] * (m * m)], rhs or [F(0)])
+        if sol is None:
+            report["constraints"] = None
+        else:
+            report["constraints"] = bialgebra.AffineTableSpace(m, *sol)
+            report["generator_order"] = gens
+    return (not violations, report)
+
+
 def _generator_long_oracle(g, table):
     """The two-pass body ``check_generator_long`` had: the violations from
     sigma on every factor, then the constraint rows built apart."""
@@ -1436,7 +1541,7 @@ def _quotient_inputs(r):
     pres = build_LR(r)
     q, n = pres.quotient, r.dim
     rho = [[q.basis_coset(v + 1, l + 1) for l in range(n)] for v in range(n)]
-    return Coalgebra(pres.names, pres.delta, pres.eps), SigmaTable(pres.sigma_gen), rho, pres
+    return pres.coalgebra, SigmaTable(pres.sigma_gen), rho, pres
 
 
 def _seeded_conjugate(rng, n, rank):
@@ -1540,7 +1645,7 @@ def test_strong_dmap_rejects_violations():
     r = make_phi(2, [1, 1])
     pres = build_LR(r)
     q = pres.quotient
-    c = Coalgebra(pres.names, pres.delta, pres.eps)
+    c = pres.coalgebra
     rho = [[q.basis_coset(v + 1, l + 1) for l in range(2)] for v in range(2)]
     bad = [row[:] for row in pres.sigma_gen]
     bad[0][0] += F(1)

@@ -828,7 +828,8 @@ def test_roundtrip_command(tmp_path, capsys):
 def test_build_decides_each_fact_once(tmp_path, capsys, monkeypatch, corpus):
     """``build_LR`` (and so ``frt``) runs neither the L1 check, the round
     trip nor the coset table, which follow from descent; ``roundtrip``
-    calls ``round_trip`` exactly once, which forms the coset table."""
+    calls ``round_trip`` exactly once, which forms the coset table by one
+    ``_pullback``."""
     calls = []
 
     def spy(name, fn):
@@ -837,7 +838,7 @@ def test_build_decides_each_fact_once(tmp_path, capsys, monkeypatch, corpus):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("check_L1_on_generators", "round_trip", "_int_coset_table"):
+    for name in ("check_L1_on_generators", "round_trip", "_pullback"):
         monkeypatch.setattr(frt, name, spy(name, getattr(frt, name)))
     monkeypatch.setattr(cli, "round_trip", frt.round_trip)  # cli binds it by name
     for r in corpus.values():
@@ -847,7 +848,7 @@ def test_build_decides_each_fact_once(tmp_path, capsys, monkeypatch, corpus):
     assert _run(capsys, ["frt", "--op", op, "--present"])[0] == 0
     assert calls == []
     assert _run(capsys, ["roundtrip", "--op", op])[0] == 0
-    assert calls == ["round_trip", "_int_coset_table"]
+    assert calls == ["round_trip", "_pullback"]
 
 
 def test_roundtrip_mismatch_is_internal_error(tmp_path, capsys, monkeypatch):

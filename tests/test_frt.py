@@ -40,6 +40,7 @@ from longeq.frt import (
 )
 from longeq.tensor_ops import _descent_basis, _obstruction_rows
 from conftest import upper_pair_operator
+from test_bialgebra import check_generator_long
 from test_linalg import _rref_oracle
 from test_tensor_ops import (
     _late_violation_cases,
@@ -403,7 +404,8 @@ def _dimodule_oracle(pres, word, l):
                 for t in range(m):
                     lhs[w - 1][t] += act[v - 1] * wv[t]
         for v in range(1, n + 1):
-            s = pres.coset_sigma_word(q.basis_coset(w, v), word)
+            s = sum([x * sigma_extend(pres, (t,), word)
+                     for t, x in enumerate(q.basis_coset(w, v)) if x], F(0))
             if s:
                 vl = q.basis_coset(v, l)
                 for t in range(m):
@@ -424,8 +426,8 @@ def test_dimodule_compatible_matches_the_two_sided_oracle(corpus):
         for trial in range(4):
             pres = build_LR(r)
             m = pres.num_generators
-            # the word engine is formed on first use, after the perturbation
-            assert not {"generator_bialgebra", "_sigma_pairs"} & set(vars(pres)), name
+            # the word engine and C/V are formed on first use, after the perturbation
+            assert not {"generator_bialgebra", "_sigma_pairs", "coalgebra"} & set(vars(pres)), name
             for _ in range(trial):
                 pres.sigma_gen[rng.randrange(m)][rng.randrange(m)] += F(rng.choice([-2, 1, 3]), 2)
             words = [[g] for g in range(m)] + [[rng.randrange(m), rng.randrange(m)]]
@@ -506,13 +508,39 @@ def test_coset_table_matches_direct_pairing(corpus):
                 assert p_table[a][b] == want, (name, a, b)
 
 
-def test_sigma_mutation_witnesses_are_unchanged():
-    """Witnesses of the mutation override, pinned from the projection of each
-    pairing one at a time (before the shared coset table)."""
+def test_sigma_mutation_witnesses_are_the_first_generator_pair():
+    """The override's witness is the first violating pair of generators, in
+    index order, named by its representative labels. sigma_0 satisfies L1
+    (``build_LR``), and L1 is linear in sigma, so a mutation that puts
+    sigma(g (x) g') off by delta on two representatives g, g' leaves
+    delta (sum_{a_1 = g} a_2 - sum_{a_2 = g} a_1) at (a, g'), the terms of
+    Delta a that hold g, and zero at every other (a, y). A mutation at a
+    label that is not a representative is not read. Delta a is
+    sum_v c_iv (x) c_vj for a = c_ij, projected along the relations.
+
+    * phi = (1, 2, 2, 2): the representatives are c_11, c_33, c_34, c_42,
+      c_43, c_44, and c_12, c_13, c_14, c_21, c_23, c_24 lie in V. The
+      mutation is sigma(c_33 (x) c_11) + 1. Delta c_11 = c_11 (x) c_11 holds
+      no c_33. Delta c_33 = c_33 (x) c_33 + c_34 (x) c_43 holds it only as
+      c_33 (x) c_33, which adds c_33 - c_33 = 0. Delta c_34 =
+      c_33 (x) c_34 + c_34 (x) c_44 leaves c_34 != 0: (3, 4, 1, 1). The
+      label-order scan named (3, 2, 1, 1), since c_32 projects to
+      c_42 + c_43 + c_44 - c_33 - c_34.
+    * phi = (2, 2, 4, 4): the representatives are c_12, c_14, c_22, c_32,
+      c_34, c_44, with c_11 = c_22 - c_12 and c_13 = -c_14 modulo V, and
+      c_24 and c_42 in V. c_11 is not a representative, so only sigma(c_12 (x) c_34)
+      + 2 is read. Delta c_12 = -c_12 (x) c_12 + c_12 (x) c_22 -
+      c_14 (x) c_32 + c_22 (x) c_12 leaves 2(-c_12 + c_22 + c_12 - c_22) = 0.
+      Delta c_14 = -c_12 (x) c_14 - c_14 (x) c_34 + c_14 (x) c_44 +
+      c_22 (x) c_14 leaves -2 c_14 != 0: (1, 4, 3, 4). The label-order scan
+      named (1, 3, 3, 3).
+    * phi = (1, 2, 2, 2) with sigma(c_42 (x) c_22) + 3: c_22 is not a
+      representative, so L1 holds.
+    """
     cases = [
-        ((1, 2, 2, 2), [((3, 3), (1, 1), F(1))], (False, (3, 2, 1, 1))),
+        ((1, 2, 2, 2), [((3, 3), (1, 1), F(1))], (False, (3, 4, 1, 1))),
         ((2, 2, 4, 4), [((1, 2), (3, 4), F(2)), ((3, 4), (1, 1), F(-1, 2))],
-         (False, (1, 3, 3, 3))),
+         (False, (1, 4, 3, 4))),
         ((1, 2, 2, 2), [((4, 2), (2, 2), F(3))], (True, None)),
     ]
     for phi, mutations, want in cases:
@@ -523,6 +551,21 @@ def test_sigma_mutation_witnesses_are_unchanged():
         assert check_L1_on_generators(pres, sigma_table=mutated) == want, phi
         # the override does not leak into the presentation's own table
         assert check_L1_on_generators(pres) == (True, None)
+
+
+@pytest.mark.parametrize("size", [9, 2])
+def test_l1_override_refuses_a_table_that_is_not_n2_by_n2(size):
+    """An override must be n^2 x n^2: on make_phi(2, [1, 2]) a 9 x 9 table
+    was read at its top-left corner and passed, and a 2 x 2 one raised
+    IndexError. A table with one short row is refused too."""
+    pres = build_LR(make_phi(2, [1, 2]))
+    match = r"^'sigma_table' must be 4 x 4, one row and one column per label c_ij$"
+    with pytest.raises(ValueError, match=match):
+        check_L1_on_generators(pres, sigma_table=[[F(0)] * size for _ in range(size)])
+    ragged = [row[:] for row in pres.sigma.table]
+    ragged[3] = ragged[3][:3]
+    with pytest.raises(ValueError, match=match):
+        check_L1_on_generators(pres, sigma_table=ragged)
 
 
 def _rref_int_oracle(rows):
@@ -694,8 +737,9 @@ def _coset_table_oracle(table, q):
             for a in range(n * n)]
 
 
-def _check_L1_oracle(pres, sigma_table=None):
-    """The Fraction body of ``check_L1_on_generators``."""
+def _l1_oracle_violations(pres, sigma_table=None):
+    """Each label pair (i, j, p, q) at which the Fraction L1 difference of
+    (c_ij, c_pq), projected to C/V, is nonzero, in label order."""
     q = pres.quotient
     n = q.n
     table = _coset_table_oracle(pres.sigma.table if sigma_table is None else sigma_table, q)
@@ -718,8 +762,14 @@ def _check_L1_oracle(pres, sigma_table=None):
                             for t, x in terms[(i, a)]:
                                 acc[t] -= s * x
                     if any(acc):
-                        return False, (i, j, p, q_)
-    return True, None
+                        yield i, j, p, q_
+
+
+def _check_L1_oracle(pres, sigma_table=None):
+    """The verdict of the Fraction L1 on every label pair, with its first
+    violating pair in label order."""
+    first = next(_l1_oracle_violations(pres, sigma_table), None)
+    return first is None, first
 
 
 def _dense_conjugates_4():
@@ -798,23 +848,38 @@ def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions
 
 
 def test_l1_override_matches_fraction_oracle(phi4_solutions):
-    """Mutated tables, integral and fractional, against the Fraction L1."""
+    """Mutated tables, integral and fractional, against the Fraction L1 on
+    every label pair: the same verdict, and a witness that is a violating
+    label pair there and the first violating generator pair of
+    ``check_generator_long`` (test_bialgebra) on the override read at the
+    representatives. Every phi at n <= 4, dense and fractional conjugates."""
     rng = random.Random(17)
-    ops = {phi: phi4_solutions[phi] for phi in [(1, 2, 2, 2), (2, 2, 4, 4), (1, 1, 3, 3)]}
+    ops = {f"phi{n}_{''.join(map(str, phi))}": make_phi(n, phi)
+           for n in (1, 2, 3) for phi in idempotent_maps(n)}
+    ops.update({f"phi4_{''.join(map(str, phi))}": r for phi, r in phi4_solutions.items()})
     ops.update(_dense_conjugates_4())
     ops.update(_fractional_conjugates())
     seen = set()
     for name, r in ops.items():
         pres = build_LR(r)
-        size = r.dim ** 2
-        for _ in range(6):
+        q, size = pres.quotient, r.dim ** 2
+        for _ in range(3 if name.startswith("phi") else 6):
             mutated = [row[:] for row in pres.sigma.table]
             for _ in range(rng.randint(1, 2)):
                 a, b = rng.randrange(size), rng.randrange(size)
                 mutated[a][b] += rng.choice((F(1), F(-1), F(-1, 2), F(2, 3)))
-            got = check_L1_on_generators(pres, sigma_table=mutated)
-            assert got == _check_L1_oracle(pres, mutated), (name, mutated)
-            seen.add(got[0])
+            ok, witness = check_L1_on_generators(pres, sigma_table=mutated)
+            violations = list(_l1_oracle_violations(pres, mutated))
+            assert ok == (not violations), (name, mutated)
+            reps = q.rep_slots
+            table = {(s, u): mutated[a][b] for s, a in enumerate(reps) for u, b in enumerate(reps)}
+            gen_ok, report = check_generator_long(pres.generator_bialgebra, table)
+            assert gen_ok == ok, (name, mutated)
+            if not ok:
+                assert witness in violations, (name, mutated)
+                x, y = report["violations"][0][0]
+                assert witness == (*q.rep_labels[x], *q.rep_labels[y]), (name, mutated)
+            seen.add(ok)
     assert seen == {True, False}
 
 
