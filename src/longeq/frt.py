@@ -334,27 +334,18 @@ def sigma_extend(pres: LongPresentation, w1, w2, left_first=False) -> Fraction:
                                  left_first, pres._word_memo)
 
 
-def check_L1_on_generators(pres: LongPresentation, sigma_table=None):
+def check_L1_on_generators(pres: LongPresentation):
     """Strong D-identity on every pair of generators x, y of C/V:
     sum sigma(x_1 (x) y) x_2 = sum sigma(x_2 (x) y) x_1, the
     ``bialgebra._l1_equations`` of ``pres.coalgebra`` at ``sigma_gen``.
-    ``sigma_table``, an n^2 x n^2 form on comatrix labels (mutation
-    testing), overrides sigma at the representative slots; another shape
-    is a ValueError. Returns ``(ok, witness)``, on failure the first
-    violating generator pair named by its representative labels
-    (i, j, p, q). L1 is linear and the representative cosets are a basis of
-    C/V, so this is L1 on every pair of label cosets, and the witness is a
-    violating label pair.
+    Returns ``(ok, witness)``, on failure the first violating generator
+    pair named by its representative labels (i, j, p, q). L1 is linear and
+    the representative cosets are a basis of C/V, so this is L1 on every
+    pair of label cosets, and the witness is a violating label pair.
     """
     q = pres.quotient
-    table = pres.sigma_gen
-    if sigma_table is not None:
-        size = q.n * q.n
-        if len(sigma_table) != size or any(len(row) != size for row in sigma_table):
-            raise ValueError(f"'sigma_table' must be {size} x {size}, "
-                             f"one row and one column per label c_ij")
-        table = [[sigma_table[a][b] for b in q.rep_slots] for a in q.rep_slots]
-    where = bialgebra._first_violation(bialgebra._l1_equations(pres.coalgebra, 1), table)
+    where = bialgebra._first_violation(bialgebra._l1_equations(pres.coalgebra, 1),
+                                       pres.sigma_gen)
     if where is None:
         return True, None
     return False, (*q.rep_labels[where[0]], *q.rep_labels[where[1]])

@@ -42,8 +42,8 @@ m k n from which complex and real products started the threads. The words
 path's product is real (the words of a rational R are) and is taken in
 calls of at most SERIAL_PRODUCT m k n, the work of 2^15 complex
 multiply-adds, below the real size recorded there. The stacked products of
-the pairwise product, which both propagator forms take, still run on the
-threads at large d.
+its pairwise product (``_multiply_increments``) still run on the threads at
+large d.
 
 The ``--compare`` distance is derived in ``oracle_distance``.
 """
@@ -76,10 +76,9 @@ MIN_SEPARATION_FACTOR = 1e-6
 # separation guard can overflow
 MAX_COORDINATE = 1e100
 MAX_STEPS = 1_000_000  # the separation guard alone samples 2 * steps + 1 positions
-# complex entries formed at once: the integrator batches about
-# CHUNK_ENTRIES // dim^2 propagator steps (one at dim 256), in either
-# form, or
-# CHUNK_ENTRIES // nnz(A) steps of stage data when it applies A to W; the
+# complex entries formed at once: the integrator batches
+# CHUNK_ENTRIES // nnz(A) steps of stage data when it applies A to W, or
+# about CHUNK_ENTRIES // dim^2 steps of the words path's increments; the
 # separation guard CHUNK_ENTRIES // (N(N-1)/2) samples
 CHUNK_ENTRIES = 1 << 16
 # bytes the integrator may hold (``integration_bytes``): 11 MB for a phi
@@ -405,7 +404,7 @@ def _stacked(op, labels, moved):
     Returns ``(op, pos, layout)``: the segment's operator on the live rows,
     those of the components that hold a moved column; the positions
     row * r + col of its entries on those r rows, in CSR order, which
-    ``segment_words`` and the stage matrices read; and the layout that
+    ``segment_words`` reads; and the layout that
     ``_stack_positions`` reads. Row p of the tall array is row ``rows[p]``
     of W, and holds W's moved columns ``cols[start[p]:start[p] + count[p]]``,
     those of its component, in its first ``count[p]`` entries, and zeros up
@@ -455,30 +454,31 @@ def _evaluation(d, terms, nnz):
     """The cost rule: (evaluation, batch) for a segment of T = ``terms``
     live lifts whose A has ``nnz`` entries.
 
-    *apply* iff 8 nnz d + 32^3 <= d^3, in batches of the stage data of
-    CHUNK_ENTRIES // nnz steps: each of its sparse products A x costs about
-    nnz(A) d complex multiply-adds, priced at 8 BLAS ones against the d^3
-    of a dense product, and 32^3 covers the fixed cost of the four sparse
-    products per step, which rules at small d. Otherwise the propagator, in
-    batches of b = CHUNK_ENTRIES // d^2 steps: from the W = ``_word_count(T)``
-    lift words (2 W d^2 real multiply-adds per step) iff W <= 64 and
-    W <= min(2 b + 1, d^2), else from stacked stages (three stacked d^3
-    products per step). The second bound keeps the words within the stage
-    buffer of stacked stages, and their coefficients within b stage
-    matrices. T = 1, 2, 3, 4 make W = 4, 30, 120, 340, so every bound from
-    30 to 119 takes the same decisions: words are taken, where *apply* is
-    not, for one live lift at 2 <= d <= 181 and for two at 6 <= d <= 66,
-    and never for more. On each loop that ``BENCH_35.json`` records with
-    every evaluation forced, the rule picks the fastest one or one within
-    10% of it.
+    Words, in batches of b = CHUNK_ENTRIES // d^2 steps, iff
+    8 nnz d + 32^3 > d^3 and the W = ``_word_count(T)`` lift words satisfy
+    W <= 64 and W <= min(2 b + 1, d^2); else *apply*, in batches of the
+    stage data of CHUNK_ENTRIES // nnz steps. Each of *apply*'s sparse
+    products A x costs about nnz(A) d complex multiply-adds, priced at 8
+    BLAS ones against the d^3 of a dense product, and 32^3 covers the fixed
+    cost of its four sparse products per step, which rules at small d. A
+    words step costs 2 W d^2 real multiply-adds and its share of the
+    pairwise product. The second bound keeps the real words, W / 2 d x d
+    complex matrices, within b + 1/2 of them, and a batch's (W, b)
+    coefficients within b, which ``integration_bytes`` counts on. T = 1, 2,
+    3, 4 make W = 4, 30, 120, 340, so every bound from 30 to 119 takes the
+    same decisions: words are taken, where *apply* is not, for one live
+    lift at 2 <= d <= 181 and for two at 6 <= d <= 66, and never for more.
+    On each loop that ``BENCH_35.json`` records with every evaluation
+    forced, the rule picks the faster of the two, or one within 10% of it,
+    except the d = 16 circle of three lifts: W = 120 there, and *apply*
+    took about 2.5 times the time of words. No benchmark workload has that
+    shape.
     """
-    if 8 * nnz * d + 32 ** 3 <= d ** 3:
-        return "apply", max(1, CHUNK_ENTRIES // max(nnz, terms))
     batch = max(1, CHUNK_ENTRIES // max(d * d, terms))
-    words = _word_count(terms)
-    if words <= min(64, 2 * batch + 1, d * d):
+    if (8 * nnz * d + 32 ** 3 > d ** 3
+            and _word_count(terms) <= min(64, 2 * batch + 1, d * d)):
         return "words", batch
-    return "propagator", batch
+    return "apply", max(1, CHUNK_ENTRIES // max(nnz, terms))
 
 
 def integration_bytes(sys: KZSystem, loop: LoopSpec):
@@ -486,49 +486,52 @@ def integration_bytes(sys: KZSystem, loop: LoopSpec):
     builds nothing.
 
     With T the most live pairs on a segment, E = T n^(N-2) nnz(R) lift
-    entries bound nnz(A). The rule at E picks the d x d arrays. W and the
-    component-stacked array that a segment steps are two: the array's rows,
-    those of the live components, and its width, the most moved columns of
-    one component, are at most d. The positions that gather and scatter it,
-    16 bytes per entry, are one more, formed only where a run of segments
-    with the same live pairs begins and ends. *apply* adds the four buffers
-    of ``_apply_steps``, not held with the positions: APPLY_ARRAYS. The
-    propagator forms work on the live rows, in matrices of at most d x d. A
-    batch of b steps of stacked stages adds 2 b + 1 stage matrices, held
-    with the positions, and X2, X3 and X4: 5 b + 3 in all. It frees X3 and
-    X4 before the pairwise product, whose levels hold X2 and at most
-    ceil(b / 2) more matrices, and before the product that updates W. The
-    words path holds fewer: its real words (W / 2 matrices, with
-    W <= 2 b + 1), a buffer of 2 b matrices that holds
-    the increments twice and then the pairwise levels, and, while a batch's
+    entries bound nnz(A). W and the component-stacked array that a segment
+    steps are two d x d arrays: the array's rows, those of the live
+    components, and its width, the most moved columns of one component,
+    are at most d. The positions that gather and scatter it, 16 bytes per
+    entry, are one more, formed only where a run of segments with the same
+    live pairs begins and ends. *apply* adds the four buffers of
+    ``_apply_steps``, not held with the positions: APPLY_ARRAYS in all. A
+    segment of T_s lifts takes words only if the rule does at its
+    E_s = T_s n^(N-2) nnz(R) entries: below E_s the *apply* test can only
+    pass, and the words test reads T_s alone. A words batch of b steps
+    works on the live rows, in matrices of at most d x d, and holds at most
+    5 b + 3 of them with W and the stacked array: its real words (W / 2
+    matrices, with W <= 2 b + 1), a buffer of 2 b matrices that holds the
+    increments twice and then the pairwise levels, and, while a batch's
     (W, b) coefficients are formed, at most 1.2 b more (the pieces, the
-    result and the stage coefficients, at most 2 W + 2 T^2 + 3 T entries per
-    step, with W <= d^2, d >= 8 for two lifts and d >= 4 for one). Forming
-    the words holds at most W / 2 matrices more, and the map and the T <= 2
-    sparse lifts it reads stay within ENTRY_BYTES per lift entry (words are
-    taken for at most two lifts, ``integrate_holonomy``). A segment whose
-    nnz(A) is below E can only switch to *apply* or to words, which hold
-    fewer. Stage data, formed and copied once per batch, is at most
-    2 (2 CHUNK_ENTRIES + 3 E) complex entries, and building the operator
-    takes ENTRY_BYTES per lift entry. That also covers a held operator with
-    its copy on the live rows: the position, the data and the map of each
-    entry, about 52 bytes, and the copy's column indices and positions,
-    12 bytes. The components are read off the operator of the U pairs live
-    on any segment. When some live segment has other pairs, that operator is
-    built beside a segment's, and adds E_U = U n^(N-2) nnz(R) entries; else
-    E_U = 0, since a segment's operator is the union's:
+    result and the stage coefficients, at most 2 W + 2 T^2 + 3 T entries
+    per step, with W <= d^2, d >= 8 for two lifts and d >= 4 for one).
+    Forming the words holds at most W / 2 matrices more, and the map and
+    the T <= 2 sparse lifts it reads stay within ENTRY_BYTES per lift entry
+    (``_evaluation`` takes words for at most two lifts). So ``arrays`` is
+    the largest 5 b + 3 of a segment that takes words, else APPLY_ARRAYS.
+    Stage data, formed
+    and copied once per batch, is at most 2 (2 CHUNK_ENTRIES + 3 E) complex
+    entries, and building the operator takes ENTRY_BYTES per lift entry.
+    That also covers a held operator with its copy on the live rows: the
+    position, the data and the map of each entry, about 52 bytes, and the
+    copy's column indices and positions, 12 bytes. The components are read
+    off the operator of the U pairs live on any segment. When some live
+    segment has other pairs, that operator is built beside a segment's, and
+    adds E_U = U n^(N-2) nnz(R) entries; else E_U = 0, since a segment's
+    operator is the union's:
 
         16 (arrays d^2 + 2 (2 CHUNK_ENTRIES + 3 E)) + ENTRY_BYTES (E + E_U).
     """
     d = sys.dim
     seg_pairs = segment_pairs(loop)
-    terms = max(map(len, seg_pairs), default=0)
+    live = [len(p) for p in seg_pairs if p]
     per_pair = (d // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
-    entries = terms * per_pair
+    entries = max(live, default=0) * per_pair
     union = _union_pairs(seg_pairs)
     extra = len(union) * per_pair if any(p and p != union for p in seg_pairs) else 0
-    mode, batch = _evaluation(d, terms, entries)
-    arrays = APPLY_ARRAYS if mode == "apply" else 5 * batch + 3
+    arrays = APPLY_ARRAYS
+    for terms in set(live):
+        mode, batch = _evaluation(d, terms, terms * per_pair)
+        if mode == "words":
+            arrays = max(arrays, 5 * batch + 3)
     item = np.dtype(complex).itemsize
     return (item * (arrays * d * d + 2 * (2 * CHUNK_ENTRIES + 3 * entries))
             + ENTRY_BYTES * (entries + extra))
@@ -606,43 +609,11 @@ def _apply_steps(w, op, data, dt):
     return w
 
 
-def _propagator_steps(w, a, dt):
-    """The same steps as propagators M = I + (M - I), from the dense stage
-    matrices ``a`` (start, middle, end, middle, ...); the batch is applied
-    as w + (M_b ... M_1 - I) w."""
-    inc = _stage_increments(a, dt)
-    return _multiply_increments(w, inc, np.empty_like(inc[:(len(inc) + 1) // 2]))
-
-
-def _stage_increments(a, dt):
-    """Each step's M - I from the dense stage matrices ``a``:
-    M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with X2 = A2 (I + dt/2 A1),
-    X3 = A2 (I + dt/2 X2) and X4 = A4 (I + dt X3), three stacked products
-    and twelve elementwise passes."""
-    a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
-    x2 = a2 @ a1
-    x2 *= dt / 2
-    x2 += a2
-    x3 = a2 @ x2
-    x3 *= dt / 2
-    x3 += a2
-    x4 = a4 @ x3
-    x4 *= dt
-    x4 += a4
-    # M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4), summed in that order
-    x2 *= 2
-    x2 += a1
-    x3 *= 2
-    x2 += x3
-    x2 += x4
-    x2 *= dt / 6
-    return x2  # within integration_bytes: X3 and X4 are freed on return
-
-
 def _words_steps(w, held, c, dt):
-    """The same steps as propagators, each M - I formed from the segment's
-    lift words and the lift coefficients ``c``, one row per lift and one
-    column per stage time (start, middle, end, middle, ...).
+    """``_apply_steps``' RK4 steps as propagators M = I + (M - I), each
+    M - I formed from the segment's lift words and the lift coefficients
+    ``c``, one row per lift and one column per stage time (start, middle,
+    end, middle, ...).
 
     ``held`` is ``_words_held``'s (words, buffer). Every batch of the
     segment writes its b increments into the buffer twice, as d^2 x b and
@@ -787,25 +758,23 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
     it is and ends no run, and a polygon on which every point moves is one
     run): a row for each row of W in a component that holds a moved column,
     holding that component's moved columns, padded with zeros, with the
-    operator taken on the same rows. This is exact in every evaluation:
-    *apply* applies A, and each propagator step's M - I is a polynomial in
-    the A(t), so each is block diagonal along the components, and a row of
-    the tall array meets only rows of its own component; padded columns
-    stay zero. Under *apply* the result is W's full-width run bit for bit:
+    operator taken on the same rows. This is exact in both evaluations:
+    *apply* applies A, and each words step's M - I is a polynomial in the
+    A(t), so each is block diagonal along the components, and a row of the
+    tall array meets only rows of its own component; padded columns stay
+    zero. Under *apply* the result is W's full-width run bit for bit:
     ``csr_matvecs`` sums each output entry over its row's stored entries in
     stored order, the operator on the live rows keeps them all in order,
-    and the RK4 sums are elementwise. The propagator forms agree with it to
-    rounding. ``BENCH_27.json`` (``layers_in_process``) records the
+    and the RK4 sums are elementwise. Words agree with it to rounding. ``BENCH_27.json`` (``layers_in_process``) records the
     integration times against stepping W[:, moved], and ``BENCH_35.json``
     the tall arrays of phi loops.
 
     Each segment is integrated by the evaluation that ``_evaluation``
-    picks: *apply* (``_apply_steps``), or a propagator whose batches of
-    steps ``_multiply_increments`` multiplies and applies, formed from
-    stacked stages (``_propagator_steps``) or from the segment's lift words
-    (``_words_steps``). Stage coefficients are formed for batches of steps
-    holding at most about CHUNK_ENTRIES entries of stage data (or of stage
-    matrices).
+    picks: *apply* (``_apply_steps``), or propagators formed from the
+    segment's lift words (``_words_steps``), whose batches of steps
+    ``_multiply_increments`` multiplies and applies. Stage coefficients are
+    formed for batches of steps holding at most about CHUNK_ENTRIES entries
+    of stage data (or of increments).
 
     The integration runs with numpy's floating-point warnings off; a
     holonomy that is not finite, from an overflow, is a ValueError.
@@ -831,11 +800,7 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
             labels = _components(op if pairs == union
                                  else segment_operator(sys, union)[0])
         op, pos, layout = _stacked(op, labels, moved)
-        held = None
-        if mode == "words":
-            held = _words_held(op, pos, m, batch)
-        elif mode == "propagator":  # stage matrices; entries off the pattern stay zero
-            held = np.zeros((2 * batch + 1, op.shape[0] ** 2), dtype=complex)
+        held = _words_held(op, pos, m, batch) if mode == "words" else None
         shape, src, dst = _stack_positions(layout)  # C order, as scipy reads it
         part = np.zeros(shape, dtype=complex)
         part.put(src, w.take(dst))
@@ -850,11 +815,8 @@ def integrate_holonomy(sys: KZSystem, loop: LoopSpec) -> np.ndarray:
                 coeffs = sys.h * v[rows] / (z[rows] - z[cols])
                 if mode == "words":
                     part = _words_steps(part, held, coeffs, dt)
-                elif mode == "apply":
-                    part = _apply_steps(part, op, np.ascontiguousarray((m @ coeffs).T), dt)
                 else:
-                    held[:len(ts), pos] = (m @ coeffs).T
-                    part = _propagator_steps(part, held[:len(ts)].reshape(-1, *op.shape), dt)
+                    part = _apply_steps(part, op, np.ascontiguousarray((m @ coeffs).T), dt)
         _, src, dst = _stack_positions(layout)
         w.put(dst, part.take(src))
         del op, pos, m, held, part, src, dst  # freed before the next run's operator is built

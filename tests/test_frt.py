@@ -274,9 +274,9 @@ def test_sigma_mutation_flips_l1():
     pres = build_LR(r)
     ok, witness = check_L1_on_generators(pres)
     assert ok and witness is None
-    mutated = [row[:] for row in pres.sigma.table]
-    mutated[cm_index(3, 3, 4)][cm_index(1, 1, 4)] += F(1)
-    ok2, witness2 = check_L1_on_generators(pres, sigma_table=mutated)
+    labels = pres.quotient.rep_labels
+    pres.sigma_gen[labels.index((3, 3))][labels.index((1, 1))] += F(1)
+    ok2, witness2 = check_L1_on_generators(pres)
     assert not ok2 and witness2 is not None
 
 
@@ -509,14 +509,13 @@ def test_coset_table_matches_direct_pairing(corpus):
 
 
 def test_sigma_mutation_witnesses_are_the_first_generator_pair():
-    """The override's witness is the first violating pair of generators, in
-    index order, named by its representative labels. sigma_0 satisfies L1
-    (``build_LR``), and L1 is linear in sigma, so a mutation that puts
-    sigma(g (x) g') off by delta on two representatives g, g' leaves
-    delta (sum_{a_1 = g} a_2 - sum_{a_2 = g} a_1) at (a, g'), the terms of
-    Delta a that hold g, and zero at every other (a, y). A mutation at a
-    label that is not a representative is not read. Delta a is
-    sum_v c_iv (x) c_vj for a = c_ij, projected along the relations.
+    """The witness of a mutated ``sigma_gen`` is the first violating pair of
+    generators, in index order, named by its representative labels.
+    sigma_0 satisfies L1 (``build_LR``), and L1 is linear in sigma, so a
+    mutation that puts sigma(g (x) g') off by delta on two generators g, g'
+    leaves delta (sum_{a_1 = g} a_2 - sum_{a_2 = g} a_1) at (a, g'), the
+    terms of Delta a that hold g, and zero at every other (a, y). Delta a
+    is sum_v c_iv (x) c_vj for a = c_ij, projected along the relations.
 
     * phi = (1, 2, 2, 2): the representatives are c_11, c_33, c_34, c_42,
       c_43, c_44, and c_12, c_13, c_14, c_21, c_23, c_24 lie in V. The
@@ -528,44 +527,23 @@ def test_sigma_mutation_witnesses_are_the_first_generator_pair():
       c_42 + c_43 + c_44 - c_33 - c_34.
     * phi = (2, 2, 4, 4): the representatives are c_12, c_14, c_22, c_32,
       c_34, c_44, with c_11 = c_22 - c_12 and c_13 = -c_14 modulo V, and
-      c_24 and c_42 in V. c_11 is not a representative, so only sigma(c_12 (x) c_34)
-      + 2 is read. Delta c_12 = -c_12 (x) c_12 + c_12 (x) c_22 -
+      c_24 and c_42 in V. The mutation is sigma(c_12 (x) c_34) + 2.
+      Delta c_12 = -c_12 (x) c_12 + c_12 (x) c_22 -
       c_14 (x) c_32 + c_22 (x) c_12 leaves 2(-c_12 + c_22 + c_12 - c_22) = 0.
       Delta c_14 = -c_12 (x) c_14 - c_14 (x) c_34 + c_14 (x) c_44 +
       c_22 (x) c_14 leaves -2 c_14 != 0: (1, 4, 3, 4). The label-order scan
       named (1, 3, 3, 3).
-    * phi = (1, 2, 2, 2) with sigma(c_42 (x) c_22) + 3: c_22 is not a
-      representative, so L1 holds.
     """
     cases = [
-        ((1, 2, 2, 2), [((3, 3), (1, 1), F(1))], (False, (3, 4, 1, 1))),
-        ((2, 2, 4, 4), [((1, 2), (3, 4), F(2)), ((3, 4), (1, 1), F(-1, 2))],
-         (False, (1, 4, 3, 4))),
-        ((1, 2, 2, 2), [((4, 2), (2, 2), F(3))], (True, None)),
+        ((1, 2, 2, 2), (3, 3), (1, 1), F(1), (3, 4, 1, 1)),
+        ((2, 2, 4, 4), (1, 2), (3, 4), F(2), (1, 4, 3, 4)),
     ]
-    for phi, mutations, want in cases:
+    for phi, g, h, delta, witness in cases:
         pres = build_LR(make_phi(4, phi))
-        mutated = [row[:] for row in pres.sigma.table]
-        for a, b, d in mutations:
-            mutated[cm_index(*a, 4)][cm_index(*b, 4)] += d
-        assert check_L1_on_generators(pres, sigma_table=mutated) == want, phi
-        # the override does not leak into the presentation's own table
         assert check_L1_on_generators(pres) == (True, None)
-
-
-@pytest.mark.parametrize("size", [9, 2])
-def test_l1_override_refuses_a_table_that_is_not_n2_by_n2(size):
-    """An override must be n^2 x n^2: on make_phi(2, [1, 2]) a 9 x 9 table
-    was read at its top-left corner and passed, and a 2 x 2 one raised
-    IndexError. A table with one short row is refused too."""
-    pres = build_LR(make_phi(2, [1, 2]))
-    match = r"^'sigma_table' must be 4 x 4, one row and one column per label c_ij$"
-    with pytest.raises(ValueError, match=match):
-        check_L1_on_generators(pres, sigma_table=[[F(0)] * size for _ in range(size)])
-    ragged = [row[:] for row in pres.sigma.table]
-    ragged[3] = ragged[3][:3]
-    with pytest.raises(ValueError, match=match):
-        check_L1_on_generators(pres, sigma_table=ragged)
+        labels = pres.quotient.rep_labels
+        pres.sigma_gen[labels.index(g)][labels.index(h)] += delta
+        assert check_L1_on_generators(pres) == (False, witness), phi
 
 
 def _rref_int_oracle(rows):
@@ -847,12 +825,23 @@ def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions
         assert round_trip(pres) == r, name
 
 
+def _pulled_back(q, gen):
+    """The label form of a form ``gen`` on generators, pulled back along
+    ``int_cosets``: sigma(c_a (x) c_b) = gen(pi c_a (x) pi c_b). It
+    vanishes on V (x) C and C (x) V, as a form on C/V does."""
+    size, scale = q.n * q.n, q.coset_scale ** 2
+    return [[sum((F(x * y, scale) * gen[s][u] for s, x in q.int_cosets[a]
+                  for u, y in q.int_cosets[b]), F(0)) for b in range(size)]
+            for a in range(size)]
+
+
 def test_l1_override_matches_fraction_oracle(phi4_solutions):
-    """Mutated tables, integral and fractional, against the Fraction L1 on
-    every label pair: the same verdict, and a witness that is a violating
-    label pair there and the first violating generator pair of
-    ``check_generator_long`` (test_bialgebra) on the override read at the
-    representatives. Every phi at n <= 4, dense and fractional conjugates."""
+    """Mutated ``sigma_gen`` tables, integral and fractional, against the
+    Fraction L1 on every label pair of their pullback to labels: the same
+    verdict, and a witness that is a violating label pair there and the
+    first violating generator pair of ``check_generator_long``
+    (test_bialgebra). Every phi at n <= 4, dense and fractional
+    conjugates."""
     rng = random.Random(17)
     ops = {f"phi{n}_{''.join(map(str, phi))}": make_phi(n, phi)
            for n in (1, 2, 3) for phi in idempotent_maps(n)}
@@ -862,17 +851,20 @@ def test_l1_override_matches_fraction_oracle(phi4_solutions):
     seen = set()
     for name, r in ops.items():
         pres = build_LR(r)
-        q, size = pres.quotient, r.dim ** 2
+        q, m = pres.quotient, pres.num_generators
+        sigma_gen = pres.sigma_gen
         for _ in range(3 if name.startswith("phi") else 6):
-            mutated = [row[:] for row in pres.sigma.table]
+            mutated = [row[:] for row in sigma_gen]
             for _ in range(rng.randint(1, 2)):
-                a, b = rng.randrange(size), rng.randrange(size)
-                mutated[a][b] += rng.choice((F(1), F(-1), F(-1, 2), F(2, 3)))
-            ok, witness = check_L1_on_generators(pres, sigma_table=mutated)
-            violations = list(_l1_oracle_violations(pres, mutated))
+                s, u = rng.randrange(m), rng.randrange(m)
+                mutated[s][u] += rng.choice((F(1), F(-1), F(-1, 2), F(2, 3)))
+            pres.sigma_gen = mutated
+            ok, witness = check_L1_on_generators(pres)
+            labels = _pulled_back(q, mutated)
+            assert _coset_table_oracle(labels, q) == labels  # it factors through pi
+            violations = list(_l1_oracle_violations(pres, labels))
             assert ok == (not violations), (name, mutated)
-            reps = q.rep_slots
-            table = {(s, u): mutated[a][b] for s, a in enumerate(reps) for u, b in enumerate(reps)}
+            table = {(s, u): x for s, row in enumerate(mutated) for u, x in enumerate(row)}
             gen_ok, report = check_generator_long(pres.generator_bialgebra, table)
             assert gen_ok == ok, (name, mutated)
             if not ok:

@@ -674,10 +674,10 @@ _INTEGRATOR_CASES = {
     "circle-2-3": ((2, 3), [1, 2], 0.08 + 0.03j,
                    dict(base=[0.0, 1.0, 7 + 2j], kind="circle", steps=150, moving=1,
                         center=0, radius=0.4), "words"),
-    # d = 16 with 3 live lifts: 120 words, so stacked stages
+    # d = 16 with 3 live lifts: 120 words, so *apply*
     "circle-2-4": ((2, 4), [1, 2], 0.08 - 0.02j,
                    dict(base=[0.0, 1.0, 10.0, 20j], kind="circle", steps=40, moving=1,
-                        center=0, radius=0.5), "propagator"),
+                        center=0, radius=0.5), "apply"),
     "circle-3-3-point": ((3, 3), [1, 1, 3], 0.1 - 0.05j,
                          dict(base=[0.0, 1.0, -6j], kind="circle", steps=30, moving=0,
                               center=0.9 + 0.1j, radius=0.7), "words"),
@@ -687,11 +687,11 @@ _INTEGRATOR_CASES = {
     "polygon-all-moving": ((3, 3), [1, 2, 2], 0.1 + 0.02j,
                            dict(base=[complex(*c) for c in _CORNERS[:3]], kind="polygon",
                                 steps=17, waypoints=[_square(*c) for c in _CORNERS[:3]]),
-                           "propagator"),
+                           "apply"),
     "polygon-static": ((2, 4), [2, 2], 0.12 - 0.03j,
                        dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=13,
                             waypoints=[_square(*c, count=4) for c in _CORNERS[:2]]
-                            + [[4 + 4j] * 4] + [_square(0, 4, count=4)]), "propagator"),
+                            + [[4 + 4j] * 4] + [_square(0, 4, count=4)]), "apply"),
     "one-step": ((2, 3), [1, 1], 0.1j, dict(base=[0.0, 1.0, 5.0], kind="circle", steps=1,
                                             moving=0, center=1, radius=0.3), "words"),
     # 1100 steps at dim 8: one batch of 1024 and one of 76
@@ -700,7 +700,7 @@ _INTEGRATOR_CASES = {
                     "words"),
     "conjugate-3-4": ((3, 4), _CONJ3, 0.07 + 0.02j,
                       dict(base=[complex(*c) for c in _CORNERS], kind="polygon", steps=6,
-                           waypoints=[_square(*c, count=4) for c in _CORNERS]), "propagator"),
+                           waypoints=[_square(*c, count=4) for c in _CORNERS]), "apply"),
     "conjugate-4-3": ((4, 3), _CONJ4, 0.05 - 0.01j,
                       dict(base=[0.0, 1.0, 6 + 1j], kind="circle", steps=5, moving=0,
                            center=1, radius=0.6), "words"),
@@ -727,14 +727,13 @@ _INTEGRATOR_CASES = {
                            dict(base=[0.0, 4.0, 4j], kind="polygon", steps=30,
                                 waypoints=[_square(0, 0), [4.0] * 5, [4j] * 5]), "words"),
 }
-_EVALUATIONS = {"apply": "_apply_steps", "propagator": "_propagator_steps",
-                "words": "_words_steps"}
+_EVALUATIONS = {"apply": "_apply_steps", "words": "_words_steps"}
 
 
 @pytest.mark.parametrize("case", sorted(_INTEGRATOR_CASES))
 def test_integrate_matches_rk4_oracle(case, monkeypatch):
-    """Every evaluation matches classical RK4 on the dense connection; each
-    case takes the evaluation it names, and the other two are never called."""
+    """Both evaluations match classical RK4 on the dense connection; each
+    case takes the evaluation it names, and the other is never called."""
     (n, N), op, h, spec, mode = _INTEGRATOR_CASES[case]
     r = op if isinstance(op, TensorOp2) else make_phi(n, op)
     sys = KZSystem.from_op(r, N, h)
@@ -830,34 +829,83 @@ def _full_width(sys, loop):
             ts = seg / loop.segments + np.arange(2 * k0, 2 * min(per_seg, k0 + batch) + 1) * (dt / 2)
             z, v = loop.stage_data(ts, seg)
             coeffs = sys.h * v[rows] / (z[rows] - z[cols])
-            data = (m @ coeffs).T
             if mode == "words":
                 w = kz._words_steps(w, held, coeffs, dt)
-            elif mode == "apply":
-                w = kz._apply_steps(w, op, np.ascontiguousarray(data), dt)
             else:
-                a = np.zeros((len(ts), d * d), dtype=complex)
-                a[:, pos] = data
-                w = kz._propagator_steps(w, a.reshape(-1, d, d), dt)
+                w = kz._apply_steps(w, op, np.ascontiguousarray((m @ coeffs).T), dt)
     return w
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 13])
-def test_propagator_batch_is_its_steps_in_order(b):
-    """A batch of b propagator steps, multiplied pairwise, is the steps
-    applied one at a time, w + (M_k - I) w, on random stage matrices that do
-    not commute, so a product taken in the wrong order shows."""
-    rng = np.random.default_rng(b)
-    d, dt = 6, 0.05
-    a = rng.standard_normal((2 * b + 1, d, d)) + 1j * rng.standard_normal((2 * b + 1, d, d))
-    w = rng.standard_normal((d, 4)) + 1j * rng.standard_normal((d, 4))
-    want = w.copy()
+def _stage_increments(a, dt):
+    """Each RK4 step's M - I from the dense stage matrices ``a`` (start,
+    middle, end, middle, ...): M - I = dt/6 (A1 + 2 X2 + 2 X3 + X4) with
+    X2 = A2 (I + dt/2 A1), X3 = A2 (I + dt/2 X2) and X4 = A4 (I + dt X3),
+    the increments of ``_apply_steps``' k1 .. k4 on W = I."""
+    inc = []
     for a1, a2, a4 in zip(a[:-1:2], a[1::2], a[2::2]):
         x2 = a2 + dt / 2 * a2 @ a1
         x3 = a2 + dt / 2 * a2 @ x2
         x4 = a4 + dt * a4 @ x3
-        want = want + dt / 6 * (a1 + 2 * x2 + 2 * x3 + x4) @ want
-    got = kz._propagator_steps(w, a, dt)
+        inc.append(dt / 6 * (a1 + 2 * x2 + 2 * x3 + x4))
+    return np.array(inc)
+
+
+def _steps_in_order(w, inc):
+    """The steps applied one at a time, w + (M_k - I) w, first step first."""
+    for step in inc:
+        w = w + step @ w
+    return w
+
+
+def _three_way_evaluation(d, terms, nnz):
+    """The cost rule while stacked stages were a third evaluation: its
+    "stacked" is now *apply*, and every other answer stands."""
+    if 8 * nnz * d + 32 ** 3 <= d ** 3:
+        return "apply", max(1, kz.CHUNK_ENTRIES // max(nnz, terms))
+    batch = max(1, kz.CHUNK_ENTRIES // max(d * d, terms))
+    if kz._word_count(terms) <= min(64, 2 * batch + 1, d * d):
+        return "words", batch
+    return "stacked", batch
+
+
+def test_evaluation_matches_the_three_way_rule():
+    """``_evaluation`` answers *apply* or words, as the three-way rule did
+    wherever that rule did, and *apply* with *apply*'s batch wherever it
+    took stacked stages; over d in {4, .., 256}, T = 1 .. 12 and nnz(A)
+    from 1 to d^2, the *apply* threshold on both sides included. The
+    pool's three shapes keep their evaluation: the circle2 loops (d = 8,
+    T = 2) take words, the rank-1 polygons (d = 81, T = 12, nnz = 401) and
+    the circle4 loops (d = 256, T = 3) *apply*."""
+    seen = set()
+    for d in (4, 8, 16, 27, 32, 64, 81, 256):
+        edge = max(1, (d ** 3 - 32 ** 3) // (8 * d))  # the largest nnz *apply* takes
+        counts = {1, 2, 3, d // 2, d, 4 * d, d * d // 4, d * d, edge - 1, edge, edge + 1}
+        for terms in range(1, 13):
+            for nnz in sorted(x for x in counts if 1 <= x <= d * d):
+                old = _three_way_evaluation(d, terms, nnz)
+                seen.add(old[0])
+                if old[0] == "stacked":
+                    old = "apply", max(1, kz.CHUNK_ENTRIES // max(nnz, terms))
+                assert kz._evaluation(d, terms, nnz) == old, (d, terms, nnz)
+    assert seen == {"apply", "words", "stacked"}
+    assert all(kz._evaluation(8, 2, nnz)[0] == "words" for nnz in range(1, 65))
+    assert kz._evaluation(81, 12, 401) == ("apply", kz.CHUNK_ENTRIES // 401)
+    assert all(kz._evaluation(256, 3, nnz)[0] == "apply" for nnz in range(1, 256 * 256 + 1))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 13])
+def test_propagator_batch_is_its_steps_in_order(b):
+    """``_multiply_increments`` on a batch of b propagator steps, multiplied
+    pairwise, is the steps applied one at a time, w + (M_k - I) w, on the
+    increments of random stage matrices that do not commute, so a product
+    taken in the wrong order shows."""
+    rng = np.random.default_rng(b)
+    d, dt = 6, 0.05
+    a = rng.standard_normal((2 * b + 1, d, d)) + 1j * rng.standard_normal((2 * b + 1, d, d))
+    w = rng.standard_normal((d, 4)) + 1j * rng.standard_normal((d, 4))
+    inc = _stage_increments(a, dt)
+    want = _steps_in_order(w, inc)
+    got = kz._multiply_increments(w.copy(), inc.copy(), np.empty_like(inc[:(b + 1) // 2]))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -880,7 +928,7 @@ def _random_segment(terms, d, seed):
 def test_word_increments_match_stage_increments(terms):
     """The words are the products of the lifts, first letter leftmost, in
     lexicographic order by length; a batch's increments formed from them
-    are those of the stacked stage matrices, and so are its steps, on T
+    are those of the dense stage matrices, and so are its steps, on T
     random lifts that do not commute."""
     d, b, dt = 5, 6, 0.05
     lifts, segment = _random_segment(terms, d, terms)
@@ -893,11 +941,11 @@ def test_word_increments_match_stage_increments(terms):
     rng = np.random.default_rng(10 + terms)
     c = rng.standard_normal((terms, 2 * b + 1)) + 1j * rng.standard_normal((terms, 2 * b + 1))
     a = np.einsum("ts,tij->sij", c, lifts)
-    stages = kz._stage_increments(a, dt)
+    stages = _stage_increments(a, dt)
     got = (kz._word_coefficients(c, dt).T @ words).reshape(b, d, d)
     assert np.max(np.abs(got - stages)) <= 1e-13 * np.max(np.abs(stages))
     w = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-    want = kz._propagator_steps(w.copy(), a, dt)
+    want = _steps_in_order(w, stages)
     got = kz._words_steps(w.copy(), kz._words_held(*segment, b), c, dt)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1008,10 +1056,10 @@ def test_components_match_bfs(d):
 def _moved_cases():
     """(name, system, loop, evaluations): the cases of the moved-columns rule
     beyond the single circle, which ``test_circle_moves_37_rank_columns_at_n4``
-    takes. A "propagator" case takes the propagator forms: words on the
-    segments with two live lifts, stacked stages on the one with four. The
-    "components" cases take words and stacked stages on a pattern of several
-    components: phi = (1, 2) makes W diagonal."""
+    takes. The "mixed" case takes words on the segments with two live lifts
+    and *apply* on the one with four, and the "propagator" cases take the
+    words propagators. The "components" cases take words and *apply* on a
+    pattern of several components: phi = (1, 2) makes W diagonal."""
     # point 0 moves on the first two segments, point 2 on the last three: the
     # second adds the columns with a_2 = a_j in im phi and a_0 != a_j for all
     # j, and the last two still step the columns only point 0 moved
@@ -1024,9 +1072,9 @@ def _moved_cases():
         ("late-apply", KZSystem.from_op(make_phi(3, [1, 2, 2]), 4, 0.1 - 0.03j),
          LoopSpec([1 + 1j, 6.0, 12.0, 30.0], "polygon", 8,
                   waypoints=late + [[30.0] * 5]), {"apply"}),
-        ("late-propagator", KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.03j),
+        ("late-mixed", KZSystem.from_op(make_phi(3, [1, 2, 2]), 3, 0.1 - 0.03j),
          LoopSpec([1 + 1j, 6.0, 12.0], "polygon", 8, waypoints=late),
-         {"words", "propagator"}),
+         {"words", "apply"}),
         ("paused-apply", KZSystem.from_op(phi4, 4, 0.08),
          LoopSpec([1.0, 0.0, 9.0, 20.0], "polygon", 9,
                   waypoints=paused + [[20.0] * 5]), {"apply"}),
@@ -1038,8 +1086,8 @@ def _moved_cases():
          LoopSpec(**_INTEGRATOR_CASES["conjugate-4-3"][3]), {"words"}),
         ("components-words", KZSystem.from_op(make_phi(2, [1, 2]), 3, 0.08 + 0.03j),
          LoopSpec(**_INTEGRATOR_CASES["circle-2-3"][3]), {"words"}),
-        ("components-propagator", KZSystem.from_op(make_phi(2, [1, 2]), 4, 0.08 - 0.02j),
-         LoopSpec(**_INTEGRATOR_CASES["circle-2-4"][3]), {"propagator"}),
+        ("components-apply", KZSystem.from_op(make_phi(2, [1, 2]), 4, 0.08 - 0.02j),
+         LoopSpec(**_INTEGRATOR_CASES["circle-2-4"][3]), {"apply"}),
     ]
 
 
@@ -1048,7 +1096,7 @@ def _moved_cases():
 def test_moved_columns_match_full_width(case, monkeypatch):
     """Integrating only the moved columns of W, stacked by the components of
     the loop's pattern, gives the full-width run: bit for bit under *apply*,
-    within 1e-11 under the propagator forms. A column joins when a live
+    within 1e-11 where words are taken. A column joins when a live
     segment's pattern first reaches it, and a segment with A = 0 moves
     none."""
     name, sys, loop, modes = _moved_cases()[case]
@@ -1145,8 +1193,8 @@ def test_stacked_polygon_matches_full_width_at_n3(phi, monkeypatch):
 def test_integration_bytes_bounds_the_traced_peak(case):
     """The peak that tracemalloc sees while ``integrate_holonomy`` runs,
     the array of the moved columns it steps included, stays within
-    ``integration_bytes``: one case of each evaluation (*apply*, words and
-    stacked stages), and a component-stacked *apply* polygon."""
+    ``integration_bytes``: *apply* on a circle and on a polygon of three
+    moving points, words, and a component-stacked *apply* polygon."""
     (n, N), phi, h, spec, mode = _INTEGRATOR_CASES[case]
     sys = KZSystem.from_op(make_phi(n, phi), N, h)
     loop = LoopSpec(**spec)
@@ -1178,6 +1226,20 @@ def test_integration_bytes_bounds_the_traced_peak_with_the_union():
     seg_pairs = kz.segment_pairs(loop)
     union = kz._union_pairs(seg_pairs)
     assert any(p and p != union for p in seg_pairs)
+    assert 0 < _traced_peak(sys, loop) <= kz.integration_bytes(sys, loop)
+
+
+def test_integration_bytes_prices_words_on_a_segment_of_fewer_lifts():
+    """The rule at the most live lifts, four at d = 27, takes *apply*, but
+    the segments of two lifts take words: ``integration_bytes`` prices the
+    words batch, 5 b + 3 d x d arrays, and bounds the traced peak."""
+    _, sys, loop, _ = next(c for c in _moved_cases() if c[0] == "late-mixed")
+    d, per_pair = sys.dim, (sys.dim // sys.n ** 2) * int(np.count_nonzero(sys.r_float))
+    live = sorted({len(p) for p in kz.segment_pairs(loop) if p})
+    assert live == [2, 4]
+    assert [kz._evaluation(d, t, t * per_pair)[0] for t in live] == ["words", "apply"]
+    b = kz.CHUNK_ENTRIES // (d * d)
+    assert kz.integration_bytes(sys, loop) >= 16 * (5 * b + 3) * d * d
     assert 0 < _traced_peak(sys, loop) <= kz.integration_bytes(sys, loop)
 
 
@@ -1355,7 +1417,7 @@ def _runs(seg_pairs):
     return runs
 
 
-@pytest.mark.parametrize("case", ["polygon-4-all-moving", "late-apply", "late-propagator",
+@pytest.mark.parametrize("case", ["polygon-4-all-moving", "late-apply", "late-mixed",
                                   "paused-apply", "paused-propagator"])
 def test_stacked_array_is_gathered_once_per_run(case, monkeypatch):
     """The component-stacked array is gathered from W when a run of

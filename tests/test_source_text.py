@@ -1,11 +1,17 @@
-"""Host measurements stay out of the package's docstrings and comments.
+"""What the package's docstrings and comments may say.
 
-A timing, a "medians of"/"best of N" figure or a numpy, scipy or Python
-version describes one machine on one day; it belongs in the BENCH file
-that recorded it, which the docstring cites instead.
+Host measurements stay out: a timing, a "medians of"/"best of N" figure or
+a numpy, scipy or Python version describes one machine on one day; it
+belongs in the BENCH file that recorded it, which the docstring cites
+instead.
+
+Citations resolve: a ``module.name`` of a longeq module names an attribute
+path that exists, and a bare ``_private`` name is an attribute of some
+longeq module, so a deletion cannot leave its citations behind.
 """
 
 import ast
+import importlib
 import io
 import pathlib
 import re
@@ -14,6 +20,10 @@ import tokenize
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "longeq"
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+CITATION = re.compile(r"``([^`]+)``")
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+PRIVATE = re.compile(r"_\w+")  # a lone ``_`` is the throwaway name, not a citation
 
 HOST_FIGURE = re.compile(
     r"\d\s*(?:ms|µs)\b"                        # a time with a unit
@@ -57,3 +67,62 @@ def test_no_host_figures_in_src():
              for line, text in _docstrings_and_comments(path)
              for match in HOST_FIGURE.finditer(text)]
     assert not found, "host figures belong in a BENCH file:\n" + "\n".join(found)
+
+
+def _citations(text):
+    """``(kind, name)`` of each ``module.name`` citation of a longeq module
+    ("dotted") and each bare ``_private`` one ("private") in ``text``."""
+    for match in CITATION.finditer(text):
+        name = match.group(1)
+        if DOTTED.fullmatch(name) and name.partition(".")[0] in MODULES:
+            yield "dotted", name
+        elif PRIVATE.fullmatch(name):
+            yield "private", name
+
+
+def _resolves(kind, name):
+    """A dotted citation as an attribute path from its module; a private
+    name as an attribute of any longeq module."""
+    if kind == "dotted":
+        first, _, path = name.partition(".")
+        obj = importlib.import_module(f"longeq.{first}")
+        for attr in path.split("."):
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return any(hasattr(importlib.import_module(f"longeq.{m}"), name) for m in MODULES)
+
+
+@pytest.mark.parametrize("text, cited", [
+    ("``kz._evaluation`` picks", [("dotted", "kz._evaluation")]),
+    ("see ``kz.KZSystem.from_op``", [("dotted", "kz.KZSystem.from_op")]),
+    ("``_stacked`` and ``_words_held``", [("private", "_stacked"), ("private", "_words_held")]),
+    ("``_, b = pair``, ``_``", []),
+    ("``np.matmul`` on ``pres.coalgebra``", []),
+    ("``segment_words`` reads", []),
+])
+def test_citation_pattern(text, cited):
+    assert list(_citations(text)) == cited
+
+
+@pytest.mark.parametrize("kind, name, holds", [
+    ("dotted", "kz.KZSystem.from_op", True),
+    ("dotted", "bialgebra._l1_rows", True),
+    ("private", "_stacked", True),
+    ("private", "_first_descent_failure", True),
+    ("dotted", "kz._propagator_steps", False),
+    ("dotted", "kz.KZSystem.from_rows", False),
+    ("private", "_stage_increments", False),
+])
+def test_citation_resolution(kind, name, holds):
+    assert _resolves(kind, name) == holds
+
+
+def test_every_citation_in_src_resolves():
+    found = [f"{path.name}:{line}: ``{name}``"
+             for path in sorted(SRC.glob("*.py"))
+             for line, text in _docstrings_and_comments(path)
+             for kind, name in _citations(text)
+             if not _resolves(kind, name)]
+    assert not found, "citations of names that do not exist:\n" + "\n".join(found)
