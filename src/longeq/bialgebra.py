@@ -684,7 +684,7 @@ class AffineTableSpace:
         t = la.to_frac_matrix(table)
         vec = [t[p][q] for p in range(self.d) for q in range(self.d)]
         diff = [x - y for x, y in zip(vec, self.particular)]
-        return la.is_zero_vec(la.reduce_mod(diff, self._basis_rref))
+        return not any(la.reduce_mod(diff, self._basis_rref))
 
     @cached_property
     def _basis_rref(self):
@@ -824,10 +824,7 @@ class GeneratorBialgebra:
     eps: dict
 
     def eps_word(self, w):
-        acc = F1
-        for g in w:
-            acc *= Fraction(self.eps[g])
-        return acc
+        return math.prod((Fraction(self.eps[g]) for g in w), start=F1)
 
     def delta_word(self, w):
         terms = [(F1, (), ())]
@@ -1045,19 +1042,16 @@ def comatrix_tensor_truncation(n, degree) -> FinDimBialgebra:
     w collapses to eps(w) * s, and s absorbs all products (s * a =
     eps(a) * s). Dimension: 1 + sum_{k<=degree} n^(2k).
     """
-    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    words = [()]
-    frontier = [()]
-    for _ in range(degree):
-        frontier = [w + (l,) for w in frontier for l in letters]
-        words.extend(frontier)
+    rng = range(1, n + 1)
+    letters = [(i, j) for i in rng for j in rng]
+    comatrix = GeneratorBialgebra(letters, {(i, j): [(F1, ((i, u),), ((u, j),)) for u in rng]
+                                            for i, j in letters},
+                                  {(i, j): F1 if i == j else F0 for i, j in letters})
+    words = [w for k in range(degree + 1) for w in itertools.product(letters, repeat=k)]
     index = {w: k for k, w in enumerate(words)}
     d = len(words) + 1
     s = d - 1
-
-    def word_eps(w):
-        return F1 if all(i == j for (i, j) in w) else F0
-
+    counit = [comatrix.eps_word(w) for w in words] + [F1]
     mult = [[[F0] * d for _ in range(d)] for _ in range(d)]
     for a, wa in enumerate(words):
         for b, wb in enumerate(words):
@@ -1065,26 +1059,14 @@ def comatrix_tensor_truncation(n, degree) -> FinDimBialgebra:
             if len(cat) <= degree:
                 mult[a][b][index[cat]] = F1
             else:
-                mult[a][b][s] = word_eps(wa) * word_eps(wb)
-    for a, wa in enumerate(words):
-        mult[a][s][s] = word_eps(wa)
-        mult[s][a][s] = word_eps(wa)
+                mult[a][b][s] = counit[a] * counit[b]
+        mult[a][s][s] = mult[s][a][s] = counit[a]
     mult[s][s][s] = F1
     comult = [la.zeros(d, d) for _ in range(d)]
-    counit = [F0] * d
     for a, w in enumerate(words):
-        terms = [(F1, (), ())]
-        for (i, j) in w:
-            terms = [
-                (c, lw + ((i, u),), rw + ((u, j),))
-                for c, lw, rw in terms
-                for u in range(1, n + 1)
-            ]
-        for c, lw, rw in terms:
+        for c, lw, rw in comatrix.delta_word(w):
             comult[a][index[lw]][index[rw]] += c
-        counit[a] = word_eps(w)
     comult[s][s][s] = F1
-    counit[s] = F1
     basis = ["*".join(f"c_{i}_{j}" for (i, j) in w) or "1" for w in words] + ["s"]
     unit = [F1] + [F0] * (d - 1)
     return FinDimBialgebra(basis, mult, unit, comult, counit)

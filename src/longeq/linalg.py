@@ -92,10 +92,6 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def kron(a, b):
     """Kronecker product; row/col blocks follow the left factor."""
     ra, ca = len(a), len(a[0])
@@ -338,6 +334,3 @@ def solve_affine(a, b):
         basis.append(v)
     return particular, basis
 
-
-def is_zero_vec(v):
-    return all(not x for x in v)

@@ -40,7 +40,4 @@ def parse_frac(s) -> Fraction:
 
 def frac_str(x) -> str:
     """Canonical string for a rational: ``"p"`` when integral, else ``"p/q"``."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))

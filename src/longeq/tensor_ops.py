@@ -35,7 +35,7 @@ All arithmetic in this module is exact rational.
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
 from functools import cache, cached_property
 
@@ -352,25 +352,6 @@ def _obstruction_vectors(table, n, key=None):
                     yield (i, j, k, l), vec
 
 
-def _obstruction_rows(table, n, key=None):
-    """Yield ``((i, j, k, l), row)``, 0-based, for the integer form ``table``:
-    each obstruction vector divided by the gcd of its entries, first nonzero
-    entry positive. Zero and repeated rows are dropped, so each row is
-    tagged with its first (i, j, k, l). Lazy: an early stop forms no more.
-    ``key`` is passed to ``_obstruction_vectors``."""
-    seen = set()
-    for tag, vec in _obstruction_vectors(table, n, key):
-        g = math.gcd(*vec)
-        if not g:
-            continue
-        if next(x for x in vec if x) < 0:
-            g = -g
-        row = tuple([x // g for x in vec])
-        if row not in seen:
-            seen.add(row)
-            yield tag, row
-
-
 def _form(matrix, n):
     """The n^2 x n^2 table T[c_iv][c_ju] = x[u,v,j,i] of an operator's
     matrix view, entries as given: an index permutation."""
@@ -418,18 +399,20 @@ def _row_descent_failure(table, cols, terms):
 def _descent_basis(table, n):
     """``(witness, basis)`` for the integer form ``table`` of an operator.
 
-    One pass over the primitive obstruction rows (``_obstruction_rows``)
-    decides the Long system and spans V. Each row is tested against the
-    span of the rows kept so far (``linalg.Echelon``); a row in the span
-    is skipped, and an independent row is checked for sigma_0-descent
-    (``_row_descent_failure``) and, once it passes, joins the basis.
+    One pass over the obstruction vectors (``_obstruction_vectors``) as
+    rows decides the Long system and spans V. Each row is tested against
+    the span of the rows kept so far (``linalg.Echelon``); a row in the
+    span, zero and repeated rows included, is skipped, and an independent
+    row is checked for sigma_0-descent (``_row_descent_failure``) and, once
+    it passes, joins the basis.
 
-    Skipping a row that lies in the span of earlier rows (as do the zero and
-    repeated rows that ``_obstruction_rows`` drops) finds the same first
-    failure as checking every row: sigma_0(. (x) c_b) and
+    Skipping a row that lies in the span of earlier rows finds the same
+    first failure as checking every row: sigma_0(. (x) c_b) and
     sigma_0(c_b (x) .) are linear, so such a row passes when the earlier
     rows did. The first failing row is therefore independent of the rows
-    before it, and its own check gives the same column and equation.
+    before it, and its own check gives the same column and equation. Both
+    the check, which reads only where a row is zero, and ``Echelon``'s RREF
+    are blind to a row's scale, so no row is made primitive first.
 
     The same linearity skips most rows unformed. o(i,j,k,l) is linear in
     column jk of ``table``, so when that column is a combination of the
@@ -459,7 +442,7 @@ def _descent_basis(table, n):
 
     cols = list(zip(*table))
     echelon = la.Echelon(n * n)
-    for (i, j, k, l), row in _obstruction_rows(table, n, key):
+    for (i, j, k, l), row in _obstruction_vectors(table, n, key):
         if echelon.spans(row):
             continue
         failure = _row_descent_failure(table, cols, [(a, x) for a, x in enumerate(row) if x])
@@ -507,7 +490,7 @@ def make_pair(f, g) -> TensorOp2:
     check_operator_dim(n)
     if len(g) != n:
         raise ValueError("f and g must have equal size")
-    if not la.mat_eq(la.mat_mul(f, g), la.mat_mul(g, f)):
+    if la.mat_mul(f, g) != la.mat_mul(g, f):
         raise NonCommutingPair("fg != gf")
     return TensorOp2(n, la.kron(f, g))
 
@@ -586,14 +569,12 @@ class GradedActionData:
         if ident is None:
             raise ValueError("group table has no identity")
         self.identity = ident
-        if not la.mat_eq(self.actions[ident], la.identity(self.n)):
+        if self.actions[ident] != la.identity(self.n):
             raise ValueError("identity element must act as the identity matrix")
         for g in elems:
             for h in elems:
                 gh = self.table[(g, h)]
-                if not la.mat_eq(
-                    la.mat_mul(self.actions[g], self.actions[h]), self.actions[gh]
-                ):
+                if la.mat_mul(self.actions[g], self.actions[h]) != self.actions[gh]:
                     raise ValueError(f"actions violate the group law at ({g}, {h})")
         # every homogeneous component must be stable under every action
         for g in elems:
@@ -653,7 +634,7 @@ def make_homothety(rep, element) -> TensorOp2:
     eye = la.identity(n)
     for idx, a in enumerate(rep):
         a1 = la.kron(a, eye)
-        if not la.mat_eq(la.mat_mul(acc, a1), la.mat_mul(a1, acc)):
+        if la.mat_mul(acc, a1) != la.mat_mul(a1, acc):
             raise CentralityViolated(f"left legs do not commute with rep[{idx}]")
     return TensorOp2(n, acc)
 
@@ -668,15 +649,5 @@ def invert(r: TensorOp2) -> TensorOp2:
 
 def idempotent_maps(n):
     """All idempotent maps on {1..n} as 1-based tuples, lexicographic."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if all(prefix[p - 1] == p for p in prefix):
-                out.append(tuple(prefix))
-            return
-        for v in range(1, n + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
+    return [phi for phi in itertools.product(range(1, n + 1), repeat=n)
+            if all(phi[p - 1] == p for p in phi)]

@@ -97,7 +97,7 @@ def test_criterion_2_idempotent_four_way(phi4_solutions):
     for phi, r in phi4_solutions.items():
         r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
         a = la.mat_mul(r12, r13)
-        if not all(la.mat_eq(a, la.mat_mul(x, y))
+        if not all(a == la.mat_mul(x, y)
                    for x, y in ((r13, r12), (r12, r23), (r23, r12))):
             bad.append(phi)
         if not check_laws(r, ["symmetric"])["symmetric"]:

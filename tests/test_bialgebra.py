@@ -1818,6 +1818,32 @@ def test_comatrix_tensor_truncation_dimensions():
     assert b.comult[s][s][s] == 1
 
 
+@pytest.mark.parametrize("n, degree", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 3)])
+def test_comatrix_tensor_truncation_matches_letter_expansion(n, degree):
+    """Delta and eps of each word, expanded letter by letter through the
+    matrix indices (Delta c_ij = sum_u c_iu (x) c_uj, eps c_ij = [i = j]),
+    with the absorber s group-like of counit one; the words are those of
+    length at most ``degree``, read back from the basis labels."""
+    b = comatrix_tensor_truncation(n, degree)
+    words = [() if label == "1" else
+             tuple(tuple(map(int, c.split("_")[1:])) for c in label.split("*"))
+             for label in b.basis[:-1]]
+    assert sorted(map(len, words)) == [k for k in range(degree + 1) for _ in range(n ** (2 * k))]
+    index = {w: a for a, w in enumerate(words)}
+    d = len(words) + 1
+    comult = [la.zeros(d, d) for _ in range(d)]
+    counit = [Fraction(0)] * d
+    for a, w in enumerate(words):
+        terms = [((), ())]
+        for i, j in w:
+            terms = [(lw + ((i, u),), rw + ((u, j),)) for lw, rw in terms for u in range(1, n + 1)]
+        for lw, rw in terms:
+            comult[a][index[lw]][index[rw]] += 1
+        counit[a] = Fraction(all(i == j for i, j in w))
+    comult[-1][-1][-1] = counit[-1] = Fraction(1)
+    assert b.comult == comult and b.counit == counit
+
+
 def test_strong_dmap_output_check_raises_internal_error(monkeypatch):
     """The Long check on the induced operator survives ``python -O`` and
     names its witness; forced here by a checker that always reports one."""

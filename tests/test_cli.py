@@ -43,7 +43,7 @@ from longeq.jsonio import (
     sigma_to_json,
 )
 from longeq.bialgebra import SigmaTable, sweedler_h4
-from longeq.scalars import parse_frac
+from longeq.scalars import frac_str, parse_frac
 
 
 def _write(tmp_path, name, obj):
@@ -453,6 +453,35 @@ def test_empty_name_list_is_usage_error(tmp_path, capsys, command, option, names
     is such a list too, not the L1-L5 default of an omitted ``--axioms``."""
     code, out, err = _run(capsys, _small_argv(tmp_path, command) + [f"{option}={names}"])
     assert (code, out, err) == (2, "", f"error: {option} names nothing; give at least one name\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--op", "NEST"],
+    ["construct", "conjugate", "--op", "NEST", "--u", "1,0,0,1"],
+    ["construct", "graded", "--spec", "NEST"],
+    ["construct", "homothety", "--spec", "NEST"],
+    ["frt", "--op", "NEST"],
+    ["roundtrip", "--op", "NEST"],
+    ["frt", "--op", "OP", "--naming", "NEST"],
+    ["kz", "--op", "NEST", "--points", "3", "--h", "0.1", "--loop", "NEST"],
+    ["kz", "--op", "OP", "--points", "3", "--h", "0.1", "--loop", "NEST"],
+    ["bialgebra-check", "--bialgebra", "NEST", "--sigma", "NEST"],
+    ["bialgebra-check", "--bialgebra", "B", "--sigma", "NEST"],
+], ids=lambda argv: "-".join([argv[argv[0] == "construct"], argv[argv.index("NEST") - 1][2:]]))
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["list", "object"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, argv, opening, closing):
+    """JSON nested past the interpreter's recursion limit makes ``json.load``
+    raise RecursionError; every file option refuses it with exit 2 and one
+    ``error:`` line naming the file, not a traceback."""
+    depth = 100_000
+    nest = tmp_path / "nest.json"
+    nest.write_text(opening * depth + "0" + closing * depth)
+    files = {"NEST": str(nest),
+             "OP": _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1]))),
+             "B": _write(tmp_path, "b.json", bialgebra_to_json(cyclic_group_algebra(2)))}
+    code, out, err = _run(capsys, [files.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {nest}: JSON nested too deeply\n")
 
 
 _SIGMA_3X3 = {"table": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
@@ -1900,6 +1929,21 @@ def test_parse_frac_takes_a_sign_on_the_numerator_only(text, want):
             parse_frac(text)
     else:
         assert parse_frac(text) == want
+
+
+def test_frac_str_round_trips_through_parse_frac():
+    """Seeded Fractions, negative, zero, integral and large, are written as
+    "p" or "p/q" in lowest terms and read back as the same value."""
+    rng = random.Random(39)
+    values = [Fraction(0), Fraction(-7), Fraction(10 ** 40), Fraction(-(10 ** 40) - 1, 3)]
+    values += [Fraction(rng.randint(-10 ** k, 10 ** k), rng.choice((1, rng.randint(1, 10 ** k))))
+               for k in (1, 3, 12, 60) for _ in range(50)]
+    assert {x < 0 for x in values} == {True, False} and any(x.denominator > 1 for x in values)
+    for x in values:
+        text = frac_str(x)
+        assert parse_frac(text) == x, text
+        assert text == (f"{x.numerator}" if x.denominator == 1
+                        else f"{x.numerator}/{x.denominator}"), text
 
 
 # non-ASCII decimal digits: Arabic-Indic, Extended Arabic-Indic, Devanagari

@@ -38,7 +38,7 @@ from longeq.frt import (
     comatrix_eps,
     obstructions,
 )
-from longeq.tensor_ops import _descent_basis, _obstruction_rows
+from longeq.tensor_ops import _descent_basis, _obstruction_vectors, _row_descent_failure
 from conftest import upper_pair_operator
 from test_bialgebra import check_generator_long
 from test_linalg import _rref_oracle
@@ -53,10 +53,30 @@ from test_tensor_ops import (
 F = Fraction
 
 
+def _primitive_distinct(vectors):
+    """``(tag, row)`` for each ``(tag, vector)``: the vector divided by the
+    gcd of its entries, first nonzero entry positive. Zero and repeated
+    rows are dropped, so each row keeps its first tag. The reference for
+    ``_descent_basis``, which leaves the rows this drops to
+    ``linalg.Echelon.spans``."""
+    seen = set()
+    for tag, vec in vectors:
+        g = math.gcd(*vec)
+        if not g:
+            continue
+        if next(x for x in vec if x) < 0:
+            g = -g
+        row = tuple([x // g for x in vec])
+        if row not in seen:
+            seen.add(row)
+            yield tag, row
+
+
 def obstruction_rows(r):
     """The primitive integer obstruction rows of ``r``, which span its
-    relation span V (``tensor_ops._obstruction_rows`` on Z = D x)."""
-    return [row for _, row in _obstruction_rows(r.int_form[0], r.dim)]
+    relation span V (``tensor_ops._obstruction_vectors`` on Z = D x, through
+    ``_primitive_distinct``)."""
+    return [row for _, row in _primitive_distinct(_obstruction_vectors(r.int_form[0], r.dim))]
 
 
 def _bilinear(table, va, vb):
@@ -410,7 +430,7 @@ def _dimodule_oracle(pres, word, l):
                 vl = q.basis_coset(v, l)
                 for t in range(m):
                     rhs[w - 1][t] += s * vl[t]
-    return la.mat_eq(lhs, rhs)
+    return lhs == rhs
 
 
 def test_dimodule_compatible_matches_the_two_sided_oracle(corpus):
@@ -798,10 +818,7 @@ def test_obstructions_match_fraction_oracle(corpus, phi4_solutions):
     for r in ops:
         want = _obstructions_oracle(r)
         assert obstructions(r) == want
-        rows = obstruction_rows(r)
-        assert len(set(rows)) == len(rows) and all(any(row) for row in rows)
-        assert all(math.gcd(*row) == 1 and next(x for x in row if x) > 0 for row in rows)
-        assert la.rref(rows) == _rref_oracle(want)
+        assert la.rref(obstruction_rows(r)) == _rref_oracle(want)
 
 
 def test_integer_quotient_and_form_match_fraction_oracles(corpus, phi4_solutions):
@@ -968,6 +985,48 @@ def test_descent_basis_gives_the_quotient_of_all_obstruction_rows(corpus, phi4_s
         assert build_LR(r).quotient.int_cosets == want.int_cosets, name
         ranks.add((n, len(basis)))
     assert {(4, 12), (4, 10), (3, 6)} <= ranks
+
+
+def _filtered_descent_basis(table, n):
+    """The descent pass of ``_descent_basis`` over every obstruction row
+    through ``_primitive_distinct``, with no column skipped: the
+    reference for the pass that feeds the raw vectors to its ``Echelon``."""
+    cols = list(zip(*table))
+    echelon = la.Echelon(n * n)
+    for (i, j, k, l), row in _primitive_distinct(_obstruction_vectors(table, n)):
+        if echelon.spans(row):
+            continue
+        failure = _row_descent_failure(table, cols, [(a, x) for a, x in enumerate(row) if x])
+        if failure is not None:
+            b, eq = failure
+            return (eq, (i + 1, j + 1, k + 1, l + 1, b // n + 1, b % n + 1)), None
+        echelon.add(row)
+    return None, echelon
+
+
+def test_descent_basis_matches_the_primitive_distinct_pass(corpus):
+    """Feeding the obstruction vectors unfiltered gives the same witness
+    and the same RREF of V as the pass over primitive, distinct, nonzero
+    rows: a zero or repeated vector lies in the span, and neither the
+    descent check nor ``Echelon``'s RREF depends on a row's scale."""
+    cases = dict(corpus)
+    cases.update({f"phi{n}_{phi}": make_phi(n, phi)
+                  for n in (1, 2, 3, 4) for phi in idempotent_maps(n)})
+    cases.update(_conjugates_of_every_rank())
+    cases.update(_fractional_conjugates())
+    cases.update({f"unit{k}": r for k, r in enumerate(_unit_candidates())})
+    verdicts = set()
+    for name, r in cases.items():
+        table, n = r.int_form[0], r.dim
+        witness, echelon = _descent_basis(table, n)
+        want_witness, want_echelon = _filtered_descent_basis(table, n)
+        assert witness == want_witness, name
+        if witness is None:
+            assert echelon.int_rows() == want_echelon.int_rows(), name
+        else:
+            assert echelon is want_echelon is None, name
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
 
 
 def test_build_LR_witness_is_long_witness_and_oracle():

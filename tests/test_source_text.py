@@ -7,7 +7,8 @@ instead.
 
 Citations resolve: a ``module.name`` of a longeq module names an attribute
 path that exists, and a bare ``_private`` name is an attribute of some
-longeq module, so a deletion cannot leave its citations behind.
+longeq module, so a deletion cannot leave its citations behind. The same
+rules hold for the inline code spans of README.md.
 """
 
 import ast
@@ -19,9 +20,12 @@ import tokenize
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "longeq"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "longeq"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
 CITATION = re.compile(r"``([^`]+)``")
+MARKDOWN_SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+FENCED_BLOCK = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 PRIVATE = re.compile(r"_\w+")  # a lone ``_`` is the throwaway name, not a citation
 
@@ -69,10 +73,11 @@ def test_no_host_figures_in_src():
     assert not found, "host figures belong in a BENCH file:\n" + "\n".join(found)
 
 
-def _citations(text):
+def _citations(text, span=CITATION):
     """``(kind, name)`` of each ``module.name`` citation of a longeq module
-    ("dotted") and each bare ``_private`` one ("private") in ``text``."""
-    for match in CITATION.finditer(text):
+    ("dotted") and each bare ``_private`` one ("private") in ``text``, a
+    citation being a code span that ``span`` matches."""
+    for match in span.finditer(text):
         name = match.group(1)
         if DOTTED.fullmatch(name) and name.partition(".")[0] in MODULES:
             yield "dotted", name
@@ -106,6 +111,15 @@ def test_citation_pattern(text, cited):
     assert list(_citations(text)) == cited
 
 
+@pytest.mark.parametrize("text, cited", [
+    ("`kz._evaluation` picks `_stacked`", [("dotted", "kz._evaluation"), ("private", "_stacked")]),
+    ("``_ignored`` and `np.matmul`", []),
+    ("```sh\nlongeq check --op `_x`\n```", []),
+])
+def test_markdown_citation_pattern(text, cited):
+    assert list(_citations(FENCED_BLOCK.sub("", text), MARKDOWN_SPAN)) == cited
+
+
 @pytest.mark.parametrize("kind, name, holds", [
     ("dotted", "kz.KZSystem.from_op", True),
     ("dotted", "bialgebra._l1_rows", True),
@@ -114,6 +128,8 @@ def test_citation_pattern(text, cited):
     ("dotted", "kz._propagator_steps", False),
     ("dotted", "kz.KZSystem.from_rows", False),
     ("private", "_stage_increments", False),
+    ("dotted", "tensor_ops._obstruction_rows", False),
+    ("dotted", "linalg.mat_eq", False),
 ])
 def test_citation_resolution(kind, name, holds):
     assert _resolves(kind, name) == holds
@@ -124,5 +140,12 @@ def test_every_citation_in_src_resolves():
              for path in sorted(SRC.glob("*.py"))
              for line, text in _docstrings_and_comments(path)
              for kind, name in _citations(text)
+             if not _resolves(kind, name)]
+    assert not found, "citations of names that do not exist:\n" + "\n".join(found)
+
+
+def test_every_citation_in_readme_resolves():
+    text = FENCED_BLOCK.sub("", (ROOT / "README.md").read_text(encoding="utf-8"))
+    found = [f"README.md: `{name}`" for kind, name in _citations(text, MARKDOWN_SPAN)
              if not _resolves(kind, name)]
     assert not found, "citations of names that do not exist:\n" + "\n".join(found)

@@ -302,9 +302,13 @@ def test_make_phi_rejects_non_idempotent():
 
 
 def test_idempotent_counts():
-    assert len(list(idempotent_maps(2))) == 3
-    assert len(list(idempotent_maps(3))) == 10
-    assert len(list(idempotent_maps(4))) == 41
+    """1, 1, 3, 10, 41, 196, 1057 idempotent maps on {1..n} for n = 0..6
+    (OEIS A000248), each idempotent, listed in strictly increasing order."""
+    for n, count in enumerate((1, 1, 3, 10, 41, 196, 1057)):
+        maps = idempotent_maps(n)
+        assert len(maps) == count, n
+        assert all(len(phi) == n and all(phi[p - 1] == p for p in phi) for phi in maps), n
+        assert all(a < b for a, b in zip(maps, maps[1:])), n
 
 
 def test_make_graded_long_and_structure():
@@ -334,7 +338,7 @@ def _first_noncentral(rep, element):
         for c, li, ri in element:
             l_a = la.mat_add(l_a, la.mat_scale(la.kron(la.mat_mul(rep[li], a), rep[ri]), c))
             a_l = la.mat_add(a_l, la.mat_scale(la.kron(la.mat_mul(a, rep[li]), rep[ri]), c))
-        if not la.mat_eq(l_a, a_l):
+        if l_a != a_l:
             return idx
     return None
 
@@ -650,30 +654,30 @@ def _check_laws_oracle(r: TensorOp2, laws=None) -> dict:
     need_long = bool({"long", "kz_bracket"} & wanted)
     long_ok = None
     if need_long or "d_equation" in wanted:
-        eq2 = la.mat_eq(la.mat_mul(m12, m23), la.mat_mul(m23, m12))
+        eq2 = la.mat_mul(m12, m23) == la.mat_mul(m23, m12)
         if "d_equation" in wanted:
             report["d_equation"] = eq2
     if need_long:
-        eq1 = la.mat_eq(la.mat_mul(m12, m13), la.mat_mul(m13, m12))
+        eq1 = la.mat_mul(m12, m13) == la.mat_mul(m13, m12)
         long_ok = eq1 and eq2
         if "long" in wanted:
             report["long"] = long_ok
     if "qybe" in wanted:
         lhs = la.mat_mul(la.mat_mul(m12, m13), m23)
         rhs = la.mat_mul(la.mat_mul(m23, m13), m12)
-        report["qybe"] = la.mat_eq(lhs, rhs)
+        report["qybe"] = lhs == rhs
     if "hopf" in wanted:
         lhs = la.mat_mul(la.mat_mul(m23, m13), m12)
-        report["hopf"] = la.mat_eq(lhs, la.mat_mul(m12, m23))
+        report["hopf"] = lhs == la.mat_mul(m12, m23)
     if "kz_bracket" in wanted:
         s = la.mat_add(m13, m23)
-        kz = la.mat_eq(la.mat_mul(m12, s), la.mat_mul(s, m12))
+        kz = la.mat_mul(m12, s) == la.mat_mul(s, m12)
         if long_ok and not kz:
             raise InternalCheckFailed("Long holds but the KZ bracket does not")
         report["kz_bracket"] = kz
     if "symmetric" in wanted:
         t = flip_matrix(r.dim)
-        report["symmetric"] = la.mat_eq(la.mat_mul(t, la.mat_mul(r.matrix, t)), r.matrix)
+        report["symmetric"] = la.mat_mul(t, la.mat_mul(r.matrix, t)) == r.matrix
     return report
 
 
@@ -895,7 +899,7 @@ def test_sparse_state_matches_dense_oracle(corpus, phi4_solutions):
         a, b = divmod(k * 7 % (n ** 4), n * n)
         changed = [row[:] for row in m]
         changed[a][b] = F(0) if m[a][b] else F(1, 7)
-        assert not la.mat_eq(m, changed) and not r == TensorOp2(n, changed), k
+        assert m != changed and not r == TensorOp2(n, changed), k
         assert r != TensorOp2(n + 1, la.zeros((n + 1) ** 2, (n + 1) ** 2))
     assert 0 < flips < len(cases)
 
