@@ -682,6 +682,8 @@ class AffineTableSpace:
 
     def contains(self, table) -> bool:
         t = la.to_frac_matrix(table)
+        if len(t) != self.d or any(len(r) != self.d for r in t):
+            raise ValueError(f"table must be {self.d} x {self.d}")
         vec = [t[p][q] for p in range(self.d) for q in range(self.d)]
         diff = [x - y for x, y in zip(vec, self.particular)]
         return not any(la.reduce_mod(diff, self._basis_rref))
@@ -994,7 +996,8 @@ def group_algebra(labels, table) -> FinDimBialgebra:
     d = len(labels)
     if len(table) != d or any(len(r) != d for r in table):
         raise InvalidGroupTable("table must be d x d")
-    if any(not 0 <= v < d for r in table for v in r):
+    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < d
+           for r in table for v in r):
         raise InvalidGroupTable("table entries out of range")
     for a in range(d):
         for b in range(d):

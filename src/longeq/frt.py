@@ -438,12 +438,12 @@ def convolution_inverse(pres: LongPresentation):
 
 def _signed_sum(terms):
     """``a - 2*b + c``-style rendering of nonzero ``(coefficient, label)``
-    pairs; a unit coefficient is left out, and no terms read ``0``."""
+    pairs; a unit coefficient is left out. ``terms`` is never empty: a
+    relation row is nonzero, and so, by the counit law, is Delta of a
+    nonzero coset."""
     parts = [("+ " if x > 0 else "- ")
              + (label if abs(x) == 1 else f"{frac_str(abs(x))}*{label}")
              for x, label in terms]
-    if not parts:
-        return "0"
     body = " ".join(parts)
     return body[2:] if parts[0][0] == "+" else "-" + body[2:]
 

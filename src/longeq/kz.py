@@ -93,9 +93,6 @@ APPLY_ARRAYS = 6
 # well below the size at which numpy's OpenBLAS starts its threads (module
 # docstring)
 SERIAL_PRODUCT = 1 << 17
-# entries of W that ``oracle_distance`` reads at once (64 rows at d = 256):
-# its arrays then hold about a quarter of W's bytes, dense or not
-DISTANCE_ENTRIES = 1 << 14
 # bytes per lift entry while a segment operator is built: its position,
 # sorted and unsorted, the sort order and the pair index (8 each), the value
 # (16), and the map's value and indices (32), with the copies scipy makes
@@ -870,39 +867,18 @@ def circle_block(sys: KZSystem) -> np.ndarray:
 def oracle_distance(sys: KZSystem, w, moving, center) -> float:
     """The ``--compare`` distance max |W - exp(2 pi i h R^{mc})|, m = ``moving``
     and c = ``center``: the float of ``np.max(np.abs(w - o))`` for the
-    oracle o = ``lift_float(circle_block(sys), n, moving, center, N)``
-    (``check_circle_oracle``), formed without o, the difference or its
-    ``abs``, three d x d arrays.
+    oracle o = ``lift_float(circle_block(sys), n, moving, center, N)``,
+    formed without o or the difference.
 
-    R^{mc} is block diagonal with blocks R on the n^(N-2) slot blocks of
-    (m, c), which partition the basis, so o is the n^2 x n^2 block
-    exponential E on those blocks and 0 off them. So max |W - o| is the
-    larger of two maxima: max |W_b - E| over the diagonal blocks W_b of W,
-    and max |W_ij| over the entries off the blocks. Off the blocks
-    W_ij - 0 is W_ij as a double (-0.0 - 0.0 is -0.0), so each term of
-    either maximum is the double that the dense difference holds, and a max
-    of doubles is exact. The rows of |W - o| are formed DISTANCE_ENTRIES
-    entries at a time."""
+    R^{mc} is block diagonal with blocks R on the slot blocks of (m, c), so
+    o is E = ``circle_block(sys)`` on those blocks and 0 off them. Off the
+    blocks |W_ij - 0.0| is |W_ij| for every double, -0.0 included, so |W|
+    with its block cells overwritten by |W_b - E| is |W - o| cell for cell."""
     blocks = _slot_blocks(sys.n, moving, center, sys.N)
-    block = circle_block(sys)
-    count, size = blocks.shape
-    # label[i] is the block of basis index i, place[i] its index in the block
-    label = np.empty(sys.dim, dtype=np.intp)
-    label[blocks] = np.arange(count)[:, None]
-    place = np.empty(sys.dim, dtype=np.intp)
-    place[blocks] = np.arange(size)
-    step = max(1, DISTANCE_ENTRIES // sys.dim)
-    maxima = []
-    for start in range(0, sys.dim, step):
-        part = w[start:start + step]
-        rows = np.arange(start, start + len(part))
-        # the cells of each row's block, as (row in part, column)
-        own = rows[:, None] - start, blocks[label[rows]]
-        # |W_ij - 0| = |W_ij| off the blocks, then |W_b - E| on them
-        dist = np.abs(part)
-        dist[own] = np.abs(part[own] - block[place[rows]])
-        maxima.append(dist.max())
-    return float(np.max(maxima))
+    own = blocks[:, :, None], blocks[:, None, :]
+    dist = np.abs(w)
+    dist[own] = np.abs(w[own] - circle_block(sys))
+    return float(dist.max())
 
 
 def convergence_order(sys: KZSystem, loop: LoopSpec):

@@ -54,7 +54,7 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import F0, F1
-from .scalars import parse_frac
+from .scalars import parse_frac, parse_int
 
 LAWS = ("long", "d_equation", "qybe", "hopf", "kz_bracket", "symmetric")
 DEFAULT_DIM_CAP = 4096
@@ -62,8 +62,16 @@ DIM_CAP_ENV = "LONGEQ_MAX_DIM"
 
 
 def max_dim():
-    """The size cap: ``LONGEQ_MAX_DIM``, or 4096 when it is unset."""
-    return int(os.environ.get(DIM_CAP_ENV) or DEFAULT_DIM_CAP)
+    """The size cap: ``LONGEQ_MAX_DIM``, read by ``parse_int`` and at least 1,
+    or 4096 when it is unset or empty."""
+    raw = os.environ.get(DIM_CAP_ENV) or str(DEFAULT_DIM_CAP)
+    try:
+        cap = parse_int(raw)
+    except ValueError:
+        cap = 0  # refused below, naming the variable
+    if cap < 1:
+        raise ValueError(f"{DIM_CAP_ENV} must be an integer of at least 1, got {raw!r}")
+    return cap
 
 
 def check_operator_dim(n):
@@ -519,7 +527,8 @@ def make_phi(n, phi) -> TensorOp2:
     """
     check_operator_dim(n)
     phi = list(phi)
-    if len(phi) != n or any(not 1 <= p <= n for p in phi):
+    if len(phi) != n or any(isinstance(p, bool) or not isinstance(p, int)
+                            or not 1 <= p <= n for p in phi):
         raise ValueError("phi must map {1..n} into itself")
     if any(phi[p - 1] != p for p in phi):
         raise NotIdempotent("phi o phi != phi")

@@ -941,6 +941,19 @@ def test_l1_space_z2_one_free_parameter():
     assert not space.contains([[1, 2], [1, 0]])
 
 
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_l1_space_contains_refuses_a_table_that_is_not_d_by_d(size):
+    """H4's eps (x) eps cut to 1 x 1 or 3 x 3, or padded with zeros to
+    5 x 5, is refused naming the size; the 5 x 5 table once answered True
+    and the 1 x 1 table raised IndexError."""
+    h4 = sweedler_h4()
+    eps = SigmaTable.counit_square(h4).table
+    table = [(row + [0])[:size] for row in eps[:size]] + [[0] * size] * (size - 4)
+    assert len(table) == size and {len(row) for row in table} == {size}
+    with pytest.raises(ValueError, match=r"^table must be 4 x 4$"):
+        l1_solution_space(h4).contains(table)
+
+
 def test_l1_space_agrees_with_strongd_check():
     b = cyclic_group_algebra(3)
     space = l1_solution_space(b)
@@ -1875,6 +1888,11 @@ _NOT_UNITAL_COALGEBRA_MAP = (["a", "b"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [
     (lambda: FinDimBialgebra([], [], [], [], []), InvalidBialgebra, "eps(1) != 1"),
     (lambda: FinDimBialgebra(*_NOT_UNITAL_COALGEBRA_MAP), InvalidBialgebra,
      "Delta(1) != 1 (x) 1"),
+    # a float entry raised TypeError, and a bool was read as 0 or 1
+    (lambda: group_algebra(["e", "g"], [[0, 1], [1, 0.0]]), InvalidGroupTable,
+     "table entries out of range"),
+    (lambda: group_algebra(["e", "g"], [[0, True], [True, 0]]), InvalidGroupTable,
+     "table entries out of range"),
 ])
 def test_group_algebra_and_bialgebra_refusals(build, error, message):
     with pytest.raises(error) as info:

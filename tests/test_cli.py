@@ -102,6 +102,21 @@ def test_operator_json_dim_cap_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "n^3 = 125 exceeds cap 64" in err
 
 
+@pytest.mark.parametrize("cap", ["1_000", "\u0666\u0664", "abc", "0", "-5"])
+def test_dim_cap_variable_is_a_positive_ascii_integer(capsys, monkeypatch, cap):
+    """``LONGEQ_MAX_DIM`` follows ``parse_int`` and is at least 1: an
+    underscore or non-ASCII digits, once accepted, a non-number, once a bare
+    ``int()`` error, and 0 or -5, once caps that refused every operator,
+    exit 2 naming the variable."""
+    argv = ["construct", "phi", "--n", "2", "--map", "1,1"]
+    monkeypatch.setenv("LONGEQ_MAX_DIM", " 8 ")
+    assert _run(capsys, argv)[0] == 0
+    monkeypatch.setenv("LONGEQ_MAX_DIM", cap)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: LONGEQ_MAX_DIM must be an integer of at least 1, got {cap!r}\n"
+
+
 def test_operator_json_non_list_entries_is_usage_error(tmp_path, capsys):
     op = _write(tmp_path, "op.json", {"dim": 2, "entries": None})
     code, out, err = _run(capsys, ["check", "--op", op])
@@ -1290,9 +1305,17 @@ _POLYGON = {"base": [[1.0, 1.0], [0.0, 0.0]], "kind": "polygon", "steps": 64,
     (dict(_CIRCLE, base=[[None, 0.0], [0.0, 0.0]]), "base point must be an [re, im] pair"),
     (dict(_POLYGON, waypoints=[_SQUARE, [[0.0, float("nan")]] * 5]),
      "waypoint must be a finite"),
+    (dict(_CIRCLE, center=1), "center index out of range"),
+    (dict(_CIRCLE, radius=0), "radius must be positive"),
+    ({k: v for k, v in _CIRCLE.items() if k != "radius"},
+     "circle loop JSON needs moving/center/radius"),
+    ({k: v for k, v in _POLYGON.items() if k != "waypoints"},
+     "polygon loop JSON needs waypoint paths"),
+    (dict(_CIRCLE, base=[[10 ** 400, 0.0], [0.0, 0.0]]), "base point is out of the float range"),
 ], ids=["steps-null", "steps-str", "moving-null", "center-null", "center-nan",
         "radius-nan", "radius-inf", "radius-str", "base-inf", "base-null",
-        "waypoint-nan"])
+        "waypoint-nan", "center-moving", "radius-zero", "radius-missing",
+        "waypoints-missing", "base-huge"])
 def test_kz_malformed_loop_is_usage_error(tmp_path, capsys, loop_obj, want):
     op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
     loop = _write(tmp_path, "loop.json", loop_obj)
@@ -1327,6 +1350,19 @@ def test_kz_steps_above_cap_is_usage_error(tmp_path, capsys, monkeypatch, source
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"steps must be at most {kz.MAX_STEPS}" in err
+
+
+def test_kz_steps_rebuilds_a_polygon_loop(tmp_path, capsys):
+    """``--steps`` on a polygon loop gives the report of the loop file with
+    that step count."""
+    op = _write(tmp_path, "op.json", operator_to_json(make_phi(2, [1, 1])))
+    argv = ["kz", "--op", op, "--points", "2", "--h", "0.05", "--loop"]
+    reports = []
+    for loop_obj, steps in ((_POLYGON, ["--steps", "12"]), (dict(_POLYGON, steps=12), [])):
+        code, out, err = _run(capsys, argv + [_write(tmp_path, "loop.json", loop_obj), *steps])
+        assert (code, err) == (0, "")
+        reports.append({k: v for k, v in json.loads(out).items() if k != "elapsed_s"})
+    assert reports[0] == reports[1]
 
 
 def test_kz_steps_zero_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -402,10 +402,11 @@ def test_oracle_distance_is_the_dense_distance():
 
 
 @pytest.mark.parametrize("dense", [False, True])
-def test_oracle_distance_holds_less_than_half_of_w(dense):
-    """At d = 256 ``oracle_distance`` holds, at its tracemalloc peak, less
-    than half of W's bytes, for a phi holonomy and for a dense W; the dense
-    form holds the lift, the difference and its abs (2 MB)."""
+def test_oracle_distance_holds_one_abs_array(dense):
+    """At d = 256 ``oracle_distance`` holds, at its tracemalloc peak, at most
+    |W| (half of W's bytes) and four complex gathers of the slot blocks (d
+    n^2 entries each), for a phi holonomy and for a dense W; the dense form
+    holds the lift, the difference and its abs (2.5 MB)."""
     import tracemalloc
 
     sys = KZSystem.from_op(make_phi(4, [1, 2, 2, 2]), 4, 0.1)
@@ -421,7 +422,7 @@ def test_oracle_distance_holds_less_than_half_of_w(dense):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert 0 < peak < w.nbytes // 2
+    assert 0 < peak <= w.nbytes // 2 + 4 * sys.dim * sys.n ** 2 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -1471,6 +1472,15 @@ def test_convergence_order_checks_step_cap_before_integrating(monkeypatch):
         convergence_order(sys, loop)
 
 
+def test_convergence_order_is_infinite_when_only_the_coarsest_run_differs(monkeypatch):
+    """Runs at 2s and 4s steps that agree exactly, beside an s run that does
+    not, give order ``math.inf``."""
+    _, sys, loop = _circle_system(0.1, steps=8)
+    runs = iter([np.full((4, 4), 0.5), np.zeros((4, 4)), np.zeros((4, 4))])
+    monkeypatch.setattr(kz, "integrate_holonomy", lambda s, lp: next(runs))
+    assert convergence_order(sys, loop) == math.inf
+
+
 def test_convergence_order_is_fourth():
     _, sys, loop = _circle_system(0.1, steps=24)
     p = convergence_order(sys, loop)
@@ -1571,6 +1581,11 @@ def test_holonomy_json_shape():
                                 LoopSpec([0, 1], "circle", 8, moving=1, center=0,
                                          radius=0.5)),
      "loop and system disagree on the number of points"),
+    # cmath.isfinite raises OverflowError on an int beyond the float range
+    (lambda: LoopSpec([10 ** 400, 1], "circle", 8, moving=1, center=0, radius=0.5),
+     "base point must be a finite complex number"),
+    (lambda: LoopSpec([0, 1], "circle", 8, moving=1, center=0, radius=-0.5),
+     "radius must be positive"),
 ])
 def test_loop_and_integration_refusals(build, message):
     with pytest.raises(ValueError) as info:

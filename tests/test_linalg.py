@@ -65,6 +65,18 @@ def test_solve_affine_inconsistent():
     assert la.solve_affine(rows, [F(1), F(3)]) is None
 
 
+def test_shape_refusals():
+    """A ragged matrix, a product of mismatched shapes and an empty right
+    factor are refused; an empty system has the empty solution."""
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        la.to_frac_matrix([[1, 2], [3]])
+    a = la.to_frac_matrix([[1, 2], [3, 4]])
+    for b in (la.to_frac_matrix([[1, 2, 3]]), []):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            la.mat_mul(a, b)
+    assert la.solve_affine([], []) == ([], [])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

@@ -301,6 +301,10 @@ def test_make_phi_rejects_non_idempotent():
         make_phi(3, [2, 3, 1])
 
 
+def test_tensor_op_repr_names_the_dimension():
+    assert repr(make_phi(3, [1, 1, 3])) == "TensorOp2(dim=3)"
+
+
 def test_idempotent_counts():
     """1, 1, 3, 10, 41, 196, 1057 idempotent maps on {1..n} for n = 0..6
     (OEIS A000248), each idempotent, listed in strictly increasing order."""
@@ -936,6 +940,10 @@ _Z2_TABLE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     (lambda: make_diag(2, [[1, 2, 3]]), "a must be n x n"),
     (lambda: make_pair([[1]], [[1, 0], [0, 1]]), "f and g must have equal size"),
     (lambda: make_conjugate([[1]], make_phi(2, [1, 1])), "u must be n x n"),
+    # a float value raised TypeError, and a bool was read as 1
+    (lambda: make_phi(2, [1, 2.0]), "phi must map {1..n} into itself"),
+    (lambda: make_phi(2, [True, 2]), "phi must map {1..n} into itself"),
+    (lambda: make_phi(2, ["1", 2]), "phi must map {1..n} into itself"),
 ])
 def test_constructor_shape_and_group_refusals(build, message):
     with pytest.raises(ValueError) as info:
